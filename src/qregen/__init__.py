@@ -9,7 +9,7 @@ download equal B/k.
 
 from .css import RepairCSS, build_repair_css, check_dual_containment, grs_dual_weights
 from .gf import GF
-from .matrix import Mat, blkdiag, solve, vandermonde
+from .matrix import Mat, blkdiag, vandermonde, vandermonde_inv
 from .pmcode import (
     MessagePair,
     NodeStorage,
@@ -91,7 +91,6 @@ __all__ = [
     "retrieve_file",
     "run_repair",
     "run_repair_extended",
-    "solve",
     "syndrome_linear",
     "syndrome_statevector",
     "syndrome_symplectic",
@@ -99,4 +98,5 @@ __all__ = [
     "unpack_file",
     "unpack_message",
     "vandermonde",
+    "vandermonde_inv",
 ]

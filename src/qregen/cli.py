@@ -352,14 +352,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, need_mode=True, formats=("json", "csv")):
+    def add_common(sp, need_mode=True):
         sp.add_argument("--n", type=int)
         sp.add_argument("--k", type=int)
         sp.add_argument("--d", type=int)
         sp.add_argument("--prime", type=int)
         sp.add_argument("--seed", type=int, default=1)
         sp.add_argument("--out", default=None)
-        sp.add_argument("--format", choices=formats, default=formats[0])
         if need_mode:
             sp.add_argument(
                 "--mode",
@@ -368,7 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
             )
 
     sp = sub.add_parser("demo-example1", help="replay the six-node reference values")
-    add_common(sp, need_mode=False, formats=("text", "json"))
+    add_common(sp, need_mode=False)
+    sp.add_argument("--format", choices=("text", "json"), default="text")
     sp.set_defaults(func=cmd_demo_example1)
 
     sp = sub.add_parser("encode", help="encode a message file across n nodes")

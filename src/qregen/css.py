@@ -14,6 +14,11 @@ points. That choice makes Vbar^T diag(u') diag(u) Vbar vanish, which is
 exactly what forces HX HZ^T = 0, so the pair generates a valid stabilizer
 group. By construction HZ (L1 Vt) = HX (L2 Vt) = [I | lam_f I], which is
 why the measured syndromes later read off the failed node's rows directly.
+
+HX and HZ share one inverse, since (L Vt)^(-1) = Vt^(-1) L^(-1): the build
+takes the closed-form Vt^(-1) (``vandermonde_inv``) once, forms
+[I | lam_f I] Vt^(-1) as a sum of row pairs, and scales its columns by
+1/lam2 for HX and by 1/lam1 for HZ.
 """
 
 from __future__ import annotations
@@ -25,11 +30,9 @@ from .errors import (
     DimensionMismatch,
     DualContainmentViolated,
     InvalidHelperSet,
-    RepeatedPoint,
     ZeroU,
 )
-from .gf import GF
-from .matrix import Mat, hstack, vandermonde
+from .matrix import Mat, grs_dual_weights, vandermonde_inv
 from .pmcode import SystemParams
 
 
@@ -64,25 +67,6 @@ class RepairCSS:
                 "lamF": self.lam_f,
             }
         return d
-
-
-def grs_dual_weights(field: GF, points: Sequence[int]) -> list[int]:
-    """w_j = (prod_{i != j} (points_j - points_i))^(-1).
-
-    These are the dual-code weights of a generalized Reed-Solomon code on
-    the given points: sum_j w_j points_j^m = 0 for every 0 <= m <= d-2.
-    """
-    pts = [x % field.p for x in points]
-    if len(set(pts)) != len(pts):
-        raise RepeatedPoint(f"points must be pairwise distinct: {points}")
-    weights = []
-    for j, pj in enumerate(pts):
-        prod = 1
-        for i, pi in enumerate(pts):
-            if i != j:
-                prod = prod * (pj - pi) % field.p
-        weights.append(field.inv(prod))
-    return weights
 
 
 def build_repair_css(
@@ -132,11 +116,15 @@ def build_repair_css(
     lam1 = tuple(field.mul(uj, di) for uj, di in zip(u_vec, denom_inv))
     lam2 = tuple(field.mul(uj, di) for uj, di in zip(u_prime, denom_inv))
 
-    v_t = vandermonde(field, pts, m)
-    ident = Mat.identity(field, params.alpha0)
-    selector = hstack([ident, ident.scale(lam_f)])
-    hx = selector @ (Mat.diag(field, lam2) @ v_t).inv()
-    hz = selector @ (Mat.diag(field, lam1) @ v_t).inv()
+    v_inv = vandermonde_inv(field, pts)
+    sel_v_inv = [  # [I | lam_f I] Vt^(-1): row r plus lam_f times row a0 + r
+        [x + lam_f * y for x, y in zip(v_inv.row(r), v_inv.row(params.alpha0 + r))]
+        for r in range(params.alpha0)
+    ]
+    # the right factors diag(lam2)^(-1) and diag(lam1)^(-1) scale columns
+    inv1, inv2 = ([field.inv(x) for x in lam] for lam in (lam1, lam2))
+    hx = Mat.from_rows(field, [[x * c for x, c in zip(row, inv2)] for row in sel_v_inv])
+    hz = Mat.from_rows(field, [[x * c for x, c in zip(row, inv1)] for row in sel_v_inv])
 
     if not check_dual_containment(hx, hz):
         raise DualContainmentViolated(

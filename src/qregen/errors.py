@@ -79,6 +79,10 @@ class ZeroProjection(QregenError):
     """No basis state has a nonzero codespace projection."""
 
 
+class ResidualOutOfTolerance(QregenError):
+    """A measured eigenvalue is off its p-th root of unity; numerical failure."""
+
+
 # tradeoff evaluation -----------------------------------------------------------
 
 class InvalidRegime(QregenError):
@@ -91,3 +95,7 @@ class RegimeViolation(QregenError):
 
 class Indivisible(QregenError):
     """File size not divisible as the requested point demands."""
+
+
+class BoundNotMet(QregenError):
+    """The simultaneous optimum misses the bound; internal consistency failure."""

@@ -1,17 +1,19 @@
 """Dense exact linear algebra over GF(p).
 
-Matrices are row-major int buffers tied to a GF instance. Every matrix in
-this package has at most a few hundred entries, so the kernels are plain
-cubic loops; exactness matters here, speed does not. Pivot selection always
-takes the first nonzero entry in column order, which keeps eliminations
-(and everything built on them) deterministic.
+Matrices are row-major int buffers tied to a GF instance; all arithmetic is
+exact. Every matrix the codes invert is a square Vandermonde matrix, so the
+hot paths use ``vandermonde_inv``, an O(m^2) closed form, instead of the
+cubic Gauss-Jordan ``Mat.inv``, which stays as the general reference. Pivot
+selection always takes the first nonzero entry in column order, which keeps
+eliminations (and everything built on them) deterministic.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from math import prod
 
-from .errors import DimensionMismatch, Singular
+from .errors import DimensionMismatch, RepeatedPoint, Singular
 from .gf import GF
 
 
@@ -50,14 +52,6 @@ class Mat:
         m = cls.zeros(field, n, n)
         for i in range(n):
             m.data[i * n + i] = 1
-        return m
-
-    @classmethod
-    def diag(cls, field: GF, entries: Sequence[int]) -> "Mat":
-        n = len(entries)
-        m = cls.zeros(field, n, n)
-        for i, e in enumerate(entries):
-            m.data[i * n + i] = e % field.p
         return m
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
@@ -227,6 +221,44 @@ def vandermonde(field: GF, points: Sequence[int], cols: int) -> Mat:
     return Mat(field, len(points), cols, data)
 
 
+def grs_dual_weights(field: GF, points: Sequence[int]) -> list[int]:
+    """w_j = (prod_{i != j} (points_j - points_i))^(-1).
+
+    These are the dual-code weights of a generalized Reed-Solomon code on
+    the given points: sum_j w_j points_j^m = 0 for every 0 <= m <= d-2.
+    """
+    pts = [x % field.p for x in points]
+    if len(set(pts)) != len(pts):
+        raise RepeatedPoint(f"points must be pairwise distinct: {points}")
+    return [
+        field.inv(prod(pj - pi for i, pi in enumerate(pts) if i != j))
+        for j, pj in enumerate(pts)
+    ]
+
+
+def vandermonde_inv(field: GF, points: Sequence[int]) -> Mat:
+    """Inverse of the square ``vandermonde(field, points, len(points))``.
+
+    Column i holds the coefficients of the Lagrange basis polynomial
+    prod_{j != i} (x - x_j) / (x_i - x_j): the master polynomial
+    prod_j (x - x_j), divided synthetically by (x - x_i), times the GRS
+    weight of x_i. O(m^2); repeated points raise RepeatedPoint.
+    """
+    p = field.p
+    pts = [x % p for x in points]
+    master = [1]  # coefficients of prod_j (x - x_j), constant term first
+    for x in pts:
+        master = [(a - x * b) % p for a, b in zip([0] + master, master + [0])]
+    cols = []
+    for x, w in zip(pts, grs_dual_weights(field, pts)):
+        acc, col = 0, []
+        for c in reversed(master[1:]):  # quotient coefficients, highest first
+            acc = (c + x * acc) % p
+            col.append(acc * w % p)
+        cols.append(col[::-1])
+    return Mat.from_rows(field, list(zip(*cols)))
+
+
 def blkdiag(field: GF, blocks: Sequence[Mat]) -> Mat:
     """Block-diagonal assembly; blocks may be rectangular."""
     rows = sum(b.rows for b in blocks)
@@ -244,17 +276,6 @@ def blkdiag(field: GF, blocks: Sequence[Mat]) -> Mat:
     return out
 
 
-def hstack(blocks: Sequence[Mat]) -> Mat:
-    rows = blocks[0].rows
-    if any(b.rows != rows for b in blocks):
-        raise DimensionMismatch("row counts differ")
-    data: list[int] = []
-    for i in range(rows):
-        for b in blocks:
-            data.extend(b.row(i))
-    return Mat(blocks[0].field, rows, sum(b.cols for b in blocks), data)
-
-
 def vstack(blocks: Sequence[Mat]) -> Mat:
     cols = blocks[0].cols
     if any(b.cols != cols for b in blocks):
@@ -263,15 +284,6 @@ def vstack(blocks: Sequence[Mat]) -> Mat:
     for b in blocks:
         data.extend(b.data)
     return Mat(blocks[0].field, sum(b.rows for b in blocks), cols, data)
-
-
-def solve(a: Mat, b: Mat) -> Mat:
-    """Exact solution x of a @ x = b for square nonsingular a."""
-    if a.rows != a.cols:
-        raise DimensionMismatch("solve needs a square matrix")
-    if a.rows != b.rows:
-        raise DimensionMismatch("right-hand side height mismatch")
-    return a.inv() @ b
 
 
 def matvec(a: Mat, v: Sequence[int]) -> list[int]:

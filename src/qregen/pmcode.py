@@ -15,12 +15,13 @@ the *_file functions handle that layering.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 from collections.abc import Sequence
 
 from .errors import BadShareSet, InvalidParams, NoValidPoints, Singular, WrongLength
 from .gf import GF
-from .matrix import Mat, vandermonde, vstack
+from .matrix import Mat, matvec, vandermonde, vandermonde_inv, vstack
 from .rng import SplitMix64
 
 
@@ -218,7 +219,39 @@ def encode(params: SystemParams, msg: MessagePair) -> tuple[NodeStorage, ...]:
     )
 
 
-def _decode_instance(params: SystemParams, ids: list[int], c_dc: Mat) -> tuple[Mat, Mat]:
+@dataclass(frozen=True)
+class _DecodePlan:
+    """Every inverse that decoding from one sorted id set needs."""
+
+    phibar_t: Mat  # a0 x k, column a is vbar of the a-th id
+    lam: tuple[int, ...]
+    diff_inv: dict[tuple[int, int], int]  # (a, b) -> 1 / (lam_a - lam_b), a < b
+    loo_inv: tuple[Mat, ...]  # j -> inverse of phibar without row j
+    w_t_inv: Mat  # inverse of W^T, W = the first a0 rows of phibar
+
+
+def _decode_plan(params: SystemParams, ids: list[int]) -> _DecodePlan:
+    field = params.field
+    pts = [params.eval_points[i - 1] for i in ids]
+    lam = tuple(params.lam[i - 1] for i in ids)
+    diff_inv = {}
+    for a, b in combinations(range(params.k), 2):
+        if lam[a] == lam[b]:
+            raise Singular(f"repeated lam between nodes {ids[a]} and {ids[b]}")
+        diff_inv[a, b] = field.inv(field.sub(lam[a], lam[b]))
+    a0 = params.alpha0
+    return _DecodePlan(
+        phibar_t=vandermonde(field, pts, a0).T,
+        lam=lam,
+        diff_inv=diff_inv,
+        loo_inv=tuple(vandermonde_inv(field, pts[:j] + pts[j + 1 :]) for j in range(a0)),
+        w_t_inv=vandermonde_inv(field, pts[:a0]).T,
+    )
+
+
+def _decode_instance(
+    params: SystemParams, plan: _DecodePlan, c_dc: Mat
+) -> tuple[Mat, Mat]:
     """Recover (S1, S2) from the k collected rows vbar^T S1 + lam vbar^T S2.
 
     With P = C_DC Phibar^T, entry P[a,b] = theta_ab + lam_a * psi_ab where
@@ -228,42 +261,41 @@ def _decode_instance(params: SystemParams, ids: list[int], c_dc: Mat) -> tuple[M
     [[1, lam_a], [1, lam_b]]. The k-1 values theta_aj (a != j) then pin
     down S1 vbar_j through a square Vandermonde solve, and a0 of those
     columns pin down S1 itself; likewise psi gives S2.
+
+    Every inverse involved depends only on the ids, so it comes from
+    ``plan`` (built by _decode_plan); this function only applies them.
     """
     field = params.field
     k = params.k
     a0 = params.alpha0
-    phibar = Mat.from_rows(field, [params.point_powers(i) for i in ids])
-    lam = [params.lam[i - 1] for i in ids]
-    prod = c_dc @ phibar.T
+    prod = c_dc @ plan.phibar_t
 
     theta = [[0] * k for _ in range(k)]
     psi = [[0] * k for _ in range(k)]
-    for a in range(k):
-        for b in range(a + 1, k):
-            if lam[a] == lam[b]:
-                raise Singular(f"repeated lam between nodes {ids[a]} and {ids[b]}")
-            diff_inv = field.inv(field.sub(lam[a], lam[b]))
-            psi_ab = field.mul(field.sub(prod[a, b], prod[b, a]), diff_inv)
-            theta_ab = field.sub(prod[a, b], field.mul(lam[a], psi_ab))
-            theta[a][b] = theta[b][a] = theta_ab
-            psi[a][b] = psi[b][a] = psi_ab
+    for (a, b), diff_inv in plan.diff_inv.items():
+        psi_ab = field.mul(field.sub(prod[a, b], prod[b, a]), diff_inv)
+        theta_ab = field.sub(prod[a, b], field.mul(plan.lam[a], psi_ab))
+        theta[a][b] = theta[b][a] = theta_ab
+        psi[a][b] = psi[b][a] = psi_ab
 
     def solve_columns(vals: list[list[int]]) -> Mat:
-        cols: list[list[int]] = []
-        for j in range(a0):
-            others = [a for a in range(k) if a != j]
-            system = Mat.from_rows(field, [phibar.row(a) for a in others])
-            rhs = Mat(field, a0, 1, [vals[a][j] for a in others])
-            cols.append((system.inv() @ rhs).col(0))
-        stacked = Mat.from_rows(field, cols).T  # a0 x a0, columns S vbar_j
-        w_t = Mat.from_rows(field, [phibar.row(j) for j in range(a0)]).T
-        return stacked @ w_t.inv()
+        cols = [  # column j is S vbar_j
+            matvec(plan.loo_inv[j], [vals[a][j] for a in range(k) if a != j])
+            for j in range(a0)
+        ]
+        return Mat.from_rows(field, cols).T @ plan.w_t_inv
 
     return solve_columns(theta), solve_columns(psi)
 
 
-def retrieve(params: SystemParams, shares: Sequence[NodeStorage]) -> MessagePair:
-    """Rebuild one sub-file's MessagePair from any k distinct shares."""
+def retrieve(
+    params: SystemParams, shares: Sequence[NodeStorage], plans: dict | None = None
+) -> MessagePair:
+    """Rebuild one sub-file's MessagePair from any k distinct shares.
+
+    ``plans`` maps a sorted id tuple to its decode plan; a caller that
+    passes one dict for many sub-files plans each distinct id set once.
+    """
     if len(shares) != params.k:
         raise BadShareSet(f"need exactly {params.k} shares, got {len(shares)}")
     ids = sorted(s.node_id for s in shares)
@@ -276,8 +308,11 @@ def retrieve(params: SystemParams, shares: Sequence[NodeStorage]) -> MessagePair
             raise BadShareSet(f"share {s.node_id} has wrong row length")
     c1 = Mat.from_rows(params.field, [list(s.row_m) for s in ordered])
     c2 = Mat.from_rows(params.field, [list(s.row_mp) for s in ordered])
-    s1, s2 = _decode_instance(params, ids, c1)
-    s1p, s2p = _decode_instance(params, ids, c2)
+    plans = {} if plans is None else plans
+    key = tuple(ids)
+    plan = plans[key] = plans.get(key) or _decode_plan(params, ids)
+    s1, s2 = _decode_instance(params, plan, c1)
+    s1p, s2p = _decode_instance(params, plan, c2)
     return MessagePair(s1, s2, s1p, s2p)
 
 
@@ -313,9 +348,10 @@ def retrieve_file(
         raise BadShareSet(
             f"need shares for {params.subfiles} sub-files, got {len(shares_per_subfile)}"
         )
+    plans: dict[tuple[int, ...], _DecodePlan] = {}  # sub-files may use other ids
     out: list[int] = []
     for shares in shares_per_subfile:
-        out.extend(unpack_message(params, retrieve(params, shares)))
+        out.extend(unpack_message(params, retrieve(params, shares, plans)))
     return tuple(out)
 
 

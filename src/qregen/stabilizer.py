@@ -35,6 +35,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     DualContainmentViolated,
+    ResidualOutOfTolerance,
     TooLarge,
     ZeroProjection,
 )
@@ -237,6 +238,7 @@ def syndrome_statevector(
         s, res = _measure_exponent(space, corrupted, group.x_type.row(i), zero)
         worst = max(worst, res)
         s_z.append(-s % p)
-    assert worst < RESIDUAL_TOL, f"eigenvalue residual {worst} out of tolerance"
+    if not worst < RESIDUAL_TOL:
+        raise ResidualOutOfTolerance(f"eigenvalue residual {worst} out of tolerance")
     syn = Syndrome(s_x=tuple(s_x), s_z=tuple(s_z))
     return (syn, worst) if with_residual else syn

@@ -22,7 +22,7 @@ from fractions import Fraction
 from numbers import Rational
 from collections.abc import Iterable, Sequence
 
-from .errors import Indivisible, InvalidRegime, RegimeViolation
+from .errors import BoundNotMet, Indivisible, InvalidRegime, RegimeViolation
 
 Num = Rational  # ints and Fractions both qualify
 
@@ -70,7 +70,8 @@ def optimal_point(k: int, d: int, b: int) -> TradeoffPoint:
         raise Indivisible(f"B={b} must be divisible by k*d={k * d}")
     alpha = b // k
     beta = b // (k * d)
-    assert quantum_sum(k, d, alpha, beta) == b, "optimal point must meet the bound"
+    if quantum_sum(k, d, alpha, beta) != b:
+        raise BoundNotMet(f"optimal point ({alpha}, {beta}) misses B={b}")
     return TradeoffPoint(alpha=alpha, beta=beta, d=d, k=k, B=b, feasible=True)
 
 

@@ -1,10 +1,14 @@
 """CLI harness: command flows, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from qregen import reference
+from qregen import reference, tradeoff
 from qregen.cli import main
 
 
@@ -222,3 +226,40 @@ def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["encode", "--in", "msg.json"],
+    ["retrieve", "--in", "storage.json"],
+    ["repair", "--failed", "1", "--helpers", "2,3,4,5"],
+    ["sweep"],
+    ["tradeoff"],
+    ["selftest"],
+], ids=lambda argv: argv[0])
+def test_format_only_on_demo(capsys, argv):
+    # only demo-example1 honours --format; elsewhere it is an unknown flag
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--format", "csv"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format csv" in capsys.readouterr().err
+
+
+def test_verification_failure_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(tradeoff, "quantum_sum", lambda k, d, a, b: 0)
+    code, _, err = run_cli(capsys, "tradeoff", "--k", "3", "--d", "4", "--B", "12")
+    assert code == 1
+    assert err.startswith("verification failure: ")
+
+
+def test_selftest_under_python_O():
+    # no check may vanish under -O: the battery must pass with the same bytes
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    runs = [
+        subprocess.run([sys.executable, *flags, "-m", "qregen.cli", "selftest"],
+                       capture_output=True, text=True, env=env, timeout=120)
+        for flags in ([], ["-O"])
+    ]
+    assert [r.returncode for r in runs] == [0, 0]
+    assert runs[0].stdout == runs[1].stdout
+    assert "6/6 selftest checks pass" in runs[1].stdout

@@ -12,7 +12,7 @@ from qregen.errors import (
     ZeroU,
 )
 from qregen.gf import GF
-from qregen.matrix import Mat, hstack, vandermonde
+from qregen.matrix import Mat, vandermonde
 from qregen.pmcode import make_params
 from qregen.rng import SplitMix64
 
@@ -66,9 +66,15 @@ def test_build_reference_instance_goldens():
     assert all(x != 0 for x in c.lam1 + c.lam2)
 
 
+def diag(field, entries):
+    n = len(entries)
+    rows = [[e if i == j else 0 for j in range(n)] for i, e in enumerate(entries)]
+    return Mat.from_rows(field, rows)
+
+
 def _selector(params, lam_f):
-    ident = Mat.identity(params.field, params.alpha0)
-    return hstack([ident, ident.scale(lam_f)])
+    ident = Mat.identity(params.field, params.alpha0).to_rows()
+    return Mat.from_rows(params.field, [row + [lam_f * x for x in row] for row in ident])
 
 
 def test_construction_identities():
@@ -84,8 +90,8 @@ def test_construction_identities():
             pts = [params.eval_points[s - 1] for s in c.helpers]
             vt = vandermonde(params.field, pts, 4)
             sel = _selector(params, c.lam_f)
-            assert c.hz @ (Mat.diag(params.field, c.lam1) @ vt) == sel
-            assert c.hx @ (Mat.diag(params.field, c.lam2) @ vt) == sel
+            assert c.hz @ (diag(params.field, c.lam1) @ vt) == sel
+            assert c.hx @ (diag(params.field, c.lam2) @ vt) == sel
 
 
 def test_dual_containment_exhaustive_with_random_u():
@@ -113,8 +119,8 @@ def test_u_scaling_leaves_identities_intact():
         pts = [params.eval_points[s - 1] for s in scaled.helpers]
         vt = vandermonde(field, pts, 6)
         sel = _selector(params, scaled.lam_f)
-        assert scaled.hz @ (Mat.diag(field, scaled.lam1) @ vt) == sel
-        assert scaled.hx @ (Mat.diag(field, scaled.lam2) @ vt) == sel
+        assert scaled.hz @ (diag(field, scaled.lam1) @ vt) == sel
+        assert scaled.hx @ (diag(field, scaled.lam2) @ vt) == sel
 
 
 def test_u_times_u_prime_is_grs_weights():

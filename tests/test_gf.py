@@ -26,6 +26,20 @@ def test_is_prime_small_table():
     assert not is_prime(2**31 - 3)
 
 
+def test_is_prime_large_and_pseudoprimes():
+    assert is_prime(2**61 - 1)  # trial division would take minutes here
+    assert is_prime(2**64 - 59)  # largest 64-bit prime
+    assert not is_prime((2**61 - 1) * (2**31 - 1))
+    # Carmichael number 211 * 421 * 631: passes Fermat to every coprime base
+    assert pow(2, 56052360, 56052361) == 1
+    assert not is_prime(56052361)
+    # strong pseudoprime to bases 2, 3, 5, 7 (151 * 751 * 28351)
+    assert not is_prime(3215031751)
+    # strong pseudoprime to every prime base up to 23
+    assert not is_prime(3825123056546413051)
+    assert GF(2**61 - 1).inv(3) * 3 % (2**61 - 1) == 1
+
+
 def test_inverse_golden_values():
     f = GF(13)
     assert f.inv(1) == 1

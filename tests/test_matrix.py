@@ -1,17 +1,18 @@
 """Exact linear algebra: golden matrices and re-multiplication properties."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qregen.errors import DimensionMismatch, Singular
+from qregen.errors import DimensionMismatch, RepeatedPoint, Singular
 from qregen.gf import GF
 from qregen.matrix import (
     Mat,
     blkdiag,
     dot,
-    hstack,
     matvec,
-    solve,
     vandermonde,
+    vandermonde_inv,
     vstack,
 )
 from qregen.rng import SplitMix64
@@ -35,6 +36,11 @@ V_HELPERS = [
     [1, 5, 12, 8],
     [1, 6, 10, 8],
 ]
+
+
+def solve(a, b):
+    """Reference solve of a @ x = b through the Gauss-Jordan inverse."""
+    return a.inv() @ b
 
 
 def random_mat(field, rng, rows, cols):
@@ -130,9 +136,8 @@ def test_stacking():
     a = Mat.from_rows(F13, [[1, 2]])
     b = Mat.from_rows(F13, [[3, 4]])
     assert vstack([a, b]).to_rows() == [[1, 2], [3, 4]]
-    assert hstack([a, b]).to_rows() == [[1, 2, 3, 4]]
     with pytest.raises(DimensionMismatch):
-        hstack([a, Mat.zeros(F13, 2, 2)])
+        vstack([a, Mat.zeros(F13, 1, 3)])
 
 
 def test_solve_identity_and_random():
@@ -180,3 +185,44 @@ def test_transpose_scale_add():
     assert a.scale(2).to_rows() == [[2, 4], [6, 8]]
     assert (a + a).to_rows() == a.scale(2).to_rows()
     assert (a - a).is_zero()
+
+
+@st.composite
+def point_sets(draw):
+    """(field, distinct nonzero points) with 1 to 40 points."""
+    p = draw(st.sampled_from([13, 17, 67, 2**61 - 1]))
+    size = draw(st.integers(1, min(40, p - 1)))
+    if p < 100:
+        points = draw(st.permutations(range(1, p)))[:size]
+    else:
+        points = draw(
+            st.lists(st.integers(1, p - 1), min_size=size, max_size=size, unique=True)
+        )
+    return GF(p), points
+
+
+@settings(max_examples=60, deadline=None)
+@given(point_sets())
+def test_vandermonde_inv_closed_form(case):
+    field, points = case
+    m = len(points)
+    inv = vandermonde_inv(field, points)
+    v = vandermonde(field, points, m)
+    assert inv @ v == Mat.identity(field, m)
+    if m <= 12:
+        assert inv == v.inv()  # Gauss-Jordan stays the reference
+
+
+@settings(max_examples=30, deadline=None)
+@given(point_sets(), st.data())
+def test_vandermonde_inv_repeated_point(case, data):
+    field, points = case
+    dup = data.draw(st.sampled_from(points))
+    at = data.draw(st.integers(0, len(points)))
+    with pytest.raises(RepeatedPoint):
+        vandermonde_inv(field, points[:at] + [dup] + points[at:])
+
+
+def test_vandermonde_inv_golden():
+    assert vandermonde_inv(F13, (5,)).to_rows() == [[1]]
+    assert vandermonde_inv(F13, (2, 4, 5, 6)) == Mat.from_rows(F13, V_HELPERS).inv()

@@ -242,3 +242,28 @@ def test_file_layer_round_trip():
         pack_file(params, symbols[:-1])
     with pytest.raises(BadShareSet):
         retrieve_file(params, shares[:2])
+
+
+def test_retrieve_file_distinct_subsets_per_subfile():
+    # the decode plan is keyed on the ids, so sub-files read from different
+    # k-subsets (and repeated ones) must each decode with their own plan
+    params = make_params(12, 4, 8, 17)
+    rng = SplitMix64(19)
+    symbols = random_symbols(params, rng)
+    storage = encode_file(params, symbols)
+    subsets = [rng.sample(range(1, 13), 4) for _ in range(params.subfiles - 2)]
+    subsets += subsets[:2]
+    assert len({tuple(sorted(s)) for s in subsets}) > 1
+    shares = [[sub[i - 1] for i in ids] for sub, ids in zip(storage, subsets)]
+    assert list(retrieve_file(params, shares)) == symbols
+
+
+def test_retrieve_file_every_subset_at_12_4_8_17():
+    params = make_params(12, 4, 8, 17)
+    symbols = random_symbols(params, SplitMix64(12))
+    storage = encode_file(params, symbols)
+    subsets = list(combinations(range(1, 13), 4))
+    assert len(subsets) == 495
+    for ids in subsets:
+        shares = [[sub[i - 1] for i in ids] for sub in storage]
+        assert list(retrieve_file(params, shares)) == symbols

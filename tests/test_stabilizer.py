@@ -3,8 +3,14 @@
 import numpy as np
 import pytest
 
+import qregen.stabilizer
 from qregen.css import build_repair_css
-from qregen.errors import DimensionMismatch, DualContainmentViolated, TooLarge
+from qregen.errors import (
+    DimensionMismatch,
+    DualContainmentViolated,
+    ResidualOutOfTolerance,
+    TooLarge,
+)
 from qregen.gf import GF
 from qregen.matrix import Mat, dot, matvec
 from qregen.pmcode import encode, make_params, pack_message, random_symbols
@@ -210,3 +216,12 @@ def test_error_dimension_check():
         syndrome_linear(group, PauliError.make(13, [1], [0]))
     with pytest.raises(DimensionMismatch):
         PauliError.make(13, [1, 2], [0])
+
+
+def test_statevector_residual_check_raises(monkeypatch):
+    # a typed error, not an assert, so the check survives python -O
+    params, c, group = reference_group()
+    err = random_error(13, 4, SplitMix64(58))
+    monkeypatch.setattr(qregen.stabilizer, "RESIDUAL_TOL", -1.0)
+    with pytest.raises(ResidualOutOfTolerance):
+        syndrome_statevector(group, err)

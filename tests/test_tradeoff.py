@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from qregen.errors import Indivisible, InvalidRegime, RegimeViolation
+import qregen.tradeoff
+from qregen.errors import BoundNotMet, Indivisible, InvalidRegime, RegimeViolation
 from qregen.tradeoff import (
     alpha_min_classical,
     alpha_min_quantum,
@@ -75,6 +76,13 @@ def test_optimal_point_errors():
         optimal_point(3, 4, 13)
     with pytest.raises(Indivisible):
         optimal_point(3, 4, 15)  # divisible by k but not k*d
+
+
+def test_optimal_point_bound_check_raises(monkeypatch):
+    # a typed error, not an assert, so the check survives python -O
+    monkeypatch.setattr(qregen.tradeoff, "quantum_sum", lambda k, d, a, b: 0)
+    with pytest.raises(BoundNotMet):
+        optimal_point(3, 4, 12)
 
 
 @pytest.mark.parametrize("k", [3, 4, 5, 6])
