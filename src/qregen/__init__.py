@@ -9,7 +9,7 @@ download equal B/k.
 
 from .css import RepairCSS, build_repair_css, check_dual_containment, grs_dual_weights
 from .gf import GF
-from .matrix import Mat, blkdiag, vandermonde, vandermonde_inv
+from .matrix import Mat, vandermonde, vandermonde_inv
 from .pmcode import (
     MessagePair,
     NodeStorage,
@@ -71,7 +71,6 @@ __all__ = [
     "SystemParams",
     "TradeoffPoint",
     "bandwidth_report",
-    "blkdiag",
     "build_repair_css",
     "check_dual_containment",
     "classical_feasible",

@@ -23,7 +23,7 @@ from .pmcode import (
     retrieve_file,
 )
 from .reference import replay
-from .repair import run_repair, run_repair_extended, plan_subfiles
+from .repair import MODES, run_repair, run_repair_extended, plan_subfiles
 from .rng import SplitMix64
 
 USAGE_ERRORS = (
@@ -45,8 +45,11 @@ USAGE_ERRORS = (
 
 def _write_out(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise errors.InvalidParams(f"cannot write {out_path}: {exc}") from None
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -77,13 +80,7 @@ def _params_json(params: SystemParams) -> dict:
 def _storage_to_json(params: SystemParams, storage) -> dict:
     return {
         "params": _params_json(params),
-        "subfiles": [
-            [
-                {"nodeId": s.node_id, "rowM": list(s.row_m), "rowMp": list(s.row_mp)}
-                for s in sub
-            ]
-            for sub in storage
-        ],
+        "subfiles": [[s.to_json_dict() for s in sub] for sub in storage],
     }
 
 
@@ -163,10 +160,14 @@ def cmd_retrieve(args) -> int:
 
 def cmd_repair(args) -> int:
     if args.in_path:
+        flags = ("n", "k", "d", "prime", "seed")
+        given = next((f for f in flags if getattr(args, f) is not None), None)
+        if given:
+            raise errors.InvalidParams(f"--{given} cannot be combined with --in")
         params, storage = _storage_from_json(_load_json(args.in_path))
     else:
         params = _params_from_args(args)
-        rng = SplitMix64(args.seed)
+        rng = SplitMix64(1 if args.seed is None else args.seed)
         storage = encode_file(params, random_symbols(params, rng))
     helpers = _parse_ids(args.helpers)
     transcript = run_repair_extended(
@@ -177,6 +178,8 @@ def cmd_repair(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.trials < 1:
+        raise errors.InvalidParams(f"--trials must be at least 1, got {args.trials}")
     params = _params_from_args(args)
     rng = SplitMix64(args.seed)
     base = params.subfiles == 1
@@ -225,7 +228,7 @@ def cmd_sweep(args) -> int:
         "trials": args.trials,
         "repairCases": repair_cases,
         "repairTrials": repair_trials,
-        "retrievalSubsets": retrieval_trials // max(args.trials, 1),
+        "retrievalSubsets": retrieval_trials // args.trials,
         "retrievalTrials": retrieval_trials,
         "failures": failures,
         "quditTotal": {
@@ -243,7 +246,12 @@ def _parse_betas(text: str) -> list[Fraction]:
     text = text.strip()
     if not text:
         return []
-    return [Fraction(part) for part in text.split(",")]
+    try:
+        return [Fraction(part) for part in text.split(",")]
+    except (ValueError, ZeroDivisionError):
+        raise errors.InvalidParams(
+            f"--betas needs comma-separated rationals, got {text!r}"
+        ) from None
 
 
 def cmd_tradeoff(args) -> int:
@@ -352,57 +360,48 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, need_mode=True):
-        sp.add_argument("--n", type=int)
-        sp.add_argument("--k", type=int)
-        sp.add_argument("--d", type=int)
-        sp.add_argument("--prime", type=int)
-        sp.add_argument("--seed", type=int, default=1)
+    def add_command(name, func, help, *int_flags):
+        """A subcommand taking --out plus exactly the integer flags it reads."""
+        sp = sub.add_parser(name, help=help, allow_abbrev=False)  # --n is not --nodes
+        sp.set_defaults(func=func)
+        for flag in int_flags:
+            sp.add_argument(f"--{flag}", type=int)
         sp.add_argument("--out", default=None)
-        if need_mode:
-            sp.add_argument(
-                "--mode",
-                choices=("linear", "symplectic", "statevector"),
-                default="linear",
-            )
+        return sp
 
-    sp = sub.add_parser("demo-example1", help="replay the six-node reference values")
-    add_common(sp, need_mode=False)
+    sp = add_command("demo-example1", cmd_demo_example1,
+                     "replay the six-node reference values")
+    sp.add_argument("--seed", type=int, default=1)
     sp.add_argument("--format", choices=("text", "json"), default="text")
-    sp.set_defaults(func=cmd_demo_example1)
 
-    sp = sub.add_parser("encode", help="encode a message file across n nodes")
-    add_common(sp, need_mode=False)
+    sp = add_command("encode", cmd_encode, "encode a message file across n nodes",
+                     "n", "k", "d", "prime")
     sp.add_argument("--in", dest="in_path", required=True)
-    sp.set_defaults(func=cmd_encode)
 
-    sp = sub.add_parser("retrieve", help="rebuild the message from k nodes")
-    add_common(sp, need_mode=False)
+    sp = add_command("retrieve", cmd_retrieve, "rebuild the message from k nodes")
     sp.add_argument("--in", dest="in_path", required=True)
     sp.add_argument("--nodes", default=None, help="comma-separated node ids")
-    sp.set_defaults(func=cmd_retrieve)
 
-    sp = sub.add_parser("repair", help="regenerate a failed node from d helpers")
-    add_common(sp)
+    sp = add_command("repair", cmd_repair, "regenerate a failed node from d helpers",
+                     "n", "k", "d", "prime")
+    sp.add_argument("--seed", type=int)  # no default, so that --seed with --in shows
+    sp.add_argument("--mode", choices=MODES, default="linear")
     sp.add_argument("--in", dest="in_path", default=None)
     sp.add_argument("--failed", type=int, required=True)
     sp.add_argument("--helpers", required=True, help="comma-separated helper ids")
-    sp.set_defaults(func=cmd_repair)
 
-    sp = sub.add_parser("sweep", help="exhaustive repair and retrieval trials")
-    add_common(sp)
+    sp = add_command("sweep", cmd_sweep, "exhaustive repair and retrieval trials",
+                     "n", "k", "d", "prime")
+    sp.add_argument("--seed", type=int, default=1)
+    sp.add_argument("--mode", choices=MODES, default="linear")
     sp.add_argument("--trials", type=int, default=20)
-    sp.set_defaults(func=cmd_sweep)
 
-    sp = sub.add_parser("tradeoff", help="tabulate the storage-bandwidth bounds")
-    add_common(sp, need_mode=False)
-    sp.add_argument("--B", type=int)
+    sp = add_command("tradeoff", cmd_tradeoff, "tabulate the storage-bandwidth bounds",
+                     "k", "d", "B")
     sp.add_argument("--betas", default=None, help="comma-separated rationals")
-    sp.set_defaults(func=cmd_tradeoff)
 
-    sp = sub.add_parser("selftest", help="quick verification battery")
-    add_common(sp, need_mode=False)
-    sp.set_defaults(func=cmd_selftest)
+    sp = add_command("selftest", cmd_selftest, "quick verification battery")
+    sp.add_argument("--seed", type=int, default=1)
 
     return parser
 

@@ -18,7 +18,9 @@ why the measured syndromes later read off the failed node's rows directly.
 HX and HZ share one inverse, since (L Vt)^(-1) = Vt^(-1) L^(-1): the build
 takes the closed-form Vt^(-1) (``vandermonde_inv``) once, forms
 [I | lam_f I] Vt^(-1) as a sum of row pairs, and scales its columns by
-1/lam2 for HX and by 1/lam1 for HZ.
+1/lam2 for HX and by 1/lam1 for HZ. The last row of Vt^(-1) is w: column j
+holds the Lagrange polynomial of point j, whose leading coefficient is w_j. The
+``StabGroup`` the build returns checks HX HZ^T = 0, once.
 """
 
 from __future__ import annotations
@@ -26,14 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Sequence
 
-from .errors import (
-    DimensionMismatch,
-    DualContainmentViolated,
-    InvalidHelperSet,
-    ZeroU,
-)
-from .matrix import Mat, grs_dual_weights, vandermonde_inv
+from .errors import InvalidHelperSet, ZeroU
+from .matrix import Mat, grs_dual_weights, vandermonde_inv  # re-exports the weights
 from .pmcode import SystemParams
+from .stabilizer import StabGroup, check_dual_containment  # re-exports the check
 
 
 @dataclass(frozen=True)
@@ -42,13 +40,20 @@ class RepairCSS:
 
     failed_node: int
     helpers: tuple[int, ...]
-    hx: Mat
-    hz: Mat
+    group: StabGroup
     lam1: tuple[int, ...]
     lam2: tuple[int, ...]
     u: tuple[int, ...]
     u_prime: tuple[int, ...]
     lam_f: int
+
+    @property
+    def hx(self) -> Mat:
+        return self.group.x_type
+
+    @property
+    def hz(self) -> Mat:
+        return self.group.z_type
 
     def to_json_dict(self, full: bool = False) -> dict:
         d = {
@@ -110,13 +115,13 @@ def build_repair_css(
         )
 
     pts = [params.eval_points[s - 1] for s in hs]
-    w = grs_dual_weights(field, pts)
+    v_inv = vandermonde_inv(field, pts)
+    w = v_inv.row(m - 1)  # leading Lagrange coefficients = dual GRS weights
     u_prime = tuple(field.mul(wj, field.inv(uj)) for wj, uj in zip(w, u_vec))
     denom_inv = [field.inv(field.sub(ls, lam_f)) for ls in lam_h]
     lam1 = tuple(field.mul(uj, di) for uj, di in zip(u_vec, denom_inv))
     lam2 = tuple(field.mul(uj, di) for uj, di in zip(u_prime, denom_inv))
 
-    v_inv = vandermonde_inv(field, pts)
     sel_v_inv = [  # [I | lam_f I] Vt^(-1): row r plus lam_f times row a0 + r
         [x + lam_f * y for x, y in zip(v_inv.row(r), v_inv.row(params.alpha0 + r))]
         for r in range(params.alpha0)
@@ -125,26 +130,13 @@ def build_repair_css(
     inv1, inv2 = ([field.inv(x) for x in lam] for lam in (lam1, lam2))
     hx = Mat.from_rows(field, [[x * c for x, c in zip(row, inv2)] for row in sel_v_inv])
     hz = Mat.from_rows(field, [[x * c for x, c in zip(row, inv1)] for row in sel_v_inv])
-
-    if not check_dual_containment(hx, hz):
-        raise DualContainmentViolated(
-            f"HX HZ^T != 0 for failed={failed}, helpers={hs}"
-        )
     return RepairCSS(
         failed_node=failed,
         helpers=hs,
-        hx=hx,
-        hz=hz,
+        group=StabGroup(x_type=hx, z_type=hz),  # raises DualContainmentViolated
         lam1=lam1,
         lam2=lam2,
         u=u_vec,
         u_prime=u_prime,
         lam_f=lam_f,
     )
-
-
-def check_dual_containment(hx: Mat, hz: Mat) -> bool:
-    """True iff HX HZ^T = 0, i.e. the pair defines a valid stabilizer group."""
-    if hx.cols != hz.cols or hx.field != hz.field:
-        raise DimensionMismatch("HX and HZ must share width and field")
-    return (hx @ hz.T).is_zero()

@@ -88,8 +88,5 @@ class GF:
             raise ValueError("exponent must be non-negative")
         return pow(a % self.p, e, self.p)
 
-    def elements(self) -> range:
-        return range(self.p)
-
     def units(self) -> range:
         return range(1, self.p)

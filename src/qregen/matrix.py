@@ -67,9 +67,6 @@ class Mat:
     def to_rows(self) -> list[list[int]]:
         return [self.row(i) for i in range(self.rows)]
 
-    def copy(self) -> "Mat":
-        return Mat(self.field, self.rows, self.cols, self.data)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Mat)
@@ -169,49 +166,6 @@ class Mat:
                 b[r] = [(x - f * y) % p for x, y in zip(b[r], b[col])]
         return Mat.from_rows(self.field, b)
 
-    def rref(self) -> tuple["Mat", list[int]]:
-        """Reduced row echelon form and the list of pivot columns."""
-        p = self.field.p
-        a = self.to_rows()
-        pivots: list[int] = []
-        r = 0
-        for col in range(self.cols):
-            if r == self.rows:
-                break
-            pivot = next((i for i in range(r, self.rows) if a[i][col] != 0), None)
-            if pivot is None:
-                continue
-            a[r], a[pivot] = a[pivot], a[r]
-            inv_piv = self.field.inv(a[r][col])
-            a[r] = [x * inv_piv % p for x in a[r]]
-            for i in range(self.rows):
-                if i == r or a[i][col] == 0:
-                    continue
-                f = a[i][col]
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
-            pivots.append(col)
-            r += 1
-        red = Mat.from_rows(self.field, a) if a else self.copy()
-        return red, pivots
-
-    def rank(self) -> int:
-        return len(self.rref()[1])
-
-    def right_kernel(self) -> list[list[int]]:
-        """Basis vectors v with self @ v = 0, one per free column."""
-        red, pivots = self.rref()
-        p = self.field.p
-        pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
-        basis = []
-        for fcol in free:
-            v = [0] * self.cols
-            v[fcol] = 1
-            for r, pcol in enumerate(pivots):
-                v[pcol] = -red[r, fcol] % p
-            basis.append(v)
-        return basis
-
 
 def vandermonde(field: GF, points: Sequence[int], cols: int) -> Mat:
     """Rows of successive powers: entry (i, j) = points[i]**j."""
@@ -257,23 +211,6 @@ def vandermonde_inv(field: GF, points: Sequence[int]) -> Mat:
             col.append(acc * w % p)
         cols.append(col[::-1])
     return Mat.from_rows(field, list(zip(*cols)))
-
-
-def blkdiag(field: GF, blocks: Sequence[Mat]) -> Mat:
-    """Block-diagonal assembly; blocks may be rectangular."""
-    rows = sum(b.rows for b in blocks)
-    cols = sum(b.cols for b in blocks)
-    out = Mat.zeros(field, rows, cols)
-    r0 = c0 = 0
-    for b in blocks:
-        if b.field != field:
-            raise DimensionMismatch("field mismatch")
-        for i in range(b.rows):
-            base = (r0 + i) * cols + c0
-            out.data[base : base + b.cols] = b.row(i)
-        r0 += b.rows
-        c0 += b.cols
-    return out
 
 
 def vstack(blocks: Sequence[Mat]) -> Mat:

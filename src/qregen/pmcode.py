@@ -207,6 +207,11 @@ class NodeStorage:
     row_m: tuple[int, ...]
     row_mp: tuple[int, ...]
 
+    def to_json_dict(self) -> dict:
+        return {
+            "nodeId": self.node_id, "rowM": list(self.row_m), "rowMp": list(self.row_mp)
+        }
+
 
 def encode(params: SystemParams, msg: MessagePair) -> tuple[NodeStorage, ...]:
     """Per-node storage rows (v_i^T M, v_i^T M') for one sub-file."""

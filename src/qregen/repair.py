@@ -39,7 +39,6 @@ from .pmcode import NodeStorage, SystemParams
 from .stabilizer import (
     STATE_LIMIT,
     PauliError,
-    StabGroup,
     Syndrome,
     syndrome_linear,
     syndrome_statevector,
@@ -94,12 +93,12 @@ class RepairTranscript:
             css = [c.to_json_dict() for c in self.css]
             payloads = [[p.to_json_dict() for p in part] for part in self.payloads]
             syndrome = [{"sX": list(s.s_x), "sZ": list(s.s_z)} for s in self.syndrome]
-            regenerated = [_storage_json(r) for r in self.regenerated]
+            regenerated = [r.to_json_dict() for r in self.regenerated]
         else:
             css = self.css.to_json_dict()
             payloads = [p.to_json_dict() for p in self.payloads]
             syndrome = {"sX": list(self.syndrome.s_x), "sZ": list(self.syndrome.s_z)}
-            regenerated = _storage_json(self.regenerated)
+            regenerated = self.regenerated.to_json_dict()
         return {
             "failedNode": self.failed_node,
             "helpers": list(self.helpers),
@@ -110,10 +109,6 @@ class RepairTranscript:
             "regenerated": regenerated,
             "quditTotal": self.qudit_total,
         }
-
-
-def _storage_json(s: NodeStorage) -> dict:
-    return {"nodeId": s.node_id, "rowM": list(s.row_m), "rowMp": list(s.row_mp)}
 
 
 @dataclass(frozen=True)
@@ -181,8 +176,7 @@ def run_repair(
     err = PauliError.make(
         params.p, [pl.y_x for pl in payloads], [pl.y_z for pl in payloads]
     )
-    group = StabGroup(x_type=repair_css.hx, z_type=repair_css.hz)
-    syndrome = backend(group, err)
+    syndrome = backend(repair_css.group, err)
     # measured block order is (sZ, sX); the final swap puts row_m first
     regenerated = NodeStorage(failed, row_m=syndrome.s_x, row_mp=syndrome.s_z)
     original = all_storage[failed - 1]

@@ -19,9 +19,10 @@ measured syndrome:
   basis state (retrying basis states in lexicographic order if one
   projects to zero), the error is applied as the unitary X(x)Z(z) with
   X|j> = |j+1 mod p> and Z|j> = w^j |j>, w = exp(2 pi i / p), and each
-  generator's eigenvalue w^s is read off numerically. Raw exponents are
-  sign-fixed exactly as in the symplectic backend. Validation only; the
-  size guard keeps p^N at or below 2^20 amplitudes.
+  generator's eigenvalue w^s is read off a single amplitude. Raw
+  exponents are sign-fixed exactly as in the symplectic backend. The
+  projector needs one shift table per X generator, as X(tg) = X(g)^t.
+  Validation only; the size guard keeps p^N at or below 2^20 amplitudes.
 
 Global phases never matter: syndromes are ratios of eigenvalues.
 """
@@ -59,6 +60,13 @@ class PauliError:
         return cls(tuple(v % p for v in x), tuple(v % p for v in z))
 
 
+def check_dual_containment(hx: Mat, hz: Mat) -> bool:
+    """True iff HX HZ^T = 0, i.e. the pair defines a valid stabilizer group."""
+    if hx.cols != hz.cols or hx.field != hz.field:
+        raise DimensionMismatch("HX and HZ must share width and field")
+    return (hx @ hz.T).is_zero()
+
+
 @dataclass(frozen=True)
 class StabGroup:
     """Generators of a CSS-form stabilizer group on N qudits."""
@@ -67,9 +75,7 @@ class StabGroup:
     z_type: Mat
 
     def __post_init__(self):
-        if self.x_type.cols != self.z_type.cols or self.x_type.field != self.z_type.field:
-            raise DimensionMismatch("generator matrices must share width and field")
-        if not (self.x_type @ self.z_type.T).is_zero():
+        if not check_dual_containment(self.x_type, self.z_type):
             raise DualContainmentViolated("X and Z generators do not commute")
 
     @property
@@ -131,6 +137,8 @@ class _StateSpace:
     """Index bookkeeping for N qudits of dimension p."""
 
     def __init__(self, p: int, n: int):
+        if p**n > STATE_LIMIT:
+            raise TooLarge(f"{p}^{n} amplitudes exceed the {STATE_LIMIT} limit")
         self.p = p
         self.n = n
         self.size = p**n
@@ -165,26 +173,20 @@ def prepare_codespace(group: StabGroup, start_basis: int = 0) -> tuple[np.ndarra
     for reproducibility).
     """
     p = group.p
-    if p**group.n > STATE_LIMIT:
-        raise TooLarge(f"{p}^{group.n} amplitudes exceed the {STATE_LIMIT} limit")
     space = _StateSpace(p, group.n)
-    z_masks = [
-        (space.phase_exponents(group.z_type.row(i)) == 0)
-        for i in range(group.z_type.rows)
-    ]
-    x_shifts = [
-        [space.shift_indices([t * gi for gi in group.x_type.row(i)]) for t in range(p)]
-        for i in range(group.x_type.rows)
-    ]
+    z_masks = [space.phase_exponents(h) == 0 for h in group.z_type.to_rows()]
+    # X(tg) = X(g)^t, so one gather table (j -> j - g) per generator serves all t
+    x_back = [space.shift_indices([-x for x in g]) for g in group.x_type.to_rows()]
     for basis in range(start_basis, space.size):
         state = np.zeros(space.size, dtype=complex)
         state[basis] = 1.0
         for mask in z_masks:
             state = state * mask
-        for shifts in x_shifts:
-            acc = np.zeros_like(state)
-            for idx in shifts:
-                acc[idx] += state
+        for back in x_back:
+            acc = moved = state
+            for _ in range(p - 1):
+                moved = moved[back]
+                acc = acc + moved
             state = acc / p
         norm = np.linalg.norm(state)
         if norm > 1e-9:
@@ -196,9 +198,11 @@ def _measure_exponent(
     space: _StateSpace, state: np.ndarray, a, b
 ) -> tuple[int, float]:
     """Exponent s with X(a)Z(b)|state> = w^s |state>, plus the residual."""
-    moved = space.apply_pauli(state, a, b)
+    # entry i0 of X(a)Z(b)|state> is w^(b.j) state[j] with j = i0 - a
     i0 = int(np.argmax(np.abs(state)))
-    ratio = moved[i0] / state[i0]
+    j = (space.digits[i0] - np.asarray(a)) % space.p
+    phase = space.omega_pow[int(j @ np.asarray(b)) % space.p]
+    ratio = phase * state[int(j @ space.radix)] / state[i0]
     angle = np.angle(ratio) % (2 * np.pi)
     s = int(round(space.p * angle / (2 * np.pi))) % space.p
     return s, abs(ratio - space.omega_pow[s])
@@ -219,8 +223,6 @@ def syndrome_statevector(
     """
     _check_error(group, err)
     p = group.p
-    if p**group.n > STATE_LIMIT:
-        raise TooLarge(f"{p}^{group.n} amplitudes exceed the {STATE_LIMIT} limit")
     space = _StateSpace(p, group.n)
     if state is None:
         state, _ = prepare_codespace(group, start_basis)

@@ -4,14 +4,16 @@ from qregen.gf import GF
 from qregen.matrix import Mat
 from qregen.stabilizer import PauliError, StabGroup
 
+from linalg import rank, right_kernel
+
 
 def random_group(p, n_qudits, r_x, rng):
     """A commuting pair: HZ rows drawn from the right kernel of HX."""
     field = GF(p)
     while True:
         hx = Mat(field, r_x, n_qudits, [rng.below(p) for _ in range(r_x * n_qudits)])
-        kernel = hx.right_kernel()
-        if hx.rank() == r_x and kernel:
+        kernel = right_kernel(hx)
+        if rank(hx) == r_x and kernel:
             break
     rows = []
     for _ in range(len(kernel)):

@@ -244,6 +244,75 @@ def test_format_only_on_demo(capsys, argv):
     assert "unrecognized arguments: --format csv" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["demo-example1", "--n", "6"],
+    ["demo-example1", "--prime", "13"],
+    ["encode", "--in", "msg.json", "--seed", "3"],
+    ["retrieve", "--in", "storage.json", "--n", "6"],
+    ["retrieve", "--in", "storage.json", "--seed", "3"],
+    ["tradeoff", "--k", "3", "--d", "4", "--B", "12", "--n", "6"],
+    ["tradeoff", "--k", "3", "--d", "4", "--B", "12", "--prime", "13"],
+    ["tradeoff", "--k", "3", "--d", "4", "--B", "12", "--seed", "3"],
+    ["selftest", "--k", "3"],
+    ["selftest", "--d", "4"],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+def test_unread_flags_rejected(capsys, argv):
+    # a command declares only the flags it reads; any other is unknown
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--n", "--k", "--d", "--prime", "--seed"])
+def test_repair_in_rejects_param_flags(tmp_path, capsys, flag):
+    # the storage file fixes the params and the message; a flag would be dropped
+    msg = tmp_path / "msg.json"
+    storage = tmp_path / "storage.json"
+    msg.write_text(json.dumps(list(range(12))))
+    run_cli(capsys, "encode", "--n", "6", "--k", "3", "--d", "4", "--prime", "13",
+            "--in", str(msg), "--out", str(storage))
+    argv = ("repair", "--in", str(storage), "--failed", "1", "--helpers", "2,4,5,6")
+    assert run_cli(capsys, *argv)[0] == 0
+    code, out, err = run_cli(capsys, *argv, flag, "7")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {flag} cannot be combined with --in\n"
+
+
+def one_line_usage_error(code, out, err):
+    one_line = err.startswith("error: ") and err.count("\n") == 1
+    return code == 2 and out == "" and one_line
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_sweep_needs_a_trial(capsys, trials):
+    code, out, err = run_cli(
+        capsys, "sweep", "--n", "6", "--k", "3", "--d", "4", "--prime", "13",
+        "--trials", trials,
+    )
+    assert one_line_usage_error(code, out, err)
+
+
+@pytest.mark.parametrize("betas", ["a", "1,x", "1/0"])
+def test_tradeoff_bad_betas_usage_error(capsys, betas):
+    code, out, err = run_cli(
+        capsys, "tradeoff", "--k", "3", "--d", "4", "--B", "12", "--betas", betas
+    )
+    assert one_line_usage_error(code, out, err)
+
+
+def test_unwritable_out_usage_error(tmp_path, capsys):
+    msg = tmp_path / "msg.json"
+    msg.write_text(json.dumps(list(range(12))))
+    code, out, err = run_cli(
+        capsys, "encode", "--n", "6", "--k", "3", "--d", "4", "--prime", "13",
+        "--in", str(msg), "--out", str(tmp_path / "missing" / "storage.json"),
+    )
+    assert one_line_usage_error(code, out, err)
+    assert "cannot write" in err
+
+
 def test_verification_failure_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(tradeoff, "quantum_sum", lambda k, d, a, b: 0)
     code, _, err = run_cli(capsys, "tradeoff", "--k", "3", "--d", "4", "--B", "12")

@@ -4,9 +4,11 @@ from itertools import combinations
 
 import pytest
 
+import qregen.css
 from qregen.css import build_repair_css, check_dual_containment, grs_dual_weights
 from qregen.errors import (
     DimensionMismatch,
+    DualContainmentViolated,
     InvalidHelperSet,
     RepeatedPoint,
     ZeroU,
@@ -15,6 +17,7 @@ from qregen.gf import GF
 from qregen.matrix import Mat, vandermonde
 from qregen.pmcode import make_params
 from qregen.rng import SplitMix64
+from qregen.stabilizer import StabGroup
 
 F13 = GF(13)
 
@@ -161,6 +164,27 @@ def test_build_rejects_lam_collision_with_failed_node():
     # a collision among the helpers themselves is fine
     c = build_repair_css(relaxed, 1, (5, 6, 7, 8))
     assert check_dual_containment(c.hx, c.hz)
+
+
+def test_corrupted_construction_fails_closed(monkeypatch):
+    # the StabGroup built inside build_repair_css is the only check left
+    params = make_params(6, 3, 4, 13)
+    real = qregen.css.vandermonde_inv
+
+    def perturbed(field, points):
+        v_inv = real(field, points)
+        v_inv.data[0] = (v_inv.data[0] + 1) % field.p
+        return v_inv
+
+    monkeypatch.setattr(qregen.css, "vandermonde_inv", perturbed)
+    with pytest.raises(DualContainmentViolated):
+        build_repair_css(params, 1, (2, 4, 5, 6))
+
+
+def test_repair_css_holds_its_checked_group():
+    c = build_repair_css(make_params(6, 3, 4, 13), 1, (2, 4, 5, 6))
+    assert isinstance(c.group, StabGroup)
+    assert (c.hx, c.hz) == (c.group.x_type, c.group.z_type)
 
 
 def test_check_dual_containment_trivia():

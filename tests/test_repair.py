@@ -12,6 +12,7 @@ from qregen.errors import (
     NotAHelper,
     RegenerationMismatch,
 )
+from qregen.matrix import Mat
 from qregen.pmcode import (
     NodeStorage,
     encode,
@@ -220,6 +221,25 @@ def test_transcript_json_field_order():
     assert list(doc["regenerated"]) == ["nodeId", "rowM", "rowMp"]
     assert list(doc["payloads"][0]) == ["helperId", "yX", "yZ", "quditsSent"]
     assert doc["quditTotal"] == 4
+
+
+@pytest.mark.parametrize("n,k,d,p", [(6, 3, 4, 13), (12, 4, 8, 17)])
+def test_one_containment_product_per_subfile(monkeypatch, n, k, d, p):
+    # HX HZ^T is the only matrix product in a repair, and it runs once
+    params = make_params(n, k, d, p)
+    storage = encode_file(params, random_symbols(params, SplitMix64(8)))
+    calls = []
+    real = Mat.__matmul__
+
+    def counting(a, b):
+        calls.append((a.rows, a.cols, b.cols))
+        return real(a, b)
+
+    monkeypatch.setattr(Mat, "__matmul__", counting)
+    for mode in MODES[:2]:
+        calls.clear()
+        run_repair_extended(params, storage, 1, tuple(range(2, d + 2)), mode=mode)
+        assert calls == [(k - 1, 2 * k - 2, k - 1)] * params.subfiles
 
 
 def test_bandwidth_report_reference_instance():

@@ -19,6 +19,8 @@ from qregen.stabilizer import (
     PauliError,
     StabGroup,
     Syndrome,
+    _measure_exponent,
+    _StateSpace,
     prepare_codespace,
     syndrome_linear,
     syndrome_statevector,
@@ -126,6 +128,82 @@ def test_statevector_agreement_small():
         assert residual < 1e-6
 
 
+def reference_codespace(group, start_basis=0):
+    """The projector with p shift tables per X generator, summed in t order."""
+    p = group.p
+    space = _StateSpace(p, group.n)
+    z_masks = [space.phase_exponents(h) == 0 for h in group.z_type.to_rows()]
+    x_shifts = [
+        [space.shift_indices([t * x for x in g]) for t in range(p)]
+        for g in group.x_type.to_rows()
+    ]
+    for basis in range(start_basis, space.size):
+        state = np.zeros(space.size, dtype=complex)
+        state[basis] = 1.0
+        for mask in z_masks:
+            state = state * mask
+        for shifts in x_shifts:
+            acc = np.zeros_like(state)
+            for idx in shifts:
+                acc[idx] += state
+            state = acc / p
+        norm = np.linalg.norm(state)
+        if norm > 1e-9:
+            return state / norm, basis
+    raise AssertionError("no basis state survives")
+
+
+def reference_exponent(space, state, a, b):
+    """Eigenvalue exponent read off the fully moved state X(a)Z(b)|state>."""
+    moved = space.apply_pauli(state, a, b)
+    i0 = int(np.argmax(np.abs(state)))
+    ratio = moved[i0] / state[i0]
+    s = int(round(space.p * (np.angle(ratio) % (2 * np.pi)) / (2 * np.pi))) % space.p
+    return s, abs(ratio - space.omega_pow[s])
+
+
+def small_groups(p, count, seed):
+    """Random commuting groups at p with at most 13^4 amplitudes."""
+    rng = SplitMix64(seed)
+    max_n = {3: 6, 5: 5, 13: 4}[p]
+    for _ in range(count):
+        n_qudits = 2 + rng.below(max_n - 1)
+        yield random_group(p, n_qudits, 1 + rng.below(n_qudits - 1), rng), rng
+
+
+@pytest.mark.parametrize("p", [3, 5, 13])
+def test_prepare_codespace_matches_reference(p):
+    groups = [group for group, _ in small_groups(p, 12, 300 + p)]
+    groups.append(reference_group()[2])
+    for group in groups:
+        state, basis = prepare_codespace(group)
+        want, want_basis = reference_codespace(group)
+        assert basis == want_basis
+        assert np.array_equal(state, want)
+    group = groups[0]
+    _, used = prepare_codespace(group)
+    assert np.array_equal(
+        prepare_codespace(group, used + 1)[0], reference_codespace(group, used + 1)[0]
+    )
+
+
+@pytest.mark.parametrize("p", [3, 5, 13])
+def test_measure_exponent_matches_full_pauli(p):
+    for group, rng in small_groups(p, 6, 400 + p):
+        space = _StateSpace(p, group.n)
+        state, _ = prepare_codespace(group)
+        err = random_error(p, group.n, rng)
+        corrupted = space.apply_pauli(state, err.x, err.z)
+        zero = [0] * group.n
+        gens = [(zero, h) for h in group.z_type.to_rows()]
+        gens += [(g, zero) for g in group.x_type.to_rows()]
+        for a, b in gens:
+            s, res = _measure_exponent(space, corrupted, a, b)
+            want_s, want_res = reference_exponent(space, corrupted, a, b)
+            assert s == want_s
+            assert abs(res - want_res) <= 1e-12
+
+
 def test_statevector_agreement_reference_group():
     params, c, group = reference_group()
     rng = SplitMix64(56)
@@ -144,8 +222,6 @@ def test_statevector_zero_error_preserves_state():
     err = PauliError.make(5, [0, 0, 0], [0, 0, 0])
     assert syndrome_statevector(group, err, state=state).s_x == (0,) * group.z_type.rows
     # overlap magnitude 1 means unchanged up to a global phase
-    from qregen.stabilizer import _StateSpace
-
     space = _StateSpace(5, 3)
     moved = space.apply_pauli(state, err.x, err.z)
     assert abs(np.vdot(state, moved)) == pytest.approx(1.0)
