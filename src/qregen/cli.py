@@ -26,22 +26,6 @@ from .reference import replay
 from .repair import MODES, run_repair, run_repair_extended, plan_subfiles
 from .rng import SplitMix64
 
-USAGE_ERRORS = (
-    errors.InvalidParams,
-    errors.NoValidPoints,
-    errors.WrongLength,
-    errors.BadShareSet,
-    errors.InvalidHelperSet,
-    errors.ZeroU,
-    errors.NotAHelper,
-    errors.ModeUnavailable,
-    errors.RepeatedPoint,
-    errors.TooLarge,
-    errors.InvalidRegime,
-    errors.RegimeViolation,
-    errors.Indivisible,
-)
-
 
 def _write_out(text: str, out_path: str | None) -> None:
     if out_path:
@@ -84,26 +68,50 @@ def _storage_to_json(params: SystemParams, storage) -> dict:
     }
 
 
-def _storage_from_json(doc: dict) -> tuple[SystemParams, tuple]:
-    meta = doc["params"]
-    params = make_params(
-        meta["n"], meta["k"], meta["d"], meta["p"], meta.get("evalPoints")
-    )
+def _ints(values, bound: int | None = None) -> bool:
+    """A list of plain ints (JSON true/false are not), each in [0, bound) if given."""
+    if not isinstance(values, list) or not set(map(type, values)) <= {int}:
+        return False
+    return bound is None or (min(values) >= 0 and max(values) < bound)
+
+
+def _storage_from_json(doc) -> tuple[SystemParams, tuple]:
+    """A storage file's params and rows; anything malformed is a UsageError."""
+    meta = doc.get("params") if isinstance(doc, dict) else None
+    if not isinstance(meta, dict):
+        raise errors.BadShareSet("storage file must be an object with params")
+    dims = [meta.get(key) for key in ("n", "k", "d", "p")]
+    points = meta.get("evalPoints")
+    if not (_ints(dims) and (points is None or _ints(points))):
+        raise errors.InvalidParams("storage params n, k, d, p, evalPoints must be ints")
+    subfiles, n = doc.get("subfiles"), dims[0]
+    if not (isinstance(subfiles, list) and subfiles and all(
+        isinstance(sub, list) and len(sub) == n for sub in subfiles
+    )):  # before make_params, whose work grows with n
+        raise errors.BadShareSet(f"storage sub-files must each list {n} nodes")
+    params = make_params(*dims, points)
+    if len(subfiles) != params.subfiles:
+        raise errors.BadShareSet(f"storage file needs {params.subfiles} sub-files")
     storage = tuple(
-        tuple(
-            NodeStorage(s["nodeId"], tuple(s["rowM"]), tuple(s["rowMp"]))
-            for s in sub
-        )
-        for sub in doc["subfiles"]
+        tuple(_node_from_json(params.alpha0, i + 1, s) for i, s in enumerate(sub))
+        for sub in subfiles
     )
-    if len(storage) != params.subfiles or any(
-        len(sub) != params.n for sub in storage
-    ):
-        raise errors.BadShareSet("storage file does not match its own parameters")
-    for sub in storage:
-        if any(s.node_id != i + 1 for i, s in enumerate(sub)):
-            raise errors.BadShareSet("storage nodes must appear in id order")
+    # every dit at once: set, min and max run in C, a per-row check would not
+    if not _ints([x for sub in storage for s in sub for x in s.row_m + s.row_mp],
+                 params.p):
+        raise errors.BadShareSet(f"storage dits must be ints in [0, {params.p})")
     return params, storage
+
+
+def _node_from_json(a0: int, node_id: int, s) -> NodeStorage:
+    node = s.get("nodeId") if isinstance(s, dict) else None
+    if type(node) is not int or node != node_id:
+        raise errors.BadShareSet("storage nodes must appear in id order")
+    row_m, row_mp = s.get("rowM"), s.get("rowMp")
+    if not (isinstance(row_m, list) and isinstance(row_mp, list)
+            and len(row_m) == len(row_mp) == a0):
+        raise errors.BadShareSet(f"node {node_id} needs rowM and rowMp of {a0} dits")
+    return NodeStorage(node_id, tuple(row_m), tuple(row_mp))
 
 
 def _load_json(path: str):
@@ -137,7 +145,7 @@ def cmd_demo_example1(args) -> int:
 def cmd_encode(args) -> int:
     params = _params_from_args(args)
     symbols = _load_json(args.in_path)
-    if not isinstance(symbols, list) or not all(isinstance(x, int) for x in symbols):
+    if not _ints(symbols):
         raise errors.WrongLength("--in must be a JSON array of integers")
     storage = encode_file(params, [x % params.p for x in symbols])
     _write_out(_json_text(_storage_to_json(params, storage)), args.out)
@@ -211,6 +219,8 @@ def cmd_sweep(args) -> int:
                             params, storage, failed, helpers, mode=args.mode
                         )
                     qudit_seen.add(transcript.qudit_total)
+                except errors.UsageError:
+                    raise
                 except errors.QregenError:
                     failures += 1
         for subset in combinations(node_ids, params.k):
@@ -258,6 +268,7 @@ def cmd_tradeoff(args) -> int:
     k, d, b = args.k, args.d, args.B
     if k is None or d is None or b is None:
         raise errors.InvalidParams("--k, --d and --B are required for tradeoff")
+    tradeoff.check_regime(k, d, 0, 0, b)  # before dividing by k * d
     if args.betas is not None:
         betas = _parse_betas(args.betas)
     else:
@@ -411,7 +422,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except USAGE_ERRORS as exc:
+    except errors.UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except errors.QregenError as exc:

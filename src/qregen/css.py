@@ -45,7 +45,6 @@ class RepairCSS:
     lam2: tuple[int, ...]
     u: tuple[int, ...]
     u_prime: tuple[int, ...]
-    lam_f: int
 
     @property
     def hx(self) -> Mat:
@@ -55,8 +54,8 @@ class RepairCSS:
     def hz(self) -> Mat:
         return self.group.z_type
 
-    def to_json_dict(self, full: bool = False) -> dict:
-        d = {
+    def to_json_dict(self) -> dict:
+        return {
             "HX": self.hx.to_rows(),
             "HZ": self.hz.to_rows(),
             "Lam1": list(self.lam1),
@@ -64,14 +63,6 @@ class RepairCSS:
             "u": list(self.u),
             "uPrime": list(self.u_prime),
         }
-        if full:
-            d = {
-                "failedNode": self.failed_node,
-                "helpers": list(self.helpers),
-                **d,
-                "lamF": self.lam_f,
-            }
-        return d
 
 
 def build_repair_css(
@@ -138,5 +129,4 @@ def build_repair_css(
         lam2=lam2,
         u=u_vec,
         u_prime=u_prime,
-        lam_f=lam_f,
     )

@@ -1,8 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+A ``UsageError`` is input the caller can fix (CLI exit 2); any other
+``QregenError`` is a failed check (CLI exit 1).
+"""
 
 
 class QregenError(Exception):
     """Base class for all errors raised by this package."""
+
+
+class UsageError(QregenError):
+    """Malformed or unsupported input: flags, files or parameters."""
 
 
 # field / matrix ------------------------------------------------------------
@@ -21,33 +29,33 @@ class Singular(QregenError):
 
 # code parameters / packing / retrieval --------------------------------------
 
-class InvalidParams(QregenError):
+class InvalidParams(UsageError):
     """Parameter set violates the admissible regime."""
 
 
-class NoValidPoints(QregenError):
+class NoValidPoints(UsageError):
     """No evaluation-point assignment exists for this prime; raise p."""
 
 
-class WrongLength(QregenError):
+class WrongLength(UsageError):
     """Symbol sequence has the wrong length."""
 
 
-class BadShareSet(QregenError):
+class BadShareSet(UsageError):
     """Share set has duplicate ids or the wrong cardinality."""
 
 
 # repair-time code construction ----------------------------------------------
 
-class RepeatedPoint(QregenError):
+class RepeatedPoint(UsageError):
     """Evaluation points must be pairwise distinct."""
 
 
-class InvalidHelperSet(QregenError):
+class InvalidHelperSet(UsageError):
     """Helper set is not usable for the requested repair."""
 
 
-class ZeroU(QregenError):
+class ZeroU(UsageError):
     """Free precoding vector must have no zero entries."""
 
 
@@ -57,11 +65,11 @@ class DualContainmentViolated(QregenError):
 
 # repair protocol -------------------------------------------------------------
 
-class NotAHelper(QregenError):
+class NotAHelper(UsageError):
     """Storage node is not part of the helper set."""
 
 
-class ModeUnavailable(QregenError):
+class ModeUnavailable(UsageError):
     """Requested syndrome backend cannot run for these parameters."""
 
 
@@ -71,7 +79,7 @@ class RegenerationMismatch(QregenError):
 
 # state-vector simulation ------------------------------------------------------
 
-class TooLarge(QregenError):
+class TooLarge(ModeUnavailable):
     """State-vector simulation would exceed the size limit."""
 
 
@@ -85,15 +93,15 @@ class ResidualOutOfTolerance(QregenError):
 
 # tradeoff evaluation -----------------------------------------------------------
 
-class InvalidRegime(QregenError):
+class InvalidRegime(UsageError):
     """Bound evaluated outside 1 <= k <= d."""
 
 
-class RegimeViolation(QregenError):
+class RegimeViolation(UsageError):
     """Requested point needs d >= 2k-2."""
 
 
-class Indivisible(QregenError):
+class Indivisible(UsageError):
     """File size not divisible as the requested point demands."""
 
 

@@ -57,17 +57,8 @@ class GF:
     def __hash__(self) -> int:
         return hash(("GF", self.p))
 
-    def reduce(self, a: int) -> int:
-        return a % self.p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
     def sub(self, a: int, b: int) -> int:
         return (a - b) % self.p
-
-    def neg(self, a: int) -> int:
-        return -a % self.p
 
     def mul(self, a: int, b: int) -> int:
         return a * b % self.p
@@ -78,9 +69,6 @@ class GF:
         if a == 0:
             raise DivisionByZero("0 has no multiplicative inverse")
         return pow(a, self.p - 2, self.p)
-
-    def div(self, a: int, b: int) -> int:
-        return a % self.p * self.inv(b) % self.p
 
     def pow(self, a: int, e: int) -> int:
         """a**e mod p for e >= 0, with 0**0 == 1."""

@@ -61,9 +61,6 @@ class Mat:
     def row(self, i: int) -> list[int]:
         return self.data[i * self.cols : (i + 1) * self.cols]
 
-    def col(self, j: int) -> list[int]:
-        return self.data[j :: self.cols]
-
     def to_rows(self) -> list[list[int]]:
         return [self.row(i) for i in range(self.rows)]
 
@@ -78,35 +75,6 @@ class Mat:
 
     def __repr__(self) -> str:
         return f"Mat({self.field!r}, {self.to_rows()})"
-
-    def _check_same_shape(self, other: "Mat") -> None:
-        if self.field != other.field:
-            raise DimensionMismatch("field mismatch")
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionMismatch(
-                f"{self.rows}x{self.cols} vs {other.rows}x{other.cols}"
-            )
-
-    def __add__(self, other: "Mat") -> "Mat":
-        self._check_same_shape(other)
-        p = self.field.p
-        return Mat(
-            self.field, self.rows, self.cols,
-            [(a + b) % p for a, b in zip(self.data, other.data)],
-        )
-
-    def __sub__(self, other: "Mat") -> "Mat":
-        self._check_same_shape(other)
-        p = self.field.p
-        return Mat(
-            self.field, self.rows, self.cols,
-            [(a - b) % p for a, b in zip(self.data, other.data)],
-        )
-
-    def scale(self, c: int) -> "Mat":
-        p = self.field.p
-        c %= p
-        return Mat(self.field, self.rows, self.cols, [c * a % p for a in self.data])
 
     def transpose(self) -> "Mat":
         out = Mat.zeros(self.field, self.cols, self.rows)

@@ -354,10 +354,9 @@ def retrieve_file(
             f"need shares for {params.subfiles} sub-files, got {len(shares_per_subfile)}"
         )
     plans: dict[tuple[int, ...], _DecodePlan] = {}  # sub-files may use other ids
-    out: list[int] = []
-    for shares in shares_per_subfile:
-        out.extend(unpack_message(params, retrieve(params, shares, plans)))
-    return tuple(out)
+    return unpack_file(
+        params, [retrieve(params, shares, plans) for shares in shares_per_subfile]
+    )
 
 
 def random_symbols(params: SystemParams, rng: SplitMix64) -> list[int]:

@@ -42,13 +42,12 @@ FAILED_NODE = 1
 HELPERS = (2, 4, 5, 6)
 
 
-def replay(seed: int = 1, golden: dict | None = None) -> list[dict]:
+def replay(seed: int = 1) -> list[dict]:
     """Recompute every reference artifact and diff it against the table.
 
     Returns one record per check: {"name", "pass", "expected", "got"}.
     The final record exercises the full repair path on a seeded message.
     """
-    table = GOLDEN if golden is None else golden
     params = make_params(6, 3, 4, 13)
     repair_css = build_repair_css(params, FAILED_NODE, HELPERS)
 
@@ -66,7 +65,7 @@ def replay(seed: int = 1, golden: dict | None = None) -> list[dict]:
 
     report = []
     for name, got in computed.items():
-        expected = table[name]
+        expected = GOLDEN[name]
         report.append(
             {"name": name, "pass": got == expected, "expected": expected, "got": got}
         )

@@ -37,7 +37,6 @@ from .errors import (
 from .matrix import dot
 from .pmcode import NodeStorage, SystemParams
 from .stabilizer import (
-    STATE_LIMIT,
     PauliError,
     Syndrome,
     syndrome_linear,
@@ -55,14 +54,10 @@ class HelperPayload:
     helper_id: int
     y_x: int
     y_z: int
-    qudits_sent: int = 1
 
     def to_json_dict(self) -> dict:
         return {
-            "helperId": self.helper_id,
-            "yX": self.y_x,
-            "yZ": self.y_z,
-            "quditsSent": self.qudits_sent,
+            "helperId": self.helper_id, "yX": self.y_x, "yZ": self.y_z, "quditsSent": 1
         }
 
 
@@ -138,16 +133,11 @@ def helper_encode(
     )
 
 
-def _syndrome_backend(params: SystemParams, mode: str):
+def _syndrome_backend(mode: str):
     if mode not in MODES:
         raise ModeUnavailable(f"unknown mode {mode!r}; pick one of {MODES}")
     if mode == "statevector":
-        m = 2 * params.alpha0
-        if params.p**m > STATE_LIMIT:
-            raise ModeUnavailable(
-                f"statevector needs {params.p}^{m} amplitudes, over the limit"
-            )
-        return syndrome_statevector
+        return syndrome_statevector  # raises TooLarge, a ModeUnavailable, if too big
     return syndrome_linear if mode == "linear" else syndrome_symplectic
 
 
@@ -165,7 +155,7 @@ def run_repair(
     by node_id - 1; it includes the failed node, whose content is used only
     to assert exactness of the regeneration.
     """
-    backend = _syndrome_backend(params, mode)
+    backend = _syndrome_backend(mode)
     repair_css = build_repair_css(params, failed, helpers, u)
     if len(all_storage) != params.n:
         raise InvalidHelperSet(f"need storage for all {params.n} nodes")

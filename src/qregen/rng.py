@@ -47,13 +47,3 @@ class SplitMix64:
     def unit(self, p: int) -> int:
         """Nonzero field element in [1, p)."""
         return 1 + self.below(p - 1)
-
-    def sample(self, seq, count: int) -> list:
-        """count distinct elements of seq, drawn without replacement."""
-        pool = list(seq)
-        if count > len(pool):
-            raise ValueError("not enough elements to sample")
-        out = []
-        for _ in range(count):
-            out.append(pool.pop(self.below(len(pool))))
-        return out

@@ -17,6 +17,7 @@ them.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -27,7 +28,7 @@ from .errors import BoundNotMet, Indivisible, InvalidRegime, RegimeViolation
 Num = Rational  # ints and Fractions both qualify
 
 
-def _check_regime(k: int, d: int, alpha, beta, b) -> None:
+def check_regime(k: int, d: int, alpha, beta, b) -> None:
     if not (1 <= k <= d):
         raise InvalidRegime(f"need 1 <= k <= d, got k={k}, d={d}")
     if alpha < 0 or beta < 0 or b < 0:
@@ -53,12 +54,12 @@ def quantum_sum(k: int, d: int, alpha: Num, beta_q: Num) -> Num:
 
 
 def classical_feasible(k: int, d: int, alpha: Num, beta_c: Num, b: Num) -> bool:
-    _check_regime(k, d, alpha, beta_c, b)
+    check_regime(k, d, alpha, beta_c, b)
     return classical_sum(k, d, alpha, beta_c) >= b
 
 
 def quantum_feasible(k: int, d: int, alpha: Num, beta_q: Num, b: Num) -> bool:
-    _check_regime(k, d, alpha, beta_q, b)
+    check_regime(k, d, alpha, beta_q, b)
     return quantum_sum(k, d, alpha, beta_q) >= b
 
 
@@ -77,26 +78,26 @@ def optimal_point(k: int, d: int, b: int) -> TradeoffPoint:
 
 def classical_msr_bandwidth(k: int, d: int, b: int) -> Fraction:
     """Minimum-storage classical repair download (B/k) * d / (d-k+1)."""
-    if not (1 <= k <= d):
-        raise InvalidRegime(f"need 1 <= k <= d, got k={k}, d={d}")
+    check_regime(k, d, 0, 0, b)
     return Fraction(b, k) * Fraction(d, d - k + 1)
 
 
 def _alpha_min(summand, k: int, d: int, beta: Num, b: int) -> int | None:
-    """Least integer alpha making the bound feasible, or None."""
-    for alpha in range(b + 1):
-        if summand(k, d, alpha, beta) >= b:
-            return alpha
-    return None
+    """Least integer alpha making the bound feasible, or None.
+
+    The sum is nondecreasing in alpha, so bisect on [0, B].
+    """
+    alpha = bisect_left(range(b + 1), True, key=lambda a: summand(k, d, a, beta) >= b)
+    return alpha if alpha <= b else None
 
 
 def alpha_min_classical(k: int, d: int, beta_c: Num, b: int) -> int | None:
-    _check_regime(k, d, 0, beta_c, b)
+    check_regime(k, d, 0, beta_c, b)
     return _alpha_min(classical_sum, k, d, beta_c, b)
 
 
 def alpha_min_quantum(k: int, d: int, beta_q: Num, b: int) -> int | None:
-    _check_regime(k, d, 0, beta_q, b)
+    check_regime(k, d, 0, beta_q, b)
     return _alpha_min(quantum_sum, k, d, beta_q, b)
 
 

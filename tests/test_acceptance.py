@@ -36,6 +36,7 @@ from qregen.stabilizer import (
 from qregen.tradeoff import classical_msr_bandwidth, optimal_point, quantum_sum
 
 from groupgen import random_error, random_group
+from sampling import sample
 
 
 @contextmanager
@@ -92,7 +93,7 @@ def test_criterion_2_dual_containment():
         done = 0
         while done < 200:
             failed = 1 + rng.below(8)
-            helpers = rng.sample([i for i in range(1, 9) if i != failed], 4)
+            helpers = sample(rng, [i for i in range(1, 9) if i != failed], 4)
             if relaxed.lam[failed - 1] in (relaxed.lam[s - 1] for s in helpers):
                 continue
             u = [rng.unit(13) for _ in range(4)]

@@ -4,11 +4,13 @@ import json
 import os
 import subprocess
 import sys
+from functools import reduce
+from operator import getitem
 from pathlib import Path
 
 import pytest
 
-from qregen import reference, tradeoff
+from qregen import errors, reference, tradeoff
 from qregen.cli import main
 
 
@@ -332,3 +334,125 @@ def test_selftest_under_python_O():
     assert [r.returncode for r in runs] == [0, 0]
     assert runs[0].stdout == runs[1].stdout
     assert "6/6 selftest checks pass" in runs[1].stdout
+
+
+def test_usage_error_classes():
+    # exactly these classes exit 2; every other QregenError exits 1
+    usage = {name for name, cls in vars(errors).items()
+             if isinstance(cls, type) and issubclass(cls, errors.UsageError)}
+    assert usage - {"UsageError"} == {
+        "InvalidParams", "NoValidPoints", "WrongLength", "BadShareSet",
+        "InvalidHelperSet", "ZeroU", "NotAHelper", "ModeUnavailable",
+        "RepeatedPoint", "TooLarge", "InvalidRegime", "RegimeViolation",
+        "Indivisible",
+    }
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--trials", "1"],
+    ["repair", "--failed", "1", "--helpers", "2,3,4,5,6,7"],
+], ids=lambda argv: argv[0])
+def test_statevector_over_limit_usage_error(capsys, argv):
+    # 11^6 amplitudes: a usage error in sweep too, not seven failed repairs
+    code, out, err = run_cli(
+        capsys, *argv, "--n", "7", "--k", "4", "--d", "6", "--prime", "11",
+        "--mode", "statevector",
+    )
+    assert one_line_usage_error(code, out, err)
+    assert "11^6 amplitudes" in err
+
+
+DROP = object()
+
+
+def edit_at(path, value):
+    """Storage-doc mutation: set the entry at ``path`` to value, or DROP it."""
+    def mutate(doc):
+        *outer, last = path
+        parent = reduce(getitem, outer, doc)
+        if value is DROP:
+            del parent[last]
+        else:
+            parent[last] = value
+        return doc
+    return mutate
+
+
+NODE2 = ("subfiles", 0, 1)  # read by retrieve's default nodes and by the repair
+MALFORMED = {
+    "top-level-array": lambda doc: [doc],
+    "params-missing": edit_at(("params",), DROP),
+    "param-k-missing": edit_at(("params", "k"), DROP),
+    "subfiles-missing": edit_at(("subfiles",), DROP),
+    "nodeId-missing": edit_at((*NODE2, "nodeId"), DROP),
+    "rowM-missing": edit_at((*NODE2, "rowM"), DROP),
+    "param-n-string": edit_at(("params", "n"), "6"),
+    "param-p-float": edit_at(("params", "p"), 13.0),
+    "evalPoints-string": edit_at(("params", "evalPoints"), "123456"),
+    "evalPoints-bool": edit_at(("params", "evalPoints", 0), True),
+    "subfiles-object": edit_at(("subfiles",), {}),
+    "subfiles-empty": edit_at(("subfiles",), []),
+    # a 10^9-node claim fails on the node count before any O(n) work
+    "n-beyond-file": lambda doc: edit_at(("params", "evalPoints"), DROP)(
+        edit_at(("params", "n"), 10**9)(edit_at(("params", "p"), 10**9 + 7)(doc))),
+    "node-missing": edit_at(("subfiles", 0, 5), DROP),
+    "node-array": edit_at(NODE2, [2, [0, 0], [0, 0]]),
+    "nodeId-bool": edit_at(("subfiles", 0, 0, "nodeId"), True),
+    "nodeId-swapped": edit_at((*NODE2, "nodeId"), 3),
+    "dit-string": edit_at((*NODE2, "rowM", 0), "3"),
+    "dit-float": edit_at((*NODE2, "rowM", 0), 3.0),
+    "dit-bool": edit_at((*NODE2, "rowMp", 1), True),
+    "dit-equals-p": edit_at((*NODE2, "rowM", 0), 13),
+    "dit-negative": edit_at((*NODE2, "rowMp", 0), -1),
+    "rowM-short": edit_at((*NODE2, "rowM"), [0]),
+    "rowMp-long": edit_at((*NODE2, "rowMp"), [0, 0, 0]),
+    "rowMp-null": edit_at((*NODE2, "rowMp"), None),
+}
+
+
+@pytest.mark.parametrize("command", ["retrieve", "repair"])
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_storage_usage_error(tmp_path, capsys, command, case):
+    msg = tmp_path / "msg.json"
+    storage = tmp_path / "storage.json"
+    msg.write_text(json.dumps(list(range(12))))
+    run_cli(capsys, "encode", "--n", "6", "--k", "3", "--d", "4", "--prime", "13",
+            "--in", str(msg), "--out", str(storage))
+    doc = MALFORMED[case](json.loads(storage.read_text()))
+    storage.write_text(json.dumps(doc))
+    argv = ["--failed", "1", "--helpers", "2,4,5,6"] if command == "repair" else []
+    code, out, err = run_cli(capsys, command, "--in", str(storage), *argv)
+    assert one_line_usage_error(code, out, err)
+
+
+@pytest.mark.parametrize("message", [[True, False] * 6, [1.5] * 12, ["1"] * 12, {}])
+def test_encode_rejects_non_int_message(tmp_path, capsys, message):
+    msg = tmp_path / "msg.json"
+    msg.write_text(json.dumps(message))
+    code, out, err = run_cli(
+        capsys, "encode", "--n", "6", "--k", "3", "--d", "4", "--prime", "13",
+        "--in", str(msg),
+    )
+    assert one_line_usage_error(code, out, err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--k", "0", "--d", "4", "--B", "12"],
+    ["--k", "3", "--d", "0", "--B", "12"],
+    ["--k", "0", "--d", "0", "--B", "12"],
+    ["--k", "5", "--d", "4", "--B", "12"],
+    ["--k", "3", "--d", "4", "--B", "-12"],
+    ["--k", "3", "--d", "4", "--B", "-12", "--betas", ""],
+], ids=["k0", "d0", "k0-d0", "k-over-d", "B-negative", "B-negative-empty-grid"])
+def test_tradeoff_bad_regime_usage_error(capsys, argv):
+    # checked before B / (k d) is formed, so k = 0 or d = 0 is no ZeroDivisionError
+    code, out, err = run_cli(capsys, "tradeoff", *argv)
+    assert one_line_usage_error(code, out, err)
+
+
+def test_tradeoff_huge_file_bisects(capsys):
+    # a scan over every alpha in [0, B] would run for minutes here
+    code, out, _ = run_cli(capsys, "tradeoff", "--k", "3", "--d", "4",
+                           "--B", "1200000000")
+    assert code == 0
+    assert "optimal alpha=400000000 d_beta_q=400000000" in out

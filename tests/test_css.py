@@ -19,6 +19,8 @@ from qregen.pmcode import make_params
 from qregen.rng import SplitMix64
 from qregen.stabilizer import StabGroup
 
+from sampling import sample
+
 F13 = GF(13)
 
 
@@ -43,7 +45,7 @@ def test_grs_weights_power_sums():
         f = GF(p)
         for _ in range(20):
             d = 2 + rng.below(min(8, p - 2))
-            pts = rng.sample(range(1, p), d)
+            pts = sample(rng, range(1, p), d)
             w = grs_dual_weights(f, pts)
             for m in range(d - 1):
                 assert sum(wj * f.pow(v, m) for wj, v in zip(w, pts)) % p == 0
@@ -64,7 +66,7 @@ def test_build_reference_instance_goldens():
     assert c.hz.to_rows() == [[12, 9, 12, 6], [2, 7, 4, 0]]
     assert c.u == (1, 1, 1, 1)
     assert c.u_prime == (7, 10, 4, 5)
-    assert c.lam_f == 1
+    assert params.lam[c.failed_node - 1] == 1
     assert check_dual_containment(c.hx, c.hz)
     assert all(x != 0 for x in c.lam1 + c.lam2)
 
@@ -75,7 +77,8 @@ def diag(field, entries):
     return Mat.from_rows(field, rows)
 
 
-def _selector(params, lam_f):
+def _selector(params, failed):
+    lam_f = params.lam[failed - 1]
     ident = Mat.identity(params.field, params.alpha0).to_rows()
     return Mat.from_rows(params.field, [row + [lam_f * x for x in row] for row in ident])
 
@@ -92,7 +95,7 @@ def test_construction_identities():
             c = build_repair_css(params, failed, helpers, u)
             pts = [params.eval_points[s - 1] for s in c.helpers]
             vt = vandermonde(params.field, pts, 4)
-            sel = _selector(params, c.lam_f)
+            sel = _selector(params, c.failed_node)
             assert c.hz @ (diag(params.field, c.lam1) @ vt) == sel
             assert c.hx @ (diag(params.field, c.lam2) @ vt) == sel
 
@@ -121,7 +124,7 @@ def test_u_scaling_leaves_identities_intact():
         assert check_dual_containment(scaled.hx, scaled.hz)
         pts = [params.eval_points[s - 1] for s in scaled.helpers]
         vt = vandermonde(field, pts, 6)
-        sel = _selector(params, scaled.lam_f)
+        sel = _selector(params, scaled.failed_node)
         assert scaled.hz @ (diag(field, scaled.lam1) @ vt) == sel
         assert scaled.hx @ (diag(field, scaled.lam2) @ vt) == sel
 
@@ -200,7 +203,3 @@ def test_css_json_shape():
     c = build_repair_css(params, 1, (2, 4, 5, 6))
     d = c.to_json_dict()
     assert list(d) == ["HX", "HZ", "Lam1", "Lam2", "u", "uPrime"]
-    full = c.to_json_dict(full=True)
-    assert list(full) == [
-        "failedNode", "helpers", "HX", "HZ", "Lam1", "Lam2", "u", "uPrime", "lamF",
-    ]

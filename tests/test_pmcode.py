@@ -26,6 +26,8 @@ from qregen.pmcode import (
 )
 from qregen.rng import SplitMix64
 
+from sampling import sample
+
 
 def test_make_params_reference_instance():
     p = make_params(6, 3, 4, 13)
@@ -140,10 +142,9 @@ def test_encode_matches_two_term_decomposition():
                 (stored[i - 1].row_m, msg.s1, msg.s2),
                 (stored[i - 1].row_mp, msg.s1p, msg.s2p),
             ):
-                expect = tuple(
-                    (dot(field, vbar, s_a.col(j)) + lam * dot(field, vbar, s_b.col(j)))
-                    % 13
-                    for j in range(2)
+                expect = tuple(  # column j of S is row j of S^T
+                    (dot(field, vbar, a_col) + lam * dot(field, vbar, b_col)) % 13
+                    for a_col, b_col in zip(s_a.T.to_rows(), s_b.T.to_rows())
                 )
                 assert row == expect
 
@@ -251,7 +252,7 @@ def test_retrieve_file_distinct_subsets_per_subfile():
     rng = SplitMix64(19)
     symbols = random_symbols(params, rng)
     storage = encode_file(params, symbols)
-    subsets = [rng.sample(range(1, 13), 4) for _ in range(params.subfiles - 2)]
+    subsets = [sample(rng, range(1, 13), 4) for _ in range(params.subfiles - 2)]
     subsets += subsets[:2]
     assert len({tuple(sorted(s)) for s in subsets}) > 1
     shares = [[sub[i - 1] for i in ids] for sub, ids in zip(storage, subsets)]

@@ -52,7 +52,7 @@ def test_helper_encode_sparse_message_golden():
     c = build_repair_css(params, 1, (2, 4, 5, 6))
     payload = helper_encode(params, c, stored[1])
     assert (payload.y_x, payload.y_z) == (9, 0)
-    assert payload.qudits_sent == 1
+    assert payload.to_json_dict()["quditsSent"] == 1
 
 
 def test_helper_encode_zero_storage():

@@ -4,6 +4,8 @@ import pytest
 
 from qregen.rng import SplitMix64
 
+from sampling import sample
+
 
 def test_reference_vector_seed_zero():
     # first outputs of the documented recurrence for seed 0
@@ -32,11 +34,11 @@ def test_below_and_unit_ranges():
 
 def test_sample_without_replacement():
     r = SplitMix64(9)
-    picked = r.sample(range(1, 11), 4)
+    picked = sample(r, range(1, 11), 4)
     assert len(set(picked)) == 4
     assert all(1 <= x <= 10 for x in picked)
     with pytest.raises(ValueError):
-        r.sample(range(3), 4)
+        sample(r, range(3), 4)
 
 
 def test_seed_masked_to_64_bits():

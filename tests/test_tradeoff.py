@@ -146,3 +146,20 @@ def test_table_csv_format():
     assert lines[1] == "1,,4"
     assert lines[2] == "2,4,4"
     assert table_csv([]) == "beta,alpha_min_classical,alpha_min_quantum\n"
+
+
+def scan_alpha_min(summand, k, d, beta, b):
+    """The least feasible alpha by trying every alpha in [0, B]."""
+    return next((a for a in range(b + 1) if summand(k, d, a, beta) >= b), None)
+
+
+def test_alpha_min_bisection_matches_scan():
+    betas = (0, Fraction(1, 3), Fraction(1, 2), 1, Fraction(5, 2), 4)
+    for k in range(1, 5):
+        for d in range(k, 7):
+            for b in range(30):
+                for beta in betas:
+                    assert alpha_min_classical(k, d, beta, b) == scan_alpha_min(
+                        classical_sum, k, d, beta, b)
+                    assert alpha_min_quantum(k, d, beta, b) == scan_alpha_min(
+                        quantum_sum, k, d, beta, b)
