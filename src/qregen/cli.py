@@ -185,71 +185,91 @@ def cmd_repair(args) -> int:
     return 0
 
 
+def _attempt(failures: list, record: tuple, call, *args):
+    """``call(*args)``; a non-usage error appends ``record`` + (its class,)."""
+    try:
+        return call(*args)
+    except errors.UsageError:
+        raise
+    except errors.QregenError as exc:
+        failures.append((*record, type(exc).__name__))
+        return None
+
+
+def _check_pass(params: SystemParams, rng: SplitMix64, modes, trial: int = 0):
+    """Encode one random message, repair every failed node from every d-helper
+    set in each of ``modes`` (random u if one sub-file), retrieve from every
+    k-subset. Returns (repairs, retrievals, qudit totals seen, failures); a
+    failure is (trial, op/mode, case, error class), the class ``qudit-total``
+    or ``wrong-message`` for a repair not moving B/k qudits or a bad retrieval.
+    """
+    symbols = random_symbols(params, rng)
+    storage = encode_file(params, symbols)
+    nodes, single = range(1, params.n + 1), params.subfiles == 1
+    repairs, qudits, failures = 0, set(), []
+    for failed in nodes:
+        for helpers in combinations([i for i in nodes if i != failed], params.d):
+            u = [rng.unit(params.p) for _ in range(2 * params.k - 2)] if single else None
+            case = f"failed={failed} helpers={','.join(map(str, helpers))}"
+            for mode in modes:
+                repairs += 1
+                record = (trial, f"repair/{mode}", case)
+                if single:
+                    t = _attempt(failures, record, run_repair,
+                                 params, storage[0], failed, helpers, u, mode)
+                else:
+                    t = _attempt(failures, record, run_repair_extended,
+                                 params, storage, failed, helpers, mode)
+                if t is not None:
+                    qudits.add(t.qudit_total)
+                    if t.qudit_total != params.B // params.k:
+                        failures.append((*record, "qudit-total"))
+    subsets = list(combinations(nodes, params.k))
+    message = [x % params.p for x in symbols]
+    for subset in subsets:
+        record = (trial, "retrieve", f"nodes={','.join(map(str, subset))}")
+        shares = [[sub[i - 1] for i in subset] for sub in storage]
+        got = _attempt(failures, record, retrieve_file, params, shares)
+        if got is not None and list(got) != message:
+            failures.append((*record, "wrong-message"))
+    return repairs, len(subsets), qudits, failures
+
+
+def _report(failures) -> None:
+    for trial, op, case, error in failures:
+        print(f"failure: trial {trial} {op} {case} {error}", file=sys.stderr)
+
+
 def cmd_sweep(args) -> int:
     if args.trials < 1:
         raise errors.InvalidParams(f"--trials must be at least 1, got {args.trials}")
     params = _params_from_args(args)
     rng = SplitMix64(args.seed)
-    base = params.subfiles == 1
-    node_ids = range(1, params.n + 1)
-    m = 2 * params.k - 2
-
-    repair_trials = 0
-    retrieval_trials = 0
-    failures = 0
-    qudit_seen: set[int] = set()
-    repair_cases = 0
-    for trial in range(args.trials):
-        symbols = random_symbols(params, rng)
-        storage = encode_file(params, symbols)
-        for failed in node_ids:
-            rest = [i for i in node_ids if i != failed]
-            for helpers in combinations(rest, params.d):
-                if trial == 0:
-                    repair_cases += 1
-                repair_trials += 1
-                try:
-                    if base:
-                        u = [rng.unit(params.p) for _ in range(m)]
-                        transcript = run_repair(
-                            params, storage[0], failed, helpers, u, args.mode
-                        )
-                    else:
-                        transcript = run_repair_extended(
-                            params, storage, failed, helpers, mode=args.mode
-                        )
-                    qudit_seen.add(transcript.qudit_total)
-                except errors.UsageError:
-                    raise
-                except errors.QregenError:
-                    failures += 1
-        for subset in combinations(node_ids, params.k):
-            retrieval_trials += 1
-            recovered = retrieve_file(
-                params, [[sub[i - 1] for i in subset] for sub in storage]
-            )
-            if list(recovered) != [x % params.p for x in symbols]:
-                failures += 1
+    passes = [_check_pass(params, rng, (args.mode,), t) for t in range(args.trials)]
+    repairs, retrievals = (sum(p[i] for p in passes) for i in (0, 1))
+    qudit_seen = set().union(*(p[2] for p in passes))
+    failures = [f for p in passes for f in p[3]]
+    _report(failures)
 
     summary = {
         "params": _params_json(params),
         "seed": args.seed,
         "mode": args.mode,
         "trials": args.trials,
-        "repairCases": repair_cases,
-        "repairTrials": repair_trials,
-        "retrievalSubsets": retrieval_trials // args.trials,
-        "retrievalTrials": retrieval_trials,
-        "failures": failures,
+        "repairCases": repairs // args.trials,
+        "repairTrials": repairs,
+        "retrievalSubsets": retrievals // args.trials,
+        "retrievalTrials": retrievals,
+        "failures": len(failures),
         "quditTotal": {
-            "min": min(qudit_seen) if qudit_seen else None,
-            "max": max(qudit_seen) if qudit_seen else None,
+            "min": min(qudit_seen, default=None),
+            "max": max(qudit_seen, default=None),
             "expected": params.B // params.k,
         },
         "perHelperQudits": plan_subfiles(params).per_helper_qudits,
     }
     _write_out(_json_text(summary), args.out)
-    return 0 if failures == 0 else 1
+    return 0 if not failures else 1
 
 
 def _parse_betas(text: str) -> list[Fraction]:
@@ -292,67 +312,30 @@ def cmd_tradeoff(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    checks: list[tuple[str, bool]] = []
-
-    report = replay(seed=args.seed)
-    checks.append(("golden-replay", all(r["pass"] for r in report)))
-
-    from .css import build_repair_css, check_dual_containment
-
-    params = make_params(6, 3, 4, 13)
     rng = SplitMix64(args.seed)
-    ok = True
-    for failed in range(1, 7):
-        rest = [i for i in range(1, 7) if i != failed]
-        for helpers in combinations(rest, 4):
-            u = [rng.unit(13) for _ in range(4)]
-            c = build_repair_css(params, failed, helpers, u)
-            ok = ok and check_dual_containment(c.hx, c.hz)
-    checks.append(("dual-containment", ok))
-
-    symbols = random_symbols(params, rng)
-    storage = encode_file(params, symbols)
-    ok = True
-    for failed in range(1, 7):
-        rest = [i for i in range(1, 7) if i != failed]
-        for helpers in combinations(rest, 4):
-            for mode in ("linear", "symplectic"):
-                t = run_repair(params, storage[0], failed, helpers, None, mode)
-                ok = ok and t.qudit_total == 4
-    t_sv = run_repair(params, storage[0], 1, (2, 4, 5, 6), None, "statevector")
-    ok = ok and t_sv.qudit_total == 4
-    checks.append(("exact-repair", ok))
-
-    ok = True
-    for subset in combinations(range(1, 7), 3):
-        rec = retrieve_file(params, [[storage[0][i - 1] for i in subset]])
-        ok = ok and list(rec) == [x % 13 for x in symbols]
-    checks.append(("retrieval", ok))
-
-    ext = make_params(6, 2, 3, 13)
-    symbols = random_symbols(ext, rng)
-    ext_storage = encode_file(ext, symbols)
-    ok = True
-    for failed in range(1, 7):
-        rest = [i for i in range(1, 7) if i != failed]
-        for helpers in combinations(rest, 3):
-            t = run_repair_extended(ext, ext_storage, failed, helpers)
-            ok = ok and t.qudit_total == ext.B // ext.k
-    checks.append(("extension-repair", ok))
-
+    params = make_params(6, 3, 4, 13)
+    base = _check_pass(params, rng, ("linear", "symplectic"))[3]
+    ext = _check_pass(make_params(6, 2, 3, 13), rng, ("linear",))[3]
+    stored = encode_file(params, random_symbols(params, rng))[0]
+    _attempt(base, (0, "repair/statevector", "failed=1 helpers=2,4,5,6"),
+             run_repair, params, stored, 1, (2, 4, 5, 6), None, "statevector")
+    _report(base + ext)
+    ops = [{f[1].split("/")[0] for f in records} for records in (base, ext)]
     point = tradeoff.optimal_point(3, 4, 12)
-    checks.append(
-        ("tradeoff-optimum", point.alpha == 4 and point.beta * point.d == 4)
-    )
-
-    failures = 0
-    lines = []
-    for name, passed in checks:
-        lines.append(f"{'PASS' if passed else 'FAIL'} {name}")
-        failures += 0 if passed else 1
-    lines.append(f"{len(checks) - failures}/{len(checks)} selftest checks pass")
+    checks = [
+        ("golden-replay", all(r["pass"] for r in replay(seed=args.seed))),
+        ("dual-containment",
+         "DualContainmentViolated" not in {f[3] for f in base + ext}),
+        ("exact-repair", "repair" not in ops[0]),
+        ("retrieval", "retrieve" not in ops[0] | ops[1]),
+        ("extension-repair", "repair" not in ops[1]),
+        ("tradeoff-optimum", point.alpha == 4 and point.beta * point.d == 4),
+    ]
+    lines = [f"{'PASS' if passed else 'FAIL'} {name}" for name, passed in checks]
+    passed = sum(ok for _, ok in checks)
+    lines.append(f"{passed}/{len(checks)} selftest checks pass")
     _write_out("\n".join(lines) + "\n", args.out)
-    return 0 if failures == 0 else 1
+    return 0 if passed == len(checks) else 1
 
 
 def _parse_ids(text: str) -> list[int]:

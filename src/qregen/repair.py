@@ -22,7 +22,6 @@ d > 2k-2; only helpers inside a sub-file's subset transmit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import comb
 from collections.abc import Sequence
@@ -43,6 +42,7 @@ from .stabilizer import (
     syndrome_statevector,
     syndrome_symplectic,
 )
+from .tradeoff import classical_msr_bandwidth
 
 MODES = ("linear", "symplectic", "statevector")
 
@@ -248,25 +248,12 @@ def run_repair_extended(
     )
 
 
-def bandwidth_report(transcript: RepairTranscript) -> dict:
-    """Storage/bandwidth accounting for one transcript.
-
-    k is recovered from the syndrome length (alpha0 = k - 1), d from the
-    helper list, and B from B = k * alpha. The classical comparison value
-    is the minimum-storage repair download (B/k) * d / (d - k + 1), exact.
-    """
-    first_css = transcript.css[0] if transcript.extended else transcript.css
-    alpha0 = first_css.hx.rows
-    k = alpha0 + 1
-    d = len(transcript.helpers)
-    if transcript.extended:
-        alpha = sum(len(r.row_m) + len(r.row_mp) for r in transcript.regenerated)
-    else:
-        alpha = len(transcript.regenerated.row_m) + len(transcript.regenerated.row_mp)
-    b_total = k * alpha
+def bandwidth_report(params: SystemParams, transcript: RepairTranscript) -> dict:
+    """Storage alpha = B/k, the transcript's qudit download, and the classical
+    minimum-storage repair download (B/k) * d / (d - k + 1), exact."""
     return {
-        "alpha": alpha,
+        "alpha": params.alpha,
         "dBetaQ": transcript.qudit_total,
-        "BOverK": alpha,
-        "classicalMSRBandwidth": Fraction(b_total, k) * Fraction(d, d - k + 1),
+        "BOverK": params.B // params.k,
+        "classicalMSRBandwidth": classical_msr_bandwidth(params.k, params.d, params.B),
     }

@@ -46,11 +46,15 @@ class TradeoffPoint:
 
 
 def classical_sum(k: int, d: int, alpha: Num, beta_c: Num) -> Num:
-    return sum(min((d - i) * beta_c, alpha) for i in range(k))
+    """sum_{i<k} min((d - i) beta_c, alpha) for beta_c >= 0: the terms fall
+    with i, so the first t are capped at alpha and the rest are an arithmetic series."""
+    t = bisect_left(range(k), True, key=lambda i: (d - i) * beta_c < alpha)
+    return t * alpha + beta_c * ((k - t) * d - (t + k - 1) * (k - t) // 2)
 
 
 def quantum_sum(k: int, d: int, alpha: Num, beta_q: Num) -> Num:
-    return sum(min(2 * (d - i) * beta_q, d * beta_q, alpha) for i in range(k))
+    # the classical term at 2 beta_q, with the cap lowered to min(d beta_q, alpha)
+    return classical_sum(k, d, min(d * beta_q, alpha), 2 * beta_q)
 
 
 def classical_feasible(k: int, d: int, alpha: Num, beta_c: Num, b: Num) -> bool:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from qregen import errors, reference, tradeoff
+from qregen import cli, errors, reference, tradeoff
 from qregen.cli import main
 
 
@@ -456,3 +456,89 @@ def test_tradeoff_huge_file_bisects(capsys):
                            "--B", "1200000000")
     assert code == 0
     assert "optimal alpha=400000000 d_beta_q=400000000" in out
+
+
+def test_tradeoff_huge_k_and_d():
+    # the feasibility sums are closed-form: no loop over k = 10^8 terms
+    src = Path(__file__).resolve().parent.parent / "src"
+    run = subprocess.run(
+        [sys.executable, "-m", "qregen.cli", "tradeoff", "--k", "100000000",
+         "--d", "100000000", "--B", "12"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert run.returncode == 0
+    assert "warning: no simultaneous optimum" in run.stdout
+
+
+P634 = ("--n", "6", "--k", "3", "--d", "4", "--prime", "13")
+
+
+def break_repair(monkeypatch, error, failed=2, helpers=(1, 3, 4, 5)):
+    """cli.run_repair raises ``error`` for one (failed, helpers) case only."""
+    real = cli.run_repair
+
+    def run_repair(params, storage, f, hs, *rest):
+        if (f, tuple(hs)) == (failed, helpers):
+            raise error("injected")
+        return real(params, storage, f, hs, *rest)
+
+    monkeypatch.setattr(cli, "run_repair", run_repair)
+
+
+def break_retrieve(monkeypatch, nodes=(2, 4, 6), error=None):
+    """cli.retrieve_file from ``nodes`` raises ``error`` or returns a wrong message."""
+    real = cli.retrieve_file
+
+    def retrieve_file(params, shares):
+        symbols = real(params, shares)
+        if tuple(s.node_id for s in shares[0]) != nodes:
+            return symbols
+        if error is not None:
+            raise error("injected")
+        return ((symbols[0] + 1) % params.p, *symbols[1:])
+
+    monkeypatch.setattr(cli, "retrieve_file", retrieve_file)
+
+
+SWEEP_BREAKS = {  # name: (patch, stderr line of trial t)
+    "repair-mismatch": (
+        lambda mp: break_repair(mp, errors.RegenerationMismatch),
+        "failure: trial {t} repair/linear failed=2 helpers=1,3,4,5 RegenerationMismatch"),
+    "wrong-message": (
+        break_retrieve,
+        "failure: trial {t} retrieve nodes=2,4,6 wrong-message"),
+    "retrieve-raises": (  # at the parent this escaped sweep with no summary
+        lambda mp: break_retrieve(mp, error=errors.Singular),
+        "failure: trial {t} retrieve nodes=2,4,6 Singular"),
+}
+
+
+@pytest.mark.parametrize("case", list(SWEEP_BREAKS))
+def test_sweep_names_each_failure(capsys, monkeypatch, case):
+    patch, line = SWEEP_BREAKS[case]
+    patch(monkeypatch)
+    code, out, err = run_cli(capsys, "sweep", *P634, "--seed", "42", "--trials", "2")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["failures"] == 2  # one affected case in each trial
+    assert (doc["repairTrials"], doc["retrievalTrials"]) == (60, 40)
+    assert err.splitlines() == [line.format(t=0), line.format(t=1)]
+
+
+@pytest.mark.parametrize("patch, failed_checks", [
+    (lambda mp: break_repair(mp, errors.RegenerationMismatch), ["exact-repair"]),
+    (break_retrieve, ["retrieval"]),
+    # the containment check is live: a failing group fails its repair too
+    (lambda mp: break_repair(mp, errors.DualContainmentViolated),
+     ["dual-containment", "exact-repair"]),
+], ids=["repair-mismatch", "wrong-message", "dual-containment"])
+def test_selftest_reports_failed_checks(capsys, monkeypatch, patch, failed_checks):
+    patch(monkeypatch)
+    code, out, err = run_cli(capsys, "selftest")
+    assert code == 1
+    lines = out.splitlines()
+    assert [line[5:] for line in lines if line.startswith("FAIL ")] == failed_checks
+    passed = 6 - len(failed_checks)
+    assert lines[-1] == f"{passed}/6 selftest checks pass"
+    assert err and all(line.startswith("failure: trial 0 ") for line in err.splitlines())

@@ -244,7 +244,7 @@ def test_one_containment_product_per_subfile(monkeypatch, n, k, d, p):
 
 def test_bandwidth_report_reference_instance():
     params, _, stored = reference_setup(14)
-    rep = bandwidth_report(run_repair(params, stored, 1, (2, 4, 5, 6)))
+    rep = bandwidth_report(params, run_repair(params, stored, 1, (2, 4, 5, 6)))
     assert rep["alpha"] == rep["dBetaQ"] == rep["BOverK"] == 4
     # (B/k) * d / (d-k+1) = 4 * 4/2
     assert rep["classicalMSRBandwidth"] == Fraction(8)
@@ -254,6 +254,6 @@ def test_bandwidth_report_extension():
     ext = make_params(6, 2, 3, 13)
     rng = SplitMix64(15)
     storage = encode_file(ext, random_symbols(ext, rng))
-    rep = bandwidth_report(run_repair_extended(ext, storage, 2, (1, 3, 5)))
+    rep = bandwidth_report(ext, run_repair_extended(ext, storage, 2, (1, 3, 5)))
     assert rep["alpha"] == rep["dBetaQ"] == rep["BOverK"] == 6
     assert rep["classicalMSRBandwidth"] == Fraction(6, 1) * Fraction(3, 2)

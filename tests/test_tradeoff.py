@@ -163,3 +163,16 @@ def test_alpha_min_bisection_matches_scan():
                         classical_sum, k, d, beta, b)
                     assert alpha_min_quantum(k, d, beta, b) == scan_alpha_min(
                         quantum_sum, k, d, beta, b)
+
+
+def test_closed_form_sums_match_term_loops():
+    betas = [Fraction(t, 4) for t in (0, 1, 2, 3, 4, 6, 8, 12)] + [Fraction(7, 3)]
+    alphas = list(range(0, 24, 2)) + [1, Fraction(1, 3), Fraction(7, 2), Fraction(29, 3)]
+    for k in range(1, 7):
+        for d in range(k, 10):
+            for alpha in alphas:
+                for beta in betas:
+                    assert classical_sum(k, d, alpha, beta) == sum(
+                        min((d - i) * beta, alpha) for i in range(k))
+                    assert quantum_sum(k, d, alpha, beta) == sum(
+                        min(2 * (d - i) * beta, d * beta, alpha) for i in range(k))
