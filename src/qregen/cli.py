@@ -12,6 +12,7 @@ import json
 import sys
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 from . import errors, tradeoff
 from .pmcode import (
@@ -25,6 +26,15 @@ from .pmcode import (
 from .reference import replay
 from .repair import MODES, run_repair, run_repair_extended, plan_subfiles
 from .rng import SplitMix64
+
+SWEEP_LIMIT = 10**6  # sub-file repairs plus retrievals in one check pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's own rejections become one-line usage errors, not SystemExit."""
+
+    def error(self, message):
+        raise errors.UsageError(message)
 
 
 def _write_out(text: str, out_path: str | None) -> None:
@@ -202,7 +212,16 @@ def _check_pass(params: SystemParams, rng: SplitMix64, modes, trial: int = 0):
     k-subset. Returns (repairs, retrievals, qudit totals seen, failures); a
     failure is (trial, op/mode, case, error class), the class ``qudit-total``
     or ``wrong-message`` for a repair not moving B/k qudits or a bad retrieval.
+    A pass of more than SWEEP_LIMIT sub-file repairs plus retrievals is a
+    usage error, raised before anything is encoded.
     """
+    n, k, d = params.n, params.k, params.d
+    size = len(modes) * n * comb(n - 1, d) * params.subfiles + comb(n, k)
+    if size > SWEEP_LIMIT:
+        raise errors.InvalidParams(
+            f"a check pass at ({n},{k},{d}) needs {size} sub-file repairs and "
+            f"retrievals, over the limit of {SWEEP_LIMIT}"
+        )
     symbols = random_symbols(params, rng)
     storage = encode_file(params, symbols)
     nodes, single = range(1, params.n + 1), params.subfiles == 1
@@ -346,7 +365,7 @@ def _parse_ids(text: str) -> list[int]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qregen",
         description=(
             "Simulator for entanglement-assisted exact-repair regenerating codes"
@@ -401,9 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except errors.UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,16 +17,19 @@ why the measured syndromes later read off the failed node's rows directly.
 
 HX and HZ share one inverse, since (L Vt)^(-1) = Vt^(-1) L^(-1): the build
 takes the closed-form Vt^(-1) (``vandermonde_inv``) once, forms
-[I | lam_f I] Vt^(-1) as a sum of row pairs, and scales its columns by
-1/lam2 for HX and by 1/lam1 for HZ. The last row of Vt^(-1) is w: column j
-holds the Lagrange polynomial of point j, whose leading coefficient is w_j. The
-``StabGroup`` the build returns checks HX HZ^T = 0, once.
+[I | lam_f I] Vt^(-1) as its top a0 rows plus lam_f times its bottom a0
+rows, and scales its columns by 1/lam2 for HX and by 1/lam1 for HZ. The
+last row of Vt^(-1) is w: column j holds the Lagrange polynomial of point
+j, whose leading coefficient is w_j. The ``StabGroup`` the build returns
+checks HX HZ^T = 0, once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Sequence
+
+import numpy as np
 
 from .errors import InvalidHelperSet, ZeroU
 from .matrix import Mat, grs_dual_weights, vandermonde_inv  # re-exports the weights
@@ -113,14 +116,13 @@ def build_repair_css(
     lam1 = tuple(field.mul(uj, di) for uj, di in zip(u_vec, denom_inv))
     lam2 = tuple(field.mul(uj, di) for uj, di in zip(u_prime, denom_inv))
 
-    sel_v_inv = [  # [I | lam_f I] Vt^(-1): row r plus lam_f times row a0 + r
-        [x + lam_f * y for x, y in zip(v_inv.row(r), v_inv.row(params.alpha0 + r))]
-        for r in range(params.alpha0)
-    ]
+    a0 = params.alpha0
+    sel_v_inv = v_inv.data[:a0] + lam_f * v_inv.data[a0:]  # [I | lam_f I] Vt^(-1)
     # the right factors diag(lam2)^(-1) and diag(lam1)^(-1) scale columns
-    inv1, inv2 = ([field.inv(x) for x in lam] for lam in (lam1, lam2))
-    hx = Mat.from_rows(field, [[x * c for x, c in zip(row, inv2)] for row in sel_v_inv])
-    hz = Mat.from_rows(field, [[x * c for x, c in zip(row, inv1)] for row in sel_v_inv])
+    inv1, inv2 = (np.array([field.inv(x) for x in lam], dtype=object)
+                  for lam in (lam1, lam2))
+    hx = Mat.from_array(field, sel_v_inv * inv2)
+    hz = Mat.from_array(field, sel_v_inv * inv1)
     return RepairCSS(
         failed_node=failed,
         helpers=hs,

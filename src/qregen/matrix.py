@@ -1,17 +1,22 @@
 """Dense exact linear algebra over GF(p).
 
-Matrices are row-major int buffers tied to a GF instance; all arithmetic is
-exact. Every matrix the codes invert is a square Vandermonde matrix, so the
-hot paths use ``vandermonde_inv``, an O(m^2) closed form, instead of the
-cubic Gauss-Jordan ``Mat.inv``, which stays as the general reference. Pivot
-selection always takes the first nonzero entry in column order, which keeps
-eliminations (and everything built on them) deterministic.
+A ``Mat`` holds its entries in one 2-D numpy array of ``dtype=object``
+whose items are Python ints in [0, p), tied to a GF instance. numpy runs
+the loops, Python ints do the arithmetic, so every product and sum is exact
+at any prime: nothing can overflow. Every matrix the codes invert is a
+square Vandermonde matrix, so the hot paths use ``vandermonde_inv``, an
+O(m^2) closed form, instead of the cubic Gauss-Jordan ``Mat.inv``, which
+stays as the general reference. Pivot selection always takes the first
+nonzero entry in column order, which keeps eliminations (and everything
+built on them) deterministic.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from math import prod
+
+import numpy as np
 
 from .errors import DimensionMismatch, RepeatedPoint, Singular
 from .gf import GF
@@ -20,7 +25,7 @@ from .gf import GF
 class Mat:
     """A rows x cols matrix over GF(p)."""
 
-    __slots__ = ("field", "rows", "cols", "data")
+    __slots__ = ("field", "data")
 
     def __init__(self, field: GF, rows: int, cols: int, data: Sequence[int]):
         if rows < 0 or cols < 0 or len(data) != rows * cols:
@@ -28,20 +33,24 @@ class Mat:
                 f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(data)}"
             )
         self.field = field
-        self.rows = rows
-        self.cols = cols
-        self.data = [x % field.p for x in data]
+        self.data = np.array(data, dtype=object).reshape(rows, cols) % field.p
+
+    @classmethod
+    def from_array(cls, field: GF, array: np.ndarray) -> "Mat":
+        """Wrap a 2-D object array of ints, reduced mod p."""
+        m = cls.__new__(cls)
+        m.field = field
+        m.data = array % field.p
+        return m
 
     @classmethod
     def from_rows(cls, field: GF, rows: Sequence[Sequence[int]]) -> "Mat":
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        flat: list[int] = []
-        for r in rows:
-            if len(r) != ncols:
-                raise DimensionMismatch("ragged rows")
-            flat.extend(r)
-        return cls(field, nrows, ncols, flat)
+        ncols = len(rows[0]) if len(rows) else 0
+        if any(len(r) != ncols for r in rows):
+            raise DimensionMismatch("ragged rows")
+        return cls.from_array(
+            field, np.array(rows, dtype=object).reshape(len(rows), ncols)
+        )
 
     @classmethod
     def zeros(cls, field: GF, rows: int, cols: int) -> "Mat":
@@ -49,39 +58,35 @@ class Mat:
 
     @classmethod
     def identity(cls, field: GF, n: int) -> "Mat":
-        m = cls.zeros(field, n, n)
-        for i in range(n):
-            m.data[i * n + i] = 1
-        return m
+        return cls.from_array(field, np.identity(n, dtype=object))
 
-    def __getitem__(self, ij: tuple[int, int]) -> int:
-        i, j = ij
-        return self.data[i * self.cols + j]
+    @property
+    def rows(self) -> int:
+        return self.data.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self.data.shape[1]
 
     def row(self, i: int) -> list[int]:
-        return self.data[i * self.cols : (i + 1) * self.cols]
+        return self.data[i].tolist()
 
     def to_rows(self) -> list[list[int]]:
-        return [self.row(i) for i in range(self.rows)]
+        return self.data.tolist()
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Mat)
             and other.field == self.field
-            and other.rows == self.rows
-            and other.cols == self.cols
-            and other.data == self.data
+            and other.data.shape == self.data.shape
+            and bool((other.data == self.data).all())
         )
 
     def __repr__(self) -> str:
         return f"Mat({self.field!r}, {self.to_rows()})"
 
     def transpose(self) -> "Mat":
-        out = Mat.zeros(self.field, self.cols, self.rows)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                out.data[j * self.rows + i] = self.data[i * self.cols + j]
-        return out
+        return Mat.from_array(self.field, self.data.T)
 
     @property
     def T(self) -> "Mat":
@@ -94,19 +99,10 @@ class Mat:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        p = self.field.p
-        out = Mat.zeros(self.field, self.rows, other.cols)
-        for i in range(self.rows):
-            arow = self.data[i * self.cols : (i + 1) * self.cols]
-            for j in range(other.cols):
-                s = 0
-                for t in range(self.cols):
-                    s += arow[t] * other.data[t * other.cols + j]
-                out.data[i * other.cols + j] = s % p
-        return out
+        return Mat.from_array(self.field, self.data @ other.data)
 
     def is_zero(self) -> bool:
-        return not any(self.data)
+        return not self.data.any()
 
     def inv(self) -> "Mat":
         """Gauss-Jordan inverse; raises Singular when rank < n."""
@@ -179,29 +175,3 @@ def vandermonde_inv(field: GF, points: Sequence[int]) -> Mat:
             col.append(acc * w % p)
         cols.append(col[::-1])
     return Mat.from_rows(field, list(zip(*cols)))
-
-
-def vstack(blocks: Sequence[Mat]) -> Mat:
-    cols = blocks[0].cols
-    if any(b.cols != cols for b in blocks):
-        raise DimensionMismatch("column counts differ")
-    data: list[int] = []
-    for b in blocks:
-        data.extend(b.data)
-    return Mat(blocks[0].field, sum(b.rows for b in blocks), cols, data)
-
-
-def matvec(a: Mat, v: Sequence[int]) -> list[int]:
-    if len(v) != a.cols:
-        raise DimensionMismatch(f"vector length {len(v)} != {a.cols}")
-    p = a.field.p
-    return [
-        sum(a.data[i * a.cols + t] * v[t] for t in range(a.cols)) % p
-        for i in range(a.rows)
-    ]
-
-
-def dot(field: GF, x: Sequence[int], y: Sequence[int]) -> int:
-    if len(x) != len(y):
-        raise DimensionMismatch(f"lengths {len(x)} != {len(y)}")
-    return sum(a * b for a, b in zip(x, y)) % field.p

@@ -15,13 +15,15 @@ the *_file functions handle that layering.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import lru_cache
 from math import comb
 from collections.abc import Sequence
 
+import numpy as np
+
 from .errors import BadShareSet, InvalidParams, NoValidPoints, Singular, WrongLength
 from .gf import GF
-from .matrix import Mat, matvec, vandermonde, vandermonde_inv, vstack
+from .matrix import Mat, vandermonde, vandermonde_inv
 from .rng import SplitMix64
 
 
@@ -162,19 +164,23 @@ class MessagePair:
     s2p: Mat
 
 
+@lru_cache(maxsize=16)  # building the indices costs more than packing with them
+def _layout(a0: int) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """The packing order of a symmetric a0 x a0 matrix: its upper-triangle
+    (row, column) indices in row-major order, and the a0 x a0 table of each
+    entry's position in that order."""
+    upper = np.triu_indices(a0)
+    table = np.empty((a0, a0), dtype=int)
+    table[upper] = table[upper[::-1]] = np.arange(len(upper[0]))
+    return upper, table
+
+
 def _pack_symmetric(field: GF, a0: int, values: Sequence[int]) -> Mat:
-    m = Mat.zeros(field, a0, a0)
-    it = iter(values)
-    for i in range(a0):
-        for j in range(i, a0):
-            x = next(it) % field.p
-            m.data[i * a0 + j] = x
-            m.data[j * a0 + i] = x
-    return m
+    return Mat.from_array(field, np.array(values, dtype=object)[_layout(a0)[1]])
 
 
 def _unpack_symmetric(m: Mat) -> list[int]:
-    return [m[i, j] for i in range(m.rows) for j in range(i, m.rows)]
+    return m.data[_layout(m.rows)[0]].tolist()
 
 
 def pack_message(params: SystemParams, symbols: Sequence[int]) -> MessagePair:
@@ -215,12 +221,12 @@ class NodeStorage:
 
 def encode(params: SystemParams, msg: MessagePair) -> tuple[NodeStorage, ...]:
     """Per-node storage rows (v_i^T M, v_i^T M') for one sub-file."""
-    big_v = vandermonde(params.field, params.eval_points, 2 * params.alpha0)
-    c1 = big_v @ vstack([msg.s1, msg.s2])
-    c2 = big_v @ vstack([msg.s1p, msg.s2p])
+    a0 = params.alpha0
+    big_v = vandermonde(params.field, params.eval_points, 2 * a0)
+    both = np.block([[msg.s1.data, msg.s1p.data], [msg.s2.data, msg.s2p.data]])
+    rows = (big_v @ Mat.from_array(params.field, both)).to_rows()  # [M | M']
     return tuple(
-        NodeStorage(i + 1, tuple(c1.row(i)), tuple(c2.row(i)))
-        for i in range(params.n)
+        NodeStorage(i + 1, tuple(r[:a0]), tuple(r[a0:])) for i, r in enumerate(rows)
     )
 
 
@@ -229,27 +235,36 @@ class _DecodePlan:
     """Every inverse that decoding from one sorted id set needs."""
 
     phibar_t: Mat  # a0 x k, column a is vbar of the a-th id
-    lam: tuple[int, ...]
-    diff_inv: dict[tuple[int, int], int]  # (a, b) -> 1 / (lam_a - lam_b), a < b
-    loo_inv: tuple[Mat, ...]  # j -> inverse of phibar without row j
+    lam: np.ndarray  # k x 1, lam of the a-th id in row a
+    diff_inv: np.ndarray  # k x k, (a, b) -> 1 / (lam_a - lam_b) mod p, 0 if a == b
+    gather: tuple  # (a0 x a0, a0 x 1) indices: row j of vals[gather] = vals[a != j, j]
+    loo_inv: np.ndarray  # a0 x a0 x a0, j -> inverse of phibar without row j
     w_t_inv: Mat  # inverse of W^T, W = the first a0 rows of phibar
 
 
 def _decode_plan(params: SystemParams, ids: list[int]) -> _DecodePlan:
     field = params.field
     pts = [params.eval_points[i - 1] for i in ids]
-    lam = tuple(params.lam[i - 1] for i in ids)
-    diff_inv = {}
-    for a, b in combinations(range(params.k), 2):
-        if lam[a] == lam[b]:
-            raise Singular(f"repeated lam between nodes {ids[a]} and {ids[b]}")
-        diff_inv[a, b] = field.inv(field.sub(lam[a], lam[b]))
+    lam = [params.lam[i - 1] for i in ids]
+    if len(set(lam)) != len(lam):
+        raise Singular(f"repeated lam among nodes {ids}")
     a0 = params.alpha0
+    upper = np.array(  # 1 / (lam_a - lam_b) above the diagonal
+        [[field.inv(lam[a] - lam[b]) if a < b else 0 for b in range(a0 + 1)]
+         for a in range(a0 + 1)],
+        dtype=object,
+    )
     return _DecodePlan(
         phibar_t=vandermonde(field, pts, a0).T,
-        lam=lam,
-        diff_inv=diff_inv,
-        loo_inv=tuple(vandermonde_inv(field, pts[:j] + pts[j + 1 :]) for j in range(a0)),
+        lam=np.array(lam, dtype=object)[:, None],
+        diff_inv=upper - upper.T,  # 1 / (lam_b - lam_a) = -1 / (lam_a - lam_b)
+        gather=(
+            np.array([[a for a in range(a0 + 1) if a != j] for j in range(a0)]),
+            np.arange(a0)[:, None],
+        ),
+        loo_inv=np.array(
+            [vandermonde_inv(field, pts[:j] + pts[j + 1 :]).data for j in range(a0)]
+        ),
         w_t_inv=vandermonde_inv(field, pts[:a0]).T,
     )
 
@@ -270,25 +285,14 @@ def _decode_instance(
     Every inverse involved depends only on the ids, so it comes from
     ``plan`` (built by _decode_plan); this function only applies them.
     """
-    field = params.field
-    k = params.k
-    a0 = params.alpha0
-    prod = c_dc @ plan.phibar_t
+    p = params.p
+    prod = (c_dc @ plan.phibar_t).data
+    psi = (prod - prod.T) * plan.diff_inv % p  # symmetric, 0 on the diagonal
+    theta = (prod - plan.lam * psi) % p  # symmetric off the diagonal
 
-    theta = [[0] * k for _ in range(k)]
-    psi = [[0] * k for _ in range(k)]
-    for (a, b), diff_inv in plan.diff_inv.items():
-        psi_ab = field.mul(field.sub(prod[a, b], prod[b, a]), diff_inv)
-        theta_ab = field.sub(prod[a, b], field.mul(plan.lam[a], psi_ab))
-        theta[a][b] = theta[b][a] = theta_ab
-        psi[a][b] = psi[b][a] = psi_ab
-
-    def solve_columns(vals: list[list[int]]) -> Mat:
-        cols = [  # column j is S vbar_j
-            matvec(plan.loo_inv[j], [vals[a][j] for a in range(k) if a != j])
-            for j in range(a0)
-        ]
-        return Mat.from_rows(field, cols).T @ plan.w_t_inv
+    def solve_columns(vals: np.ndarray) -> Mat:
+        cols = (plan.loo_inv @ vals[plan.gather][:, :, None])[:, :, 0]  # S vbar_j
+        return Mat.from_array(params.field, cols.T) @ plan.w_t_inv
 
     return solve_columns(theta), solve_columns(psi)
 

@@ -26,6 +26,8 @@ from itertools import combinations
 from math import comb
 from collections.abc import Sequence
 
+import numpy as np
+
 from .css import RepairCSS, build_repair_css
 from .errors import (
     InvalidHelperSet,
@@ -33,7 +35,6 @@ from .errors import (
     NotAHelper,
     RegenerationMismatch,
 )
-from .matrix import dot
 from .pmcode import NodeStorage, SystemParams
 from .stabilizer import (
     PauliError,
@@ -125,11 +126,12 @@ def helper_encode(
             f"node {storage.node_id} not in helper set {repair_css.helpers}"
         ) from None
     field = params.field
-    vbar_f = params.point_powers(repair_css.failed_node)
+    vbar_f = np.array(params.point_powers(repair_css.failed_node), dtype=object)
+    own = np.array([storage.row_m, storage.row_mp], dtype=object) @ vbar_f
     return HelperPayload(
         helper_id=storage.node_id,
-        y_x=field.mul(repair_css.lam1[j], dot(field, storage.row_m, vbar_f)),
-        y_z=field.mul(repair_css.lam2[j], dot(field, storage.row_mp, vbar_f)),
+        y_x=field.mul(repair_css.lam1[j], own[0]),  # lam1_j (row_m . vbar_f)
+        y_z=field.mul(repair_css.lam2[j], own[1]),  # lam2_j (row_mp . vbar_f)
     )
 
 

@@ -40,7 +40,7 @@ from .errors import (
     TooLarge,
     ZeroProjection,
 )
-from .matrix import Mat, matvec
+from .matrix import Mat
 
 STATE_LIMIT = 1 << 20
 RESIDUAL_TOL = 1e-6
@@ -105,32 +105,26 @@ def _check_error(group: StabGroup, err: PauliError) -> None:
 def syndrome_linear(group: StabGroup, err: PauliError) -> Syndrome:
     """sX = HZ x and sZ = HX z."""
     _check_error(group, err)
+    x, z = np.array(err.x, dtype=object), np.array(err.z, dtype=object)
     return Syndrome(
-        s_x=tuple(matvec(group.z_type, list(err.x))),
-        s_z=tuple(matvec(group.x_type, list(err.z))),
+        s_x=tuple((group.z_type.data @ x % group.p).tolist()),
+        s_z=tuple((group.x_type.data @ z % group.p).tolist()),
     )
-
-
-def _symplectic_pairing(p: int, a, b, x, z) -> int:
-    """Phase exponent picked up commuting X(a)Z(b) past X(x)Z(z)."""
-    return (sum(bi * xi for bi, xi in zip(b, x))
-            - sum(ai * zi for ai, zi in zip(a, z))) % p
 
 
 def syndrome_symplectic(group: StabGroup, err: PauliError) -> Syndrome:
     """Syndromes via symplectic commutation phases (sign-fixed per type)."""
     _check_error(group, err)
-    p = group.p
-    zero = [0] * group.n
-    s_x = tuple(
-        _symplectic_pairing(p, zero, group.z_type.row(i), err.x, err.z)
-        for i in range(group.z_type.rows)
+    n, r = group.n, group.z_type.rows
+    # one symplectic row (a | b) per generator: Z-type (0 | h), X-type (g | 0)
+    gens = np.zeros((r + group.x_type.rows, 2 * n), dtype=object)
+    gens[:r, n:] = group.z_type.data
+    gens[r:, :n] = group.x_type.data
+    x, z = np.array(err.x, dtype=object), np.array(err.z, dtype=object)
+    phase = gens @ np.concatenate([-z, x]) % group.p  # <(a|b), (x|z)> = b.x - a.z
+    return Syndrome(
+        s_x=tuple(phase[:r].tolist()), s_z=tuple((-phase[r:] % group.p).tolist())
     )
-    s_z = tuple(
-        -_symplectic_pairing(p, group.x_type.row(i), zero, err.x, err.z) % p
-        for i in range(group.x_type.rows)
-    )
-    return Syndrome(s_x=s_x, s_z=s_z)
 
 
 class _StateSpace:

@@ -1,4 +1,5 @@
-"""Gauss-Jordan helpers over GF(p) that only the tests need."""
+"""Gauss-Jordan helpers over GF(p) that only the tests need, and the
+pure-Python loops that ``Mat``'s numpy products are checked against."""
 
 from qregen.errors import DimensionMismatch
 from qregen.matrix import Mat
@@ -26,7 +27,7 @@ def rref(m):
             a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
         pivots.append(col)
         r += 1
-    red = Mat.from_rows(m.field, a) if a else Mat(m.field, m.rows, m.cols, m.data)
+    red = Mat.from_rows(m.field, a) if a else Mat.zeros(m.field, m.rows, m.cols)
     return red, pivots
 
 
@@ -45,7 +46,7 @@ def right_kernel(m):
         v = [0] * m.cols
         v[fcol] = 1
         for r, pcol in enumerate(pivots):
-            v[pcol] = -red[r, fcol] % p
+            v[pcol] = -red.data[r, fcol] % p
         basis.append(v)
     return basis
 
@@ -59,9 +60,43 @@ def blkdiag(field, blocks):
     for b in blocks:
         if b.field != field:
             raise DimensionMismatch("field mismatch")
-        for i in range(b.rows):
-            base = (r0 + i) * cols + c0
-            out.data[base : base + b.cols] = b.row(i)
+        out.data[r0 : r0 + b.rows, c0 : c0 + b.cols] = b.data
         r0 += b.rows
         c0 += b.cols
     return out
+
+
+def matmul_ref(a, b):
+    """Rows of a @ b by the triple loop over Python ints."""
+    p = a.field.p
+    a_rows, b_rows = a.to_rows(), b.to_rows()
+    out = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            s = 0
+            for t in range(a.cols):
+                s += a_rows[i][t] * b_rows[t][j]
+            row.append(s % p)
+        out.append(row)
+    return out
+
+
+def transpose_ref(a):
+    """Rows of a^T, entry by entry."""
+    rows = a.to_rows()
+    return [[rows[i][j] for i in range(a.rows)] for j in range(a.cols)]
+
+
+def matvec(a, v):
+    """a v over Python ints."""
+    if len(v) != a.cols:
+        raise DimensionMismatch(f"vector length {len(v)} != {a.cols}")
+    return [dot(a.field, row, v) for row in a.to_rows()]
+
+
+def dot(field, x, y):
+    """x . y over Python ints."""
+    if len(x) != len(y):
+        raise DimensionMismatch(f"lengths {len(x)} != {len(y)}")
+    return sum(a * b for a, b in zip(x, y)) % field.p

@@ -225,9 +225,10 @@ def test_invalid_params_usage_error(capsys, tmp_path):
 
 
 def test_unknown_command_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["frobnicate"])
-    assert exc.value.code == 2
+    code, out, err = run_cli(capsys, "frobnicate")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: argument command: invalid choice: 'frobnicate'")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -240,10 +241,8 @@ def test_unknown_command_exits_2(capsys):
 ], ids=lambda argv: argv[0])
 def test_format_only_on_demo(capsys, argv):
     # only demo-example1 honours --format; elsewhere it is an unknown flag
-    with pytest.raises(SystemExit) as exc:
-        main([*argv, "--format", "csv"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --format csv" in capsys.readouterr().err
+    code, _, err = run_cli(capsys, *argv, "--format", "csv")
+    assert (code, err) == (2, "error: unrecognized arguments: --format csv\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -260,10 +259,9 @@ def test_format_only_on_demo(capsys, argv):
 ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
 def test_unread_flags_rejected(capsys, argv):
     # a command declares only the flags it reads; any other is unknown
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err == f"error: unrecognized arguments: {' '.join(argv[-2:])}\n"
 
 
 @pytest.mark.parametrize("flag", ["--n", "--k", "--d", "--prime", "--seed"])
@@ -285,6 +283,20 @@ def test_repair_in_rejects_param_flags(tmp_path, capsys, flag):
 def one_line_usage_error(code, out, err):
     one_line = err.startswith("error: ") and err.count("\n") == 1
     return code == 2 and out == "" and one_line
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["sweep", "--n", "6", "--trials"],
+    ["sweep", "--n", "x"],
+    ["sweep", "--mode", "bogus"],
+    ["repair", "--failed", "1"],
+    ["encode", "--in", "msg.json", "--bogus"],
+], ids=["no-command", "no-value", "not-an-int", "bad-choice", "missing", "unknown"])
+def test_argparse_rejections_are_one_line(capsys, argv):
+    # argparse's own errors exit 2 like every other usage error, without the
+    # usage block
+    assert one_line_usage_error(*run_cli(capsys, *argv))
 
 
 @pytest.mark.parametrize("trials", ["0", "-1"])
@@ -471,6 +483,42 @@ def test_tradeoff_huge_k_and_d():
     assert "warning: no simultaneous optimum" in run.stdout
 
 
+def test_sweep_over_the_limit_exits_2():
+    # 64 C(63,38) repairs per trial would never end; the pass is sized first
+    src = Path(__file__).resolve().parent.parent / "src"
+    run = subprocess.run(
+        [sys.executable, "-m", "qregen.cli", "sweep", "--n", "64", "--k", "20",
+         "--d", "38", "--prime", "67", "--trials", "1"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert one_line_usage_error(run.returncode, run.stdout, run.stderr)
+    assert "a check pass at (64,20,38) needs " in run.stderr
+
+
+class Encoding(Exception):
+    """Raised in place of drawing the message: the pass got past its limit."""
+
+
+@pytest.mark.parametrize("limit", [55_935, 55_934])
+def test_sweep_limit_counts_repairs_and_retrievals(capsys, monkeypatch, limit):
+    # (12,4,8,17): 12 failed nodes x C(11,8) helper sets x 28 sub-files
+    # = 55,440 sub-file repairs, plus C(12,4) = 495 retrievals
+    def drawing(params, rng):
+        raise Encoding
+
+    assert cli.SWEEP_LIMIT >= 55_935  # the 28-sub-file instance still runs
+    monkeypatch.setattr(cli, "SWEEP_LIMIT", limit)
+    monkeypatch.setattr(cli, "random_symbols", drawing)
+    argv = ["sweep", "--n", "12", "--k", "4", "--d", "8", "--prime", "17",
+            "--trials", "1"]
+    if limit == 55_935:
+        with pytest.raises(Encoding):
+            main(argv)
+    else:
+        assert one_line_usage_error(*run_cli(capsys, *argv))
+
+
 P634 = ("--n", "6", "--k", "3", "--d", "4", "--prime", "13")
 
 
@@ -542,3 +590,37 @@ def test_selftest_reports_failed_checks(capsys, monkeypatch, patch, failed_check
     passed = 6 - len(failed_checks)
     assert lines[-1] == f"{passed}/6 selftest checks pass"
     assert err and all(line.startswith("failure: trial 0 ") for line in err.splitlines())
+
+
+def test_exact_at_the_largest_prime(tmp_path, capsys):
+    # every product of two dits overflows int64 at p = 2^61 - 1
+    p = 2**61 - 1
+    message = [p - 1 - 3**i for i in range(12)]
+    msg, storage = tmp_path / "msg.json", tmp_path / "storage.json"
+    msg.write_text(json.dumps(message))
+    params = ("--n", "6", "--k", "3", "--d", "4", "--prime", str(p))
+    code, _, _ = run_cli(capsys, "encode", *params, "--in", str(msg),
+                         "--out", str(storage))
+    assert code == 0
+    doc = json.loads(storage.read_text())
+
+    def sym(a, b, c):
+        return [[a, b], [b, c]]
+
+    m = sym(*message[0:3]) + sym(*message[3:6])  # [S1; S2]
+    mp = sym(*message[6:9]) + sym(*message[9:12])  # [S1'; S2']
+    for node, x in zip(doc["subfiles"][0], doc["params"]["evalPoints"]):
+        v = [1, x, x**2, x**3]  # [vbar, lam vbar] with lam = x^2
+        rows = [[sum(vt * r[c] for vt, r in zip(v, s)) % p for c in range(2)]
+                for s in (m, mp)]
+        assert [node["rowM"], node["rowMp"]] == rows
+    for nodes in ((), ("--nodes", "2,4,6")):
+        code, out, _ = run_cli(capsys, "retrieve", "--in", str(storage), *nodes)
+        assert (code, json.loads(out)) == (0, message)
+    lost = doc["subfiles"][0][0]
+    for mode in ("linear", "symplectic"):
+        code, out, _ = run_cli(capsys, "repair", "--in", str(storage), "--failed", "1",
+                               "--helpers", "2,4,5,6", "--mode", mode)
+        regen = json.loads(out)["regenerated"]
+        assert code == 0
+        assert [regen["rowM"], regen["rowMp"]] == [lost["rowM"], lost["rowMp"]]

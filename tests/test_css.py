@@ -176,7 +176,7 @@ def test_corrupted_construction_fails_closed(monkeypatch):
 
     def perturbed(field, points):
         v_inv = real(field, points)
-        v_inv.data[0] = (v_inv.data[0] + 1) % field.p
+        v_inv.data[0, 0] = (v_inv.data[0, 0] + 1) % field.p
         return v_inv
 
     monkeypatch.setattr(qregen.css, "vandermonde_inv", perturbed)

@@ -1,9 +1,8 @@
 """Fuzzed input at the CLI boundary: storage files and short argv lists.
 
-Whatever arrives, ``main`` exits 0, 1 or 2, lets no exception escape and,
-on a nonzero exit, says why in one stderr line. argparse's own rejections
-(an unknown flag, a missing value) exit 2 through ``SystemExit`` after a
-usage block, so for those the last stderr line is the error.
+Whatever arrives, ``main`` exits 0, 1 or 2, lets no exception escape
+(``SystemExit`` included) and, on a nonzero exit, says why in one stderr
+line; argparse's own rejections (an unknown flag, a missing value) too.
 """
 
 import contextlib
@@ -22,22 +21,17 @@ FUZZ = settings(max_examples=50, deadline=None, derandomize=True,
 
 
 def run_main(argv):
-    """(exit code, stdout, stderr, whether argparse rejected the argv)."""
+    """(exit code, stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code, parser_exit = main(argv), False
-        except SystemExit as exc:
-            code, parser_exit = exc.code, True
-    return code, out.getvalue(), err.getvalue(), parser_exit
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 def assert_clean_exit(argv):
-    code, _, err, parser_exit = run_main(argv)
+    code, _, err = run_main(argv)
     assert code in (0, 1, 2), (argv, code, err)
-    if parser_exit:
-        assert code == 2 and ": error: " in err.splitlines()[-1], (argv, err)
-    elif code != 0:
+    if code != 0:
         assert err.count("\n") == 1 and err.endswith("\n"), (argv, err)
 
 

@@ -1,23 +1,15 @@
 """Exact linear algebra: golden matrices and re-multiplication properties."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qregen.errors import DimensionMismatch, RepeatedPoint, Singular
 from qregen.gf import GF
-from qregen.matrix import (
-    Mat,
-    dot,
-    grs_dual_weights,
-    matvec,
-    vandermonde,
-    vandermonde_inv,
-    vstack,
-)
+from qregen.matrix import Mat, grs_dual_weights, vandermonde, vandermonde_inv
 from qregen.rng import SplitMix64
 
-from linalg import blkdiag, rank, right_kernel
+from linalg import blkdiag, matmul_ref, matvec, rank, right_kernel, transpose_ref
 from sampling import sample
 
 F13 = GF(13)
@@ -136,14 +128,6 @@ def test_blkdiag_assembly():
     assert blkdiag(F13, [Mat.from_rows(F13, [[5]])]).to_rows() == [[5]]
 
 
-def test_stacking():
-    a = Mat.from_rows(F13, [[1, 2]])
-    b = Mat.from_rows(F13, [[3, 4]])
-    assert vstack([a, b]).to_rows() == [[1, 2], [3, 4]]
-    with pytest.raises(DimensionMismatch):
-        vstack([a, Mat.zeros(F13, 1, 3)])
-
-
 def test_solve_identity_and_random():
     b = Mat.from_rows(F13, [[7], [11], [0]])
     assert solve(Mat.identity(F13, 3), b) == b
@@ -174,13 +158,57 @@ def test_right_kernel_annihilates():
 
 
 def test_matvec_and_dot():
+    # a matrix-vector product and a dot product are products with a column
     a = Mat.from_rows(F13, [[1, 2], [3, 4]])
-    assert matvec(a, [1, 1]) == [3, 7]
-    assert dot(F13, [1, 2, 3], [4, 5, 6]) == (4 + 10 + 18) % 13
+    assert (a @ Mat.from_rows(F13, [[1], [1]])).to_rows() == [[3], [7]]
+    row = Mat.from_rows(F13, [[1, 2, 3]])
+    column = Mat.from_rows(F13, [[4], [5], [6]])
+    assert (row @ column).to_rows() == [[(4 + 10 + 18) % 13]]
     with pytest.raises(DimensionMismatch):
-        matvec(a, [1])
+        a @ Mat.from_rows(F13, [[1]])
     with pytest.raises(DimensionMismatch):
-        dot(F13, [1], [1, 2])
+        row @ Mat.from_rows(F13, [[1], [2]])
+
+
+KERNEL_PRIMES = [2, 13, 67, 2**61 - 1]
+
+
+@st.composite
+def products(draw):
+    """(a, b) over one GF(p) with a.cols == b.rows; any side may be 0."""
+    field = GF(draw(st.sampled_from(KERNEL_PRIMES)))
+    rows, inner, cols = (draw(st.integers(0, 5)) for _ in range(3))
+    entries = st.integers(-field.p, 2 * field.p)  # the constructor reduces
+
+    def mat(r, c):
+        return Mat(field, r, c, draw(st.lists(entries, min_size=r * c, max_size=r * c)))
+
+    return mat(rows, inner), mat(inner, cols)
+
+
+def edge(p, rows, inner, cols):
+    field = GF(p)
+    return (Mat(field, rows, inner, [p - 1] * (rows * inner)),
+            Mat(field, inner, cols, [p - 2] * (inner * cols)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(products())
+@example(edge(2**61 - 1, 0, 3, 2))
+@example(edge(2**61 - 1, 2, 0, 3))
+@example(edge(13, 3, 2, 0))
+@example(edge(2**61 - 1, 1, 1, 1))
+@example(edge(2, 1, 1, 1))
+def test_kernel_matches_the_loops(case):
+    a, b = case
+    product, at = a @ b, a.T
+    assert product.to_rows() == matmul_ref(a, b)
+    assert (product.rows, product.cols) == (a.rows, b.cols)
+    assert at.to_rows() == transpose_ref(a)
+    assert (at.rows, at.cols) == (a.cols, a.rows)
+    for m in (product, at):
+        assert all(type(x) is int for x in m.data.flat)
+        assert all(type(x) is int for row in m.to_rows() for x in row)
 
 
 def test_transpose():

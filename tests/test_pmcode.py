@@ -11,7 +11,6 @@ from qregen.errors import (
     Singular,
     WrongLength,
 )
-from qregen.matrix import dot
 from qregen.pmcode import (
     encode,
     encode_file,
@@ -26,6 +25,7 @@ from qregen.pmcode import (
 )
 from qregen.rng import SplitMix64
 
+from linalg import dot
 from sampling import sample
 
 

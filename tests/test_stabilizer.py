@@ -12,7 +12,7 @@ from qregen.errors import (
     TooLarge,
 )
 from qregen.gf import GF
-from qregen.matrix import Mat, dot, matvec
+from qregen.matrix import Mat
 from qregen.pmcode import encode, make_params, pack_message, random_symbols
 from qregen.rng import SplitMix64
 from qregen.stabilizer import (
@@ -28,6 +28,7 @@ from qregen.stabilizer import (
 )
 
 from groupgen import random_error, random_group
+from linalg import dot, matvec
 
 BACKENDS = (syndrome_linear, syndrome_symplectic, syndrome_statevector)
 
