@@ -11,18 +11,14 @@ from .css import RepairCSS, build_repair_css, check_dual_containment, grs_dual_w
 from .gf import GF
 from .matrix import Mat, vandermonde, vandermonde_inv
 from .pmcode import (
-    MessagePair,
     NodeStorage,
     SystemParams,
-    encode,
     encode_file,
     make_params,
     pack_file,
-    pack_message,
     retrieve,
     retrieve_file,
     unpack_file,
-    unpack_message,
 )
 from .repair import (
     HelperPayload,
@@ -58,7 +54,6 @@ __version__ = "0.1.0"
 __all__ = [
     "GF",
     "Mat",
-    "MessagePair",
     "NodeStorage",
     "PauliError",
     "RepairCSS",
@@ -75,14 +70,12 @@ __all__ = [
     "check_dual_containment",
     "classical_feasible",
     "classical_msr_bandwidth",
-    "encode",
     "encode_file",
     "grs_dual_weights",
     "helper_encode",
     "make_params",
     "optimal_point",
     "pack_file",
-    "pack_message",
     "plan_subfiles",
     "prepare_codespace",
     "quantum_feasible",
@@ -95,7 +88,6 @@ __all__ = [
     "syndrome_symplectic",
     "tradeoff_table",
     "unpack_file",
-    "unpack_message",
     "vandermonde",
     "vandermonde_inv",
 ]

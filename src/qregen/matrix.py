@@ -53,10 +53,6 @@ class Mat:
         )
 
     @classmethod
-    def zeros(cls, field: GF, rows: int, cols: int) -> "Mat":
-        return cls(field, rows, cols, [0] * (rows * cols))
-
-    @classmethod
     def identity(cls, field: GF, n: int) -> "Mat":
         return cls.from_array(field, np.identity(n, dtype=object))
 

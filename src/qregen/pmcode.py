@@ -1,15 +1,19 @@
 """Product-matrix storage code: parameters, packing, encoding, retrieval.
 
-A file of B symbols over GF(p) is packed into symmetric matrix pairs
-(S1, S2) and (S1', S2'), stacked as M = [S1; S2] and M' = [S1'; S2'], and
-spread over n nodes through an n x 2a0 Vandermonde matrix V (a0 = k - 1).
-Node i keeps the two length-a0 rows v_i^T M and v_i^T M', where
+A file of B symbols over GF(p) splits into T = C(d, 2k-2) sub-files (one
+when the per-repair helper count d is 2k - 2). Each sub-file packs into
+symmetric a0 x a0 matrix pairs (S1, S2) and (S1', S2') (a0 = k - 1),
+stacked as M = [S1; S2] and M' = [S1'; S2'], and every M and M' is spread
+over n nodes through the same n x 2a0 Vandermonde matrix V. Per sub-file,
+node i keeps the two length-a0 rows v_i^T M and v_i^T M', where
 v_i^T = [vbar_i^T, lam_i * vbar_i^T] with vbar_i = (1, v_i, ..., v_i^(a0-1))
 and lam_i = v_i^a0. Any k nodes suffice to rebuild the file.
 
-When the per-repair helper count d exceeds 2k - 2, the file splits into
-C(d, 2k-2) independent sub-files, each its own instance of the same code;
-the *_file functions handle that layering.
+The sub-file is an array axis, so each file operation is one pass:
+``pack_file`` gathers the file into one (T, 2, 2a0, a0) array of every M
+and M', ``encode_file`` multiplies V by all of them at once, and
+``retrieve_file`` decodes every instance read from one node set in one
+broadcast ``retrieve``.
 """
 
 from __future__ import annotations
@@ -39,34 +43,20 @@ class SystemParams:
     lam: tuple[int, ...]
     alpha0: int
     subfiles: int
-    lambda_distinct: bool
 
     @property
     def p(self) -> int:
         return self.field.p
 
     @property
-    def per_instance_b(self) -> int:
-        """Symbols in one symmetric-matrix pair (S1, S2)."""
-        return self.alpha0 * (self.alpha0 + 1)
-
-    @property
-    def instance_symbols(self) -> int:
-        """Symbols in one sub-file (both instances)."""
-        return 2 * self.per_instance_b
-
-    @property
     def B(self) -> int:
-        return self.instance_symbols * self.subfiles
-
-    @property
-    def instance_alpha(self) -> int:
-        return 2 * self.alpha0
+        """File symbols: two pairs of symmetric a0 x a0 matrices per sub-file."""
+        return 2 * self.alpha0 * (self.alpha0 + 1) * self.subfiles
 
     @property
     def alpha(self) -> int:
         """Dits stored per node across all sub-files; equals B / k."""
-        return self.instance_alpha * self.subfiles
+        return 2 * self.alpha0 * self.subfiles
 
     def point_powers(self, node_id: int) -> list[int]:
         """vbar for a node: (1, v, ..., v^(a0-1))."""
@@ -128,8 +118,7 @@ def make_params(
         pts = tuple(range(1, n + 1))
 
     lam = tuple(field.pow(v, alpha0) for v in pts)
-    distinct = len(set(lam)) == n
-    if not distinct and not allow_repeated_lambda:
+    if len(set(lam)) != n and not allow_repeated_lambda:
         if eval_points is not None:
             raise InvalidParams("lam values v^(k-1) collide for these points")
         pts_found = _greedy_points(field, n, alpha0)
@@ -139,7 +128,6 @@ def make_params(
             )
         pts = pts_found
         lam = tuple(field.pow(v, alpha0) for v in pts)
-        distinct = True
 
     return SystemParams(
         n=n,
@@ -150,18 +138,7 @@ def make_params(
         lam=lam,
         alpha0=alpha0,
         subfiles=comb(d, 2 * k - 2),
-        lambda_distinct=distinct,
     )
-
-
-@dataclass(frozen=True)
-class MessagePair:
-    """One sub-file: two pairs of a0 x a0 symmetric matrices."""
-
-    s1: Mat
-    s2: Mat
-    s1p: Mat
-    s2p: Mat
 
 
 @lru_cache(maxsize=16)  # building the indices costs more than packing with them
@@ -175,34 +152,25 @@ def _layout(a0: int) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
     return upper, table
 
 
-def _pack_symmetric(field: GF, a0: int, values: Sequence[int]) -> Mat:
-    return Mat.from_array(field, np.array(values, dtype=object)[_layout(a0)[1]])
+def pack_file(params: SystemParams, symbols: Sequence[int]) -> np.ndarray:
+    """Gather B symbols into one (T, 2, 2a0, a0) object array: entry [t, 0]
+    is sub-file t's M = [S1; S2] and entry [t, 1] its M' = [S1'; S2'].
 
-
-def _unpack_symmetric(m: Mat) -> list[int]:
-    return m.data[_layout(m.rows)[0]].tolist()
-
-
-def pack_message(params: SystemParams, symbols: Sequence[int]) -> MessagePair:
-    """Pack one sub-file's symbols in the canonical order.
-
-    Order: upper triangle of S1 row-major, then S2, S1', S2'.
+    Sub-file t holds the t-th run of B / T symbols, in the order: upper
+    triangle of S1 row-major, then S2, S1', S2'.
     """
-    if len(symbols) != params.instance_symbols:
-        raise WrongLength(
-            f"expected {params.instance_symbols} symbols, got {len(symbols)}"
-        )
+    if len(symbols) != params.B:
+        raise WrongLength(f"expected {params.B} symbols, got {len(symbols)}")
+    a0, t = params.alpha0, params.subfiles
+    parts = np.array(symbols, dtype=object).reshape(t, 4, -1)
+    return parts[:, :, _layout(a0)[1]].reshape(t, 2, 2 * a0, a0)
+
+
+def unpack_file(params: SystemParams, packed: np.ndarray) -> tuple[int, ...]:
+    """The inverse gather of ``pack_file``: the file's symbols in order."""
     a0 = params.alpha0
-    tri = params.per_instance_b // 2
-    parts = [symbols[i * tri : (i + 1) * tri] for i in range(4)]
-    return MessagePair(*(_pack_symmetric(params.field, a0, v) for v in parts))
-
-
-def unpack_message(params: SystemParams, msg: MessagePair) -> tuple[int, ...]:
-    out: list[int] = []
-    for m in (msg.s1, msg.s2, msg.s1p, msg.s2p):
-        out.extend(_unpack_symmetric(m))
-    return tuple(out)
+    rows, cols = _layout(a0)[0]
+    return tuple(packed.reshape(-1, 4, a0, a0)[:, :, rows, cols].ravel().tolist())
 
 
 @dataclass(frozen=True)
@@ -219,14 +187,18 @@ class NodeStorage:
         }
 
 
-def encode(params: SystemParams, msg: MessagePair) -> tuple[NodeStorage, ...]:
-    """Per-node storage rows (v_i^T M, v_i^T M') for one sub-file."""
-    a0 = params.alpha0
+def encode_file(
+    params: SystemParams, symbols: Sequence[int]
+) -> tuple[tuple[NodeStorage, ...], ...]:
+    """Per-node rows (v_i^T M, v_i^T M') of every sub-file, indexed
+    [subfile][node_id - 1], from the one product V [M_1 | M'_1 | ... | M'_T]."""
+    a0, t = params.alpha0, params.subfiles
+    blocks = pack_file(params, symbols).transpose(2, 0, 1, 3).reshape(2 * a0, -1)
     big_v = vandermonde(params.field, params.eval_points, 2 * a0)
-    both = np.block([[msg.s1.data, msg.s1p.data], [msg.s2.data, msg.s2p.data]])
-    rows = (big_v @ Mat.from_array(params.field, both)).to_rows()  # [M | M']
+    rows = (big_v @ Mat.from_array(params.field, blocks)).data
     return tuple(
-        NodeStorage(i + 1, tuple(r[:a0]), tuple(r[a0:])) for i, r in enumerate(rows)
+        tuple(NodeStorage(i + 1, tuple(m), tuple(mp)) for i, (m, mp) in enumerate(sub))
+        for sub in rows.reshape(params.n, t, 2, a0).transpose(1, 0, 2, 3).tolist()
     )
 
 
@@ -234,12 +206,12 @@ def encode(params: SystemParams, msg: MessagePair) -> tuple[NodeStorage, ...]:
 class _DecodePlan:
     """Every inverse that decoding from one sorted id set needs."""
 
-    phibar_t: Mat  # a0 x k, column a is vbar of the a-th id
+    phibar_t: np.ndarray  # a0 x k, column a is vbar of the a-th id
     lam: np.ndarray  # k x 1, lam of the a-th id in row a
     diff_inv: np.ndarray  # k x k, (a, b) -> 1 / (lam_a - lam_b) mod p, 0 if a == b
     gather: tuple  # (a0 x a0, a0 x 1) indices: row j of vals[gather] = vals[a != j, j]
     loo_inv: np.ndarray  # a0 x a0 x a0, j -> inverse of phibar without row j
-    w_t_inv: Mat  # inverse of W^T, W = the first a0 rows of phibar
+    w_t_inv: np.ndarray  # inverse of W^T, W = the first a0 rows of phibar
 
 
 def _decode_plan(params: SystemParams, ids: list[int]) -> _DecodePlan:
@@ -255,7 +227,7 @@ def _decode_plan(params: SystemParams, ids: list[int]) -> _DecodePlan:
         dtype=object,
     )
     return _DecodePlan(
-        phibar_t=vandermonde(field, pts, a0).T,
+        phibar_t=vandermonde(field, pts, a0).data.T,
         lam=np.array(lam, dtype=object)[:, None],
         diff_inv=upper - upper.T,  # 1 / (lam_b - lam_a) = -1 / (lam_a - lam_b)
         gather=(
@@ -265,14 +237,16 @@ def _decode_plan(params: SystemParams, ids: list[int]) -> _DecodePlan:
         loo_inv=np.array(
             [vandermonde_inv(field, pts[:j] + pts[j + 1 :]).data for j in range(a0)]
         ),
-        w_t_inv=vandermonde_inv(field, pts[:a0]).T,
+        w_t_inv=vandermonde_inv(field, pts[:a0]).data.T,
     )
 
 
-def _decode_instance(
-    params: SystemParams, plan: _DecodePlan, c_dc: Mat
-) -> tuple[Mat, Mat]:
-    """Recover (S1, S2) from the k collected rows vbar^T S1 + lam vbar^T S2.
+def retrieve(params: SystemParams, ids: Sequence[int], rows: np.ndarray) -> np.ndarray:
+    """Recover [S1; S2] of every instance read from the nodes ``ids``.
+
+    ``rows`` is an object array (..., k, a0) of stacked instances, each the
+    k collected rows vbar^T S1 + lam vbar^T S2 in the order of ``ids``; the
+    result is the (..., 2a0, a0) array of their [S1; S2].
 
     With P = C_DC Phibar^T, entry P[a,b] = theta_ab + lam_a * psi_ab where
     theta_ab = vbar_a^T S1 vbar_b and psi_ab = vbar_a^T S2 vbar_b. Symmetry
@@ -282,85 +256,65 @@ def _decode_instance(
     down S1 vbar_j through a square Vandermonde solve, and a0 of those
     columns pin down S1 itself; likewise psi gives S2.
 
-    Every inverse involved depends only on the ids, so it comes from
-    ``plan`` (built by _decode_plan); this function only applies them.
+    Every inverse involved depends only on the ids, so one _DecodePlan
+    serves all the instances, which numpy decodes in one broadcast pass.
     """
+    plan = _decode_plan(params, list(ids))
     p = params.p
-    prod = (c_dc @ plan.phibar_t).data
-    psi = (prod - prod.T) * plan.diff_inv % p  # symmetric, 0 on the diagonal
+    prod = rows @ plan.phibar_t % p
+    prod_t = prod.swapaxes(-1, -2)
+    psi = (prod - prod_t) * plan.diff_inv % p  # symmetric, 0 on the diagonal
     theta = (prod - plan.lam * psi) % p  # symmetric off the diagonal
 
-    def solve_columns(vals: np.ndarray) -> Mat:
-        cols = (plan.loo_inv @ vals[plan.gather][:, :, None])[:, :, 0]  # S vbar_j
-        return Mat.from_array(params.field, cols.T) @ plan.w_t_inv
+    def solve_columns(vals: np.ndarray) -> np.ndarray:
+        cols = (plan.loo_inv @ vals[(..., *plan.gather)][..., None])[..., 0]  # S vbar_j
+        return cols.swapaxes(-1, -2) @ plan.w_t_inv % p
 
-    return solve_columns(theta), solve_columns(psi)
+    return np.concatenate([solve_columns(theta), solve_columns(psi)], axis=-2)
 
 
-def retrieve(
-    params: SystemParams, shares: Sequence[NodeStorage], plans: dict | None = None
-) -> MessagePair:
-    """Rebuild one sub-file's MessagePair from any k distinct shares.
-
-    ``plans`` maps a sorted id tuple to its decode plan; a caller that
-    passes one dict for many sub-files plans each distinct id set once.
-    """
+def _share_rows(
+    params: SystemParams, shares: Sequence[NodeStorage]
+) -> tuple[tuple[int, ...], list]:
+    """Check one sub-file's k shares; return their sorted ids and the
+    (2, k, a0) rows of M and M' in that order."""
     if len(shares) != params.k:
         raise BadShareSet(f"need exactly {params.k} shares, got {len(shares)}")
-    ids = sorted(s.node_id for s in shares)
-    if len(set(ids)) != params.k or ids[0] < 1 or ids[-1] > params.n:
-        raise BadShareSet(f"share ids must be distinct and in [1, {params.n}]")
     by_id = {s.node_id: s for s in shares}
+    ids = sorted(by_id)
+    if len(ids) != params.k or ids[0] < 1 or ids[-1] > params.n:
+        raise BadShareSet(f"share ids must be distinct and in [1, {params.n}]")
     ordered = [by_id[i] for i in ids]
     for s in ordered:
         if len(s.row_m) != params.alpha0 or len(s.row_mp) != params.alpha0:
             raise BadShareSet(f"share {s.node_id} has wrong row length")
-    c1 = Mat.from_rows(params.field, [list(s.row_m) for s in ordered])
-    c2 = Mat.from_rows(params.field, [list(s.row_mp) for s in ordered])
-    plans = {} if plans is None else plans
-    key = tuple(ids)
-    plan = plans[key] = plans.get(key) or _decode_plan(params, ids)
-    s1, s2 = _decode_instance(params, plan, c1)
-    s1p, s2p = _decode_instance(params, plan, c2)
-    return MessagePair(s1, s2, s1p, s2p)
-
-
-def pack_file(params: SystemParams, symbols: Sequence[int]) -> tuple[MessagePair, ...]:
-    """Split B symbols into one MessagePair per sub-file."""
-    if len(symbols) != params.B:
-        raise WrongLength(f"expected {params.B} symbols, got {len(symbols)}")
-    step = params.instance_symbols
-    return tuple(
-        pack_message(params, symbols[t * step : (t + 1) * step])
-        for t in range(params.subfiles)
-    )
-
-
-def unpack_file(params: SystemParams, msgs: Sequence[MessagePair]) -> tuple[int, ...]:
-    out: list[int] = []
-    for m in msgs:
-        out.extend(unpack_message(params, m))
-    return tuple(out)
-
-
-def encode_file(
-    params: SystemParams, symbols: Sequence[int]
-) -> tuple[tuple[NodeStorage, ...], ...]:
-    """Encode all sub-files; result is indexed [subfile][node_id - 1]."""
-    return tuple(encode(params, m) for m in pack_file(params, symbols))
+    return tuple(ids), [[s.row_m for s in ordered], [s.row_mp for s in ordered]]
 
 
 def retrieve_file(
     params: SystemParams, shares_per_subfile: Sequence[Sequence[NodeStorage]]
 ) -> tuple[int, ...]:
+    """Rebuild the file from k distinct shares per sub-file.
+
+    Every share set is checked before anything is decoded. Sub-files may be
+    read from different id sets; one ``retrieve`` call decodes all the
+    instances read from one set.
+    """
     if len(shares_per_subfile) != params.subfiles:
         raise BadShareSet(
             f"need shares for {params.subfiles} sub-files, got {len(shares_per_subfile)}"
         )
-    plans: dict[tuple[int, ...], _DecodePlan] = {}  # sub-files may use other ids
-    return unpack_file(
-        params, [retrieve(params, shares, plans) for shares in shares_per_subfile]
-    )
+    groups: dict[tuple[int, ...], tuple[list[int], list]] = {}
+    for t, shares in enumerate(shares_per_subfile):
+        ids, rows = _share_rows(params, shares)
+        subs, stacked = groups.setdefault(ids, ([], []))
+        subs.append(t)
+        stacked.append(rows)
+    a0 = params.alpha0
+    packed = np.empty((params.subfiles, 2, 2 * a0, a0), dtype=object)
+    for ids, (subs, stacked) in groups.items():
+        packed[subs] = retrieve(params, ids, np.array(stacked, dtype=object))
+    return unpack_file(params, packed)
 
 
 def random_symbols(params: SystemParams, rng: SplitMix64) -> list[int]:

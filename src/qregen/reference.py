@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .css import build_repair_css
 from .matrix import vandermonde
-from .pmcode import encode, make_params, pack_message, random_symbols
+from .pmcode import encode_file, make_params, random_symbols
 from .repair import run_repair
 from .rng import SplitMix64
 
@@ -72,7 +72,7 @@ def replay(seed: int = 1) -> list[dict]:
 
     rng = SplitMix64(seed)
     symbols = random_symbols(params, rng)
-    stored = encode(params, pack_message(params, symbols))
+    stored = encode_file(params, symbols)[0]
     transcript = run_repair(params, stored, FAILED_NODE, HELPERS, mode="linear")
     regen = transcript.regenerated
     original = stored[FAILED_NODE - 1]

@@ -206,7 +206,6 @@ def syndrome_statevector(
     group: StabGroup,
     err: PauliError,
     *,
-    start_basis: int = 0,
     state: np.ndarray | None = None,
     with_residual: bool = False,
 ):
@@ -219,7 +218,7 @@ def syndrome_statevector(
     p = group.p
     space = _StateSpace(p, group.n)
     if state is None:
-        state, _ = prepare_codespace(group, start_basis)
+        state, _ = prepare_codespace(group)
     corrupted = space.apply_pauli(state, err.x, err.z)
 
     zero = [0] * group.n

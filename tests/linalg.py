@@ -5,6 +5,11 @@ from qregen.errors import DimensionMismatch
 from qregen.matrix import Mat
 
 
+def zeros(field, rows, cols):
+    """The rows x cols zero matrix."""
+    return Mat(field, rows, cols, [0] * (rows * cols))
+
+
 def rref(m):
     """Reduced row echelon form of m and the list of pivot columns."""
     p = m.field.p
@@ -27,7 +32,7 @@ def rref(m):
             a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
         pivots.append(col)
         r += 1
-    red = Mat.from_rows(m.field, a) if a else Mat.zeros(m.field, m.rows, m.cols)
+    red = Mat.from_rows(m.field, a) if a else zeros(m.field, m.rows, m.cols)
     return red, pivots
 
 
@@ -55,7 +60,7 @@ def blkdiag(field, blocks):
     """Block-diagonal assembly; blocks may be rectangular."""
     rows = sum(b.rows for b in blocks)
     cols = sum(b.cols for b in blocks)
-    out = Mat.zeros(field, rows, cols)
+    out = zeros(field, rows, cols)
     r0 = c0 = 0
     for b in blocks:
         if b.field != field:

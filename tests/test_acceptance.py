@@ -13,15 +13,7 @@ from itertools import combinations
 from math import comb
 
 from qregen.css import build_repair_css, check_dual_containment
-from qregen.pmcode import (
-    encode,
-    encode_file,
-    make_params,
-    pack_message,
-    random_symbols,
-    retrieve,
-    unpack_message,
-)
+from qregen.pmcode import encode_file, make_params, random_symbols, retrieve_file
 from qregen.reference import GOLDEN, replay
 from qregen.repair import plan_subfiles, run_repair, run_repair_extended
 from qregen.rng import SplitMix64
@@ -116,9 +108,7 @@ def test_criterion_3_exact_repair():
         rng = SplitMix64(30)
         for failed, helpers in all_repair_cases(6, 4):
             for _ in range(20):
-                stored = encode(
-                    params, pack_message(params, random_symbols(params, rng))
-                )
+                stored = encode_file(params, random_symbols(params, rng))[0]
                 t = run_repair(params, stored, failed, helpers)
                 original = stored[failed - 1]
                 assert t.regenerated.row_m == original.row_m
@@ -129,7 +119,7 @@ def test_criterion_3_exact_repair():
         for _ in range(100):
             failed = 1 + rng.below(7)
             helpers = [i for i in range(1, 8) if i != failed]
-            stored = encode(big, pack_message(big, random_symbols(big, rng)))
+            stored = encode_file(big, random_symbols(big, rng))[0]
             t = run_repair(big, stored, failed, helpers)
             original = stored[failed - 1]
             assert t.regenerated.row_m == original.row_m
@@ -145,10 +135,10 @@ def test_criterion_4_retrieval():
         assert len(subsets) == 20
         for _ in range(50):
             symbols = random_symbols(params, rng)
-            stored = encode(params, pack_message(params, symbols))
+            stored = encode_file(params, symbols)[0]
             for subset in subsets:
-                got = retrieve(params, [stored[i - 1] for i in subset])
-                assert list(unpack_message(params, got)) == symbols
+                got = retrieve_file(params, [[stored[i - 1] for i in subset]])
+                assert list(got) == symbols
 
 
 def test_criterion_5_backend_equivalence():
@@ -185,9 +175,7 @@ def test_criterion_5_backend_equivalence():
         for i in range(100):
             if i == 0:
                 # the actual repair-time error vector for a random message
-                stored = encode(
-                    params, pack_message(params, random_symbols(params, rng))
-                )
+                stored = encode_file(params, random_symbols(params, rng))[0]
                 from qregen.repair import helper_encode
 
                 payloads = [
@@ -265,27 +253,27 @@ def test_criterion_8_post_repair_health():
         for failed, helpers in all_repair_cases(6, 4):
             for _ in range(20):
                 symbols = random_symbols(params, rng)
-                stored = encode(params, pack_message(params, symbols))
+                stored = encode_file(params, symbols)[0]
                 t = run_repair(params, stored, failed, helpers)
                 refreshed = list(stored)
                 refreshed[failed - 1] = t.regenerated
                 for subset in combinations(range(1, 7), 3):
                     if failed not in subset:
                         continue
-                    got = retrieve(params, [refreshed[i - 1] for i in subset])
-                    assert list(unpack_message(params, got)) == symbols
+                    got = retrieve_file(params, [[refreshed[i - 1] for i in subset]])
+                    assert list(got) == symbols
 
         big = make_params(7, 4, 6, 17)
         for _ in range(100):
             failed = 1 + rng.below(7)
             helpers = [i for i in range(1, 8) if i != failed]
             symbols = random_symbols(big, rng)
-            stored = encode(big, pack_message(big, symbols))
+            stored = encode_file(big, symbols)[0]
             t = run_repair(big, stored, failed, helpers)
             refreshed = list(stored)
             refreshed[failed - 1] = t.regenerated
             for subset in combinations(range(1, 8), 4):
                 if failed not in subset:
                     continue
-                got = retrieve(big, [refreshed[i - 1] for i in subset])
-                assert list(unpack_message(big, got)) == symbols
+                got = retrieve_file(big, [[refreshed[i - 1] for i in subset]])
+                assert list(got) == symbols

@@ -19,6 +19,7 @@ from qregen.pmcode import make_params
 from qregen.rng import SplitMix64
 from qregen.stabilizer import StabGroup
 
+from linalg import zeros
 from sampling import sample
 
 F13 = GF(13)
@@ -193,9 +194,9 @@ def test_repair_css_holds_its_checked_group():
 def test_check_dual_containment_trivia():
     one_row = Mat.from_rows(F13, [[1, 0]])
     assert not check_dual_containment(one_row, one_row)
-    assert check_dual_containment(one_row, Mat.zeros(F13, 1, 2))
+    assert check_dual_containment(one_row, zeros(F13, 1, 2))
     with pytest.raises(DimensionMismatch):
-        check_dual_containment(one_row, Mat.zeros(F13, 1, 3))
+        check_dual_containment(one_row, zeros(F13, 1, 3))
 
 
 def test_css_json_shape():

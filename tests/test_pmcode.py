@@ -1,9 +1,12 @@
 """Storage code: parameter validation, packing, encoding, retrieval."""
 
+from collections import Counter
 from itertools import combinations
 
+import numpy as np
 import pytest
 
+import qregen.pmcode
 from qregen.errors import (
     BadShareSet,
     InvalidParams,
@@ -11,17 +14,16 @@ from qregen.errors import (
     Singular,
     WrongLength,
 )
+from qregen.matrix import Mat
 from qregen.pmcode import (
-    encode,
+    NodeStorage,
     encode_file,
     make_params,
     pack_file,
-    pack_message,
     random_symbols,
     retrieve,
     retrieve_file,
     unpack_file,
-    unpack_message,
 )
 from qregen.rng import SplitMix64
 
@@ -37,7 +39,7 @@ def test_make_params_reference_instance():
     assert p.B == 12
     assert p.alpha == 4
     assert p.subfiles == 1
-    assert p.lambda_distinct
+    assert len(set(p.lam)) == p.n
 
 
 def test_make_params_alpha0_one():
@@ -72,9 +74,10 @@ def test_make_params_no_valid_points():
     with pytest.raises(NoValidPoints):
         make_params(8, 3, 4, 13)
     relaxed = make_params(8, 3, 4, 13, allow_repeated_lambda=True)
-    assert not relaxed.lambda_distinct
+    assert len(set(relaxed.lam)) < relaxed.n
     assert relaxed.lam == (1, 4, 9, 3, 12, 10, 10, 12)
-    assert make_params(8, 3, 4, 17).lambda_distinct
+    p17 = make_params(8, 3, 4, 17)
+    assert len(set(p17.lam)) == p17.n
 
 
 def test_make_params_greedy_fallback():
@@ -87,20 +90,17 @@ def test_make_params_greedy_fallback():
 
 def test_pack_message_reference_labeling():
     params = make_params(6, 3, 4, 13)
-    msg = pack_message(params, list(range(1, 13)))
-    assert msg.s1.to_rows() == [[1, 2], [2, 3]]
-    assert msg.s2.to_rows() == [[4, 5], [5, 6]]
-    assert msg.s1p.to_rows() == [[7, 8], [8, 9]]
-    assert msg.s2p.to_rows() == [[10, 11], [11, 12]]
+    packed = pack_file(params, list(range(1, 13)))
+    assert packed.shape == (1, 2, 4, 2)
+    assert packed[0, 0].tolist() == [[1, 2], [2, 3], [4, 5], [5, 6]]  # [S1; S2]
+    assert packed[0, 1].tolist() == [[7, 8], [8, 9], [10, 11], [11, 12]]  # [S1'; S2']
 
 
 def test_pack_message_zero_and_errors():
     params = make_params(6, 3, 4, 13)
-    msg = pack_message(params, [0] * 12)
-    for m in (msg.s1, msg.s2, msg.s1p, msg.s2p):
-        assert m.is_zero()
+    assert not pack_file(params, [0] * 12).any()
     with pytest.raises(WrongLength):
-        pack_message(params, [0] * 11)
+        pack_file(params, [0] * 11)
 
 
 def test_pack_unpack_round_trip():
@@ -108,13 +108,13 @@ def test_pack_unpack_round_trip():
     rng = SplitMix64(1)
     for _ in range(20):
         symbols = [rng.below(17) for _ in range(params.B)]
-        assert list(unpack_message(params, pack_message(params, symbols))) == symbols
+        assert list(unpack_file(params, pack_file(params, symbols))) == symbols
 
 
 def test_encode_node1_reference_sums():
     params = make_params(6, 3, 4, 13)
     u = list(range(1, 13))
-    stored = encode(params, pack_message(params, u))
+    stored = encode_file(params, u)[0]
     s = [0] + u  # 1-based labels
     assert stored[0].row_m == ((s[1] + s[2] + s[4] + s[5]) % 13,
                                (s[2] + s[3] + s[5] + s[6]) % 13)
@@ -124,29 +124,30 @@ def test_encode_node1_reference_sums():
 
 def test_encode_zero_message():
     params = make_params(6, 3, 4, 13)
-    stored = encode(params, pack_message(params, [0] * 12))
+    stored = encode_file(params, [0] * 12)[0]
     assert all(not any(s.row_m) and not any(s.row_mp) for s in stored)
 
 
 def test_encode_matches_two_term_decomposition():
-    params = make_params(6, 3, 4, 13)
+    # every sub-file's rows, each instance from its own S pair: a batched
+    # product that mixed up sub-files, instances or nodes would fail here
     rng = SplitMix64(2)
-    field = params.field
-    for _ in range(10):
-        msg = pack_message(params, random_symbols(params, rng))
-        stored = encode(params, msg)
-        for i in range(1, 7):
-            vbar = params.point_powers(i)
-            lam = params.lam[i - 1]
-            for row, s_a, s_b in (
-                (stored[i - 1].row_m, msg.s1, msg.s2),
-                (stored[i - 1].row_mp, msg.s1p, msg.s2p),
-            ):
-                expect = tuple(  # column j of S is row j of S^T
-                    (dot(field, vbar, a_col) + lam * dot(field, vbar, b_col)) % 13
-                    for a_col, b_col in zip(s_a.T.to_rows(), s_b.T.to_rows())
-                )
-                assert row == expect
+    for params in (make_params(6, 3, 4, 13), make_params(6, 2, 3, 13)):
+        field, a0 = params.field, params.alpha0
+        for _ in range(10):
+            symbols = random_symbols(params, rng)
+            packed = pack_file(params, symbols)
+            storage = encode_file(params, symbols)
+            for sub, (m, mp) in zip(storage, packed):
+                for i in range(1, 7):
+                    vbar = params.point_powers(i)
+                    lam = params.lam[i - 1]
+                    for row, pair in ((sub[i - 1].row_m, m), (sub[i - 1].row_mp, mp)):
+                        expect = tuple(  # column j of S is row j of S^T
+                            (dot(field, vbar, a) + lam * dot(field, vbar, b)) % 13
+                            for a, b in zip(pair[:a0].T.tolist(), pair[a0:].T.tolist())
+                        )
+                        assert row == expect
 
 
 def test_encode_linearity():
@@ -155,9 +156,9 @@ def test_encode_linearity():
     a = random_symbols(params, rng)
     b = random_symbols(params, rng)
     summed = [(x + y) % 13 for x, y in zip(a, b)]
-    enc_a = encode(params, pack_message(params, a))
-    enc_b = encode(params, pack_message(params, b))
-    enc_sum = encode(params, pack_message(params, summed))
+    enc_a = encode_file(params, a)[0]
+    enc_b = encode_file(params, b)[0]
+    enc_sum = encode_file(params, summed)[0]
     for sa, sb, ss in zip(enc_a, enc_b, enc_sum):
         assert ss.row_m == tuple((x + y) % 13 for x, y in zip(sa.row_m, sb.row_m))
         assert ss.row_mp == tuple((x + y) % 13 for x, y in zip(sa.row_mp, sb.row_mp))
@@ -166,7 +167,7 @@ def test_encode_linearity():
 def test_storage_size_matches_point():
     for n, k, d, p in ((6, 3, 4, 13), (7, 4, 6, 17), (4, 2, 2, 7)):
         params = make_params(n, k, d, p)
-        stored = encode(params, pack_message(params, [1] * params.B))
+        stored = encode_file(params, [1] * params.B)[0]
         assert all(len(s.row_m) + len(s.row_mp) == 2 * (k - 1) for s in stored)
         assert params.B == params.k * params.alpha
 
@@ -180,37 +181,48 @@ def test_retrieve_exhaustive_subsets(n, k, d, p, trials=50):
     rng = SplitMix64(n * 1000 + p)
     for _ in range(trials):
         symbols = random_symbols(params, rng)
-        stored = encode(params, pack_message(params, symbols))
+        stored = encode_file(params, symbols)[0]
         for subset in combinations(range(1, n + 1), k):
-            got = retrieve(params, [stored[i - 1] for i in subset])
-            assert list(unpack_message(params, got)) == symbols
+            got = retrieve_file(params, [[stored[i - 1] for i in subset]])
+            assert list(got) == symbols
 
 
 def test_retrieve_zero_shares():
     params = make_params(6, 3, 4, 13)
-    stored = encode(params, pack_message(params, [0] * 12))
-    got = retrieve(params, stored[:3])
-    assert all(m.is_zero() for m in (got.s1, got.s2, got.s1p, got.s2p))
+    stored = encode_file(params, [0] * 12)[0]
+    rows = np.array(
+        [[s.row_m for s in stored[:3]], [s.row_mp for s in stored[:3]]], dtype=object
+    )
+    assert not retrieve(params, (1, 2, 3), rows).any()  # all four S matrices
+    assert retrieve_file(params, [stored[:3]]) == (0,) * 12
 
 
 def test_retrieve_recovers_symmetric_matrices():
     params = make_params(7, 4, 6, 17)
     rng = SplitMix64(5)
-    stored = encode(params, pack_message(params, random_symbols(params, rng)))
-    got = retrieve(params, [stored[i] for i in (0, 2, 4, 6)])
-    for m in (got.s1, got.s2, got.s1p, got.s2p):
-        assert m == m.T
+    symbols = random_symbols(params, rng)
+    stored = encode_file(params, symbols)[0]
+    ids = (1, 3, 5, 7)
+    rows = np.array(
+        [[stored[i - 1].row_m for i in ids], [stored[i - 1].row_mp for i in ids]],
+        dtype=object,
+    )
+    got = retrieve(params, ids, rows)  # [S1; S2] and [S1'; S2']
+    assert got.shape == (2, 6, 3)
+    for m in got.reshape(4, 3, 3):
+        assert (m == m.T).all()
+    assert (got == pack_file(params, symbols)[0]).all()
 
 
 def test_retrieve_share_set_validation():
     params = make_params(6, 3, 4, 13)
-    stored = encode(params, pack_message(params, [1] * 12))
+    stored = encode_file(params, [1] * 12)[0]
     with pytest.raises(BadShareSet):
-        retrieve(params, stored[:2])
+        retrieve_file(params, [stored[:2]])
     with pytest.raises(BadShareSet):
-        retrieve(params, [stored[0], stored[0], stored[1]])
+        retrieve_file(params, [[stored[0], stored[0], stored[1]]])
     with pytest.raises(BadShareSet):
-        retrieve(params, stored[:4])
+        retrieve_file(params, [stored[:4]])
 
 
 def test_retrieve_with_repeated_lambda():
@@ -219,12 +231,12 @@ def test_retrieve_with_repeated_lambda():
     relaxed = make_params(8, 3, 4, 13, allow_repeated_lambda=True)
     rng = SplitMix64(77)
     symbols = random_symbols(relaxed, rng)
-    stored = encode(relaxed, pack_message(relaxed, symbols))
-    got = retrieve(relaxed, [stored[0], stored[1], stored[2]])
-    assert list(unpack_message(relaxed, got)) == symbols
+    stored = encode_file(relaxed, symbols)[0]
+    got = retrieve_file(relaxed, [[stored[0], stored[1], stored[2]]])
+    assert list(got) == symbols
     assert relaxed.lam[5] == relaxed.lam[6]
     with pytest.raises(Singular):
-        retrieve(relaxed, [stored[5], stored[6], stored[0]])
+        retrieve_file(relaxed, [[stored[5], stored[6], stored[0]]])
 
 
 def test_file_layer_round_trip():
@@ -268,3 +280,68 @@ def test_retrieve_file_every_subset_at_12_4_8_17():
     for ids in subsets:
         shares = [[sub[i - 1] for i in ids] for sub in storage]
         assert list(retrieve_file(params, shares)) == symbols
+
+
+def test_retrieve_file_checks_every_subfile():
+    # a bad share set in any sub-file, not only the first, must be refused
+    params = make_params(6, 2, 3, 13)
+    symbols = random_symbols(params, SplitMix64(21))
+    storage = encode_file(params, symbols)
+    good = [[sub[0], sub[3]] for sub in storage]
+    assert list(retrieve_file(params, good)) == symbols
+    for t in (1, 2):
+        sub = storage[t]
+        bad_sets = (
+            [sub[0], NodeStorage(4, (), sub[3].row_mp)],  # short row
+            [sub[0], sub[0]],  # duplicate id
+            [sub[0], NodeStorage(7, sub[3].row_m, sub[3].row_mp)],  # id past n
+            [NodeStorage(0, sub[0].row_m, sub[0].row_mp), sub[3]],  # id below 1
+            [sub[0]],  # too few
+            [sub[0], sub[3], sub[4]],  # too many
+        )
+        for bad in bad_sets:
+            with pytest.raises(BadShareSet):
+                retrieve_file(params, good[:t] + [bad] + good[t + 1 :])
+
+    # lam_6 = lam_7 here, so a share set holding both cannot decode
+    relaxed = make_params(8, 3, 5, 13, allow_repeated_lambda=True)
+    assert relaxed.subfiles == 5 and relaxed.lam[5] == relaxed.lam[6]
+    storage = encode_file(relaxed, random_symbols(relaxed, SplitMix64(22)))
+    shares = [[sub[0], sub[1], sub[2]] for sub in storage]
+    shares[2] = [storage[2][i] for i in (5, 6, 0)]
+    with pytest.raises(Singular):
+        retrieve_file(relaxed, shares)
+
+
+def test_file_layer_is_one_pass(monkeypatch):
+    # encode builds V once and makes one product for all 28 sub-files;
+    # retrieve decodes once per distinct id set, not once per sub-file
+    params = make_params(12, 4, 8, 17)
+    assert params.subfiles == 28
+    symbols = random_symbols(params, SplitMix64(23))
+    calls = Counter()
+
+    def count(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(qregen.pmcode, "vandermonde",
+                        count("vandermonde", qregen.pmcode.vandermonde))
+    monkeypatch.setattr(Mat, "__matmul__", count("matmul", Mat.__matmul__))
+    monkeypatch.setattr(qregen.pmcode, "retrieve",
+                        count("retrieve", qregen.pmcode.retrieve))
+    storage = encode_file(params, symbols)
+    assert calls == {"vandermonde": 1, "matmul": 1}
+
+    calls.clear()
+    shares = [[sub[i - 1] for i in (9, 3, 12, 5)] for sub in storage]
+    assert list(retrieve_file(params, shares)) == symbols
+    assert calls["retrieve"] == 1
+
+    calls.clear()
+    shares[7] = [storage[7][i - 1] for i in (1, 2, 3, 4)]
+    assert list(retrieve_file(params, shares)) == symbols
+    assert calls["retrieve"] == 2

@@ -15,13 +15,10 @@ from qregen.errors import (
 from qregen.matrix import Mat
 from qregen.pmcode import (
     NodeStorage,
-    encode,
     encode_file,
     make_params,
-    pack_message,
     random_symbols,
-    retrieve,
-    unpack_message,
+    retrieve_file,
 )
 from qregen.repair import (
     MODES,
@@ -38,7 +35,7 @@ def reference_setup(seed=1):
     params = make_params(6, 3, 4, 13)
     rng = SplitMix64(seed)
     symbols = random_symbols(params, rng)
-    stored = encode(params, pack_message(params, symbols))
+    stored = encode_file(params, symbols)[0]
     return params, symbols, stored
 
 
@@ -46,7 +43,7 @@ def test_helper_encode_sparse_message_golden():
     # message with only the first symbol set: node 2 then stores rows
     # (1, 0) and (0, 0), so helper 2's payload is (lam1_2 * 1, 0) = (9, 0)
     params = make_params(6, 3, 4, 13)
-    stored = encode(params, pack_message(params, [1] + [0] * 11))
+    stored = encode_file(params, [1] + [0] * 11)[0]
     assert stored[1].row_m == (1, 0)
     assert stored[1].row_mp == (0, 0)
     c = build_repair_css(params, 1, (2, 4, 5, 6))
@@ -65,7 +62,7 @@ def test_helper_encode_zero_storage():
 def test_helper_encode_scales_with_message():
     params, symbols, stored = reference_setup(2)
     c = build_repair_css(params, 3, (1, 2, 5, 6))
-    doubled = encode(params, pack_message(params, [2 * s % 13 for s in symbols]))
+    doubled = encode_file(params, [2 * s % 13 for s in symbols])[0]
     for s in c.helpers:
         base = helper_encode(params, c, stored[s - 1])
         scaled = helper_encode(params, c, doubled[s - 1])
@@ -85,7 +82,7 @@ def test_run_repair_exhaustive_reference_instance():
     rng = SplitMix64(3)
     for trial in range(5):
         symbols = random_symbols(params, rng)
-        stored = encode(params, pack_message(params, symbols))
+        stored = encode_file(params, symbols)[0]
         for failed in range(1, 7):
             rest = [i for i in range(1, 7) if i != failed]
             for helpers in combinations(rest, 4):
@@ -129,7 +126,7 @@ def test_run_repair_validation():
 def test_run_repair_statevector_unavailable_when_too_big():
     params = make_params(7, 4, 6, 17)  # 17^6 amplitudes is over the limit
     rng = SplitMix64(7)
-    stored = encode(params, pack_message(params, random_symbols(params, rng)))
+    stored = encode_file(params, random_symbols(params, rng))[0]
     with pytest.raises(ModeUnavailable):
         run_repair(params, stored, 1, (2, 3, 4, 5, 6, 7), mode="statevector")
 
@@ -154,8 +151,8 @@ def test_repaired_node_reenters_retrieval():
             for subset in combinations(range(1, 7), 3):
                 if failed not in subset:
                     continue
-                got = retrieve(params, [refreshed[i - 1] for i in subset])
-                assert list(unpack_message(params, got)) == symbols
+                got = retrieve_file(params, [[refreshed[i - 1] for i in subset]])
+                assert list(got) == symbols
 
 
 def test_plan_subfiles_counts():

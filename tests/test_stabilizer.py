@@ -13,7 +13,7 @@ from qregen.errors import (
 )
 from qregen.gf import GF
 from qregen.matrix import Mat
-from qregen.pmcode import encode, make_params, pack_message, random_symbols
+from qregen.pmcode import encode_file, make_params, pack_file, random_symbols
 from qregen.rng import SplitMix64
 from qregen.stabilizer import (
     PauliError,
@@ -28,7 +28,7 @@ from qregen.stabilizer import (
 )
 
 from groupgen import random_error, random_group
-from linalg import dot, matvec
+from linalg import dot, matvec, zeros
 
 BACKENDS = (syndrome_linear, syndrome_symplectic, syndrome_statevector)
 
@@ -49,8 +49,8 @@ def test_zero_error_zero_syndrome():
 
 def test_single_qudit_defining_cases():
     f5 = GF(5)
-    z_gen = StabGroup(x_type=Mat.zeros(f5, 0, 1), z_type=Mat.from_rows(f5, [[1]]))
-    x_gen = StabGroup(x_type=Mat.from_rows(f5, [[1]]), z_type=Mat.zeros(f5, 0, 1))
+    z_gen = StabGroup(x_type=zeros(f5, 0, 1), z_type=Mat.from_rows(f5, [[1]]))
+    x_gen = StabGroup(x_type=Mat.from_rows(f5, [[1]]), z_type=zeros(f5, 0, 1))
     for backend in BACKENDS:
         assert backend(z_gen, PauliError.make(5, [1], [0])).s_x == (1,)
         for a in range(5):
@@ -83,23 +83,22 @@ def test_repair_error_syndrome_reads_failed_node_rows():
     field = params.field
     rng = SplitMix64(12)
     for _ in range(10):
-        msg = pack_message(params, random_symbols(params, rng))
-        stored = encode(params, msg)
+        symbols = random_symbols(params, rng)
+        stored = encode_file(params, symbols)[0]
         vbar = params.point_powers(1)
+        # [S1 vbar; S2 vbar] and [S1' vbar; S2' vbar]
+        m_v, mp_v = (
+            matvec(Mat.from_array(field, pair), vbar)
+            for pair in pack_file(params, symbols)[0]
+        )
         x = [field.mul(c.lam1[j], dot(field, stored[s - 1].row_m, vbar))
              for j, s in enumerate(c.helpers)]
         z = [field.mul(c.lam2[j], dot(field, stored[s - 1].row_mp, vbar))
              for j, s in enumerate(c.helpers)]
         syn = syndrome_linear(group, PauliError.make(13, x, z))
         lam_f = params.lam[0]
-        expect_x = tuple(
-            (a + lam_f * b) % 13
-            for a, b in zip(matvec(msg.s1, vbar), matvec(msg.s2, vbar))
-        )
-        expect_z = tuple(
-            (a + lam_f * b) % 13
-            for a, b in zip(matvec(msg.s1p, vbar), matvec(msg.s2p, vbar))
-        )
+        expect_x = tuple((a + lam_f * b) % 13 for a, b in zip(m_v[:2], m_v[2:]))
+        expect_z = tuple((a + lam_f * b) % 13 for a, b in zip(mp_v[:2], mp_v[2:]))
         assert syn.s_x == expect_x == stored[0].row_m
         assert syn.s_z == expect_z == stored[0].row_mp
 
@@ -258,14 +257,14 @@ def test_group_rejects_non_commuting_pair():
     with pytest.raises(DimensionMismatch):
         StabGroup(
             x_type=Mat.from_rows(f5, [[1, 0]]),
-            z_type=Mat.zeros(f5, 0, 3),
+            z_type=zeros(f5, 0, 3),
         )
 
 
 def test_statevector_size_guard():
     f13 = GF(13)
     group = StabGroup(
-        x_type=Mat.zeros(f13, 0, 7),
+        x_type=zeros(f13, 0, 7),
         z_type=Mat.from_rows(f13, [[1, 0, 0, 0, 0, 0, 0]]),
     )
     with pytest.raises(TooLarge):

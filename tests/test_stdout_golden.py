@@ -2,7 +2,10 @@
 
 Every command's output is deterministic, so any change to what it prints,
 down to one space, fails here. ``{msg}`` and ``{storage}`` stand for a
-message file and the storage file that ``encode`` makes from it.
+message file and the storage file that ``encode`` makes from it; the
+``623`` and ``1248`` variants are the same at (6,2,3,13) and (12,4,8,17),
+whose files split into 3 and 28 sub-files, so a pass that permuted
+sub-files, instances or nodes would change their digests.
 """
 
 import hashlib
@@ -14,7 +17,14 @@ from qregen.cli import main
 
 P634 = ("--n", "6", "--k", "3", "--d", "4", "--prime", "13")
 REPAIR_IN = ("repair", "--in", "{storage}", "--failed", "1", "--helpers", "2,4,5,6")
+P623 = ("--n", "6", "--k", "2", "--d", "3", "--prime", "13")
+P1248 = ("--n", "12", "--k", "4", "--d", "8", "--prime", "17")
 MESSAGE = [3 * i + 100 for i in range(12)]  # B = 12 at (6,3,4,13); reduced mod 13
+MESSAGES = {  # file suffix -> (params, message); B = 12 and 672
+    "": (P634, MESSAGE),
+    "623": (P623, MESSAGE),
+    "1248": (P1248, [i * i + 3 * i + 100 for i in range(672)]),
+}
 
 CASES = [  # (name, argv, sha256 of stdout)
     ("encode", ("encode", *P634, "--in", "{msg}"),
@@ -45,16 +55,29 @@ CASES = [  # (name, argv, sha256 of stdout)
      "73d780ad683d977f38623c5cc2fecac78e60b7722a1ef3b8d739923852515a90"),
     ("tradeoff", ("tradeoff", "--k", "3", "--d", "4", "--B", "12"),
      "9c2d53a842ba93d0f943ff1d3bbaa6add9513508f0e001c3a5042eb7e1905753"),
+    ("encode-623", ("encode", *P623, "--in", "{msg623}"),
+     "ab548ab636a810ad5e42d7fc20468263a12ccebf1173d9fd97e126372ab7b42b"),
+    ("retrieve-nodes-623",
+     ("retrieve", "--in", "{storage623}", "--nodes", "5,2"),
+     "0330ccf479c5a42a110bed635938bce52fa78795afa6ba0300eb79ecf04b1818"),
+    ("encode-1248", ("encode", *P1248, "--in", "{msg1248}"),
+     "a71de9e1f3018efc9440301c5ab56fb21496483a45b2234cfe6d5e28b0df43e9"),
+    ("retrieve-nodes-1248",
+     ("retrieve", "--in", "{storage1248}", "--nodes", "9,3,12,5"),
+     "9e858d0c2042bce464e71ca8f672e71ca5886d1012aed512f802f2f4f641c40e"),
 ]
 
 
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
-    msg, storage = root / "msg.json", root / "storage.json"
-    msg.write_text(json.dumps(MESSAGE))
-    assert main(["encode", *P634, "--in", str(msg), "--out", str(storage)]) == 0
-    return {"msg": str(msg), "storage": str(storage)}
+    paths = {}
+    for suffix, (params, message) in MESSAGES.items():
+        msg, storage = root / f"msg{suffix}.json", root / f"storage{suffix}.json"
+        msg.write_text(json.dumps(message))
+        assert main(["encode", *params, "--in", str(msg), "--out", str(storage)]) == 0
+        paths |= {f"msg{suffix}": str(msg), f"storage{suffix}": str(storage)}
+    return paths
 
 
 @pytest.mark.parametrize("argv, digest", [c[1:] for c in CASES],
