@@ -8,6 +8,7 @@ output. Exit codes: 0 success, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -38,7 +39,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write_out(text: str, out_path: str | None) -> None:
-    if out_path:
+    if out_path is not None:
         try:
             with open(out_path, "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -51,7 +52,31 @@ def _write_out(text: str, out_path: str | None) -> None:
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    """``json.dumps(obj, indent=2) + "\\n"``, byte for byte, without json's
+    pure-Python indent encoder."""
+    return _indented(obj, "\n") + "\n"
+
+
+_json_key = functools.lru_cache(maxsize=256)(json.dumps)  # a dozen names recur
+
+
+def _indented(obj, nl: str) -> str:
+    """``obj`` as ``json.dumps(indent=2)`` writes it where ``nl`` is the newline
+    plus the current indent. Non-empty lists, tuples and str-keyed dicts
+    recurse, a flat list of plain ints is one C-level join, and everything
+    else (bool, None, float, str, int subclasses, other keys) is json's."""
+    kind = type(obj)
+    if kind is int:
+        return str(obj)
+    pad = nl + "  "
+    if (kind is list or kind is tuple) and obj:
+        if set(map(type, obj)) == {int}:  # bool is not int here, as in _ints
+            return f"[{pad}{(',' + pad).join(map(str, obj))}{nl}]"
+        return f"[{pad}{(',' + pad).join([_indented(x, pad) for x in obj])}{nl}]"
+    if kind is dict and obj and set(map(type, obj)) == {str}:
+        items = [f"{_json_key(key)}: {_indented(value, pad)}" for key, value in obj.items()]
+        return f"{{{pad}{(',' + pad).join(items)}{nl}}}"
+    return json.dumps(obj, indent=2).replace("\n", nl)
 
 
 def _params_from_args(args) -> SystemParams:
@@ -164,7 +189,7 @@ def cmd_encode(args) -> int:
 
 def cmd_retrieve(args) -> int:
     params, storage = _storage_from_json(_load_json(args.in_path))
-    if args.nodes:
+    if args.nodes is not None:
         ids = _parse_ids(args.nodes)
         if any(not 1 <= i <= params.n for i in ids):
             raise errors.BadShareSet(f"node ids must lie in [1, {params.n}]")
@@ -177,7 +202,7 @@ def cmd_retrieve(args) -> int:
 
 
 def cmd_repair(args) -> int:
-    if args.in_path:
+    if args.in_path is not None:
         flags = ("n", "k", "d", "prime", "seed")
         given = next((f for f in flags if getattr(args, f) is not None), None)
         if given:
@@ -364,6 +389,7 @@ def _parse_ids(text: str) -> list[int]:
         raise errors.InvalidParams(f"expected comma-separated ids, got {text!r}") from None
 
 
+@functools.cache  # one per process; parse_args returns a fresh Namespace
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="qregen",

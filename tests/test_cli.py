@@ -327,6 +327,74 @@ def test_unwritable_out_usage_error(tmp_path, capsys):
     assert "cannot write" in err
 
 
+P634 = ["--n", "6", "--k", "3", "--d", "4", "--prime", "13"]
+
+
+@pytest.fixture(scope="module")
+def stored_634(tmp_path_factory):
+    root = tmp_path_factory.mktemp("stored")
+    msg, storage = root / "msg.json", root / "storage.json"
+    msg.write_text(json.dumps(list(range(12))))
+    assert main(["encode", *P634, "--in", str(msg), "--out", str(storage)]) == 0
+    return {"msg": str(msg), "storage": str(storage)}
+
+
+VALID_CALLS = [  # one per command; each takes --out
+    ["demo-example1"],
+    ["encode", *P634, "--in", "{msg}"],
+    ["retrieve", "--in", "{storage}"],
+    ["repair", "--in", "{storage}", "--failed", "1", "--helpers", "2,4,5,6"],
+    ["sweep", *P634, "--trials", "1"],
+    ["tradeoff", "--k", "3", "--d", "4", "--B", "12"],
+    ["selftest"],
+]
+EMPTY_VALUES = [  # (a valid call, a flag it takes), the flag then given ""
+    (["retrieve", "--in", "{storage}"], "--nodes"),
+    (["repair", *P634, "--failed", "1", "--helpers", "2,4,5,6"], "--in"),
+    *((argv, "--out") for argv in VALID_CALLS),
+]
+
+
+@pytest.mark.parametrize("argv, flag", EMPTY_VALUES,
+                         ids=[f"{argv[0]}{flag}" for argv, flag in EMPTY_VALUES])
+def test_empty_value_is_usage_error(stored_634, capsys, argv, flag):
+    # an empty value is a bad value, not an absent flag: no default nodes,
+    # no seeded repair in place of the file, no stdout in place of the file
+    argv = [arg.format(**stored_634) for arg in argv]
+    assert run_cli(capsys, *argv)[0] == 0
+    assert one_line_usage_error(*run_cli(capsys, *argv, flag, ""))
+
+
+def test_parser_built_once_and_holds_no_state(stored_634, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    repair = ["repair", *P634, "--failed", "2", "--helpers", "1,3,5,6"]
+    calls = [
+        ["sweep", "--n", "x"],
+        ["repair", "--in", stored_634["storage"], "--seed", "1",
+         "--failed", "1", "--helpers", "2,4,5,6"],
+        ["--help"],
+        [*repair, "--seed", "7"],
+        repair,
+    ]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = f"SystemExit({exc.code})"
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    in_order = [run(argv) for argv in calls]
+    alone = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        alone.append(run(argv))
+    assert in_order == alone
+    assert [code for code, _, _ in in_order] == [2, 2, "SystemExit(0)", 0, 0]
+    assert in_order[4] == run([*repair, "--seed", "1"]) != in_order[3]
+
+
 def test_verification_failure_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(tradeoff, "quantum_sum", lambda k, d, a, b: 0)
     code, _, err = run_cli(capsys, "tradeoff", "--k", "3", "--d", "4", "--B", "12")

@@ -87,3 +87,16 @@ def test_stdout_unchanged(argv, digest, files, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+WRITTEN = ["encode-1248", "retrieve-nodes-1248"]  # the benchmark encodes via --out
+
+
+@pytest.mark.parametrize("name", WRITTEN)
+def test_written_file_unchanged(name, files, tmp_path, capsys):
+    # --out writes the same bytes as stdout, so the stdout digest pins the file
+    argv, digest = next(case[1:] for case in CASES if case[0] == name)
+    out = tmp_path / "out.json"
+    code = main([*(arg.format(**files) for arg in argv), "--out", str(out)])
+    assert (code, capsys.readouterr().out) == (0, "")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
