@@ -48,6 +48,7 @@ class RepairCSS:
     lam2: tuple[int, ...]
     u: tuple[int, ...]
     u_prime: tuple[int, ...]
+    vbar_f: tuple[int, ...]  # (1, v_f, ..., v_f^(a0-1)), which every helper applies
 
     @property
     def hx(self) -> Mat:
@@ -131,4 +132,5 @@ def build_repair_css(
         lam2=lam2,
         u=u_vec,
         u_prime=u_prime,
+        vbar_f=tuple(params.point_powers(failed)),
     )

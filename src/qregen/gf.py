@@ -76,5 +76,13 @@ class GF:
             raise ValueError("exponent must be non-negative")
         return pow(a % self.p, e, self.p)
 
+    def powers(self, a: int, m: int) -> list[int]:
+        """(1, a, ..., a^(m-1)) mod p, by a running product."""
+        out, acc = [], 1
+        for _ in range(m):
+            out.append(acc)
+            acc = acc * a % self.p
+        return out
+
     def units(self) -> range:
         return range(1, self.p)

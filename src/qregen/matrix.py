@@ -6,9 +6,12 @@ the loops, Python ints do the arithmetic, so every product and sum is exact
 at any prime: nothing can overflow. Every matrix the codes invert is a
 square Vandermonde matrix, so the hot paths use ``vandermonde_inv``, an
 O(m^2) closed form, instead of the cubic Gauss-Jordan ``Mat.inv``, which
-stays as the general reference. Pivot selection always takes the first
-nonzero entry in column order, which keeps eliminations (and everything
-built on them) deterministic.
+stays as the general reference. Retrieval calls it once per node set: the
+inverse on any k-1 of k points is a rank-one correction of the inverse on
+all k (``pmcode._LeaveOneOut``). ``vandermonde`` builds each row of powers
+by a running product, one multiplication per entry. Pivot selection
+always takes the first nonzero entry in column order, which keeps
+eliminations (and everything built on them) deterministic.
 """
 
 from __future__ import annotations
@@ -129,10 +132,8 @@ class Mat:
 
 def vandermonde(field: GF, points: Sequence[int], cols: int) -> Mat:
     """Rows of successive powers: entry (i, j) = points[i]**j."""
-    data: list[int] = []
-    for pt in points:
-        data.extend(field.pow(pt, j) for j in range(cols))
-    return Mat(field, len(points), cols, data)
+    rows = np.array([field.powers(pt, cols) for pt in points], dtype=object)
+    return Mat.from_array(field, rows.reshape(len(points), cols))
 
 
 def grs_dual_weights(field: GF, points: Sequence[int]) -> list[int]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 from collections.abc import Sequence
 
 import numpy as np
@@ -60,8 +60,7 @@ class SystemParams:
 
     def point_powers(self, node_id: int) -> list[int]:
         """vbar for a node: (1, v, ..., v^(a0-1))."""
-        v = self.eval_points[node_id - 1]
-        return [self.field.pow(v, t) for t in range(self.alpha0)]
+        return self.field.powers(self.eval_points[node_id - 1], self.alpha0)
 
 
 def _greedy_points(field: GF, n: int, alpha0: int) -> tuple[int, ...] | None:
@@ -203,14 +202,47 @@ def encode_file(
 
 
 @dataclass(frozen=True)
+class _LeaveOneOut:
+    """The inverse Vandermonde matrix on every k-1 of k points, in closed
+    form from the one inverse on all k (see ``retrieve``)."""
+
+    p: int
+    top: np.ndarray  # (k-1) x k, the first k-1 rows of the inverse on all k points
+    w: np.ndarray  # k, its last row: the GRS weights of the points
+    w_recip: np.ndarray  # k, 1 / w_j = prod_{b != j} (x_j - x_b)
+
+    @classmethod
+    def of(cls, field: GF, pts: Sequence[int]) -> "_LeaveOneOut":
+        p = field.p
+        v_inv = vandermonde_inv(field, pts).data
+        w_recip = [prod((xj - xb) % p for xb in pts if xb != xj) % p for xj in pts]
+        return cls(p, v_inv[:-1], v_inv[-1], np.array(w_recip, dtype=object))
+
+    def inverse(self, j: int) -> np.ndarray:
+        """The inverse on every point but the j-th: its column i is
+        top[:, i] - top[:, j] w_i / w_j."""
+        keep = [i for i in range(len(self.w)) if i != j]
+        ratio = self.w[keep] * self.w_recip[j] % self.p
+        return (self.top[:, keep] - self.top[:, j : j + 1] * ratio) % self.p
+
+    def solve(self, vals: np.ndarray) -> np.ndarray:
+        """Column j of the result, for j < k-1, is ``inverse(j)`` applied to
+        column j of ``vals`` (..., k, >= k-1) without its j-th entry."""
+        a0 = len(self.top)
+        g = vals[..., :a0].copy()
+        g[..., range(a0), range(a0)] = 0
+        s = (self.w @ g) * self.w_recip[:a0] % self.p  # sum_i (w_i / w_j) g_ij
+        return (self.top @ g - self.top[:, :a0] * s[..., None, :]) % self.p
+
+
+@dataclass(frozen=True)
 class _DecodePlan:
     """Every inverse that decoding from one sorted id set needs."""
 
     phibar_t: np.ndarray  # a0 x k, column a is vbar of the a-th id
     lam: np.ndarray  # k x 1, lam of the a-th id in row a
     diff_inv: np.ndarray  # k x k, (a, b) -> 1 / (lam_a - lam_b) mod p, 0 if a == b
-    gather: tuple  # (a0 x a0, a0 x 1) indices: row j of vals[gather] = vals[a != j, j]
-    loo_inv: np.ndarray  # a0 x a0 x a0, j -> inverse of phibar without row j
+    loo: _LeaveOneOut  # the inverse Vandermonde matrix on every a0 of the ids
     w_t_inv: np.ndarray  # inverse of W^T, W = the first a0 rows of phibar
 
 
@@ -226,18 +258,13 @@ def _decode_plan(params: SystemParams, ids: list[int]) -> _DecodePlan:
          for a in range(a0 + 1)],
         dtype=object,
     )
+    loo = _LeaveOneOut.of(field, pts)
     return _DecodePlan(
         phibar_t=vandermonde(field, pts, a0).data.T,
         lam=np.array(lam, dtype=object)[:, None],
         diff_inv=upper - upper.T,  # 1 / (lam_b - lam_a) = -1 / (lam_a - lam_b)
-        gather=(
-            np.array([[a for a in range(a0 + 1) if a != j] for j in range(a0)]),
-            np.arange(a0)[:, None],
-        ),
-        loo_inv=np.array(
-            [vandermonde_inv(field, pts[:j] + pts[j + 1 :]).data for j in range(a0)]
-        ),
-        w_t_inv=vandermonde_inv(field, pts[:a0]).data.T,
+        loo=loo,
+        w_t_inv=loo.inverse(a0).T,
     )
 
 
@@ -253,24 +280,34 @@ def retrieve(params: SystemParams, ids: Sequence[int], rows: np.ndarray) -> np.n
     of S1, S2 makes theta and psi symmetric, so each off-diagonal pair
     (P[a,b], P[b,a]) is a 2x2 system in (theta_ab, psi_ab) with matrix
     [[1, lam_a], [1, lam_b]]. The k-1 values theta_aj (a != j) then pin
-    down S1 vbar_j through a square Vandermonde solve, and a0 of those
-    columns pin down S1 itself; likewise psi gives S2.
+    down S1 vbar_j through a square Vandermonde solve on the ids without
+    j, and the first a0 of those columns pin down S1 = C W^-T itself;
+    likewise psi gives S2.
 
-    Every inverse involved depends only on the ids, so one _DecodePlan
-    serves all the instances, which numpy decodes in one broadcast pass.
+    Every one of those inverses follows from the one inverse of the k x k
+    Vandermonde matrix on all k ids. Its column i holds the coefficients
+    of the Lagrange polynomial L_i, and its last row the GRS weights w.
+    For i != j, L_i - (w_i / w_j) L_j has degree <= k-2 and is 1 at x_i and
+    0 at every other id but x_j, so the inverse on the ids without j has
+    column i = top[:, i] - top[:, j] w_i / w_j, where ``top`` is the first
+    a0 rows. Applied to all j at once: C = top G - top[:, :a0] diag(s),
+    where G is theta (or psi) restricted to its first a0 columns with a
+    zero diagonal and s_j = sum_{i != j} (w_i / w_j) G[i, j]. Since
+    1 / w_j = prod_{b != j} (x_j - x_b), no inversion beyond the one is
+    needed. W^-T is the same identity at j = a0.
+
+    Everything here depends only on the ids, so one _DecodePlan serves all
+    the instances, which numpy decodes in one broadcast pass.
     """
     plan = _decode_plan(params, list(ids))
     p = params.p
-    prod = rows @ plan.phibar_t % p
-    prod_t = prod.swapaxes(-1, -2)
-    psi = (prod - prod_t) * plan.diff_inv % p  # symmetric, 0 on the diagonal
-    theta = (prod - plan.lam * psi) % p  # symmetric off the diagonal
-
-    def solve_columns(vals: np.ndarray) -> np.ndarray:
-        cols = (plan.loo_inv @ vals[(..., *plan.gather)][..., None])[..., 0]  # S vbar_j
-        return cols.swapaxes(-1, -2) @ plan.w_t_inv % p
-
-    return np.concatenate([solve_columns(theta), solve_columns(psi)], axis=-2)
+    big_p = rows @ plan.phibar_t % p
+    big_p_t = big_p.swapaxes(-1, -2)
+    psi = (big_p - big_p_t) * plan.diff_inv % p  # symmetric, 0 on the diagonal
+    theta = (big_p - plan.lam * psi) % p  # symmetric off the diagonal
+    return np.concatenate(
+        [plan.loo.solve(vals) @ plan.w_t_inv % p for vals in (theta, psi)], axis=-2
+    )
 
 
 def _share_rows(

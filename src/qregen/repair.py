@@ -26,8 +26,6 @@ from itertools import combinations
 from math import comb
 from collections.abc import Sequence
 
-import numpy as np
-
 from .css import RepairCSS, build_repair_css
 from .errors import (
     InvalidHelperSet,
@@ -125,13 +123,14 @@ def helper_encode(
         raise NotAHelper(
             f"node {storage.node_id} not in helper set {repair_css.helpers}"
         ) from None
-    field = params.field
-    vbar_f = np.array(params.point_powers(repair_css.failed_node), dtype=object)
-    own = np.array([storage.row_m, storage.row_mp], dtype=object) @ vbar_f
+    own_m, own_mp = (  # row_m . vbar_f and row_mp . vbar_f
+        sum(x * v for x, v in zip(row, repair_css.vbar_f, strict=True))
+        for row in (storage.row_m, storage.row_mp)
+    )
     return HelperPayload(
         helper_id=storage.node_id,
-        y_x=field.mul(repair_css.lam1[j], own[0]),  # lam1_j (row_m . vbar_f)
-        y_z=field.mul(repair_css.lam2[j], own[1]),  # lam2_j (row_mp . vbar_f)
+        y_x=repair_css.lam1[j] * own_m % params.p,
+        y_z=repair_css.lam2[j] * own_mp % params.p,
     )
 
 

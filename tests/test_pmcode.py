@@ -5,6 +5,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import qregen.pmcode
 from qregen.errors import (
@@ -14,9 +15,11 @@ from qregen.errors import (
     Singular,
     WrongLength,
 )
-from qregen.matrix import Mat
+from qregen.gf import GF
+from qregen.matrix import Mat, vandermonde_inv
 from qregen.pmcode import (
     NodeStorage,
+    _LeaveOneOut,
     encode_file,
     make_params,
     pack_file,
@@ -333,15 +336,46 @@ def test_file_layer_is_one_pass(monkeypatch):
     monkeypatch.setattr(Mat, "__matmul__", count("matmul", Mat.__matmul__))
     monkeypatch.setattr(qregen.pmcode, "retrieve",
                         count("retrieve", qregen.pmcode.retrieve))
+    monkeypatch.setattr(qregen.pmcode, "vandermonde_inv",
+                        count("vandermonde_inv", qregen.pmcode.vandermonde_inv))
     storage = encode_file(params, symbols)
     assert calls == {"vandermonde": 1, "matmul": 1}
 
+    # one inverse per distinct id set: every leave-one-out solve and W^-T
+    # follow from it
     calls.clear()
     shares = [[sub[i - 1] for i in (9, 3, 12, 5)] for sub in storage]
     assert list(retrieve_file(params, shares)) == symbols
-    assert calls["retrieve"] == 1
+    assert (calls["retrieve"], calls["vandermonde_inv"]) == (1, 1)
 
     calls.clear()
     shares[7] = [storage[7][i - 1] for i in (1, 2, 3, 4)]
     assert list(retrieve_file(params, shares)) == symbols
-    assert calls["retrieve"] == 2
+    assert (calls["retrieve"], calls["vandermonde_inv"]) == (2, 2)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_leave_one_out_matches_direct_inverses(data):
+    # every inverse Vandermonde matrix on k-1 of k points, and the column
+    # solve through them, equals the direct one: exact, all Python ints
+    p = data.draw(st.sampled_from((13, 67, 2**61 - 1)))
+    field = GF(p)
+    k = data.draw(st.integers(2, min(24, p)))
+    pts = data.draw(st.lists(st.integers(0, p - 1), min_size=k, max_size=k,
+                             unique=True))
+    vals = np.array(data.draw(st.lists(st.integers(0, p - 1), min_size=k * k,
+                                       max_size=k * k)), dtype=object).reshape(k, k)
+    loo = _LeaveOneOut.of(field, pts)
+    cols = loo.solve(vals)  # k x k like theta; the diagonal is ignored
+    assert cols.shape == (k - 1, k - 1)
+    assert all(type(x) is int for x in cols.ravel())
+    for j in range(k):  # j = k-1 gives W^-1, W the vbar rows of the first k-1
+        direct = vandermonde_inv(field, pts[:j] + pts[j + 1 :]).data
+        inverse = loo.inverse(j)
+        assert all(type(x) is int for x in inverse.ravel())
+        assert inverse.tolist() == direct.tolist()
+        if j < k - 1:
+            solved = direct @ np.delete(vals[:, j], j) % p
+            assert cols[:, j].tolist() == solved.tolist()
