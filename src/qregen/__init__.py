@@ -11,7 +11,6 @@ from .css import RepairCSS, build_repair_css, check_dual_containment, grs_dual_w
 from .gf import GF
 from .matrix import Mat, vandermonde, vandermonde_inv
 from .pmcode import (
-    NodeStorage,
     SystemParams,
     encode_file,
     make_params,
@@ -54,7 +53,6 @@ __version__ = "0.1.0"
 __all__ = [
     "GF",
     "Mat",
-    "NodeStorage",
     "PauliError",
     "RepairCSS",
     "RepairTranscript",

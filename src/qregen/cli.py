@@ -15,9 +15,10 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
+import numpy as np
+
 from . import errors, tradeoff
 from .pmcode import (
-    NodeStorage,
     SystemParams,
     encode_file,
     make_params,
@@ -96,10 +97,13 @@ def _params_json(params: SystemParams) -> dict:
     }
 
 
-def _storage_to_json(params: SystemParams, storage) -> dict:
+def _storage_to_json(params: SystemParams, storage: np.ndarray) -> dict:
     return {
         "params": _params_json(params),
-        "subfiles": [[s.to_json_dict() for s in sub] for sub in storage],
+        "subfiles": [
+            [{"nodeId": i, "rowM": m, "rowMp": mp} for i, (m, mp) in enumerate(sub, 1)]
+            for sub in storage.tolist()
+        ],
     }
 
 
@@ -110,8 +114,9 @@ def _ints(values, bound: int | None = None) -> bool:
     return bound is None or (min(values) >= 0 and max(values) < bound)
 
 
-def _storage_from_json(doc) -> tuple[SystemParams, tuple]:
-    """A storage file's params and rows; anything malformed is a UsageError."""
+def _storage_from_json(doc) -> tuple[SystemParams, np.ndarray]:
+    """A storage file's params and its (T, n, 2, a0) storage array of Python
+    ints; anything malformed is a UsageError."""
     meta = doc.get("params") if isinstance(doc, dict) else None
     if not isinstance(meta, dict):
         raise errors.BadShareSet("storage file must be an object with params")
@@ -127,26 +132,25 @@ def _storage_from_json(doc) -> tuple[SystemParams, tuple]:
     params = make_params(*dims, points)
     if len(subfiles) != params.subfiles:
         raise errors.BadShareSet(f"storage file needs {params.subfiles} sub-files")
-    storage = tuple(
-        tuple(_node_from_json(params.alpha0, i + 1, s) for i, s in enumerate(sub))
-        for sub in subfiles
-    )
+    a0, dits = params.alpha0, []
+    for sub in subfiles:
+        for node_id, s in enumerate(sub, 1):
+            node = s.get("nodeId") if isinstance(s, dict) else None
+            if type(node) is not int or node != node_id:
+                raise errors.BadShareSet("storage nodes must appear in id order")
+            row_m, row_mp = s.get("rowM"), s.get("rowMp")
+            if not (isinstance(row_m, list) and isinstance(row_mp, list)
+                    and len(row_m) == len(row_mp) == a0):
+                raise errors.BadShareSet(
+                    f"node {node_id} needs rowM and rowMp of {a0} dits"
+                )
+            dits += row_m
+            dits += row_mp
     # every dit at once: set, min and max run in C, a per-row check would not
-    if not _ints([x for sub in storage for s in sub for x in s.row_m + s.row_mp],
-                 params.p):
+    if not _ints(dits, params.p):
         raise errors.BadShareSet(f"storage dits must be ints in [0, {params.p})")
-    return params, storage
-
-
-def _node_from_json(a0: int, node_id: int, s) -> NodeStorage:
-    node = s.get("nodeId") if isinstance(s, dict) else None
-    if type(node) is not int or node != node_id:
-        raise errors.BadShareSet("storage nodes must appear in id order")
-    row_m, row_mp = s.get("rowM"), s.get("rowMp")
-    if not (isinstance(row_m, list) and isinstance(row_mp, list)
-            and len(row_m) == len(row_mp) == a0):
-        raise errors.BadShareSet(f"node {node_id} needs rowM and rowMp of {a0} dits")
-    return NodeStorage(node_id, tuple(row_m), tuple(row_mp))
+    # object, never int64: products of dits overflow int64 at large p
+    return params, np.array(dits, dtype=object).reshape(params.subfiles, n, 2, a0)
 
 
 def _load_json(path: str):
@@ -189,14 +193,8 @@ def cmd_encode(args) -> int:
 
 def cmd_retrieve(args) -> int:
     params, storage = _storage_from_json(_load_json(args.in_path))
-    if args.nodes is not None:
-        ids = _parse_ids(args.nodes)
-        if any(not 1 <= i <= params.n for i in ids):
-            raise errors.BadShareSet(f"node ids must lie in [1, {params.n}]")
-    else:
-        ids = list(range(1, params.k + 1))
-    shares = [[sub[i - 1] for i in ids] for sub in storage]
-    symbols = retrieve_file(params, shares)
+    ids = range(1, params.k + 1) if args.nodes is None else _parse_ids(args.nodes)
+    symbols = retrieve_file(params, storage, ids)
     _write_out(_json_text(list(symbols)), args.out)
     return 0
 
@@ -272,8 +270,7 @@ def _check_pass(params: SystemParams, rng: SplitMix64, modes, trial: int = 0):
     message = [x % params.p for x in symbols]
     for subset in subsets:
         record = (trial, "retrieve", f"nodes={','.join(map(str, subset))}")
-        shares = [[sub[i - 1] for i in subset] for sub in storage]
-        got = _attempt(failures, record, retrieve_file, params, shares)
+        got = _attempt(failures, record, retrieve_file, params, storage, subset)
         if got is not None and list(got) != message:
             failures.append((*record, "wrong-message"))
     return repairs, len(subsets), qudits, failures

@@ -20,8 +20,11 @@ takes the closed-form Vt^(-1) (``vandermonde_inv``) once, forms
 [I | lam_f I] Vt^(-1) as its top a0 rows plus lam_f times its bottom a0
 rows, and scales its columns by 1/lam2 for HX and by 1/lam1 for HZ. The
 last row of Vt^(-1) is w: column j holds the Lagrange polynomial of point
-j, whose leading coefficient is w_j. The ``StabGroup`` the build returns
-checks HX HZ^T = 0, once.
+j, whose leading coefficient is w_j. 1/lam1 = (lam_h - lam_f) / u reuses
+the inverses of u that u' = w / u takes, so a build makes 4m field
+inversions: of u, of lam_h - lam_f, of lam2, and the m that
+``vandermonde_inv`` makes for the weights. The ``StabGroup`` the build
+returns checks HX HZ^T = 0, once.
 """
 
 from __future__ import annotations
@@ -112,16 +115,18 @@ def build_repair_css(
     pts = [params.eval_points[s - 1] for s in hs]
     v_inv = vandermonde_inv(field, pts)
     w = v_inv.row(m - 1)  # leading Lagrange coefficients = dual GRS weights
-    u_prime = tuple(field.mul(wj, field.inv(uj)) for wj, uj in zip(w, u_vec))
-    denom_inv = [field.inv(field.sub(ls, lam_f)) for ls in lam_h]
+    u_inv = [field.inv(uj) for uj in u_vec]
+    u_prime = tuple(field.mul(wj, ui) for wj, ui in zip(w, u_inv))
+    denom = [field.sub(ls, lam_f) for ls in lam_h]
+    denom_inv = [field.inv(dj) for dj in denom]
     lam1 = tuple(field.mul(uj, di) for uj, di in zip(u_vec, denom_inv))
     lam2 = tuple(field.mul(uj, di) for uj, di in zip(u_prime, denom_inv))
 
     a0 = params.alpha0
     sel_v_inv = v_inv.data[:a0] + lam_f * v_inv.data[a0:]  # [I | lam_f I] Vt^(-1)
     # the right factors diag(lam2)^(-1) and diag(lam1)^(-1) scale columns
-    inv1, inv2 = (np.array([field.inv(x) for x in lam], dtype=object)
-                  for lam in (lam1, lam2))
+    inv1 = np.array([field.mul(dj, ui) for dj, ui in zip(denom, u_inv)], dtype=object)
+    inv2 = np.array([field.inv(x) for x in lam2], dtype=object)
     hx = Mat.from_array(field, sel_v_inv * inv2)
     hz = Mat.from_array(field, sel_v_inv * inv1)
     return RepairCSS(

@@ -11,9 +11,11 @@ and lam_i = v_i^a0. Any k nodes suffice to rebuild the file.
 
 The sub-file is an array axis, so each file operation is one pass:
 ``pack_file`` gathers the file into one (T, 2, 2a0, a0) array of every M
-and M', ``encode_file`` multiplies V by all of them at once, and
-``retrieve_file`` decodes every instance read from one node set in one
-broadcast ``retrieve``.
+and M', and ``encode_file`` multiplies V by all of them at once. Its
+result is the storage of the file, one (T, n, 2, a0) object array of
+Python ints: entry [t, i - 1] is node i's two rows for sub-file t.
+``retrieve_file`` reads the rows of one set of k nodes from it and decodes
+every sub-file in one broadcast ``retrieve``.
 """
 
 from __future__ import annotations
@@ -172,33 +174,15 @@ def unpack_file(params: SystemParams, packed: np.ndarray) -> tuple[int, ...]:
     return tuple(packed.reshape(-1, 4, a0, a0)[:, :, rows, cols].ravel().tolist())
 
 
-@dataclass(frozen=True)
-class NodeStorage:
-    """The 2*a0 dits one node holds for one sub-file."""
-
-    node_id: int
-    row_m: tuple[int, ...]
-    row_mp: tuple[int, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "nodeId": self.node_id, "rowM": list(self.row_m), "rowMp": list(self.row_mp)
-        }
-
-
-def encode_file(
-    params: SystemParams, symbols: Sequence[int]
-) -> tuple[tuple[NodeStorage, ...], ...]:
-    """Per-node rows (v_i^T M, v_i^T M') of every sub-file, indexed
-    [subfile][node_id - 1], from the one product V [M_1 | M'_1 | ... | M'_T]."""
+def encode_file(params: SystemParams, symbols: Sequence[int]) -> np.ndarray:
+    """The storage of the file: a (T, n, 2, a0) object array whose entry
+    [t, i - 1] is node i's rows (v_i^T M, v_i^T M') of sub-file t, read off
+    the one product V [M_1 | M'_1 | ... | M'_T]."""
     a0, t = params.alpha0, params.subfiles
     blocks = pack_file(params, symbols).transpose(2, 0, 1, 3).reshape(2 * a0, -1)
     big_v = vandermonde(params.field, params.eval_points, 2 * a0)
     rows = (big_v @ Mat.from_array(params.field, blocks)).data
-    return tuple(
-        tuple(NodeStorage(i + 1, tuple(m), tuple(mp)) for i, (m, mp) in enumerate(sub))
-        for sub in rows.reshape(params.n, t, 2, a0).transpose(1, 0, 2, 3).tolist()
-    )
+    return rows.reshape(params.n, t, 2, a0).swapaxes(0, 1)
 
 
 @dataclass(frozen=True)
@@ -310,48 +294,23 @@ def retrieve(params: SystemParams, ids: Sequence[int], rows: np.ndarray) -> np.n
     )
 
 
-def _share_rows(
-    params: SystemParams, shares: Sequence[NodeStorage]
-) -> tuple[tuple[int, ...], list]:
-    """Check one sub-file's k shares; return their sorted ids and the
-    (2, k, a0) rows of M and M' in that order."""
-    if len(shares) != params.k:
-        raise BadShareSet(f"need exactly {params.k} shares, got {len(shares)}")
-    by_id = {s.node_id: s for s in shares}
-    ids = sorted(by_id)
-    if len(ids) != params.k or ids[0] < 1 or ids[-1] > params.n:
-        raise BadShareSet(f"share ids must be distinct and in [1, {params.n}]")
-    ordered = [by_id[i] for i in ids]
-    for s in ordered:
-        if len(s.row_m) != params.alpha0 or len(s.row_mp) != params.alpha0:
-            raise BadShareSet(f"share {s.node_id} has wrong row length")
-    return tuple(ids), [[s.row_m for s in ordered], [s.row_mp for s in ordered]]
-
-
 def retrieve_file(
-    params: SystemParams, shares_per_subfile: Sequence[Sequence[NodeStorage]]
+    params: SystemParams, storage: np.ndarray, ids: Sequence[int]
 ) -> tuple[int, ...]:
-    """Rebuild the file from k distinct shares per sub-file.
+    """Rebuild the file from the storage of the k distinct nodes ``ids``.
 
-    Every share set is checked before anything is decoded. Sub-files may be
-    read from different id sets; one ``retrieve`` call decodes all the
-    instances read from one set.
+    ``storage`` is ``encode_file``'s (T, n, 2, a0) array; only the rows of
+    ``ids`` are read, and one ``retrieve`` call decodes every sub-file.
     """
-    if len(shares_per_subfile) != params.subfiles:
-        raise BadShareSet(
-            f"need shares for {params.subfiles} sub-files, got {len(shares_per_subfile)}"
-        )
-    groups: dict[tuple[int, ...], tuple[list[int], list]] = {}
-    for t, shares in enumerate(shares_per_subfile):
-        ids, rows = _share_rows(params, shares)
-        subs, stacked = groups.setdefault(ids, ([], []))
-        subs.append(t)
-        stacked.append(rows)
-    a0 = params.alpha0
-    packed = np.empty((params.subfiles, 2, 2 * a0, a0), dtype=object)
-    for ids, (subs, stacked) in groups.items():
-        packed[subs] = retrieve(params, ids, np.array(stacked, dtype=object))
-    return unpack_file(params, packed)
+    shape = (params.subfiles, params.n, 2, params.alpha0)
+    if storage.shape != shape:
+        raise BadShareSet(f"storage must have shape {shape}, got {storage.shape}")
+    ids = sorted(ids)
+    if not (len(ids) == len(set(ids)) == params.k
+            and 1 <= ids[0] and ids[-1] <= params.n):
+        raise BadShareSet(f"need {params.k} distinct node ids in [1, {params.n}]")
+    rows = storage[:, [i - 1 for i in ids]].swapaxes(1, 2)  # (T, 2, k, a0)
+    return unpack_file(params, retrieve(params, ids, rows))
 
 
 def random_symbols(params: SystemParams, rng: SplitMix64) -> list[int]:

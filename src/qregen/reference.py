@@ -74,14 +74,10 @@ def replay(seed: int = 1) -> list[dict]:
     symbols = random_symbols(params, rng)
     stored = encode_file(params, symbols)[0]
     transcript = run_repair(params, stored, FAILED_NODE, HELPERS, mode="linear")
-    regen = transcript.regenerated
-    original = stored[FAILED_NODE - 1]
+    expected = stored[FAILED_NODE - 1].tolist()
+    got = [list(row) for row in transcript.regenerated]
     report.append(
-        {
-            "name": "exact_regeneration",
-            "pass": (regen.row_m, regen.row_mp) == (original.row_m, original.row_mp),
-            "expected": [list(original.row_m), list(original.row_mp)],
-            "got": [list(regen.row_m), list(regen.row_mp)],
-        }
+        {"name": "exact_regeneration", "pass": got == expected, "expected": expected,
+         "got": got}
     )
     return report

@@ -10,6 +10,10 @@ and sZ = S1' vbar_f + lam_f S2' vbar_f, which after swapping the two
 blocks is exactly (row_m, row_mp) of the failed node. Every helper ships
 one qudit, so a single sub-scheme costs 2k-2 qudits total.
 
+``run_repair`` takes one sub-file's (n, 2, a0) slice of ``encode_file``'s
+storage array and ``run_repair_extended`` the whole (T, n, 2, a0) array;
+``helper_encode`` sees only the two rows of its own node.
+
 For d > 2k-2 the file is C(d, 2k-2) independent sub-files; each one
 repairs through a distinct (2k-2)-subset of the d helpers (subsets in
 colexicographic order). A helper participates in exactly C(d-1, 2k-3)
@@ -26,6 +30,8 @@ from itertools import combinations
 from math import comb
 from collections.abc import Sequence
 
+import numpy as np
+
 from .css import RepairCSS, build_repair_css
 from .errors import (
     InvalidHelperSet,
@@ -33,7 +39,7 @@ from .errors import (
     NotAHelper,
     RegenerationMismatch,
 )
-from .pmcode import NodeStorage, SystemParams
+from .pmcode import SystemParams
 from .stabilizer import (
     PauliError,
     Syndrome,
@@ -64,9 +70,9 @@ class HelperPayload:
 class RepairTranscript:
     """Full record of one repair.
 
-    For a single sub-scheme ``css``, ``payloads``, ``syndrome`` and
-    ``regenerated`` are scalar-shaped; for an extended repair each becomes
-    a tuple with one entry per sub-file, in sub-file order.
+    For a single sub-scheme ``css``, ``payloads`` and ``syndrome`` are
+    scalar-shaped; for an extended repair each becomes a tuple with one
+    entry per sub-file, in sub-file order.
     """
 
     failed_node: int
@@ -75,24 +81,31 @@ class RepairTranscript:
     css: RepairCSS | tuple[RepairCSS, ...]
     payloads: tuple
     syndrome: Syndrome | tuple[Syndrome, ...]
-    regenerated: NodeStorage | tuple[NodeStorage, ...]
     qudit_total: int
 
     @property
     def extended(self) -> bool:
         return isinstance(self.css, tuple)
 
+    @property
+    def regenerated(self) -> tuple:
+        """The failed node's rows (row_m, row_mp), which are the syndrome's
+        (s_x, s_z); for an extended repair, one such pair per sub-file."""
+        if self.extended:
+            return tuple((s.s_x, s.s_z) for s in self.syndrome)
+        return self.syndrome.s_x, self.syndrome.s_z
+
     def to_json_dict(self) -> dict:
         if self.extended:
             css = [c.to_json_dict() for c in self.css]
             payloads = [[p.to_json_dict() for p in part] for part in self.payloads]
             syndrome = [{"sX": list(s.s_x), "sZ": list(s.s_z)} for s in self.syndrome]
-            regenerated = [r.to_json_dict() for r in self.regenerated]
+            regenerated = [self._node_json(*rows) for rows in self.regenerated]
         else:
             css = self.css.to_json_dict()
             payloads = [p.to_json_dict() for p in self.payloads]
             syndrome = {"sX": list(self.syndrome.s_x), "sZ": list(self.syndrome.s_z)}
-            regenerated = self.regenerated.to_json_dict()
+            regenerated = self._node_json(*self.regenerated)
         return {
             "failedNode": self.failed_node,
             "helpers": list(self.helpers),
@@ -104,6 +117,9 @@ class RepairTranscript:
             "quditTotal": self.qudit_total,
         }
 
+    def _node_json(self, row_m, row_mp) -> dict:
+        return {"nodeId": self.failed_node, "rowM": list(row_m), "rowMp": list(row_mp)}
+
 
 @dataclass(frozen=True)
 class SubfilePlan:
@@ -114,21 +130,25 @@ class SubfilePlan:
 
 
 def helper_encode(
-    params: SystemParams, repair_css: RepairCSS, storage: NodeStorage
+    params: SystemParams,
+    repair_css: RepairCSS,
+    node_id: int,
+    rows: Sequence[Sequence[int]],
 ) -> HelperPayload:
-    """The two precoded dits a helper computes from its own rows."""
+    """The two precoded dits helper ``node_id`` computes from its own rows
+    (row_m, row_mp)."""
     try:
-        j = repair_css.helpers.index(storage.node_id)
+        j = repair_css.helpers.index(node_id)
     except ValueError:
         raise NotAHelper(
-            f"node {storage.node_id} not in helper set {repair_css.helpers}"
+            f"node {node_id} not in helper set {repair_css.helpers}"
         ) from None
     own_m, own_mp = (  # row_m . vbar_f and row_mp . vbar_f
         sum(x * v for x, v in zip(row, repair_css.vbar_f, strict=True))
-        for row in (storage.row_m, storage.row_mp)
+        for row in rows
     )
     return HelperPayload(
-        helper_id=storage.node_id,
+        helper_id=node_id,
         y_x=repair_css.lam1[j] * own_m % params.p,
         y_z=repair_css.lam2[j] * own_mp % params.p,
     )
@@ -144,7 +164,7 @@ def _syndrome_backend(mode: str):
 
 def run_repair(
     params: SystemParams,
-    all_storage: Sequence[NodeStorage],
+    storage_t: np.ndarray,
     failed: int,
     helpers: Sequence[int],
     u: Sequence[int] | None = None,
@@ -152,26 +172,27 @@ def run_repair(
 ) -> RepairTranscript:
     """Repair one sub-file's share of a failed node from 2k-2 helpers.
 
-    ``all_storage`` is the per-node storage of one code instance, indexed
-    by node_id - 1; it includes the failed node, whose content is used only
-    to assert exactness of the regeneration.
+    ``storage_t`` is one sub-file's (n, 2, a0) storage array, entry
+    [i - 1] node i's rows; it includes the failed node, whose rows are used
+    only to assert exactness of the regeneration.
     """
     backend = _syndrome_backend(mode)
     repair_css = build_repair_css(params, failed, helpers, u)
-    if len(all_storage) != params.n:
-        raise InvalidHelperSet(f"need storage for all {params.n} nodes")
+    shape = (params.n, 2, params.alpha0)
+    if storage_t.shape != shape:
+        raise InvalidHelperSet(f"need one sub-file's storage of shape {shape}")
+    rows = storage_t.tolist()  # plain ints: numpy object rows iterate slower
     payloads = tuple(
-        helper_encode(params, repair_css, all_storage[s - 1])
-        for s in repair_css.helpers
+        helper_encode(params, repair_css, s, rows[s - 1]) for s in repair_css.helpers
     )
     err = PauliError.make(
         params.p, [pl.y_x for pl in payloads], [pl.y_z for pl in payloads]
     )
     syndrome = backend(repair_css.group, err)
     # measured block order is (sZ, sX); the final swap puts row_m first
-    regenerated = NodeStorage(failed, row_m=syndrome.s_x, row_mp=syndrome.s_z)
-    original = all_storage[failed - 1]
-    if (regenerated.row_m, regenerated.row_mp) != (original.row_m, original.row_mp):
+    regenerated = (syndrome.s_x, syndrome.s_z)
+    original = tuple(map(tuple, rows[failed - 1]))
+    if regenerated != original:
         raise RegenerationMismatch(
             f"node {failed} repaired to {regenerated}, stored {original}"
         )
@@ -182,7 +203,6 @@ def run_repair(
         css=repair_css,
         payloads=payloads,
         syndrome=syndrome,
-        regenerated=regenerated,
         qudit_total=len(payloads),
     )
 
@@ -203,33 +223,33 @@ def plan_subfiles(params: SystemParams) -> SubfilePlan:
 
 def run_repair_extended(
     params: SystemParams,
-    all_storage: Sequence[Sequence[NodeStorage]],
+    storage: np.ndarray,
     failed: int,
     helpers: Sequence[int],
     mode: str = "linear",
 ) -> RepairTranscript:
     """Repair across all sub-files using d helpers.
 
-    ``all_storage`` is indexed [subfile][node_id - 1]. Sub-file t repairs
+    ``storage`` is ``encode_file``'s (T, n, 2, a0) array. Sub-file t repairs
     through the t-th colex (2k-2)-subset of the sorted helper list. With
     d = 2k-2 there is a single sub-file and the result is exactly
     ``run_repair``'s transcript.
     """
-    if len(all_storage) != params.subfiles:
+    if len(storage) != params.subfiles:
         raise InvalidHelperSet(
-            f"need storage for {params.subfiles} sub-files, got {len(all_storage)}"
+            f"need storage for {params.subfiles} sub-files, got {len(storage)}"
         )
     hs = tuple(sorted(helpers))
     if len(hs) != params.d or len(set(hs)) != params.d:
         raise InvalidHelperSet(f"need {params.d} distinct helpers")
     if params.subfiles == 1:
-        return run_repair(params, all_storage[0], failed, hs, None, mode)
+        return run_repair(params, storage[0], failed, hs, None, mode)
 
     plan = plan_subfiles(params)
     parts = [
         run_repair(
             params,
-            all_storage[t],
+            storage[t],
             failed,
             tuple(hs[i] for i in subset),
             None,
@@ -244,7 +264,6 @@ def run_repair_extended(
         css=tuple(part.css for part in parts),
         payloads=tuple(part.payloads for part in parts),
         syndrome=tuple(part.syndrome for part in parts),
-        regenerated=tuple(part.regenerated for part in parts),
         qudit_total=sum(part.qudit_total for part in parts),
     )
 

@@ -110,9 +110,7 @@ def test_criterion_3_exact_repair():
             for _ in range(20):
                 stored = encode_file(params, random_symbols(params, rng))[0]
                 t = run_repair(params, stored, failed, helpers)
-                original = stored[failed - 1]
-                assert t.regenerated.row_m == original.row_m
-                assert t.regenerated.row_mp == original.row_mp
+                assert [list(r) for r in t.regenerated] == stored[failed - 1].tolist()
                 assert t.qudit_total == params.B // params.k == 4
 
         big = make_params(7, 4, 6, 17)
@@ -121,9 +119,7 @@ def test_criterion_3_exact_repair():
             helpers = [i for i in range(1, 8) if i != failed]
             stored = encode_file(big, random_symbols(big, rng))[0]
             t = run_repair(big, stored, failed, helpers)
-            original = stored[failed - 1]
-            assert t.regenerated.row_m == original.row_m
-            assert t.regenerated.row_mp == original.row_mp
+            assert [list(r) for r in t.regenerated] == stored[failed - 1].tolist()
             assert t.qudit_total == big.B // big.k == 6
 
 
@@ -135,10 +131,9 @@ def test_criterion_4_retrieval():
         assert len(subsets) == 20
         for _ in range(50):
             symbols = random_symbols(params, rng)
-            stored = encode_file(params, symbols)[0]
+            storage = encode_file(params, symbols)
             for subset in subsets:
-                got = retrieve_file(params, [[stored[i - 1] for i in subset]])
-                assert list(got) == symbols
+                assert list(retrieve_file(params, storage, subset)) == symbols
 
 
 def test_criterion_5_backend_equivalence():
@@ -179,7 +174,8 @@ def test_criterion_5_backend_equivalence():
                 from qregen.repair import helper_encode
 
                 payloads = [
-                    helper_encode(params, c, stored[s - 1]) for s in c.helpers
+                    helper_encode(params, c, s, stored[s - 1].tolist())
+                    for s in c.helpers
                 ]
                 err = PauliError.make(
                     13, [pl.y_x for pl in payloads], [pl.y_z for pl in payloads]
@@ -214,8 +210,7 @@ def test_criterion_6_extension():
                 t = run_repair_extended(ext, storage, failed, helpers)
                 assert t.qudit_total == 6
                 for sub, regen in zip(storage, t.regenerated):
-                    assert regen.row_m == sub[failed - 1].row_m
-                    assert regen.row_mp == sub[failed - 1].row_mp
+                    assert [list(r) for r in regen] == sub[failed - 1].tolist()
                 per_helper = {
                     h: sum(
                         1
@@ -253,27 +248,25 @@ def test_criterion_8_post_repair_health():
         for failed, helpers in all_repair_cases(6, 4):
             for _ in range(20):
                 symbols = random_symbols(params, rng)
-                stored = encode_file(params, symbols)[0]
-                t = run_repair(params, stored, failed, helpers)
-                refreshed = list(stored)
-                refreshed[failed - 1] = t.regenerated
+                refreshed = encode_file(params, symbols)
+                t = run_repair(params, refreshed[0], failed, helpers)
+                refreshed[0, failed - 1] = 0  # the lost node's rows are gone
+                refreshed[0, failed - 1] = t.regenerated
                 for subset in combinations(range(1, 7), 3):
                     if failed not in subset:
                         continue
-                    got = retrieve_file(params, [[refreshed[i - 1] for i in subset]])
-                    assert list(got) == symbols
+                    assert list(retrieve_file(params, refreshed, subset)) == symbols
 
         big = make_params(7, 4, 6, 17)
         for _ in range(100):
             failed = 1 + rng.below(7)
             helpers = [i for i in range(1, 8) if i != failed]
             symbols = random_symbols(big, rng)
-            stored = encode_file(big, symbols)[0]
-            t = run_repair(big, stored, failed, helpers)
-            refreshed = list(stored)
-            refreshed[failed - 1] = t.regenerated
+            refreshed = encode_file(big, symbols)
+            t = run_repair(big, refreshed[0], failed, helpers)
+            refreshed[0, failed - 1] = 0  # the lost node's rows are gone
+            refreshed[0, failed - 1] = t.regenerated
             for subset in combinations(range(1, 8), 4):
                 if failed not in subset:
                     continue
-                got = retrieve_file(big, [[refreshed[i - 1] for i in subset]])
-                assert list(got) == symbols
+                assert list(retrieve_file(big, refreshed, subset)) == symbols

@@ -12,6 +12,8 @@ import pytest
 
 from qregen import cli, errors, reference, tradeoff
 from qregen.cli import main
+from qregen.pmcode import encode_file, make_params, random_symbols
+from qregen.rng import SplitMix64
 
 
 def run_cli(capsys, *argv):
@@ -365,6 +367,14 @@ def test_empty_value_is_usage_error(stored_634, capsys, argv, flag):
     assert one_line_usage_error(*run_cli(capsys, *argv, flag, ""))
 
 
+@pytest.mark.parametrize("nodes", ["2,2,4", "0,2,4", "2,4,7", "2,4", "1,2,4,6", "2,x"])
+def test_retrieve_bad_nodes_is_usage_error(stored_634, capsys, nodes):
+    # a duplicate, an id below 1 or past n, too few, too many, not an int
+    argv = ["retrieve", "--in", stored_634["storage"], "--nodes"]
+    assert run_cli(capsys, *argv, "2,4,6")[0] == 0
+    assert one_line_usage_error(*run_cli(capsys, *argv, nodes))
+
+
 def test_parser_built_once_and_holds_no_state(stored_634, capsys):
     assert cli.build_parser() is cli.build_parser()
     repair = ["repair", *P634, "--failed", "2", "--helpers", "1,3,5,6"]
@@ -505,6 +515,22 @@ def test_malformed_storage_usage_error(tmp_path, capsys, command, case):
     assert one_line_usage_error(code, out, err)
 
 
+@pytest.mark.parametrize("n,k,d,p", [(6, 2, 3, 13), (12, 4, 8, 17), (6, 3, 4, 2**61 - 1)])
+def test_storage_round_trip(n, k, d, p):
+    # written and read back, the storage is encode_file's array again: object
+    # dtype with Python-int entries, never int64, which overflows at large p
+    params = make_params(n, k, d, p)
+    storage = encode_file(params, random_symbols(params, SplitMix64(n + k)))
+    text = cli._json_text(cli._storage_to_json(params, storage))
+    loaded_params, loaded = cli._storage_from_json(json.loads(text))
+    assert loaded_params == params
+    for st in (storage, loaded):
+        assert st.shape == (params.subfiles, n, 2, k - 1)
+        assert st.dtype == object
+        assert all(type(x) is int for x in st.ravel())
+    assert loaded.tolist() == storage.tolist()
+
+
 @pytest.mark.parametrize("message", [[True, False] * 6, [1.5] * 12, ["1"] * 12, {}])
 def test_encode_rejects_non_int_message(tmp_path, capsys, message):
     msg = tmp_path / "msg.json"
@@ -606,9 +632,9 @@ def break_retrieve(monkeypatch, nodes=(2, 4, 6), error=None):
     """cli.retrieve_file from ``nodes`` raises ``error`` or returns a wrong message."""
     real = cli.retrieve_file
 
-    def retrieve_file(params, shares):
-        symbols = real(params, shares)
-        if tuple(s.node_id for s in shares[0]) != nodes:
+    def retrieve_file(params, storage, ids):
+        symbols = real(params, storage, ids)
+        if tuple(ids) != nodes:
             return symbols
         if error is not None:
             raise error("injected")

@@ -101,6 +101,25 @@ def test_construction_identities():
             assert c.hx @ (diag(params.field, c.lam2) @ vt) == sel
 
 
+def test_build_makes_4m_field_inversions(monkeypatch):
+    # 1/lam1 = (lam_h - lam_f) / u reuses the inverses of u that u' takes:
+    # m each for u, lam_h - lam_f, lam2 and the Vandermonde inverse's weights
+    params = make_params(64, 20, 38, 67)
+    rng = SplitMix64(5)
+    calls = []
+    real = GF.inv
+
+    def counting(field, a):
+        calls.append(a)
+        return real(field, a)
+
+    monkeypatch.setattr(GF, "inv", counting)
+    for u in (None, [rng.unit(67) for _ in range(38)]):
+        calls.clear()
+        build_repair_css(params, 1, range(2, 40), u)
+        assert len(calls) == 4 * 38 == 152
+
+
 def test_dual_containment_exhaustive_with_random_u():
     params = make_params(6, 3, 4, 13)
     rng = SplitMix64(13)

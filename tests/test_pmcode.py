@@ -18,7 +18,6 @@ from qregen.errors import (
 from qregen.gf import GF
 from qregen.matrix import Mat, vandermonde_inv
 from qregen.pmcode import (
-    NodeStorage,
     _LeaveOneOut,
     encode_file,
     make_params,
@@ -31,7 +30,6 @@ from qregen.pmcode import (
 from qregen.rng import SplitMix64
 
 from linalg import dot
-from sampling import sample
 
 
 def test_make_params_reference_instance():
@@ -119,16 +117,16 @@ def test_encode_node1_reference_sums():
     u = list(range(1, 13))
     stored = encode_file(params, u)[0]
     s = [0] + u  # 1-based labels
-    assert stored[0].row_m == ((s[1] + s[2] + s[4] + s[5]) % 13,
-                               (s[2] + s[3] + s[5] + s[6]) % 13)
-    assert stored[0].row_mp == ((s[7] + s[8] + s[10] + s[11]) % 13,
-                                (s[8] + s[9] + s[11] + s[12]) % 13)
+    row_m, row_mp = stored[0].tolist()
+    assert row_m == [(s[1] + s[2] + s[4] + s[5]) % 13, (s[2] + s[3] + s[5] + s[6]) % 13]
+    assert row_mp == [(s[7] + s[8] + s[10] + s[11]) % 13,
+                      (s[8] + s[9] + s[11] + s[12]) % 13]
 
 
 def test_encode_zero_message():
     params = make_params(6, 3, 4, 13)
     stored = encode_file(params, [0] * 12)[0]
-    assert all(not any(s.row_m) and not any(s.row_mp) for s in stored)
+    assert stored.shape == (6, 2, 2) and not stored.any()
 
 
 def test_encode_matches_two_term_decomposition():
@@ -145,11 +143,11 @@ def test_encode_matches_two_term_decomposition():
                 for i in range(1, 7):
                     vbar = params.point_powers(i)
                     lam = params.lam[i - 1]
-                    for row, pair in ((sub[i - 1].row_m, m), (sub[i - 1].row_mp, mp)):
-                        expect = tuple(  # column j of S is row j of S^T
+                    for row, pair in zip(sub[i - 1].tolist(), (m, mp)):
+                        expect = [  # column j of S is row j of S^T
                             (dot(field, vbar, a) + lam * dot(field, vbar, b)) % 13
                             for a, b in zip(pair[:a0].T.tolist(), pair[a0:].T.tolist())
-                        )
+                        ]
                         assert row == expect
 
 
@@ -162,16 +160,14 @@ def test_encode_linearity():
     enc_a = encode_file(params, a)[0]
     enc_b = encode_file(params, b)[0]
     enc_sum = encode_file(params, summed)[0]
-    for sa, sb, ss in zip(enc_a, enc_b, enc_sum):
-        assert ss.row_m == tuple((x + y) % 13 for x, y in zip(sa.row_m, sb.row_m))
-        assert ss.row_mp == tuple((x + y) % 13 for x, y in zip(sa.row_mp, sb.row_mp))
+    assert enc_sum.tolist() == ((enc_a + enc_b) % 13).tolist()
 
 
 def test_storage_size_matches_point():
     for n, k, d, p in ((6, 3, 4, 13), (7, 4, 6, 17), (4, 2, 2, 7)):
         params = make_params(n, k, d, p)
         stored = encode_file(params, [1] * params.B)[0]
-        assert all(len(s.row_m) + len(s.row_mp) == 2 * (k - 1) for s in stored)
+        assert stored.shape == (n, 2, k - 1)  # 2(k-1) dits per node
         assert params.B == params.k * params.alpha
 
 
@@ -184,20 +180,17 @@ def test_retrieve_exhaustive_subsets(n, k, d, p, trials=50):
     rng = SplitMix64(n * 1000 + p)
     for _ in range(trials):
         symbols = random_symbols(params, rng)
-        stored = encode_file(params, symbols)[0]
+        storage = encode_file(params, symbols)
         for subset in combinations(range(1, n + 1), k):
-            got = retrieve_file(params, [[stored[i - 1] for i in subset]])
-            assert list(got) == symbols
+            assert list(retrieve_file(params, storage, subset)) == symbols
 
 
 def test_retrieve_zero_shares():
     params = make_params(6, 3, 4, 13)
-    stored = encode_file(params, [0] * 12)[0]
-    rows = np.array(
-        [[s.row_m for s in stored[:3]], [s.row_mp for s in stored[:3]]], dtype=object
-    )
+    storage = encode_file(params, [0] * 12)
+    rows = storage[0, :3].swapaxes(0, 1)  # (2, k, a0): rows of M, then of M'
     assert not retrieve(params, (1, 2, 3), rows).any()  # all four S matrices
-    assert retrieve_file(params, [stored[:3]]) == (0,) * 12
+    assert retrieve_file(params, storage, (1, 2, 3)) == (0,) * 12
 
 
 def test_retrieve_recovers_symmetric_matrices():
@@ -206,10 +199,7 @@ def test_retrieve_recovers_symmetric_matrices():
     symbols = random_symbols(params, rng)
     stored = encode_file(params, symbols)[0]
     ids = (1, 3, 5, 7)
-    rows = np.array(
-        [[stored[i - 1].row_m for i in ids], [stored[i - 1].row_mp for i in ids]],
-        dtype=object,
-    )
+    rows = stored[[i - 1 for i in ids]].swapaxes(0, 1)
     got = retrieve(params, ids, rows)  # [S1; S2] and [S1'; S2']
     assert got.shape == (2, 6, 3)
     for m in got.reshape(4, 3, 3):
@@ -219,13 +209,10 @@ def test_retrieve_recovers_symmetric_matrices():
 
 def test_retrieve_share_set_validation():
     params = make_params(6, 3, 4, 13)
-    stored = encode_file(params, [1] * 12)[0]
-    with pytest.raises(BadShareSet):
-        retrieve_file(params, [stored[:2]])
-    with pytest.raises(BadShareSet):
-        retrieve_file(params, [[stored[0], stored[0], stored[1]]])
-    with pytest.raises(BadShareSet):
-        retrieve_file(params, [stored[:4]])
+    storage = encode_file(params, [1] * 12)
+    for ids in ((1, 2), (1, 1, 2), (1, 2, 3, 4)):
+        with pytest.raises(BadShareSet):
+            retrieve_file(params, storage, ids)
 
 
 def test_retrieve_with_repeated_lambda():
@@ -234,12 +221,11 @@ def test_retrieve_with_repeated_lambda():
     relaxed = make_params(8, 3, 4, 13, allow_repeated_lambda=True)
     rng = SplitMix64(77)
     symbols = random_symbols(relaxed, rng)
-    stored = encode_file(relaxed, symbols)[0]
-    got = retrieve_file(relaxed, [[stored[0], stored[1], stored[2]]])
-    assert list(got) == symbols
+    storage = encode_file(relaxed, symbols)
+    assert list(retrieve_file(relaxed, storage, (1, 2, 3))) == symbols
     assert relaxed.lam[5] == relaxed.lam[6]
     with pytest.raises(Singular):
-        retrieve_file(relaxed, [[stored[5], stored[6], stored[0]]])
+        retrieve_file(relaxed, storage, (6, 7, 1))
 
 
 def test_file_layer_round_trip():
@@ -252,26 +238,12 @@ def test_file_layer_round_trip():
     assert len(msgs) == 3
     assert list(unpack_file(params, msgs)) == symbols
     storage = encode_file(params, symbols)
-    shares = [[sub[i] for i in (1, 4)] for sub in storage]
-    assert list(retrieve_file(params, shares)) == symbols
+    assert storage.shape == (3, 6, 2, 1)
+    assert list(retrieve_file(params, storage, (2, 5))) == symbols
     with pytest.raises(WrongLength):
         pack_file(params, symbols[:-1])
     with pytest.raises(BadShareSet):
-        retrieve_file(params, shares[:2])
-
-
-def test_retrieve_file_distinct_subsets_per_subfile():
-    # the decode plan is keyed on the ids, so sub-files read from different
-    # k-subsets (and repeated ones) must each decode with their own plan
-    params = make_params(12, 4, 8, 17)
-    rng = SplitMix64(19)
-    symbols = random_symbols(params, rng)
-    storage = encode_file(params, symbols)
-    subsets = [sample(rng, range(1, 13), 4) for _ in range(params.subfiles - 2)]
-    subsets += subsets[:2]
-    assert len({tuple(sorted(s)) for s in subsets}) > 1
-    shares = [[sub[i - 1] for i in ids] for sub, ids in zip(storage, subsets)]
-    assert list(retrieve_file(params, shares)) == symbols
+        retrieve_file(params, storage[:2], (2, 5))
 
 
 def test_retrieve_file_every_subset_at_12_4_8_17():
@@ -281,44 +253,34 @@ def test_retrieve_file_every_subset_at_12_4_8_17():
     subsets = list(combinations(range(1, 13), 4))
     assert len(subsets) == 495
     for ids in subsets:
-        shares = [[sub[i - 1] for i in ids] for sub in storage]
-        assert list(retrieve_file(params, shares)) == symbols
+        assert list(retrieve_file(params, storage, ids)) == symbols
 
 
-def test_retrieve_file_checks_every_subfile():
-    # a bad share set in any sub-file, not only the first, must be refused
+def test_retrieve_file_checks_id_set_and_shape():
+    # every sub-file is read from one id set: k distinct ids in [1, n], in
+    # any order, from storage of the code's shape
     params = make_params(6, 2, 3, 13)
     symbols = random_symbols(params, SplitMix64(21))
     storage = encode_file(params, symbols)
-    good = [[sub[0], sub[3]] for sub in storage]
-    assert list(retrieve_file(params, good)) == symbols
-    for t in (1, 2):
-        sub = storage[t]
-        bad_sets = (
-            [sub[0], NodeStorage(4, (), sub[3].row_mp)],  # short row
-            [sub[0], sub[0]],  # duplicate id
-            [sub[0], NodeStorage(7, sub[3].row_m, sub[3].row_mp)],  # id past n
-            [NodeStorage(0, sub[0].row_m, sub[0].row_mp), sub[3]],  # id below 1
-            [sub[0]],  # too few
-            [sub[0], sub[3], sub[4]],  # too many
-        )
-        for bad in bad_sets:
-            with pytest.raises(BadShareSet):
-                retrieve_file(params, good[:t] + [bad] + good[t + 1 :])
+    assert list(retrieve_file(params, storage, [4, 1])) == symbols
+    for ids in ([1, 1], [0, 4], [1, 7], [1], [1, 4, 5], []):
+        with pytest.raises(BadShareSet):
+            retrieve_file(params, storage, ids)
+    for bad in (storage[:, :5], storage[..., :0], storage[:, :, :1], storage[0]):
+        with pytest.raises(BadShareSet):
+            retrieve_file(params, bad, [1, 4])
 
-    # lam_6 = lam_7 here, so a share set holding both cannot decode
+    # lam_6 = lam_7 here, so a node set holding both cannot decode
     relaxed = make_params(8, 3, 5, 13, allow_repeated_lambda=True)
     assert relaxed.subfiles == 5 and relaxed.lam[5] == relaxed.lam[6]
     storage = encode_file(relaxed, random_symbols(relaxed, SplitMix64(22)))
-    shares = [[sub[0], sub[1], sub[2]] for sub in storage]
-    shares[2] = [storage[2][i] for i in (5, 6, 0)]
     with pytest.raises(Singular):
-        retrieve_file(relaxed, shares)
+        retrieve_file(relaxed, storage, (6, 7, 1))
 
 
 def test_file_layer_is_one_pass(monkeypatch):
     # encode builds V once and makes one product for all 28 sub-files;
-    # retrieve decodes once per distinct id set, not once per sub-file
+    # retrieve decodes every sub-file in one call
     params = make_params(12, 4, 8, 17)
     assert params.subfiles == 28
     symbols = random_symbols(params, SplitMix64(23))
@@ -341,17 +303,11 @@ def test_file_layer_is_one_pass(monkeypatch):
     storage = encode_file(params, symbols)
     assert calls == {"vandermonde": 1, "matmul": 1}
 
-    # one inverse per distinct id set: every leave-one-out solve and W^-T
+    # one inverse for the id set: every leave-one-out solve and W^-T
     # follow from it
     calls.clear()
-    shares = [[sub[i - 1] for i in (9, 3, 12, 5)] for sub in storage]
-    assert list(retrieve_file(params, shares)) == symbols
+    assert list(retrieve_file(params, storage, (9, 3, 12, 5))) == symbols
     assert (calls["retrieve"], calls["vandermonde_inv"]) == (1, 1)
-
-    calls.clear()
-    shares[7] = [storage[7][i - 1] for i in (1, 2, 3, 4)]
-    assert list(retrieve_file(params, shares)) == symbols
-    assert (calls["retrieve"], calls["vandermonde_inv"]) == (2, 2)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True,

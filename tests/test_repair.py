@@ -14,7 +14,6 @@ from qregen.errors import (
 )
 from qregen.matrix import Mat
 from qregen.pmcode import (
-    NodeStorage,
     encode_file,
     make_params,
     random_symbols,
@@ -31,6 +30,11 @@ from qregen.repair import (
 from qregen.rng import SplitMix64
 
 
+def node_rows(stored, node):
+    """Node ``node``'s (row_m, row_mp) in one sub-file's storage, as tuples."""
+    return tuple(map(tuple, stored[node - 1].tolist()))
+
+
 def reference_setup(seed=1):
     params = make_params(6, 3, 4, 13)
     rng = SplitMix64(seed)
@@ -44,10 +48,9 @@ def test_helper_encode_sparse_message_golden():
     # (1, 0) and (0, 0), so helper 2's payload is (lam1_2 * 1, 0) = (9, 0)
     params = make_params(6, 3, 4, 13)
     stored = encode_file(params, [1] + [0] * 11)[0]
-    assert stored[1].row_m == (1, 0)
-    assert stored[1].row_mp == (0, 0)
+    assert node_rows(stored, 2) == ((1, 0), (0, 0))
     c = build_repair_css(params, 1, (2, 4, 5, 6))
-    payload = helper_encode(params, c, stored[1])
+    payload = helper_encode(params, c, 2, stored[1].tolist())
     assert (payload.y_x, payload.y_z) == (9, 0)
     assert payload.to_json_dict()["quditsSent"] == 1
 
@@ -55,7 +58,7 @@ def test_helper_encode_sparse_message_golden():
 def test_helper_encode_zero_storage():
     params = make_params(6, 3, 4, 13)
     c = build_repair_css(params, 1, (2, 4, 5, 6))
-    payload = helper_encode(params, c, NodeStorage(4, (0, 0), (0, 0)))
+    payload = helper_encode(params, c, 4, [[0, 0], [0, 0]])
     assert (payload.y_x, payload.y_z) == (0, 0)
 
 
@@ -64,8 +67,8 @@ def test_helper_encode_scales_with_message():
     c = build_repair_css(params, 3, (1, 2, 5, 6))
     doubled = encode_file(params, [2 * s % 13 for s in symbols])[0]
     for s in c.helpers:
-        base = helper_encode(params, c, stored[s - 1])
-        scaled = helper_encode(params, c, doubled[s - 1])
+        base = helper_encode(params, c, s, stored[s - 1].tolist())
+        scaled = helper_encode(params, c, s, doubled[s - 1].tolist())
         assert scaled.y_x == 2 * base.y_x % 13
         assert scaled.y_z == 2 * base.y_z % 13
 
@@ -74,7 +77,7 @@ def test_helper_encode_rejects_non_helper():
     params, _, stored = reference_setup()
     c = build_repair_css(params, 1, (2, 4, 5, 6))
     with pytest.raises(NotAHelper):
-        helper_encode(params, c, stored[2])  # node 3 not a helper
+        helper_encode(params, c, 3, stored[2].tolist())  # node 3 not a helper
 
 
 def test_run_repair_exhaustive_reference_instance():
@@ -87,8 +90,7 @@ def test_run_repair_exhaustive_reference_instance():
             rest = [i for i in range(1, 7) if i != failed]
             for helpers in combinations(rest, 4):
                 t = run_repair(params, stored, failed, helpers)
-                assert t.regenerated.row_m == stored[failed - 1].row_m
-                assert t.regenerated.row_mp == stored[failed - 1].row_mp
+                assert t.regenerated == node_rows(stored, failed)
                 assert t.qudit_total == 4 == params.B // params.k
 
 
@@ -107,7 +109,8 @@ def test_run_repair_payload_locality():
     params, _, stored = reference_setup(5)
     t = run_repair(params, stored, 5, (1, 2, 3, 6))
     for payload in t.payloads:
-        solo = helper_encode(params, t.css, stored[payload.helper_id - 1])
+        node = payload.helper_id
+        solo = helper_encode(params, t.css, node, stored[node - 1].tolist())
         assert solo == payload
 
 
@@ -117,8 +120,9 @@ def test_run_repair_validation():
         run_repair(params, stored, 1, (1, 2, 3, 4))
     with pytest.raises(InvalidHelperSet):
         run_repair(params, stored, 1, (2, 3, 4))
-    with pytest.raises(InvalidHelperSet):
-        run_repair(params, stored[:5], 1, (2, 3, 4, 5))
+    for bad in (stored[:5], stored[:, :, :1], stored[None]):
+        with pytest.raises(InvalidHelperSet):
+            run_repair(params, bad, 1, (2, 3, 4, 5))
     with pytest.raises(ModeUnavailable):
         run_repair(params, stored, 1, (2, 3, 4, 5), mode="nope")
 
@@ -133,9 +137,8 @@ def test_run_repair_statevector_unavailable_when_too_big():
 
 def test_run_repair_detects_tampered_helper():
     params, _, stored = reference_setup(8)
-    tampered = list(stored)
-    bad = stored[3]
-    tampered[3] = NodeStorage(4, tuple((x + 1) % 13 for x in bad.row_m), bad.row_mp)
+    tampered = stored.copy()
+    tampered[3, 0] = (tampered[3, 0] + 1) % 13  # node 4's row_m
     with pytest.raises(RegenerationMismatch):
         run_repair(params, tampered, 1, (2, 4, 5, 6))
 
@@ -146,13 +149,13 @@ def test_repaired_node_reenters_retrieval():
         rest = [i for i in range(1, 7) if i != failed]
         for helpers in combinations(rest, 4):
             t = run_repair(params, stored, failed, helpers)
-            refreshed = list(stored)
-            refreshed[failed - 1] = t.regenerated
+            refreshed = stored[None].copy()
+            refreshed[0, failed - 1] = 0  # the lost node's rows are gone
+            refreshed[0, failed - 1] = t.regenerated
             for subset in combinations(range(1, 7), 3):
                 if failed not in subset:
                     continue
-                got = retrieve_file(params, [[refreshed[i - 1] for i in subset]])
-                assert list(got) == symbols
+                assert list(retrieve_file(params, refreshed, subset)) == symbols
 
 
 def test_plan_subfiles_counts():
@@ -185,14 +188,13 @@ def test_run_repair_extended_exhaustive():
                 assert t.qudit_total == 6 == ext.B // ext.k
                 assert len(t.regenerated) == 3
                 for sub, regen in zip(storage, t.regenerated):
-                    assert regen.row_m == sub[failed - 1].row_m
-                    assert regen.row_mp == sub[failed - 1].row_mp
+                    assert regen == node_rows(sub, failed)
 
 
 def test_run_repair_extended_reduces_to_base():
     params, _, stored = reference_setup(11)
     direct = run_repair(params, stored, 1, (2, 4, 5, 6))
-    via_ext = run_repair_extended(params, [stored], 1, (2, 4, 5, 6))
+    via_ext = run_repair_extended(params, stored[None], 1, (2, 4, 5, 6))
     assert via_ext == direct
 
 

@@ -91,16 +91,16 @@ def test_repair_error_syndrome_reads_failed_node_rows():
             matvec(Mat.from_array(field, pair), vbar)
             for pair in pack_file(params, symbols)[0]
         )
-        x = [field.mul(c.lam1[j], dot(field, stored[s - 1].row_m, vbar))
+        x = [field.mul(c.lam1[j], dot(field, stored[s - 1, 0].tolist(), vbar))
              for j, s in enumerate(c.helpers)]
-        z = [field.mul(c.lam2[j], dot(field, stored[s - 1].row_mp, vbar))
+        z = [field.mul(c.lam2[j], dot(field, stored[s - 1, 1].tolist(), vbar))
              for j, s in enumerate(c.helpers)]
         syn = syndrome_linear(group, PauliError.make(13, x, z))
         lam_f = params.lam[0]
         expect_x = tuple((a + lam_f * b) % 13 for a, b in zip(m_v[:2], m_v[2:]))
         expect_z = tuple((a + lam_f * b) % 13 for a, b in zip(mp_v[:2], mp_v[2:]))
-        assert syn.s_x == expect_x == stored[0].row_m
-        assert syn.s_z == expect_z == stored[0].row_mp
+        assert syn.s_x == expect_x == tuple(stored[0, 0].tolist())
+        assert syn.s_z == expect_z == tuple(stored[0, 1].tolist())
 
 
 @pytest.mark.parametrize("p", [3, 5, 13])
