@@ -381,7 +381,7 @@ def cmd_selftest(args) -> int:
 
 def _parse_ids(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part.strip()]
+        return [int(part) for part in text.split(",")]  # int("") fails: no blank ids
     except ValueError:
         raise errors.InvalidParams(f"expected comma-separated ids, got {text!r}") from None
 

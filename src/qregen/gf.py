@@ -7,6 +7,8 @@ are exact for any supported p (no overflow to worry about).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from .errors import DivisionByZero
 
 
@@ -69,6 +71,21 @@ class GF:
         if a == 0:
             raise DivisionByZero("0 has no multiplicative inverse")
         return pow(a, self.p - 2, self.p)
+
+    def inv_all(self, values: Sequence[int]) -> list[int]:
+        """The inverse of every value with one ``inv``: prefix products, the
+        inverse of their total, then back-substitution. A zero raises
+        DivisionByZero."""
+        p = self.p
+        prefix = [1]
+        for v in values:
+            prefix.append(prefix[-1] * v % p)
+        acc = self.inv(prefix[-1])  # 1 / (v_0 ... v_last)
+        out = [0] * len(values)
+        for i in range(len(values) - 1, -1, -1):
+            out[i] = acc * prefix[i] % p  # 1 / v_i
+            acc = acc * values[i] % p  # now 1 / (v_0 ... v_(i-1))
+        return out
 
     def pow(self, a: int, e: int) -> int:
         """a**e mod p for e >= 0, with 0**0 == 1."""

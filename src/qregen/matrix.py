@@ -1,17 +1,24 @@
 """Dense exact linear algebra over GF(p).
 
 A ``Mat`` holds its entries in one 2-D numpy array of ``dtype=object``
-whose items are Python ints in [0, p), tied to a GF instance. numpy runs
-the loops, Python ints do the arithmetic, so every product and sum is exact
-at any prime: nothing can overflow. Every matrix the codes invert is a
-square Vandermonde matrix, so the hot paths use ``vandermonde_inv``, an
-O(m^2) closed form, instead of the cubic Gauss-Jordan ``Mat.inv``, which
-stays as the general reference. Retrieval calls it once per node set: the
-inverse on any k-1 of k points is a rank-one correction of the inverse on
-all k (``pmcode._LeaveOneOut``). ``vandermonde`` builds each row of powers
-by a running product, one multiplication per entry. Pivot selection
-always takes the first nonzero entry in column order, which keeps
-eliminations (and everything built on them) deterministic.
+whose items are Python ints in [0, p), tied to a GF instance. Every matrix
+product in the package, of ``Mat``s or of raw object arrays, goes through
+``matmul_mod``, the one exact GF(p) product kernel. Its operands, integers
+in (-p, p) as every reduced array and its negation are, and its result are
+object arrays of Python ints; int64 lives only inside it. With K the inner
+dimension, each entry of the product is then a sum of K terms of absolute
+value at most (p - 1)^2. So when K (p - 1)^2 < 2^63 the kernel multiplies
+in int64, where no partial sum can overflow; otherwise it multiplies the
+Python ints themselves. Either way the result is exact, and which path
+runs follows from (p, K) alone. Every matrix the codes invert is a square
+Vandermonde matrix, so the hot paths use ``vandermonde_inv``, an O(m^2)
+closed form, instead of the cubic Gauss-Jordan ``Mat.inv``, which stays as
+the general reference. Retrieval calls it once per node set: the inverse
+on any k-1 of k points is a rank-one correction of the inverse on all k
+(``pmcode._LeaveOneOut``). ``vandermonde`` builds each row of powers by a
+running product, one multiplication per entry. Pivot selection always
+takes the first nonzero entry in column order, which keeps eliminations
+(and everything built on them) deterministic.
 """
 
 from __future__ import annotations
@@ -23,6 +30,21 @@ import numpy as np
 
 from .errors import DimensionMismatch, RepeatedPoint, Singular
 from .gf import GF
+
+_INT64_LIMIT = 1 << 63
+
+
+def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """``(a @ b) % p`` exactly, as an object array of Python ints in [0, p).
+
+    ``a`` and ``b`` hold integers in (-p, p) and broadcast as in
+    ``np.matmul``. When K (p - 1)^2 < 2^63, K being the inner dimension,
+    no partial sum can leave int64, so the product runs in int64;
+    otherwise it runs on the Python ints.
+    """
+    if a.shape[-1] * (p - 1) ** 2 < _INT64_LIMIT:
+        return (a.astype(np.int64) @ b.astype(np.int64) % p).astype(object)
+    return a @ b % p
 
 
 class Mat:
@@ -98,7 +120,10 @@ class Mat:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        return Mat.from_array(self.field, self.data @ other.data)
+        out = Mat.__new__(Mat)
+        out.field = self.field
+        out.data = matmul_mod(self.data, other.data, self.field.p)
+        return out
 
     def is_zero(self) -> bool:
         return not self.data.any()

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from math import comb, prod
 from collections.abc import Sequence
 
@@ -29,7 +30,7 @@ import numpy as np
 
 from .errors import BadShareSet, InvalidParams, NoValidPoints, Singular, WrongLength
 from .gf import GF
-from .matrix import Mat, vandermonde, vandermonde_inv
+from .matrix import Mat, matmul_mod, vandermonde, vandermonde_inv
 from .rng import SplitMix64
 
 
@@ -215,8 +216,9 @@ class _LeaveOneOut:
         a0 = len(self.top)
         g = vals[..., :a0].copy()
         g[..., range(a0), range(a0)] = 0
-        s = (self.w @ g) * self.w_recip[:a0] % self.p  # sum_i (w_i / w_j) g_ij
-        return (self.top @ g - self.top[:, :a0] * s[..., None, :]) % self.p
+        p = self.p
+        s = matmul_mod(self.w, g, p) * self.w_recip[:a0] % p  # sum_i (w_i / w_j) g_ij
+        return (matmul_mod(self.top, g, p) - self.top[:, :a0] * s[..., None, :]) % p
 
 
 @dataclass(frozen=True)
@@ -237,16 +239,15 @@ def _decode_plan(params: SystemParams, ids: list[int]) -> _DecodePlan:
     if len(set(lam)) != len(lam):
         raise Singular(f"repeated lam among nodes {ids}")
     a0 = params.alpha0
-    upper = np.array(  # 1 / (lam_a - lam_b) above the diagonal
-        [[field.inv(lam[a] - lam[b]) if a < b else 0 for b in range(a0 + 1)]
-         for a in range(a0 + 1)],
-        dtype=object,
-    )
+    pairs = list(combinations(range(a0 + 1), 2))  # (a, b) with a < b
+    diff_inv = [[0] * (a0 + 1) for _ in range(a0 + 1)]
+    for (a, b), inv in zip(pairs, field.inv_all([lam[a] - lam[b] for a, b in pairs])):
+        diff_inv[a][b], diff_inv[b][a] = inv, field.p - inv  # and 1 / (lam_b - lam_a)
     loo = _LeaveOneOut.of(field, pts)
     return _DecodePlan(
         phibar_t=vandermonde(field, pts, a0).data.T,
         lam=np.array(lam, dtype=object)[:, None],
-        diff_inv=upper - upper.T,  # 1 / (lam_b - lam_a) = -1 / (lam_a - lam_b)
+        diff_inv=np.array(diff_inv, dtype=object),
         loo=loo,
         w_t_inv=loo.inverse(a0).T,
     )
@@ -255,9 +256,10 @@ def _decode_plan(params: SystemParams, ids: list[int]) -> _DecodePlan:
 def retrieve(params: SystemParams, ids: Sequence[int], rows: np.ndarray) -> np.ndarray:
     """Recover [S1; S2] of every instance read from the nodes ``ids``.
 
-    ``rows`` is an object array (..., k, a0) of stacked instances, each the
-    k collected rows vbar^T S1 + lam vbar^T S2 in the order of ``ids``; the
-    result is the (..., 2a0, a0) array of their [S1; S2].
+    ``rows`` is an object array (..., k, a0) of field elements in [0, p):
+    stacked instances, each the k collected rows vbar^T S1 + lam vbar^T S2
+    in the order of ``ids``. The result is the (..., 2a0, a0) array of
+    their [S1; S2].
 
     With P = C_DC Phibar^T, entry P[a,b] = theta_ab + lam_a * psi_ab where
     theta_ab = vbar_a^T S1 vbar_b and psi_ab = vbar_a^T S2 vbar_b. Symmetry
@@ -285,12 +287,13 @@ def retrieve(params: SystemParams, ids: Sequence[int], rows: np.ndarray) -> np.n
     """
     plan = _decode_plan(params, list(ids))
     p = params.p
-    big_p = rows @ plan.phibar_t % p
+    big_p = matmul_mod(rows, plan.phibar_t, p)
     big_p_t = big_p.swapaxes(-1, -2)
     psi = (big_p - big_p_t) * plan.diff_inv % p  # symmetric, 0 on the diagonal
     theta = (big_p - plan.lam * psi) % p  # symmetric off the diagonal
     return np.concatenate(
-        [plan.loo.solve(vals) @ plan.w_t_inv % p for vals in (theta, psi)], axis=-2
+        [matmul_mod(plan.loo.solve(vals), plan.w_t_inv, p) for vals in (theta, psi)],
+        axis=-2,
     )
 
 

@@ -40,7 +40,7 @@ from .errors import (
     TooLarge,
     ZeroProjection,
 )
-from .matrix import Mat
+from .matrix import Mat, matmul_mod
 
 STATE_LIMIT = 1 << 20
 RESIDUAL_TOL = 1e-6
@@ -107,8 +107,8 @@ def syndrome_linear(group: StabGroup, err: PauliError) -> Syndrome:
     _check_error(group, err)
     x, z = np.array(err.x, dtype=object), np.array(err.z, dtype=object)
     return Syndrome(
-        s_x=tuple((group.z_type.data @ x % group.p).tolist()),
-        s_z=tuple((group.x_type.data @ z % group.p).tolist()),
+        s_x=tuple(matmul_mod(group.z_type.data, x, group.p).tolist()),
+        s_z=tuple(matmul_mod(group.x_type.data, z, group.p).tolist()),
     )
 
 
@@ -121,7 +121,8 @@ def syndrome_symplectic(group: StabGroup, err: PauliError) -> Syndrome:
     gens[:r, n:] = group.z_type.data
     gens[r:, :n] = group.x_type.data
     x, z = np.array(err.x, dtype=object), np.array(err.z, dtype=object)
-    phase = gens @ np.concatenate([-z, x]) % group.p  # <(a|b), (x|z)> = b.x - a.z
+    # <(a|b), (x|z)> = b.x - a.z for every generator (a | b)
+    phase = matmul_mod(gens, np.concatenate([-z, x]), group.p)
     return Syndrome(
         s_x=tuple(phase[:r].tolist()), s_z=tuple((-phase[r:] % group.p).tolist())
     )

@@ -375,6 +375,20 @@ def test_retrieve_bad_nodes_is_usage_error(stored_634, capsys, nodes):
     assert one_line_usage_error(*run_cli(capsys, *argv, nodes))
 
 
+BLANK_IDS = ["2,,4,6", "2,4,6,", ",2,4,6", "2, ,4,6", ","]
+
+
+@pytest.mark.parametrize("ids", BLANK_IDS)
+def test_blank_id_is_usage_error(stored_634, capsys, ids):
+    # a blank id, a trailing comma included, is malformed, not skipped;
+    # whitespace around an id is allowed
+    retrieve = ["retrieve", "--in", stored_634["storage"], "--nodes"]
+    repair = ["repair", "--in", stored_634["storage"], "--failed", "1", "--helpers"]
+    for argv, good in ((retrieve, " 2, 4 ,6 "), (repair, "2, 4,5 ,6")):
+        assert run_cli(capsys, *argv, good)[0] == 0
+        assert one_line_usage_error(*run_cli(capsys, *argv, ids))
+
+
 def test_parser_built_once_and_holds_no_state(stored_634, capsys):
     assert cli.build_parser() is cli.build_parser()
     repair = ["repair", *P634, "--failed", "2", "--helpers", "1,3,5,6"]

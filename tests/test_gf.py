@@ -74,6 +74,17 @@ def test_inverse_exhaustive(p):
         assert f.mul(a, f.inv(a)) == 1
 
 
+@pytest.mark.parametrize("p", [2, 13, 257, 2**61 - 1])
+def test_inv_all_matches_inv(p):
+    f = GF(p)
+    rng = SplitMix64(p)
+    values = [rng.below(p - 1) + 1 - p * rng.below(3) for _ in range(40)]
+    assert f.inv_all(values) == [f.inv(v) for v in values]
+    assert f.inv_all([]) == []
+    with pytest.raises(DivisionByZero):
+        f.inv_all([*values[:3], p, *values[3:]])
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 101, 257])
 def test_fermat_exhaustive(p):
     f = GF(p)

@@ -1,12 +1,22 @@
 """Exact linear algebra: golden matrices and re-multiplication properties."""
 
+from functools import cache
+from math import isqrt
+
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qregen.errors import DimensionMismatch, RepeatedPoint, Singular
-from qregen.gf import GF
-from qregen.matrix import Mat, grs_dual_weights, vandermonde, vandermonde_inv
+from qregen.gf import GF, is_prime
+from qregen.matrix import (
+    Mat,
+    grs_dual_weights,
+    matmul_mod,
+    vandermonde,
+    vandermonde_inv,
+)
 from qregen.rng import SplitMix64
 
 from linalg import (
@@ -217,6 +227,70 @@ def test_kernel_matches_the_loops(case):
     for m in (product, at):
         assert all(type(x) is int for x in m.data.flat)
         assert all(type(x) is int for row in m.to_rows() for x in row)
+
+
+@cache
+def int64_bound_primes(inner):
+    """The largest prime p with inner (p - 1)^2 < 2^63, and the next prime."""
+    top = isqrt(((1 << 63) - 1) // inner) + 1  # the largest p - 1 the bound allows
+    below = next(q for q in range(top, 1, -1) if is_prime(q))
+    above = next(q for q in range(top + 1, 2 * top) if is_prime(q))
+    assert inner * (below - 1) ** 2 < 1 << 63 <= inner * (above - 1) ** 2
+    return below, above
+
+
+def object_array(values, shape):
+    out = np.empty(len(values), dtype=object)  # Python ints, never numpy's
+    out[:] = values
+    return out.reshape(shape)
+
+
+@st.composite
+def mod_products(draw):
+    """(a, b, p): a batched (..., rows, K) and b (K,) or (K, cols), entries in
+    (-p, p), p on either side of the int64 bound for K."""
+    inner = draw(st.integers(1, 6))
+    p = draw(st.sampled_from([13, 67, *int64_bound_primes(inner), 2**61 - 1]))
+    a_shape = (*draw(st.lists(st.integers(1, 3), max_size=2)),
+               draw(st.integers(0, 4)), inner)
+    b_shape = draw(st.sampled_from([(inner,), (inner, draw(st.integers(0, 4)))]))
+    entries = st.integers(-(p - 1), p - 1)
+
+    def array(shape):
+        size = int(np.prod(shape))
+        values = draw(st.lists(entries, min_size=size, max_size=size))
+        return object_array(values, shape)
+
+    return array(a_shape), array(b_shape), p
+
+
+@settings(max_examples=200, deadline=None)
+@given(mod_products())
+def test_matmul_mod_matches_the_loops(case):
+    a, b, p = case
+    field = GF(p)
+    out = matmul_mod(a, b, p)
+    assert out.dtype == object
+    assert out.shape == a.shape[:-1] + b.shape[1:]
+    assert all(type(x) is int and 0 <= x < p for x in out.flat)
+    cols = b.shape[1] if b.ndim == 2 else 1
+    right = Mat.from_array(field, b.reshape(len(b), cols))
+    for index in np.ndindex(a.shape[:-2]):
+        want = matmul_ref(Mat.from_array(field, a[index]), right)
+        assert out[index].reshape(a.shape[-2], cols).tolist() == want
+
+
+def test_matmul_mod_overflow_witness():
+    # just past the bound, all entries p - 1: an int64 product wraps, and
+    # the kernel does not
+    inner = 4
+    p = int64_bound_primes(inner)[1]
+    a = object_array([p - 1] * 2 * inner, (2, inner))
+    b = object_array([p - 1] * inner * 3, (inner, 3))
+    want = matmul_ref(Mat.from_array(GF(p), a), Mat.from_array(GF(p), b))
+    plain = a.astype(np.int64) @ b.astype(np.int64) % p
+    assert plain.tolist() != want
+    assert matmul_mod(a, b, p).tolist() == want
 
 
 def test_transpose():

@@ -19,6 +19,7 @@ from qregen.gf import GF
 from qregen.matrix import Mat, vandermonde_inv
 from qregen.pmcode import (
     _LeaveOneOut,
+    _decode_plan,
     encode_file,
     make_params,
     pack_file,
@@ -335,3 +336,33 @@ def test_leave_one_out_matches_direct_inverses(data):
         if j < k - 1:
             solved = direct @ np.delete(vals[:, j], j) % p
             assert cols[:, j].tolist() == solved.tolist()
+
+
+def test_retrieve_inverts_once_per_point_plus_one(monkeypatch):
+    # the GRS weights take one inversion per id; every 1 / (lam_a - lam_b)
+    # comes from one batched inversion
+    params = make_params(64, 20, 38, 67)
+    symbols = random_symbols(params, SplitMix64(9))
+    storage = encode_file(params, symbols)
+    calls = Counter()
+    real_inv = GF.inv
+
+    def inv(self, a):
+        calls["inv"] += 1
+        return real_inv(self, a)
+
+    monkeypatch.setattr(GF, "inv", inv)
+    ids = list(range(3, 64, 3))[: params.k]
+    assert list(retrieve_file(params, storage, ids)) == symbols
+    assert 1 <= calls["inv"] <= params.k + 1
+
+
+@pytest.mark.parametrize("n, k, d, p", [(6, 3, 4, 13), (64, 20, 38, 67)])
+def test_decode_plan_differences_match_pairwise_inverses(n, k, d, p):
+    params = make_params(n, k, d, p)
+    field = params.field
+    ids = list(range(n - k + 1, n + 1))
+    lam = [params.lam[i - 1] for i in ids]
+    pairwise = [[field.inv(la - lb) if a != b else 0 for b, lb in enumerate(lam)]
+                for a, la in enumerate(lam)]
+    assert _decode_plan(params, ids).diff_inv.tolist() == pairwise
