@@ -27,7 +27,6 @@ from .repair import (
     helper_encode,
     plan_subfiles,
     run_repair,
-    run_repair_extended,
 )
 from .rng import SplitMix64
 from .stabilizer import (
@@ -80,7 +79,6 @@ __all__ = [
     "retrieve",
     "retrieve_file",
     "run_repair",
-    "run_repair_extended",
     "syndrome_linear",
     "syndrome_statevector",
     "syndrome_symplectic",

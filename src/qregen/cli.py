@@ -17,7 +17,7 @@ from math import comb
 
 import numpy as np
 
-from . import errors, tradeoff
+from . import errors, repair, tradeoff
 from .pmcode import (
     SystemParams,
     encode_file,
@@ -26,10 +26,10 @@ from .pmcode import (
     retrieve_file,
 )
 from .reference import replay
-from .repair import MODES, run_repair, run_repair_extended, plan_subfiles
+from .repair import MODES, plan_subfiles
 from .rng import SplitMix64
 
-SWEEP_LIMIT = 10**6  # sub-file repairs plus retrievals in one check pass
+SWEEP_LIMIT = 10**6  # node sub-files stored; sub-file repairs plus retrievals per pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,10 +80,25 @@ def _indented(obj, nl: str) -> str:
     return json.dumps(obj, indent=2).replace("\n", nl)
 
 
+def _check_size(n: int, k: int, d: int) -> None:
+    """Refuse, before make_params, storage of over SWEEP_LIMIT node sub-files."""
+    m = 2 * k - 2
+    # T = C(d, m) >= d once m < d, so n * d rules out a huge T before comb
+    # runs; make_params rejects anything outside 2 <= m <= d < n at once
+    if 2 <= m <= d < n and (
+        m < d and n * d > SWEEP_LIMIT or n * comb(d, m) > SWEEP_LIMIT
+    ):
+        raise errors.InvalidParams(
+            f"({n},{k},{d}) stores n * C(d, 2k-2) node sub-files, over the "
+            f"limit of {SWEEP_LIMIT}"
+        )
+
+
 def _params_from_args(args) -> SystemParams:
     for name in ("n", "k", "d", "prime"):
         if getattr(args, name, None) is None:
             raise errors.InvalidParams(f"--{name} is required for this command")
+    _check_size(args.n, args.k, args.d)
     return make_params(args.n, args.k, args.d, args.prime)
 
 
@@ -129,6 +144,7 @@ def _storage_from_json(doc) -> tuple[SystemParams, np.ndarray]:
         isinstance(sub, list) and len(sub) == n for sub in subfiles
     )):  # before make_params, whose work grows with n
         raise errors.BadShareSet(f"storage sub-files must each list {n} nodes")
+    _check_size(*dims[:3])
     params = make_params(*dims, points)
     if len(subfiles) != params.subfiles:
         raise errors.BadShareSet(f"storage file needs {params.subfiles} sub-files")
@@ -211,7 +227,8 @@ def cmd_repair(args) -> int:
         rng = SplitMix64(1 if args.seed is None else args.seed)
         storage = encode_file(params, random_symbols(params, rng))
     helpers = _parse_ids(args.helpers)
-    transcript = run_repair_extended(
+    # looked up at call time, so that a wrapper on qregen.repair.run_repair sees it
+    transcript = repair.run_repair(
         params, storage, args.failed, helpers, mode=args.mode
     )
     _write_out(_json_text(transcript.to_json_dict()), args.out)
@@ -231,7 +248,7 @@ def _attempt(failures: list, record: tuple, call, *args):
 
 def _check_pass(params: SystemParams, rng: SplitMix64, modes, trial: int = 0):
     """Encode one random message, repair every failed node from every d-helper
-    set in each of ``modes`` (random u if one sub-file), retrieve from every
+    set in each of ``modes`` (one random u per case), retrieve from every
     k-subset. Returns (repairs, retrievals, qudit totals seen, failures); a
     failure is (trial, op/mode, case, error class), the class ``qudit-total``
     or ``wrong-message`` for a repair not moving B/k qudits or a bad retrieval.
@@ -247,21 +264,17 @@ def _check_pass(params: SystemParams, rng: SplitMix64, modes, trial: int = 0):
         )
     symbols = random_symbols(params, rng)
     storage = encode_file(params, symbols)
-    nodes, single = range(1, params.n + 1), params.subfiles == 1
+    nodes = range(1, params.n + 1)
     repairs, qudits, failures = 0, set(), []
     for failed in nodes:
         for helpers in combinations([i for i in nodes if i != failed], params.d):
-            u = [rng.unit(params.p) for _ in range(2 * params.k - 2)] if single else None
+            u = [rng.unit(params.p) for _ in range(2 * params.k - 2)]
             case = f"failed={failed} helpers={','.join(map(str, helpers))}"
             for mode in modes:
                 repairs += 1
                 record = (trial, f"repair/{mode}", case)
-                if single:
-                    t = _attempt(failures, record, run_repair,
-                                 params, storage[0], failed, helpers, u, mode)
-                else:
-                    t = _attempt(failures, record, run_repair_extended,
-                                 params, storage, failed, helpers, mode)
+                t = _attempt(failures, record, repair.run_repair,
+                             params, storage, failed, helpers, u, mode)
                 if t is not None:
                     qudits.add(t.qudit_total)
                     if t.qudit_total != params.B // params.k:
@@ -357,9 +370,9 @@ def cmd_selftest(args) -> int:
     params = make_params(6, 3, 4, 13)
     base = _check_pass(params, rng, ("linear", "symplectic"))[3]
     ext = _check_pass(make_params(6, 2, 3, 13), rng, ("linear",))[3]
-    stored = encode_file(params, random_symbols(params, rng))[0]
+    storage = encode_file(params, random_symbols(params, rng))
     _attempt(base, (0, "repair/statevector", "failed=1 helpers=2,4,5,6"),
-             run_repair, params, stored, 1, (2, 4, 5, 6), None, "statevector")
+             repair.run_repair, params, storage, 1, (2, 4, 5, 6), None, "statevector")
     _report(base + ext)
     ops = [{f[1].split("/")[0] for f in records} for records in (base, ext)]
     point = tradeoff.optimal_point(3, 4, 12)

@@ -12,13 +12,14 @@ from collections.abc import Sequence
 from .errors import DivisionByZero
 
 
-# Miller-Rabin bases 2..37: exact for every n < 3.18 * 10**23, which covers
-# all 64-bit n; the first composite passing them all is 318665857834031151167461.
+# Miller-Rabin bases 2..37: exact for every n below _MR_EXACT_BELOW, which
+# covers all 64-bit n; that bound is the first composite passing them all.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_EXACT_BELOW = 318665857834031151167461
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin over _MR_BASES; deterministic below 3.18 * 10**23."""
+    """Miller-Rabin over _MR_BASES; deterministic below _MR_EXACT_BELOW."""
     if n < 2:
         return False
     for b in _MR_BASES:
@@ -41,11 +42,17 @@ def is_prime(n: int) -> bool:
 
 
 class GF:
-    """The prime field of order p."""
+    """The prime field of order p, for p below _MR_EXACT_BELOW, where
+    ``is_prime`` is proven."""
 
     __slots__ = ("p",)
 
     def __init__(self, p: int):
+        if p >= _MR_EXACT_BELOW:
+            raise ValueError(
+                f"field order must be below {_MR_EXACT_BELOW}, where primality "
+                f"is proven; got {p}"
+            )
         if not is_prime(p):
             raise ValueError(f"field order must be prime, got {p}")
         self.p = p

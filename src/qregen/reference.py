@@ -72,10 +72,10 @@ def replay(seed: int = 1) -> list[dict]:
 
     rng = SplitMix64(seed)
     symbols = random_symbols(params, rng)
-    stored = encode_file(params, symbols)[0]
-    transcript = run_repair(params, stored, FAILED_NODE, HELPERS, mode="linear")
-    expected = stored[FAILED_NODE - 1].tolist()
-    got = [list(row) for row in transcript.regenerated]
+    storage = encode_file(params, symbols)
+    transcript = run_repair(params, storage, FAILED_NODE, HELPERS, mode="linear")
+    expected = storage[0, FAILED_NODE - 1].tolist()
+    got = [list(row) for row in transcript.regenerated[0]]
     report.append(
         {"name": "exact_regeneration", "pass": got == expected, "expected": expected,
          "got": got}

@@ -1,4 +1,4 @@
-"""Three-stage exact repair of a failed node, plus the d > 2k-2 extension.
+"""Three-stage exact repair of a failed node, across every sub-file.
 
 Stage 1 builds the repair-time CSS code for (failed node, helper set).
 Stage 2 has each helper compute, from its own storage only, the pair
@@ -8,19 +8,18 @@ Stage 3 measures the stabilizers: because HZ (L1 Vt) = HX (L2 Vt) =
 [I | lam_f I], the syndromes come out as sX = S1 vbar_f + lam_f S2 vbar_f
 and sZ = S1' vbar_f + lam_f S2' vbar_f, which after swapping the two
 blocks is exactly (row_m, row_mp) of the failed node. Every helper ships
-one qudit, so a single sub-scheme costs 2k-2 qudits total.
+one qudit, so one sub-file costs 2k-2 qudits.
 
-``run_repair`` takes one sub-file's (n, 2, a0) slice of ``encode_file``'s
-storage array and ``run_repair_extended`` the whole (T, n, 2, a0) array;
-``helper_encode`` sees only the two rows of its own node.
-
-For d > 2k-2 the file is C(d, 2k-2) independent sub-files; each one
-repairs through a distinct (2k-2)-subset of the d helpers (subsets in
-colexicographic order). A helper participates in exactly C(d-1, 2k-3)
-sub-schemes and sends one qudit in each, so the grand total is
-C(d, 2k-2) * (2k-2) = B/k qudits. Note the naive count of one qudit per
-helper per sub-file, d * C(d, 2k-2) in total, would overshoot B/k whenever
-d > 2k-2; only helpers inside a sub-file's subset transmit.
+``run_repair`` takes ``encode_file``'s whole (T, n, 2, a0) storage array
+and d helpers, and runs the three stages once per sub-file;
+``helper_encode`` sees only the two rows of its own node. The file is
+T = C(d, 2k-2) sub-files (one when d = 2k-2); each one repairs through a
+distinct (2k-2)-subset of the d helpers (subsets in colexicographic
+order). A helper participates in exactly C(d-1, 2k-3) sub-files and sends
+one qudit in each, so the grand total is C(d, 2k-2) * (2k-2) = B/k
+qudits. Note the naive count of one qudit per helper per sub-file,
+d * C(d, 2k-2) in total, would overshoot B/k whenever d > 2k-2; only
+helpers inside a sub-file's subset transmit.
 """
 
 from __future__ import annotations
@@ -68,57 +67,44 @@ class HelperPayload:
 
 @dataclass(frozen=True)
 class RepairTranscript:
-    """Full record of one repair.
-
-    For a single sub-scheme ``css``, ``payloads`` and ``syndrome`` are
-    scalar-shaped; for an extended repair each becomes a tuple with one
-    entry per sub-file, in sub-file order.
-    """
+    """Full record of one repair: ``css``, ``payloads`` and ``syndrome``
+    hold one entry per sub-file, in sub-file order."""
 
     failed_node: int
     helpers: tuple[int, ...]
     mode: str
-    css: RepairCSS | tuple[RepairCSS, ...]
-    payloads: tuple
-    syndrome: Syndrome | tuple[Syndrome, ...]
+    css: tuple[RepairCSS, ...]
+    payloads: tuple[tuple[HelperPayload, ...], ...]
+    syndrome: tuple[Syndrome, ...]
     qudit_total: int
 
     @property
-    def extended(self) -> bool:
-        return isinstance(self.css, tuple)
-
-    @property
     def regenerated(self) -> tuple:
-        """The failed node's rows (row_m, row_mp), which are the syndrome's
-        (s_x, s_z); for an extended repair, one such pair per sub-file."""
-        if self.extended:
-            return tuple((s.s_x, s.s_z) for s in self.syndrome)
-        return self.syndrome.s_x, self.syndrome.s_z
+        """The failed node's rows (row_m, row_mp) in each sub-file, which are
+        that sub-file's syndrome (s_x, s_z)."""
+        return tuple((s.s_x, s.s_z) for s in self.syndrome)
 
     def to_json_dict(self) -> dict:
-        if self.extended:
-            css = [c.to_json_dict() for c in self.css]
-            payloads = [[p.to_json_dict() for p in part] for part in self.payloads]
-            syndrome = [{"sX": list(s.s_x), "sZ": list(s.s_z)} for s in self.syndrome]
-            regenerated = [self._node_json(*rows) for rows in self.regenerated]
-        else:
-            css = self.css.to_json_dict()
-            payloads = [p.to_json_dict() for p in self.payloads]
-            syndrome = {"sX": list(self.syndrome.s_x), "sZ": list(self.syndrome.s_z)}
-            regenerated = self._node_json(*self.regenerated)
+        """The transcript as JSON; with one sub-file its four per-sub-file
+        fields hold that sub-file's entry itself, not a one-entry list."""
+        parts = {
+            "css": [c.to_json_dict() for c in self.css],
+            "payloads": [[p.to_json_dict() for p in part] for part in self.payloads],
+            "syndrome": [{"sX": list(s.s_x), "sZ": list(s.s_z)} for s in self.syndrome],
+            "regenerated": [
+                {"nodeId": self.failed_node, "rowM": list(m), "rowMp": list(mp)}
+                for m, mp in self.regenerated
+            ],
+        }
+        if len(self.css) == 1:
+            parts = {key: value[0] for key, value in parts.items()}
         return {
             "failedNode": self.failed_node,
             "helpers": list(self.helpers),
             "mode": self.mode,
-            "css": css,
-            "payloads": payloads,
-            "syndrome": syndrome,
-            "regenerated": regenerated,
+            **parts,
             "quditTotal": self.qudit_total,
         }
-
-    def _node_json(self, row_m, row_mp) -> dict:
-        return {"nodeId": self.failed_node, "rowM": list(row_m), "rowMp": list(row_mp)}
 
 
 @dataclass(frozen=True)
@@ -162,51 +148,6 @@ def _syndrome_backend(mode: str):
     return syndrome_linear if mode == "linear" else syndrome_symplectic
 
 
-def run_repair(
-    params: SystemParams,
-    storage_t: np.ndarray,
-    failed: int,
-    helpers: Sequence[int],
-    u: Sequence[int] | None = None,
-    mode: str = "linear",
-) -> RepairTranscript:
-    """Repair one sub-file's share of a failed node from 2k-2 helpers.
-
-    ``storage_t`` is one sub-file's (n, 2, a0) storage array, entry
-    [i - 1] node i's rows; it includes the failed node, whose rows are used
-    only to assert exactness of the regeneration.
-    """
-    backend = _syndrome_backend(mode)
-    repair_css = build_repair_css(params, failed, helpers, u)
-    shape = (params.n, 2, params.alpha0)
-    if storage_t.shape != shape:
-        raise InvalidHelperSet(f"need one sub-file's storage of shape {shape}")
-    rows = storage_t.tolist()  # plain ints: numpy object rows iterate slower
-    payloads = tuple(
-        helper_encode(params, repair_css, s, rows[s - 1]) for s in repair_css.helpers
-    )
-    err = PauliError.make(
-        params.p, [pl.y_x for pl in payloads], [pl.y_z for pl in payloads]
-    )
-    syndrome = backend(repair_css.group, err)
-    # measured block order is (sZ, sX); the final swap puts row_m first
-    regenerated = (syndrome.s_x, syndrome.s_z)
-    original = tuple(map(tuple, rows[failed - 1]))
-    if regenerated != original:
-        raise RegenerationMismatch(
-            f"node {failed} repaired to {regenerated}, stored {original}"
-        )
-    return RepairTranscript(
-        failed_node=failed,
-        helpers=repair_css.helpers,
-        mode=mode,
-        css=repair_css,
-        payloads=payloads,
-        syndrome=syndrome,
-        qudit_total=len(payloads),
-    )
-
-
 def _colex(subsets) -> list[tuple[int, ...]]:
     return sorted(subsets, key=lambda s: tuple(reversed(s)))
 
@@ -221,50 +162,64 @@ def plan_subfiles(params: SystemParams) -> SubfilePlan:
     )
 
 
-def run_repair_extended(
+def run_repair(
     params: SystemParams,
     storage: np.ndarray,
     failed: int,
     helpers: Sequence[int],
+    u: Sequence[int] | None = None,
     mode: str = "linear",
 ) -> RepairTranscript:
-    """Repair across all sub-files using d helpers.
+    """Regenerate every sub-file's share of a failed node from d helpers.
 
-    ``storage`` is ``encode_file``'s (T, n, 2, a0) array. Sub-file t repairs
-    through the t-th colex (2k-2)-subset of the sorted helper list. With
-    d = 2k-2 there is a single sub-file and the result is exactly
-    ``run_repair``'s transcript.
+    ``storage`` is ``encode_file``'s (T, n, 2, a0) array, entry [t, i - 1]
+    node i's rows in sub-file t; it includes the failed node, whose rows are
+    used only to assert exactness of the regeneration. Sub-file t repairs
+    through the t-th colex (2k-2)-subset of the sorted helpers, each with
+    the same free vector ``u``.
     """
-    if len(storage) != params.subfiles:
-        raise InvalidHelperSet(
-            f"need storage for {params.subfiles} sub-files, got {len(storage)}"
-        )
+    backend = _syndrome_backend(mode)
+    shape = (params.subfiles, params.n, 2, params.alpha0)
+    if storage.shape != shape:
+        raise InvalidHelperSet(f"need storage of shape {shape}")
     hs = tuple(sorted(helpers))
-    if len(hs) != params.d or len(set(hs)) != params.d:
-        raise InvalidHelperSet(f"need {params.d} distinct helpers")
-    if params.subfiles == 1:
-        return run_repair(params, storage[0], failed, hs, None, mode)
-
-    plan = plan_subfiles(params)
-    parts = [
-        run_repair(
-            params,
-            storage[t],
-            failed,
-            tuple(hs[i] for i in subset),
-            None,
-            mode,
+    if (
+        len(hs) != params.d
+        or len(set(hs)) != params.d
+        or failed in hs
+        or hs[0] < 1
+        or hs[-1] > params.n
+    ):
+        raise InvalidHelperSet(
+            f"need {params.d} distinct helpers in [1, {params.n}] "
+            f"excluding node {failed}"
         )
-        for t, subset in enumerate(plan.subsets)
-    ]
+    parts = []
+    for rows, subset in zip(storage.tolist(), plan_subfiles(params).subsets):
+        # plain ints from tolist: numpy object rows iterate slower
+        repair_css = build_repair_css(params, failed, [hs[i] for i in subset], u)
+        sent = tuple(
+            helper_encode(params, repair_css, s, rows[s - 1]) for s in repair_css.helpers
+        )
+        err = PauliError.make(params.p, [pl.y_x for pl in sent], [pl.y_z for pl in sent])
+        syndrome = backend(repair_css.group, err)
+        # measured block order is (sZ, sX); the final swap puts row_m first
+        regenerated = (syndrome.s_x, syndrome.s_z)
+        original = tuple(map(tuple, rows[failed - 1]))
+        if regenerated != original:
+            raise RegenerationMismatch(
+                f"node {failed} repaired to {regenerated}, stored {original}"
+            )
+        parts.append((repair_css, sent, syndrome))
+    css, payloads, syndromes = zip(*parts)
     return RepairTranscript(
         failed_node=failed,
         helpers=hs,
         mode=mode,
-        css=tuple(part.css for part in parts),
-        payloads=tuple(part.payloads for part in parts),
-        syndrome=tuple(part.syndrome for part in parts),
-        qudit_total=sum(part.qudit_total for part in parts),
+        css=css,
+        payloads=payloads,
+        syndrome=syndromes,
+        qudit_total=sum(map(len, payloads)),
     )
 
 

@@ -15,7 +15,7 @@ from math import comb
 from qregen.css import build_repair_css, check_dual_containment
 from qregen.pmcode import encode_file, make_params, random_symbols, retrieve_file
 from qregen.reference import GOLDEN, replay
-from qregen.repair import plan_subfiles, run_repair, run_repair_extended
+from qregen.repair import plan_subfiles, run_repair
 from qregen.rng import SplitMix64
 from qregen.stabilizer import (
     PauliError,
@@ -108,18 +108,18 @@ def test_criterion_3_exact_repair():
         rng = SplitMix64(30)
         for failed, helpers in all_repair_cases(6, 4):
             for _ in range(20):
-                stored = encode_file(params, random_symbols(params, rng))[0]
-                t = run_repair(params, stored, failed, helpers)
-                assert [list(r) for r in t.regenerated] == stored[failed - 1].tolist()
+                storage = encode_file(params, random_symbols(params, rng))
+                t = run_repair(params, storage, failed, helpers)
+                assert [list(r) for r in t.regenerated[0]] == storage[0, failed - 1].tolist()
                 assert t.qudit_total == params.B // params.k == 4
 
         big = make_params(7, 4, 6, 17)
         for _ in range(100):
             failed = 1 + rng.below(7)
             helpers = [i for i in range(1, 8) if i != failed]
-            stored = encode_file(big, random_symbols(big, rng))[0]
-            t = run_repair(big, stored, failed, helpers)
-            assert [list(r) for r in t.regenerated] == stored[failed - 1].tolist()
+            storage = encode_file(big, random_symbols(big, rng))
+            t = run_repair(big, storage, failed, helpers)
+            assert [list(r) for r in t.regenerated[0]] == storage[0, failed - 1].tolist()
             assert t.qudit_total == big.B // big.k == 6
 
 
@@ -207,7 +207,7 @@ def test_criterion_6_extension():
         for failed, helpers in all_repair_cases(6, 3):
             for _ in range(20):
                 storage = encode_file(ext, random_symbols(ext, rng))
-                t = run_repair_extended(ext, storage, failed, helpers)
+                t = run_repair(ext, storage, failed, helpers)
                 assert t.qudit_total == 6
                 for sub, regen in zip(storage, t.regenerated):
                     assert [list(r) for r in regen] == sub[failed - 1].tolist()
@@ -249,9 +249,9 @@ def test_criterion_8_post_repair_health():
             for _ in range(20):
                 symbols = random_symbols(params, rng)
                 refreshed = encode_file(params, symbols)
-                t = run_repair(params, refreshed[0], failed, helpers)
-                refreshed[0, failed - 1] = 0  # the lost node's rows are gone
-                refreshed[0, failed - 1] = t.regenerated
+                t = run_repair(params, refreshed, failed, helpers)
+                refreshed[:, failed - 1] = 0  # the lost node's rows are gone
+                refreshed[:, failed - 1] = t.regenerated
                 for subset in combinations(range(1, 7), 3):
                     if failed not in subset:
                         continue
@@ -263,9 +263,9 @@ def test_criterion_8_post_repair_health():
             helpers = [i for i in range(1, 8) if i != failed]
             symbols = random_symbols(big, rng)
             refreshed = encode_file(big, symbols)
-            t = run_repair(big, refreshed[0], failed, helpers)
-            refreshed[0, failed - 1] = 0  # the lost node's rows are gone
-            refreshed[0, failed - 1] = t.regenerated
+            t = run_repair(big, refreshed, failed, helpers)
+            refreshed[:, failed - 1] = 0  # the lost node's rows are gone
+            refreshed[:, failed - 1] = t.regenerated
             for subset in combinations(range(1, 8), 4):
                 if failed not in subset:
                     continue

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from qregen import cli, errors, reference, tradeoff
+from qregen import cli, errors, reference, repair, tradeoff
 from qregen.cli import main
 from qregen.pmcode import encode_file, make_params, random_symbols
 from qregen.rng import SplitMix64
@@ -627,19 +627,104 @@ def test_sweep_limit_counts_repairs_and_retrievals(capsys, monkeypatch, limit):
         assert one_line_usage_error(*run_cli(capsys, *argv))
 
 
+class Reached(Exception):
+    """Raised in place of building params or drawing a message."""
+
+
+def reached(*args):
+    raise Reached
+
+
+@pytest.mark.parametrize("n, k, d", [
+    (40, 6, 39),  # C(39, 10) = 635,745,396 sub-files: would run for hours
+    (100_000_000, 2, 3),  # make_params alone would exhaust memory
+    (1_000_000, 251_000, 999_999),  # n * d is over; C(d, 2k-2) would take seconds
+], ids=["many-subfiles", "many-nodes", "huge-comb"])
+def test_storage_over_the_limit_exits_2(capsys, monkeypatch, n, k, d):
+    monkeypatch.setattr(cli, "make_params", reached)
+    monkeypatch.setattr(cli, "random_symbols", reached)
+    argv = ["repair", "--n", str(n), "--k", str(k), "--d", str(d),
+            "--prime", "1000000007", "--failed", "1", "--helpers", "2,3,4"]
+    code, out, err = run_cli(capsys, *argv)
+    assert one_line_usage_error(code, out, err)
+    assert f"({n},{k},{d}) stores n * C(d, 2k-2) node sub-files" in err
+
+
+def test_storage_file_over_the_limit_exits_2(tmp_path, capsys, monkeypatch):
+    # unchecked, a 3 MB file at (10^6, 250002, 999999) spends 7 s in
+    # make_params and then raises a ValueError formatting C(d, 2k-2)
+    monkeypatch.setattr(cli, "make_params", reached)
+    path = tmp_path / "storage.json"
+    n = 1001  # n * d = 1001 * 1000 is over 10^6
+    path.write_text(json.dumps({"params": {"n": n, "k": 2, "d": 1000, "p": 1009},
+                                "subfiles": [[0] * n]}))
+    code, out, err = run_cli(capsys, "retrieve", "--in", str(path))
+    assert one_line_usage_error(code, out, err)
+    assert "(1001,2,1000) stores n * C(d, 2k-2) node sub-files" in err
+
+
+@pytest.mark.parametrize("n, k, d, over", [
+    (25, 2, 2, False),  # n * T = 25 * 1, at the limit
+    (26, 2, 2, True),
+    (6, 2, 3, False),  # n * C(3, 2) = 18
+    (9, 2, 3, True),  # n * d = 27 is over already
+    (5, 2, 4, True),  # n * d = 20 is not, n * C(4, 2) = 30 is
+])
+def test_storage_limit_is_n_times_subfiles(capsys, monkeypatch, n, k, d, over):
+    monkeypatch.setattr(cli, "SWEEP_LIMIT", 25)
+    monkeypatch.setattr(cli, "make_params", reached)
+    argv = ["sweep", "--n", str(n), "--k", str(k), "--d", str(d), "--prime", "31"]
+    if over:
+        assert one_line_usage_error(*run_cli(capsys, *argv))
+    else:
+        with pytest.raises(Reached):
+            main(argv)
+
+
+def test_repair_names_d_helpers(capsys):
+    # d = 3 exceeds 2k-2 = 2: the message counts the d helpers repair needs
+    code, out, err = run_cli(
+        capsys, "repair", "--n", "6", "--k", "2", "--d", "3", "--prime", "13",
+        "--failed", "4", "--helpers", "1,2,4",
+    )
+    assert one_line_usage_error(code, out, err)
+    assert err == "error: need 3 distinct helpers in [1, 6] excluding node 4\n"
+
+
+def test_prime_past_the_proven_range_exits_2(tmp_path, capsys):
+    # the first strong pseudoprime to every Miller-Rabin base is_prime tries
+    msg = tmp_path / "msg.json"
+    msg.write_text(json.dumps(list(range(12))))
+    pseudo = "318665857834031151167461"
+    for argv in (
+        ["encode", "--in", str(msg)],
+        ["repair", "--failed", "1", "--helpers", "2,4,5,6"],
+        ["sweep", "--trials", "1"],
+    ):
+        code, out, err = run_cli(capsys, *argv, "--n", "6", "--k", "3", "--d", "4",
+                                 "--prime", pseudo)
+        assert one_line_usage_error(code, out, err)
+        assert "field order must be below 318665857834031151167461" in err
+    for prime in (2**61 - 1, 2**64 - 59):
+        code, out, _ = run_cli(capsys, "repair", "--n", "6", "--k", "3", "--d", "4",
+                               "--prime", str(prime), "--failed", "1",
+                               "--helpers", "2,4,5,6")
+        assert code == 0 and json.loads(out)["quditTotal"] == 4
+
+
 P634 = ("--n", "6", "--k", "3", "--d", "4", "--prime", "13")
 
 
 def break_repair(monkeypatch, error, failed=2, helpers=(1, 3, 4, 5)):
-    """cli.run_repair raises ``error`` for one (failed, helpers) case only."""
-    real = cli.run_repair
+    """qregen.repair.run_repair raises ``error`` for one (failed, helpers) case only."""
+    real = repair.run_repair
 
     def run_repair(params, storage, f, hs, *rest):
         if (f, tuple(hs)) == (failed, helpers):
             raise error("injected")
         return real(params, storage, f, hs, *rest)
 
-    monkeypatch.setattr(cli, "run_repair", run_repair)
+    monkeypatch.setattr(repair, "run_repair", run_repair)
 
 
 def break_retrieve(monkeypatch, nodes=(2, 4, 6), error=None):

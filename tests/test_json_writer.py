@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from qregen import cli
 from qregen.pmcode import encode_file, make_params, random_symbols
-from qregen.repair import run_repair_extended
+from qregen.repair import run_repair
 from qregen.rng import SplitMix64
 
 WRITER = settings(max_examples=300, deadline=None, derandomize=True,
@@ -65,4 +65,4 @@ def test_writer_on_real_documents(n, k, d, p):
     assert_exact(cli._storage_to_json(params, storage))
     for mode in ("linear", "symplectic"):
         helpers = list(range(2, d + 2))
-        assert_exact(run_repair_extended(params, storage, 1, helpers, mode).to_json_dict())
+        assert_exact(run_repair(params, storage, 1, helpers, mode=mode).to_json_dict())

@@ -1,4 +1,4 @@
-"""Repair protocol: payload locality, exact regeneration, extension, accounting."""
+"""Repair protocol: payload locality, exact regeneration, sub-files, accounting."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -25,7 +25,6 @@ from qregen.repair import (
     helper_encode,
     plan_subfiles,
     run_repair,
-    run_repair_extended,
 )
 from qregen.rng import SplitMix64
 
@@ -36,11 +35,12 @@ def node_rows(stored, node):
 
 
 def reference_setup(seed=1):
+    """(6,3,4,13) params, a random message and its one-sub-file storage."""
     params = make_params(6, 3, 4, 13)
     rng = SplitMix64(seed)
     symbols = random_symbols(params, rng)
-    stored = encode_file(params, symbols)[0]
-    return params, symbols, stored
+    storage = encode_file(params, symbols)
+    return params, symbols, storage
 
 
 def test_helper_encode_sparse_message_golden():
@@ -63,7 +63,8 @@ def test_helper_encode_zero_storage():
 
 
 def test_helper_encode_scales_with_message():
-    params, symbols, stored = reference_setup(2)
+    params, symbols, storage = reference_setup(2)
+    stored = storage[0]
     c = build_repair_css(params, 3, (1, 2, 5, 6))
     doubled = encode_file(params, [2 * s % 13 for s in symbols])[0]
     for s in c.helpers:
@@ -74,10 +75,10 @@ def test_helper_encode_scales_with_message():
 
 
 def test_helper_encode_rejects_non_helper():
-    params, _, stored = reference_setup()
+    params, _, storage = reference_setup()
     c = build_repair_css(params, 1, (2, 4, 5, 6))
     with pytest.raises(NotAHelper):
-        helper_encode(params, c, 3, stored[2].tolist())  # node 3 not a helper
+        helper_encode(params, c, 3, storage[0, 2].tolist())  # node 3 not a helper
 
 
 def test_run_repair_exhaustive_reference_instance():
@@ -85,19 +86,19 @@ def test_run_repair_exhaustive_reference_instance():
     rng = SplitMix64(3)
     for trial in range(5):
         symbols = random_symbols(params, rng)
-        stored = encode_file(params, symbols)[0]
+        storage = encode_file(params, symbols)
         for failed in range(1, 7):
             rest = [i for i in range(1, 7) if i != failed]
             for helpers in combinations(rest, 4):
-                t = run_repair(params, stored, failed, helpers)
-                assert t.regenerated == node_rows(stored, failed)
+                t = run_repair(params, storage, failed, helpers)
+                assert t.regenerated == (node_rows(storage[0], failed),)
                 assert t.qudit_total == 4 == params.B // params.k
 
 
 def test_run_repair_mode_equivalence():
-    params, _, stored = reference_setup(4)
+    params, _, storage = reference_setup(4)
     transcripts = [
-        run_repair(params, stored, 2, (1, 3, 4, 6), mode=mode) for mode in MODES
+        run_repair(params, storage, 2, (1, 3, 4, 6), mode=mode) for mode in MODES
     ]
     for t in transcripts[1:]:
         assert t.syndrome == transcripts[0].syndrome
@@ -106,52 +107,54 @@ def test_run_repair_mode_equivalence():
 
 def test_run_repair_payload_locality():
     # every payload must be recomputable from that single node's storage
-    params, _, stored = reference_setup(5)
-    t = run_repair(params, stored, 5, (1, 2, 3, 6))
-    for payload in t.payloads:
+    params, _, storage = reference_setup(5)
+    t = run_repair(params, storage, 5, (1, 2, 3, 6))
+    (css,), (payloads,) = t.css, t.payloads
+    for payload in payloads:
         node = payload.helper_id
-        solo = helper_encode(params, t.css, node, stored[node - 1].tolist())
+        solo = helper_encode(params, css, node, storage[0, node - 1].tolist())
         assert solo == payload
 
 
 def test_run_repair_validation():
-    params, _, stored = reference_setup(6)
+    params, _, storage = reference_setup(6)
     with pytest.raises(InvalidHelperSet):
-        run_repair(params, stored, 1, (1, 2, 3, 4))
+        run_repair(params, storage, 1, (1, 2, 3, 4))
     with pytest.raises(InvalidHelperSet):
-        run_repair(params, stored, 1, (2, 3, 4))
-    for bad in (stored[:5], stored[:, :, :1], stored[None]):
+        run_repair(params, storage, 1, (2, 3, 4))
+    bad_shapes = (storage[0], storage[:, :5], storage[..., :1], storage[None])
+    for bad in bad_shapes:
         with pytest.raises(InvalidHelperSet):
             run_repair(params, bad, 1, (2, 3, 4, 5))
     with pytest.raises(ModeUnavailable):
-        run_repair(params, stored, 1, (2, 3, 4, 5), mode="nope")
+        run_repair(params, storage, 1, (2, 3, 4, 5), mode="nope")
 
 
 def test_run_repair_statevector_unavailable_when_too_big():
     params = make_params(7, 4, 6, 17)  # 17^6 amplitudes is over the limit
     rng = SplitMix64(7)
-    stored = encode_file(params, random_symbols(params, rng))[0]
+    storage = encode_file(params, random_symbols(params, rng))
     with pytest.raises(ModeUnavailable):
-        run_repair(params, stored, 1, (2, 3, 4, 5, 6, 7), mode="statevector")
+        run_repair(params, storage, 1, (2, 3, 4, 5, 6, 7), mode="statevector")
 
 
 def test_run_repair_detects_tampered_helper():
-    params, _, stored = reference_setup(8)
-    tampered = stored.copy()
-    tampered[3, 0] = (tampered[3, 0] + 1) % 13  # node 4's row_m
+    params, _, storage = reference_setup(8)
+    tampered = storage.copy()
+    tampered[0, 3, 0] = (tampered[0, 3, 0] + 1) % 13  # node 4's row_m
     with pytest.raises(RegenerationMismatch):
         run_repair(params, tampered, 1, (2, 4, 5, 6))
 
 
 def test_repaired_node_reenters_retrieval():
-    params, symbols, stored = reference_setup(9)
+    params, symbols, storage = reference_setup(9)
     for failed in range(1, 7):
         rest = [i for i in range(1, 7) if i != failed]
         for helpers in combinations(rest, 4):
-            t = run_repair(params, stored, failed, helpers)
-            refreshed = stored[None].copy()
-            refreshed[0, failed - 1] = 0  # the lost node's rows are gone
-            refreshed[0, failed - 1] = t.regenerated
+            t = run_repair(params, storage, failed, helpers)
+            refreshed = storage.copy()
+            refreshed[:, failed - 1] = 0  # the lost node's rows are gone
+            refreshed[:, failed - 1] = t.regenerated
             for subset in combinations(range(1, 7), 3):
                 if failed not in subset:
                     continue
@@ -184,33 +187,37 @@ def test_run_repair_extended_exhaustive():
         for failed in range(1, 7):
             rest = [i for i in range(1, 7) if i != failed]
             for helpers in combinations(rest, 3):
-                t = run_repair_extended(ext, storage, failed, helpers)
+                t = run_repair(ext, storage, failed, helpers)
                 assert t.qudit_total == 6 == ext.B // ext.k
                 assert len(t.regenerated) == 3
                 for sub, regen in zip(storage, t.regenerated):
                     assert regen == node_rows(sub, failed)
 
 
-def test_run_repair_extended_reduces_to_base():
-    params, _, stored = reference_setup(11)
-    direct = run_repair(params, stored, 1, (2, 4, 5, 6))
-    via_ext = run_repair_extended(params, stored[None], 1, (2, 4, 5, 6))
-    assert via_ext == direct
-
-
 def test_run_repair_extended_validation():
     ext = make_params(6, 2, 3, 13)
     rng = SplitMix64(12)
     storage = encode_file(ext, random_symbols(ext, rng))
+    with pytest.raises(InvalidHelperSet, match="need 3 distinct helpers"):
+        run_repair(ext, storage, 1, (2, 3))
+    with pytest.raises(InvalidHelperSet, match="need 3 distinct helpers"):
+        run_repair(ext, storage, 4, (1, 2, 4))
     with pytest.raises(InvalidHelperSet):
-        run_repair_extended(ext, storage, 1, (2, 3))
-    with pytest.raises(InvalidHelperSet):
-        run_repair_extended(ext, storage[:2], 1, (2, 3, 4))
+        run_repair(ext, storage[:2], 1, (2, 3, 4))
+
+
+def test_run_repair_applies_u_to_every_subfile():
+    ext = make_params(6, 2, 3, 13)
+    storage = encode_file(ext, random_symbols(ext, SplitMix64(16)))
+    t = run_repair(ext, storage, 2, (1, 3, 5), u=(3, 5))
+    assert [c.u for c in t.css] == [(3, 5)] * 3
+    for sub, regen in zip(storage, t.regenerated):
+        assert regen == node_rows(sub, 2)
 
 
 def test_transcript_json_field_order():
-    params, _, stored = reference_setup(13)
-    doc = run_repair(params, stored, 1, (2, 4, 5, 6)).to_json_dict()
+    params, _, storage = reference_setup(13)
+    doc = run_repair(params, storage, 1, (2, 4, 5, 6)).to_json_dict()
     assert list(doc) == [
         "failedNode", "helpers", "mode", "css", "payloads",
         "syndrome", "regenerated", "quditTotal",
@@ -237,13 +244,13 @@ def test_one_containment_product_per_subfile(monkeypatch, n, k, d, p):
     monkeypatch.setattr(Mat, "__matmul__", counting)
     for mode in MODES[:2]:
         calls.clear()
-        run_repair_extended(params, storage, 1, tuple(range(2, d + 2)), mode=mode)
+        run_repair(params, storage, 1, tuple(range(2, d + 2)), mode=mode)
         assert calls == [(k - 1, 2 * k - 2, k - 1)] * params.subfiles
 
 
 def test_bandwidth_report_reference_instance():
-    params, _, stored = reference_setup(14)
-    rep = bandwidth_report(params, run_repair(params, stored, 1, (2, 4, 5, 6)))
+    params, _, storage = reference_setup(14)
+    rep = bandwidth_report(params, run_repair(params, storage, 1, (2, 4, 5, 6)))
     assert rep["alpha"] == rep["dBetaQ"] == rep["BOverK"] == 4
     # (B/k) * d / (d-k+1) = 4 * 4/2
     assert rep["classicalMSRBandwidth"] == Fraction(8)
@@ -253,6 +260,6 @@ def test_bandwidth_report_extension():
     ext = make_params(6, 2, 3, 13)
     rng = SplitMix64(15)
     storage = encode_file(ext, random_symbols(ext, rng))
-    rep = bandwidth_report(ext, run_repair_extended(ext, storage, 2, (1, 3, 5)))
+    rep = bandwidth_report(ext, run_repair(ext, storage, 2, (1, 3, 5)))
     assert rep["alpha"] == rep["dBetaQ"] == rep["BOverK"] == 6
     assert rep["classicalMSRBandwidth"] == Fraction(6, 1) * Fraction(3, 2)

@@ -5,6 +5,7 @@ A renamed or moved function would otherwise break only ``bench/run.py
 """
 
 import importlib.util
+import os
 from pathlib import Path
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
@@ -26,3 +27,25 @@ def test_every_trace_target_is_defined_on_its_owner():
     ]
     assert missing == []
 
+
+
+def test_cli_repair_trace_counts_one_file_repair():
+    # (6,2,3,13) has three sub-files: one run_repair span covers them all, and
+    # its transcript carries the file's B/k = 6 qudits
+    from qregen.cli import main
+
+    spans = load_spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        code = tracer.call_op("repair", main, [
+            "repair", "--n", "6", "--k", "2", "--d", "3", "--prime", "13",
+            "--seed", "3", "--failed", "4", "--helpers", "1,2,6", "--out", os.devnull,
+        ])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert tracer.counts["repair", "repair.qudits"] == 6
+    spans_seen = tracer.self_times()
+    assert spans_seen["repair", "css.build"][0] == 3
+    assert spans_seen["repair", "repair.run_repair"][0] == 1
