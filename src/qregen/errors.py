@@ -80,11 +80,8 @@ class RegenerationMismatch(QregenError):
 # state-vector simulation ------------------------------------------------------
 
 class TooLarge(ModeUnavailable):
-    """State-vector simulation would exceed the size limit."""
-
-
-class ZeroProjection(QregenError):
-    """No basis state has a nonzero codespace projection."""
+    """State-vector simulation over the size limit: p^r support entries for
+    r X generators, or p itself, above 2^20."""
 
 
 class ResidualOutOfTolerance(QregenError):

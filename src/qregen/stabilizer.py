@@ -14,15 +14,19 @@ measured syndrome:
   +h.x directly; X-type rows (g | 0) have raw phase -g.z, so their
   reported component is the negated pairing. With that sign convention
   both backends agree entry for entry.
-* ``syndrome_statevector``: a literal complex vector of p^N amplitudes.
-  The codespace state is the normalized projector image of a computational
-  basis state (retrying basis states in lexicographic order if one
-  projects to zero), the error is applied as the unitary X(x)Z(z) with
-  X|j> = |j+1 mod p> and Z|j> = w^j |j>, w = exp(2 pi i / p), and each
-  generator's eigenvalue w^s is read off a single amplitude. Raw
-  exponents are sign-fixed exactly as in the symplectic backend. The
-  projector needs one shift table per X generator, as X(tg) = X(g)^t.
-  Validation only; the size guard keeps p^N at or below 2^20 amplitudes.
+* ``syndrome_statevector``: a literal state-vector simulation. The
+  codespace state is the normalized projector image of |0>: every Z
+  projector keeps |0>, since h.0 = 0, and the X projectors then spread it
+  uniformly over the row space of HX. So the state lives on the p^rank(HX)
+  codewords t HX, and ``prepare_codespace`` keeps only that support and its
+  amplitudes, never all p^N. The error X(x)Z(z), with X|j> = |j+1 mod p>
+  and Z|j> = w^j |j>, w = exp(2 pi i / p), moves each codeword c to c + x
+  with the phase w^(z.c), and each generator's eigenvalue w^s is read off
+  a single amplitude. Raw exponents are sign-fixed exactly as in the
+  symplectic backend. Validation only. With r X generators the support
+  has at most p^r entries; the size guard keeps p^r at or below 2^20, and
+  p too, so that int64 holds every entry sum and float64 phases tell the
+  p-th roots of unity apart.
 
 Global phases never matter: syndromes are ratios of eigenvalues.
 """
@@ -38,7 +42,6 @@ from .errors import (
     DualContainmentViolated,
     ResidualOutOfTolerance,
     TooLarge,
-    ZeroProjection,
 )
 from .matrix import Mat, matmul_mod
 
@@ -128,113 +131,66 @@ def syndrome_symplectic(group: StabGroup, err: PauliError) -> Syndrome:
     )
 
 
-class _StateSpace:
-    """Index bookkeeping for N qudits of dimension p."""
+def prepare_codespace(group: StabGroup) -> tuple[np.ndarray, np.ndarray]:
+    """The normalized projector image of |0>, as (support, amplitudes).
 
-    def __init__(self, p: int, n: int):
-        if p**n > STATE_LIMIT:
-            raise TooLarge(f"{p}^{n} amplitudes exceed the {STATE_LIMIT} limit")
-        self.p = p
-        self.n = n
-        self.size = p**n
-        # digits[i] = base-p expansion of i, qudit 0 most significant
-        self.digits = np.indices((p,) * n).reshape(n, -1).T
-        self.radix = p ** np.arange(n - 1, -1, -1)
-        self.omega_pow = np.exp(2j * np.pi * np.arange(p) / p)
-
-    def shift_indices(self, g) -> np.ndarray:
-        """Flat index of j + g (componentwise mod p) for every j."""
-        return ((self.digits + np.asarray(g)) % self.p) @ self.radix
-
-    def phase_exponents(self, h) -> np.ndarray:
-        """h . j mod p for every basis index j."""
-        return (self.digits @ np.asarray(h)) % self.p
-
-    def apply_pauli(self, state: np.ndarray, x, z) -> np.ndarray:
-        """X(x)Z(z)|j> = w^(z.j) |j + x>."""
-        out = np.empty_like(state)
-        out[self.shift_indices(x)] = self.omega_pow[self.phase_exponents(z)] * state
-        return out
-
-
-def prepare_codespace(group: StabGroup, start_basis: int = 0) -> tuple[np.ndarray, int]:
-    """Normalized projector image of the first surviving basis state.
-
-    Applies prod over generators of (1/p) sum_t S^t to |b> for b =
-    start_basis, start_basis + 1, ... and returns the first nonzero result
-    together with the basis index used. Raises ZeroProjection only if every
-    basis state from start_basis onward projects to zero (cannot happen for
-    a commuting CSS pair starting from 0, but the retry rule is fixed here
-    for reproducibility).
+    ``support`` holds the distinct codewords t HX mod p as int64 rows in
+    ascending lexicographic order, ``amplitudes`` their uniform complex
+    amplitudes. Raises TooLarge over the module's size bound.
     """
-    p = group.p
-    space = _StateSpace(p, group.n)
-    z_masks = [space.phase_exponents(h) == 0 for h in group.z_type.to_rows()]
-    # X(tg) = X(g)^t, so one gather table (j -> j - g) per generator serves all t
-    x_back = [space.shift_indices([-x for x in g]) for g in group.x_type.to_rows()]
-    for basis in range(start_basis, space.size):
-        state = np.zeros(space.size, dtype=complex)
-        state[basis] = 1.0
-        for mask in z_masks:
-            state = state * mask
-        for back in x_back:
-            acc = moved = state
-            for _ in range(p - 1):
-                moved = moved[back]
-                acc = acc + moved
-            state = acc / p
-        norm = np.linalg.norm(state)
-        if norm > 1e-9:
-            return state / norm, basis
-    raise ZeroProjection(f"no basis state from {start_basis} survives projection")
+    p, r = group.p, group.x_type.rows
+    if p > STATE_LIMIT:
+        raise TooLarge(f"p = {p} exceeds the {STATE_LIMIT} limit on distinct phases")
+    if p**r > STATE_LIMIT:
+        raise TooLarge(f"{p}^{r} amplitudes exceed the {STATE_LIMIT} limit")
+    support = np.zeros((1, group.n), dtype=np.int64)
+    steps = np.arange(p, dtype=np.int64)[:, None, None]
+    for g in group.x_type.data.astype(np.int64):
+        # {c + t g : c in support, t in GF(p)}; entries stay below p^2
+        support = ((support + steps * g) % p).reshape(-1, group.n)
+    # distinct rows in lexicographic order; dependent generators repeat rows
+    support = support[np.lexsort(support.T[::-1])]
+    support = support[np.r_[True, (support[1:] != support[:-1]).any(axis=1)]]
+    return support, np.full(len(support), len(support) ** -0.5, dtype=complex)
+
+
+def _omega(s, p: int):
+    """w^s for w = exp(2 pi i / p)."""
+    return np.exp(2j * np.pi * s / p)
 
 
 def _measure_exponent(
-    space: _StateSpace, state: np.ndarray, a, b
+    support: np.ndarray, amps: np.ndarray, p: int, a, b
 ) -> tuple[int, float]:
     """Exponent s with X(a)Z(b)|state> = w^s |state>, plus the residual."""
-    # entry i0 of X(a)Z(b)|state> is w^(b.j) state[j] with j = i0 - a
-    i0 = int(np.argmax(np.abs(state)))
-    j = (space.digits[i0] - np.asarray(a)) % space.p
-    phase = space.omega_pow[int(j @ np.asarray(b)) % space.p]
-    ratio = phase * state[int(j @ space.radix)] / state[i0]
-    angle = np.angle(ratio) % (2 * np.pi)
-    s = int(round(space.p * angle / (2 * np.pi))) % space.p
-    return s, abs(ratio - space.omega_pow[s])
+    # entry j0 = support[0] of X(a)Z(b)|state> is w^(b.j) state[j], j = j0 - a
+    j = (support[0] - np.asarray(a, dtype=np.int64)) % p
+    hit = np.flatnonzero((support == j).all(axis=1))
+    amp = amps[hit[0]] if len(hit) else 0.0
+    ratio = _omega(matmul_mod(j, np.asarray(b, dtype=object), p), p) * amp / amps[0]
+    s = int(round(p * (np.angle(ratio) % (2 * np.pi)) / (2 * np.pi))) % p
+    return s, abs(ratio - _omega(s, p))
 
 
-def syndrome_statevector(
-    group: StabGroup,
-    err: PauliError,
-    *,
-    state: np.ndarray | None = None,
-    with_residual: bool = False,
-):
-    """Full p^N simulation; must agree with syndrome_linear.
-
-    ``state`` may carry a pre-built codespace vector (from
-    prepare_codespace) to amortize preparation over many errors.
-    """
+def syndrome_statevector(group: StabGroup, err: PauliError) -> Syndrome:
+    """State-vector simulation on the codespace's support; must agree with
+    syndrome_linear."""
     _check_error(group, err)
     p = group.p
-    space = _StateSpace(p, group.n)
-    if state is None:
-        state, _ = prepare_codespace(group)
-    corrupted = space.apply_pauli(state, err.x, err.z)
+    support, amps = prepare_codespace(group)
+    # X(x)Z(z)|c> = w^(z.c) |c + x>
+    amps = amps * _omega(
+        matmul_mod(support, np.array(err.z, dtype=object), p).astype(np.int64), p
+    )
+    support = (support + np.array(err.x, dtype=np.int64)) % p
 
     zero = [0] * group.n
-    worst = 0.0
-    s_x = []
-    for i in range(group.z_type.rows):
-        s, res = _measure_exponent(space, corrupted, zero, group.z_type.row(i))
-        worst = max(worst, res)
-        s_x.append(s)
-    s_z = []
-    for i in range(group.x_type.rows):
-        s, res = _measure_exponent(space, corrupted, group.x_type.row(i), zero)
-        worst = max(worst, res)
-        s_z.append(-s % p)
+    gens = [(zero, h) for h in group.z_type.to_rows()]
+    gens += [(g, zero) for g in group.x_type.to_rows()]
+    measured = [_measure_exponent(support, amps, p, a, b) for a, b in gens]
+    worst = max((res for _, res in measured), default=0.0)
     if not worst < RESIDUAL_TOL:
         raise ResidualOutOfTolerance(f"eigenvalue residual {worst} out of tolerance")
-    syn = Syndrome(s_x=tuple(s_x), s_z=tuple(s_z))
-    return (syn, worst) if with_residual else syn
+    s = [e for e, _ in measured]
+    r = group.z_type.rows
+    return Syndrome(s_x=tuple(s[:r]), s_z=tuple(-e % p for e in s[r:]))

@@ -147,26 +147,20 @@ def test_criterion_5_backend_equivalence():
                 err = random_error(p, n_qudits, rng)
                 assert syndrome_linear(group, err) == syndrome_symplectic(group, err)
 
-        # state-vector oracle, 625 amplitudes
+        # state-vector oracle on 5^2 of 5^4 basis states; every call raises
+        # ResidualOutOfTolerance on an eigenvalue residual of 1e-6 or more
         rng = SplitMix64(51)
         group5 = random_group(5, 4, 2, rng)
-        state5, _ = prepare_codespace(group5)
-        worst = 0.0
+        assert len(prepare_codespace(group5)[0]) == 25
         for _ in range(100):
             err = random_error(5, 4, rng)
-            syn, res = syndrome_statevector(
-                group5, err, state=state5, with_residual=True
-            )
-            worst = max(worst, res)
-            assert syn == syndrome_linear(group5, err)
-        assert worst < 1e-6
+            assert syndrome_statevector(group5, err) == syndrome_linear(group5, err)
 
-        # state-vector oracle on the repair-time group, 28561 amplitudes
+        # state-vector oracle on the repair-time group, 13^2 of 13^4 basis states
         params = make_params(6, 3, 4, 13)
         c = build_repair_css(params, 1, (2, 4, 5, 6))
         group13 = StabGroup(x_type=c.hx, z_type=c.hz)
-        state13, _ = prepare_codespace(group13)
-        worst = 0.0
+        assert len(prepare_codespace(group13)[0]) == 169
         for i in range(100):
             if i == 0:
                 # the actual repair-time error vector for a random message
@@ -182,12 +176,7 @@ def test_criterion_5_backend_equivalence():
                 )
             else:
                 err = random_error(13, 4, rng)
-            syn, res = syndrome_statevector(
-                group13, err, state=state13, with_residual=True
-            )
-            worst = max(worst, res)
-            assert syn == syndrome_linear(group13, err)
-        assert worst < 1e-6
+            assert syndrome_statevector(group13, err) == syndrome_linear(group13, err)
 
 
 def test_criterion_6_extension():

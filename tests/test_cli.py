@@ -149,6 +149,17 @@ def test_sweep_extension_summary(capsys):
     assert doc["quditTotal"]["expected"] == 6
 
 
+def test_sweep_statevector_at_7_4_6_11(capsys):
+    # 11^3 support entries per repair, where the full vector has 11^6
+    code, out, _ = run_cli(
+        capsys,
+        "sweep", "--n", "7", "--k", "4", "--d", "6", "--prime", "11",
+        "--mode", "statevector", "--trials", "1",
+    )
+    assert code == 0
+    assert json.loads(out)["failures"] == 0
+
+
 def test_sweep_invalid_regime_is_usage_error(capsys):
     code, _, err = run_cli(
         capsys,
@@ -454,16 +465,17 @@ def test_usage_error_classes():
 
 @pytest.mark.parametrize("argv", [
     ["sweep", "--trials", "1"],
-    ["repair", "--failed", "1", "--helpers", "2,3,4,5,6,7"],
+    ["repair", "--failed", "1", "--helpers", "2,3,4,5,6,7,8,9,10,11"],
 ], ids=lambda argv: argv[0])
 def test_statevector_over_limit_usage_error(capsys, argv):
-    # 11^6 amplitudes: a usage error in sweep too, not seven failed repairs
+    # 5 X generators, 17^5 amplitudes: a usage error in sweep too, not
+    # eleven failed repairs
     code, out, err = run_cli(
-        capsys, *argv, "--n", "7", "--k", "4", "--d", "6", "--prime", "11",
+        capsys, *argv, "--n", "11", "--k", "6", "--d", "10", "--prime", "17",
         "--mode", "statevector",
     )
     assert one_line_usage_error(code, out, err)
-    assert "11^6 amplitudes" in err
+    assert "17^5 amplitudes" in err
 
 
 DROP = object()

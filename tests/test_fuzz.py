@@ -98,7 +98,7 @@ def test_random_json_as_storage(files, doc):
     assert_clean_exit(["retrieve", "--in", str(storage)])
 
 
-# flag -> values; small ranges and no statevector mode keep every sweep quick
+# flag -> values; small ranges keep every sweep quick
 FLAG_VALUES = {
     "--n": ["-1", "6", "7", "x"],
     "--k": ["0", "2", "3"],
@@ -106,7 +106,7 @@ FLAG_VALUES = {
     "--prime": ["4", "13", "17", str(2**61 - 1)],
     "--seed": ["0", "1", "-5", str(2**70)],
     "--trials": ["-1", "0", "1"],
-    "--mode": ["linear", "symplectic", "bogus"],
+    "--mode": ["linear", "symplectic", "statevector", "bogus"],
     "--failed": ["0", "1", "2", "7"],
     "--helpers": ["", "2,4,5,6", "1,3,4,5", "1,1,2,3", "2,3", "a"],
     "--nodes": ["", "1,2,3", "2,4,6", "0,1,2", "1,1,2", "x"],
@@ -123,6 +123,8 @@ TEMPLATES = [  # one valid call per path through each command
     ["repair", "--in", "{storage}", "--failed", "1", "--helpers", "2,4,5,6"],
     ["repair", *P634, "--seed", "7", "--failed", "1", "--helpers", "2,4,5,6",
      "--mode", "symplectic"],
+    ["repair", *P634, "--seed", "7", "--failed", "1", "--helpers", "2,4,5,6",
+     "--mode", "statevector"],
     ["sweep", *P634, "--trials", "1", "--mode", "linear"],
     ["tradeoff", "--k", "3", "--d", "4", "--B", "12"],
     ["tradeoff", "--k", "3", "--d", "4", "--B", "12", "--betas", "1/2,2"],

@@ -131,11 +131,11 @@ def test_run_repair_validation():
 
 
 def test_run_repair_statevector_unavailable_when_too_big():
-    params = make_params(7, 4, 6, 17)  # 17^6 amplitudes is over the limit
+    params = make_params(11, 6, 10, 17)  # 5 X generators: 17^5 is over the limit
     rng = SplitMix64(7)
     storage = encode_file(params, random_symbols(params, rng))
-    with pytest.raises(ModeUnavailable):
-        run_repair(params, storage, 1, (2, 3, 4, 5, 6, 7), mode="statevector")
+    with pytest.raises(ModeUnavailable, match=r"17\^5 amplitudes"):
+        run_repair(params, storage, 1, tuple(range(2, 12)), mode="statevector")
 
 
 def test_run_repair_detects_tampered_helper():
@@ -242,10 +242,22 @@ def test_one_containment_product_per_subfile(monkeypatch, n, k, d, p):
         return real(a, b)
 
     monkeypatch.setattr(Mat, "__matmul__", counting)
-    for mode in MODES[:2]:
+    for mode in MODES:
         calls.clear()
         run_repair(params, storage, 1, tuple(range(2, d + 2)), mode=mode)
         assert calls == [(k - 1, 2 * k - 2, k - 1)] * params.subfiles
+
+
+def test_statevector_repairs_every_subfile_of_12_4_8_17():
+    # 17^3 support entries per sub-file, where the full vector has 17^6
+    params = make_params(12, 4, 8, 17)
+    storage = encode_file(params, random_symbols(params, SplitMix64(16)))
+    helpers, u = (2, 3, 5, 7, 8, 9, 10, 12), (3, 5, 7, 11, 13, 2)
+    linear = run_repair(params, storage, 1, helpers, u)
+    state = run_repair(params, storage, 1, helpers, u, mode="statevector")
+    assert len(state.syndrome) == params.subfiles == 28
+    assert state.syndrome == linear.syndrome
+    assert state.regenerated == linear.regenerated
 
 
 def test_bandwidth_report_reference_instance():

@@ -19,14 +19,15 @@ from qregen.stabilizer import (
     PauliError,
     StabGroup,
     Syndrome,
+    STATE_LIMIT,
     _measure_exponent,
-    _StateSpace,
     prepare_codespace,
     syndrome_linear,
     syndrome_statevector,
     syndrome_symplectic,
 )
 
+from densestate import DenseSpace, reference_codespace, reference_exponent
 from groupgen import random_error, random_group
 from linalg import dot, matvec, zeros
 
@@ -117,49 +118,10 @@ def test_linear_vs_symplectic_agreement(p):
 def test_statevector_agreement_small():
     rng = SplitMix64(55)
     group = random_group(5, 4, 2, rng)
-    state, _ = prepare_codespace(group)
     for _ in range(25):
         err = random_error(5, 4, rng)
-        expected = syndrome_linear(group, err)
-        got, residual = syndrome_statevector(
-            group, err, state=state, with_residual=True
-        )
-        assert got == expected
-        assert residual < 1e-6
-
-
-def reference_codespace(group, start_basis=0):
-    """The projector with p shift tables per X generator, summed in t order."""
-    p = group.p
-    space = _StateSpace(p, group.n)
-    z_masks = [space.phase_exponents(h) == 0 for h in group.z_type.to_rows()]
-    x_shifts = [
-        [space.shift_indices([t * x for x in g]) for t in range(p)]
-        for g in group.x_type.to_rows()
-    ]
-    for basis in range(start_basis, space.size):
-        state = np.zeros(space.size, dtype=complex)
-        state[basis] = 1.0
-        for mask in z_masks:
-            state = state * mask
-        for shifts in x_shifts:
-            acc = np.zeros_like(state)
-            for idx in shifts:
-                acc[idx] += state
-            state = acc / p
-        norm = np.linalg.norm(state)
-        if norm > 1e-9:
-            return state / norm, basis
-    raise AssertionError("no basis state survives")
-
-
-def reference_exponent(space, state, a, b):
-    """Eigenvalue exponent read off the fully moved state X(a)Z(b)|state>."""
-    moved = space.apply_pauli(state, a, b)
-    i0 = int(np.argmax(np.abs(state)))
-    ratio = moved[i0] / state[i0]
-    s = int(round(space.p * (np.angle(ratio) % (2 * np.pi)) / (2 * np.pi))) % space.p
-    return s, abs(ratio - space.omega_pow[s])
+        # a residual of RESIDUAL_TOL or more raises ResidualOutOfTolerance
+        assert syndrome_statevector(group, err) == syndrome_linear(group, err)
 
 
 def small_groups(p, count, seed):
@@ -176,29 +138,28 @@ def test_prepare_codespace_matches_reference(p):
     groups = [group for group, _ in small_groups(p, 12, 300 + p)]
     groups.append(reference_group()[2])
     for group in groups:
-        state, basis = prepare_codespace(group)
-        want, want_basis = reference_codespace(group)
-        assert basis == want_basis
-        assert np.array_equal(state, want)
-    group = groups[0]
-    _, used = prepare_codespace(group)
-    assert np.array_equal(
-        prepare_codespace(group, used + 1)[0], reference_codespace(group, used + 1)[0]
-    )
+        support, amps = prepare_codespace(group)
+        want, basis = reference_codespace(group)
+        assert basis == 0  # |0> always survives the projector
+        want_support, want_amps = DenseSpace(group.p, group.n).support_form(want)
+        assert support.dtype == np.int64
+        assert np.array_equal(support, want_support)
+        np.testing.assert_allclose(amps, want_amps, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("p", [3, 5, 13])
 def test_measure_exponent_matches_full_pauli(p):
     for group, rng in small_groups(p, 6, 400 + p):
-        space = _StateSpace(p, group.n)
-        state, _ = prepare_codespace(group)
+        space = DenseSpace(p, group.n)
         err = random_error(p, group.n, rng)
+        state = space.dense(*prepare_codespace(group))
         corrupted = space.apply_pauli(state, err.x, err.z)
+        support, amps = space.support_form(corrupted)
         zero = [0] * group.n
         gens = [(zero, h) for h in group.z_type.to_rows()]
         gens += [(g, zero) for g in group.x_type.to_rows()]
         for a, b in gens:
-            s, res = _measure_exponent(space, corrupted, a, b)
+            s, res = _measure_exponent(support, amps, p, a, b)
             want_s, want_res = reference_exponent(space, corrupted, a, b)
             assert s == want_s
             assert abs(res - want_res) <= 1e-12
@@ -207,44 +168,45 @@ def test_measure_exponent_matches_full_pauli(p):
 def test_statevector_agreement_reference_group():
     params, c, group = reference_group()
     rng = SplitMix64(56)
-    state, _ = prepare_codespace(group)
     for _ in range(10):
         err = random_error(13, 4, rng)
-        assert syndrome_statevector(group, err, state=state) == syndrome_linear(
-            group, err
-        )
+        assert syndrome_statevector(group, err) == syndrome_linear(group, err)
 
 
 def test_statevector_zero_error_preserves_state():
     rng = SplitMix64(57)
     group = random_group(5, 3, 1, rng)
-    state, _ = prepare_codespace(group)
     err = PauliError.make(5, [0, 0, 0], [0, 0, 0])
-    assert syndrome_statevector(group, err, state=state).s_x == (0,) * group.z_type.rows
+    assert syndrome_statevector(group, err).s_x == (0,) * group.z_type.rows
     # overlap magnitude 1 means unchanged up to a global phase
-    space = _StateSpace(5, 3)
+    space = DenseSpace(5, 3)
+    state = space.dense(*prepare_codespace(group))
     moved = space.apply_pauli(state, err.x, err.z)
     assert abs(np.vdot(state, moved)) == pytest.approx(1.0)
 
 
-def test_syndrome_independent_of_codeword():
-    # a group with logical content: different surviving basis states may
-    # project to different codewords, but syndromes must agree
+def test_syndrome_independent_of_codeword(monkeypatch):
+    # a group with logical content: different surviving basis states of the
+    # dense reference project to different codewords, but syndromes must agree
     f5 = GF(5)
     group = StabGroup(
         x_type=Mat.from_rows(f5, [[1, 1, 0, 0]]),
         z_type=Mat.from_rows(f5, [[0, 0, 1, 1]]),
     )
-    state0, basis0 = prepare_codespace(group, 0)
-    state1, basis1 = prepare_codespace(group, basis0 + 1)
-    assert basis1 > basis0
+    state0, basis0 = reference_codespace(group, 0)
+    state1, basis1 = reference_codespace(group, basis0 + 1)
+    assert basis1 == 9  # basis 1..8 violate the Z generator
     assert abs(np.vdot(state0, state1)) < 1 - 1e-9  # genuinely different states
+    space = DenseSpace(5, 4)
     rng = SplitMix64(58)
     for _ in range(10):
         err = random_error(5, 4, rng)
-        s0 = syndrome_statevector(group, err, state=state0)
-        s1 = syndrome_statevector(group, err, state=state1)
-        assert s0 == s1 == syndrome_linear(group, err)
+        want = syndrome_linear(group, err)
+        for state in (state0, state1):
+            # syndrome_statevector prepares through the module global
+            monkeypatch.setattr(qregen.stabilizer, "prepare_codespace",
+                                lambda _, state=state: space.support_form(state))
+            assert syndrome_statevector(group, err) == want
 
 
 def test_group_rejects_non_commuting_pair():
@@ -262,28 +224,42 @@ def test_group_rejects_non_commuting_pair():
 
 
 def test_statevector_size_guard():
+    # six independent X generators: 13^6 support entries, though every one
+    # of them stays far below int64
     f13 = GF(13)
     group = StabGroup(
-        x_type=zeros(f13, 0, 7),
-        z_type=Mat.from_rows(f13, [[1, 0, 0, 0, 0, 0, 0]]),
+        x_type=Mat.from_rows(f13, [[int(i == j) for j in range(7)] for i in range(6)]),
+        z_type=Mat.from_rows(f13, [[0, 0, 0, 0, 0, 0, 1]]),
     )
-    with pytest.raises(TooLarge):
+    with pytest.raises(TooLarge, match=r"13\^6 amplitudes"):
         syndrome_statevector(group, PauliError.make(13, [0] * 7, [0] * 7))
 
 
-def test_prepare_codespace_retry_and_exhaustion():
-    f5 = GF(5)
-    group = StabGroup(
-        x_type=Mat.from_rows(f5, [[1, 1, 0, 0]]),
-        z_type=Mat.from_rows(f5, [[0, 0, 1, 1]]),
-    )
-    # basis 1..8 violate the Z mask, so the deterministic retry lands on 9
-    _, used = prepare_codespace(group, start_basis=1)
-    assert used == 9
-    from qregen.errors import ZeroProjection
+def test_statevector_refuses_p_over_limit():
+    # no X generators, so p^0 = 1 support entry; but exponents would leave
+    # int64 and float64 cannot tell the p-th roots of unity apart
+    p = 2**61 - 1
+    f = GF(p)
+    group = StabGroup(x_type=zeros(f, 0, 2), z_type=Mat.from_rows(f, [[1, 2]]))
+    with pytest.raises(TooLarge, match="limit"):
+        prepare_codespace(group)
+    with pytest.raises(TooLarge):
+        syndrome_statevector(group, PauliError.make(p, [p - 1, 5], [3, p - 2]))
 
-    with pytest.raises(ZeroProjection):
-        prepare_codespace(group, start_basis=5**4)
+
+def test_statevector_at_largest_prime_under_limit():
+    # p support entries, each phase w^s computed from s; neighbouring roots
+    # of unity are 2 pi / p ~ 6e-6 apart, over the residual tolerance
+    p = 1048573
+    assert p <= STATE_LIMIT < p + 4
+    f = GF(p)
+    group = StabGroup(
+        x_type=Mat.from_rows(f, [[1, 1]]), z_type=Mat.from_rows(f, [[1, p - 1]])
+    )
+    assert len(prepare_codespace(group)[0]) == p
+    for x, z in (([1, 0], [0, 1]), ([p - 1, 3], [p // 2, 7]), ([12345, 0], [0, 54321])):
+        err = PauliError.make(p, x, z)
+        assert syndrome_statevector(group, err) == syndrome_linear(group, err)
 
 
 def test_error_dimension_check():

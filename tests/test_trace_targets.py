@@ -28,10 +28,8 @@ def test_every_trace_target_is_defined_on_its_owner():
     assert missing == []
 
 
-
-def test_cli_repair_trace_counts_one_file_repair():
-    # (6,2,3,13) has three sub-files: one run_repair span covers them all, and
-    # its transcript carries the file's B/k = 6 qudits
+def traced_repair(*mode):
+    """(exit code, tracer) of one traced CLI repair at (6,2,3,13)."""
     from qregen.cli import main
 
     spans = load_spans()
@@ -41,11 +39,29 @@ def test_cli_repair_trace_counts_one_file_repair():
         code = tracer.call_op("repair", main, [
             "repair", "--n", "6", "--k", "2", "--d", "3", "--prime", "13",
             "--seed", "3", "--failed", "4", "--helpers", "1,2,6", "--out", os.devnull,
+            *mode,
         ])
     finally:
         tracer.uninstall()
+    return code, tracer
+
+
+def test_cli_repair_trace_counts_one_file_repair():
+    # (6,2,3,13) has three sub-files: one run_repair span covers them all, and
+    # its transcript carries the file's B/k = 6 qudits
+    code, tracer = traced_repair()
     assert code == 0
     assert tracer.counts["repair", "repair.qudits"] == 6
     spans_seen = tracer.self_times()
     assert spans_seen["repair", "css.build"][0] == 3
     assert spans_seen["repair", "repair.run_repair"][0] == 1
+
+
+def test_cli_statevector_repair_traces_each_codespace():
+    # syndrome_statevector must reach prepare_codespace through the module
+    # global, which the tracer patches: one span per sub-file
+    code, tracer = traced_repair("--mode", "statevector")
+    assert code == 0
+    spans_seen = tracer.self_times()
+    assert spans_seen["repair", "stabilizer.prepare_codespace"][0] == 3
+    assert spans_seen["repair", "stabilizer.syndrome_statevector"][0] == 3
