@@ -22,7 +22,6 @@ from .pmcode import (
 from .repair import (
     HelperPayload,
     RepairTranscript,
-    SubfilePlan,
     bandwidth_report,
     helper_encode,
     plan_subfiles,
@@ -58,7 +57,6 @@ __all__ = [
     "HelperPayload",
     "SplitMix64",
     "StabGroup",
-    "SubfilePlan",
     "Syndrome",
     "SystemParams",
     "TradeoffPoint",

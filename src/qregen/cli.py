@@ -26,7 +26,7 @@ from .pmcode import (
     retrieve_file,
 )
 from .reference import replay
-from .repair import MODES, plan_subfiles
+from .repair import MODES
 from .rng import SplitMix64
 
 SWEEP_LIMIT = 10**6  # node sub-files stored; sub-file repairs plus retrievals per pass
@@ -320,7 +320,7 @@ def cmd_sweep(args) -> int:
             "max": max(qudit_seen, default=None),
             "expected": params.B // params.k,
         },
-        "perHelperQudits": plan_subfiles(params).per_helper_qudits,
+        "perHelperQudits": comb(params.d - 1, 2 * params.k - 3),
     }
     _write_out(_json_text(summary), args.out)
     return 0 if not failures else 1

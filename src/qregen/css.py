@@ -51,7 +51,6 @@ class RepairCSS:
     lam2: tuple[int, ...]
     u: tuple[int, ...]
     u_prime: tuple[int, ...]
-    vbar_f: tuple[int, ...]  # (1, v_f, ..., v_f^(a0-1)), which every helper applies
 
     @property
     def hx(self) -> Mat:
@@ -106,12 +105,6 @@ def build_repair_css(
 
     lam_f = params.lam[failed - 1]
     lam_h = [params.lam[s - 1] for s in hs]
-    if lam_f in lam_h:
-        # only reachable with allow_repeated_lambda params
-        raise InvalidHelperSet(
-            f"helper shares lam value {lam_f} with failed node {failed}"
-        )
-
     pts = [params.eval_points[s - 1] for s in hs]
     v_inv = vandermonde_inv(field, pts)
     w = v_inv.row(m - 1)  # leading Lagrange coefficients = dual GRS weights
@@ -137,5 +130,4 @@ def build_repair_css(
         lam2=lam2,
         u=u_vec,
         u_prime=u_prime,
-        vbar_f=tuple(params.point_powers(failed)),
     )

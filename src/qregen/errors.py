@@ -65,10 +65,6 @@ class DualContainmentViolated(QregenError):
 
 # repair protocol -------------------------------------------------------------
 
-class NotAHelper(UsageError):
-    """Storage node is not part of the helper set."""
-
-
 class ModeUnavailable(UsageError):
     """Requested syndrome backend cannot run for these parameters."""
 

@@ -28,7 +28,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .errors import BadShareSet, InvalidParams, NoValidPoints, Singular, WrongLength
+from .errors import BadShareSet, InvalidParams, NoValidPoints, WrongLength
 from .gf import GF
 from .matrix import Mat, matmul_mod, vandermonde, vandermonde_inv
 from .rng import SplitMix64
@@ -87,18 +87,13 @@ def make_params(
     d: int,
     p: int,
     eval_points: Sequence[int] | None = None,
-    *,
-    allow_repeated_lambda: bool = False,
 ) -> SystemParams:
     """Validate (n, k, d, p) and fix the evaluation points.
 
-    Defaults to v_i = i; if those points collide in lam = v^(k-1), a
-    deterministic greedy scan over the nonzero field elements finds a
-    distinct-lam assignment or raises NoValidPoints (use a larger prime).
-    With allow_repeated_lambda=True the distinct-lam requirement is waived:
-    such systems support repair for any (failed, helpers) combination whose
-    lam values avoid the failed node's, but not retrieval from arbitrary
-    k-subsets.
+    Without ``eval_points``, a deterministic greedy scan over the nonzero
+    field elements takes the first n points with pairwise-distinct
+    lam = v^(k-1), which is v_i = i whenever those points qualify; if no n
+    points qualify it raises NoValidPoints (use a larger prime).
     """
     if k < 2 or d < 2 * k - 2 or d >= n:
         raise InvalidParams(f"need k >= 2 and 2k-2 <= d < n, got ({n},{k},{d})")
@@ -117,19 +112,15 @@ def make_params(
         if 0 in pts or len(set(pts)) != n:
             raise InvalidParams("evaluation points must be distinct and nonzero")
     else:
-        pts = tuple(range(1, n + 1))
-
-    lam = tuple(field.pow(v, alpha0) for v in pts)
-    if len(set(lam)) != n and not allow_repeated_lambda:
-        if eval_points is not None:
-            raise InvalidParams("lam values v^(k-1) collide for these points")
-        pts_found = _greedy_points(field, n, alpha0)
-        if pts_found is None:
+        pts = _greedy_points(field, n, alpha0)
+        if pts is None:
             raise NoValidPoints(
                 f"no {n} points with distinct v^{alpha0} exist in GF({p})"
             )
-        pts = pts_found
-        lam = tuple(field.pow(v, alpha0) for v in pts)
+
+    lam = tuple(field.pow(v, alpha0) for v in pts)
+    if len(set(lam)) != n:
+        raise InvalidParams("lam values v^(k-1) collide for these points")
 
     return SystemParams(
         n=n,
@@ -236,8 +227,6 @@ def _decode_plan(params: SystemParams, ids: list[int]) -> _DecodePlan:
     field = params.field
     pts = [params.eval_points[i - 1] for i in ids]
     lam = [params.lam[i - 1] for i in ids]
-    if len(set(lam)) != len(lam):
-        raise Singular(f"repeated lam among nodes {ids}")
     a0 = params.alpha0
     pairs = list(combinations(range(a0 + 1), 2))  # (a, b) with a < b
     diff_inv = [[0] * (a0 + 1) for _ in range(a0 + 1)]

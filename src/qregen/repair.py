@@ -11,33 +11,30 @@ blocks is exactly (row_m, row_mp) of the failed node. Every helper ships
 one qudit, so one sub-file costs 2k-2 qudits.
 
 ``run_repair`` takes ``encode_file``'s whole (T, n, 2, a0) storage array
-and d helpers, and runs the three stages once per sub-file;
-``helper_encode`` sees only the two rows of its own node. The file is
-T = C(d, 2k-2) sub-files (one when d = 2k-2); each one repairs through a
-distinct (2k-2)-subset of the d helpers (subsets in colexicographic
-order). A helper participates in exactly C(d-1, 2k-3) sub-files and sends
-one qudit in each, so the grand total is C(d, 2k-2) * (2k-2) = B/k
-qudits. Note the naive count of one qudit per helper per sub-file,
-d * C(d, 2k-2) in total, would overshoot B/k whenever d > 2k-2; only
-helpers inside a sub-file's subset transmit.
+and d helpers. Every helper applies the same vbar_f in every sub-file, so
+stage 2's dots for the whole file are one product: ``helper_encode``
+multiplies the helpers' rows, and only theirs, by vbar_f. Stages 1 and 3
+run once per sub-file, and each payload scales its helper's dots by that
+sub-file's lam1_j and lam2_j. The file is T = C(d, 2k-2) sub-files (one
+when d = 2k-2); each one repairs through a distinct (2k-2)-subset of the
+d helpers (subsets in colexicographic order). A helper participates in
+exactly C(d-1, 2k-3) sub-files and sends one qudit in each, so the grand
+total is C(d, 2k-2) * (2k-2) = B/k qudits. Note the naive count of one
+qudit per helper per sub-file, d * C(d, 2k-2) in total, would overshoot
+B/k whenever d > 2k-2; only helpers inside a sub-file's subset transmit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 from collections.abc import Sequence
 
 import numpy as np
 
 from .css import RepairCSS, build_repair_css
-from .errors import (
-    InvalidHelperSet,
-    ModeUnavailable,
-    NotAHelper,
-    RegenerationMismatch,
-)
+from .errors import InvalidHelperSet, ModeUnavailable, RegenerationMismatch
+from .matrix import matmul_mod
 from .pmcode import SystemParams
 from .stabilizer import (
     PauliError,
@@ -107,37 +104,17 @@ class RepairTranscript:
         }
 
 
-@dataclass(frozen=True)
-class SubfilePlan:
-    """Assignment of sub-files to helper-slot subsets."""
-
-    subsets: tuple[tuple[int, ...], ...]
-    per_helper_qudits: int
-
-
 def helper_encode(
     params: SystemParams,
-    repair_css: RepairCSS,
-    node_id: int,
-    rows: Sequence[Sequence[int]],
-) -> HelperPayload:
-    """The two precoded dits helper ``node_id`` computes from its own rows
-    (row_m, row_mp)."""
-    try:
-        j = repair_css.helpers.index(node_id)
-    except ValueError:
-        raise NotAHelper(
-            f"node {node_id} not in helper set {repair_css.helpers}"
-        ) from None
-    own_m, own_mp = (  # row_m . vbar_f and row_mp . vbar_f
-        sum(x * v for x, v in zip(row, repair_css.vbar_f, strict=True))
-        for row in rows
-    )
-    return HelperPayload(
-        helper_id=node_id,
-        y_x=repair_css.lam1[j] * own_m % params.p,
-        y_z=repair_css.lam2[j] * own_mp % params.p,
-    )
+    storage: np.ndarray,
+    failed: int,
+    helpers: Sequence[int],
+) -> np.ndarray:
+    """Every helper's two dots in every sub-file, as one (T, d, 2) object
+    array of Python ints: entry [t, j] is (row_m . vbar_f, row_mp . vbar_f)
+    of node ``helpers[j]`` in sub-file t. Only the helpers' rows are read."""
+    vbar_f = np.array(params.point_powers(failed), dtype=object)
+    return matmul_mod(storage[:, [h - 1 for h in helpers]], vbar_f, params.p)
 
 
 def _syndrome_backend(mode: str):
@@ -148,18 +125,10 @@ def _syndrome_backend(mode: str):
     return syndrome_linear if mode == "linear" else syndrome_symplectic
 
 
-def _colex(subsets) -> list[tuple[int, ...]]:
-    return sorted(subsets, key=lambda s: tuple(reversed(s)))
-
-
-def plan_subfiles(params: SystemParams) -> SubfilePlan:
+def plan_subfiles(params: SystemParams) -> list[tuple[int, ...]]:
     """All (2k-2)-subsets of the d helper slots, colex order."""
-    m = 2 * params.k - 2
-    subsets = _colex(combinations(range(params.d), m))
-    return SubfilePlan(
-        subsets=tuple(subsets),
-        per_helper_qudits=comb(params.d - 1, m - 1),
-    )
+    subsets = combinations(range(params.d), 2 * params.k - 2)
+    return sorted(subsets, key=lambda s: s[::-1])
 
 
 def run_repair(
@@ -178,6 +147,8 @@ def run_repair(
     through the t-th colex (2k-2)-subset of the sorted helpers, each with
     the same free vector ``u``.
     """
+    if not 1 <= failed <= params.n:
+        raise InvalidHelperSet(f"failed node {failed} out of range")
     backend = _syndrome_backend(mode)
     shape = (params.subfiles, params.n, 2, params.alpha0)
     if storage.shape != shape:
@@ -194,18 +165,19 @@ def run_repair(
             f"need {params.d} distinct helpers in [1, {params.n}] "
             f"excluding node {failed}"
         )
+    p = params.p
+    dots = helper_encode(params, storage, failed, hs).tolist()
+    stored = storage[:, failed - 1].tolist()  # read only to check the result
     parts = []
-    for rows, subset in zip(storage.tolist(), plan_subfiles(params).subsets):
-        # plain ints from tolist: numpy object rows iterate slower
+    for subset, sub_dots, rows in zip(plan_subfiles(params), dots, stored):
         repair_css = build_repair_css(params, failed, [hs[i] for i in subset], u)
-        sent = tuple(
-            helper_encode(params, repair_css, s, rows[s - 1]) for s in repair_css.helpers
-        )
-        err = PauliError.make(params.p, [pl.y_x for pl in sent], [pl.y_z for pl in sent])
-        syndrome = backend(repair_css.group, err)
+        y_x = [lam * sub_dots[i][0] % p for lam, i in zip(repair_css.lam1, subset)]
+        y_z = [lam * sub_dots[i][1] % p for lam, i in zip(repair_css.lam2, subset)]
+        sent = tuple(map(HelperPayload, repair_css.helpers, y_x, y_z))
+        syndrome = backend(repair_css.group, PauliError.make(p, y_x, y_z))
         # measured block order is (sZ, sX); the final swap puts row_m first
         regenerated = (syndrome.s_x, syndrome.s_z)
-        original = tuple(map(tuple, rows[failed - 1]))
+        original = tuple(map(tuple, rows))
         if regenerated != original:
             raise RegenerationMismatch(
                 f"node {failed} repaired to {regenerated}, stored {original}"

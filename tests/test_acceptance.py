@@ -15,7 +15,7 @@ from math import comb
 from qregen.css import build_repair_css, check_dual_containment
 from qregen.pmcode import encode_file, make_params, random_symbols, retrieve_file
 from qregen.reference import GOLDEN, replay
-from qregen.repair import plan_subfiles, run_repair
+from qregen.repair import helper_encode, plan_subfiles, run_repair
 from qregen.rng import SplitMix64
 from qregen.stabilizer import (
     PauliError,
@@ -79,19 +79,15 @@ def test_criterion_2_dual_containment():
                 assert check_dual_containment(c.hx, c.hz)
 
         # (8,3,4,13) admits no distinct-lam assignment (six nonzero squares
-        # mod 13), so the repair-time construction is exercised on the
-        # relaxed parameter set over the lam-compatible cases
-        relaxed = make_params(8, 3, 4, 13, allow_repeated_lambda=True)
-        done = 0
-        while done < 200:
+        # mod 13), so eight nodes at k = 3 are exercised over GF(17)
+        eight = make_params(8, 3, 4, 17)
+        assert len(set(eight.lam)) == 8
+        for _ in range(200):
             failed = 1 + rng.below(8)
             helpers = sample(rng, [i for i in range(1, 9) if i != failed], 4)
-            if relaxed.lam[failed - 1] in (relaxed.lam[s - 1] for s in helpers):
-                continue
-            u = [rng.unit(13) for _ in range(4)]
-            c = build_repair_css(relaxed, failed, helpers, u)
+            u = [rng.unit(17) for _ in range(4)]
+            c = build_repair_css(eight, failed, helpers, u)
             assert check_dual_containment(c.hx, c.hz)
-            done += 1
 
         big = make_params(7, 4, 6, 17)
         for _ in range(200):
@@ -164,15 +160,12 @@ def test_criterion_5_backend_equivalence():
         for i in range(100):
             if i == 0:
                 # the actual repair-time error vector for a random message
-                stored = encode_file(params, random_symbols(params, rng))[0]
-                from qregen.repair import helper_encode
-
-                payloads = [
-                    helper_encode(params, c, s, stored[s - 1].tolist())
-                    for s in c.helpers
-                ]
+                storage = encode_file(params, random_symbols(params, rng))
+                dots = helper_encode(params, storage, 1, c.helpers)[0]
                 err = PauliError.make(
-                    13, [pl.y_x for pl in payloads], [pl.y_z for pl in payloads]
+                    13,
+                    [lam * y for lam, y in zip(c.lam1, dots[:, 0])],
+                    [lam * y for lam, y in zip(c.lam2, dots[:, 1])],
                 )
             else:
                 err = random_error(13, 4, rng)
@@ -184,8 +177,9 @@ def test_criterion_6_extension():
         ext = make_params(6, 2, 3, 13)
         assert ext.subfiles == comb(3, 2) == 3
         assert ext.B == 12 and ext.B // ext.k == 6
-        plan = plan_subfiles(ext)
-        assert plan.per_helper_qudits == comb(ext.d - 1, 2 * ext.k - 3) == 2
+        subsets = plan_subfiles(ext)
+        per_slot = [sum(slot in s for s in subsets) for slot in range(ext.d)]
+        assert per_slot == [comb(ext.d - 1, 2 * ext.k - 3)] * ext.d == [2, 2, 2]
         # the naive accounting of one qudit per helper per sub-file would
         # give d * C(d, 2k-2) = 9, which overshoots B/k = 6; the consistent
         # per-helper count is C(d-1, 2k-3)

@@ -457,7 +457,7 @@ def test_usage_error_classes():
              if isinstance(cls, type) and issubclass(cls, errors.UsageError)}
     assert usage - {"UsageError"} == {
         "InvalidParams", "NoValidPoints", "WrongLength", "BadShareSet",
-        "InvalidHelperSet", "ZeroU", "NotAHelper", "ModeUnavailable",
+        "InvalidHelperSet", "ZeroU", "ModeUnavailable",
         "RepeatedPoint", "TooLarge", "InvalidRegime", "RegimeViolation",
         "Indivisible",
     }
@@ -701,6 +701,15 @@ def test_repair_names_d_helpers(capsys):
     )
     assert one_line_usage_error(code, out, err)
     assert err == "error: need 3 distinct helpers in [1, 6] excluding node 4\n"
+
+
+@pytest.mark.parametrize("failed", ["0", "7", "-1"])
+def test_repair_failed_node_out_of_range(capsys, failed):
+    # checked before any other work: node 0 would read node n's point
+    code, out, err = run_cli(capsys, "repair", *P634, "--failed", failed,
+                             "--helpers", "1,2,3,4")
+    assert one_line_usage_error(code, out, err)
+    assert err == f"error: failed node {failed} out of range\n"
 
 
 def test_prime_past_the_proven_range_exits_2(tmp_path, capsys):

@@ -177,18 +177,6 @@ def test_build_rejects_bad_inputs():
         build_repair_css(params, 1, (2, 4, 5, 6), (1, 1, 1))
 
 
-def test_build_rejects_lam_collision_with_failed_node():
-    # under relaxed params, a helper sharing lam with the failed node makes
-    # the precoding denominators vanish
-    relaxed = make_params(8, 3, 4, 13, allow_repeated_lambda=True)
-    assert relaxed.lam[5] == relaxed.lam[6]  # nodes 6 and 7 collide
-    with pytest.raises(InvalidHelperSet):
-        build_repair_css(relaxed, 6, (1, 2, 7, 8))
-    # a collision among the helpers themselves is fine
-    c = build_repair_css(relaxed, 1, (5, 6, 7, 8))
-    assert check_dual_containment(c.hx, c.hz)
-
-
 def test_corrupted_construction_fails_closed(monkeypatch):
     # the StabGroup built inside build_repair_css is the only check left
     params = make_params(6, 3, 4, 13)

@@ -1,6 +1,7 @@
 """Storage code: parameter validation, packing, encoding, retrieval."""
 
 from collections import Counter
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -10,12 +11,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import qregen.pmcode
 from qregen.errors import (
     BadShareSet,
+    DivisionByZero,
     InvalidParams,
     NoValidPoints,
-    Singular,
     WrongLength,
 )
-from qregen.gf import GF
+from qregen.gf import GF, is_prime
 from qregen.matrix import Mat, vandermonde_inv
 from qregen.pmcode import (
     _LeaveOneOut,
@@ -28,6 +29,7 @@ from qregen.pmcode import (
     retrieve_file,
     unpack_file,
 )
+from qregen.css import build_repair_css
 from qregen.rng import SplitMix64
 
 from linalg import dot
@@ -75,9 +77,6 @@ def test_make_params_no_valid_points():
     # only six distinct nonzero squares exist mod 13, so n = 8 is impossible
     with pytest.raises(NoValidPoints):
         make_params(8, 3, 4, 13)
-    relaxed = make_params(8, 3, 4, 13, allow_repeated_lambda=True)
-    assert len(set(relaxed.lam)) < relaxed.n
-    assert relaxed.lam == (1, 4, 9, 3, 12, 10, 10, 12)
     p17 = make_params(8, 3, 4, 17)
     assert len(set(p17.lam)) == p17.n
 
@@ -88,6 +87,39 @@ def test_make_params_greedy_fallback():
     p = make_params(8, 4, 6, 31)
     assert p.eval_points == (1, 2, 3, 4, 6, 8, 11, 12)
     assert len(set(p.lam)) == 8
+
+
+def default_points_before_the_scan(n, a0, p):
+    """The earlier default: v_i = i when those lam = v^a0 are distinct,
+    else the first n nonzero points with distinct lam, else None."""
+    pts = tuple(range(1, n + 1))
+    if len({pow(v, a0, p) for v in pts}) == n:
+        return pts
+    chosen, seen = [], set()
+    for c in range(1, p):
+        lam = pow(c, a0, p)
+        if lam not in seen:
+            chosen.append(c)
+            seen.add(lam)
+            if len(chosen) == n:
+                return tuple(chosen)
+    return None
+
+
+def test_greedy_scan_keeps_the_earlier_default_points():
+    # every (n, k, p) with p < 200, 2 <= k <= 7 and 2k - 1 <= n < p
+    valid = 0
+    for p in filter(is_prime, range(3, 200)):
+        for k in range(2, 8):
+            for n in range(2 * k - 1, p):
+                want = default_points_before_the_scan(n, k - 1, p)
+                if want is None:
+                    with pytest.raises(NoValidPoints):
+                        make_params(n, k, 2 * k - 2, p)
+                else:
+                    assert make_params(n, k, 2 * k - 2, p).eval_points == want
+                    valid += 1
+    assert valid == 13789
 
 
 def test_pack_message_reference_labeling():
@@ -216,17 +248,20 @@ def test_retrieve_share_set_validation():
             retrieve_file(params, storage, ids)
 
 
-def test_retrieve_with_repeated_lambda():
-    # relaxed parameters keep encoding and lam-compatible retrieval working,
-    # but a share set hitting a repeated-lam pair has a singular decode step
-    relaxed = make_params(8, 3, 4, 13, allow_repeated_lambda=True)
-    rng = SplitMix64(77)
-    symbols = random_symbols(relaxed, rng)
-    storage = encode_file(relaxed, symbols)
-    assert list(retrieve_file(relaxed, storage, (1, 2, 3))) == symbols
-    assert relaxed.lam[5] == relaxed.lam[6]
-    with pytest.raises(Singular):
-        retrieve_file(relaxed, storage, (6, 7, 1))
+def test_repeated_lam_params_fail_with_division_by_zero():
+    # make_params never returns repeated lam; params built around it fail
+    # loudly, in the decode plan and in the repair-time build
+    params = make_params(8, 3, 4, 17)
+    pts = (1, 2, 3, 4, 5, 6, 7, 10)  # 7^2 = 10^2 mod 17
+    bad = replace(params, eval_points=pts, lam=tuple(v * v % 17 for v in pts))
+    assert bad.lam[6] == bad.lam[7]
+    symbols = random_symbols(bad, SplitMix64(77))
+    storage = encode_file(bad, symbols)
+    assert list(retrieve_file(bad, storage, (1, 2, 3))) == symbols
+    with pytest.raises(DivisionByZero):
+        retrieve_file(bad, storage, (7, 8, 1))
+    with pytest.raises(DivisionByZero):
+        build_repair_css(bad, 7, (1, 2, 3, 8))
 
 
 def test_file_layer_round_trip():
@@ -270,13 +305,6 @@ def test_retrieve_file_checks_id_set_and_shape():
     for bad in (storage[:, :5], storage[..., :0], storage[:, :, :1], storage[0]):
         with pytest.raises(BadShareSet):
             retrieve_file(params, bad, [1, 4])
-
-    # lam_6 = lam_7 here, so a node set holding both cannot decode
-    relaxed = make_params(8, 3, 5, 13, allow_repeated_lambda=True)
-    assert relaxed.subfiles == 5 and relaxed.lam[5] == relaxed.lam[6]
-    storage = encode_file(relaxed, random_symbols(relaxed, SplitMix64(22)))
-    with pytest.raises(Singular):
-        retrieve_file(relaxed, storage, (6, 7, 1))
 
 
 def test_file_layer_is_one_pass(monkeypatch):

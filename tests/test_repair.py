@@ -5,13 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from qregen.css import build_repair_css
-from qregen.errors import (
-    InvalidHelperSet,
-    ModeUnavailable,
-    NotAHelper,
-    RegenerationMismatch,
-)
+from qregen.errors import InvalidHelperSet, ModeUnavailable, RegenerationMismatch
 from qregen.matrix import Mat
 from qregen.pmcode import (
     encode_file,
@@ -21,6 +15,7 @@ from qregen.pmcode import (
 )
 from qregen.repair import (
     MODES,
+    HelperPayload,
     bandwidth_report,
     helper_encode,
     plan_subfiles,
@@ -43,42 +38,85 @@ def reference_setup(seed=1):
     return params, symbols, storage
 
 
+def one_helper_dots(params, failed, rows):
+    """Reference for one helper: (row_m . vbar_f, row_mp . vbar_f) mod p in
+    pure Python ints, from that node's two rows alone."""
+    p, v_f = params.p, params.eval_points[failed - 1]
+    vbar_f = [pow(v_f, e, p) for e in range(params.alpha0)]
+    return tuple(sum(x * v for x, v in zip(row, vbar_f, strict=True)) % p for row in rows)
+
+
 def test_helper_encode_sparse_message_golden():
     # message with only the first symbol set: node 2 then stores rows
-    # (1, 0) and (0, 0), so helper 2's payload is (lam1_2 * 1, 0) = (9, 0)
+    # (1, 0) and (0, 0), so helper 2 dots them to (1, 0) and its payload is
+    # (lam1_2 * 1, 0) = (9, 0)
     params = make_params(6, 3, 4, 13)
-    stored = encode_file(params, [1] + [0] * 11)[0]
-    assert node_rows(stored, 2) == ((1, 0), (0, 0))
-    c = build_repair_css(params, 1, (2, 4, 5, 6))
-    payload = helper_encode(params, c, 2, stored[1].tolist())
-    assert (payload.y_x, payload.y_z) == (9, 0)
+    storage = encode_file(params, [1] + [0] * 11)
+    assert node_rows(storage[0], 2) == ((1, 0), (0, 0))
+    dots = helper_encode(params, storage, 1, (2, 4, 5, 6))
+    assert dots.shape == (1, 4, 2)
+    assert tuple(dots[0, 0]) == (1, 0)
+    payload = run_repair(params, storage, 1, (2, 4, 5, 6)).payloads[0][0]
+    assert (payload.helper_id, payload.y_x, payload.y_z) == (2, 9, 0)
     assert payload.to_json_dict()["quditsSent"] == 1
 
 
 def test_helper_encode_zero_storage():
     params = make_params(6, 3, 4, 13)
-    c = build_repair_css(params, 1, (2, 4, 5, 6))
-    payload = helper_encode(params, c, 4, [[0, 0], [0, 0]])
-    assert (payload.y_x, payload.y_z) == (0, 0)
+    storage = encode_file(params, [0] * 12)
+    assert helper_encode(params, storage, 1, (2, 4, 5, 6)).tolist() == [[[0, 0]] * 4]
 
 
 def test_helper_encode_scales_with_message():
     params, symbols, storage = reference_setup(2)
-    stored = storage[0]
-    c = build_repair_css(params, 3, (1, 2, 5, 6))
-    doubled = encode_file(params, [2 * s % 13 for s in symbols])[0]
-    for s in c.helpers:
-        base = helper_encode(params, c, s, stored[s - 1].tolist())
-        scaled = helper_encode(params, c, s, doubled[s - 1].tolist())
-        assert scaled.y_x == 2 * base.y_x % 13
-        assert scaled.y_z == 2 * base.y_z % 13
+    doubled = encode_file(params, [2 * s % 13 for s in symbols])
+    helpers = (1, 2, 5, 6)
+    base = helper_encode(params, storage, 3, helpers)
+    scaled = helper_encode(params, doubled, 3, helpers)
+    assert (scaled == 2 * base % 13).all()
+    assert base.any()
 
 
-def test_helper_encode_rejects_non_helper():
-    params, _, storage = reference_setup()
-    c = build_repair_css(params, 1, (2, 4, 5, 6))
-    with pytest.raises(NotAHelper):
-        helper_encode(params, c, 3, storage[0, 2].tolist())  # node 3 not a helper
+@pytest.mark.parametrize("n,k,d,p", [(6, 3, 4, 13), (12, 4, 8, 17)])
+def test_helper_encode_reads_only_helper_rows(n, k, d, p):
+    # the failed node's rows and every non-helper's rows can change freely
+    params = make_params(n, k, d, p)
+    storage = encode_file(params, random_symbols(params, SplitMix64(17)))
+    failed, helpers = 2, tuple(range(n - d + 1, n + 1))
+    before = helper_encode(params, storage, failed, helpers)
+    changed = storage.copy()
+    for node in range(1, n + 1):
+        if node not in helpers:
+            changed[:, node - 1] = (changed[:, node - 1] + 1 + node) % p
+    assert (changed != storage).any()
+    assert (helper_encode(params, changed, failed, helpers) == before).all()
+
+
+@pytest.mark.parametrize("n,k,d,p", [
+    (6, 3, 4, 13), (6, 2, 3, 13), (12, 4, 8, 17), (64, 20, 38, 67), (6, 3, 4, 2**61 - 1),
+])
+def test_helper_encode_matches_one_helper_reference(n, k, d, p):
+    # the last set multiplies on Python ints, as K (p - 1)^2 >= 2^63 there
+    params = make_params(n, k, d, p)
+    storage = encode_file(params, random_symbols(params, SplitMix64(n + p)))
+    failed, helpers = n, tuple(range(1, d + 1))
+    dots = helper_encode(params, storage, failed, helpers)
+    assert dots.shape == (params.subfiles, d, 2)
+    assert all(type(x) is int for x in dots.ravel())
+    for t in range(params.subfiles):
+        for j, h in enumerate(helpers):
+            ref = one_helper_dots(params, failed, storage[t, h - 1].tolist())
+            assert tuple(dots[t, j]) == ref
+    # each payload is lam1 and lam2 times the dots of its own node's rows
+    transcript = run_repair(params, storage, failed, helpers)
+    for t, (css, sent) in enumerate(zip(transcript.css, transcript.payloads)):
+        for j, payload in enumerate(sent):
+            own_m, own_mp = one_helper_dots(
+                params, failed, storage[t, payload.helper_id - 1].tolist()
+            )
+            assert (payload.y_x, payload.y_z) == (
+                css.lam1[j] * own_m % p, css.lam2[j] * own_mp % p
+            )
 
 
 def test_run_repair_exhaustive_reference_instance():
@@ -110,9 +148,11 @@ def test_run_repair_payload_locality():
     params, _, storage = reference_setup(5)
     t = run_repair(params, storage, 5, (1, 2, 3, 6))
     (css,), (payloads,) = t.css, t.payloads
-    for payload in payloads:
+    assert [pl.helper_id for pl in payloads] == [1, 2, 3, 6]
+    for j, payload in enumerate(payloads):
         node = payload.helper_id
-        solo = helper_encode(params, css, node, storage[0, node - 1].tolist())
+        own_m, own_mp = one_helper_dots(params, 5, storage[0, node - 1].tolist())
+        solo = HelperPayload(node, css.lam1[j] * own_m % 13, css.lam2[j] * own_mp % 13)
         assert solo == payload
 
 
@@ -128,6 +168,10 @@ def test_run_repair_validation():
             run_repair(params, bad, 1, (2, 3, 4, 5))
     with pytest.raises(ModeUnavailable):
         run_repair(params, storage, 1, (2, 3, 4, 5), mode="nope")
+    # checked first: node 0 would read node n's point, and node n + 1 none
+    for failed in (0, 7, -1):
+        with pytest.raises(InvalidHelperSet, match=f"^failed node {failed} out of range$"):
+            run_repair(params, storage, failed, (1, 2, 3, 4), mode="nope")
 
 
 def test_run_repair_statevector_unavailable_when_too_big():
@@ -161,21 +205,23 @@ def test_repaired_node_reenters_retrieval():
                 assert list(retrieve_file(params, refreshed, subset)) == symbols
 
 
+def per_slot_counts(params):
+    """How many sub-files each helper slot joins."""
+    subsets = plan_subfiles(params)
+    return [sum(slot in s for s in subsets) for slot in range(params.d)]
+
+
 def test_plan_subfiles_counts():
     ext = make_params(6, 2, 3, 13)
-    plan = plan_subfiles(ext)
-    assert plan.subsets == ((0, 1), (0, 2), (1, 2))
-    assert plan.per_helper_qudits == 2
+    assert plan_subfiles(ext) == [(0, 1), (0, 2), (1, 2)]
+    assert per_slot_counts(ext) == [2] * 3
     base = make_params(6, 3, 4, 13)
-    assert plan_subfiles(base).subsets == ((0, 1, 2, 3),)
-    assert plan_subfiles(base).per_helper_qudits == 1
+    assert plan_subfiles(base) == [(0, 1, 2, 3)]
+    assert per_slot_counts(base) == [1] * 4
     wide = make_params(8, 2, 4, 13)
-    plan4 = plan_subfiles(wide)
     # colex order over slot pairs of d = 4
-    assert plan4.subsets == ((0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3))
-    assert plan4.per_helper_qudits == 3
-    for slot in range(4):
-        assert sum(slot in s for s in plan4.subsets) == 3
+    assert plan_subfiles(wide) == [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]
+    assert per_slot_counts(wide) == [3] * 4
 
 
 def test_run_repair_extended_exhaustive():

@@ -47,14 +47,16 @@ def traced_repair(*mode):
 
 
 def test_cli_repair_trace_counts_one_file_repair():
-    # (6,2,3,13) has three sub-files: one run_repair span covers them all, and
-    # its transcript carries the file's B/k = 6 qudits
+    # (6,2,3,13) has three sub-files: one run_repair span covers them all, one
+    # helper_encode product serves every helper of every sub-file, and the
+    # transcript carries the file's B/k = 6 qudits
     code, tracer = traced_repair()
     assert code == 0
     assert tracer.counts["repair", "repair.qudits"] == 6
     spans_seen = tracer.self_times()
     assert spans_seen["repair", "css.build"][0] == 3
     assert spans_seen["repair", "repair.run_repair"][0] == 1
+    assert spans_seen["repair", "repair.helper_encode"][0] == 1
 
 
 def test_cli_statevector_repair_traces_each_codespace():
