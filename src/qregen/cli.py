@@ -173,7 +173,8 @@ def _load_json(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError: bad UTF-8, bad JSON or an int of over 4300 digits
+    except (OSError, ValueError, RecursionError) as exc:
         raise errors.InvalidParams(f"cannot read {path}: {exc}") from None
 
 

@@ -15,20 +15,25 @@ exactly what forces HX HZ^T = 0, so the pair generates a valid stabilizer
 group. By construction HZ (L1 Vt) = HX (L2 Vt) = [I | lam_f I], which is
 why the measured syndromes later read off the failed node's rows directly.
 
-HX and HZ share one inverse, since (L Vt)^(-1) = Vt^(-1) L^(-1): the build
-takes the closed-form Vt^(-1) (``vandermonde_inv``) once, forms
-[I | lam_f I] Vt^(-1) as its top a0 rows plus lam_f times its bottom a0
-rows, and scales its columns by 1/lam2 for HX and by 1/lam1 for HZ. The
-last row of Vt^(-1) is w: column j holds the Lagrange polynomial of point
-j, whose leading coefficient is w_j. 1/lam1 = (lam_h - lam_f) / u reuses
-the inverses of u that u' = w / u takes, so a build makes 4m field
-inversions: of u, of lam_h - lam_f, of lam2, and the m that
-``vandermonde_inv`` makes for the weights. The ``StabGroup`` the build
-returns checks HX HZ^T = 0, once.
+HX and HZ share one inverse, since (L Vt)^(-1) = Vt^(-1) L^(-1), and u
+enters only as column scalings: 1/lam1 = (lam_h - lam_f) / u and
+1/lam2 = (lam_h - lam_f) u / w, so HX_u = HX_1 diag(u) and
+HZ_u = HZ_1 diag(1/u), and HX_u HZ_u^T = HX_1 HZ_1^T for every u. The
+u-free basis of a (params, failed, helpers) key is [I | lam_f I] Vt^(-1),
+from the closed-form ``vandermonde_inv``, scaled to HX_1 and HZ_1, plus w
+(the last row of Vt^(-1): column j holds the Lagrange polynomial of point
+j, whose leading coefficient is w_j) and every 1 / (lam_h - lam_f). A
+per-process LRU keeps the bases of the last 16 file repairs, 16 T entries
+for T sub-files. A cold build makes m + 1 field inversions (the m weights
+inside ``vandermonde_inv``, then every lam_h - lam_f and w in one batch);
+a warm one makes none. A random u costs one batched inversion more. Every
+build, warm or cold, returns a ``RepairCSS`` whose ``StabGroup`` checks
+HX HZ^T = 0, and only a basis that passed that check enters the cache.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from collections.abc import Sequence
 
@@ -71,6 +76,24 @@ class RepairCSS:
         }
 
 
+_BASES: OrderedDict[tuple, tuple] = OrderedDict()  # least recently used first
+
+
+def _basis(params: SystemParams, failed: int, hs: tuple[int, ...]) -> tuple:
+    """The u-free part of a build: HX and HZ at u = 1, the GRS weights w and
+    every 1 / (lam_h - lam_f)."""
+    field, m = params.field, len(hs)
+    lam_f = params.lam[failed - 1]
+    v_inv = vandermonde_inv(field, [params.eval_points[s - 1] for s in hs])
+    w = v_inv.row(m - 1)  # leading Lagrange coefficients = dual GRS weights
+    denom = [field.sub(params.lam[s - 1], lam_f) for s in hs]
+    inv = field.inv_all(denom + w)  # 1 / (lam_h - lam_f), then 1 / w
+    a0 = params.alpha0
+    sel_v_inv = v_inv.data[:a0] + lam_f * v_inv.data[a0:]  # [I | lam_f I] Vt^(-1)
+    hz = sel_v_inv * np.array(denom, dtype=object) % field.p  # times 1 / lam1 at u = 1
+    return hz * np.array(inv[m:], dtype=object) % field.p, hz, w, inv[:m]
+
+
 def build_repair_css(
     params: SystemParams,
     failed: int,
@@ -103,31 +126,25 @@ def build_repair_css(
         if 0 in u_vec:
             raise ZeroU("u entries must be nonzero")
 
-    lam_f = params.lam[failed - 1]
-    lam_h = [params.lam[s - 1] for s in hs]
-    pts = [params.eval_points[s - 1] for s in hs]
-    v_inv = vandermonde_inv(field, pts)
-    w = v_inv.row(m - 1)  # leading Lagrange coefficients = dual GRS weights
-    u_inv = [field.inv(uj) for uj in u_vec]
-    u_prime = tuple(field.mul(wj, ui) for wj, ui in zip(w, u_inv))
-    denom = [field.sub(ls, lam_f) for ls in lam_h]
-    denom_inv = [field.inv(dj) for dj in denom]
-    lam1 = tuple(field.mul(uj, di) for uj, di in zip(u_vec, denom_inv))
-    lam2 = tuple(field.mul(uj, di) for uj, di in zip(u_prime, denom_inv))
-
-    a0 = params.alpha0
-    sel_v_inv = v_inv.data[:a0] + lam_f * v_inv.data[a0:]  # [I | lam_f I] Vt^(-1)
-    # the right factors diag(lam2)^(-1) and diag(lam1)^(-1) scale columns
-    inv1 = np.array([field.mul(dj, ui) for dj, ui in zip(denom, u_inv)], dtype=object)
-    inv2 = np.array([field.inv(x) for x in lam2], dtype=object)
-    hx = Mat.from_array(field, sel_v_inv * inv2)
-    hz = Mat.from_array(field, sel_v_inv * inv1)
+    key = (params, failed, hs)
+    basis = _BASES.pop(key, None) or _basis(params, failed, hs)
+    hx, hz, w, denom_inv = basis
+    p = field.p
+    u_inv = u_vec if u is None else tuple(field.inv_all(u_vec))
+    u_prime = tuple(wj * ui % p for wj, ui in zip(w, u_inv))
+    group = StabGroup(  # raises DualContainmentViolated
+        x_type=Mat.from_array(field, hx * np.array(u_vec, dtype=object)),
+        z_type=Mat.from_array(field, hz * np.array(u_inv, dtype=object)),
+    )
+    _BASES[key] = basis  # the most recent now; only a checked basis enters
+    while len(_BASES) > 16 * params.subfiles:
+        _BASES.popitem(last=False)
     return RepairCSS(
         failed_node=failed,
         helpers=hs,
-        group=StabGroup(x_type=hx, z_type=hz),  # raises DualContainmentViolated
-        lam1=lam1,
-        lam2=lam2,
+        group=group,
+        lam1=tuple(uj * di % p for uj, di in zip(u_vec, denom_inv)),
+        lam2=tuple(uj * di % p for uj, di in zip(u_prime, denom_inv)),
         u=u_vec,
         u_prime=u_prime,
     )

@@ -3,18 +3,20 @@
 A ``Mat`` holds its entries in one 2-D numpy array of ``dtype=object``
 whose items are Python ints in [0, p), tied to a GF instance. Every matrix
 product in the package, of ``Mat``s or of raw object arrays, goes through
-``matmul_mod``, the one exact GF(p) product kernel. Its operands, integers
-in (-p, p) as every reduced array and its negation are, and its result are
-object arrays of Python ints; int64 lives only inside it. With K the inner
-dimension, each entry of the product is then a sum of K terms of absolute
-value at most (p - 1)^2. So when K (p - 1)^2 < 2^63 the kernel multiplies
-in int64, where no partial sum can overflow; otherwise it multiplies the
-Python ints themselves. Either way the result is exact, and which path
-runs follows from (p, K) alone. Every matrix the codes invert is a square
-Vandermonde matrix, so the hot paths use ``vandermonde_inv``, an O(m^2)
-closed form, instead of the cubic Gauss-Jordan ``Mat.inv``, which stays as
-the general reference. Retrieval calls it once per node set: the inverse
-on any k-1 of k points is a rank-one correction of the inverse on all k
+``matmul_mod``, the one exact GF(p) product kernel. Its operands hold
+integers in (-p, p), as every reduced array and its negation do. They are
+object arrays of Python ints, and so is the result, except that two int64
+operands (the decode plan's, see ``pmcode``) give an int64 result. With K
+the inner dimension, each entry of the product is a sum of K terms of
+absolute value at most (p - 1)^2. So when K (p - 1)^2 < 2^63
+(``exact_dtype``) the kernel multiplies in int64, where no partial sum can
+overflow; otherwise it multiplies Python ints. Either way the result is
+exact, and which path runs follows from (p, K) alone. Every matrix the
+codes invert is a square Vandermonde matrix, so the hot paths use
+``vandermonde_inv``, an O(m^2) closed form, instead of the cubic
+Gauss-Jordan ``Mat.inv``, which stays as the general reference. Retrieval
+calls it once per node set: the inverse on any k-1 of k points is a
+rank-one correction of the inverse on all k
 (``pmcode._LeaveOneOut``). ``vandermonde`` builds each row of powers by a
 running product, one multiplication per entry. Pivot selection always
 takes the first nonzero entry in column order, which keeps eliminations
@@ -34,17 +36,25 @@ from .gf import GF
 _INT64_LIMIT = 1 << 63
 
 
+def exact_dtype(terms: int, p: int):
+    """int64 when a sum of ``terms`` products of integers in (-p, p) cannot
+    overflow it, that is when terms (p - 1)^2 < 2^63; object otherwise."""
+    return np.int64 if terms * (p - 1) ** 2 < _INT64_LIMIT else object
+
+
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """``(a @ b) % p`` exactly, as an object array of Python ints in [0, p).
+    """``(a @ b) % p`` exactly, with entries in [0, p): an int64 array when
+    both operands are int64, an object array of Python ints otherwise.
 
     ``a`` and ``b`` hold integers in (-p, p) and broadcast as in
-    ``np.matmul``. When K (p - 1)^2 < 2^63, K being the inner dimension,
-    no partial sum can leave int64, so the product runs in int64;
-    otherwise it runs on the Python ints.
+    ``np.matmul``. The product runs in ``exact_dtype`` of the inner
+    dimension: int64 where no partial sum can leave it, else Python ints.
     """
-    if a.shape[-1] * (p - 1) ** 2 < _INT64_LIMIT:
-        return (a.astype(np.int64) @ b.astype(np.int64) % p).astype(object)
-    return a @ b % p
+    kind = exact_dtype(a.shape[-1], p)
+    out = a.astype(kind, copy=False) @ b.astype(kind, copy=False) % p
+    if a.dtype == b.dtype == np.int64:
+        return out if kind is np.int64 else np.asarray(out, dtype=np.int64)
+    return out if kind is object else out.astype(object)
 
 
 class Mat:

@@ -16,6 +16,15 @@ result is the storage of the file, one (T, n, 2, a0) object array of
 Python ints: entry [t, i - 1] is node i's two rows for sub-file t.
 ``retrieve_file`` reads the rows of one set of k nodes from it and decodes
 every sub-file in one broadcast ``retrieve``.
+
+Every inverse a decode needs depends on (params, ids) alone, so its
+``_DecodePlan`` is compiled once and kept in a per-process LRU of 16 plans.
+The plan holds its arrays in ``exact_dtype(k, p)``: int64 when
+k (p - 1)^2 < 2^63, object arrays of Python ints otherwise. Every product
+of the decode has an inner dimension of at most k and every elementwise
+step multiplies two reduced values, so after ``retrieve`` casts the k rows
+to the plan's dtype the one decode runs exactly in int64 inside the bound
+and on Python ints outside it.
 """
 
 from __future__ import annotations
@@ -30,7 +39,7 @@ import numpy as np
 
 from .errors import BadShareSet, InvalidParams, NoValidPoints, WrongLength
 from .gf import GF
-from .matrix import Mat, matmul_mod, vandermonde, vandermonde_inv
+from .matrix import Mat, exact_dtype, matmul_mod, vandermonde, vandermonde_inv
 from .rng import SplitMix64
 
 
@@ -214,7 +223,8 @@ class _LeaveOneOut:
 
 @dataclass(frozen=True)
 class _DecodePlan:
-    """Every inverse that decoding from one sorted id set needs."""
+    """Every inverse that decoding from one sorted id set needs, each array
+    in ``exact_dtype(k, p)``."""
 
     phibar_t: np.ndarray  # a0 x k, column a is vbar of the a-th id
     lam: np.ndarray  # k x 1, lam of the a-th id in row a
@@ -223,7 +233,13 @@ class _DecodePlan:
     w_t_inv: np.ndarray  # inverse of W^T, W = the first a0 rows of phibar
 
 
-def _decode_plan(params: SystemParams, ids: list[int]) -> _DecodePlan:
+def _decode_plan(params: SystemParams, ids: Sequence[int]) -> _DecodePlan:
+    """The plan for rows read in the order of ``ids``, from the cache."""
+    return _compiled_plan(params, tuple(ids))
+
+
+@lru_cache(maxsize=16)  # the plan depends on (params, ids) alone
+def _compiled_plan(params: SystemParams, ids: tuple[int, ...]) -> _DecodePlan:
     field = params.field
     pts = [params.eval_points[i - 1] for i in ids]
     lam = [params.lam[i - 1] for i in ids]
@@ -233,12 +249,14 @@ def _decode_plan(params: SystemParams, ids: list[int]) -> _DecodePlan:
     for (a, b), inv in zip(pairs, field.inv_all([lam[a] - lam[b] for a, b in pairs])):
         diff_inv[a][b], diff_inv[b][a] = inv, field.p - inv  # and 1 / (lam_b - lam_a)
     loo = _LeaveOneOut.of(field, pts)
+    dtype = exact_dtype(len(ids), field.p)
+    top, w, w_recip = (a.astype(dtype) for a in (loo.top, loo.w, loo.w_recip))
     return _DecodePlan(
-        phibar_t=vandermonde(field, pts, a0).data.T,
-        lam=np.array(lam, dtype=object)[:, None],
-        diff_inv=np.array(diff_inv, dtype=object),
-        loo=loo,
-        w_t_inv=loo.inverse(a0).T,
+        phibar_t=vandermonde(field, pts, a0).data.T.astype(dtype),
+        lam=np.array(lam, dtype=dtype)[:, None],
+        diff_inv=np.array(diff_inv, dtype=dtype),
+        loo=_LeaveOneOut(field.p, top, w, w_recip),
+        w_t_inv=loo.inverse(a0).T.astype(dtype),
     )
 
 
@@ -271,12 +289,13 @@ def retrieve(params: SystemParams, ids: Sequence[int], rows: np.ndarray) -> np.n
     1 / w_j = prod_{b != j} (x_j - x_b), no inversion beyond the one is
     needed. W^-T is the same identity at j = a0.
 
-    Everything here depends only on the ids, so one _DecodePlan serves all
-    the instances, which numpy decodes in one broadcast pass.
+    Everything here depends only on the ids, so one cached _DecodePlan
+    serves all the instances, which numpy decodes in one broadcast pass in
+    the plan's dtype.
     """
-    plan = _decode_plan(params, list(ids))
+    plan = _decode_plan(params, ids)
     p = params.p
-    big_p = matmul_mod(rows, plan.phibar_t, p)
+    big_p = matmul_mod(rows.astype(plan.lam.dtype), plan.phibar_t, p)  # cast once
     big_p_t = big_p.swapaxes(-1, -2)
     psi = (big_p - big_p_t) * plan.diff_inv % p  # symmetric, 0 on the diagonal
     theta = (big_p - plan.lam * psi) % p  # symmetric off the diagonal

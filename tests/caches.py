@@ -1,0 +1,10 @@
+"""The per-process compile caches, emptied so that a test sees cold builds."""
+
+import qregen.css
+import qregen.pmcode
+
+
+def clear_caches():
+    """Forget every cached CSS basis and decode plan."""
+    qregen.css._BASES.clear()
+    qregen.pmcode._compiled_plan.cache_clear()

@@ -1,7 +1,11 @@
 """Gauss-Jordan helpers over GF(p) that only the tests need, and the
 pure-Python loops that ``Mat``'s numpy products are checked against."""
 
+from functools import cache
+from math import isqrt
+
 from qregen.errors import DimensionMismatch
+from qregen.gf import is_prime
 from qregen.matrix import Mat
 
 
@@ -105,3 +109,13 @@ def dot(field, x, y):
     if len(x) != len(y):
         raise DimensionMismatch(f"lengths {len(x)} != {len(y)}")
     return sum(a * b for a, b in zip(x, y)) % field.p
+
+
+@cache
+def int64_bound_primes(inner):
+    """The largest prime p with inner (p - 1)^2 < 2^63, and the next prime."""
+    top = isqrt(((1 << 63) - 1) // inner) + 1  # the largest p - 1 the bound allows
+    below = next(q for q in range(top, 1, -1) if is_prime(q))
+    above = next(q for q in range(top + 1, 2 * top) if is_prime(q))
+    assert inner * (below - 1) ** 2 < 1 << 63 <= inner * (above - 1) ** 2
+    return below, above

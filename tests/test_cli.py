@@ -568,6 +568,29 @@ def test_encode_rejects_non_int_message(tmp_path, capsys, message):
     assert one_line_usage_error(code, out, err)
 
 
+UNREADABLE = {  # (text, where a list of ints opens) -> bytes json.load rejects
+    "int-of-5000-digits": lambda text, at: text.replace(at, at + "1" * 5000 + ",", 1).encode(),
+    "not-utf-8": lambda text, at: b"\xff" + text.encode(),
+    "nested-100000-deep": lambda text, at: b"[" * 100000,
+}
+
+
+@pytest.mark.parametrize("command", ["encode", "retrieve"])
+@pytest.mark.parametrize("case", list(UNREADABLE))
+def test_unreadable_json_usage_error(stored_634, tmp_path, capsys, command, case):
+    # a ValueError or RecursionError inside json.load exits 2 naming the
+    # file, for encode's message and for a storage file's rowM alike
+    source, at = ("msg", "[") if command == "encode" else ("storage", '"rowM": [')
+    text = Path(stored_634[source]).read_text(encoding="utf-8")
+    assert at in text
+    path = tmp_path / "bad.json"
+    path.write_bytes(UNREADABLE[case](text, at))
+    argv = P634 if command == "encode" else []
+    code, out, err = run_cli(capsys, command, *argv, "--in", str(path))
+    assert one_line_usage_error(code, out, err)
+    assert err.startswith(f"error: cannot read {path}: ")
+
+
 @pytest.mark.parametrize("argv", [
     ["--k", "0", "--d", "4", "--B", "12"],
     ["--k", "3", "--d", "0", "--B", "12"],

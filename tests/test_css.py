@@ -1,6 +1,6 @@
 """Repair-time CSS construction: goldens, dual containment, identities."""
 
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 
@@ -19,6 +19,7 @@ from qregen.pmcode import make_params
 from qregen.rng import SplitMix64
 from qregen.stabilizer import StabGroup
 
+from caches import clear_caches
 from linalg import zeros
 from sampling import sample
 
@@ -101,11 +102,8 @@ def test_construction_identities():
             assert c.hx @ (diag(params.field, c.lam2) @ vt) == sel
 
 
-def test_build_makes_4m_field_inversions(monkeypatch):
-    # 1/lam1 = (lam_h - lam_f) / u reuses the inverses of u that u' takes:
-    # m each for u, lam_h - lam_f, lam2 and the Vandermonde inverse's weights
-    params = make_params(64, 20, 38, 67)
-    rng = SplitMix64(5)
+def count_field_inversions(monkeypatch):
+    """The list that every later GF.inv call appends its argument to."""
     calls = []
     real = GF.inv
 
@@ -114,10 +112,58 @@ def test_build_makes_4m_field_inversions(monkeypatch):
         return real(field, a)
 
     monkeypatch.setattr(GF, "inv", counting)
-    for u in (None, [rng.unit(67) for _ in range(38)]):
-        calls.clear()
-        build_repair_css(params, 1, range(2, 40), u)
-        assert len(calls) == 4 * 38 == 152
+    return calls
+
+
+def test_build_field_inversions_cold_and_warm(monkeypatch):
+    # a cold build inverts the m GRS weights inside vandermonde_inv, then
+    # every lam_h - lam_f and w in one batch; u costs one more batch. A warm
+    # build inverts only u
+    params = make_params(64, 20, 38, 67)
+    u = [SplitMix64(5).unit(67) for _ in range(38)]
+    calls = count_field_inversions(monkeypatch)
+    for warm in (False, True):
+        for u_or_none, cold_count, warm_count in ((None, 38 + 1, 0), (u, 38 + 2, 1)):
+            if not warm:
+                clear_caches()
+            calls.clear()
+            build_repair_css(params, 1, range(2, 40), u_or_none)
+            assert len(calls) == (warm_count if warm else cold_count)
+
+
+@pytest.mark.parametrize("n,k,d,p", [
+    (6, 3, 4, 13), (12, 4, 8, 17), (64, 20, 38, 67), (6, 3, 4, 2**61 - 1),
+])
+def test_cached_build_equals_fresh_build(n, k, d, p):
+    # HX_u = HX_1 diag(u) and HZ_u = HZ_1 diag(1 / u) off the cached basis
+    params = make_params(n, k, d, p)
+    rng = SplitMix64(n + p)
+    helpers = tuple(range(2, 2 * k))
+    for _ in range(3):
+        u = [rng.unit(p) for _ in range(2 * k - 2)]
+        clear_caches()
+        fresh = build_repair_css(params, 1, helpers, u)
+        build_repair_css(params, 1, helpers)  # the key stays warm
+        cached = build_repair_css(params, 1, helpers, u)
+        assert len(qregen.css._BASES) == 1
+        assert cached.to_json_dict() == fresh.to_json_dict()
+        assert (cached.failed_node, cached.helpers) == (fresh.failed_node, fresh.helpers)
+        assert cached.hx == fresh.hx and cached.hz == fresh.hz
+
+
+@pytest.mark.parametrize("n,k,d,p", [(7, 3, 4, 17), (12, 4, 8, 17)])
+def test_basis_cache_holds_16_repairs(n, k, d, p):
+    # the bound is 16 T entries, T the sub-files of one file repair
+    params = make_params(n, k, d, p)
+    bound = 16 * params.subfiles
+    clear_caches()
+    keys = ((failed, helpers) for failed in range(1, n + 1)
+            for helpers in combinations(
+                [i for i in range(1, n + 1) if i != failed], 2 * k - 2))
+    for failed, helpers in islice(keys, 3 * bound):
+        build_repair_css(params, failed, helpers)
+        assert len(qregen.css._BASES) <= bound
+    assert len(qregen.css._BASES) == bound
 
 
 def test_dual_containment_exhaustive_with_random_u():
@@ -179,6 +225,7 @@ def test_build_rejects_bad_inputs():
 
 def test_corrupted_construction_fails_closed(monkeypatch):
     # the StabGroup built inside build_repair_css is the only check left
+    clear_caches()
     params = make_params(6, 3, 4, 13)
     real = qregen.css.vandermonde_inv
 
@@ -188,8 +235,14 @@ def test_corrupted_construction_fails_closed(monkeypatch):
         return v_inv
 
     monkeypatch.setattr(qregen.css, "vandermonde_inv", perturbed)
-    with pytest.raises(DualContainmentViolated):
-        build_repair_css(params, 1, (2, 4, 5, 6))
+    for _ in range(2):  # a failed first build of a key caches nothing
+        with pytest.raises(DualContainmentViolated):
+            build_repair_css(params, 1, (2, 4, 5, 6))
+        assert len(qregen.css._BASES) == 0
+    monkeypatch.undo()
+    c = build_repair_css(params, 1, (2, 4, 5, 6))
+    assert check_dual_containment(c.hx, c.hz)
+    assert list(qregen.css._BASES) == [(params, 1, (2, 4, 5, 6))]
 
 
 def test_repair_css_holds_its_checked_group():

@@ -1,15 +1,12 @@
 """Exact linear algebra: golden matrices and re-multiplication properties."""
 
-from functools import cache
-from math import isqrt
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qregen.errors import DimensionMismatch, RepeatedPoint, Singular
-from qregen.gf import GF, is_prime
+from qregen.gf import GF
 from qregen.matrix import (
     Mat,
     grs_dual_weights,
@@ -21,6 +18,7 @@ from qregen.rng import SplitMix64
 
 from linalg import (
     blkdiag,
+    int64_bound_primes,
     matmul_ref,
     matvec,
     rank,
@@ -229,16 +227,6 @@ def test_kernel_matches_the_loops(case):
         assert all(type(x) is int for row in m.to_rows() for x in row)
 
 
-@cache
-def int64_bound_primes(inner):
-    """The largest prime p with inner (p - 1)^2 < 2^63, and the next prime."""
-    top = isqrt(((1 << 63) - 1) // inner) + 1  # the largest p - 1 the bound allows
-    below = next(q for q in range(top, 1, -1) if is_prime(q))
-    above = next(q for q in range(top + 1, 2 * top) if is_prime(q))
-    assert inner * (below - 1) ** 2 < 1 << 63 <= inner * (above - 1) ** 2
-    return below, above
-
-
 def object_array(values, shape):
     out = np.empty(len(values), dtype=object)  # Python ints, never numpy's
     out[:] = values
@@ -291,6 +279,20 @@ def test_matmul_mod_overflow_witness():
     plain = a.astype(np.int64) @ b.astype(np.int64) % p
     assert plain.tolist() != want
     assert matmul_mod(a, b, p).tolist() == want
+
+
+def test_matmul_mod_keeps_int64_operands_in_int64():
+    # two int64 operands give an int64 result, exact on either side of the
+    # bound; one object operand gives Python ints
+    inner = 4
+    for p in int64_bound_primes(inner):
+        a = object_array([p - 1] * 2 * inner, (2, inner))
+        b = object_array([p - 1] * inner * 3, (inner, 3))
+        want = matmul_ref(Mat.from_array(GF(p), a), Mat.from_array(GF(p), b))
+        out = matmul_mod(a.astype(np.int64), b.astype(np.int64), p)
+        assert out.dtype == np.int64 and out.tolist() == want
+        mixed = matmul_mod(a.astype(np.int64), b, p)
+        assert mixed.dtype == object and mixed.tolist() == want
 
 
 def test_transpose():

@@ -2,7 +2,7 @@
 
 from collections import Counter
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 import pytest
@@ -32,7 +32,8 @@ from qregen.pmcode import (
 from qregen.css import build_repair_css
 from qregen.rng import SplitMix64
 
-from linalg import dot
+from caches import clear_caches
+from linalg import dot, int64_bound_primes
 
 
 def test_make_params_reference_instance():
@@ -329,6 +330,7 @@ def test_file_layer_is_one_pass(monkeypatch):
                         count("retrieve", qregen.pmcode.retrieve))
     monkeypatch.setattr(qregen.pmcode, "vandermonde_inv",
                         count("vandermonde_inv", qregen.pmcode.vandermonde_inv))
+    clear_caches()
     storage = encode_file(params, symbols)
     assert calls == {"vandermonde": 1, "matmul": 1}
 
@@ -381,8 +383,60 @@ def test_retrieve_inverts_once_per_point_plus_one(monkeypatch):
 
     monkeypatch.setattr(GF, "inv", inv)
     ids = list(range(3, 64, 3))[: params.k]
+    clear_caches()
     assert list(retrieve_file(params, storage, ids)) == symbols
     assert 1 <= calls["inv"] <= params.k + 1
+
+
+def test_repeated_retrieve_reuses_its_plan(monkeypatch):
+    # the second retrieve from the same ids, in any order, inverts nothing
+    params = make_params(64, 20, 38, 67)
+    symbols = random_symbols(params, SplitMix64(9))
+    storage = encode_file(params, symbols)
+    ids = list(range(3, 64, 3))[: params.k]
+    clear_caches()
+    assert list(retrieve_file(params, storage, ids)) == symbols
+    calls = Counter()
+    real_inv, real_vinv = GF.inv, qregen.pmcode.vandermonde_inv
+
+    def inv(self, a):
+        calls["inv"] += 1
+        return real_inv(self, a)
+
+    def vinv(field, points):
+        calls["vandermonde_inv"] += 1
+        return real_vinv(field, points)
+
+    monkeypatch.setattr(GF, "inv", inv)
+    monkeypatch.setattr(qregen.pmcode, "vandermonde_inv", vinv)
+    assert list(retrieve_file(params, storage, ids[::-1])) == symbols
+    assert calls == {}
+
+
+def test_plan_cache_holds_16_plans():
+    params = make_params(12, 4, 8, 17)
+    storage = encode_file(params, random_symbols(params, SplitMix64(2)))
+    clear_caches()
+    for ids in islice(combinations(range(1, 13), 4), 48):
+        retrieve_file(params, storage, ids)
+        assert qregen.pmcode._compiled_plan.cache_info().currsize <= 16
+    assert qregen.pmcode._compiled_plan.cache_info().currsize == 16
+
+
+@pytest.mark.parametrize("n,k,d", [(6, 3, 4), (40, 20, 38)])
+def test_decode_runs_in_int64_up_to_its_bound(n, k, d):
+    # the largest prime with k (p - 1)^2 < 2^63 decodes in int64, the next
+    # prime on Python ints; both return the message exactly
+    for p, dtype in zip(int64_bound_primes(k), (np.int64, object)):
+        params = make_params(n, k, d, p)
+        symbols = random_symbols(params, SplitMix64(k))
+        storage = encode_file(params, symbols)
+        ids = list(range(n - k + 1, n + 1))
+        plan = _decode_plan(params, ids)
+        for array in (plan.phibar_t, plan.lam, plan.diff_inv, plan.w_t_inv,
+                      plan.loo.top, plan.loo.w, plan.loo.w_recip):
+            assert array.dtype == dtype
+        assert list(retrieve_file(params, storage, ids)) == symbols
 
 
 @pytest.mark.parametrize("n, k, d, p", [(6, 3, 4, 13), (64, 20, 38, 67)])

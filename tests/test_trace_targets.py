@@ -8,6 +8,8 @@ import importlib.util
 import os
 from pathlib import Path
 
+from caches import clear_caches
+
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
 
@@ -57,6 +59,20 @@ def test_cli_repair_trace_counts_one_file_repair():
     assert spans_seen["repair", "css.build"][0] == 3
     assert spans_seen["repair", "repair.run_repair"][0] == 1
     assert spans_seen["repair", "repair.helper_encode"][0] == 1
+
+
+def test_warm_repair_traces_like_a_cold_one():
+    # the bench pins css.build spans and matrix.matmul_macs per op: a repair
+    # whose three CSS bases come from the cache still builds and checks
+    # each sub-file's code, so both counts repeat; only the inversions drop
+    clear_caches()
+    (cold_code, cold), (warm_code, warm) = traced_repair(), traced_repair()
+    assert cold_code == warm_code == 0
+    for tracer in (cold, warm):
+        assert tracer.self_times()["repair", "css.build"][0] == 3
+    macs = [t.counts["repair", "matrix.matmul_macs"] for t in (cold, warm)]
+    assert macs[0] == macs[1] > 0
+    assert warm.counts["repair", "gf.inv_calls"] == 0 < cold.counts["repair", "gf.inv_calls"]
 
 
 def test_cli_statevector_repair_traces_each_codespace():
