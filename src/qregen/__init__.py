@@ -20,7 +20,6 @@ from .pmcode import (
     unpack_file,
 )
 from .repair import (
-    HelperPayload,
     RepairTranscript,
     bandwidth_report,
     helper_encode,
@@ -54,7 +53,6 @@ __all__ = [
     "PauliError",
     "RepairCSS",
     "RepairTranscript",
-    "HelperPayload",
     "SplitMix64",
     "StabGroup",
     "Syndrome",

@@ -29,7 +29,7 @@ from .reference import replay
 from .repair import MODES
 from .rng import SplitMix64
 
-SWEEP_LIMIT = 10**6  # node sub-files stored; sub-file repairs plus retrievals per pass
+SWEEP_LIMIT = 10**6  # node sub-files stored; sub-file repairs plus retrievals per sweep
 
 
 class _Parser(argparse.ArgumentParser):
@@ -253,16 +253,7 @@ def _check_pass(params: SystemParams, rng: SplitMix64, modes, trial: int = 0):
     k-subset. Returns (repairs, retrievals, qudit totals seen, failures); a
     failure is (trial, op/mode, case, error class), the class ``qudit-total``
     or ``wrong-message`` for a repair not moving B/k qudits or a bad retrieval.
-    A pass of more than SWEEP_LIMIT sub-file repairs plus retrievals is a
-    usage error, raised before anything is encoded.
     """
-    n, k, d = params.n, params.k, params.d
-    size = len(modes) * n * comb(n - 1, d) * params.subfiles + comb(n, k)
-    if size > SWEEP_LIMIT:
-        raise errors.InvalidParams(
-            f"a check pass at ({n},{k},{d}) needs {size} sub-file repairs and "
-            f"retrievals, over the limit of {SWEEP_LIMIT}"
-        )
     symbols = random_symbols(params, rng)
     storage = encode_file(params, symbols)
     nodes = range(1, params.n + 1)
@@ -299,6 +290,14 @@ def cmd_sweep(args) -> int:
     if args.trials < 1:
         raise errors.InvalidParams(f"--trials must be at least 1, got {args.trials}")
     params = _params_from_args(args)
+    n = params.n  # one pass: every repair of every sub-file, every retrieval
+    size = n * comb(n - 1, params.d) * params.subfiles + comb(n, params.k)
+    if args.trials * size > SWEEP_LIMIT:  # before anything is encoded
+        raise errors.InvalidParams(
+            f"a check pass at ({n},{params.k},{params.d}) needs {size} "
+            f"sub-file repairs and retrievals, and --trials {args.trials} runs "
+            f"{args.trials * size} in all, over the limit of {SWEEP_LIMIT}"
+        )
     rng = SplitMix64(args.seed)
     passes = [_check_pass(params, rng, (args.mode,), t) for t in range(args.trials)]
     repairs, retrievals = (sum(p[i] for p in passes) for i in (0, 1))

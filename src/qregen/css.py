@@ -24,9 +24,9 @@ from the closed-form ``vandermonde_inv``, scaled to HX_1 and HZ_1, plus w
 (the last row of Vt^(-1): column j holds the Lagrange polynomial of point
 j, whose leading coefficient is w_j) and every 1 / (lam_h - lam_f). A
 per-process LRU keeps the bases of the last 16 file repairs, 16 T entries
-for T sub-files. A cold build makes m + 1 field inversions (the m weights
-inside ``vandermonde_inv``, then every lam_h - lam_f and w in one batch);
-a warm one makes none. A random u costs one batched inversion more. Every
+for T sub-files. A cold build makes two field inversions (the m weights
+in one batch inside ``vandermonde_inv``, then every lam_h - lam_f and w in
+one batch); a warm one makes none. A random u costs one batch more. Every
 build, warm or cold, returns a ``RepairCSS`` whose ``StabGroup`` checks
 HX HZ^T = 0, and only a basis that passed that check enters the cache.
 """

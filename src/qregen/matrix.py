@@ -13,10 +13,10 @@ absolute value at most (p - 1)^2. So when K (p - 1)^2 < 2^63
 overflow; otherwise it multiplies Python ints. Either way the result is
 exact, and which path runs follows from (p, K) alone. Every matrix the
 codes invert is a square Vandermonde matrix, so the hot paths use
-``vandermonde_inv``, an O(m^2) closed form, instead of the cubic
-Gauss-Jordan ``Mat.inv``, which stays as the general reference. Retrieval
-calls it once per node set: the inverse on any k-1 of k points is a
-rank-one correction of the inverse on all k
+``vandermonde_inv``, an O(m^2) closed form with one field inversion,
+instead of the cubic Gauss-Jordan ``Mat.inv``, which stays as the test
+reference. Retrieval calls it once per node set: the inverse on any k-1
+of k points is a rank-one correction of the inverse on all k
 (``pmcode._LeaveOneOut``). ``vandermonde`` builds each row of powers by a
 running product, one multiplication per entry. Pivot selection always
 takes the first nonzero entry in column order, which keeps eliminations
@@ -26,7 +26,6 @@ takes the first nonzero entry in column order, which keeps eliminations
 from __future__ import annotations
 
 from collections.abc import Sequence
-from math import prod
 
 import numpy as np
 
@@ -171,39 +170,41 @@ def vandermonde(field: GF, points: Sequence[int], cols: int) -> Mat:
     return Mat.from_array(field, rows.reshape(len(points), cols))
 
 
-def grs_dual_weights(field: GF, points: Sequence[int]) -> list[int]:
-    """w_j = (prod_{i != j} (points_j - points_i))^(-1).
-
-    These are the dual-code weights of a generalized Reed-Solomon code on
-    the given points: sum_j w_j points_j^m = 0 for every 0 <= m <= d-2.
-    """
-    pts = [x % field.p for x in points]
-    if len(set(pts)) != len(pts):
-        raise RepeatedPoint(f"points must be pairwise distinct: {points}")
-    return [
-        field.inv(prod(pj - pi for i, pi in enumerate(pts) if i != j))
-        for j, pj in enumerate(pts)
-    ]
-
-
 def vandermonde_inv(field: GF, points: Sequence[int]) -> Mat:
     """Inverse of the square ``vandermonde(field, points, len(points))``.
 
     Column i holds the coefficients of the Lagrange basis polynomial
     prod_{j != i} (x - x_j) / (x_i - x_j): the master polynomial
     prod_j (x - x_j), divided synthetically by (x - x_i), times the GRS
-    weight of x_i. O(m^2); repeated points raise RepeatedPoint.
+    weight w_i of x_i. The m divisions run as one Horner step per
+    coefficient over the vector of points, in ``exact_dtype(1, p)``, as
+    (p - 1)^2 + p - 1 < 2^63 whenever (p - 1)^2 < 2^63. Each step also
+    evaluates every quotient at its own point, which gives
+    1 / w_i = prod_{j != i} (x_i - x_j), and one ``GF.inv_all`` gives every
+    w_i. O(m^2); repeated points raise RepeatedPoint.
     """
     p = field.p
     pts = [x % p for x in points]
+    if len(set(pts)) != len(pts):
+        raise RepeatedPoint(f"points must be pairwise distinct: {points}")
     master = [1]  # coefficients of prod_j (x - x_j), constant term first
     for x in pts:
         master = [(a - x * b) % p for a, b in zip([0] + master, master + [0])]
-    cols = []
-    for x, w in zip(pts, grs_dual_weights(field, pts)):
-        acc, col = 0, []
-        for c in reversed(master[1:]):  # quotient coefficients, highest first
-            acc = (c + x * acc) % p
-            col.append(acc * w % p)
-        cols.append(col[::-1])
-    return Mat.from_rows(field, list(zip(*cols)))
+    dtype = exact_dtype(1, p)
+    xs = np.array(pts, dtype=dtype)
+    # one coefficient of every quotient, and every quotient so far at its point
+    quotient = at_own_point = np.zeros(len(pts), dtype=dtype)
+    rows = []
+    for c in reversed(master[1:]):  # quotient coefficients, highest first
+        quotient = (quotient * xs + c) % p
+        at_own_point = (at_own_point * xs + quotient) % p
+        rows.append(quotient)
+    w = np.array(field.inv_all(at_own_point.tolist()), dtype=dtype)
+    return Mat.from_array(field, (np.array(rows[::-1]) * w).astype(object))
+
+
+def grs_dual_weights(field: GF, points: Sequence[int]) -> list[int]:
+    """w_j = (prod_{i != j} (points_j - points_i))^(-1), the last row of
+    ``vandermonde_inv``: the dual-code weights of a generalized Reed-Solomon
+    code on the points, sum_j w_j points_j^m = 0 for every 0 <= m <= d-2."""
+    return vandermonde_inv(field, points).row(len(points) - 1)

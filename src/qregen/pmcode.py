@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import comb, prod
+from math import comb
 from collections.abc import Sequence
 
 import numpy as np
@@ -194,14 +194,15 @@ class _LeaveOneOut:
     p: int
     top: np.ndarray  # (k-1) x k, the first k-1 rows of the inverse on all k points
     w: np.ndarray  # k, its last row: the GRS weights of the points
-    w_recip: np.ndarray  # k, 1 / w_j = prod_{b != j} (x_j - x_b)
+    w_recip: np.ndarray  # k, 1 / w_j
 
     @classmethod
-    def of(cls, field: GF, pts: Sequence[int]) -> "_LeaveOneOut":
-        p = field.p
+    def of(cls, field: GF, pts: Sequence[int], dtype) -> "_LeaveOneOut":
+        """The closed form on ``pts``, every array in ``dtype``."""
         v_inv = vandermonde_inv(field, pts).data
-        w_recip = [prod((xj - xb) % p for xb in pts if xb != xj) % p for xj in pts]
-        return cls(p, v_inv[:-1], v_inv[-1], np.array(w_recip, dtype=object))
+        w_recip = field.inv_all(v_inv[-1].tolist())
+        arrays = (v_inv[:-1], v_inv[-1], w_recip)
+        return cls(field.p, *(np.array(a, dtype=dtype) for a in arrays))
 
     def inverse(self, j: int) -> np.ndarray:
         """The inverse on every point but the j-th: its column i is
@@ -233,13 +234,9 @@ class _DecodePlan:
     w_t_inv: np.ndarray  # inverse of W^T, W = the first a0 rows of phibar
 
 
-def _decode_plan(params: SystemParams, ids: Sequence[int]) -> _DecodePlan:
-    """The plan for rows read in the order of ``ids``, from the cache."""
-    return _compiled_plan(params, tuple(ids))
-
-
 @lru_cache(maxsize=16)  # the plan depends on (params, ids) alone
 def _compiled_plan(params: SystemParams, ids: tuple[int, ...]) -> _DecodePlan:
+    """The plan for rows read in the order of ``ids``."""
     field = params.field
     pts = [params.eval_points[i - 1] for i in ids]
     lam = [params.lam[i - 1] for i in ids]
@@ -248,15 +245,14 @@ def _compiled_plan(params: SystemParams, ids: tuple[int, ...]) -> _DecodePlan:
     diff_inv = [[0] * (a0 + 1) for _ in range(a0 + 1)]
     for (a, b), inv in zip(pairs, field.inv_all([lam[a] - lam[b] for a, b in pairs])):
         diff_inv[a][b], diff_inv[b][a] = inv, field.p - inv  # and 1 / (lam_b - lam_a)
-    loo = _LeaveOneOut.of(field, pts)
     dtype = exact_dtype(len(ids), field.p)
-    top, w, w_recip = (a.astype(dtype) for a in (loo.top, loo.w, loo.w_recip))
+    loo = _LeaveOneOut.of(field, pts, dtype)
     return _DecodePlan(
         phibar_t=vandermonde(field, pts, a0).data.T.astype(dtype),
         lam=np.array(lam, dtype=dtype)[:, None],
         diff_inv=np.array(diff_inv, dtype=dtype),
-        loo=_LeaveOneOut(field.p, top, w, w_recip),
-        w_t_inv=loo.inverse(a0).T.astype(dtype),
+        loo=loo,
+        w_t_inv=loo.inverse(a0).T,
     )
 
 
@@ -285,15 +281,15 @@ def retrieve(params: SystemParams, ids: Sequence[int], rows: np.ndarray) -> np.n
     column i = top[:, i] - top[:, j] w_i / w_j, where ``top`` is the first
     a0 rows. Applied to all j at once: C = top G - top[:, :a0] diag(s),
     where G is theta (or psi) restricted to its first a0 columns with a
-    zero diagonal and s_j = sum_{i != j} (w_i / w_j) G[i, j]. Since
-    1 / w_j = prod_{b != j} (x_j - x_b), no inversion beyond the one is
-    needed. W^-T is the same identity at j = a0.
+    zero diagonal and s_j = sum_{i != j} (w_i / w_j) G[i, j], with every
+    1 / w_j from one batched inversion. W^-T is the same identity at
+    j = a0.
 
     Everything here depends only on the ids, so one cached _DecodePlan
     serves all the instances, which numpy decodes in one broadcast pass in
     the plan's dtype.
     """
-    plan = _decode_plan(params, ids)
+    plan = _compiled_plan(params, tuple(ids))
     p = params.p
     big_p = matmul_mod(rows.astype(plan.lam.dtype), plan.phibar_t, p)  # cast once
     big_p_t = big_p.swapaxes(-1, -2)

@@ -75,7 +75,7 @@ def replay(seed: int = 1) -> list[dict]:
     storage = encode_file(params, symbols)
     transcript = run_repair(params, storage, FAILED_NODE, HELPERS, mode="linear")
     expected = storage[0, FAILED_NODE - 1].tolist()
-    got = [list(row) for row in transcript.regenerated[0]]
+    got = transcript.regenerated[0].tolist()
     report.append(
         {"name": "exact_regeneration", "pass": got == expected, "expected": expected,
          "got": got}

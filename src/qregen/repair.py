@@ -11,17 +11,17 @@ blocks is exactly (row_m, row_mp) of the failed node. Every helper ships
 one qudit, so one sub-file costs 2k-2 qudits.
 
 ``run_repair`` takes ``encode_file``'s whole (T, n, 2, a0) storage array
-and d helpers. Every helper applies the same vbar_f in every sub-file, so
-stage 2's dots for the whole file are one product: ``helper_encode``
-multiplies the helpers' rows, and only theirs, by vbar_f. Stages 1 and 3
-run once per sub-file, and each payload scales its helper's dots by that
-sub-file's lam1_j and lam2_j. The file is T = C(d, 2k-2) sub-files (one
-when d = 2k-2); each one repairs through a distinct (2k-2)-subset of the
-d helpers (subsets in colexicographic order). A helper participates in
-exactly C(d-1, 2k-3) sub-files and sends one qudit in each, so the grand
-total is C(d, 2k-2) * (2k-2) = B/k qudits. Note the naive count of one
-qudit per helper per sub-file, d * C(d, 2k-2) in total, would overshoot
-B/k whenever d > 2k-2; only helpers inside a sub-file's subset transmit.
+and d helpers. The file is T = C(d, 2k-2) sub-files (one when d = 2k-2),
+each repairing through a distinct (2k-2)-subset of the helpers: row t of
+``plan_subfiles``, in colex order. Stage 1 builds one code per sub-file.
+Stage 2 is one product for the file, as every helper applies the same
+vbar_f (``helper_encode`` reads the helpers' rows and only theirs), and
+every payload is the stacked (T, 2, 2k-2) lam1 and lam2 times those dots
+gathered through the subsets. Stage 3 measures each sub-file into one
+(T, 2, a0) array. A helper joins exactly C(d-1, 2k-3) sub-files and sends
+one qudit in each, so the total is C(d, 2k-2) * (2k-2) = B/k qudits; the
+naive count of one qudit per helper per sub-file, d * C(d, 2k-2), would
+overshoot B/k whenever d > 2k-2, as only a sub-file's subset transmits.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .matrix import matmul_mod
 from .pmcode import SystemParams
 from .stabilizer import (
     PauliError,
-    Syndrome,
     syndrome_linear,
     syndrome_statevector,
     syndrome_symplectic,
@@ -49,48 +48,39 @@ MODES = ("linear", "symplectic", "statevector")
 
 
 @dataclass(frozen=True)
-class HelperPayload:
-    """One helper's contribution to one sub-scheme: a single qudit."""
-
-    helper_id: int
-    y_x: int
-    y_z: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "helperId": self.helper_id, "yX": self.y_x, "yZ": self.y_z, "quditsSent": 1
-        }
-
-
-@dataclass(frozen=True)
 class RepairTranscript:
-    """Full record of one repair: ``css``, ``payloads`` and ``syndrome``
-    hold one entry per sub-file, in sub-file order."""
+    """Full record of one repair, in sub-file order: ``css`` holds each
+    sub-file's code, ``payloads`` is the (T, 2, 2k-2) array whose entry
+    [t, :, j] is the qudit (y_x, y_z) sent by ``css[t].helpers[j]``, and
+    ``regenerated`` the (T, 2, a0) array of the failed node's rows
+    (row_m, row_mp), each sub-file's syndrome (s_x, s_z)."""
 
     failed_node: int
     helpers: tuple[int, ...]
     mode: str
     css: tuple[RepairCSS, ...]
-    payloads: tuple[tuple[HelperPayload, ...], ...]
-    syndrome: tuple[Syndrome, ...]
-    qudit_total: int
+    payloads: np.ndarray
+    regenerated: np.ndarray
 
     @property
-    def regenerated(self) -> tuple:
-        """The failed node's rows (row_m, row_mp) in each sub-file, which are
-        that sub-file's syndrome (s_x, s_z)."""
-        return tuple((s.s_x, s.s_z) for s in self.syndrome)
+    def qudit_total(self) -> int:
+        """One qudit per payload: (2k-2) T = B/k."""
+        return self.payloads[:, 0].size
 
     def to_json_dict(self) -> dict:
         """The transcript as JSON; with one sub-file its four per-sub-file
         fields hold that sub-file's entry itself, not a one-entry list."""
+        rows = self.regenerated.tolist()
         parts = {
             "css": [c.to_json_dict() for c in self.css],
-            "payloads": [[p.to_json_dict() for p in part] for part in self.payloads],
-            "syndrome": [{"sX": list(s.s_x), "sZ": list(s.s_z)} for s in self.syndrome],
+            "payloads": [
+                [{"helperId": h, "yX": y_x, "yZ": y_z, "quditsSent": 1}
+                 for h, y_x, y_z in zip(c.helpers, *sent)]
+                for c, sent in zip(self.css, self.payloads.tolist())
+            ],
+            "syndrome": [{"sX": m, "sZ": mp} for m, mp in rows],
             "regenerated": [
-                {"nodeId": self.failed_node, "rowM": list(m), "rowMp": list(mp)}
-                for m, mp in self.regenerated
+                {"nodeId": self.failed_node, "rowM": m, "rowMp": mp} for m, mp in rows
             ],
         }
         if len(self.css) == 1:
@@ -125,10 +115,11 @@ def _syndrome_backend(mode: str):
     return syndrome_linear if mode == "linear" else syndrome_symplectic
 
 
-def plan_subfiles(params: SystemParams) -> list[tuple[int, ...]]:
-    """All (2k-2)-subsets of the d helper slots, colex order."""
+def plan_subfiles(params: SystemParams) -> np.ndarray:
+    """All (2k-2)-subsets of the d helper slots in colex order, as the
+    (T, 2k-2) int array whose row t lists sub-file t's slots."""
     subsets = combinations(range(params.d), 2 * params.k - 2)
-    return sorted(subsets, key=lambda s: s[::-1])
+    return np.array(sorted(subsets, key=lambda s: s[::-1]))
 
 
 def run_repair(
@@ -166,33 +157,23 @@ def run_repair(
             f"excluding node {failed}"
         )
     p = params.p
-    dots = helper_encode(params, storage, failed, hs).tolist()
-    stored = storage[:, failed - 1].tolist()  # read only to check the result
-    parts = []
-    for subset, sub_dots, rows in zip(plan_subfiles(params), dots, stored):
-        repair_css = build_repair_css(params, failed, [hs[i] for i in subset], u)
-        y_x = [lam * sub_dots[i][0] % p for lam, i in zip(repair_css.lam1, subset)]
-        y_z = [lam * sub_dots[i][1] % p for lam, i in zip(repair_css.lam2, subset)]
-        sent = tuple(map(HelperPayload, repair_css.helpers, y_x, y_z))
-        syndrome = backend(repair_css.group, PauliError.make(p, y_x, y_z))
-        # measured block order is (sZ, sX); the final swap puts row_m first
-        regenerated = (syndrome.s_x, syndrome.s_z)
-        original = tuple(map(tuple, rows))
-        if regenerated != original:
-            raise RegenerationMismatch(
-                f"node {failed} repaired to {regenerated}, stored {original}"
-            )
-        parts.append((repair_css, sent, syndrome))
-    css, payloads, syndromes = zip(*parts)
-    return RepairTranscript(
-        failed_node=failed,
-        helpers=hs,
-        mode=mode,
-        css=css,
-        payloads=payloads,
-        syndrome=syndromes,
-        qudit_total=sum(map(len, payloads)),
-    )
+    subsets = plan_subfiles(params)
+    codes = tuple(build_repair_css(params, failed, [hs[i] for i in s], u) for s in subsets)
+    lam = np.array([(c.lam1, c.lam2) for c in codes], dtype=object)  # (T, 2, 2k-2)
+    dots = helper_encode(params, storage, failed, hs)  # (T, d, 2)
+    payloads = lam * dots[np.arange(len(codes))[:, None], subsets].swapaxes(1, 2) % p
+    syndromes = [backend(c.group, PauliError.make(p, *y)) for c, y in zip(codes, payloads)]
+    # measured block order is (sZ, sX); the final swap puts row_m first
+    regenerated = np.array([(s.s_x, s.s_z) for s in syndromes], dtype=object)
+    stored = storage[:, failed - 1]  # read only to check the result
+    bad = np.flatnonzero((regenerated != stored).any(axis=(1, 2)))
+    if len(bad):
+        t = bad[0]
+        raise RegenerationMismatch(
+            f"sub-file {t}: node {failed} repaired to {regenerated[t].tolist()}, "
+            f"stored {stored[t].tolist()}"
+        )
+    return RepairTranscript(failed, hs, mode, codes, payloads, regenerated)
 
 
 def bandwidth_report(params: SystemParams, transcript: RepairTranscript) -> dict:

@@ -17,7 +17,6 @@ them.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -45,10 +44,20 @@ class TradeoffPoint:
     feasible: bool
 
 
+def _first_true(n: int, pred) -> int:
+    """The least i in [0, n) with pred(i), or n, for a pred that is False
+    and then True; a bisection over two ints, so n may exceed sys.maxsize."""
+    lo, hi = 0, n
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if pred(mid) else (mid + 1, hi)
+    return lo
+
+
 def classical_sum(k: int, d: int, alpha: Num, beta_c: Num) -> Num:
     """sum_{i<k} min((d - i) beta_c, alpha) for beta_c >= 0: the terms fall
     with i, so the first t are capped at alpha and the rest are an arithmetic series."""
-    t = bisect_left(range(k), True, key=lambda i: (d - i) * beta_c < alpha)
+    t = _first_true(k, lambda i: (d - i) * beta_c < alpha)
     return t * alpha + beta_c * ((k - t) * d - (t + k - 1) * (k - t) // 2)
 
 
@@ -91,7 +100,7 @@ def _alpha_min(summand, k: int, d: int, beta: Num, b: int) -> int | None:
 
     The sum is nondecreasing in alpha, so bisect on [0, B].
     """
-    alpha = bisect_left(range(b + 1), True, key=lambda a: summand(k, d, a, beta) >= b)
+    alpha = _first_true(b + 1, lambda a: summand(k, d, a, beta) >= b)
     return alpha if alpha <= b else None
 
 

@@ -2,7 +2,7 @@
 pure-Python loops that ``Mat``'s numpy products are checked against."""
 
 from functools import cache
-from math import isqrt
+from math import isqrt, prod
 
 from qregen.errors import DimensionMismatch
 from qregen.gf import is_prime
@@ -109,6 +109,14 @@ def dot(field, x, y):
     if len(x) != len(y):
         raise DimensionMismatch(f"lengths {len(x)} != {len(y)}")
     return sum(a * b for a, b in zip(x, y)) % field.p
+
+
+def grs_weights(field, points):
+    """w_j = 1 / prod_{i != j} (x_j - x_i), one field inversion per point."""
+    return [
+        field.inv(prod(xj - xi for i, xi in enumerate(points) if i != j))
+        for j, xj in enumerate(points)
+    ]
 
 
 @cache

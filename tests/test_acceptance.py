@@ -7,6 +7,7 @@ root of unity.
 """
 
 import time
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
@@ -194,16 +195,10 @@ def test_criterion_6_extension():
                 assert t.qudit_total == 6
                 for sub, regen in zip(storage, t.regenerated):
                     assert [list(r) for r in regen] == sub[failed - 1].tolist()
-                per_helper = {
-                    h: sum(
-                        1
-                        for part in t.payloads
-                        for pl in part
-                        if pl.helper_id == h
-                    )
-                    for h in helpers
-                }
-                assert all(v == 2 for v in per_helper.values())
+                # payloads[t, :, j] is the qudit of t.css[t].helpers[j]
+                assert t.payloads.shape == (3, 2, 2)
+                per_helper = Counter(h for c in t.css for h in c.helpers)
+                assert per_helper == {h: 2 for h in helpers}
 
 
 def test_criterion_7_tradeoff():

@@ -613,6 +613,20 @@ def test_tradeoff_huge_file_bisects(capsys):
     assert "optimal alpha=400000000 d_beta_q=400000000" in out
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["--k", "3", "--d", "4", "--B", "12000000000000000000"],
+     "optimal alpha=4000000000000000000 d_beta_q=4000000000000000000"),
+    (["--k", "10000000000000000000", "--d", "10000000000000000000", "--B", "12"],
+     "warning: no simultaneous optimum"),
+], ids=["B", "k-and-d"])
+def test_tradeoff_past_sys_maxsize(capsys, argv, line):
+    # the bisections take (lo, hi) ints, never a range longer than sys.maxsize
+    code, out, err = run_cli(capsys, "tradeoff", *argv)
+    assert code == 0
+    assert line in out
+    assert "Traceback" not in out + err
+
+
 def test_tradeoff_huge_k_and_d():
     # the feasibility sums are closed-form: no loop over k = 10^8 terms
     src = Path(__file__).resolve().parent.parent / "src"
@@ -660,6 +674,25 @@ def test_sweep_limit_counts_repairs_and_retrievals(capsys, monkeypatch, limit):
             main(argv)
     else:
         assert one_line_usage_error(*run_cli(capsys, *argv))
+
+
+@pytest.mark.parametrize("trials", [2, 3])
+def test_sweep_limit_counts_every_trial(capsys, monkeypatch, trials):
+    # (6,3,4,13): 6 failed nodes x C(5,4) helper sets + C(6,3) retrievals
+    # = 50 per pass, so a limit of 100 admits two trials and not three
+    def drawing(params, rng):
+        raise Encoding
+
+    monkeypatch.setattr(cli, "SWEEP_LIMIT", 100)
+    monkeypatch.setattr(cli, "random_symbols", drawing)
+    argv = ["sweep", *P634, "--trials", str(trials)]
+    if trials == 2:
+        with pytest.raises(Encoding):
+            main(argv)
+    else:
+        code, out, err = run_cli(capsys, *argv)
+        assert one_line_usage_error(code, out, err)
+        assert "--trials 3 runs 150 in all, over the limit of 100" in err
 
 
 class Reached(Exception):

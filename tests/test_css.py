@@ -20,7 +20,7 @@ from qregen.rng import SplitMix64
 from qregen.stabilizer import StabGroup
 
 from caches import clear_caches
-from linalg import zeros
+from linalg import grs_weights, zeros
 from sampling import sample
 
 F13 = GF(13)
@@ -49,6 +49,7 @@ def test_grs_weights_power_sums():
             d = 2 + rng.below(min(8, p - 2))
             pts = sample(rng, range(1, p), d)
             w = grs_dual_weights(f, pts)
+            assert w == grs_weights(f, pts)
             for m in range(d - 1):
                 assert sum(wj * f.pow(v, m) for wj, v in zip(w, pts)) % p == 0
             assert sum(wj * f.pow(v, d - 1) for wj, v in zip(w, pts)) % p != 0
@@ -116,14 +117,14 @@ def count_field_inversions(monkeypatch):
 
 
 def test_build_field_inversions_cold_and_warm(monkeypatch):
-    # a cold build inverts the m GRS weights inside vandermonde_inv, then
-    # every lam_h - lam_f and w in one batch; u costs one more batch. A warm
-    # build inverts only u
+    # a cold build inverts the m GRS weights in one batch inside
+    # vandermonde_inv, then every lam_h - lam_f and w in one batch; u costs
+    # one more batch. A warm build inverts only u
     params = make_params(64, 20, 38, 67)
     u = [SplitMix64(5).unit(67) for _ in range(38)]
     calls = count_field_inversions(monkeypatch)
     for warm in (False, True):
-        for u_or_none, cold_count, warm_count in ((None, 38 + 1, 0), (u, 38 + 2, 1)):
+        for u_or_none, cold_count, warm_count in ((None, 2, 0), (u, 3, 1)):
             if not warm:
                 clear_caches()
             calls.clear()
@@ -201,7 +202,7 @@ def test_u_times_u_prime_is_grs_weights():
     u = [rng.unit(13) for _ in range(4)]
     c = build_repair_css(params, 2, (1, 3, 5, 6), u)
     pts = [params.eval_points[s - 1] for s in c.helpers]
-    w = grs_dual_weights(params.field, pts)
+    w = grs_weights(params.field, pts)
     assert [a * b % 13 for a, b in zip(c.u, c.u_prime)] == w
 
 

@@ -18,6 +18,7 @@ from qregen.rng import SplitMix64
 
 from linalg import (
     blkdiag,
+    grs_weights,
     int64_bound_primes,
     matmul_ref,
     matvec,
@@ -326,7 +327,7 @@ def test_vandermonde_inv_closed_form(case):
     v = vandermonde(field, points, m)
     assert inv @ v == Mat.identity(field, m)
     # leading Lagrange coefficients are the dual GRS weights (used by css)
-    assert inv.row(m - 1) == grs_dual_weights(field, points)
+    assert inv.row(m - 1) == grs_dual_weights(field, points) == grs_weights(field, points)
     if m <= 12:
         assert inv == v.inv()  # Gauss-Jordan stays the reference
 

@@ -15,7 +15,6 @@ from qregen.pmcode import (
 )
 from qregen.repair import (
     MODES,
-    HelperPayload,
     bandwidth_report,
     helper_encode,
     plan_subfiles,
@@ -56,9 +55,10 @@ def test_helper_encode_sparse_message_golden():
     dots = helper_encode(params, storage, 1, (2, 4, 5, 6))
     assert dots.shape == (1, 4, 2)
     assert tuple(dots[0, 0]) == (1, 0)
-    payload = run_repair(params, storage, 1, (2, 4, 5, 6)).payloads[0][0]
-    assert (payload.helper_id, payload.y_x, payload.y_z) == (2, 9, 0)
-    assert payload.to_json_dict()["quditsSent"] == 1
+    t = run_repair(params, storage, 1, (2, 4, 5, 6))
+    assert t.payloads[0, :, 0].tolist() == [9, 0]
+    payload = t.to_json_dict()["payloads"][0]
+    assert payload == {"helperId": 2, "yX": 9, "yZ": 0, "quditsSent": 1}
 
 
 def test_helper_encode_zero_storage():
@@ -109,14 +109,11 @@ def test_helper_encode_matches_one_helper_reference(n, k, d, p):
             assert tuple(dots[t, j]) == ref
     # each payload is lam1 and lam2 times the dots of its own node's rows
     transcript = run_repair(params, storage, failed, helpers)
+    assert transcript.payloads.shape == (params.subfiles, 2, 2 * k - 2)
     for t, (css, sent) in enumerate(zip(transcript.css, transcript.payloads)):
-        for j, payload in enumerate(sent):
-            own_m, own_mp = one_helper_dots(
-                params, failed, storage[t, payload.helper_id - 1].tolist()
-            )
-            assert (payload.y_x, payload.y_z) == (
-                css.lam1[j] * own_m % p, css.lam2[j] * own_mp % p
-            )
+        for j, node in enumerate(css.helpers):
+            own_m, own_mp = one_helper_dots(params, failed, storage[t, node - 1].tolist())
+            assert sent[:, j].tolist() == [css.lam1[j] * own_m % p, css.lam2[j] * own_mp % p]
 
 
 def test_run_repair_exhaustive_reference_instance():
@@ -129,7 +126,7 @@ def test_run_repair_exhaustive_reference_instance():
             rest = [i for i in range(1, 7) if i != failed]
             for helpers in combinations(rest, 4):
                 t = run_repair(params, storage, failed, helpers)
-                assert t.regenerated == (node_rows(storage[0], failed),)
+                assert t.regenerated.tolist() == storage[:, failed - 1].tolist()
                 assert t.qudit_total == 4 == params.B // params.k
 
 
@@ -139,8 +136,8 @@ def test_run_repair_mode_equivalence():
         run_repair(params, storage, 2, (1, 3, 4, 6), mode=mode) for mode in MODES
     ]
     for t in transcripts[1:]:
-        assert t.syndrome == transcripts[0].syndrome
-        assert t.regenerated == transcripts[0].regenerated
+        assert t.payloads.tolist() == transcripts[0].payloads.tolist()
+        assert t.regenerated.tolist() == transcripts[0].regenerated.tolist()
 
 
 def test_run_repair_payload_locality():
@@ -148,12 +145,12 @@ def test_run_repair_payload_locality():
     params, _, storage = reference_setup(5)
     t = run_repair(params, storage, 5, (1, 2, 3, 6))
     (css,), (payloads,) = t.css, t.payloads
-    assert [pl.helper_id for pl in payloads] == [1, 2, 3, 6]
-    for j, payload in enumerate(payloads):
-        node = payload.helper_id
+    assert css.helpers == (1, 2, 3, 6)
+    assert payloads.shape == (2, 4)
+    for j, node in enumerate(css.helpers):
         own_m, own_mp = one_helper_dots(params, 5, storage[0, node - 1].tolist())
-        solo = HelperPayload(node, css.lam1[j] * own_m % 13, css.lam2[j] * own_mp % 13)
-        assert solo == payload
+        solo = [css.lam1[j] * own_m % 13, css.lam2[j] * own_mp % 13]
+        assert payloads[:, j].tolist() == solo
 
 
 def test_run_repair_validation():
@@ -190,6 +187,20 @@ def test_run_repair_detects_tampered_helper():
         run_repair(params, tampered, 1, (2, 4, 5, 6))
 
 
+def test_tampered_helper_row_names_its_subfile():
+    # (6,2,3,13) with helpers (2, 3, 5): sub-file 1 repairs through slots
+    # (0, 2), so node 5 sends in it and node 3 does not
+    ext = make_params(6, 2, 3, 13)
+    storage = encode_file(ext, random_symbols(ext, SplitMix64(19)))
+    tampered = storage.copy()
+    tampered[1, 2, 0, 0] = (tampered[1, 2, 0, 0] + 1) % 13  # node 3's row_m
+    t = run_repair(ext, tampered, 1, (2, 3, 5))
+    assert t.regenerated.tolist() == storage[:, 0].tolist()
+    tampered[1, 4, 0, 0] = (tampered[1, 4, 0, 0] + 1) % 13  # node 5's row_m
+    with pytest.raises(RegenerationMismatch, match="^sub-file 1: node 1 repaired to "):
+        run_repair(ext, tampered, 1, (2, 3, 5))
+
+
 def test_repaired_node_reenters_retrieval():
     params, symbols, storage = reference_setup(9)
     for failed in range(1, 7):
@@ -213,14 +224,14 @@ def per_slot_counts(params):
 
 def test_plan_subfiles_counts():
     ext = make_params(6, 2, 3, 13)
-    assert plan_subfiles(ext) == [(0, 1), (0, 2), (1, 2)]
+    assert plan_subfiles(ext).tolist() == [[0, 1], [0, 2], [1, 2]]
     assert per_slot_counts(ext) == [2] * 3
     base = make_params(6, 3, 4, 13)
-    assert plan_subfiles(base) == [(0, 1, 2, 3)]
+    assert plan_subfiles(base).tolist() == [[0, 1, 2, 3]]
     assert per_slot_counts(base) == [1] * 4
     wide = make_params(8, 2, 4, 13)
     # colex order over slot pairs of d = 4
-    assert plan_subfiles(wide) == [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]
+    assert plan_subfiles(wide).tolist() == [[0, 1], [0, 2], [1, 2], [0, 3], [1, 3], [2, 3]]
     assert per_slot_counts(wide) == [3] * 4
 
 
@@ -235,9 +246,8 @@ def test_run_repair_extended_exhaustive():
             for helpers in combinations(rest, 3):
                 t = run_repair(ext, storage, failed, helpers)
                 assert t.qudit_total == 6 == ext.B // ext.k
-                assert len(t.regenerated) == 3
-                for sub, regen in zip(storage, t.regenerated):
-                    assert regen == node_rows(sub, failed)
+                assert t.regenerated.shape == (3, 2, 1)
+                assert t.regenerated.tolist() == storage[:, failed - 1].tolist()
 
 
 def test_run_repair_extended_validation():
@@ -257,8 +267,7 @@ def test_run_repair_applies_u_to_every_subfile():
     storage = encode_file(ext, random_symbols(ext, SplitMix64(16)))
     t = run_repair(ext, storage, 2, (1, 3, 5), u=(3, 5))
     assert [c.u for c in t.css] == [(3, 5)] * 3
-    for sub, regen in zip(storage, t.regenerated):
-        assert regen == node_rows(sub, 2)
+    assert t.regenerated.tolist() == storage[:, 1].tolist()
 
 
 def test_transcript_json_field_order():
@@ -301,9 +310,21 @@ def test_statevector_repairs_every_subfile_of_12_4_8_17():
     helpers, u = (2, 3, 5, 7, 8, 9, 10, 12), (3, 5, 7, 11, 13, 2)
     linear = run_repair(params, storage, 1, helpers, u)
     state = run_repair(params, storage, 1, helpers, u, mode="statevector")
-    assert len(state.syndrome) == params.subfiles == 28
-    assert state.syndrome == linear.syndrome
-    assert state.regenerated == linear.regenerated
+    assert state.regenerated.shape == (params.subfiles, 2, 3) == (28, 2, 3)
+    assert state.payloads.tolist() == linear.payloads.tolist()
+    assert state.regenerated.tolist() == linear.regenerated.tolist()
+    assert state.regenerated.tolist() == storage[:, 0].tolist()
+
+
+def test_transcript_arrays_hold_python_ints_at_2_61_minus_1():
+    params = make_params(6, 3, 4, 2**61 - 1)
+    storage = encode_file(params, random_symbols(params, SplitMix64(18)))
+    t = run_repair(params, storage, 2, (1, 3, 4, 6))
+    for array in (t.payloads, t.regenerated):
+        assert array.dtype == object
+        assert all(type(x) is int for x in array.ravel())
+    assert t.regenerated.tolist() == storage[:, 1].tolist()
+    assert t.qudit_total == 4
 
 
 def test_bandwidth_report_reference_instance():

@@ -128,6 +128,9 @@ def test_alpha_min_scans():
     # starved bandwidth is infeasible at any alpha
     assert alpha_min_classical(3, 4, 0, 12) is None
     assert alpha_min_quantum(3, 4, Fraction(1, 100), 12) is None
+    # past sys.maxsize, where range(B + 1) can no longer be bisected
+    b = 12 * 10**18
+    assert alpha_min_quantum(3, 4, Fraction(b, 12), b) == b // 3
 
 
 def test_table_quantum_never_above_classical():
