@@ -28,9 +28,7 @@ from .repair import (
 )
 from .rng import SplitMix64
 from .stabilizer import (
-    PauliError,
     StabGroup,
-    Syndrome,
     prepare_codespace,
     syndrome_linear,
     syndrome_statevector,
@@ -50,12 +48,10 @@ __version__ = "0.1.0"
 __all__ = [
     "GF",
     "Mat",
-    "PauliError",
     "RepairCSS",
     "RepairTranscript",
     "SplitMix64",
     "StabGroup",
-    "Syndrome",
     "SystemParams",
     "TradeoffPoint",
     "bandwidth_report",

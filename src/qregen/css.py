@@ -24,11 +24,13 @@ from the closed-form ``vandermonde_inv``, scaled to HX_1 and HZ_1, plus w
 (the last row of Vt^(-1): column j holds the Lagrange polynomial of point
 j, whose leading coefficient is w_j) and every 1 / (lam_h - lam_f). A
 per-process LRU keeps the bases of the last 16 file repairs, 16 T entries
-for T sub-files. A cold build makes two field inversions (the m weights
-in one batch inside ``vandermonde_inv``, then every lam_h - lam_f and w in
-one batch); a warm one makes none. A random u costs one batch more. Every
-build, warm or cold, returns a ``RepairCSS`` whose ``StabGroup`` checks
-HX HZ^T = 0, and only a basis that passed that check enters the cache.
+for T sub-files. A cold build makes two field inversions: the m weights in
+one batch inside ``vandermonde_inv``, which also returns the 1 / w_j it
+inverted, then every lam_h - lam_f in one batch. A warm one makes none. A
+random u costs one batch more. Every build, warm or cold, returns a
+``RepairCSS`` whose HX and HZ are object arrays of ints in [0, p) held by
+a ``StabGroup`` that checks HX HZ^T = 0, and only a basis that passed that
+check enters the cache.
 """
 
 from __future__ import annotations
@@ -40,14 +42,15 @@ from collections.abc import Sequence
 import numpy as np
 
 from .errors import InvalidHelperSet, ZeroU
-from .matrix import Mat, grs_dual_weights, vandermonde_inv  # re-exports the weights
+from .matrix import grs_dual_weights, vandermonde_inv  # re-exports the weights
 from .pmcode import SystemParams
 from .stabilizer import StabGroup, check_dual_containment  # re-exports the check
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RepairCSS:
-    """The repair-time code for one (failed node, helper set) choice."""
+    """The repair-time code for one (failed node, helper set) choice.
+    Equality is identity."""
 
     failed_node: int
     helpers: tuple[int, ...]
@@ -58,22 +61,38 @@ class RepairCSS:
     u_prime: tuple[int, ...]
 
     @property
-    def hx(self) -> Mat:
+    def hx(self) -> np.ndarray:
         return self.group.x_type
 
     @property
-    def hz(self) -> Mat:
+    def hz(self) -> np.ndarray:
         return self.group.z_type
 
     def to_json_dict(self) -> dict:
         return {
-            "HX": self.hx.to_rows(),
-            "HZ": self.hz.to_rows(),
+            "HX": self.hx.tolist(),
+            "HZ": self.hz.tolist(),
             "Lam1": list(self.lam1),
             "Lam2": list(self.lam2),
             "u": list(self.u),
             "uPrime": list(self.u_prime),
         }
+
+
+def check_helpers(
+    params: SystemParams, failed: int, helpers: Sequence[int], m: int
+) -> tuple[int, ...]:
+    """The sorted helper ids, once the failed node is known to be in [1, n]
+    and then ``helpers`` to be m distinct nodes in [1, n] other than it."""
+    if not 1 <= failed <= params.n:
+        raise InvalidHelperSet(f"failed node {failed} out of range")
+    hs = tuple(sorted(helpers))
+    others = set(range(1, params.n + 1)) - {failed}
+    if len(hs) != m or len(set(hs)) != m or not others.issuperset(hs):
+        raise InvalidHelperSet(
+            f"need {m} distinct helpers in [1, {params.n}] excluding node {failed}"
+        )
+    return hs
 
 
 _BASES: OrderedDict[tuple, tuple] = OrderedDict()  # least recently used first
@@ -84,14 +103,14 @@ def _basis(params: SystemParams, failed: int, hs: tuple[int, ...]) -> tuple:
     every 1 / (lam_h - lam_f)."""
     field, m = params.field, len(hs)
     lam_f = params.lam[failed - 1]
-    v_inv = vandermonde_inv(field, [params.eval_points[s - 1] for s in hs])
-    w = v_inv.row(m - 1)  # leading Lagrange coefficients = dual GRS weights
+    v_inv, w_recip = vandermonde_inv(field, [params.eval_points[s - 1] for s in hs])
+    w = v_inv[m - 1].tolist()  # leading Lagrange coefficients = dual GRS weights
     denom = [field.sub(params.lam[s - 1], lam_f) for s in hs]
-    inv = field.inv_all(denom + w)  # 1 / (lam_h - lam_f), then 1 / w
     a0 = params.alpha0
-    sel_v_inv = v_inv.data[:a0] + lam_f * v_inv.data[a0:]  # [I | lam_f I] Vt^(-1)
+    sel_v_inv = v_inv[:a0] + lam_f * v_inv[a0:]  # [I | lam_f I] Vt^(-1)
     hz = sel_v_inv * np.array(denom, dtype=object) % field.p  # times 1 / lam1 at u = 1
-    return hz * np.array(inv[m:], dtype=object) % field.p, hz, w, inv[:m]
+    hx = hz * np.array(w_recip, dtype=object) % field.p  # times 1 / lam2 at u = 1
+    return hx, hz, w, field.inv_all(denom)
 
 
 def build_repair_css(
@@ -103,19 +122,7 @@ def build_repair_css(
     """Construct the repair-time code; helpers must number exactly 2k-2."""
     field = params.field
     m = 2 * params.alpha0
-    hs = tuple(sorted(helpers))
-    if not 1 <= failed <= params.n:
-        raise InvalidHelperSet(f"failed node {failed} out of range")
-    if (
-        len(hs) != m
-        or len(set(hs)) != m
-        or failed in hs
-        or hs[0] < 1
-        or hs[-1] > params.n
-    ):
-        raise InvalidHelperSet(
-            f"need {m} distinct helpers in [1, {params.n}] excluding node {failed}"
-        )
+    hs = check_helpers(params, failed, helpers, m)
 
     if u is None:
         u_vec = (1,) * m
@@ -133,8 +140,9 @@ def build_repair_css(
     u_inv = u_vec if u is None else tuple(field.inv_all(u_vec))
     u_prime = tuple(wj * ui % p for wj, ui in zip(w, u_inv))
     group = StabGroup(  # raises DualContainmentViolated
-        x_type=Mat.from_array(field, hx * np.array(u_vec, dtype=object)),
-        z_type=Mat.from_array(field, hz * np.array(u_inv, dtype=object)),
+        x_type=hx * np.array(u_vec, dtype=object) % p,
+        z_type=hz * np.array(u_inv, dtype=object) % p,
+        p=p,
     )
     _BASES[key] = basis  # the most recent now; only a checked basis enters
     while len(_BASES) > 16 * params.subfiles:

@@ -1,8 +1,9 @@
 """Dense exact linear algebra over GF(p).
 
-A ``Mat`` holds its entries in one 2-D numpy array of ``dtype=object``
-whose items are Python ints in [0, p), tied to a GF instance. Every matrix
-product in the package, of ``Mat``s or of raw object arrays, goes through
+Matrices are 2-D numpy arrays of ``dtype=object`` whose items are Python
+ints in [0, p). A ``Mat`` ties one such array to a GF instance; only
+``vandermonde``, encoding's product and the test reference ``Mat.inv``
+still use it. Every matrix product in the package goes through
 ``matmul_mod``, the one exact GF(p) product kernel. Its operands hold
 integers in (-p, p), as every reduced array and its negation do. They are
 object arrays of Python ints, and so is the result, except that two int64
@@ -14,13 +15,14 @@ overflow; otherwise it multiplies Python ints. Either way the result is
 exact, and which path runs follows from (p, K) alone. Every matrix the
 codes invert is a square Vandermonde matrix, so the hot paths use
 ``vandermonde_inv``, an O(m^2) closed form with one field inversion,
-instead of the cubic Gauss-Jordan ``Mat.inv``, which stays as the test
-reference. Retrieval calls it once per node set: the inverse on any k-1
-of k points is a rank-one correction of the inverse on all k
-(``pmcode._LeaveOneOut``). ``vandermonde`` builds each row of powers by a
-running product, one multiplication per entry. Pivot selection always
-takes the first nonzero entry in column order, which keeps eliminations
-(and everything built on them) deterministic.
+instead of the cubic Gauss-Jordan ``Mat.inv``. It returns a plain array
+and the reciprocals of its last row, the GRS weights. Retrieval calls it
+once per node set: the inverse on any k-1 of k points is a rank-one
+correction of the inverse on all k (``pmcode._LeaveOneOut``).
+``vandermonde`` builds each row of powers by a running product, one
+multiplication per entry. Pivot selection always takes the first nonzero
+entry in column order, which keeps eliminations (and everything built on
+them) deterministic.
 """
 
 from __future__ import annotations
@@ -115,12 +117,9 @@ class Mat:
     def __repr__(self) -> str:
         return f"Mat({self.field!r}, {self.to_rows()})"
 
-    def transpose(self) -> "Mat":
-        return Mat.from_array(self.field, self.data.T)
-
     @property
     def T(self) -> "Mat":
-        return self.transpose()
+        return Mat.from_array(self.field, self.data.T)
 
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.field != other.field:
@@ -170,8 +169,10 @@ def vandermonde(field: GF, points: Sequence[int], cols: int) -> Mat:
     return Mat.from_array(field, rows.reshape(len(points), cols))
 
 
-def vandermonde_inv(field: GF, points: Sequence[int]) -> Mat:
-    """Inverse of the square ``vandermonde(field, points, len(points))``.
+def vandermonde_inv(field: GF, points: Sequence[int]) -> tuple[np.ndarray, list[int]]:
+    """Inverse of the square ``vandermonde(field, points, len(points))``, as
+    an (m, m) object array of Python ints in [0, p), and the reciprocals
+    1 / w_i of its last row.
 
     Column i holds the coefficients of the Lagrange basis polynomial
     prod_{j != i} (x - x_j) / (x_i - x_j): the master polynomial
@@ -181,7 +182,8 @@ def vandermonde_inv(field: GF, points: Sequence[int]) -> Mat:
     (p - 1)^2 + p - 1 < 2^63 whenever (p - 1)^2 < 2^63. Each step also
     evaluates every quotient at its own point, which gives
     1 / w_i = prod_{j != i} (x_i - x_j), and one ``GF.inv_all`` gives every
-    w_i. O(m^2); repeated points raise RepeatedPoint.
+    w_i. Callers that need the 1 / w_i take them from here rather than
+    invert w again. O(m^2); repeated points raise RepeatedPoint.
     """
     p = field.p
     pts = [x % p for x in points]
@@ -199,12 +201,13 @@ def vandermonde_inv(field: GF, points: Sequence[int]) -> Mat:
         quotient = (quotient * xs + c) % p
         at_own_point = (at_own_point * xs + quotient) % p
         rows.append(quotient)
-    w = np.array(field.inv_all(at_own_point.tolist()), dtype=dtype)
-    return Mat.from_array(field, (np.array(rows[::-1]) * w).astype(object))
+    w_recip = at_own_point.tolist()
+    w = np.array(field.inv_all(w_recip), dtype=dtype)
+    return (np.array(rows[::-1]) * w % p).astype(object), w_recip
 
 
 def grs_dual_weights(field: GF, points: Sequence[int]) -> list[int]:
     """w_j = (prod_{i != j} (points_j - points_i))^(-1), the last row of
     ``vandermonde_inv``: the dual-code weights of a generalized Reed-Solomon
     code on the points, sum_j w_j points_j^m = 0 for every 0 <= m <= d-2."""
-    return vandermonde_inv(field, points).row(len(points) - 1)
+    return vandermonde_inv(field, points)[0][-1].tolist()

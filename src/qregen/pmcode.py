@@ -199,8 +199,7 @@ class _LeaveOneOut:
     @classmethod
     def of(cls, field: GF, pts: Sequence[int], dtype) -> "_LeaveOneOut":
         """The closed form on ``pts``, every array in ``dtype``."""
-        v_inv = vandermonde_inv(field, pts).data
-        w_recip = field.inv_all(v_inv[-1].tolist())
+        v_inv, w_recip = vandermonde_inv(field, pts)
         arrays = (v_inv[:-1], v_inv[-1], w_recip)
         return cls(field.p, *(np.array(a, dtype=dtype) for a in arrays))
 
@@ -282,8 +281,8 @@ def retrieve(params: SystemParams, ids: Sequence[int], rows: np.ndarray) -> np.n
     a0 rows. Applied to all j at once: C = top G - top[:, :a0] diag(s),
     where G is theta (or psi) restricted to its first a0 columns with a
     zero diagonal and s_j = sum_{i != j} (w_i / w_j) G[i, j], with every
-    1 / w_j from one batched inversion. W^-T is the same identity at
-    j = a0.
+    1 / w_j as ``vandermonde_inv`` evaluated it on the way to w. W^-T is
+    the same identity at j = a0.
 
     Everything here depends only on the ids, so one cached _DecodePlan
     serves all the instances, which numpy decodes in one broadcast pass in

@@ -59,8 +59,8 @@ def replay(seed: int = 1) -> list[dict]:
         ).to_rows(),
         "lambda_tilde": list(repair_css.lam1),
         "lambda_tilde_prime": list(repair_css.lam2),
-        "HX": repair_css.hx.to_rows(),
-        "HZ": repair_css.hz.to_rows(),
+        "HX": repair_css.hx.tolist(),
+        "HZ": repair_css.hz.tolist(),
     }
 
     report = []

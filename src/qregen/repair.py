@@ -32,28 +32,24 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .css import RepairCSS, build_repair_css
+from .css import RepairCSS, build_repair_css, check_helpers
 from .errors import InvalidHelperSet, ModeUnavailable, RegenerationMismatch
 from .matrix import matmul_mod
 from .pmcode import SystemParams
-from .stabilizer import (
-    PauliError,
-    syndrome_linear,
-    syndrome_statevector,
-    syndrome_symplectic,
-)
+from .stabilizer import syndrome_linear, syndrome_statevector, syndrome_symplectic
 from .tradeoff import classical_msr_bandwidth
 
 MODES = ("linear", "symplectic", "statevector")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RepairTranscript:
     """Full record of one repair, in sub-file order: ``css`` holds each
     sub-file's code, ``payloads`` is the (T, 2, 2k-2) array whose entry
     [t, :, j] is the qudit (y_x, y_z) sent by ``css[t].helpers[j]``, and
     ``regenerated`` the (T, 2, a0) array of the failed node's rows
-    (row_m, row_mp), each sub-file's syndrome (s_x, s_z)."""
+    (row_m, row_mp), each sub-file's syndrome (s_x, s_z). Equality is
+    identity, as for the arrays' own ``==`` no single truth value exists."""
 
     failed_node: int
     helpers: tuple[int, ...]
@@ -138,33 +134,19 @@ def run_repair(
     through the t-th colex (2k-2)-subset of the sorted helpers, each with
     the same free vector ``u``.
     """
-    if not 1 <= failed <= params.n:
-        raise InvalidHelperSet(f"failed node {failed} out of range")
+    hs = check_helpers(params, failed, helpers, params.d)
     backend = _syndrome_backend(mode)
     shape = (params.subfiles, params.n, 2, params.alpha0)
     if storage.shape != shape:
         raise InvalidHelperSet(f"need storage of shape {shape}")
-    hs = tuple(sorted(helpers))
-    if (
-        len(hs) != params.d
-        or len(set(hs)) != params.d
-        or failed in hs
-        or hs[0] < 1
-        or hs[-1] > params.n
-    ):
-        raise InvalidHelperSet(
-            f"need {params.d} distinct helpers in [1, {params.n}] "
-            f"excluding node {failed}"
-        )
     p = params.p
     subsets = plan_subfiles(params)
     codes = tuple(build_repair_css(params, failed, [hs[i] for i in s], u) for s in subsets)
     lam = np.array([(c.lam1, c.lam2) for c in codes], dtype=object)  # (T, 2, 2k-2)
     dots = helper_encode(params, storage, failed, hs)  # (T, d, 2)
     payloads = lam * dots[np.arange(len(codes))[:, None], subsets].swapaxes(1, 2) % p
-    syndromes = [backend(c.group, PauliError.make(p, *y)) for c, y in zip(codes, payloads)]
     # measured block order is (sZ, sX); the final swap puts row_m first
-    regenerated = np.array([(s.s_x, s.s_z) for s in syndromes], dtype=object)
+    regenerated = np.array([backend(c.group, *y) for c, y in zip(codes, payloads)])
     stored = storage[:, failed - 1]  # read only to check the result
     bad = np.flatnonzero((regenerated != stored).any(axis=(1, 2)))
     if len(bad):

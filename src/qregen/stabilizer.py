@@ -2,9 +2,13 @@
 
 A stabilizer group over N qudits of prime dimension p is generated by
 X-type operators X(g) (rows g of the X parity check) and Z-type operators
-Z(h) (rows h of the Z parity check). For an error X(x)Z(z) applied to a
+Z(h) (rows h of the Z parity check); ``StabGroup`` holds both checks as
+2-D object arrays of ints in [0, p). For an error X(x)Z(z) applied to a
 state in the codespace, three interchangeable backends compute the
-measured syndrome:
+measured syndrome. Each takes the group and the exponent vectors x and z,
+reduces them mod p, checks that each has one entry per qudit, and returns
+the pair (s_x, s_z) of object arrays: s_x per Z-type generator, s_z per
+X-type one.
 
 * ``syndrome_linear``: the syndrome map itself, sX = HZ x and sZ = HX z,
   as plain matrix-vector products mod p.
@@ -43,92 +47,65 @@ from .errors import (
     ResidualOutOfTolerance,
     TooLarge,
 )
-from .matrix import Mat, matmul_mod
+from .matrix import matmul_mod
 
 STATE_LIMIT = 1 << 20
 RESIDUAL_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class PauliError:
-    """Exponent vectors of an N-qudit error X(x)Z(z)."""
-
-    x: tuple[int, ...]
-    z: tuple[int, ...]
-
-    @classmethod
-    def make(cls, p: int, x, z) -> "PauliError":
-        if len(x) != len(z):
-            raise DimensionMismatch("x and z must have equal length")
-        return cls(tuple(v % p for v in x), tuple(v % p for v in z))
+def check_dual_containment(hx: np.ndarray, hz: np.ndarray, p: int) -> bool:
+    """True iff HX HZ^T = 0 mod p, i.e. the pair defines a valid stabilizer
+    group. Both are 2-D arrays of ints in [0, p) of the same width."""
+    if hx.ndim != 2 or hz.ndim != 2 or hx.shape[1] != hz.shape[1]:
+        raise DimensionMismatch("HX and HZ must be matrices of one width")
+    return not matmul_mod(hx, hz.T, p).any()
 
 
-def check_dual_containment(hx: Mat, hz: Mat) -> bool:
-    """True iff HX HZ^T = 0, i.e. the pair defines a valid stabilizer group."""
-    if hx.cols != hz.cols or hx.field != hz.field:
-        raise DimensionMismatch("HX and HZ must share width and field")
-    return (hx @ hz.T).is_zero()
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StabGroup:
-    """Generators of a CSS-form stabilizer group on N qudits."""
+    """Generators of a CSS-form stabilizer group on N qudits: the rows of
+    ``x_type`` (HX) and of ``z_type`` (HZ), each a 2-D object array of ints
+    in [0, p). Equality is identity."""
 
-    x_type: Mat
-    z_type: Mat
+    x_type: np.ndarray
+    z_type: np.ndarray
+    p: int
 
     def __post_init__(self):
-        if not check_dual_containment(self.x_type, self.z_type):
+        if not check_dual_containment(self.x_type, self.z_type, self.p):
             raise DualContainmentViolated("X and Z generators do not commute")
 
     @property
     def n(self) -> int:
-        return self.x_type.cols
-
-    @property
-    def p(self) -> int:
-        return self.x_type.field.p
+        return self.x_type.shape[1]
 
 
-@dataclass(frozen=True)
-class Syndrome:
-    """Measured exponents: s_x per Z-type generator, s_z per X-type."""
-
-    s_x: tuple[int, ...]
-    s_z: tuple[int, ...]
-
-
-def _check_error(group: StabGroup, err: PauliError) -> None:
-    if len(err.x) != group.n or len(err.z) != group.n:
+def _reduced(group: StabGroup, x, z) -> tuple[np.ndarray, np.ndarray]:
+    """The error exponents x and z as object arrays of ints in [0, p)."""
+    if not len(x) == len(z) == group.n:
         raise DimensionMismatch(
-            f"error acts on {len(err.x)} qudits, group on {group.n}"
+            f"error acts on {len(x)} and {len(z)} qudits, group on {group.n}"
         )
+    return np.array(x, dtype=object) % group.p, np.array(z, dtype=object) % group.p
 
 
-def syndrome_linear(group: StabGroup, err: PauliError) -> Syndrome:
+def syndrome_linear(group: StabGroup, x, z) -> tuple[np.ndarray, np.ndarray]:
     """sX = HZ x and sZ = HX z."""
-    _check_error(group, err)
-    x, z = np.array(err.x, dtype=object), np.array(err.z, dtype=object)
-    return Syndrome(
-        s_x=tuple(matmul_mod(group.z_type.data, x, group.p).tolist()),
-        s_z=tuple(matmul_mod(group.x_type.data, z, group.p).tolist()),
-    )
+    x, z = _reduced(group, x, z)
+    return matmul_mod(group.z_type, x, group.p), matmul_mod(group.x_type, z, group.p)
 
 
-def syndrome_symplectic(group: StabGroup, err: PauliError) -> Syndrome:
+def syndrome_symplectic(group: StabGroup, x, z) -> tuple[np.ndarray, np.ndarray]:
     """Syndromes via symplectic commutation phases (sign-fixed per type)."""
-    _check_error(group, err)
-    n, r = group.n, group.z_type.rows
+    x, z = _reduced(group, x, z)
+    n, r = group.n, len(group.z_type)
     # one symplectic row (a | b) per generator: Z-type (0 | h), X-type (g | 0)
-    gens = np.zeros((r + group.x_type.rows, 2 * n), dtype=object)
-    gens[:r, n:] = group.z_type.data
-    gens[r:, :n] = group.x_type.data
-    x, z = np.array(err.x, dtype=object), np.array(err.z, dtype=object)
+    gens = np.zeros((r + len(group.x_type), 2 * n), dtype=object)
+    gens[:r, n:] = group.z_type
+    gens[r:, :n] = group.x_type
     # <(a|b), (x|z)> = b.x - a.z for every generator (a | b)
     phase = matmul_mod(gens, np.concatenate([-z, x]), group.p)
-    return Syndrome(
-        s_x=tuple(phase[:r].tolist()), s_z=tuple((-phase[r:] % group.p).tolist())
-    )
+    return phase[:r], -phase[r:] % group.p
 
 
 def prepare_codespace(group: StabGroup) -> tuple[np.ndarray, np.ndarray]:
@@ -138,14 +115,14 @@ def prepare_codespace(group: StabGroup) -> tuple[np.ndarray, np.ndarray]:
     ascending lexicographic order, ``amplitudes`` their uniform complex
     amplitudes. Raises TooLarge over the module's size bound.
     """
-    p, r = group.p, group.x_type.rows
+    p, r = group.p, len(group.x_type)
     if p > STATE_LIMIT:
         raise TooLarge(f"p = {p} exceeds the {STATE_LIMIT} limit on distinct phases")
     if p**r > STATE_LIMIT:
         raise TooLarge(f"{p}^{r} amplitudes exceed the {STATE_LIMIT} limit")
     support = np.zeros((1, group.n), dtype=np.int64)
     steps = np.arange(p, dtype=np.int64)[:, None, None]
-    for g in group.x_type.data.astype(np.int64):
+    for g in group.x_type.astype(np.int64):
         # {c + t g : c in support, t in GF(p)}; entries stay below p^2
         support = ((support + steps * g) % p).reshape(-1, group.n)
     # distinct rows in lexicographic order; dependent generators repeat rows
@@ -172,25 +149,23 @@ def _measure_exponent(
     return s, abs(ratio - _omega(s, p))
 
 
-def syndrome_statevector(group: StabGroup, err: PauliError) -> Syndrome:
+def syndrome_statevector(group: StabGroup, x, z) -> tuple[np.ndarray, np.ndarray]:
     """State-vector simulation on the codespace's support; must agree with
     syndrome_linear."""
-    _check_error(group, err)
+    x, z = _reduced(group, x, z)
     p = group.p
     support, amps = prepare_codespace(group)
     # X(x)Z(z)|c> = w^(z.c) |c + x>
-    amps = amps * _omega(
-        matmul_mod(support, np.array(err.z, dtype=object), p).astype(np.int64), p
-    )
-    support = (support + np.array(err.x, dtype=np.int64)) % p
+    amps = amps * _omega(matmul_mod(support, z, p).astype(np.int64), p)
+    support = (support + x.astype(np.int64)) % p
 
     zero = [0] * group.n
-    gens = [(zero, h) for h in group.z_type.to_rows()]
-    gens += [(g, zero) for g in group.x_type.to_rows()]
+    gens = [(zero, h) for h in group.z_type]
+    gens += [(g, zero) for g in group.x_type]
     measured = [_measure_exponent(support, amps, p, a, b) for a, b in gens]
     worst = max((res for _, res in measured), default=0.0)
     if not worst < RESIDUAL_TOL:
         raise ResidualOutOfTolerance(f"eigenvalue residual {worst} out of tolerance")
-    s = [e for e, _ in measured]
-    r = group.z_type.rows
-    return Syndrome(s_x=tuple(s[:r]), s_z=tuple(-e % p for e in s[r:]))
+    s = np.array([e for e, _ in measured], dtype=object)
+    r = len(group.z_type)
+    return s[:r], -s[r:] % p

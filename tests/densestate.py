@@ -53,10 +53,10 @@ def reference_codespace(group, start_basis=0):
     from ``start_basis`` on that survives the projector."""
     p = group.p
     space = DenseSpace(p, group.n)
-    z_masks = [space.phase_exponents(h) == 0 for h in group.z_type.to_rows()]
+    z_masks = [space.phase_exponents(h) == 0 for h in group.z_type.tolist()]
     x_shifts = [
         [space.shift_indices([t * x for x in g]) for t in range(p)]
-        for g in group.x_type.to_rows()
+        for g in group.x_type.tolist()
     ]
     for basis in range(start_basis, space.size):
         state = np.zeros(space.size, dtype=complex)

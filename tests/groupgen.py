@@ -2,7 +2,7 @@
 
 from qregen.gf import GF
 from qregen.matrix import Mat
-from qregen.stabilizer import PauliError, StabGroup
+from qregen.stabilizer import StabGroup
 
 from linalg import rank, right_kernel
 
@@ -23,12 +23,12 @@ def random_group(p, n_qudits, r_x, rng):
              for j in range(n_qudits)]
         )
     hz = Mat.from_rows(field, rows)
-    return StabGroup(x_type=hx, z_type=hz)
+    return StabGroup(x_type=hx.data, z_type=hz.data, p=p)
 
 
 def random_error(p, n_qudits, rng):
-    return PauliError.make(
-        p,
+    """Exponent vectors (x, z) of an error X(x)Z(z), entries in [0, p)."""
+    return (
         [rng.below(p) for _ in range(n_qudits)],
         [rng.below(p) for _ in range(n_qudits)],
     )

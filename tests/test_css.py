@@ -2,6 +2,7 @@
 
 from itertools import combinations, islice
 
+import numpy as np
 import pytest
 
 import qregen.css
@@ -20,7 +21,7 @@ from qregen.rng import SplitMix64
 from qregen.stabilizer import StabGroup
 
 from caches import clear_caches
-from linalg import grs_weights, zeros
+from linalg import grs_weights
 from sampling import sample
 
 F13 = GF(13)
@@ -65,13 +66,22 @@ def test_build_reference_instance_goldens():
     c = build_repair_css(params, 1, (2, 4, 5, 6))
     assert c.lam1 == (9, 7, 6, 3)
     assert c.lam2 == (11, 5, 11, 2)
-    assert c.hx.to_rows() == [[11, 10, 3, 9], [4, 2, 1, 0]]
-    assert c.hz.to_rows() == [[12, 9, 12, 6], [2, 7, 4, 0]]
+    assert c.hx.dtype == c.hz.dtype == object
+    assert c.hx.tolist() == [[11, 10, 3, 9], [4, 2, 1, 0]]
+    assert c.hz.tolist() == [[12, 9, 12, 6], [2, 7, 4, 0]]
     assert c.u == (1, 1, 1, 1)
     assert c.u_prime == (7, 10, 4, 5)
     assert params.lam[c.failed_node - 1] == 1
-    assert check_dual_containment(c.hx, c.hz)
+    assert check_dual_containment(c.hx, c.hz, 13)
     assert all(x != 0 for x in c.lam1 + c.lam2)
+
+
+def as_mat(field, array):
+    """The Mat of a parity check, once it is known to hold Python ints in
+    [0, p) in an object array."""
+    assert array.dtype == object
+    assert all(type(x) is int and 0 <= x < field.p for x in array.ravel())
+    return Mat.from_array(field, array)
 
 
 def diag(field, entries):
@@ -99,8 +109,8 @@ def test_construction_identities():
             pts = [params.eval_points[s - 1] for s in c.helpers]
             vt = vandermonde(params.field, pts, 4)
             sel = _selector(params, c.failed_node)
-            assert c.hz @ (diag(params.field, c.lam1) @ vt) == sel
-            assert c.hx @ (diag(params.field, c.lam2) @ vt) == sel
+            assert as_mat(params.field, c.hz) @ (diag(params.field, c.lam1) @ vt) == sel
+            assert as_mat(params.field, c.hx) @ (diag(params.field, c.lam2) @ vt) == sel
 
 
 def count_field_inversions(monkeypatch):
@@ -118,8 +128,9 @@ def count_field_inversions(monkeypatch):
 
 def test_build_field_inversions_cold_and_warm(monkeypatch):
     # a cold build inverts the m GRS weights in one batch inside
-    # vandermonde_inv, then every lam_h - lam_f and w in one batch; u costs
-    # one more batch. A warm build inverts only u
+    # vandermonde_inv, which hands back their reciprocals, then every
+    # lam_h - lam_f in one batch; u costs one more batch. A warm build
+    # inverts only u
     params = make_params(64, 20, 38, 67)
     u = [SplitMix64(5).unit(67) for _ in range(38)]
     calls = count_field_inversions(monkeypatch)
@@ -149,7 +160,9 @@ def test_cached_build_equals_fresh_build(n, k, d, p):
         assert len(qregen.css._BASES) == 1
         assert cached.to_json_dict() == fresh.to_json_dict()
         assert (cached.failed_node, cached.helpers) == (fresh.failed_node, fresh.helpers)
-        assert cached.hx == fresh.hx and cached.hz == fresh.hz
+        for a, b in ((cached.hx, fresh.hx), (cached.hz, fresh.hz)):
+            assert a.dtype == b.dtype == object
+            assert a.tolist() == b.tolist()
 
 
 @pytest.mark.parametrize("n,k,d,p", [(7, 3, 4, 17), (12, 4, 8, 17)])
@@ -176,7 +189,8 @@ def test_dual_containment_exhaustive_with_random_u():
             for _ in range(5):
                 u = [rng.unit(13) for _ in range(4)]
                 c = build_repair_css(params, failed, helpers, u)
-                assert (c.hx @ c.hz.T).is_zero()
+                field = params.field
+                assert (as_mat(field, c.hx) @ as_mat(field, c.hz).T).is_zero()
 
 
 def test_u_scaling_leaves_identities_intact():
@@ -188,12 +202,12 @@ def test_u_scaling_leaves_identities_intact():
             params, 3, (1, 2, 4, 5, 6, 7), [field.mul(scale, x) for x in base.u]
         )
         assert scaled.lam1 != base.lam1
-        assert check_dual_containment(scaled.hx, scaled.hz)
+        assert check_dual_containment(scaled.hx, scaled.hz, 17)
         pts = [params.eval_points[s - 1] for s in scaled.helpers]
         vt = vandermonde(field, pts, 6)
         sel = _selector(params, scaled.failed_node)
-        assert scaled.hz @ (diag(field, scaled.lam1) @ vt) == sel
-        assert scaled.hx @ (diag(field, scaled.lam2) @ vt) == sel
+        assert as_mat(field, scaled.hz) @ (diag(field, scaled.lam1) @ vt) == sel
+        assert as_mat(field, scaled.hx) @ (diag(field, scaled.lam2) @ vt) == sel
 
 
 def test_u_times_u_prime_is_grs_weights():
@@ -231,9 +245,9 @@ def test_corrupted_construction_fails_closed(monkeypatch):
     real = qregen.css.vandermonde_inv
 
     def perturbed(field, points):
-        v_inv = real(field, points)
-        v_inv.data[0, 0] = (v_inv.data[0, 0] + 1) % field.p
-        return v_inv
+        v_inv, w_recip = real(field, points)
+        v_inv[0, 0] = (v_inv[0, 0] + 1) % field.p
+        return v_inv, w_recip
 
     monkeypatch.setattr(qregen.css, "vandermonde_inv", perturbed)
     for _ in range(2):  # a failed first build of a key caches nothing
@@ -242,22 +256,23 @@ def test_corrupted_construction_fails_closed(monkeypatch):
         assert len(qregen.css._BASES) == 0
     monkeypatch.undo()
     c = build_repair_css(params, 1, (2, 4, 5, 6))
-    assert check_dual_containment(c.hx, c.hz)
+    assert check_dual_containment(c.hx, c.hz, 13)
     assert list(qregen.css._BASES) == [(params, 1, (2, 4, 5, 6))]
 
 
 def test_repair_css_holds_its_checked_group():
     c = build_repair_css(make_params(6, 3, 4, 13), 1, (2, 4, 5, 6))
     assert isinstance(c.group, StabGroup)
-    assert (c.hx, c.hz) == (c.group.x_type, c.group.z_type)
+    assert c.hx is c.group.x_type and c.hz is c.group.z_type
+    assert c.group.p == 13
 
 
 def test_check_dual_containment_trivia():
-    one_row = Mat.from_rows(F13, [[1, 0]])
-    assert not check_dual_containment(one_row, one_row)
-    assert check_dual_containment(one_row, zeros(F13, 1, 2))
+    one_row = np.array([[1, 0]], dtype=object)
+    assert not check_dual_containment(one_row, one_row, 13)
+    assert check_dual_containment(one_row, np.zeros((1, 2), dtype=object), 13)
     with pytest.raises(DimensionMismatch):
-        check_dual_containment(one_row, zeros(F13, 1, 3))
+        check_dual_containment(one_row, np.zeros((1, 3), dtype=object), 13)
 
 
 def test_css_json_shape():

@@ -323,13 +323,19 @@ def point_sets(draw):
 def test_vandermonde_inv_closed_form(case):
     field, points = case
     m = len(points)
-    inv = vandermonde_inv(field, points)
+    inv, w_recip = vandermonde_inv(field, points)
+    assert inv.dtype == object and inv.shape == (m, m)
+    assert all(type(x) is int and 0 <= x < field.p for x in inv.ravel())
     v = vandermonde(field, points, m)
-    assert inv @ v == Mat.identity(field, m)
+    assert Mat.from_array(field, inv) @ v == Mat.identity(field, m)
     # leading Lagrange coefficients are the dual GRS weights (used by css)
-    assert inv.row(m - 1) == grs_dual_weights(field, points) == grs_weights(field, points)
+    w = inv[m - 1].tolist()
+    assert w == grs_dual_weights(field, points) == grs_weights(field, points)
+    # and their reciprocals come with them, so no caller inverts w again
+    assert all(type(r) is int and 0 < r < field.p for r in w_recip)
+    assert [wj * rj % field.p for wj, rj in zip(w, w_recip)] == [1] * m
     if m <= 12:
-        assert inv == v.inv()  # Gauss-Jordan stays the reference
+        assert inv.tolist() == v.inv().to_rows()  # Gauss-Jordan stays the reference
 
 
 @settings(max_examples=30, deadline=None)
@@ -343,5 +349,9 @@ def test_vandermonde_inv_repeated_point(case, data):
 
 
 def test_vandermonde_inv_golden():
-    assert vandermonde_inv(F13, (5,)).to_rows() == [[1]]
-    assert vandermonde_inv(F13, (2, 4, 5, 6)) == Mat.from_rows(F13, V_HELPERS).inv()
+    inv, w_recip = vandermonde_inv(F13, (5,))
+    assert (inv.tolist(), w_recip) == ([[1]], [1])
+    inv, w_recip = vandermonde_inv(F13, (2, 4, 5, 6))
+    assert inv.dtype == object
+    assert inv.tolist() == Mat.from_rows(F13, V_HELPERS).inv().to_rows()
+    assert w_recip == [2, 4, 10, 8]  # 1 / (7, 10, 4, 5), the weights

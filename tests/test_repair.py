@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+import qregen.stabilizer
 from qregen.errors import InvalidHelperSet, ModeUnavailable, RegenerationMismatch
 from qregen.matrix import Mat
 from qregen.pmcode import (
@@ -286,21 +287,42 @@ def test_transcript_json_field_order():
 
 @pytest.mark.parametrize("n,k,d,p", [(6, 3, 4, 13), (12, 4, 8, 17)])
 def test_one_containment_product_per_subfile(monkeypatch, n, k, d, p):
-    # HX HZ^T is the only matrix product in a repair, and it runs once
+    # HX HZ^T is the only matrix-by-matrix product in a repair, and it runs
+    # once per sub-file; no Mat is multiplied at all
     params = make_params(n, k, d, p)
     storage = encode_file(params, random_symbols(params, SplitMix64(8)))
-    calls = []
-    real = Mat.__matmul__
+    calls, mat_calls = [], []
+    real, real_mat = qregen.stabilizer.matmul_mod, Mat.__matmul__
 
-    def counting(a, b):
-        calls.append((a.rows, a.cols, b.cols))
-        return real(a, b)
+    def counting(a, b, p):
+        if a.ndim == b.ndim == 2:
+            calls.append((a.shape, b.shape))
+        return real(a, b, p)
 
-    monkeypatch.setattr(Mat, "__matmul__", counting)
+    def counting_mat(a, b):
+        mat_calls.append((a.rows, a.cols, b.cols))
+        return real_mat(a, b)
+
+    monkeypatch.setattr(qregen.stabilizer, "matmul_mod", counting)
+    monkeypatch.setattr(Mat, "__matmul__", counting_mat)
     for mode in MODES:
         calls.clear()
         run_repair(params, storage, 1, tuple(range(2, d + 2)), mode=mode)
-        assert calls == [(k - 1, 2 * k - 2, k - 1)] * params.subfiles
+        check = ((k - 1, 2 * k - 2), (2 * k - 2, k - 1))
+        assert calls == [check] * params.subfiles
+        assert mat_calls == []
+
+
+def test_transcripts_compare_by_identity():
+    # array fields have no single truth value, so equality is identity: two
+    # equal repairs compare unequal without raising, and every record hashes
+    params, _, storage = reference_setup(13)
+    a, b = (run_repair(params, storage, 1, (2, 4, 5, 6)) for _ in range(2))
+    assert a.to_json_dict() == b.to_json_dict()
+    assert a == a and a != b
+    records = (a, b, a.css[0], b.css[0], a.css[0].group, b.css[0].group)
+    assert len(set(records)) == len(records)
+    assert a.css[0] != b.css[0] and a.css[0].group != b.css[0].group
 
 
 def test_statevector_repairs_every_subfile_of_12_4_8_17():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qregen.stabilizer
 from qregen.css import build_repair_css
@@ -11,14 +12,11 @@ from qregen.errors import (
     ResidualOutOfTolerance,
     TooLarge,
 )
-from qregen.gf import GF
 from qregen.matrix import Mat
 from qregen.pmcode import encode_file, make_params, pack_file, random_symbols
 from qregen.rng import SplitMix64
 from qregen.stabilizer import (
-    PauliError,
     StabGroup,
-    Syndrome,
     STATE_LIMIT,
     _measure_exponent,
     prepare_codespace,
@@ -29,34 +27,47 @@ from qregen.stabilizer import (
 
 from densestate import DenseSpace, reference_codespace, reference_exponent
 from groupgen import random_error, random_group
-from linalg import dot, matvec, zeros
+from linalg import dot, matvec
 
 BACKENDS = (syndrome_linear, syndrome_symplectic, syndrome_statevector)
+
+
+def stab_group(p, x_rows, z_rows, n):
+    """The StabGroup on n qudits with these X and Z generator rows."""
+    hx, hz = (np.array(rows, dtype=object).reshape(len(rows), n)
+              for rows in (x_rows, z_rows))
+    return StabGroup(x_type=hx, z_type=hz, p=p)
+
+
+def lists(syndrome):
+    """(s_x, s_z) as lists, once both are checked to be object arrays of
+    Python ints."""
+    for s in syndrome:
+        assert s.dtype == object and all(type(v) is int for v in s)
+    return tuple(s.tolist() for s in syndrome)
 
 
 def reference_group():
     params = make_params(6, 3, 4, 13)
     c = build_repair_css(params, 1, (2, 4, 5, 6))
-    return params, c, StabGroup(x_type=c.hx, z_type=c.hz)
+    return params, c, StabGroup(x_type=c.hx, z_type=c.hz, p=13)
 
 
 def test_zero_error_zero_syndrome():
     _, _, group = reference_group()
-    err = PauliError.make(13, [0] * 4, [0] * 4)
     for backend in BACKENDS:
-        syn = backend(group, err)
-        assert syn == Syndrome(s_x=(0, 0), s_z=(0, 0))
+        syn = backend(group, [0] * 4, [0] * 4)
+        assert lists(syn) == ([0, 0], [0, 0])
 
 
 def test_single_qudit_defining_cases():
-    f5 = GF(5)
-    z_gen = StabGroup(x_type=zeros(f5, 0, 1), z_type=Mat.from_rows(f5, [[1]]))
-    x_gen = StabGroup(x_type=Mat.from_rows(f5, [[1]]), z_type=zeros(f5, 0, 1))
+    z_gen = stab_group(5, [], [[1]], 1)
+    x_gen = stab_group(5, [[1]], [], 1)
     for backend in BACKENDS:
-        assert backend(z_gen, PauliError.make(5, [1], [0])).s_x == (1,)
+        assert lists(backend(z_gen, [1], [0]))[0] == [1]
         for a in range(5):
-            assert backend(x_gen, PauliError.make(5, [a], [0])).s_z == (0,)
-        assert backend(x_gen, PauliError.make(5, [0], [3])).s_z == (3,)
+            assert lists(backend(x_gen, [a], [0]))[1] == [0]
+        assert lists(backend(x_gen, [0], [3]))[1] == [3]
 
 
 def test_linear_syndrome_is_linear():
@@ -65,16 +76,15 @@ def test_linear_syndrome_is_linear():
     for _ in range(30):
         e1 = random_error(13, 4, rng)
         e2 = random_error(13, 4, rng)
-        esum = PauliError.make(
-            13,
-            [(a + b) % 13 for a, b in zip(e1.x, e2.x)],
-            [(a + b) % 13 for a, b in zip(e1.z, e2.z)],
+        esum = (
+            [(a + b) % 13 for a, b in zip(e1[0], e2[0])],
+            [(a + b) % 13 for a, b in zip(e1[1], e2[1])],
         )
-        s1 = syndrome_linear(group, e1)
-        s2 = syndrome_linear(group, e2)
-        ssum = syndrome_linear(group, esum)
-        assert ssum.s_x == tuple((a + b) % 13 for a, b in zip(s1.s_x, s2.s_x))
-        assert ssum.s_z == tuple((a + b) % 13 for a, b in zip(s1.s_z, s2.s_z))
+        s1 = lists(syndrome_linear(group, *e1))
+        s2 = lists(syndrome_linear(group, *e2))
+        ssum = lists(syndrome_linear(group, *esum))
+        assert ssum[0] == [(a + b) % 13 for a, b in zip(s1[0], s2[0])]
+        assert ssum[1] == [(a + b) % 13 for a, b in zip(s1[1], s2[1])]
 
 
 def test_repair_error_syndrome_reads_failed_node_rows():
@@ -96,12 +106,12 @@ def test_repair_error_syndrome_reads_failed_node_rows():
              for j, s in enumerate(c.helpers)]
         z = [field.mul(c.lam2[j], dot(field, stored[s - 1, 1].tolist(), vbar))
              for j, s in enumerate(c.helpers)]
-        syn = syndrome_linear(group, PauliError.make(13, x, z))
+        s_x, s_z = lists(syndrome_linear(group, x, z))
         lam_f = params.lam[0]
-        expect_x = tuple((a + lam_f * b) % 13 for a, b in zip(m_v[:2], m_v[2:]))
-        expect_z = tuple((a + lam_f * b) % 13 for a, b in zip(mp_v[:2], mp_v[2:]))
-        assert syn.s_x == expect_x == tuple(stored[0, 0].tolist())
-        assert syn.s_z == expect_z == tuple(stored[0, 1].tolist())
+        expect_x = [(a + lam_f * b) % 13 for a, b in zip(m_v[:2], m_v[2:])]
+        expect_z = [(a + lam_f * b) % 13 for a, b in zip(mp_v[:2], mp_v[2:])]
+        assert s_x == expect_x == stored[0, 0].tolist()
+        assert s_z == expect_z == stored[0, 1].tolist()
 
 
 @pytest.mark.parametrize("p", [3, 5, 13])
@@ -112,7 +122,8 @@ def test_linear_vs_symplectic_agreement(p):
         r_x = 1 + rng.below(max(1, n_qudits - 1))
         group = random_group(p, n_qudits, r_x, rng)
         err = random_error(p, n_qudits, rng)
-        assert syndrome_linear(group, err) == syndrome_symplectic(group, err)
+        want = lists(syndrome_linear(group, *err))
+        assert lists(syndrome_symplectic(group, *err)) == want
 
 
 def test_statevector_agreement_small():
@@ -121,7 +132,8 @@ def test_statevector_agreement_small():
     for _ in range(25):
         err = random_error(5, 4, rng)
         # a residual of RESIDUAL_TOL or more raises ResidualOutOfTolerance
-        assert syndrome_statevector(group, err) == syndrome_linear(group, err)
+        want = lists(syndrome_linear(group, *err))
+        assert lists(syndrome_statevector(group, *err)) == want
 
 
 def small_groups(p, count, seed):
@@ -151,13 +163,13 @@ def test_prepare_codespace_matches_reference(p):
 def test_measure_exponent_matches_full_pauli(p):
     for group, rng in small_groups(p, 6, 400 + p):
         space = DenseSpace(p, group.n)
-        err = random_error(p, group.n, rng)
+        x, z = random_error(p, group.n, rng)
         state = space.dense(*prepare_codespace(group))
-        corrupted = space.apply_pauli(state, err.x, err.z)
+        corrupted = space.apply_pauli(state, x, z)
         support, amps = space.support_form(corrupted)
         zero = [0] * group.n
-        gens = [(zero, h) for h in group.z_type.to_rows()]
-        gens += [(g, zero) for g in group.x_type.to_rows()]
+        gens = [(zero, h) for h in group.z_type.tolist()]
+        gens += [(g, zero) for g in group.x_type.tolist()]
         for a, b in gens:
             s, res = _measure_exponent(support, amps, p, a, b)
             want_s, want_res = reference_exponent(space, corrupted, a, b)
@@ -170,29 +182,26 @@ def test_statevector_agreement_reference_group():
     rng = SplitMix64(56)
     for _ in range(10):
         err = random_error(13, 4, rng)
-        assert syndrome_statevector(group, err) == syndrome_linear(group, err)
+        want = lists(syndrome_linear(group, *err))
+        assert lists(syndrome_statevector(group, *err)) == want
 
 
 def test_statevector_zero_error_preserves_state():
     rng = SplitMix64(57)
     group = random_group(5, 3, 1, rng)
-    err = PauliError.make(5, [0, 0, 0], [0, 0, 0])
-    assert syndrome_statevector(group, err).s_x == (0,) * group.z_type.rows
+    x = z = [0, 0, 0]
+    assert lists(syndrome_statevector(group, x, z))[0] == [0] * len(group.z_type)
     # overlap magnitude 1 means unchanged up to a global phase
     space = DenseSpace(5, 3)
     state = space.dense(*prepare_codespace(group))
-    moved = space.apply_pauli(state, err.x, err.z)
+    moved = space.apply_pauli(state, x, z)
     assert abs(np.vdot(state, moved)) == pytest.approx(1.0)
 
 
 def test_syndrome_independent_of_codeword(monkeypatch):
     # a group with logical content: different surviving basis states of the
     # dense reference project to different codewords, but syndromes must agree
-    f5 = GF(5)
-    group = StabGroup(
-        x_type=Mat.from_rows(f5, [[1, 1, 0, 0]]),
-        z_type=Mat.from_rows(f5, [[0, 0, 1, 1]]),
-    )
+    group = stab_group(5, [[1, 1, 0, 0]], [[0, 0, 1, 1]], 4)
     state0, basis0 = reference_codespace(group, 0)
     state1, basis1 = reference_codespace(group, basis0 + 1)
     assert basis1 == 9  # basis 1..8 violate the Z generator
@@ -201,50 +210,40 @@ def test_syndrome_independent_of_codeword(monkeypatch):
     rng = SplitMix64(58)
     for _ in range(10):
         err = random_error(5, 4, rng)
-        want = syndrome_linear(group, err)
+        want = lists(syndrome_linear(group, *err))
         for state in (state0, state1):
             # syndrome_statevector prepares through the module global
             monkeypatch.setattr(qregen.stabilizer, "prepare_codespace",
                                 lambda _, state=state: space.support_form(state))
-            assert syndrome_statevector(group, err) == want
+            assert lists(syndrome_statevector(group, *err)) == want
 
 
 def test_group_rejects_non_commuting_pair():
-    f5 = GF(5)
+    hx = np.array([[1, 0]], dtype=object)
     with pytest.raises(DualContainmentViolated):
-        StabGroup(
-            x_type=Mat.from_rows(f5, [[1, 0]]),
-            z_type=Mat.from_rows(f5, [[1, 0]]),
-        )
+        StabGroup(x_type=hx, z_type=np.array([[1, 0]], dtype=object), p=5)
     with pytest.raises(DimensionMismatch):
-        StabGroup(
-            x_type=Mat.from_rows(f5, [[1, 0]]),
-            z_type=zeros(f5, 0, 3),
-        )
+        StabGroup(x_type=hx, z_type=np.zeros((0, 3), dtype=object), p=5)
 
 
 def test_statevector_size_guard():
     # six independent X generators: 13^6 support entries, though every one
     # of them stays far below int64
-    f13 = GF(13)
-    group = StabGroup(
-        x_type=Mat.from_rows(f13, [[int(i == j) for j in range(7)] for i in range(6)]),
-        z_type=Mat.from_rows(f13, [[0, 0, 0, 0, 0, 0, 1]]),
-    )
+    x_rows = [[int(i == j) for j in range(7)] for i in range(6)]
+    group = stab_group(13, x_rows, [[0, 0, 0, 0, 0, 0, 1]], 7)
     with pytest.raises(TooLarge, match=r"13\^6 amplitudes"):
-        syndrome_statevector(group, PauliError.make(13, [0] * 7, [0] * 7))
+        syndrome_statevector(group, [0] * 7, [0] * 7)
 
 
 def test_statevector_refuses_p_over_limit():
     # no X generators, so p^0 = 1 support entry; but exponents would leave
     # int64 and float64 cannot tell the p-th roots of unity apart
     p = 2**61 - 1
-    f = GF(p)
-    group = StabGroup(x_type=zeros(f, 0, 2), z_type=Mat.from_rows(f, [[1, 2]]))
+    group = stab_group(p, [], [[1, 2]], 2)
     with pytest.raises(TooLarge, match="limit"):
         prepare_codespace(group)
     with pytest.raises(TooLarge):
-        syndrome_statevector(group, PauliError.make(p, [p - 1, 5], [3, p - 2]))
+        syndrome_statevector(group, [p - 1, 5], [3, p - 2])
 
 
 def test_statevector_at_largest_prime_under_limit():
@@ -252,22 +251,38 @@ def test_statevector_at_largest_prime_under_limit():
     # of unity are 2 pi / p ~ 6e-6 apart, over the residual tolerance
     p = 1048573
     assert p <= STATE_LIMIT < p + 4
-    f = GF(p)
-    group = StabGroup(
-        x_type=Mat.from_rows(f, [[1, 1]]), z_type=Mat.from_rows(f, [[1, p - 1]])
-    )
+    group = stab_group(p, [[1, 1]], [[1, p - 1]], 2)
     assert len(prepare_codespace(group)[0]) == p
     for x, z in (([1, 0], [0, 1]), ([p - 1, 3], [p // 2, 7]), ([12345, 0], [0, 54321])):
-        err = PauliError.make(p, x, z)
-        assert syndrome_statevector(group, err) == syndrome_linear(group, err)
+        want = lists(syndrome_linear(group, x, z))
+        assert lists(syndrome_statevector(group, x, z)) == want
 
 
 def test_error_dimension_check():
+    # every backend checks both exponent vectors against the group's width
     _, _, group = reference_group()
-    with pytest.raises(DimensionMismatch):
-        syndrome_linear(group, PauliError.make(13, [1], [0]))
-    with pytest.raises(DimensionMismatch):
-        PauliError.make(13, [1, 2], [0])
+    for backend in BACKENDS:
+        with pytest.raises(DimensionMismatch):
+            backend(group, [1], [0])
+        with pytest.raises(DimensionMismatch):
+            backend(group, [1, 2, 3, 4], [0])
+        with pytest.raises(DimensionMismatch):
+            backend(group, [0], [1, 2, 3, 4])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_backends_reduce_exponents_mod_p(data):
+    # exponents anywhere in (-3p, 3p) give the syndromes of their residues
+    p = data.draw(st.sampled_from([13, 2**61 - 1]))
+    params = make_params(6, 3, 4, p)
+    group = build_repair_css(params, 1, (2, 4, 5, 6)).group
+    vectors = st.lists(st.integers(-3 * p + 1, 3 * p - 1), min_size=4, max_size=4)
+    x, z = data.draw(vectors), data.draw(vectors)
+    reduced = [v % p for v in x], [v % p for v in z]
+    backends = BACKENDS if p <= STATE_LIMIT else BACKENDS[:2]
+    for backend in backends:
+        assert lists(backend(group, x, z)) == lists(backend(group, *reduced))
 
 
 def test_statevector_residual_check_raises(monkeypatch):
@@ -276,4 +291,4 @@ def test_statevector_residual_check_raises(monkeypatch):
     err = random_error(13, 4, SplitMix64(58))
     monkeypatch.setattr(qregen.stabilizer, "RESIDUAL_TOL", -1.0)
     with pytest.raises(ResidualOutOfTolerance):
-        syndrome_statevector(group, err)
+        syndrome_statevector(group, *err)
