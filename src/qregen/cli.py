@@ -166,7 +166,7 @@ def _storage_from_json(doc) -> tuple[SystemParams, np.ndarray]:
     if not _ints(dits, params.p):
         raise errors.BadShareSet(f"storage dits must be ints in [0, {params.p})")
     # object, never int64: products of dits overflow int64 at large p
-    return params, np.array(dits, dtype=object).reshape(params.subfiles, n, 2, a0)
+    return params, np.array(dits, dtype=object).reshape(params.storage_shape)
 
 
 def _load_json(path: str):
@@ -250,20 +250,19 @@ def _attempt(failures: list, record: tuple, call, *args):
 def _check_pass(params: SystemParams, rng: SplitMix64, modes, trial: int = 0):
     """Encode one random message, repair every failed node from every d-helper
     set in each of ``modes`` (one random u per case), retrieve from every
-    k-subset. Returns (repairs, retrievals, qudit totals seen, failures); a
-    failure is (trial, op/mode, case, error class), the class ``qudit-total``
-    or ``wrong-message`` for a repair not moving B/k qudits or a bad retrieval.
+    k-subset. Returns (qudit totals seen, failures); a failure is (trial,
+    op/mode, case, error class), the class ``qudit-total`` or
+    ``wrong-message`` for a repair not moving B/k qudits or a bad retrieval.
     """
     symbols = random_symbols(params, rng)
     storage = encode_file(params, symbols)
     nodes = range(1, params.n + 1)
-    repairs, qudits, failures = 0, set(), []
+    qudits, failures = set(), []
     for failed in nodes:
         for helpers in combinations([i for i in nodes if i != failed], params.d):
             u = [rng.unit(params.p) for _ in range(2 * params.k - 2)]
             case = f"failed={failed} helpers={','.join(map(str, helpers))}"
             for mode in modes:
-                repairs += 1
                 record = (trial, f"repair/{mode}", case)
                 t = _attempt(failures, record, repair.run_repair,
                              params, storage, failed, helpers, u, mode)
@@ -271,14 +270,12 @@ def _check_pass(params: SystemParams, rng: SplitMix64, modes, trial: int = 0):
                     qudits.add(t.qudit_total)
                     if t.qudit_total != params.B // params.k:
                         failures.append((*record, "qudit-total"))
-    subsets = list(combinations(nodes, params.k))
-    message = [x % params.p for x in symbols]
-    for subset in subsets:
+    for subset in combinations(nodes, params.k):
         record = (trial, "retrieve", f"nodes={','.join(map(str, subset))}")
         got = _attempt(failures, record, retrieve_file, params, storage, subset)
-        if got is not None and list(got) != message:
+        if got is not None and list(got) != symbols:
             failures.append((*record, "wrong-message"))
-    return repairs, len(subsets), qudits, failures
+    return qudits, failures
 
 
 def _report(failures) -> None:
@@ -291,7 +288,8 @@ def cmd_sweep(args) -> int:
         raise errors.InvalidParams(f"--trials must be at least 1, got {args.trials}")
     params = _params_from_args(args)
     n = params.n  # one pass: every repair of every sub-file, every retrieval
-    size = n * comb(n - 1, params.d) * params.subfiles + comb(n, params.k)
+    cases, subsets = n * comb(n - 1, params.d), comb(n, params.k)
+    size = cases * params.subfiles + subsets
     if args.trials * size > SWEEP_LIMIT:  # before anything is encoded
         raise errors.InvalidParams(
             f"a check pass at ({n},{params.k},{params.d}) needs {size} "
@@ -300,9 +298,8 @@ def cmd_sweep(args) -> int:
         )
     rng = SplitMix64(args.seed)
     passes = [_check_pass(params, rng, (args.mode,), t) for t in range(args.trials)]
-    repairs, retrievals = (sum(p[i] for p in passes) for i in (0, 1))
-    qudit_seen = set().union(*(p[2] for p in passes))
-    failures = [f for p in passes for f in p[3]]
+    qudit_seen = set().union(*(p[0] for p in passes))
+    failures = [f for p in passes for f in p[1]]
     _report(failures)
 
     summary = {
@@ -310,10 +307,10 @@ def cmd_sweep(args) -> int:
         "seed": args.seed,
         "mode": args.mode,
         "trials": args.trials,
-        "repairCases": repairs // args.trials,
-        "repairTrials": repairs,
-        "retrievalSubsets": retrievals // args.trials,
-        "retrievalTrials": retrievals,
+        "repairCases": cases,
+        "repairTrials": cases * args.trials,
+        "retrievalSubsets": subsets,
+        "retrievalTrials": subsets * args.trials,
         "failures": len(failures),
         "quditTotal": {
             "min": min(qudit_seen, default=None),
@@ -368,8 +365,8 @@ def cmd_tradeoff(args) -> int:
 def cmd_selftest(args) -> int:
     rng = SplitMix64(args.seed)
     params = make_params(6, 3, 4, 13)
-    base = _check_pass(params, rng, ("linear", "symplectic"))[3]
-    ext = _check_pass(make_params(6, 2, 3, 13), rng, ("linear",))[3]
+    base = _check_pass(params, rng, ("linear", "symplectic"))[1]
+    ext = _check_pass(make_params(6, 2, 3, 13), rng, ("linear",))[1]
     storage = encode_file(params, random_symbols(params, rng))
     _attempt(base, (0, "repair/statevector", "failed=1 helpers=2,4,5,6"),
              repair.run_repair, params, storage, 1, (2, 4, 5, 6), None, "statevector")

@@ -87,8 +87,8 @@ def check_helpers(
     if not 1 <= failed <= params.n:
         raise InvalidHelperSet(f"failed node {failed} out of range")
     hs = tuple(sorted(helpers))
-    others = set(range(1, params.n + 1)) - {failed}
-    if len(hs) != m or len(set(hs)) != m or not others.issuperset(hs):
+    if not (len(hs) == len(set(hs)) == m and failed not in hs
+            and 1 <= hs[0] <= hs[-1] <= params.n):
         raise InvalidHelperSet(
             f"need {m} distinct helpers in [1, {params.n}] excluding node {failed}"
         )
@@ -105,7 +105,7 @@ def _basis(params: SystemParams, failed: int, hs: tuple[int, ...]) -> tuple:
     lam_f = params.lam[failed - 1]
     v_inv, w_recip = vandermonde_inv(field, [params.eval_points[s - 1] for s in hs])
     w = v_inv[m - 1].tolist()  # leading Lagrange coefficients = dual GRS weights
-    denom = [field.sub(params.lam[s - 1], lam_f) for s in hs]
+    denom = [(params.lam[s - 1] - lam_f) % field.p for s in hs]
     a0 = params.alpha0
     sel_v_inv = v_inv[:a0] + lam_f * v_inv[a0:]  # [I | lam_f I] Vt^(-1)
     hz = sel_v_inv * np.array(denom, dtype=object) % field.p  # times 1 / lam1 at u = 1

@@ -42,7 +42,7 @@ class WrongLength(UsageError):
 
 
 class BadShareSet(UsageError):
-    """Share set has duplicate ids or the wrong cardinality."""
+    """Share set or storage has duplicate ids, the wrong count or shape."""
 
 
 # repair-time code construction ----------------------------------------------

@@ -1,8 +1,8 @@
 """Exact arithmetic in the prime field GF(p).
 
 Field elements are plain ints in [0, p); a GF instance carries the modulus
-and supplies the operations. Everything goes through Python ints, so results
-are exact for any supported p (no overflow to worry about).
+and its inversions, and scalars use Python's operators. All of it is Python
+ints, so results are exact for any supported p (no overflow to worry about).
 """
 
 from __future__ import annotations
@@ -66,12 +66,6 @@ class GF:
     def __hash__(self) -> int:
         return hash(("GF", self.p))
 
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.p
-
     def inv(self, a: int) -> int:
         """Multiplicative inverse by Fermat exponentiation; a must be nonzero."""
         a %= self.p
@@ -94,12 +88,6 @@ class GF:
             acc = acc * values[i] % p  # now 1 / (v_0 ... v_(i-1))
         return out
 
-    def pow(self, a: int, e: int) -> int:
-        """a**e mod p for e >= 0, with 0**0 == 1."""
-        if e < 0:
-            raise ValueError("exponent must be non-negative")
-        return pow(a % self.p, e, self.p)
-
     def powers(self, a: int, m: int) -> list[int]:
         """(1, a, ..., a^(m-1)) mod p, by a running product."""
         out, acc = [], 1
@@ -107,6 +95,3 @@ class GF:
             out.append(acc)
             acc = acc * a % self.p
         return out
-
-    def units(self) -> range:
-        return range(1, self.p)

@@ -100,9 +100,6 @@ class Mat:
     def cols(self) -> int:
         return self.data.shape[1]
 
-    def row(self, i: int) -> list[int]:
-        return self.data[i].tolist()
-
     def to_rows(self) -> list[list[int]]:
         return self.data.tolist()
 
@@ -132,9 +129,6 @@ class Mat:
         out.field = self.field
         out.data = matmul_mod(self.data, other.data, self.field.p)
         return out
-
-    def is_zero(self) -> bool:
-        return not self.data.any()
 
     def inv(self) -> "Mat":
         """Gauss-Jordan inverse; raises Singular when rank < n."""

@@ -70,6 +70,11 @@ class SystemParams:
         """Dits stored per node across all sub-files; equals B / k."""
         return 2 * self.alpha0 * self.subfiles
 
+    @property
+    def storage_shape(self) -> tuple[int, int, int, int]:
+        """(T, n, 2, a0), the shape of a file's storage array."""
+        return (self.subfiles, self.n, 2, self.alpha0)
+
     def point_powers(self, node_id: int) -> list[int]:
         """vbar for a node: (1, v, ..., v^(a0-1))."""
         return self.field.powers(self.eval_points[node_id - 1], self.alpha0)
@@ -79,8 +84,8 @@ def _greedy_points(field: GF, n: int, alpha0: int) -> tuple[int, ...] | None:
     """First n nonzero points (in field order) with pairwise-distinct lam."""
     chosen: list[int] = []
     seen_lam: set[int] = set()
-    for c in field.units():
-        lam = field.pow(c, alpha0)
+    for c in range(1, field.p):
+        lam = pow(c, alpha0, field.p)
         if lam in seen_lam:
             continue
         chosen.append(c)
@@ -127,7 +132,7 @@ def make_params(
                 f"no {n} points with distinct v^{alpha0} exist in GF({p})"
             )
 
-    lam = tuple(field.pow(v, alpha0) for v in pts)
+    lam = tuple(pow(v, alpha0, p) for v in pts)
     if len(set(lam)) != n:
         raise InvalidParams("lam values v^(k-1) collide for these points")
 
@@ -300,6 +305,13 @@ def retrieve(params: SystemParams, ids: Sequence[int], rows: np.ndarray) -> np.n
     )
 
 
+def check_storage(params: SystemParams, storage: np.ndarray) -> None:
+    """Raise BadShareSet unless ``storage`` has ``params.storage_shape``."""
+    shape = params.storage_shape
+    if storage.shape != shape:
+        raise BadShareSet(f"storage must have shape {shape}, got {storage.shape}")
+
+
 def retrieve_file(
     params: SystemParams, storage: np.ndarray, ids: Sequence[int]
 ) -> tuple[int, ...]:
@@ -308,9 +320,7 @@ def retrieve_file(
     ``storage`` is ``encode_file``'s (T, n, 2, a0) array; only the rows of
     ``ids`` are read, and one ``retrieve`` call decodes every sub-file.
     """
-    shape = (params.subfiles, params.n, 2, params.alpha0)
-    if storage.shape != shape:
-        raise BadShareSet(f"storage must have shape {shape}, got {storage.shape}")
+    check_storage(params, storage)
     ids = sorted(ids)
     if not (len(ids) == len(set(ids)) == params.k
             and 1 <= ids[0] and ids[-1] <= params.n):

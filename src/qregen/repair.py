@@ -33,9 +33,9 @@ from collections.abc import Sequence
 import numpy as np
 
 from .css import RepairCSS, build_repair_css, check_helpers
-from .errors import InvalidHelperSet, ModeUnavailable, RegenerationMismatch
+from .errors import ModeUnavailable, RegenerationMismatch
 from .matrix import matmul_mod
-from .pmcode import SystemParams
+from .pmcode import SystemParams, check_storage
 from .stabilizer import syndrome_linear, syndrome_statevector, syndrome_symplectic
 from .tradeoff import classical_msr_bandwidth
 
@@ -136,9 +136,7 @@ def run_repair(
     """
     hs = check_helpers(params, failed, helpers, params.d)
     backend = _syndrome_backend(mode)
-    shape = (params.subfiles, params.n, 2, params.alpha0)
-    if storage.shape != shape:
-        raise InvalidHelperSet(f"need storage of shape {shape}")
+    check_storage(params, storage)
     p = params.p
     subsets = plan_subfiles(params)
     codes = tuple(build_repair_css(params, failed, [hs[i] for i in s], u) for s in subsets)

@@ -131,7 +131,9 @@ def test_sweep_summary(capsys):
     doc = json.loads(out)
     assert doc["failures"] == 0
     assert doc["repairCases"] == 30
+    assert doc["repairTrials"] == 60
     assert doc["retrievalSubsets"] == 20
+    assert doc["retrievalTrials"] == 40
     assert doc["quditTotal"] == {"min": 4, "max": 4, "expected": 4}
     assert doc["perHelperQudits"] == 1
 

@@ -37,7 +37,7 @@ def test_grs_weights_pair_antisymmetry():
     f = GF(101)
     for a, b in ((3, 17), (1, 100), (55, 54)):
         wa, wb = grs_dual_weights(f, (a, b))
-        assert wa == f.inv(f.sub(a, b))
+        assert wa == f.inv((a - b) % 101)
         assert (wa + wb) % 101 == 0
 
 
@@ -52,8 +52,8 @@ def test_grs_weights_power_sums():
             w = grs_dual_weights(f, pts)
             assert w == grs_weights(f, pts)
             for m in range(d - 1):
-                assert sum(wj * f.pow(v, m) for wj, v in zip(w, pts)) % p == 0
-            assert sum(wj * f.pow(v, d - 1) for wj, v in zip(w, pts)) % p != 0
+                assert sum(wj * pow(v, m, p) for wj, v in zip(w, pts)) % p == 0
+            assert sum(wj * pow(v, d - 1, p) for wj, v in zip(w, pts)) % p != 0
 
 
 def test_grs_weights_repeated_point():
@@ -190,7 +190,7 @@ def test_dual_containment_exhaustive_with_random_u():
                 u = [rng.unit(13) for _ in range(4)]
                 c = build_repair_css(params, failed, helpers, u)
                 field = params.field
-                assert (as_mat(field, c.hx) @ as_mat(field, c.hz).T).is_zero()
+                assert not (as_mat(field, c.hx) @ as_mat(field, c.hz).T).data.any()
 
 
 def test_u_scaling_leaves_identities_intact():
@@ -199,7 +199,7 @@ def test_u_scaling_leaves_identities_intact():
     field = params.field
     for scale in (2, 5, 16):
         scaled = build_repair_css(
-            params, 3, (1, 2, 4, 5, 6, 7), [field.mul(scale, x) for x in base.u]
+            params, 3, (1, 2, 4, 5, 6, 7), [scale * x % 17 for x in base.u]
         )
         assert scaled.lam1 != base.lam1
         assert check_dual_containment(scaled.hx, scaled.hz, 17)

@@ -59,19 +59,19 @@ def test_inverse_of_zero_rejected():
 
 def test_pow_golden_values():
     f = GF(13)
-    assert f.pow(6, 2) == 10  # lam of node 6
-    assert f.pow(5, 0) == 1
-    assert f.pow(4, 3) == 12  # Vandermonde entry (4, 4)
-    assert f.pow(0, 0) == 1
-    with pytest.raises(ValueError):
-        f.pow(2, -1)
+    assert f.powers(6, 3)[2] == 10  # lam of node 6
+    assert f.powers(5, 1) == [1]
+    assert f.powers(4, 4)[3] == 12  # Vandermonde entry (4, 4)
+    assert f.powers(0, 1) == [1]  # 0**0 == 1
+    assert f.powers(-1, 3) == [1, 12, 1]  # the base is reduced
+    assert f.powers(2, 0) == []
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 101, 257])
 def test_inverse_exhaustive(p):
     f = GF(p)
-    for a in f.units():
-        assert f.mul(a, f.inv(a)) == 1
+    for a in range(1, p):
+        assert a * f.inv(a) % p == 1
 
 
 @pytest.mark.parametrize("p", [2, 13, 257, 2**61 - 1])
@@ -88,8 +88,8 @@ def test_inv_all_matches_inv(p):
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 101, 257])
 def test_fermat_exhaustive(p):
     f = GF(p)
-    for a in f.units():
-        assert f.pow(a, p - 1) == 1
+    for a in range(1, p):
+        assert f.powers(a, p)[-1] == 1  # a^(p-1)
 
 
 @pytest.mark.parametrize("p", [13, 101, 257])
@@ -97,18 +97,23 @@ def test_ring_axioms_on_sampled_triples(p):
     f = GF(p)
     rng = SplitMix64(p)
     for _ in range(300):
-        a, b, c = (rng.below(p) for _ in range(3))
-        assert f.mul(a, b) == f.mul(b, a)
-        assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
-        assert f.mul(a, (b + c) % p) == (f.mul(a, b) + f.mul(a, c)) % p
-        assert f.sub(a, b) == (a + -b % p) % p
-        assert f.sub(f.sub(a, b), c) == f.sub(a, (b + c) % p)
+        a, b, c = (rng.below(p - 1) + 1 for _ in range(3))
+        # the inverse respects products: 1/(ab) = (1/a)(1/b), 1/(1/a) = a
+        assert f.inv(a * b) == f.inv(a) * f.inv(b) % p
+        assert f.inv(f.inv(a)) == a
+        assert f.inv_all([a, b, c, a * b * c]) == [
+            f.inv(a), f.inv(b), f.inv(c), f.inv(a) * f.inv(b) * f.inv(c) % p
+        ]
+        # the powers respect products and sums of exponents
+        pa, pb = f.powers(a, 8), f.powers(b, 8)
+        assert f.powers(a * b, 8) == [x * y % p for x, y in zip(pa, pb)]
+        assert pa[3] * pa[4] % p == pa[7]
 
 
 def test_reduction_and_div():
     f = GF(7)
-    assert f.mul(-1, 1) == 6
-    assert f.sub(15, 0) == 1
+    assert f.inv(-1) == 6  # the argument is reduced first
+    assert f.inv(15) == 1
     for a in range(7):
-        for b in f.units():
-            assert f.mul(f.mul(a, f.inv(b)), b) == a % 7
+        for b in range(1, 7):
+            assert a * f.inv(b) % 7 * b % 7 == a % 7

@@ -75,7 +75,7 @@ def test_vandermonde_golden():
 def test_mat_mul_identity_and_zero():
     b = Mat.from_rows(F13, [[3, 1], [4, 1], [5, 9]])
     assert Mat.identity(F13, 3) @ b == b
-    assert (zeros(F13, 2, 3) @ b).is_zero()
+    assert not (zeros(F13, 2, 3) @ b).data.any()
 
 
 def test_mat_mul_matches_two_term_row_decomposition():
@@ -86,7 +86,7 @@ def test_mat_mul_matches_two_term_row_decomposition():
     prod = row @ stack
     s_top = Mat.from_rows(F13, [[1, 1], [1, 1]])
     vbar = Mat.from_rows(F13, [[1, 2]])
-    top = (vbar @ s_top).row(0)  # vbar2^T S1 = vbar2^T S2 here
+    top = (vbar @ s_top).data[0].tolist()  # vbar2^T S1 = vbar2^T S2 here
     expected = Mat.from_rows(F13, [[(a + 4 * b) % 13 for a, b in zip(top, top)]])
     assert prod == expected
     assert prod.to_rows() == [[2, 2]]  # (1+2+4+8) mod 13

@@ -6,7 +6,12 @@ from itertools import combinations
 import pytest
 
 import qregen.stabilizer
-from qregen.errors import InvalidHelperSet, ModeUnavailable, RegenerationMismatch
+from qregen.errors import (
+    BadShareSet,
+    InvalidHelperSet,
+    ModeUnavailable,
+    RegenerationMismatch,
+)
 from qregen.matrix import Mat
 from qregen.pmcode import (
     encode_file,
@@ -162,8 +167,11 @@ def test_run_repair_validation():
         run_repair(params, storage, 1, (2, 3, 4))
     bad_shapes = (storage[0], storage[:, :5], storage[..., :1], storage[None])
     for bad in bad_shapes:
-        with pytest.raises(InvalidHelperSet):
+        with pytest.raises(BadShareSet) as repaired:
             run_repair(params, bad, 1, (2, 3, 4, 5))
+        with pytest.raises(BadShareSet) as retrieved:
+            retrieve_file(params, bad, (1, 2, 3))
+        assert str(repaired.value) == str(retrieved.value)
     with pytest.raises(ModeUnavailable):
         run_repair(params, storage, 1, (2, 3, 4, 5), mode="nope")
     # checked first: node 0 would read node n's point, and node n + 1 none
@@ -259,7 +267,7 @@ def test_run_repair_extended_validation():
         run_repair(ext, storage, 1, (2, 3))
     with pytest.raises(InvalidHelperSet, match="need 3 distinct helpers"):
         run_repair(ext, storage, 4, (1, 2, 4))
-    with pytest.raises(InvalidHelperSet):
+    with pytest.raises(BadShareSet):
         run_repair(ext, storage[:2], 1, (2, 3, 4))
 
 
