@@ -325,6 +325,8 @@ def cmd_sweep(args) -> int:
 
 def _parse_betas(text: str) -> list[Fraction]:
     text = text.strip()
+    if "e" in text.lower():  # Fraction("1e100000000") runs for minutes
+        raise errors.InvalidParams(f"--betas takes no exponent notation, got {text!r}")
     if not text:
         return []
     try:
@@ -390,10 +392,14 @@ def cmd_selftest(args) -> int:
 
 
 def _parse_ids(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",")]  # int("") fails: no blank ids
-    except ValueError:
-        raise errors.InvalidParams(f"expected comma-separated ids, got {text!r}") from None
+    parts = [part.strip() for part in text.split(",")]
+    # ASCII digits only: int() alone reads "1_0" as 10 and "\u0661" as 1
+    if all(part.isascii() and part.isdigit() for part in parts):
+        try:
+            return [int(part) for part in parts]
+        except ValueError:  # more digits than int() converts
+            pass
+    raise errors.InvalidParams(f"expected comma-separated ids, got {text!r}")
 
 
 @functools.cache  # one per process; parse_args returns a fresh Namespace

@@ -17,8 +17,9 @@ codes invert is a square Vandermonde matrix, so the hot paths use
 ``vandermonde_inv``, an O(m^2) closed form with one field inversion,
 instead of the cubic Gauss-Jordan ``Mat.inv``. It returns a plain array
 and the reciprocals of its last row, the GRS weights. Retrieval calls it
-once per node set: the inverse on any k-1 of k points is a rank-one
-correction of the inverse on all k (``pmcode._LeaveOneOut``).
+once per node set: the last row w fills the unknown diagonal of
+X = Phi S Phi^T from w^T X = 0, and the first k-1 rows, ``top``, give
+S = top X top^T (``pmcode._unfold``).
 ``vandermonde`` builds each row of powers by a running product, one
 multiplication per entry. Pivot selection always takes the first nonzero
 entry in column order, which keeps eliminations (and everything built on

@@ -192,41 +192,6 @@ def encode_file(params: SystemParams, symbols: Sequence[int]) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class _LeaveOneOut:
-    """The inverse Vandermonde matrix on every k-1 of k points, in closed
-    form from the one inverse on all k (see ``retrieve``)."""
-
-    p: int
-    top: np.ndarray  # (k-1) x k, the first k-1 rows of the inverse on all k points
-    w: np.ndarray  # k, its last row: the GRS weights of the points
-    w_recip: np.ndarray  # k, 1 / w_j
-
-    @classmethod
-    def of(cls, field: GF, pts: Sequence[int], dtype) -> "_LeaveOneOut":
-        """The closed form on ``pts``, every array in ``dtype``."""
-        v_inv, w_recip = vandermonde_inv(field, pts)
-        arrays = (v_inv[:-1], v_inv[-1], w_recip)
-        return cls(field.p, *(np.array(a, dtype=dtype) for a in arrays))
-
-    def inverse(self, j: int) -> np.ndarray:
-        """The inverse on every point but the j-th: its column i is
-        top[:, i] - top[:, j] w_i / w_j."""
-        keep = [i for i in range(len(self.w)) if i != j]
-        ratio = self.w[keep] * self.w_recip[j] % self.p
-        return (self.top[:, keep] - self.top[:, j : j + 1] * ratio) % self.p
-
-    def solve(self, vals: np.ndarray) -> np.ndarray:
-        """Column j of the result, for j < k-1, is ``inverse(j)`` applied to
-        column j of ``vals`` (..., k, >= k-1) without its j-th entry."""
-        a0 = len(self.top)
-        g = vals[..., :a0].copy()
-        g[..., range(a0), range(a0)] = 0
-        p = self.p
-        s = matmul_mod(self.w, g, p) * self.w_recip[:a0] % p  # sum_i (w_i / w_j) g_ij
-        return (matmul_mod(self.top, g, p) - self.top[:, :a0] * s[..., None, :]) % p
-
-
-@dataclass(frozen=True)
 class _DecodePlan:
     """Every inverse that decoding from one sorted id set needs, each array
     in ``exact_dtype(k, p)``."""
@@ -234,8 +199,9 @@ class _DecodePlan:
     phibar_t: np.ndarray  # a0 x k, column a is vbar of the a-th id
     lam: np.ndarray  # k x 1, lam of the a-th id in row a
     diff_inv: np.ndarray  # k x k, (a, b) -> 1 / (lam_a - lam_b) mod p, 0 if a == b
-    loo: _LeaveOneOut  # the inverse Vandermonde matrix on every a0 of the ids
-    w_t_inv: np.ndarray  # inverse of W^T, W = the first a0 rows of phibar
+    top: np.ndarray  # a0 x k, the first a0 rows of the inverse Vandermonde matrix
+    w: np.ndarray  # k, its last row: the GRS weights of the ids' points
+    w_recip: np.ndarray  # k, 1 / w_b
 
 
 @lru_cache(maxsize=16)  # the plan depends on (params, ids) alone
@@ -249,15 +215,28 @@ def _compiled_plan(params: SystemParams, ids: tuple[int, ...]) -> _DecodePlan:
     diff_inv = [[0] * (a0 + 1) for _ in range(a0 + 1)]
     for (a, b), inv in zip(pairs, field.inv_all([lam[a] - lam[b] for a, b in pairs])):
         diff_inv[a][b], diff_inv[b][a] = inv, field.p - inv  # and 1 / (lam_b - lam_a)
+    v_inv, w_recip = vandermonde_inv(field, pts)
+    arrays = (vandermonde(field, pts, a0).data.T, [[x] for x in lam], diff_inv,
+              v_inv[:-1], v_inv[-1], w_recip)
     dtype = exact_dtype(len(ids), field.p)
-    loo = _LeaveOneOut.of(field, pts, dtype)
-    return _DecodePlan(
-        phibar_t=vandermonde(field, pts, a0).data.T.astype(dtype),
-        lam=np.array(lam, dtype=dtype)[:, None],
-        diff_inv=np.array(diff_inv, dtype=dtype),
-        loo=loo,
-        w_t_inv=loo.inverse(a0).T,
-    )
+    return _DecodePlan(*(np.array(a, dtype=dtype) for a in arrays))
+
+
+def _unfold(x: np.ndarray, top, w, w_recip, p: int) -> np.ndarray:
+    """S from X = Phi S Phi^T, whatever X holds on its diagonal, which this
+    overwrites in place.
+
+    ``x`` is (..., k, k) and Phi the k x a0 matrix of the vbar rows of k
+    distinct points; ``top`` and ``w`` are the first a0 rows and the last
+    row of the inverse Vandermonde matrix on them, ``w_recip`` is 1 / w.
+    Their products with Phi are I and 0, so S = top X top^T once w^T X = 0.
+    Subtracting (w^T X)_b / w_b from X_bb makes it so: it sets
+    X_bb = -(1 / w_b) sum_{a != b} w_a X_ab. Each product has inner
+    dimension k.
+    """
+    diag = range(x.shape[-1])
+    x[..., diag, diag] = (x[..., diag, diag] - matmul_mod(w, x, p) * w_recip) % p
+    return matmul_mod(matmul_mod(top, x, p), top.T, p)
 
 
 def retrieve(params: SystemParams, ids: Sequence[int], rows: np.ndarray) -> np.ndarray:
@@ -269,25 +248,12 @@ def retrieve(params: SystemParams, ids: Sequence[int], rows: np.ndarray) -> np.n
     their [S1; S2].
 
     With P = C_DC Phibar^T, entry P[a,b] = theta_ab + lam_a * psi_ab where
-    theta_ab = vbar_a^T S1 vbar_b and psi_ab = vbar_a^T S2 vbar_b. Symmetry
-    of S1, S2 makes theta and psi symmetric, so each off-diagonal pair
-    (P[a,b], P[b,a]) is a 2x2 system in (theta_ab, psi_ab) with matrix
-    [[1, lam_a], [1, lam_b]]. The k-1 values theta_aj (a != j) then pin
-    down S1 vbar_j through a square Vandermonde solve on the ids without
-    j, and the first a0 of those columns pin down S1 = C W^-T itself;
-    likewise psi gives S2.
-
-    Every one of those inverses follows from the one inverse of the k x k
-    Vandermonde matrix on all k ids. Its column i holds the coefficients
-    of the Lagrange polynomial L_i, and its last row the GRS weights w.
-    For i != j, L_i - (w_i / w_j) L_j has degree <= k-2 and is 1 at x_i and
-    0 at every other id but x_j, so the inverse on the ids without j has
-    column i = top[:, i] - top[:, j] w_i / w_j, where ``top`` is the first
-    a0 rows. Applied to all j at once: C = top G - top[:, :a0] diag(s),
-    where G is theta (or psi) restricted to its first a0 columns with a
-    zero diagonal and s_j = sum_{i != j} (w_i / w_j) G[i, j], with every
-    1 / w_j as ``vandermonde_inv`` evaluated it on the way to w. W^-T is
-    the same identity at j = a0.
+    theta = Phi S1 Phi^T and psi = Phi S2 Phi^T, Phi the k x a0 matrix of
+    the ids' vbar rows. Symmetry of S1, S2 makes theta and psi symmetric,
+    so each off-diagonal pair (P[a,b], P[b,a]) is a 2x2 system in
+    (theta_ab, psi_ab) with matrix [[1, lam_a], [1, lam_b]]. That leaves
+    the diagonals of theta and psi unknown, and ``_unfold`` rebuilds S1
+    and S2 from the one inverse Vandermonde matrix on all k ids.
 
     Everything here depends only on the ids, so one cached _DecodePlan
     serves all the instances, which numpy decodes in one broadcast pass in
@@ -296,13 +262,10 @@ def retrieve(params: SystemParams, ids: Sequence[int], rows: np.ndarray) -> np.n
     plan = _compiled_plan(params, tuple(ids))
     p = params.p
     big_p = matmul_mod(rows.astype(plan.lam.dtype), plan.phibar_t, p)  # cast once
-    big_p_t = big_p.swapaxes(-1, -2)
-    psi = (big_p - big_p_t) * plan.diff_inv % p  # symmetric, 0 on the diagonal
+    psi = (big_p - big_p.swapaxes(-1, -2)) * plan.diff_inv % p  # 0 on the diagonal
     theta = (big_p - plan.lam * psi) % p  # symmetric off the diagonal
-    return np.concatenate(
-        [matmul_mod(plan.loo.solve(vals), plan.w_t_inv, p) for vals in (theta, psi)],
-        axis=-2,
-    )
+    s = _unfold(np.stack((theta, psi), axis=-3), plan.top, plan.w, plan.w_recip, p)
+    return s.reshape(*s.shape[:-3], -1, s.shape[-1])  # [S1; S2]
 
 
 def check_storage(params: SystemParams, storage: np.ndarray) -> None:

@@ -323,7 +323,7 @@ def test_sweep_needs_a_trial(capsys, trials):
     assert one_line_usage_error(code, out, err)
 
 
-@pytest.mark.parametrize("betas", ["a", "1,x", "1/0"])
+@pytest.mark.parametrize("betas", ["a", "1,x", "1/0", "1e5000", "1e100000000"])
 def test_tradeoff_bad_betas_usage_error(capsys, betas):
     code, out, err = run_cli(
         capsys, "tradeoff", "--k", "3", "--d", "4", "--B", "12", "--betas", betas
@@ -388,13 +388,15 @@ def test_retrieve_bad_nodes_is_usage_error(stored_634, capsys, nodes):
     assert one_line_usage_error(*run_cli(capsys, *argv, nodes))
 
 
-BLANK_IDS = ["2,,4,6", "2,4,6,", ",2,4,6", "2, ,4,6", ","]
+BAD_IDS = ["2,,4,6", "2,4,6,", ",2,4,6", "2, ,4,6", ",", "2,4,0_6", "2,4,\u0666",
+           pytest.param("2,4," + "6" * 5000, id="2,4,6...6")]
 
 
-@pytest.mark.parametrize("ids", BLANK_IDS)
+@pytest.mark.parametrize("ids", BAD_IDS)
 def test_blank_id_is_usage_error(stored_634, capsys, ids):
-    # a blank id, a trailing comma included, is malformed, not skipped;
-    # whitespace around an id is allowed
+    # a blank id, a trailing comma included, is malformed, not skipped, and
+    # so is an id of anything but ASCII digits; whitespace around an id is
+    # allowed
     retrieve = ["retrieve", "--in", stored_634["storage"], "--nodes"]
     repair = ["repair", "--in", stored_634["storage"], "--failed", "1", "--helpers"]
     for argv, good in ((retrieve, " 2, 4 ,6 "), (repair, "2, 4,5 ,6")):

@@ -17,10 +17,10 @@ from qregen.errors import (
     WrongLength,
 )
 from qregen.gf import GF, is_prime
-from qregen.matrix import Mat, vandermonde_inv
+from qregen.matrix import Mat, vandermonde, vandermonde_inv
 from qregen.pmcode import (
-    _LeaveOneOut,
     _compiled_plan,
+    _unfold,
     encode_file,
     make_params,
     pack_file,
@@ -334,8 +334,8 @@ def test_file_layer_is_one_pass(monkeypatch):
     storage = encode_file(params, symbols)
     assert calls == {"vandermonde": 1, "matmul": 1}
 
-    # one inverse for the id set: every leave-one-out solve and W^-T
-    # follow from it
+    # one inverse for the id set: its first a0 rows and its last row give
+    # both S1 and S2
     calls.clear()
     assert list(retrieve_file(params, storage, (9, 3, 12, 5))) == symbols
     assert (calls["retrieve"], calls["vandermonde_inv"]) == (1, 1)
@@ -344,28 +344,27 @@ def test_file_layer_is_one_pass(monkeypatch):
 @settings(max_examples=150, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(st.data())
-def test_leave_one_out_matches_direct_inverses(data):
-    # every inverse Vandermonde matrix on k-1 of k points, and the column
-    # solve through them, equals the direct one: exact, all Python ints
+def test_unfold_recovers_symmetric_s_whatever_the_diagonal(data):
+    # S = top X top^T once the diagonal of X = Phi S Phi^T is refilled from
+    # w^T X = 0: exact, all Python ints
     p = data.draw(st.sampled_from((13, 67, 2**61 - 1)))
     field = GF(p)
     k = data.draw(st.integers(2, min(24, p)))
+    a0 = k - 1
     pts = data.draw(st.lists(st.integers(0, p - 1), min_size=k, max_size=k,
                              unique=True))
-    vals = np.array(data.draw(st.lists(st.integers(0, p - 1), min_size=k * k,
-                                       max_size=k * k)), dtype=object).reshape(k, k)
-    loo = _LeaveOneOut.of(field, pts, object)
-    cols = loo.solve(vals)  # k x k like theta; the diagonal is ignored
-    assert cols.shape == (k - 1, k - 1)
-    assert all(type(x) is int for x in cols.ravel())
-    for j in range(k):  # j = k-1 gives W^-1, W the vbar rows of the first k-1
-        direct = vandermonde_inv(field, pts[:j] + pts[j + 1 :])[0]
-        inverse = loo.inverse(j)
-        assert all(type(x) is int for x in inverse.ravel())
-        assert inverse.tolist() == direct.tolist()
-        if j < k - 1:
-            solved = direct @ np.delete(vals[:, j], j) % p
-            assert cols[:, j].tolist() == solved.tolist()
+    entries = st.lists(st.integers(0, p - 1), min_size=a0 * a0, max_size=a0 * a0)
+    s = np.array(data.draw(entries), dtype=object).reshape(a0, a0)
+    s = np.triu(s) + np.triu(s, 1).T  # symmetric
+    phi = vandermonde(field, pts, a0).data
+    x = phi @ s @ phi.T % p
+    scrambled = data.draw(st.lists(st.integers(0, p - 1), min_size=k, max_size=k))
+    x[range(k), range(k)] = scrambled
+    v_inv, w_recip = vandermonde_inv(field, pts)
+    got = _unfold(x, v_inv[:-1], v_inv[-1], np.array(w_recip, dtype=object), p)
+    assert all(type(v) is int for v in got.ravel())
+    assert got.tolist() == s.tolist()
+    assert x.tolist() == (phi @ s @ phi.T % p).tolist()  # the diagonal refilled
 
 
 def test_retrieve_inverts_once_per_point_plus_one(monkeypatch):
@@ -433,8 +432,8 @@ def test_decode_runs_in_int64_up_to_its_bound(n, k, d):
         storage = encode_file(params, symbols)
         ids = list(range(n - k + 1, n + 1))
         plan = _compiled_plan(params, tuple(ids))
-        for array in (plan.phibar_t, plan.lam, plan.diff_inv, plan.w_t_inv,
-                      plan.loo.top, plan.loo.w, plan.loo.w_recip):
+        for array in (plan.phibar_t, plan.lam, plan.diff_inv, plan.top, plan.w,
+                      plan.w_recip):
             assert array.dtype == dtype
         assert list(retrieve_file(params, storage, ids)) == symbols
 
