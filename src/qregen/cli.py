@@ -3,6 +3,10 @@
 Every command reads flags, runs deterministically from --seed, and emits
 line-buffered JSON or CSV; identical flags and seed produce byte-identical
 output. Exit codes: 0 success, 1 verification failure, 2 usage error.
+
+Documents are ``json.dumps(doc, indent=2)``'s text, from ``_json_text``. The
+storage file and the repair transcript fill, by one ``%`` of their arrays' ints,
+a layout ``_indented`` writes once per shape, one sub-file's part repeated.
 """
 
 from __future__ import annotations
@@ -30,6 +34,9 @@ from .repair import MODES
 from .rng import SplitMix64
 
 SWEEP_LIMIT = 10**6  # node sub-files stored; sub-file repairs plus retrievals per sweep
+# layout placeholders; json writes them "\u0000...", as no int, key or mode prints
+_SLOT, _PART = "\x00slot", "\x00part"
+_str = json.encoder.encode_basestring_ascii  # json.dumps(s) for a str s
 
 
 class _Parser(argparse.ArgumentParser):
@@ -47,35 +54,34 @@ def _write_out(text: str, out_path: str | None) -> None:
         except OSError as exc:
             raise errors.InvalidParams(f"cannot write {out_path}: {exc}") from None
     else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        sys.stdout.write(text)  # every document ends in a newline
 
 
-def _json_text(obj) -> str:
+def _json_text(obj, layout=(), copies: int = 1) -> str:
     """``json.dumps(obj, indent=2) + "\\n"``, byte for byte, without json's
-    pure-Python indent encoder."""
-    return _indented(obj, "\n") + "\n"
-
-
-_json_key = functools.lru_cache(maxsize=256)(json.dumps)  # a dozen names recur
+    pure-Python indent encoder. Given a ``_layout``, ``obj`` lists the
+    document's ints in order, and each fragment is repeated ``copies`` times."""
+    if not layout:
+        return _indented(obj, "\n") + "\n"
+    return "".join(text + sep.join([fragment] * copies)
+                   for text, sep, fragment in layout) % tuple(obj)
 
 
 def _indented(obj, nl: str) -> str:
     """``obj`` as ``json.dumps(indent=2)`` writes it where ``nl`` is the newline
     plus the current indent. Non-empty lists, tuples and str-keyed dicts
-    recurse, a flat list of plain ints is one C-level join, and everything
-    else (bool, None, float, str, int subclasses, other keys) is json's."""
+    recurse, a flat list of plain ints or of strs is one C-level join, and
+    everything else (bool, None, float, str, int subclasses, other keys) is json's."""
     kind = type(obj)
     if kind is int:
         return str(obj)
     pad = nl + "  "
     if (kind is list or kind is tuple) and obj:
-        if set(map(type, obj)) == {int}:  # bool is not int here, as in _ints
-            return f"[{pad}{(',' + pad).join(map(str, obj))}{nl}]"
+        if (kinds := set(map(type, obj))) in ({int}, {str}):  # bool is not int, as in _ints
+            return f"[{pad}{(',' + pad).join(map(_str if str in kinds else str, obj))}{nl}]"
         return f"[{pad}{(',' + pad).join([_indented(x, pad) for x in obj])}{nl}]"
     if kind is dict and obj and set(map(type, obj)) == {str}:
-        items = [f"{_json_key(key)}: {_indented(value, pad)}" for key, value in obj.items()]
+        items = [f"{_str(key)}: {_indented(val, pad)}" for key, val in obj.items()]
         return f"{{{pad}{(',' + pad).join(items)}{nl}}}"
     return json.dumps(obj, indent=2).replace("\n", nl)
 
@@ -88,10 +94,8 @@ def _check_size(n: int, k: int, d: int) -> None:
     if 2 <= m <= d < n and (
         m < d and n * d > SWEEP_LIMIT or n * comb(d, m) > SWEEP_LIMIT
     ):
-        raise errors.InvalidParams(
-            f"({n},{k},{d}) stores n * C(d, 2k-2) node sub-files, over the "
-            f"limit of {SWEEP_LIMIT}"
-        )
+        raise errors.InvalidParams(f"({n},{k},{d}) stores n * C(d, 2k-2) node "
+                                   f"sub-files, over the limit of {SWEEP_LIMIT}")
 
 
 def _params_from_args(args) -> SystemParams:
@@ -103,23 +107,63 @@ def _params_from_args(args) -> SystemParams:
 
 
 def _params_json(params: SystemParams) -> dict:
-    return {
-        "n": params.n,
-        "k": params.k,
-        "d": params.d,
-        "p": params.p,
-        "evalPoints": list(params.eval_points),
-    }
+    return {"n": params.n, "k": params.k, "d": params.d, "p": params.p,
+            "evalPoints": list(params.eval_points)}
 
 
-def _storage_to_json(params: SystemParams, storage: np.ndarray) -> dict:
-    return {
-        "params": _params_json(params),
-        "subfiles": [
-            [{"nodeId": i, "rowM": m, "rowMp": mp} for i, (m, mp) in enumerate(sub, 1)]
-            for sub in storage.tolist()
-        ],
-    }
+def _layout(skeleton, fragments=()) -> tuple[tuple[str, str, str], ...]:
+    """``skeleton``'s text, a %d per _SLOT, as (text, separator, fragment)
+    triples: the i-th [_PART, _PART] stands for copies of ``fragments[i]``,
+    joined by the text between its _PARTs and indented as after its comma."""
+    def template(obj, nl: str) -> str:
+        return _indented(obj, nl).replace("%", "%%").replace(json.dumps(_SLOT), "%d")
+
+    pieces = (template(skeleton, "\n") + "\n").split(json.dumps(_PART))
+    filled = [template(part, sep[1:]) for part, sep in zip(fragments, pieces[1::2])]
+    return tuple(zip(pieces[::2], pieces[1::2] + [""], filled + [""]))
+
+
+@functools.lru_cache(maxsize=16)
+def _storage_layout(params: SystemParams):
+    node = dict(nodeId=_SLOT, rowM=[_SLOT] * params.alpha0, rowMp=[_SLOT] * params.alpha0)
+    skeleton = {"params": _params_json(params), "subfiles": [_PART, _PART]}
+    return _layout(skeleton, ([node] * params.n,))
+
+
+def _storage_text(params: SystemParams, storage: np.ndarray) -> str:
+    """The storage file: each sub-file lists every node's id, rowM and rowMp."""
+    t, n = storage.shape[:2]
+    values = np.insert(storage.reshape(t, n, -1), 0, np.arange(1, n + 1), axis=2)
+    return _json_text(values.ravel().tolist(), _storage_layout(params), t)
+
+
+@functools.lru_cache(maxsize=16)
+def _transcript_layout(mode: str, d: int, a0: int):
+    row, col, single = [_SLOT] * a0, [_SLOT] * (2 * a0), d == 2 * a0  # T = 1 iff d = 2k-2
+    parts = dict(
+        css=dict(HX=[col] * a0, HZ=[col] * a0, Lam1=col, Lam2=col, u=col, uPrime=col),
+        payloads=[dict(helperId=_SLOT, yX=_SLOT, yZ=_SLOT, quditsSent=1)] * (2 * a0),
+        syndrome=dict(sX=row, sZ=row), regenerated=dict(nodeId=_SLOT, rowM=row, rowMp=row))
+    skeleton = {"failedNode": _SLOT, "helpers": [_SLOT] * d, "mode": mode,
+                **(parts if single else dict.fromkeys(parts, [_PART, _PART])),
+                "quditTotal": _SLOT}
+    return _layout(skeleton, () if single else parts.values())
+
+
+def _transcript_text(t: repair.RepairTranscript) -> str:
+    """The repair transcript; with one sub-file its four per-sub-file fields
+    hold that sub-file's entry itself, not a one-entry list."""
+    copies, _, a0 = t.regenerated.shape
+    # object: a list of ints on both sides of 2^63 becomes float64, not exact
+    lams = np.array([(c.lam1, c.lam2, c.u, c.u_prime) for c in t.css], dtype=object)
+    css = np.concatenate([[c.hx for c in t.css], [c.hz for c in t.css], lams], axis=1)
+    sent = np.concatenate([[[c.helpers] for c in t.css], t.payloads], axis=1)
+    rows = t.regenerated.reshape(copies, -1)
+    values = np.concatenate([  # sent as (helperId, yX, yZ) per qudit
+        [t.failed_node, *t.helpers], css.ravel(), sent.swapaxes(1, 2).ravel(), rows.ravel(),
+        np.insert(rows, 0, t.failed_node, axis=1).ravel(), [t.qudit_total]])
+    layout = _transcript_layout(t.mode, len(t.helpers), a0)
+    return _json_text(values.tolist(), layout, copies)
 
 
 def _ints(values, bound: int | None = None) -> bool:
@@ -185,14 +229,9 @@ def cmd_demo_example1(args) -> int:
         doc = {"golden": report, "matched": matched, "total": len(report)}
         _write_out(_json_text(doc), args.out)
     else:
-        lines = []
-        for r in report:
-            if r["pass"]:
-                lines.append(f"PASS {r['name']}")
-            else:
-                lines.append(
-                    f"FAIL {r['name']} expected={r['expected']} got={r['got']}"
-                )
+        lines = [f"PASS {r['name']}" if r["pass"] else
+                 f"FAIL {r['name']} expected={r['expected']} got={r['got']}"
+                 for r in report]
         lines.append(f"{matched}/{len(report)} golden values match")
         _write_out("\n".join(lines) + "\n", args.out)
     return 0 if matched == len(report) else 1
@@ -204,7 +243,7 @@ def cmd_encode(args) -> int:
     if not _ints(symbols):
         raise errors.WrongLength("--in must be a JSON array of integers")
     storage = encode_file(params, [x % params.p for x in symbols])
-    _write_out(_json_text(_storage_to_json(params, storage)), args.out)
+    _write_out(_storage_text(params, storage), args.out)
     return 0
 
 
@@ -229,10 +268,8 @@ def cmd_repair(args) -> int:
         storage = encode_file(params, random_symbols(params, rng))
     helpers = _parse_ids(args.helpers)
     # looked up at call time, so that a wrapper on qregen.repair.run_repair sees it
-    transcript = repair.run_repair(
-        params, storage, args.failed, helpers, mode=args.mode
-    )
-    _write_out(_json_text(transcript.to_json_dict()), args.out)
+    transcript = repair.run_repair(params, storage, args.failed, helpers, mode=args.mode)
+    _write_out(_transcript_text(transcript), args.out)
     return 0
 
 
@@ -325,16 +362,16 @@ def cmd_sweep(args) -> int:
 
 def _parse_betas(text: str) -> list[Fraction]:
     text = text.strip()
-    if "e" in text.lower():  # Fraction("1e100000000") runs for minutes
-        raise errors.InvalidParams(f"--betas takes no exponent notation, got {text!r}")
     if not text:
         return []
     try:
-        return [Fraction(part) for part in text.split(",")]
+        # Fraction also reads "1_0" as 10, "\u0661" as 1 and "1e100000000"
+        # for minutes
+        if set(text) <= set("0123456789+-./, "):
+            return [Fraction(part) for part in text.split(",")]
     except (ValueError, ZeroDivisionError):
-        raise errors.InvalidParams(
-            f"--betas needs comma-separated rationals, got {text!r}"
-        ) from None
+        pass
+    raise errors.InvalidParams(f"--betas needs comma-separated rationals, got {text!r}")
 
 
 def cmd_tradeoff(args) -> int:
@@ -342,21 +379,16 @@ def cmd_tradeoff(args) -> int:
     if k is None or d is None or b is None:
         raise errors.InvalidParams("--k, --d and --B are required for tradeoff")
     tradeoff.check_regime(k, d, 0, 0, b)  # before dividing by k * d
-    if args.betas is not None:
-        betas = _parse_betas(args.betas)
-    else:
-        base = Fraction(b, k * d)
-        betas = [base * t for t in (1, 2, 3, 4)]
+    betas = ([Fraction(b * t, k * d) for t in (1, 2, 3, 4)] if args.betas is None
+             else _parse_betas(args.betas))
     rows = tradeoff.tradeoff_table(k, d, b, betas)
     _write_out(tradeoff.table_csv(rows), args.out)
     if d >= 2 * k - 2:
         try:
             point = tradeoff.optimal_point(k, d, b)
             classical = tradeoff.classical_msr_bandwidth(k, d, b)
-            print(
-                f"optimal alpha={point.alpha} d_beta_q={point.beta * d} "
-                f"classical_msr_bandwidth={classical}"
-            )
+            print(f"optimal alpha={point.alpha} d_beta_q={point.beta * d} "
+                  f"classical_msr_bandwidth={classical}")
         except errors.Indivisible as exc:
             print(f"warning: {exc}")
     else:
@@ -391,25 +423,29 @@ def cmd_selftest(args) -> int:
     return 0 if passed == len(checks) else 1
 
 
-def _parse_ids(text: str) -> list[int]:
-    parts = [part.strip() for part in text.split(",")]
-    # ASCII digits only: int() alone reads "1_0" as 10 and "\u0661" as 1
-    if all(part.isascii() and part.isdigit() for part in parts):
+def _int(text: str, signed: bool = True) -> int:
+    """``int(text)`` for ASCII digits between blanks, after a leading - if
+    ``signed``: int() alone also reads "1_0" as 10 and "\\u0661" as 1."""
+    digits = text.strip().removeprefix("-" if signed else "")
+    if digits.isascii() and digits.isdigit():
         try:
-            return [int(part) for part in parts]
+            return int(text)
         except ValueError:  # more digits than int() converts
             pass
-    raise errors.InvalidParams(f"expected comma-separated ids, got {text!r}")
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")  # argparse's words
+
+
+def _parse_ids(text: str) -> list[int]:
+    try:
+        return [_int(part, signed=False) for part in text.split(",")]
+    except argparse.ArgumentTypeError:
+        raise errors.InvalidParams(f"expected comma-separated ids, got {text!r}") from None
 
 
 @functools.cache  # one per process; parse_args returns a fresh Namespace
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="qregen",
-        description=(
-            "Simulator for entanglement-assisted exact-repair regenerating codes"
-        ),
-    )
+    parser = _Parser(prog="qregen", description=(
+        "Simulator for entanglement-assisted exact-repair regenerating codes"))
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_command(name, func, help, *int_flags):
@@ -417,13 +453,13 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help, allow_abbrev=False)  # --n is not --nodes
         sp.set_defaults(func=func)
         for flag in int_flags:
-            sp.add_argument(f"--{flag}", type=int)
+            sp.add_argument(f"--{flag}", type=_int)
         sp.add_argument("--out", default=None)
         return sp
 
     sp = add_command("demo-example1", cmd_demo_example1,
                      "replay the six-node reference values")
-    sp.add_argument("--seed", type=int, default=1)
+    sp.add_argument("--seed", type=_int, default=1)
     sp.add_argument("--format", choices=("text", "json"), default="text")
 
     sp = add_command("encode", cmd_encode, "encode a message file across n nodes",
@@ -436,24 +472,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add_command("repair", cmd_repair, "regenerate a failed node from d helpers",
                      "n", "k", "d", "prime")
-    sp.add_argument("--seed", type=int)  # no default, so that --seed with --in shows
+    sp.add_argument("--seed", type=_int)  # no default, so that --seed with --in shows
     sp.add_argument("--mode", choices=MODES, default="linear")
     sp.add_argument("--in", dest="in_path", default=None)
-    sp.add_argument("--failed", type=int, required=True)
+    sp.add_argument("--failed", type=_int, required=True)
     sp.add_argument("--helpers", required=True, help="comma-separated helper ids")
 
     sp = add_command("sweep", cmd_sweep, "exhaustive repair and retrieval trials",
                      "n", "k", "d", "prime")
-    sp.add_argument("--seed", type=int, default=1)
+    sp.add_argument("--seed", type=_int, default=1)
     sp.add_argument("--mode", choices=MODES, default="linear")
-    sp.add_argument("--trials", type=int, default=20)
+    sp.add_argument("--trials", type=_int, default=20)
 
     sp = add_command("tradeoff", cmd_tradeoff, "tabulate the storage-bandwidth bounds",
                      "k", "d", "B")
     sp.add_argument("--betas", default=None, help="comma-separated rationals")
 
     sp = add_command("selftest", cmd_selftest, "quick verification battery")
-    sp.add_argument("--seed", type=int, default=1)
+    sp.add_argument("--seed", type=_int, default=1)
 
     return parser
 

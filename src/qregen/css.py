@@ -68,16 +68,6 @@ class RepairCSS:
     def hz(self) -> np.ndarray:
         return self.group.z_type
 
-    def to_json_dict(self) -> dict:
-        return {
-            "HX": self.hx.tolist(),
-            "HZ": self.hz.tolist(),
-            "Lam1": list(self.lam1),
-            "Lam2": list(self.lam2),
-            "u": list(self.u),
-            "uPrime": list(self.u_prime),
-        }
-
 
 def check_helpers(
     params: SystemParams, failed: int, helpers: Sequence[int], m: int

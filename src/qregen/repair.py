@@ -63,32 +63,6 @@ class RepairTranscript:
         """One qudit per payload: (2k-2) T = B/k."""
         return self.payloads[:, 0].size
 
-    def to_json_dict(self) -> dict:
-        """The transcript as JSON; with one sub-file its four per-sub-file
-        fields hold that sub-file's entry itself, not a one-entry list."""
-        rows = self.regenerated.tolist()
-        parts = {
-            "css": [c.to_json_dict() for c in self.css],
-            "payloads": [
-                [{"helperId": h, "yX": y_x, "yZ": y_z, "quditsSent": 1}
-                 for h, y_x, y_z in zip(c.helpers, *sent)]
-                for c, sent in zip(self.css, self.payloads.tolist())
-            ],
-            "syndrome": [{"sX": m, "sZ": mp} for m, mp in rows],
-            "regenerated": [
-                {"nodeId": self.failed_node, "rowM": m, "rowMp": mp} for m, mp in rows
-            ],
-        }
-        if len(self.css) == 1:
-            parts = {key: value[0] for key, value in parts.items()}
-        return {
-            "failedNode": self.failed_node,
-            "helpers": list(self.helpers),
-            "mode": self.mode,
-            **parts,
-            "quditTotal": self.qudit_total,
-        }
-
 
 def helper_encode(
     params: SystemParams,

@@ -323,7 +323,8 @@ def test_sweep_needs_a_trial(capsys, trials):
     assert one_line_usage_error(code, out, err)
 
 
-@pytest.mark.parametrize("betas", ["a", "1,x", "1/0", "1e5000", "1e100000000"])
+@pytest.mark.parametrize("betas", ["a", "1,x", "1/0", "1e5000", "1e100000000",
+                                   "1_0", "\u0661", "1/2,\uff13"])
 def test_tradeoff_bad_betas_usage_error(capsys, betas):
     code, out, err = run_cli(
         capsys, "tradeoff", "--k", "3", "--d", "4", "--B", "12", "--betas", betas
@@ -402,6 +403,35 @@ def test_blank_id_is_usage_error(stored_634, capsys, ids):
     for argv, good in ((retrieve, " 2, 4 ,6 "), (repair, "2, 4,5 ,6")):
         assert run_cli(capsys, *argv, good)[0] == 0
         assert one_line_usage_error(*run_cli(capsys, *argv, ids))
+
+
+INT_FLAGS = [  # (a valid call, the int flag in it)
+    *((["repair", *P634, "--seed", "1", "--failed", "1", "--helpers", "2,4,5,6"], flag)
+      for flag in ("--n", "--k", "--d", "--prime", "--seed", "--failed")),
+    (["sweep", *P634, "--trials", "1"], "--trials"),
+    (["tradeoff", "--k", "3", "--d", "4", "--B", "12"], "--B"),
+    (["demo-example1", "--seed", "1"], "--seed"),
+    (["selftest", "--seed", "1"], "--seed"),
+]
+
+
+@pytest.mark.parametrize("value", ["1_0", "\u0661", "+1", "\uff11",
+                                   pytest.param("1" * 5000, id="1...1")])
+@pytest.mark.parametrize("argv, flag", INT_FLAGS,
+                         ids=[f"{argv[0]}{flag}" for argv, flag in INT_FLAGS])
+def test_int_flags_take_ascii_digits_only(capsys, argv, flag, value):
+    # int() alone reads "1_0" as 10, "\u0661" and "\uff11" as 1 and "+1" as 1
+    argv = list(argv)
+    argv[argv.index(flag) + 1] = value
+    code, out, err = run_cli(capsys, *argv)
+    assert one_line_usage_error(code, out, err)
+    assert err == f"error: argument {flag}: invalid int value: {value!r}\n"
+
+
+def test_int_flags_allow_blanks_around_the_digits(capsys):
+    code, out, _ = run_cli(capsys, "repair", *P634, "--failed", " 1 ",
+                           "--helpers", "2,4,5,6")
+    assert code == 0 and json.loads(out)["failedNode"] == 1
 
 
 def test_parser_built_once_and_holds_no_state(stored_634, capsys):
@@ -551,7 +581,7 @@ def test_storage_round_trip(n, k, d, p):
     # dtype with Python-int entries, never int64, which overflows at large p
     params = make_params(n, k, d, p)
     storage = encode_file(params, random_symbols(params, SplitMix64(n + k)))
-    text = cli._json_text(cli._storage_to_json(params, storage))
+    text = cli._storage_text(params, storage)
     loaded_params, loaded = cli._storage_from_json(json.loads(text))
     assert loaded_params == params
     for st in (storage, loaded):

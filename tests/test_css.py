@@ -21,6 +21,7 @@ from qregen.rng import SplitMix64
 from qregen.stabilizer import StabGroup
 
 from caches import clear_caches
+from documents import css_doc
 from linalg import grs_weights
 from sampling import sample
 
@@ -158,7 +159,7 @@ def test_cached_build_equals_fresh_build(n, k, d, p):
         build_repair_css(params, 1, helpers)  # the key stays warm
         cached = build_repair_css(params, 1, helpers, u)
         assert len(qregen.css._BASES) == 1
-        assert cached.to_json_dict() == fresh.to_json_dict()
+        assert css_doc(cached) == css_doc(fresh)
         assert (cached.failed_node, cached.helpers) == (fresh.failed_node, fresh.helpers)
         for a, b in ((cached.hx, fresh.hx), (cached.hz, fresh.hz)):
             assert a.dtype == b.dtype == object
@@ -278,5 +279,5 @@ def test_check_dual_containment_trivia():
 def test_css_json_shape():
     params = make_params(6, 3, 4, 13)
     c = build_repair_css(params, 1, (2, 4, 5, 6))
-    d = c.to_json_dict()
+    d = css_doc(c)
     assert list(d) == ["HX", "HZ", "Lam1", "Lam2", "u", "uPrime"]

@@ -4,19 +4,26 @@ The CLI's stdout and ``--out`` files are pinned byte for byte, so the
 writer is checked against json itself: on random documents that mix in
 everything its fast paths must leave to json (bools among ints, None,
 floats with nan and inf, escaped strings and keys, non-str keys, tuples,
-empty containers), and on the real storage documents and repair
-transcripts of four parameter sets.
+empty containers). The storage file and the repair transcript, filled
+into cached layouts from their arrays, are checked against json's text of
+the dicts ``tests/documents.py`` builds, at one and at many sub-files.
 """
 
 import json
+import os
+from itertools import chain
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from qregen import cli
+from qregen.errors import NoValidPoints
 from qregen.pmcode import encode_file, make_params, random_symbols
-from qregen.repair import run_repair
+from qregen.repair import MODES, run_repair
 from qregen.rng import SplitMix64
+
+from documents import storage_doc, transcript_doc
+from test_trace_targets import load_spans
 
 WRITER = settings(max_examples=300, deadline=None, derandomize=True,
                   suppress_health_check=[HealthCheck.too_slow])
@@ -43,8 +50,12 @@ def containers(inner):
 DOCS = st.recursive(SCALARS | st.lists(INTS, max_size=6), containers, max_leaves=25)
 
 
+def dumped(doc):
+    return json.dumps(doc, indent=2) + "\n"
+
+
 def assert_exact(doc):
-    assert cli._json_text(doc) == json.dumps(doc, indent=2) + "\n"
+    assert cli._json_text(doc) == dumped(doc)
 
 
 @WRITER
@@ -56,13 +67,77 @@ def test_writer_matches_json_dumps(doc):
     assert_exact(doc)
 
 
+def storage_case(n, k, d, p, seed=1):
+    params = make_params(n, k, d, p)
+    return params, encode_file(params, random_symbols(params, SplitMix64(seed)))
+
+
+def assert_documents_exact(params, storage, modes, seed):
+    """The storage text and every transcript equal json's text of the dicts."""
+    assert cli._storage_text(params, storage) == dumped(storage_doc(params, storage))
+    rng = SplitMix64(seed)
+    helpers = list(range(2, params.d + 2))
+    for mode in modes:
+        for u in (None, [rng.unit(params.p) for _ in range(2 * params.k - 2)]):
+            t = run_repair(params, storage, 1, helpers, u, mode)
+            assert cli._transcript_text(t) == dumped(transcript_doc(t))
+
+
 @pytest.mark.parametrize("n, k, d, p", [
     (6, 3, 4, 13), (6, 2, 3, 13), (12, 4, 8, 17), (64, 20, 38, 67),
+    (6, 3, 4, 2**61 - 1), (6, 3, 4, 2**64 - 59),  # dits past int64 in the last
 ])
 def test_writer_on_real_documents(n, k, d, p):
-    params = make_params(n, k, d, p)
-    storage = encode_file(params, random_symbols(params, SplitMix64(1)))
-    assert_exact(cli._storage_to_json(params, storage))
-    for mode in ("linear", "symplectic"):
-        helpers = list(range(2, d + 2))
-        assert_exact(run_repair(params, storage, 1, helpers, mode=mode).to_json_dict())
+    # one sub-file at (6,3,4) and (64,20,38), whose transcripts hold each
+    # per-sub-file entry itself; the state vector only where it fits
+    modes = MODES if n < 64 and p < 100 else ("linear", "symplectic")
+    params, storage = storage_case(n, k, d, p)
+    assert_documents_exact(params, storage, modes, seed=n + p)
+
+
+@st.composite
+def small_params(draw):
+    k = draw(st.integers(2, 4))
+    d = draw(st.integers(2 * k - 2, 2 * k))
+    n = draw(st.integers(d + 1, d + 3))
+    p = draw(st.sampled_from([13, 17, 19, 23, 1753413059]))
+    return n, k, d, p
+
+
+@settings(max_examples=30, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(dims=small_params(), seed=st.integers(0, 2**32))
+def test_writer_on_small_parameter_sets(dims, seed):
+    try:
+        params, storage = storage_case(*dims, seed=seed)
+    except NoValidPoints:  # too few points with distinct lam at this p
+        return
+    assert_documents_exact(params, storage, ("linear", "symplectic"), seed)
+
+
+def test_storage_layout_does_not_grow_with_subfiles():
+    # (12,4,7,17) and (12,4,8,17) differ only in T: 7 sub-files against 28
+    lengths = {}
+    for d in (7, 8):
+        params = make_params(12, 4, d, 17)
+        lengths[params.subfiles] = sum(map(len, chain(*cli._storage_layout(params))))
+    assert list(lengths) == [7, 28] and lengths[7] == lengths[28]
+
+
+def test_encode_and_repair_each_open_one_json_dump_span(tmp_path):
+    msg, storage = tmp_path / "msg.json", tmp_path / "storage.json"
+    params = make_params(12, 4, 8, 17)
+    msg.write_text(json.dumps(random_symbols(params, SplitMix64(2))))
+    dims = ["--n", "12", "--k", "4", "--d", "8", "--prime", "17"]
+    tracer = load_spans().Tracer()
+    tracer.install()
+    try:
+        assert tracer.call_op("encode", cli.main, [
+            "encode", *dims, "--in", str(msg), "--out", str(storage)]) == 0
+        assert tracer.call_op("repair", cli.main, [
+            "repair", "--in", str(storage), "--failed", "3",
+            "--helpers", "1,2,4,5,6,7,8,9", "--out", os.devnull]) == 0
+    finally:
+        tracer.uninstall()
+    spans = tracer.self_times()
+    assert spans["encode", "cli.json_dump"][0] == spans["repair", "cli.json_dump"][0] == 1

@@ -1,11 +1,13 @@
 """Repair protocol: payload locality, exact regeneration, sub-files, accounting."""
 
+import json
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 import qregen.stabilizer
+from qregen import cli
 from qregen.errors import (
     BadShareSet,
     InvalidHelperSet,
@@ -27,6 +29,8 @@ from qregen.repair import (
     run_repair,
 )
 from qregen.rng import SplitMix64
+
+from documents import transcript_doc
 
 
 def node_rows(stored, node):
@@ -63,7 +67,7 @@ def test_helper_encode_sparse_message_golden():
     assert tuple(dots[0, 0]) == (1, 0)
     t = run_repair(params, storage, 1, (2, 4, 5, 6))
     assert t.payloads[0, :, 0].tolist() == [9, 0]
-    payload = t.to_json_dict()["payloads"][0]
+    payload = transcript_doc(t)["payloads"][0]
     assert payload == {"helperId": 2, "yX": 9, "yZ": 0, "quditsSent": 1}
 
 
@@ -280,8 +284,9 @@ def test_run_repair_applies_u_to_every_subfile():
 
 
 def test_transcript_json_field_order():
+    # as the CLI writes it
     params, _, storage = reference_setup(13)
-    doc = run_repair(params, storage, 1, (2, 4, 5, 6)).to_json_dict()
+    doc = json.loads(cli._transcript_text(run_repair(params, storage, 1, (2, 4, 5, 6))))
     assert list(doc) == [
         "failedNode", "helpers", "mode", "css", "payloads",
         "syndrome", "regenerated", "quditTotal",
@@ -326,7 +331,7 @@ def test_transcripts_compare_by_identity():
     # equal repairs compare unequal without raising, and every record hashes
     params, _, storage = reference_setup(13)
     a, b = (run_repair(params, storage, 1, (2, 4, 5, 6)) for _ in range(2))
-    assert a.to_json_dict() == b.to_json_dict()
+    assert transcript_doc(a) == transcript_doc(b)
     assert a == a and a != b
     records = (a, b, a.css[0], b.css[0], a.css[0].group, b.css[0].group)
     assert len(set(records)) == len(records)
