@@ -22,26 +22,36 @@ HZ_u = HZ_1 diag(1/u), and HX_u HZ_u^T = HX_1 HZ_1^T for every u. The
 u-free basis of a (params, failed, helpers) key is [I | lam_f I] Vt^(-1),
 from the closed-form ``vandermonde_inv``, scaled to HX_1 and HZ_1, plus w
 (the last row of Vt^(-1): column j holds the Lagrange polynomial of point
-j, whose leading coefficient is w_j) and every 1 / (lam_h - lam_f). A
-per-process LRU keeps the bases of the last 16 file repairs, 16 T entries
-for T sub-files. A cold build makes two field inversions: the m weights in
-one batch inside ``vandermonde_inv``, which also returns the 1 / w_j it
-inverted, then every lam_h - lam_f in one batch. A warm one makes none. A
-random u costs one batch more. Every build, warm or cold, returns a
-``RepairCSS`` whose HX and HZ are object arrays of ints in [0, p) held by
-a ``StabGroup`` that checks HX HZ^T = 0, and only a basis that passed that
-check enters the cache.
+j, whose leading coefficient is w_j) and every 1 / (lam_h - lam_f). It is
+kept as one read-only block of rows HX_1, HZ_1, lam1, lam2 and u' at u = 1,
+whose columns a u scales by u_j or 1 / u_j in one product.
+
+``cache_bases`` makes every basis, for a stack of helper sets of one failed
+node at once: ``run_repair`` hands it all T sub-files' helper sets, and
+``build_repair_css`` its one, so a cache miss there is a stack of one. It
+makes two field inversions however many bases are cold: every weight of
+the stack inside ``vandermonde_inv``, which also returns the 1 / w_j it
+inverted, then every lam_h - lam_f. One stacked ``StabGroup`` checks
+HX_1 HZ_1^T = 0 for all of them before any enters the cache, a
+per-process LRU of 16 T entries, the bases of the last 16 file repairs of
+T sub-files. ``build_repair_css`` checks nothing itself. With u None it
+returns the cached read-only HX_1 and HZ_1 and does no arithmetic; a u
+scales the block, and inverts u once for a run of builds with that u.
+``RepairCSS.group`` builds the checked ``StabGroup`` when first asked
+for; ``run_repair`` checks all its codes in one stacked product instead.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from collections.abc import Sequence
 
 import numpy as np
 
 from .errors import InvalidHelperSet, ZeroU
+from .gf import GF
 from .matrix import grs_dual_weights, vandermonde_inv  # re-exports the weights
 from .pmcode import SystemParams
 from .stabilizer import StabGroup, check_dual_containment  # re-exports the check
@@ -49,24 +59,23 @@ from .stabilizer import StabGroup, check_dual_containment  # re-exports the chec
 
 @dataclass(frozen=True, eq=False)
 class RepairCSS:
-    """The repair-time code for one (failed node, helper set) choice.
-    Equality is identity."""
+    """The repair-time code for one (failed node, helper set) choice: HX and
+    HZ as object arrays of ints in [0, p). Equality is identity."""
 
     failed_node: int
     helpers: tuple[int, ...]
-    group: StabGroup
+    hx: np.ndarray
+    hz: np.ndarray
+    p: int
     lam1: tuple[int, ...]
     lam2: tuple[int, ...]
     u: tuple[int, ...]
     u_prime: tuple[int, ...]
 
-    @property
-    def hx(self) -> np.ndarray:
-        return self.group.x_type
-
-    @property
-    def hz(self) -> np.ndarray:
-        return self.group.z_type
+    @cached_property
+    def group(self) -> StabGroup:
+        """The stabilizer group of HX and HZ, checked when first asked for."""
+        return StabGroup(x_type=self.hx, z_type=self.hz, p=self.p)
 
 
 def check_helpers(
@@ -88,19 +97,52 @@ def check_helpers(
 _BASES: OrderedDict[tuple, tuple] = OrderedDict()  # least recently used first
 
 
-def _basis(params: SystemParams, failed: int, hs: tuple[int, ...]) -> tuple:
-    """The u-free part of a build: HX and HZ at u = 1, the GRS weights w and
-    every 1 / (lam_h - lam_f)."""
-    field, m = params.field, len(hs)
+def cache_bases(
+    params: SystemParams, failed: int, helper_sets: Sequence[tuple[int, ...]]
+) -> None:
+    """Make every sorted, checked helper tuple of ``failed`` one of the most
+    recent cache entries, building the u-free bases the cache lacks in one
+    batch. A basis is one read-only (2 a0 + 3, m) block whose rows are HX,
+    HZ, lam1, lam2 and u' at u = 1, with HX and HZ as views of it and the
+    last three rows as tuples. One stacked ``StabGroup`` checks the new
+    bases before any is cached."""
+    missing = []
+    for hs in helper_sets:
+        try:
+            _BASES.move_to_end((params, failed, hs))
+        except KeyError:
+            missing.append(hs)
+    if not missing:
+        return
+    field, p, a0 = params.field, params.p, params.alpha0
     lam_f = params.lam[failed - 1]
-    v_inv, w_recip = vandermonde_inv(field, [params.eval_points[s - 1] for s in hs])
-    w = v_inv[m - 1].tolist()  # leading Lagrange coefficients = dual GRS weights
-    denom = [(params.lam[s - 1] - lam_f) % field.p for s in hs]
-    a0 = params.alpha0
-    sel_v_inv = v_inv[:a0] + lam_f * v_inv[a0:]  # [I | lam_f I] Vt^(-1)
-    hz = sel_v_inv * np.array(denom, dtype=object) % field.p  # times 1 / lam1 at u = 1
-    hx = hz * np.array(w_recip, dtype=object) % field.p  # times 1 / lam2 at u = 1
-    return hx, hz, w, field.inv_all(denom)
+    v_inv, w_recip = vandermonde_inv(
+        field, [[params.eval_points[s - 1] for s in hs] for hs in missing]
+    )
+    rows = (len(missing), 1, 2 * a0)  # one row of m per basis
+    denom = [(params.lam[s - 1] - lam_f) % p for hs in missing for s in hs]
+    denom_inv = np.array(field.inv_all(denom), dtype=object).reshape(rows)
+    sel_v_inv = v_inv[:, :a0] + lam_f * v_inv[:, a0:]  # [I | lam_f I] Vt^(-1)
+    hz = sel_v_inv * np.array(denom, dtype=object).reshape(rows) % p  # times 1 / lam1
+    hx = hz * np.array(w_recip, dtype=object).reshape(rows) % p  # times 1 / lam2
+    StabGroup(x_type=hx, z_type=hz, p=p)  # raises DualContainmentViolated
+    w = v_inv[:, -1:]  # leading Lagrange coefficients = dual GRS weights
+    blocks = np.concatenate([hx, hz, denom_inv, w * denom_inv % p, w], 1)
+    for hs, block, lams in zip(missing, blocks, blocks[:, -3:].tolist()):
+        block.flags.writeable = False
+        _BASES[params, failed, hs] = (block, block[:a0], block[a0:-3], *map(tuple, lams))
+    while len(_BASES) > 16 * params.subfiles:
+        _BASES.popitem(last=False)
+
+
+@lru_cache(maxsize=1)  # a file repair scales every sub-file by one u
+def _scalings(field: GF, u: tuple[int, ...], a0: int) -> np.ndarray:
+    """The factors of a basis block's rows, column j scaled by u_j in HX and
+    lam1 and by 1 / u_j in HZ, lam2 and u', from one batched inversion."""
+    u_inv = field.inv_all(u)
+    factors = np.array([u] * a0 + [u_inv] * a0 + [u, u_inv, u_inv], dtype=object)
+    factors.flags.writeable = False  # every build with this u shares it
+    return factors
 
 
 def build_repair_css(
@@ -109,40 +151,22 @@ def build_repair_css(
     helpers: Sequence[int],
     u: Sequence[int] | None = None,
 ) -> RepairCSS:
-    """Construct the repair-time code; helpers must number exactly 2k-2."""
-    field = params.field
-    m = 2 * params.alpha0
+    """Construct the repair-time code; helpers must number exactly 2k-2.
+    With ``u`` None, HX and HZ are the cached read-only arrays."""
+    p, a0 = params.p, params.alpha0
+    m = 2 * a0
     hs = check_helpers(params, failed, helpers, m)
-
-    if u is None:
-        u_vec = (1,) * m
-    else:
+    if u is not None:
         if len(u) != m:
             raise ZeroU(f"u must have length {m}")
-        u_vec = tuple(x % field.p for x in u)
+        u_vec = tuple(x % p for x in u)
         if 0 in u_vec:
             raise ZeroU("u entries must be nonzero")
 
-    key = (params, failed, hs)
-    basis = _BASES.pop(key, None) or _basis(params, failed, hs)
-    hx, hz, w, denom_inv = basis
-    p = field.p
-    u_inv = u_vec if u is None else tuple(field.inv_all(u_vec))
-    u_prime = tuple(wj * ui % p for wj, ui in zip(w, u_inv))
-    group = StabGroup(  # raises DualContainmentViolated
-        x_type=hx * np.array(u_vec, dtype=object) % p,
-        z_type=hz * np.array(u_inv, dtype=object) % p,
-        p=p,
-    )
-    _BASES[key] = basis  # the most recent now; only a checked basis enters
-    while len(_BASES) > 16 * params.subfiles:
-        _BASES.popitem(last=False)
-    return RepairCSS(
-        failed_node=failed,
-        helpers=hs,
-        group=group,
-        lam1=tuple(uj * di % p for uj, di in zip(u_vec, denom_inv)),
-        lam2=tuple(uj * di % p for uj, di in zip(u_prime, denom_inv)),
-        u=u_vec,
-        u_prime=u_prime,
-    )
+    cache_bases(params, failed, [hs])  # the most recent entry now
+    block, hx, hz, lam1, lam2, w = _BASES[params, failed, hs]
+    if u is None:
+        return RepairCSS(failed, hs, hx, hz, p, lam1, lam2, (1,) * m, w)
+    scaled = block * _scalings(params.field, u_vec, a0) % p
+    lam1, lam2, u_prime = map(tuple, scaled[-3:].tolist())
+    return RepairCSS(failed, hs, scaled[:a0], scaled[a0:-3], p, lam1, lam2, u_vec, u_prime)

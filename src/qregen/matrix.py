@@ -7,7 +7,8 @@ still use it. Every matrix product in the package goes through
 ``matmul_mod``, the one exact GF(p) product kernel. Its operands hold
 integers in (-p, p), as every reduced array and its negation do. They are
 object arrays of Python ints, and so is the result, except that two int64
-operands (the decode plan's, see ``pmcode``) give an int64 result. With K
+operands (the decode plan's, see ``pmcode``, and the stacked repair codes'
+HX HZ^T check) give an int64 result. With K
 the inner dimension, each entry of the product is a sum of K terms of
 absolute value at most (p - 1)^2. So when K (p - 1)^2 < 2^63
 (``exact_dtype``) the kernel multiplies in int64, where no partial sum can
@@ -16,7 +17,9 @@ exact, and which path runs follows from (p, K) alone. Every matrix the
 codes invert is a square Vandermonde matrix, so the hot paths use
 ``vandermonde_inv``, an O(m^2) closed form with one field inversion,
 instead of the cubic Gauss-Jordan ``Mat.inv``. It returns a plain array
-and the reciprocals of its last row, the GRS weights. Retrieval calls it
+and the reciprocals of its last row, the GRS weights. It also takes a
+(B, m) stack of point sets and inverts all B matrices with one field
+inversion, as the repair-time CSS build does. Retrieval calls it
 once per node set: the last row w fills the unknown diagonal of
 X = Phi S Phi^T from w^T X = 0, and the first k-1 rows, ``top``, give
 S = top X top^T (``pmcode._unfold``).
@@ -164,41 +167,56 @@ def vandermonde(field: GF, points: Sequence[int], cols: int) -> Mat:
     return Mat.from_array(field, rows.reshape(len(points), cols))
 
 
-def vandermonde_inv(field: GF, points: Sequence[int]) -> tuple[np.ndarray, list[int]]:
+def vandermonde_inv(
+    field: GF, points: Sequence[int] | Sequence[Sequence[int]]
+) -> tuple[np.ndarray, list]:
     """Inverse of the square ``vandermonde(field, points, len(points))``, as
     an (m, m) object array of Python ints in [0, p), and the reciprocals
-    1 / w_i of its last row.
+    1 / w_i of its last row. ``points`` may also be a (B, m) stack of point
+    sets; the inverses then come as one (B, m, m) array and the reciprocals
+    as B lists.
 
     Column i holds the coefficients of the Lagrange basis polynomial
     prod_{j != i} (x - x_j) / (x_i - x_j): the master polynomial
     prod_j (x - x_j), divided synthetically by (x - x_i), times the GRS
-    weight w_i of x_i. The m divisions run as one Horner step per
-    coefficient over the vector of points, in ``exact_dtype(1, p)``, as
+    weight w_i of x_i. Each set's master polynomial comes from a list loop;
+    the divisions then run as one Horner step per coefficient over the
+    whole (B, m) stack of points, in ``exact_dtype(1, p)``, as
     (p - 1)^2 + p - 1 < 2^63 whenever (p - 1)^2 < 2^63. Each step also
     evaluates every quotient at its own point, which gives
     1 / w_i = prod_{j != i} (x_i - x_j), and one ``GF.inv_all`` gives every
-    w_i. Callers that need the 1 / w_i take them from here rather than
-    invert w again. O(m^2); repeated points raise RepeatedPoint.
+    w_i of the stack. Callers that need the 1 / w_i take them from here
+    rather than invert w again. O(B m^2); repeated points in a set raise
+    RepeatedPoint.
     """
     p = field.p
-    pts = [x % p for x in points]
-    if len(set(pts)) != len(pts):
-        raise RepeatedPoint(f"points must be pairwise distinct: {points}")
-    master = [1]  # coefficients of prod_j (x - x_j), constant term first
-    for x in pts:
-        master = [(a - x * b) % p for a, b in zip([0] + master, master + [0])]
+    stacked = len(points) > 0 and hasattr(points[0], "__len__")  # a (B, m) stack
+    sets = [[int(x) % p for x in pts] for pts in (points if stacked else [points])]
+    masters = []  # coefficients of each prod_j (x - x_j), highest first
+    for pts in sets:
+        if len(set(pts)) != len(pts):
+            raise RepeatedPoint(f"points must be pairwise distinct: {pts}")
+        master = [1]
+        for x in pts:  # times (x - x_j): each coefficient less x_j times the one above
+            above, product = 0, []
+            for c in master:
+                product.append((c - x * above) % p)
+                above = c
+            master = product + [-x * above % p]
+        masters.append(master)
     dtype = exact_dtype(1, p)
-    xs = np.array(pts, dtype=dtype)
+    xs = np.array(sets, dtype=dtype)
     # one coefficient of every quotient, and every quotient so far at its point
-    quotient = at_own_point = np.zeros(len(pts), dtype=dtype)
+    quotient = at_own_point = np.zeros(xs.shape, dtype=dtype)
     rows = []
-    for c in reversed(master[1:]):  # quotient coefficients, highest first
+    for c in np.array(masters, dtype=dtype).T[:-1, :, None]:  # highest first, per set
         quotient = (quotient * xs + c) % p
         at_own_point = (at_own_point * xs + quotient) % p
         rows.append(quotient)
+    w = np.array(field.inv_all(at_own_point.ravel().tolist()), dtype=dtype)
+    inv = np.array(rows[::-1]).swapaxes(0, 1) * w.reshape(xs.shape)[:, None] % p
     w_recip = at_own_point.tolist()
-    w = np.array(field.inv_all(w_recip), dtype=dtype)
-    return (np.array(rows[::-1]) * w % p).astype(object), w_recip
+    return (inv.astype(object), w_recip) if stacked else (inv[0].astype(object), w_recip[0])
 
 
 def grs_dual_weights(field: GF, points: Sequence[int]) -> list[int]:

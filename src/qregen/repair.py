@@ -13,30 +13,41 @@ one qudit, so one sub-file costs 2k-2 qudits.
 ``run_repair`` takes ``encode_file``'s whole (T, n, 2, a0) storage array
 and d helpers. The file is T = C(d, 2k-2) sub-files (one when d = 2k-2),
 each repairing through a distinct (2k-2)-subset of the helpers: row t of
-``plan_subfiles``, in colex order. Stage 1 builds one code per sub-file.
+``plan_subfiles``, in colex order, computed once per (d, 2k-2). Stage 1
+builds the bases the CSS cache lacks for those T subsets in one batch
+(``cache_bases``), then makes one cheap ``build_repair_css`` call per
+sub-file, and checks HX HZ^T = 0 for all T codes in one stacked product.
 Stage 2 is one product for the file, as every helper applies the same
 vbar_f (``helper_encode`` reads the helpers' rows and only theirs), and
 every payload is the stacked (T, 2, 2k-2) lam1 and lam2 times those dots
-gathered through the subsets. Stage 3 measures each sub-file into one
-(T, 2, a0) array. A helper joins exactly C(d-1, 2k-3) sub-files and sends
-one qudit in each, so the total is C(d, 2k-2) * (2k-2) = B/k qudits; the
-naive count of one qudit per helper per sub-file, d * C(d, 2k-2), would
-overshoot B/k whenever d > 2k-2, as only a sub-file's subset transmits.
+gathered through the subsets. Stage 3 measures every sub-file in one
+batched syndrome into one (T, 2, a0) array; the state-vector backend
+still measures one sub-file's group at a time. A helper joins exactly
+C(d-1, 2k-3) sub-files and sends one qudit in each, so the total is
+C(d, 2k-2) * (2k-2) = B/k qudits; the naive count of one qudit per helper
+per sub-file, d * C(d, 2k-2), would overshoot B/k whenever d > 2k-2, as
+only a sub-file's subset transmits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from collections.abc import Sequence
 
 import numpy as np
 
-from .css import RepairCSS, build_repair_css, check_helpers
+from .css import RepairCSS, build_repair_css, cache_bases, check_helpers
 from .errors import ModeUnavailable, RegenerationMismatch
-from .matrix import matmul_mod
+from .matrix import exact_dtype, matmul_mod
 from .pmcode import SystemParams, check_storage
-from .stabilizer import syndrome_linear, syndrome_statevector, syndrome_symplectic
+from .stabilizer import (
+    StabGroup,
+    syndrome_linear,
+    syndrome_statevector,
+    syndrome_symplectic,
+)
 from .tradeoff import classical_msr_bandwidth
 
 MODES = ("linear", "symplectic", "statevector")
@@ -87,9 +98,15 @@ def _syndrome_backend(mode: str):
 
 def plan_subfiles(params: SystemParams) -> np.ndarray:
     """All (2k-2)-subsets of the d helper slots in colex order, as the
-    (T, 2k-2) int array whose row t lists sub-file t's slots."""
-    subsets = combinations(range(params.d), 2 * params.k - 2)
-    return np.array(sorted(subsets, key=lambda s: s[::-1]))
+    read-only (T, 2k-2) int array whose row t lists sub-file t's slots."""
+    return _colex_subsets(params.d, 2 * params.k - 2)
+
+
+@lru_cache(maxsize=16)  # the plan depends on (d, 2k-2) alone
+def _colex_subsets(d: int, m: int) -> np.ndarray:
+    subsets = np.array(sorted(combinations(range(d), m), key=lambda s: s[::-1]))
+    subsets.flags.writeable = False
+    return subsets
 
 
 def run_repair(
@@ -113,12 +130,22 @@ def run_repair(
     check_storage(params, storage)
     p = params.p
     subsets = plan_subfiles(params)
-    codes = tuple(build_repair_css(params, failed, [hs[i] for i in s], u) for s in subsets)
+    helper_sets = [tuple(s) for s in np.array(hs)[subsets].tolist()]
+    cache_bases(params, failed, helper_sets)
+    codes = tuple(build_repair_css(params, failed, h, u) for h in helper_sets)
+    # every sub-file's code in one stack, in the dtype of the products with
+    # inner dimension 2k-2, checked by one HX HZ^T product
+    kind = exact_dtype(2 * params.alpha0, p)
+    group = StabGroup(x_type=np.array([c.hx for c in codes], dtype=kind),
+                      z_type=np.array([c.hz for c in codes], dtype=kind), p=p)
     lam = np.array([(c.lam1, c.lam2) for c in codes], dtype=object)  # (T, 2, 2k-2)
     dots = helper_encode(params, storage, failed, hs)  # (T, d, 2)
     payloads = lam * dots[np.arange(len(codes))[:, None], subsets].swapaxes(1, 2) % p
     # measured block order is (sZ, sX); the final swap puts row_m first
-    regenerated = np.array([backend(c.group, *y) for c, y in zip(codes, payloads)])
+    if mode == "statevector":
+        regenerated = np.array([backend(c.group, *y) for c, y in zip(codes, payloads)])
+    else:
+        regenerated = np.stack(backend(group, payloads[:, 0], payloads[:, 1]), axis=1)
     stored = storage[:, failed - 1]  # read only to check the result
     bad = np.flatnonzero((regenerated != stored).any(axis=(1, 2)))
     if len(bad):

@@ -3,34 +3,39 @@
 A stabilizer group over N qudits of prime dimension p is generated by
 X-type operators X(g) (rows g of the X parity check) and Z-type operators
 Z(h) (rows h of the Z parity check); ``StabGroup`` holds both checks as
-2-D object arrays of ints in [0, p). For an error X(x)Z(z) applied to a
-state in the codespace, three interchangeable backends compute the
-measured syndrome. Each takes the group and the exponent vectors x and z,
-reduces them mod p, checks that each has one entry per qudit, and returns
+2-D arrays of ints in [0, p), object arrays or, where every product stays
+exact, int64 ones. It may also hold a stack of groups of one shape, as
+(..., r, N) arrays: ``check_dual_containment`` then checks HX HZ^T = 0 for
+all of them in one batched product, and ``n`` is the last axis. For an
+error X(x)Z(z) applied to a state in the codespace, three interchangeable
+backends compute the measured syndrome. Each takes the group and the
+exponent vectors x and z, one (..., N) vector per group of the stack,
+reduces them mod p, checks their shape against the group's, and returns
 the pair (s_x, s_z) of object arrays: s_x per Z-type generator, s_z per
-X-type one.
+X-type one, stacked like the groups.
 
 * ``syndrome_linear``: the syndrome map itself, sX = HZ x and sZ = HX z,
-  as plain matrix-vector products mod p.
+  as plain matrix-vector products mod p, one batched product each.
 * ``syndrome_symplectic``: commutation phases. A generator written as the
   symplectic row (a | b) picks up the phase exponent <(a|b), (x|z)> =
   b.x - a.z when commuted past the error. Z-type rows (0 | h) report
   +h.x directly; X-type rows (g | 0) have raw phase -g.z, so their
   reported component is the negated pairing. With that sign convention
   both backends agree entry for entry.
-* ``syndrome_statevector``: a literal state-vector simulation. The
-  codespace state is the normalized projector image of |0>: every Z
-  projector keeps |0>, since h.0 = 0, and the X projectors then spread it
-  uniformly over the row space of HX. So the state lives on the p^rank(HX)
-  codewords t HX, and ``prepare_codespace`` keeps only that support and its
-  amplitudes, never all p^N. The error X(x)Z(z), with X|j> = |j+1 mod p>
-  and Z|j> = w^j |j>, w = exp(2 pi i / p), moves each codeword c to c + x
-  with the phase w^(z.c), and each generator's eigenvalue w^s is read off
-  a single amplitude. Raw exponents are sign-fixed exactly as in the
-  symplectic backend. Validation only. With r X generators the support
-  has at most p^r entries; the size guard keeps p^r at or below 2^20, and
-  p too, so that int64 holds every entry sum and float64 phases tell the
-  p-th roots of unity apart.
+* ``syndrome_statevector``: a literal state-vector simulation of one
+  group, never a stack. The codespace state is the normalized projector
+  image of |0>: every Z projector keeps |0>, since h.0 = 0, and the X
+  projectors then spread it uniformly over the row space of HX. So the
+  state lives on the p^rank(HX) codewords t HX, and ``prepare_codespace``
+  keeps only that support and its amplitudes, never all p^N. The error
+  X(x)Z(z), with X|j> = |j+1 mod p> and Z|j> = w^j |j>,
+  w = exp(2 pi i / p), moves each codeword c to c + x with the phase
+  w^(z.c), and each generator's eigenvalue w^s is read off a single
+  amplitude. Raw exponents are sign-fixed exactly as in the symplectic
+  backend. Validation only. With r X generators the support has at most
+  p^r entries; the size guard keeps p^r at or below 2^20, and p too, so
+  that int64 holds every entry sum and float64 phases tell the p-th roots
+  of unity apart.
 
 Global phases never matter: syndromes are ratios of eigenvalues.
 """
@@ -47,7 +52,7 @@ from .errors import (
     ResidualOutOfTolerance,
     TooLarge,
 )
-from .matrix import matmul_mod
+from .matrix import exact_dtype, matmul_mod
 
 STATE_LIMIT = 1 << 20
 RESIDUAL_TOL = 1e-6
@@ -55,17 +60,22 @@ RESIDUAL_TOL = 1e-6
 
 def check_dual_containment(hx: np.ndarray, hz: np.ndarray, p: int) -> bool:
     """True iff HX HZ^T = 0 mod p, i.e. the pair defines a valid stabilizer
-    group. Both are 2-D arrays of ints in [0, p) of the same width."""
-    if hx.ndim != 2 or hz.ndim != 2 or hx.shape[1] != hz.shape[1]:
+    group, for every pair of a stack. Both are arrays of ints in [0, p) of
+    the same width and the same leading stack shape, 2-D for one group."""
+    if (hx.ndim != hz.ndim or hx.ndim < 2 or hx.shape[:-2] != hz.shape[:-2]
+            or hx.shape[-1] != hz.shape[-1]):
         raise DimensionMismatch("HX and HZ must be matrices of one width")
-    return not matmul_mod(hx, hz.T, p).any()
+    kind = exact_dtype(hx.shape[-1], p)  # the product's own, so no cast back
+    hx, hz = hx.astype(kind, copy=False), hz.astype(kind, copy=False)
+    return not matmul_mod(hx, hz.swapaxes(-1, -2), p).any()
 
 
 @dataclass(frozen=True, eq=False)
 class StabGroup:
     """Generators of a CSS-form stabilizer group on N qudits: the rows of
-    ``x_type`` (HX) and of ``z_type`` (HZ), each a 2-D object array of ints
-    in [0, p). Equality is identity."""
+    ``x_type`` (HX) and of ``z_type`` (HZ), each a 2-D array of ints in
+    [0, p), or a stack of such groups along leading axes, one check for all
+    of them. Equality is identity."""
 
     x_type: np.ndarray
     z_type: np.ndarray
@@ -77,35 +87,41 @@ class StabGroup:
 
     @property
     def n(self) -> int:
-        return self.x_type.shape[1]
+        return self.x_type.shape[-1]
 
 
 def _reduced(group: StabGroup, x, z) -> tuple[np.ndarray, np.ndarray]:
-    """The error exponents x and z as object arrays of ints in [0, p)."""
-    if not len(x) == len(z) == group.n:
+    """The error exponents x and z as object arrays of ints in [0, p), one
+    vector of N per group of the stack."""
+    x, z = np.array(x, dtype=object) % group.p, np.array(z, dtype=object) % group.p
+    want = group.x_type.shape[:-2] + (group.n,)
+    if not x.shape == z.shape == want:
         raise DimensionMismatch(
-            f"error acts on {len(x)} and {len(z)} qudits, group on {group.n}"
+            f"error exponents of shapes {x.shape} and {z.shape}, group needs {want}"
         )
-    return np.array(x, dtype=object) % group.p, np.array(z, dtype=object) % group.p
+    return x, z
 
 
 def syndrome_linear(group: StabGroup, x, z) -> tuple[np.ndarray, np.ndarray]:
     """sX = HZ x and sZ = HX z."""
     x, z = _reduced(group, x, z)
-    return matmul_mod(group.z_type, x, group.p), matmul_mod(group.x_type, z, group.p)
+    p = group.p
+    return (matmul_mod(group.z_type, x[..., None], p)[..., 0],
+            matmul_mod(group.x_type, z[..., None], p)[..., 0])
 
 
 def syndrome_symplectic(group: StabGroup, x, z) -> tuple[np.ndarray, np.ndarray]:
     """Syndromes via symplectic commutation phases (sign-fixed per type)."""
     x, z = _reduced(group, x, z)
-    n, r = group.n, len(group.z_type)
+    hx, hz = group.x_type, group.z_type
+    n, r = group.n, hz.shape[-2]
     # one symplectic row (a | b) per generator: Z-type (0 | h), X-type (g | 0)
-    gens = np.zeros((r + len(group.x_type), 2 * n), dtype=object)
-    gens[:r, n:] = group.z_type
-    gens[r:, :n] = group.x_type
+    gens = np.zeros(hx.shape[:-2] + (r + hx.shape[-2], 2 * n), dtype=hx.dtype)
+    gens[..., :r, n:] = hz
+    gens[..., r:, :n] = hx
     # <(a|b), (x|z)> = b.x - a.z for every generator (a | b)
-    phase = matmul_mod(gens, np.concatenate([-z, x]), group.p)
-    return phase[:r], -phase[r:] % group.p
+    phase = matmul_mod(gens, np.concatenate([-z, x], axis=-1)[..., None], group.p)[..., 0]
+    return phase[..., :r], -phase[..., r:] % group.p
 
 
 def prepare_codespace(group: StabGroup) -> tuple[np.ndarray, np.ndarray]:
@@ -113,8 +129,11 @@ def prepare_codespace(group: StabGroup) -> tuple[np.ndarray, np.ndarray]:
 
     ``support`` holds the distinct codewords t HX mod p as int64 rows in
     ascending lexicographic order, ``amplitudes`` their uniform complex
-    amplitudes. Raises TooLarge over the module's size bound.
+    amplitudes. Raises TooLarge over the module's size bound. One group,
+    not a stack.
     """
+    if group.x_type.ndim != 2:
+        raise DimensionMismatch("the state-vector backend takes one group, not a stack")
     p, r = group.p, len(group.x_type)
     if p > STATE_LIMIT:
         raise TooLarge(f"p = {p} exceeds the {STATE_LIMIT} limit on distinct phases")

@@ -1,12 +1,18 @@
 """Repair-time CSS construction: goldens, dual containment, identities."""
 
+from dataclasses import replace
 from itertools import combinations, islice
 
 import numpy as np
 import pytest
 
 import qregen.css
-from qregen.css import build_repair_css, check_dual_containment, grs_dual_weights
+from qregen.css import (
+    build_repair_css,
+    cache_bases,
+    check_dual_containment,
+    grs_dual_weights,
+)
 from qregen.errors import (
     DimensionMismatch,
     DualContainmentViolated,
@@ -16,7 +22,8 @@ from qregen.errors import (
 )
 from qregen.gf import GF
 from qregen.matrix import Mat, vandermonde
-from qregen.pmcode import make_params
+from qregen.pmcode import encode_file, make_params, random_symbols
+from qregen.repair import run_repair
 from qregen.rng import SplitMix64
 from qregen.stabilizer import StabGroup
 
@@ -130,18 +137,22 @@ def count_field_inversions(monkeypatch):
 def test_build_field_inversions_cold_and_warm(monkeypatch):
     # a cold build inverts the m GRS weights in one batch inside
     # vandermonde_inv, which hands back their reciprocals, then every
-    # lam_h - lam_f in one batch; u costs one more batch. A warm build
-    # inverts only u
+    # lam_h - lam_f in one batch; a u other than the last one costs one
+    # more batch. A warm build inverts only such a u
     params = make_params(64, 20, 38, 67)
-    u = [SplitMix64(5).unit(67) for _ in range(38)]
+    rng = SplitMix64(5)
     calls = count_field_inversions(monkeypatch)
     for warm in (False, True):
+        u = [rng.unit(67) for _ in range(38)]  # a new u in each pass
         for u_or_none, cold_count, warm_count in ((None, 2, 0), (u, 3, 1)):
             if not warm:
                 clear_caches()
             calls.clear()
             build_repair_css(params, 1, range(2, 40), u_or_none)
             assert len(calls) == (warm_count if warm else cold_count)
+    calls.clear()
+    build_repair_css(params, 1, range(3, 41), u)  # a cold build with the last u
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("n,k,d,p", [
@@ -240,14 +251,15 @@ def test_build_rejects_bad_inputs():
 
 
 def test_corrupted_construction_fails_closed(monkeypatch):
-    # the StabGroup built inside build_repair_css is the only check left
+    # the stacked StabGroup in cache_bases checks every basis before it is
+    # cached; a warm build_repair_css checks nothing itself
     clear_caches()
     params = make_params(6, 3, 4, 13)
     real = qregen.css.vandermonde_inv
 
     def perturbed(field, points):
         v_inv, w_recip = real(field, points)
-        v_inv[0, 0] = (v_inv[0, 0] + 1) % field.p
+        v_inv[..., 0, 0] = (v_inv[..., 0, 0] + 1) % field.p
         return v_inv, w_recip
 
     monkeypatch.setattr(qregen.css, "vandermonde_inv", perturbed)
@@ -263,9 +275,92 @@ def test_corrupted_construction_fails_closed(monkeypatch):
 
 def test_repair_css_holds_its_checked_group():
     c = build_repair_css(make_params(6, 3, 4, 13), 1, (2, 4, 5, 6))
-    assert isinstance(c.group, StabGroup)
-    assert c.hx is c.group.x_type and c.hz is c.group.z_type
-    assert c.group.p == 13
+    assert "group" not in vars(c)  # a build makes no group
+    group = c.group
+    assert isinstance(group, StabGroup) and c.group is group
+    assert c.hx is group.x_type and c.hz is group.z_type
+    assert group.p == c.p == 13
+    hz = c.hz.copy()
+    hz[0, 0] = (hz[0, 0] + 1) % 13
+    with pytest.raises(DualContainmentViolated):
+        replace(c, hz=hz).group
+
+
+def test_u_free_builds_share_the_cached_read_only_arrays():
+    params = make_params(12, 4, 8, 17)
+    helpers = (2, 3, 4, 5, 6, 7)
+    c = build_repair_css(params, 1, helpers)
+    block, hx, hz, *_ = qregen.css._BASES[params, 1, helpers]
+    assert c.hx is hx and c.hz is hz
+    assert np.shares_memory(hx, block) and np.shares_memory(hz, block)
+    assert build_repair_css(params, 1, helpers).hx is hx
+    for array in (block, c.hx, c.hz):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0, 0] = 0
+    scaled = build_repair_css(params, 1, helpers, [2] * 6)
+    assert scaled.hx is not hx and not (scaled.hx == hx).all()
+
+
+def file_setup():
+    """(12,4,8,17) params, its 28-sub-file storage and 8 helpers of node 1."""
+    params = make_params(12, 4, 8, 17)
+    storage = encode_file(params, random_symbols(params, SplitMix64(19)))
+    return params, storage, tuple(range(2, 10))
+
+
+def test_file_repair_field_inversions_cold_and_warm(monkeypatch):
+    # the bases a repair lacks are built in one batch: one inversion of all
+    # their GRS weights inside vandermonde_inv, one of every lam_h - lam_f,
+    # however many sub-files are cold; a warm repair inverts nothing
+    params, storage, helpers = file_setup()
+    calls = count_field_inversions(monkeypatch)
+    for prewarmed in ((), helpers[:6], helpers[2:]):
+        clear_caches()
+        if prewarmed:
+            build_repair_css(params, 1, prewarmed)
+        calls.clear()
+        run_repair(params, storage, 1, helpers)
+        assert len(calls) == 2
+        calls.clear()
+        run_repair(params, storage, 1, helpers)
+        assert calls == []
+
+
+def test_a_full_cache_keeps_the_bases_a_repair_finds(monkeypatch):
+    # the bases a repair finds become the most recent before its cold ones
+    # are added, so none is evicted before its build uses it
+    params, storage, helpers = file_setup()
+    bound = 16 * params.subfiles
+    clear_caches()
+    build_repair_css(params, 1, helpers[:6])  # the oldest entry
+    others = combinations([i for i in range(1, 13) if i != 2], 6)
+    cache_bases(params, 2, list(islice(others, bound - 1)))
+    assert len(qregen.css._BASES) == bound
+    calls = count_field_inversions(monkeypatch)
+    t = run_repair(params, storage, 1, helpers)
+    assert len(calls) == 2
+    assert len(qregen.css._BASES) == bound
+    assert list(qregen.css._BASES)[-28:] == [(params, 1, c.helpers) for c in t.css]
+
+
+@pytest.mark.parametrize("mode", ["linear", "symplectic"])
+def test_every_repair_rechecks_its_codes(mode):
+    # a cached basis that stopped commuting is caught by the repair's own
+    # stacked check, although the build that hands it out checks nothing
+    params, storage, helpers = file_setup()
+    clear_caches()
+    t = run_repair(params, storage, 1, helpers, mode=mode)
+    block = qregen.css._BASES[params, 1, t.css[5].helpers][0]  # HX in its first rows
+    try:
+        block.flags.writeable = True
+        block[0, 0] = (block[0, 0] + 1) % 17
+        with pytest.raises(DualContainmentViolated):
+            run_repair(params, storage, 1, helpers, mode=mode)
+        with pytest.raises(DualContainmentViolated):
+            run_repair(params, storage, 1, helpers, u=[3] * 6, mode=mode)
+    finally:
+        clear_caches()
 
 
 def test_check_dual_containment_trivia():

@@ -30,6 +30,7 @@ from qregen.repair import (
 )
 from qregen.rng import SplitMix64
 
+from caches import clear_caches
 from documents import transcript_doc
 
 
@@ -235,6 +236,16 @@ def per_slot_counts(params):
     return [sum(slot in s for s in subsets) for slot in range(params.d)]
 
 
+def test_plan_subfiles_is_one_read_only_array_per_shape():
+    params = make_params(12, 4, 8, 17)
+    plan = plan_subfiles(params)
+    assert plan_subfiles(params) is plan is plan_subfiles(make_params(14, 4, 8, 17))
+    assert plan.shape == (28, 6)
+    with pytest.raises(ValueError):
+        plan[0, 0] = 1
+    assert plan[0].tolist() == [0, 1, 2, 3, 4, 5]
+
+
 def test_plan_subfiles_counts():
     ext = make_params(6, 2, 3, 13)
     assert plan_subfiles(ext).tolist() == [[0, 1], [0, 2], [1, 2]]
@@ -299,16 +310,21 @@ def test_transcript_json_field_order():
 
 
 @pytest.mark.parametrize("n,k,d,p", [(6, 3, 4, 13), (12, 4, 8, 17)])
-def test_one_containment_product_per_subfile(monkeypatch, n, k, d, p):
-    # HX HZ^T is the only matrix-by-matrix product in a repair, and it runs
-    # once per sub-file; no Mat is multiplied at all
+def test_one_stacked_containment_product_per_repair(monkeypatch, n, k, d, p):
+    # HX HZ^T is the only matrix-by-matrix product in a repair: a cold one
+    # checks its new bases in one stacked product, and every repair checks
+    # all T of its codes in one more; each syndrome backend but statevector
+    # measures the whole file in one batched product per syndrome, while
+    # statevector checks each sub-file's group on its own. No Mat is
+    # multiplied at all
     params = make_params(n, k, d, p)
+    t, a0, m = params.subfiles, k - 1, 2 * k - 2
     storage = encode_file(params, random_symbols(params, SplitMix64(8)))
     calls, mat_calls = [], []
     real, real_mat = qregen.stabilizer.matmul_mod, Mat.__matmul__
 
     def counting(a, b, p):
-        if a.ndim == b.ndim == 2:
+        if a.ndim >= 2 and b.ndim >= 2:
             calls.append((a.shape, b.shape))
         return real(a, b, p)
 
@@ -318,11 +334,17 @@ def test_one_containment_product_per_subfile(monkeypatch, n, k, d, p):
 
     monkeypatch.setattr(qregen.stabilizer, "matmul_mod", counting)
     monkeypatch.setattr(Mat, "__matmul__", counting_mat)
-    for mode in MODES:
+    check = ((t, a0, m), (t, m, a0))
+    products = {
+        "linear": [check, ((t, a0, m), (t, m, 1)), ((t, a0, m), (t, m, 1))],
+        "symplectic": [check, ((t, m, 2 * m), (t, 2 * m, 1))],
+        "statevector": [check] + [((a0, m), (m, a0))] * t,
+    }
+    clear_caches()
+    for cold, mode in ((True, "linear"), *((False, mode) for mode in MODES)):
         calls.clear()
         run_repair(params, storage, 1, tuple(range(2, d + 2)), mode=mode)
-        check = ((k - 1, 2 * k - 2), (2 * k - 2, k - 1))
-        assert calls == [check] * params.subfiles
+        assert calls == [check] * cold + products[mode]
         assert mat_calls == []
 
 

@@ -1,5 +1,7 @@
 """Syndrome backends: linear map, symplectic phases, state-vector oracle."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +20,7 @@ from qregen.rng import SplitMix64
 from qregen.stabilizer import (
     StabGroup,
     STATE_LIMIT,
+    check_dual_containment,
     _measure_exponent,
     prepare_codespace,
     syndrome_linear,
@@ -224,6 +227,54 @@ def test_group_rejects_non_commuting_pair():
         StabGroup(x_type=hx, z_type=np.array([[1, 0]], dtype=object), p=5)
     with pytest.raises(DimensionMismatch):
         StabGroup(x_type=hx, z_type=np.zeros((0, 3), dtype=object), p=5)
+
+
+def file_codes(p):
+    """The 28 codes of a (12,4,8,p) file repair of node 1, each with its own
+    random u."""
+    params = make_params(12, 4, 8, p)
+    rng = SplitMix64(p % 1000)
+    return [build_repair_css(params, 1, hs, [rng.unit(p) for _ in range(6)])
+            for hs in combinations(range(2, 10), 6)]
+
+
+def stacked(codes):
+    """The codes' HX and HZ as two (T, r, N) stacks."""
+    return np.stack([c.hx for c in codes]), np.stack([c.hz for c in codes])
+
+
+@pytest.mark.parametrize("p", [17, 2**61 - 1])
+def test_stacked_group_measures_like_each_group(p):
+    codes = file_codes(p)
+    group = StabGroup(*stacked(codes), p=p)
+    assert group.n == 6
+    rng = SplitMix64(21)
+    errors = [random_error(p, 6, rng) for _ in codes]
+    x, z = ([e[i] for e in errors] for i in (0, 1))
+    for backend in BACKENDS[:2]:
+        s_x, s_z = backend(group, x, z)
+        assert s_x.shape == s_z.shape == (28, 3)
+        for c, err, sx, sz in zip(codes, errors, s_x, s_z):
+            want = lists(syndrome_linear(c.group, *err))
+            assert lists((sx, sz)) == lists(backend(c.group, *err)) == want
+    with pytest.raises(DimensionMismatch):
+        syndrome_linear(group, x[:27], z[:27])
+    with pytest.raises(DimensionMismatch):
+        syndrome_symplectic(group, x[0], z[0])
+    with pytest.raises(DimensionMismatch, match="one group"):
+        syndrome_statevector(group, x, z)
+
+
+def test_stacked_check_catches_one_bad_group():
+    hx, hz = stacked(file_codes(17))
+    assert check_dual_containment(hx, hz, 17)
+    hz[27, 2, 5] = (hz[27, 2, 5] + 1) % 17
+    assert not check_dual_containment(hx, hz, 17)
+    with pytest.raises(DualContainmentViolated):
+        StabGroup(x_type=hx, z_type=hz, p=17)
+    for other in (hz[:27], hz[0], hz[:, :, :5]):
+        with pytest.raises(DimensionMismatch):
+            check_dual_containment(hx, other, 17)
 
 
 def test_statevector_size_guard():
