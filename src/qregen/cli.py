@@ -138,8 +138,8 @@ def _storage_text(params: SystemParams, storage: np.ndarray) -> str:
 
 
 @functools.lru_cache(maxsize=16)
-def _transcript_layout(mode: str, d: int, a0: int):
-    row, col, single = [_SLOT] * a0, [_SLOT] * (2 * a0), d == 2 * a0  # T = 1 iff d = 2k-2
+def _transcript_layout(mode: str, d: int, a0: int, subfiles: int):
+    row, col, single = [_SLOT] * a0, [_SLOT] * (2 * a0), subfiles == 1
     parts = dict(
         css=dict(HX=[col] * a0, HZ=[col] * a0, Lam1=col, Lam2=col, u=col, uPrime=col),
         payloads=[dict(helperId=_SLOT, yX=_SLOT, yZ=_SLOT, quditsSent=1)] * (2 * a0),
@@ -162,7 +162,7 @@ def _transcript_text(t: repair.RepairTranscript) -> str:
     values = np.concatenate([  # sent as (helperId, yX, yZ) per qudit
         [t.failed_node, *t.helpers], css.ravel(), sent.swapaxes(1, 2).ravel(), rows.ravel(),
         np.insert(rows, 0, t.failed_node, axis=1).ravel(), [t.qudit_total]])
-    layout = _transcript_layout(t.mode, len(t.helpers), a0)
+    layout = _transcript_layout(t.mode, len(t.helpers), a0, copies)
     return _json_text(values.tolist(), layout, copies)
 
 

@@ -21,12 +21,12 @@ Stage 2 is one product for the file, as every helper applies the same
 vbar_f (``helper_encode`` reads the helpers' rows and only theirs), and
 every payload is the stacked (T, 2, 2k-2) lam1 and lam2 times those dots
 gathered through the subsets. Stage 3 measures every sub-file in one
-batched syndrome into one (T, 2, a0) array; the state-vector backend
-still measures one sub-file's group at a time. A helper joins exactly
-C(d-1, 2k-3) sub-files and sends one qudit in each, so the total is
-C(d, 2k-2) * (2k-2) = B/k qudits; the naive count of one qudit per helper
-per sub-file, d * C(d, 2k-2), would overshoot B/k whenever d > 2k-2, as
-only a sub-file's subset transmits.
+batched syndrome of the checked stack into one (T, 2, a0) array, in every
+mode: the state-vector backend prepares all T codespaces as one stack. A
+helper joins exactly C(d-1, 2k-3) sub-files and sends one qudit in each,
+so the total is C(d, 2k-2) * (2k-2) = B/k qudits; the naive count of one
+qudit per helper per sub-file, d * C(d, 2k-2), would overshoot B/k
+whenever d > 2k-2, as only a sub-file's subset transmits.
 """
 
 from __future__ import annotations
@@ -142,10 +142,7 @@ def run_repair(
     dots = helper_encode(params, storage, failed, hs)  # (T, d, 2)
     payloads = lam * dots[np.arange(len(codes))[:, None], subsets].swapaxes(1, 2) % p
     # measured block order is (sZ, sX); the final swap puts row_m first
-    if mode == "statevector":
-        regenerated = np.array([backend(c.group, *y) for c, y in zip(codes, payloads)])
-    else:
-        regenerated = np.stack(backend(group, payloads[:, 0], payloads[:, 1]), axis=1)
+    regenerated = np.stack(backend(group, payloads[:, 0], payloads[:, 1]), axis=1)
     stored = storage[:, failed - 1]  # read only to check the result
     bad = np.flatnonzero((regenerated != stored).any(axis=(1, 2)))
     if len(bad):

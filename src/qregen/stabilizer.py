@@ -22,27 +22,33 @@ X-type one, stacked like the groups.
   +h.x directly; X-type rows (g | 0) have raw phase -g.z, so their
   reported component is the negated pairing. With that sign convention
   both backends agree entry for entry.
-* ``syndrome_statevector``: a literal state-vector simulation of one
-  group, never a stack. The codespace state is the normalized projector
-  image of |0>: every Z projector keeps |0>, since h.0 = 0, and the X
-  projectors then spread it uniformly over the row space of HX. So the
-  state lives on the p^rank(HX) codewords t HX, and ``prepare_codespace``
-  keeps only that support and its amplitudes, never all p^N. The error
-  X(x)Z(z), with X|j> = |j+1 mod p> and Z|j> = w^j |j>,
-  w = exp(2 pi i / p), moves each codeword c to c + x with the phase
-  w^(z.c), and each generator's eigenvalue w^s is read off a single
-  amplitude. Raw exponents are sign-fixed exactly as in the symplectic
-  backend. Validation only. With r X generators the support has at most
-  p^r entries; the size guard keeps p^r at or below 2^20, and p too, so
-  that int64 holds every entry sum and float64 phases tell the p-th roots
-  of unity apart.
+* ``syndrome_statevector``: a literal state-vector simulation, of one
+  group or of a whole stack at once. The codespace state is the
+  normalized projector image of |0>: every Z projector keeps |0>, since
+  h.0 = 0, and the X projectors then spread it uniformly over the row
+  space of HX. So the state lives on the p^rank(HX) codewords t HX, and
+  ``prepare_codespace`` keeps only that support and its amplitudes, never
+  all p^N; a stack keeps p^r rows per group, a repeated codeword with
+  amplitude 0. The error X(x)Z(z), with X|j> = |j+1 mod p> and
+  Z|j> = w^j |j>, w = exp(2 pi i / p), moves each codeword c to c + x
+  with the phase w^(z.c), and each generator's eigenvalue w^s is read off
+  a single amplitude. Every codeword is keyed as one base-p integer, so
+  one sort of the moved stack's keys and one ``searchsorted`` find the
+  amplitude of every generator of every group. Raw exponents are
+  sign-fixed exactly as in the symplectic backend. Validation only. With
+  r X generators a group's support has p^r entries; the size guard keeps
+  p^r at or below 2^20, and p too, so that int64 holds every entry sum
+  and float64 phases tell the p-th roots of unity apart. A stack is
+  measured in slices of at most 2^20 support entries in all.
 
 Global phases never matter: syndromes are ratios of eigenvalues.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -52,7 +58,7 @@ from .errors import (
     ResidualOutOfTolerance,
     TooLarge,
 )
-from .matrix import exact_dtype, matmul_mod
+from .matrix import _INT64_LIMIT, exact_dtype, matmul_mod
 
 STATE_LIMIT = 1 << 20
 RESIDUAL_TOL = 1e-6
@@ -124,67 +130,156 @@ def syndrome_symplectic(group: StabGroup, x, z) -> tuple[np.ndarray, np.ndarray]
     return phase[..., :r], -phase[..., r:] % group.p
 
 
+def _keys(rows: np.ndarray, p: int) -> np.ndarray:
+    """Each row of a (T, K, N) stack of base-p digit rows as one integer,
+    qudit 0 most significant, so that keys order rows lexicographically,
+    plus t p^N for the rows of state t: state t's keys lie in
+    [t p^N, (t+1) p^N), so one sorted array holds every state's."""
+    count, _, n = rows.shape
+    radix, offsets = _radix(p, count, n)
+    return rows.astype(radix.dtype, copy=False) @ radix + offsets
+
+
+@lru_cache(maxsize=4)  # a measurement keys its support and its reads alike
+def _radix(p: int, count: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The digit weights p^(N-1), ..., 1 of a key and the (count, 1)
+    offsets t p^N, read-only: int64 while every key fits, Python ints past
+    that."""
+    kind = np.int64 if count * p**n < _INT64_LIMIT else object
+    radix = p ** np.arange(n - 1, -1, -1, dtype=kind)
+    offsets = np.arange(count, dtype=kind)[:, None] * p**n
+    radix.flags.writeable = offsets.flags.writeable = False
+    return radix, offsets
+
+
 def prepare_codespace(group: StabGroup) -> tuple[np.ndarray, np.ndarray]:
     """The normalized projector image of |0>, as (support, amplitudes).
 
-    ``support`` holds the distinct codewords t HX mod p as int64 rows in
-    ascending lexicographic order, ``amplitudes`` their uniform complex
-    amplitudes. Raises TooLarge over the module's size bound. One group,
-    not a stack.
+    For one group, ``support`` holds the distinct codewords t HX mod p as
+    int64 rows in ascending lexicographic order, ``amplitudes`` their
+    uniform complex amplitudes. A stack of groups with r X generators each
+    gets a (..., p^r, N) support and (..., p^r) amplitudes: every group's
+    codeword t HX for each of the p^r coefficient vectors t, t = 0 first,
+    where a codeword that dependent generators repeat has amplitude 0 after
+    its first copy. Raises TooLarge over the module's size bound, which
+    holds for each group.
     """
-    if group.x_type.ndim != 2:
-        raise DimensionMismatch("the state-vector backend takes one group, not a stack")
-    p, r = group.p, len(group.x_type)
+    p, (r, n) = group.p, group.x_type.shape[-2:]
     if p > STATE_LIMIT:
         raise TooLarge(f"p = {p} exceeds the {STATE_LIMIT} limit on distinct phases")
     if p**r > STATE_LIMIT:
         raise TooLarge(f"{p}^{r} amplitudes exceed the {STATE_LIMIT} limit")
-    support = np.zeros((1, group.n), dtype=np.int64)
-    steps = np.arange(p, dtype=np.int64)[:, None, None]
-    for g in group.x_type.astype(np.int64):
-        # {c + t g : c in support, t in GF(p)}; entries stay below p^2
-        support = ((support + steps * g) % p).reshape(-1, group.n)
-    # distinct rows in lexicographic order; dependent generators repeat rows
-    support = support[np.lexsort(support.T[::-1])]
-    support = support[np.r_[True, (support[1:] != support[:-1]).any(axis=1)]]
-    return support, np.full(len(support), len(support) ** -0.5, dtype=complex)
+    stack = group.x_type.shape[:-2]
+    count = math.prod(stack)
+    hx = group.x_type.reshape((count, r, n)).astype(np.int64)
+    # built as (group, qudit, entry), so that every step runs along the entries
+    support = np.zeros((count, n, 1), dtype=np.int64)
+    steps = np.arange(p, dtype=np.int64)[:, None]
+    for i in range(r):
+        # {c + t g : c in support, t in GF(p)} per group; entries stay below p^2
+        support = support[:, :, None] + steps * hx[:, i, :, None, None]
+        support %= p  # in place: a fresh array of the support's size costs more
+        support = support.reshape(count, n, -1)
+    support = support.swapaxes(1, 2)
+    keys = _keys(support, p)
+    if not stack:
+        distinct = _first_copies(keys[0])
+        return support[0, distinct], np.full(len(distinct), len(distinct) ** -0.5, dtype=complex)
+    amps = np.full(keys.shape, p ** (-r / 2), dtype=complex)
+    # row 0 of each group is t = 0, the zero codeword; t -> t HX is linear,
+    # so a codeword repeats iff 0 does, and only then is a sort needed
+    if np.count_nonzero(keys == keys[:, :1]) > count:
+        first = np.zeros(keys.size, dtype=bool)
+        first[_first_copies(keys.ravel())] = True  # keys keep the groups apart
+        first = first.reshape(keys.shape)
+        amps = first / np.sqrt(first.sum(axis=1, keepdims=True)) + 0j
+    return support.reshape(stack + (-1, n)), amps.reshape(stack + (-1,))
 
 
-def _omega(s, p: int):
-    """w^s for w = exp(2 pi i / p)."""
-    return np.exp(2j * np.pi * s / p)
+def _first_copies(keys: np.ndarray) -> np.ndarray:
+    """The position of each distinct key's first copy, in ascending key order."""
+    order = np.argsort(keys, kind="stable")  # copies keep their order
+    keys = keys[order]
+    return order[np.r_[True, keys[1:] != keys[:-1]]]
 
 
-def _measure_exponent(
-    support: np.ndarray, amps: np.ndarray, p: int, a, b
-) -> tuple[int, float]:
-    """Exponent s with X(a)Z(b)|state> = w^s |state>, plus the residual."""
+@lru_cache(maxsize=1)  # a repair reads its phases twice, a sweep at one p
+def _roots(p: int) -> np.ndarray:
+    """The p-th roots of unity, read-only: entry s is w^s for
+    w = exp(2 pi i / p)."""
+    roots = np.exp(2j * np.pi * np.arange(p) / p)
+    roots.flags.writeable = False
+    return roots
+
+
+def _measure_exponent(support: np.ndarray, amps: np.ndarray, p: int, a, b):
+    """Exponent s with X(a)Z(b)|state> = w^s |state>, plus the residual.
+
+    The state (support, amps) is one state, (M, N) and (M,), read with one
+    generator (a, b) of two vectors of N; or a stack of T states, (T, M, N)
+    and (T, M), each read with G generators, two (T, G, N) arrays, which
+    gives (T, G) exponents and residuals.
+    """
+    if support.ndim == 2:
+        s, res = _measure_exponent(support[None], amps[None], p, [[a]], [[b]])
+        return s[0, 0], res[0, 0]
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
     # entry j0 = support[0] of X(a)Z(b)|state> is w^(b.j) state[j], j = j0 - a
-    j = (support[0] - np.asarray(a, dtype=np.int64)) % p
-    hit = np.flatnonzero((support == j).all(axis=1))
-    amp = amps[hit[0]] if len(hit) else 0.0
-    ratio = _omega(matmul_mod(j, np.asarray(b, dtype=object), p), p) * amp / amps[0]
-    s = int(round(p * (np.angle(ratio) % (2 * np.pi)) / (2 * np.pi))) % p
-    return s, abs(ratio - _omega(s, p))
+    j = (support[:, :1] - a) % p
+    # an entry of amplitude 0 is no part of the state, so no read may land on
+    # it; -1 is no codeword's key
+    keys = np.where(amps != 0, _keys(support, p), -1).ravel()
+    order = np.argsort(keys)
+    want = _keys(j, p)
+    hit = order[np.minimum(np.searchsorted(keys, want, sorter=order), len(keys) - 1)]
+    amp = np.where(keys[hit] == want, amps.ravel()[hit], 0)
+    # b.j < N p^2, exact in int64 for any support that fits in memory
+    omega = _roots(p)
+    ratio = omega[(b * j).sum(axis=-1) % p] * amp / amps[:, :1]
+    s = np.rint(p * (np.angle(ratio) % (2 * np.pi)) / (2 * np.pi)).astype(np.int64) % p
+    return s, abs(ratio - omega[s])
+
+
+def _measure(group: StabGroup, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The raw exponents of every generator of every group of the stack,
+    Z-type rows first, after the error X(x)Z(z) on its codespace state."""
+    p, n, stack = group.p, group.n, group.x_type.shape[:-2]
+    count, rz = math.prod(stack), group.z_type.shape[-2]
+    support, amps = prepare_codespace(group)
+    support, amps = support.reshape((count, -1, n)), amps.reshape(count, -1)
+    x, z = x.reshape(count, n).astype(np.int64), z.reshape(count, n).astype(np.int64)
+    # X(x)Z(z)|c> = w^(z.c) |c + x>, on every entry of every group's state
+    amps = amps * _roots(p)[matmul_mod(support, z[:, :, None], p)[..., 0]]
+    support += x[:, None]  # the support is this call's own
+    support %= p
+    # every generator as the row (a | b): Z-type (0 | h), X-type (g | 0)
+    hx, hz = (h.reshape((count,) + h.shape[-2:]) for h in (group.x_type, group.z_type))
+    gens = np.zeros((count, rz + hx.shape[1], 2 * n), dtype=np.int64)
+    gens[:, :rz, n:] = hz
+    gens[:, rz:, :n] = hx
+    s, res = _measure_exponent(support, amps, p, gens[..., :n], gens[..., n:])
+    worst = res.max(initial=0.0)
+    if not worst < RESIDUAL_TOL:
+        raise ResidualOutOfTolerance(f"eigenvalue residual {worst} out of tolerance")
+    return s.astype(object).reshape(stack + (-1,))
 
 
 def syndrome_statevector(group: StabGroup, x, z) -> tuple[np.ndarray, np.ndarray]:
     """State-vector simulation on the codespace's support; must agree with
-    syndrome_linear."""
+    syndrome_linear. A stack is measured in slices of at most STATE_LIMIT
+    support entries in all, each slice with one prepared state."""
     x, z = _reduced(group, x, z)
-    p = group.p
-    support, amps = prepare_codespace(group)
-    # X(x)Z(z)|c> = w^(z.c) |c + x>
-    amps = amps * _omega(matmul_mod(support, z, p).astype(np.int64), p)
-    support = (support + x.astype(np.int64)) % p
-
-    zero = [0] * group.n
-    gens = [(zero, h) for h in group.z_type]
-    gens += [(g, zero) for g in group.x_type]
-    measured = [_measure_exponent(support, amps, p, a, b) for a, b in gens]
-    worst = max((res for _, res in measured), default=0.0)
-    if not worst < RESIDUAL_TOL:
-        raise ResidualOutOfTolerance(f"eigenvalue residual {worst} out of tolerance")
-    s = np.array([e for e, _ in measured], dtype=object)
-    r = len(group.z_type)
-    return s[:r], -s[r:] % p
+    p, (r, n) = group.p, group.x_type.shape[-2:]
+    stack = group.x_type.shape[:-2]
+    count, per = math.prod(stack), max(1, STATE_LIMIT // p**r)
+    if count <= per:
+        s = _measure(group, x, z)
+    else:  # each slice is a sub-stack of a checked stack, checked again
+        hx, hz = (h.reshape((count,) + h.shape[-2:]) for h in (group.x_type, group.z_type))
+        x, z = x.reshape(count, n), z.reshape(count, n)
+        s = np.concatenate([
+            _measure(StabGroup(hx[i:i + per], hz[i:i + per], p), x[i:i + per], z[i:i + per])
+            for i in range(0, count, per)
+        ]).reshape(stack + (-1,))
+    rz = group.z_type.shape[-2]
+    return s[..., :rz], -s[..., rz:] % p

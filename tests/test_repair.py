@@ -313,10 +313,10 @@ def test_transcript_json_field_order():
 def test_one_stacked_containment_product_per_repair(monkeypatch, n, k, d, p):
     # HX HZ^T is the only matrix-by-matrix product in a repair: a cold one
     # checks its new bases in one stacked product, and every repair checks
-    # all T of its codes in one more; each syndrome backend but statevector
-    # measures the whole file in one batched product per syndrome, while
-    # statevector checks each sub-file's group on its own. No Mat is
-    # multiplied at all
+    # all T of its codes in one more; each syndrome backend then measures
+    # the whole file in one batched product per syndrome, statevector its
+    # Z(z) phases over the T stacked supports of p^(k-1) codewords. No Mat
+    # is multiplied at all
     params = make_params(n, k, d, p)
     t, a0, m = params.subfiles, k - 1, 2 * k - 2
     storage = encode_file(params, random_symbols(params, SplitMix64(8)))
@@ -338,7 +338,7 @@ def test_one_stacked_containment_product_per_repair(monkeypatch, n, k, d, p):
     products = {
         "linear": [check, ((t, a0, m), (t, m, 1)), ((t, a0, m), (t, m, 1))],
         "symplectic": [check, ((t, m, 2 * m), (t, 2 * m, 1))],
-        "statevector": [check] + [((a0, m), (m, a0))] * t,
+        "statevector": [check, ((t, p**a0, m), (t, m, 1))],
     }
     clear_caches()
     for cold, mode in ((True, "linear"), *((False, mode) for mode in MODES)):

@@ -251,7 +251,8 @@ def test_stacked_group_measures_like_each_group(p):
     rng = SplitMix64(21)
     errors = [random_error(p, 6, rng) for _ in codes]
     x, z = ([e[i] for e in errors] for i in (0, 1))
-    for backend in BACKENDS[:2]:
+    # the state-vector backend has 17^3 support entries per group at p = 17
+    for backend in BACKENDS if p <= STATE_LIMIT else BACKENDS[:2]:
         s_x, s_z = backend(group, x, z)
         assert s_x.shape == s_z.shape == (28, 3)
         for c, err, sx, sz in zip(codes, errors, s_x, s_z):
@@ -261,8 +262,111 @@ def test_stacked_group_measures_like_each_group(p):
         syndrome_linear(group, x[:27], z[:27])
     with pytest.raises(DimensionMismatch):
         syndrome_symplectic(group, x[0], z[0])
-    with pytest.raises(DimensionMismatch, match="one group"):
-        syndrome_statevector(group, x, z)
+    with pytest.raises(DimensionMismatch):
+        syndrome_statevector(group, x[0], z[0])
+    if p > STATE_LIMIT:
+        with pytest.raises(TooLarge):
+            syndrome_statevector(group, x, z)
+
+
+def random_stack(p, n_qudits, r_x, count, rng, dependent=()):
+    """A stack of ``count`` random commuting groups of one shape; in each
+    group listed in ``dependent`` the last X row becomes c times the first,
+    for the c given, so that HX loses rank (c = 1 repeats a row)."""
+    groups = [random_group(p, n_qudits, r_x, rng) for _ in range(count)]
+    hx, hz = np.stack([g.x_type for g in groups]), np.stack([g.z_type for g in groups])
+    for t, c in dependent:
+        hx[t, -1] = c * hx[t, 0] % p
+    return StabGroup(x_type=hx, z_type=hz, p=p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_stacked_statevector_equals_linear_group_by_group(data):
+    p = data.draw(st.sampled_from([3, 5, 13, 17]))
+    n_qudits = data.draw(st.integers(2, {3: 6, 5: 5, 13: 4, 17: 4}[p]))
+    r_x = data.draw(st.integers(1, n_qudits - 1))
+    count = data.draw(st.integers(1, 4))
+    dependent = data.draw(st.dictionaries(st.integers(0, count - 1), st.integers(0, p - 1)))
+    rng = SplitMix64(data.draw(st.integers(0, 2**32)))
+    group = random_stack(p, n_qudits, r_x, count, rng, dependent.items())
+    errors = [random_error(p, n_qudits, rng) for _ in range(count)]
+    x, z = ([e[i] for e in errors] for i in (0, 1))
+    s_x, s_z = syndrome_statevector(group, x, z)
+    for t, err in enumerate(errors):
+        one = StabGroup(x_type=group.x_type[t], z_type=group.z_type[t], p=p)
+        assert lists((s_x[t], s_z[t])) == lists(syndrome_linear(one, *err))
+
+
+def test_one_group_measures_like_a_stack_of_one():
+    rng = SplitMix64(23)
+    groups = [reference_group()[2], random_group(5, 4, 2, rng)]
+    groups.append(random_stack(5, 4, 2, 1, rng, [(0, 3)]))  # rank 1 of 2
+    for group in groups:
+        one = StabGroup(x_type=group.x_type.reshape(-1, group.n),
+                        z_type=group.z_type.reshape(-1, group.n), p=group.p)
+        stack = StabGroup(x_type=one.x_type[None], z_type=one.z_type[None], p=group.p)
+        for _ in range(5):
+            x, z = random_error(group.p, group.n, rng)
+            s_x, s_z = syndrome_statevector(stack, [x], [z])
+            assert lists((s_x[0], s_z[0])) == lists(syndrome_statevector(one, x, z))
+
+
+def test_stacked_codespace_keeps_p_to_the_r_rows():
+    # a repeated codeword keeps its row with amplitude 0, so every group of
+    # the stack holds p^r rows; a single group lists only distinct codewords
+    group = random_stack(5, 4, 2, 3, SplitMix64(24), [(1, 1), (2, 0)])
+    support, amps = prepare_codespace(group)
+    assert support.shape == (3, 25, 4) and amps.shape == (3, 25)
+    assert support.dtype == np.int64 and not support[:, 0].any()  # t = 0 first
+    assert (np.count_nonzero(amps, axis=1) == [25, 5, 5]).all()
+    np.testing.assert_allclose(np.linalg.norm(amps, axis=1), 1.0, rtol=0, atol=1e-12)
+    for t in range(3):
+        one = StabGroup(x_type=group.x_type[t], z_type=group.z_type[t], p=5)
+        distinct, one_amps = prepare_codespace(one)
+        kept = support[t][amps[t] != 0]
+        assert sorted(kept.tolist()) == distinct.tolist()
+        np.testing.assert_allclose(amps[t][amps[t] != 0], one_amps, rtol=0, atol=1e-12)
+
+
+def test_stack_measured_in_slices_under_the_state_limit(monkeypatch):
+    # 28 groups of 17^3 = 4913 support entries: under a limit of 5000 entries
+    # each slice holds one group, and the syndromes do not change
+    codes = file_codes(17)
+    group = StabGroup(*stacked(codes), p=17)
+    rng = SplitMix64(25)
+    errors = [random_error(17, 6, rng) for _ in codes]
+    x, z = ([e[i] for e in errors] for i in (0, 1))
+    whole = lists(s.ravel() for s in syndrome_statevector(group, x, z))
+    prepared = []
+    real = qregen.stabilizer.prepare_codespace
+
+    def counting(g):
+        prepared.append(g.x_type.shape)
+        return real(g)
+
+    monkeypatch.setattr(qregen.stabilizer, "STATE_LIMIT", 5000)
+    monkeypatch.setattr(qregen.stabilizer, "prepare_codespace", counting)
+    sliced = syndrome_statevector(group, x, z)
+    assert prepared == [(1, 3, 6)] * 28
+    assert lists(s.ravel() for s in sliced) == whole
+    assert whole == lists(s.ravel() for s in syndrome_linear(group, x, z))
+
+
+def test_statevector_keys_past_int64():
+    # 13^18 > 2^63: the codewords' keys leave int64 for Python ints, with
+    # the same support and syndromes
+    rng = SplitMix64(26)
+    group = random_stack(13, 18, 1, 2, rng)
+    for t in range(2):
+        one = StabGroup(x_type=group.x_type[t], z_type=group.z_type[t], p=13)
+        support, _ = prepare_codespace(one)
+        assert support.dtype == np.int64 and len(support) == 13
+        assert support.tolist() == sorted(support.tolist())
+    errors = [random_error(13, 18, rng) for _ in range(2)]
+    x, z = ([e[i] for e in errors] for i in (0, 1))
+    assert (lists(s.ravel() for s in syndrome_statevector(group, x, z))
+            == lists(s.ravel() for s in syndrome_linear(group, x, z)))
 
 
 def test_stacked_check_catches_one_bad_group():

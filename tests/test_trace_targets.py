@@ -77,9 +77,10 @@ def test_warm_repair_traces_like_a_cold_one():
 
 def test_cli_statevector_repair_traces_each_codespace():
     # syndrome_statevector must reach prepare_codespace through the module
-    # global, which the tracer patches: one span per sub-file
+    # global, which the tracer patches: one span for the three sub-files'
+    # stacked codespace, measured in one call
     code, tracer = traced_repair("--mode", "statevector")
     assert code == 0
     spans_seen = tracer.self_times()
-    assert spans_seen["repair", "stabilizer.prepare_codespace"][0] == 3
-    assert spans_seen["repair", "stabilizer.syndrome_statevector"][0] == 3
+    assert spans_seen["repair", "stabilizer.prepare_codespace"][0] == 1
+    assert spans_seen["repair", "stabilizer.syndrome_statevector"][0] == 1
