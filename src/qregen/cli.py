@@ -7,6 +7,15 @@ output. Exit codes: 0 success, 1 verification failure, 2 usage error.
 Documents are ``json.dumps(doc, indent=2)``'s text, from ``_json_text``. The
 storage file and the repair transcript fill, by one ``%`` of their arrays' ints,
 a layout ``_indented`` writes once per shape, one sub-file's part repeated.
+
+A storage file is read as bytes, and ``_stored``, an LRU of 8 keyed by those
+exact bytes (not by path or mtime), keeps its validated params and storage
+array, the array read-only. Retrieves and repairs that read the same stored
+file again in one process skip ``json.load`` and validation; the decode, the
+repair and its checks still run in full. A malformed file raises before
+anything is cached, so it fails alike on every read. The bytes decode as
+``open(path, encoding="utf-8")`` reads them: universal newlines, a BOM
+refused. A one-shot process gains nothing and pays one hash of the bytes.
 """
 
 from __future__ import annotations
@@ -213,10 +222,27 @@ def _storage_from_json(doc) -> tuple[SystemParams, np.ndarray]:
     return params, np.array(dits, dtype=object).reshape(params.storage_shape)
 
 
-def _load_json(path: str):
+def _load_json(data: bytes):
+    """The document ``json.load(open(path, encoding="utf-8"))`` reads from a
+    file of these bytes: UTF-8 with universal newlines, a BOM refused."""
+    return json.loads(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
+
+
+@functools.lru_cache(maxsize=8)  # a collector and a newcomer read the same stored bytes
+def _stored(data: bytes) -> tuple[SystemParams, np.ndarray]:
+    """``_storage_from_json`` of a storage file's bytes, its array read-only."""
+    params, storage = _storage_from_json(_load_json(data))
+    storage.flags.writeable = False
+    return params, storage
+
+
+def _read(path: str, parse):
+    """``parse`` of the bytes in ``path``, read once; a file that cannot be
+    read or parsed is a usage error naming it."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        return parse(data)
     # ValueError: bad UTF-8, bad JSON or an int of over 4300 digits
     except (OSError, ValueError, RecursionError) as exc:
         raise errors.InvalidParams(f"cannot read {path}: {exc}") from None
@@ -239,7 +265,7 @@ def cmd_demo_example1(args) -> int:
 
 def cmd_encode(args) -> int:
     params = _params_from_args(args)
-    symbols = _load_json(args.in_path)
+    symbols = _read(args.in_path, _load_json)
     if not _ints(symbols):
         raise errors.WrongLength("--in must be a JSON array of integers")
     storage = encode_file(params, [x % params.p for x in symbols])
@@ -248,7 +274,7 @@ def cmd_encode(args) -> int:
 
 
 def cmd_retrieve(args) -> int:
-    params, storage = _storage_from_json(_load_json(args.in_path))
+    params, storage = _read(args.in_path, _stored)
     ids = range(1, params.k + 1) if args.nodes is None else _parse_ids(args.nodes)
     symbols = retrieve_file(params, storage, ids)
     _write_out(_json_text(list(symbols)), args.out)
@@ -261,7 +287,7 @@ def cmd_repair(args) -> int:
         given = next((f for f in flags if getattr(args, f) is not None), None)
         if given:
             raise errors.InvalidParams(f"--{given} cannot be combined with --in")
-        params, storage = _storage_from_json(_load_json(args.in_path))
+        params, storage = _read(args.in_path, _stored)
     else:
         params = _params_from_args(args)
         rng = SplitMix64(1 if args.seed is None else args.seed)

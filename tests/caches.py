@@ -1,11 +1,13 @@
 """The per-process compile caches, emptied so that a test sees cold builds."""
 
+import qregen.cli
 import qregen.css
 import qregen.pmcode
 
 
 def clear_caches():
-    """Forget every cached CSS basis, u scaling and decode plan."""
+    """Forget every cached CSS basis, u scaling, decode plan and parsed storage file."""
+    qregen.cli._stored.cache_clear()
     qregen.css._BASES.clear()
     qregen.css._scalings.cache_clear()
     qregen.pmcode._compiled_plan.cache_clear()

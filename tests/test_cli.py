@@ -606,23 +606,83 @@ UNREADABLE = {  # (text, where a list of ints opens) -> bytes json.load rejects
     "int-of-5000-digits": lambda text, at: text.replace(at, at + "1" * 5000 + ",", 1).encode(),
     "not-utf-8": lambda text, at: b"\xff" + text.encode(),
     "nested-100000-deep": lambda text, at: b"[" * 100000,
+    # read with universal newlines, so the error counts lines and chars of LF text
+    "crlf-truncated": lambda text, at: text.replace("\n", "\r\n")[:len(text) // 2].encode(),
+    "utf-8-bom": lambda text, at: "\ufeff".encode() + text.encode(),
 }
+STORAGE_READS = (["retrieve"], ["repair", "--failed", "1", "--helpers", "2,4,5,6"])
 
 
 @pytest.mark.parametrize("command", ["encode", "retrieve"])
 @pytest.mark.parametrize("case", list(UNREADABLE))
 def test_unreadable_json_usage_error(stored_634, tmp_path, capsys, command, case):
     # a ValueError or RecursionError inside json.load exits 2 naming the
-    # file, for encode's message and for a storage file's rowM alike
+    # file, for encode's message and for a storage file's rowM alike, in
+    # json.load's own words on every read: a failed parse is never cached
     source, at = ("msg", "[") if command == "encode" else ("storage", '"rowM": [')
     text = Path(stored_634[source]).read_text(encoding="utf-8")
     assert at in text
     path = tmp_path / "bad.json"
     path.write_bytes(UNREADABLE[case](text, at))
-    argv = P634 if command == "encode" else []
-    code, out, err = run_cli(capsys, command, *argv, "--in", str(path))
-    assert one_line_usage_error(code, out, err)
-    assert err.startswith(f"error: cannot read {path}: ")
+    with pytest.raises((ValueError, RecursionError)) as exc, open(path, encoding="utf-8") as fh:
+        json.load(fh)
+    reads = [["encode", *P634]] if command == "encode" else STORAGE_READS
+    for argv in reads * 2:
+        code, out, err = run_cli(capsys, *argv, "--in", str(path))
+        assert one_line_usage_error(code, out, err)
+        assert err == f"error: cannot read {path}: {exc.value}\n"
+
+
+def write_storage(path, symbols, params=make_params(6, 3, 4, 13)):
+    """The storage file of ``symbols`` at (6,3,4,13), as encode writes it; its bytes."""
+    data = cli._storage_text(params, encode_file(params, symbols)).encode()
+    path.write_bytes(data)
+    return data
+
+
+def test_storage_cache_is_keyed_by_content(tmp_path, capsys):
+    # the same path, size and mtime with other bytes is another file: a cache
+    # keyed by path or stat would hand back the first message
+    path = tmp_path / "storage.json"
+    first = write_storage(path, list(range(12)))
+    stat = path.stat()
+    assert json.loads(run_cli(capsys, "retrieve", "--in", str(path))[1]) == list(range(12))
+    params, rng = make_params(6, 3, 4, 13), SplitMix64(5)
+    while True:  # another message, stored in as many bytes
+        symbols = random_symbols(params, rng)
+        second = write_storage(path, symbols)
+        if len(second) == len(first) and second != first:
+            break
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert (path.stat().st_size, path.stat().st_mtime_ns) == (stat.st_size, stat.st_mtime_ns)
+    code, out, _ = run_cli(capsys, "retrieve", "--in", str(path))
+    assert code == 0 and json.loads(out) == symbols
+
+
+def test_storage_cache_keeps_no_error(tmp_path, capsys):
+    # good, malformed, good: a bad read is never cached and never spoils a good one
+    path = tmp_path / "storage.json"
+    good = write_storage(path, list(range(12)))
+    bad_dit = MALFORMED["dit-equals-p"](json.loads(good))
+    codes = []
+    for data in (good, good[:-9], good, json.dumps(bad_dit).encode(), good):
+        path.write_bytes(data)
+        for argv in STORAGE_READS:
+            codes.append(run_cli(capsys, *argv, "--in", str(path))[0])
+    assert codes == [0, 0, 2, 2, 0, 0, 2, 2, 0, 0]
+
+
+def test_cached_storage_is_read_only_and_bounded(tmp_path):
+    data = write_storage(tmp_path / "storage.json", list(range(12)))
+    params, storage = cli._read(str(tmp_path / "storage.json"), cli._stored)
+    assert cli._stored(data)[1] is storage
+    with pytest.raises(ValueError, match="read-only"):
+        storage[0, 0, 0, 0] = 1
+    for i in range(9):
+        path = tmp_path / f"storage{i}.json"
+        write_storage(path, [(x + i) % 13 for x in range(12)])
+        assert main(["retrieve", "--in", str(path), "--out", os.devnull]) == 0
+    assert cli._stored.cache_info().currsize <= 8
 
 
 @pytest.mark.parametrize("argv", [

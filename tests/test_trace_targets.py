@@ -5,6 +5,7 @@ A renamed or moved function would otherwise break only ``bench/run.py
 """
 
 import importlib.util
+import json
 import os
 from pathlib import Path
 
@@ -30,22 +31,51 @@ def test_every_trace_target_is_defined_on_its_owner():
     assert missing == []
 
 
-def traced_repair(*mode):
-    """(exit code, tracer) of one traced CLI repair at (6,2,3,13)."""
+def traced(command, *argv):
+    """(exit code, tracer) of one traced CLI call."""
     from qregen.cli import main
 
     spans = load_spans()
     tracer = spans.Tracer()
     tracer.install()
     try:
-        code = tracer.call_op("repair", main, [
-            "repair", "--n", "6", "--k", "2", "--d", "3", "--prime", "13",
-            "--seed", "3", "--failed", "4", "--helpers", "1,2,6", "--out", os.devnull,
-            *mode,
-        ])
+        code = tracer.call_op(command, main, [command, *argv, "--out", os.devnull])
     finally:
         tracer.uninstall()
     return code, tracer
+
+
+def traced_repair(*mode):
+    """(exit code, tracer) of one traced CLI repair at (6,2,3,13)."""
+    return traced("repair", "--n", "6", "--k", "2", "--d", "3", "--prime", "13",
+                  "--seed", "3", "--failed", "4", "--helpers", "1,2,6", *mode)
+
+
+def test_retrieve_parses_a_stored_file_once(tmp_path):
+    # a second read of the same bytes skips json.load and make_params; a
+    # rewritten file is parsed again
+    from qregen.cli import main
+
+    msg, storage = tmp_path / "msg.json", tmp_path / "storage.json"
+
+    def encode(symbols):
+        msg.write_text(json.dumps(symbols))
+        assert main(["encode", "--n", "6", "--k", "3", "--d", "4", "--prime", "13",
+                     "--in", str(msg), "--out", str(storage)]) == 0
+
+    def parses():
+        """(json_load, make_params) span counts of one traced retrieve."""
+        code, tracer = traced("retrieve", "--in", str(storage))
+        assert code == 0
+        seen = tracer.self_times()
+        return [seen.get(("retrieve", name), (0,))[0]
+                for name in ("cli.json_load", "pmcode.make_params")]
+
+    clear_caches()
+    encode(list(range(12)))
+    first, second = parses(), parses()
+    encode(list(range(1, 13)))
+    assert (first, second, parses()) == ([1, 1], [0, 0], [1, 1])
 
 
 def test_cli_repair_trace_counts_one_file_repair():
