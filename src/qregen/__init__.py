@@ -36,10 +36,8 @@ from .stabilizer import (
 )
 from .tradeoff import (
     TradeoffPoint,
-    classical_feasible,
     classical_msr_bandwidth,
     optimal_point,
-    quantum_feasible,
     tradeoff_table,
 )
 
@@ -57,7 +55,6 @@ __all__ = [
     "bandwidth_report",
     "build_repair_css",
     "check_dual_containment",
-    "classical_feasible",
     "classical_msr_bandwidth",
     "encode_file",
     "grs_dual_weights",
@@ -67,7 +64,6 @@ __all__ = [
     "pack_file",
     "plan_subfiles",
     "prepare_codespace",
-    "quantum_feasible",
     "retrieve",
     "retrieve_file",
     "run_repair",

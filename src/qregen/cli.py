@@ -163,13 +163,11 @@ def _transcript_text(t: repair.RepairTranscript) -> str:
     """The repair transcript; with one sub-file its four per-sub-file fields
     hold that sub-file's entry itself, not a one-entry list."""
     copies, _, a0 = t.regenerated.shape
-    # object: a list of ints on both sides of 2^63 becomes float64, not exact
-    lams = np.array([(c.lam1, c.lam2, c.u, c.u_prime) for c in t.css], dtype=object)
-    css = np.concatenate([[c.hx for c in t.css], [c.hz for c in t.css], lams], axis=1)
-    sent = np.concatenate([[[c.helpers] for c in t.css], t.payloads], axis=1)
+    sent = np.concatenate([t.css.helpers[:, None], t.payloads], axis=1)
     rows = t.regenerated.reshape(copies, -1)
     values = np.concatenate([  # sent as (helperId, yX, yZ) per qudit
-        [t.failed_node, *t.helpers], css.ravel(), sent.swapaxes(1, 2).ravel(), rows.ravel(),
+        [t.failed_node, *t.helpers], t.css.block.ravel(), sent.swapaxes(1, 2).ravel(),
+        rows.ravel(),
         np.insert(rows, 0, t.failed_node, axis=1).ravel(), [t.qudit_total]])
     layout = _transcript_layout(t.mode, len(t.helpers), a0, copies)
     return _json_text(values.tolist(), layout, copies)

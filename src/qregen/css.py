@@ -22,36 +22,36 @@ HZ_u = HZ_1 diag(1/u), and HX_u HZ_u^T = HX_1 HZ_1^T for every u. The
 u-free basis of a (params, failed, helpers) key is [I | lam_f I] Vt^(-1),
 from the closed-form ``vandermonde_inv``, scaled to HX_1 and HZ_1, plus w
 (the last row of Vt^(-1): column j holds the Lagrange polynomial of point
-j, whose leading coefficient is w_j) and every 1 / (lam_h - lam_f). It is
-kept as one read-only block of rows HX_1, HZ_1, lam1, lam2 and u' at u = 1,
-whose columns a u scales by u_j or 1 / u_j in one product.
+j, whose leading coefficient is w_j) and every 1 / (lam_h - lam_f).
 
-``cache_bases`` makes every basis, for a stack of helper sets of one failed
-node at once: ``run_repair`` hands it all T sub-files' helper sets, and
-``build_repair_css`` its one, so a cache miss there is a stack of one. It
-makes two field inversions however many bases are cold: every weight of
-the stack inside ``vandermonde_inv``, which also returns the 1 / w_j it
+A code is one block: a read-only (2 a0 + 4, m) object array whose rows are
+HX, HZ, lam1, lam2, u and u', the transcript's own order, with a u row of
+ones at u = 1. ``RepairCSS`` holds one block, or a stack of them along
+leading axes, and its fields are views of it. ``scale`` turns the u-free
+blocks into the blocks of a u, one or a whole stack, in one product after
+one batched inversion of u, whose entries ``check_u`` checks first.
+
+``cache_bases`` makes every u-free block, for a stack of helper sets of one
+failed node at once: ``run_repair`` hands it all T sub-files' helper sets,
+and ``build_repair_css`` its one, so a cache miss there is a stack of one.
+It makes two field inversions however many blocks are cold: every weight
+of the stack inside ``vandermonde_inv``, which also returns the 1 / w_j it
 inverted, then every lam_h - lam_f. One stacked ``StabGroup`` checks
 HX_1 HZ_1^T = 0 for all of them before any enters the cache, a
-per-process LRU of 16 T entries, the bases of the last 16 file repairs of
-T sub-files. ``build_repair_css`` checks nothing itself. With u None it
-returns the cached read-only HX_1 and HZ_1 and does no arithmetic; a u
-scales the block, and inverts u once for a run of builds with that u.
-``RepairCSS.group`` builds the checked ``StabGroup`` when first asked
-for; ``run_repair`` checks all its codes in one stacked product instead.
+per-process LRU of 16 T blocks, those of the last 16 file repairs of T
+sub-files. ``build_repair_css`` checks nothing itself: with u None it
+returns the cached block and does no arithmetic, and a u scales it.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
 from collections.abc import Sequence
 
 import numpy as np
 
 from .errors import InvalidHelperSet, ZeroU
-from .gf import GF
 from .matrix import grs_dual_weights, vandermonde_inv  # re-exports the weights
 from .pmcode import SystemParams
 from .stabilizer import StabGroup, check_dual_containment  # re-exports the check
@@ -59,23 +59,25 @@ from .stabilizer import StabGroup, check_dual_containment  # re-exports the chec
 
 @dataclass(frozen=True, eq=False)
 class RepairCSS:
-    """The repair-time code for one (failed node, helper set) choice: HX and
-    HZ as object arrays of ints in [0, p). Equality is identity."""
+    """The repair-time code for one (failed node, helper set) choice, or a
+    stack of such codes along leading axes. ``block`` is the read-only
+    (..., 2 a0 + 4, m) object array of ints in [0, p) whose rows are HX,
+    HZ, lam1, lam2, u and u', and the fields of those names are views of
+    it. ``helpers`` is one sorted tuple, or for a stack the (..., m) int
+    array of each code's. Equality is identity."""
 
     failed_node: int
-    helpers: tuple[int, ...]
-    hx: np.ndarray
-    hz: np.ndarray
+    helpers: tuple[int, ...] | np.ndarray
+    block: np.ndarray
     p: int
-    lam1: tuple[int, ...]
-    lam2: tuple[int, ...]
-    u: tuple[int, ...]
-    u_prime: tuple[int, ...]
 
-    @cached_property
-    def group(self) -> StabGroup:
-        """The stabilizer group of HX and HZ, checked when first asked for."""
-        return StabGroup(x_type=self.hx, z_type=self.hz, p=self.p)
+    # a0 = rows // 2 - 2 rows each of HX and HZ, then the four vectors
+    hx = property(lambda self: self.block[..., : self.block.shape[-2] // 2 - 2, :])
+    hz = property(lambda self: self.block[..., self.block.shape[-2] // 2 - 2 : -4, :])
+    lam1 = property(lambda self: self.block[..., -4, :])
+    lam2 = property(lambda self: self.block[..., -3, :])
+    u = property(lambda self: self.block[..., -2, :])
+    u_prime = property(lambda self: self.block[..., -1, :])
 
 
 def check_helpers(
@@ -94,18 +96,28 @@ def check_helpers(
     return hs
 
 
-_BASES: OrderedDict[tuple, tuple] = OrderedDict()  # least recently used first
+def check_u(params: SystemParams, u: Sequence[int]) -> tuple[int, ...]:
+    """``u`` reduced mod p, once it is known to hold 2k-2 entries, none of
+    them 0 mod p."""
+    m = 2 * params.alpha0
+    if len(u) != m:
+        raise ZeroU(f"u must have length {m}")
+    u = tuple(x % params.p for x in u)
+    if 0 in u:
+        raise ZeroU("u entries must be nonzero")
+    return u
+
+
+_BASES: OrderedDict[tuple, np.ndarray] = OrderedDict()  # least recently used first
 
 
 def cache_bases(
     params: SystemParams, failed: int, helper_sets: Sequence[tuple[int, ...]]
 ) -> None:
     """Make every sorted, checked helper tuple of ``failed`` one of the most
-    recent cache entries, building the u-free bases the cache lacks in one
-    batch. A basis is one read-only (2 a0 + 3, m) block whose rows are HX,
-    HZ, lam1, lam2 and u' at u = 1, with HX and HZ as views of it and the
-    last three rows as tuples. One stacked ``StabGroup`` checks the new
-    bases before any is cached."""
+    recent cache entries, building the u-free blocks the cache lacks in one
+    batch. One stacked ``StabGroup`` checks the new blocks before any is
+    cached."""
     missing = []
     for hs in helper_sets:
         try:
@@ -119,7 +131,7 @@ def cache_bases(
     v_inv, w_recip = vandermonde_inv(
         field, [[params.eval_points[s - 1] for s in hs] for hs in missing]
     )
-    rows = (len(missing), 1, 2 * a0)  # one row of m per basis
+    rows = (len(missing), 1, 2 * a0)  # one row of m per block
     denom = [(params.lam[s - 1] - lam_f) % p for hs in missing for s in hs]
     denom_inv = np.array(field.inv_all(denom), dtype=object).reshape(rows)
     sel_v_inv = v_inv[:, :a0] + lam_f * v_inv[:, a0:]  # [I | lam_f I] Vt^(-1)
@@ -127,22 +139,24 @@ def cache_bases(
     hx = hz * np.array(w_recip, dtype=object).reshape(rows) % p  # times 1 / lam2
     StabGroup(x_type=hx, z_type=hz, p=p)  # raises DualContainmentViolated
     w = v_inv[:, -1:]  # leading Lagrange coefficients = dual GRS weights
-    blocks = np.concatenate([hx, hz, denom_inv, w * denom_inv % p, w], 1)
-    for hs, block, lams in zip(missing, blocks, blocks[:, -3:].tolist()):
+    ones = np.ones(rows, dtype=object)
+    blocks = np.concatenate([hx, hz, denom_inv, w * denom_inv % p, ones, w], 1)
+    for hs, block in zip(missing, blocks):
         block.flags.writeable = False
-        _BASES[params, failed, hs] = (block, block[:a0], block[a0:-3], *map(tuple, lams))
+        _BASES[params, failed, hs] = block
     while len(_BASES) > 16 * params.subfiles:
         _BASES.popitem(last=False)
 
 
-@lru_cache(maxsize=1)  # a file repair scales every sub-file by one u
-def _scalings(field: GF, u: tuple[int, ...], a0: int) -> np.ndarray:
-    """The factors of a basis block's rows, column j scaled by u_j in HX and
-    lam1 and by 1 / u_j in HZ, lam2 and u', from one batched inversion."""
-    u_inv = field.inv_all(u)
-    factors = np.array([u] * a0 + [u_inv] * a0 + [u, u_inv, u_inv], dtype=object)
-    factors.flags.writeable = False  # every build with this u shares it
-    return factors
+def scale(params: SystemParams, blocks: np.ndarray, u: tuple[int, ...]) -> np.ndarray:
+    """The u-free block, or stack of blocks, at the checked ``u``: column j
+    scaled by u_j in HX, lam1 and u and by 1 / u_j in HZ, lam2 and u', from
+    one batched inversion. Read-only, like the cache's."""
+    a0, u_inv = params.alpha0, params.field.inv_all(u)
+    factors = np.array([u] * a0 + [u_inv] * a0 + [u, u_inv] * 2, dtype=object)
+    scaled = blocks * factors % params.p
+    scaled.flags.writeable = False
+    return scaled
 
 
 def build_repair_css(
@@ -152,21 +166,9 @@ def build_repair_css(
     u: Sequence[int] | None = None,
 ) -> RepairCSS:
     """Construct the repair-time code; helpers must number exactly 2k-2.
-    With ``u`` None, HX and HZ are the cached read-only arrays."""
-    p, a0 = params.p, params.alpha0
-    m = 2 * a0
-    hs = check_helpers(params, failed, helpers, m)
-    if u is not None:
-        if len(u) != m:
-            raise ZeroU(f"u must have length {m}")
-        u_vec = tuple(x % p for x in u)
-        if 0 in u_vec:
-            raise ZeroU("u entries must be nonzero")
-
+    With ``u`` None, the block is the cached one."""
+    hs = check_helpers(params, failed, helpers, 2 * params.alpha0)
+    u = None if u is None else check_u(params, u)
     cache_bases(params, failed, [hs])  # the most recent entry now
-    block, hx, hz, lam1, lam2, w = _BASES[params, failed, hs]
-    if u is None:
-        return RepairCSS(failed, hs, hx, hz, p, lam1, lam2, (1,) * m, w)
-    scaled = block * _scalings(params.field, u_vec, a0) % p
-    lam1, lam2, u_prime = map(tuple, scaled[-3:].tolist())
-    return RepairCSS(failed, hs, scaled[:a0], scaled[a0:-3], p, lam1, lam2, u_vec, u_prime)
+    block = _BASES[params, failed, hs]
+    return RepairCSS(failed, hs, block if u is None else scale(params, block, u), params.p)

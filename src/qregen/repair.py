@@ -14,12 +14,13 @@ one qudit, so one sub-file costs 2k-2 qudits.
 and d helpers. The file is T = C(d, 2k-2) sub-files (one when d = 2k-2),
 each repairing through a distinct (2k-2)-subset of the helpers: row t of
 ``plan_subfiles``, in colex order, computed once per (d, 2k-2). Stage 1
-builds the bases the CSS cache lacks for those T subsets in one batch
-(``cache_bases``), then makes one cheap ``build_repair_css`` call per
-sub-file, and checks HX HZ^T = 0 for all T codes in one stacked product.
+checks u, builds the u-free blocks the CSS cache lacks for those T subsets
+in one batch (``cache_bases``), reads each with one ``build_repair_css``
+call per sub-file, stacks them into one ``RepairCSS``, scales that stack
+by u once, and checks HX HZ^T = 0 for all T codes in one stacked product.
 Stage 2 is one product for the file, as every helper applies the same
 vbar_f (``helper_encode`` reads the helpers' rows and only theirs), and
-every payload is the stacked (T, 2, 2k-2) lam1 and lam2 times those dots
+every payload is the stack's (T, 2, 2k-2) lam1 and lam2 times those dots
 gathered through the subsets. Stage 3 measures every sub-file in one
 batched syndrome of the checked stack into one (T, 2, a0) array, in every
 mode: the state-vector backend prepares all T codespaces as one stack. A
@@ -38,7 +39,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .css import RepairCSS, build_repair_css, cache_bases, check_helpers
+from .css import RepairCSS, build_repair_css, cache_bases, check_helpers, check_u, scale
 from .errors import ModeUnavailable, RegenerationMismatch
 from .matrix import exact_dtype, matmul_mod
 from .pmcode import SystemParams, check_storage
@@ -55,9 +56,9 @@ MODES = ("linear", "symplectic", "statevector")
 
 @dataclass(frozen=True, eq=False)
 class RepairTranscript:
-    """Full record of one repair, in sub-file order: ``css`` holds each
-    sub-file's code, ``payloads`` is the (T, 2, 2k-2) array whose entry
-    [t, :, j] is the qudit (y_x, y_z) sent by ``css[t].helpers[j]``, and
+    """Full record of one repair, in sub-file order: ``css`` is the stack
+    of the T sub-files' codes, ``payloads`` is the (T, 2, 2k-2) array whose
+    entry [t, :, j] is the qudit (y_x, y_z) sent by ``css.helpers[t, j]``, and
     ``regenerated`` the (T, 2, a0) array of the failed node's rows
     (row_m, row_mp), each sub-file's syndrome (s_x, s_z). Equality is
     identity, as for the arrays' own ``==`` no single truth value exists."""
@@ -65,7 +66,7 @@ class RepairTranscript:
     failed_node: int
     helpers: tuple[int, ...]
     mode: str
-    css: tuple[RepairCSS, ...]
+    css: RepairCSS
     payloads: np.ndarray
     regenerated: np.ndarray
 
@@ -128,19 +129,22 @@ def run_repair(
     hs = check_helpers(params, failed, helpers, params.d)
     backend = _syndrome_backend(mode)
     check_storage(params, storage)
+    u = None if u is None else check_u(params, u)  # before any block is built
     p = params.p
     subsets = plan_subfiles(params)
-    helper_sets = [tuple(s) for s in np.array(hs)[subsets].tolist()]
-    cache_bases(params, failed, helper_sets)
-    codes = tuple(build_repair_css(params, failed, h, u) for h in helper_sets)
-    # every sub-file's code in one stack, in the dtype of the products with
-    # inner dimension 2k-2, checked by one HX HZ^T product
+    helper_sets = np.array(hs)[subsets]  # (T, 2k-2): row t is sub-file t's
+    keys = [tuple(s) for s in helper_sets.tolist()]
+    cache_bases(params, failed, keys)
+    blocks = np.array([build_repair_css(params, failed, h).block for h in keys])
+    blocks.flags.writeable = False  # as every block is
+    css = RepairCSS(failed, helper_sets, blocks if u is None else scale(params, blocks, u), p)
+    # the stack in the dtype of the products with inner dimension 2k-2,
+    # checked by one HX HZ^T product
     kind = exact_dtype(2 * params.alpha0, p)
-    group = StabGroup(x_type=np.array([c.hx for c in codes], dtype=kind),
-                      z_type=np.array([c.hz for c in codes], dtype=kind), p=p)
-    lam = np.array([(c.lam1, c.lam2) for c in codes], dtype=object)  # (T, 2, 2k-2)
+    group = StabGroup(x_type=css.hx.astype(kind), z_type=css.hz.astype(kind), p=p)
     dots = helper_encode(params, storage, failed, hs)  # (T, d, 2)
-    payloads = lam * dots[np.arange(len(codes))[:, None], subsets].swapaxes(1, 2) % p
+    lam = np.stack([css.lam1, css.lam2], axis=1)  # (T, 2, 2k-2)
+    payloads = lam * dots[np.arange(len(keys))[:, None], subsets].swapaxes(1, 2) % p
     # measured block order is (sZ, sX); the final swap puts row_m first
     regenerated = np.stack(backend(group, payloads[:, 0], payloads[:, 1]), axis=1)
     stored = storage[:, failed - 1]  # read only to check the result
@@ -151,7 +155,7 @@ def run_repair(
             f"sub-file {t}: node {failed} repaired to {regenerated[t].tolist()}, "
             f"stored {stored[t].tolist()}"
         )
-    return RepairTranscript(failed, hs, mode, codes, payloads, regenerated)
+    return RepairTranscript(failed, hs, mode, css, payloads, regenerated)
 
 
 def bandwidth_report(params: SystemParams, transcript: RepairTranscript) -> dict:

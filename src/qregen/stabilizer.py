@@ -215,14 +215,10 @@ def _roots(p: int) -> np.ndarray:
 def _measure_exponent(support: np.ndarray, amps: np.ndarray, p: int, a, b):
     """Exponent s with X(a)Z(b)|state> = w^s |state>, plus the residual.
 
-    The state (support, amps) is one state, (M, N) and (M,), read with one
-    generator (a, b) of two vectors of N; or a stack of T states, (T, M, N)
-    and (T, M), each read with G generators, two (T, G, N) arrays, which
-    gives (T, G) exponents and residuals.
+    The states (support, amps) are a stack of T states, (T, M, N) and
+    (T, M), each read with G generators, two (T, G, N) arrays, which gives
+    (T, G) exponents and residuals.
     """
-    if support.ndim == 2:
-        s, res = _measure_exponent(support[None], amps[None], p, [[a]], [[b]])
-        return s[0, 0], res[0, 0]
     a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
     # entry j0 = support[0] of X(a)Z(b)|state> is w^(b.j) state[j], j = j0 - a
     j = (support[:, :1] - a) % p

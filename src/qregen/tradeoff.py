@@ -66,16 +66,6 @@ def quantum_sum(k: int, d: int, alpha: Num, beta_q: Num) -> Num:
     return classical_sum(k, d, min(d * beta_q, alpha), 2 * beta_q)
 
 
-def classical_feasible(k: int, d: int, alpha: Num, beta_c: Num, b: Num) -> bool:
-    check_regime(k, d, alpha, beta_c, b)
-    return classical_sum(k, d, alpha, beta_c) >= b
-
-
-def quantum_feasible(k: int, d: int, alpha: Num, beta_q: Num, b: Num) -> bool:
-    check_regime(k, d, alpha, beta_q, b)
-    return quantum_sum(k, d, alpha, beta_q) >= b
-
-
 def optimal_point(k: int, d: int, b: int) -> TradeoffPoint:
     """The simultaneous minimum (alpha, d beta_q) = (B/k, B/k), d >= 2k-2."""
     if d < 2 * k - 2:

@@ -6,8 +6,7 @@ import qregen.pmcode
 
 
 def clear_caches():
-    """Forget every cached CSS basis, u scaling, decode plan and parsed storage file."""
+    """Forget every cached CSS basis, decode plan and parsed storage file."""
     qregen.cli._stored.cache_clear()
     qregen.css._BASES.clear()
-    qregen.css._scalings.cache_clear()
     qregen.pmcode._compiled_plan.cache_clear()

@@ -19,13 +19,14 @@ def storage_doc(params, storage) -> dict:
 
 
 def css_doc(code) -> dict:
+    """A code's six fields as lists; for a stack, each a list over its codes."""
     return {
         "HX": code.hx.tolist(),
         "HZ": code.hz.tolist(),
-        "Lam1": list(code.lam1),
-        "Lam2": list(code.lam2),
-        "u": list(code.u),
-        "uPrime": list(code.u_prime),
+        "Lam1": code.lam1.tolist(),
+        "Lam2": code.lam2.tolist(),
+        "u": code.u.tolist(),
+        "uPrime": code.u_prime.tolist(),
     }
 
 
@@ -33,19 +34,20 @@ def transcript_doc(t) -> dict:
     """The transcript; with one sub-file its four per-sub-file fields hold
     that sub-file's entry itself, not a one-entry list."""
     rows = t.regenerated.tolist()
+    stack = css_doc(t.css)
     parts = {
-        "css": [css_doc(c) for c in t.css],
+        "css": [dict(zip(stack, fields)) for fields in zip(*stack.values())],
         "payloads": [
             [{"helperId": h, "yX": y_x, "yZ": y_z, "quditsSent": 1}
-             for h, y_x, y_z in zip(c.helpers, *sent)]
-            for c, sent in zip(t.css, t.payloads.tolist())
+             for h, y_x, y_z in zip(helpers, *sent)]
+            for helpers, sent in zip(t.css.helpers.tolist(), t.payloads.tolist())
         ],
         "syndrome": [{"sX": m, "sZ": mp} for m, mp in rows],
         "regenerated": [
             {"nodeId": t.failed_node, "rowM": m, "rowMp": mp} for m, mp in rows
         ],
     }
-    if len(t.css) == 1:
+    if len(rows) == 1:
         parts = {key: value[0] for key, value in parts.items()}
     return {
         "failedNode": t.failed_node,

@@ -6,6 +6,7 @@ state-vector eigenvalue readout, which must sit within 1e-6 of an exact
 root of unity.
 """
 
+import json
 import time
 from collections import Counter
 from contextlib import contextmanager
@@ -13,6 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
+from qregen.cli import main
 from qregen.css import build_repair_css, check_dual_containment
 from qregen.pmcode import encode_file, make_params, random_symbols, retrieve_file
 from qregen.reference import GOLDEN, replay
@@ -204,9 +206,9 @@ def test_criterion_6_extension():
                 assert t.qudit_total == 6
                 for sub, regen in zip(storage, t.regenerated):
                     assert [list(r) for r in regen] == sub[failed - 1].tolist()
-                # payloads[t, :, j] is the qudit of t.css[t].helpers[j]
+                # payloads[t, :, j] is the qudit of t.css.helpers[t, j]
                 assert t.payloads.shape == (3, 2, 2)
-                per_helper = Counter(h for c in t.css for h in c.helpers)
+                per_helper = Counter(t.css.helpers.ravel().tolist())
                 assert per_helper == {h: 2 for h in helpers}
 
 
@@ -257,3 +259,14 @@ def test_criterion_8_post_repair_health():
                 if failed not in subset:
                     continue
                 assert list(retrieve_file(big, refreshed, subset)) == symbols
+
+
+def test_exhaustive_sweep_of_the_28_subfile_instance(capsys):
+    # every repair of (12,4,8,17), each with a fresh random u for its 28
+    # sub-files, and every retrieval, in one in-process pass
+    code = main(["sweep", "--n", "12", "--k", "4", "--d", "8", "--prime", "17", "--trials", "1"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    summary = json.loads(out)
+    assert summary["failures"] == 0
+    assert summary["quditTotal"] == {"min": 168, "max": 168, "expected": 168}

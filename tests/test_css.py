@@ -1,6 +1,5 @@
 """Repair-time CSS construction: goldens, dual containment, identities."""
 
-from dataclasses import replace
 from itertools import combinations, islice
 
 import numpy as np
@@ -25,7 +24,6 @@ from qregen.matrix import Mat, vandermonde
 from qregen.pmcode import encode_file, make_params, random_symbols
 from qregen.repair import run_repair
 from qregen.rng import SplitMix64
-from qregen.stabilizer import StabGroup
 
 from caches import clear_caches
 from documents import css_doc
@@ -72,16 +70,16 @@ def test_grs_weights_repeated_point():
 def test_build_reference_instance_goldens():
     params = make_params(6, 3, 4, 13)
     c = build_repair_css(params, 1, (2, 4, 5, 6))
-    assert c.lam1 == (9, 7, 6, 3)
-    assert c.lam2 == (11, 5, 11, 2)
-    assert c.hx.dtype == c.hz.dtype == object
+    assert c.lam1.tolist() == [9, 7, 6, 3]
+    assert c.lam2.tolist() == [11, 5, 11, 2]
+    assert c.block.dtype == object
     assert c.hx.tolist() == [[11, 10, 3, 9], [4, 2, 1, 0]]
     assert c.hz.tolist() == [[12, 9, 12, 6], [2, 7, 4, 0]]
-    assert c.u == (1, 1, 1, 1)
-    assert c.u_prime == (7, 10, 4, 5)
+    assert c.u.tolist() == [1, 1, 1, 1]
+    assert c.u_prime.tolist() == [7, 10, 4, 5]
     assert params.lam[c.failed_node - 1] == 1
     assert check_dual_containment(c.hx, c.hz, 13)
-    assert all(x != 0 for x in c.lam1 + c.lam2)
+    assert c.block[-4:-2].all()  # lam1 and lam2 have no zero entry
 
 
 def as_mat(field, array):
@@ -137,8 +135,8 @@ def count_field_inversions(monkeypatch):
 def test_build_field_inversions_cold_and_warm(monkeypatch):
     # a cold build inverts the m GRS weights in one batch inside
     # vandermonde_inv, which hands back their reciprocals, then every
-    # lam_h - lam_f in one batch; a u other than the last one costs one
-    # more batch. A warm build inverts only such a u
+    # lam_h - lam_f in one batch; a u costs one more batch. A warm build
+    # inverts only its u
     params = make_params(64, 20, 38, 67)
     rng = SplitMix64(5)
     calls = count_field_inversions(monkeypatch)
@@ -150,9 +148,25 @@ def test_build_field_inversions_cold_and_warm(monkeypatch):
             calls.clear()
             build_repair_css(params, 1, range(2, 40), u_or_none)
             assert len(calls) == (warm_count if warm else cold_count)
-    calls.clear()
-    build_repair_css(params, 1, range(3, 41), u)  # a cold build with the last u
-    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("n,k,d,p", [(6, 3, 4, 13), (6, 2, 3, 13), (12, 4, 8, 17)])
+def test_file_repair_with_u_makes_one_more_field_inversion(monkeypatch, n, k, d, p):
+    # one u scales the whole stack of T codes after one batched inversion,
+    # cold or warm, whatever T is
+    params = make_params(n, k, d, p)
+    storage = encode_file(params, random_symbols(params, SplitMix64(p)))
+    helpers, u = tuple(range(2, d + 2)), [3] * (2 * k - 2)
+    calls = count_field_inversions(monkeypatch)
+    for cold in (True, False):
+        counts = []
+        for u_or_none in (None, u):
+            if cold:
+                clear_caches()
+            calls.clear()
+            run_repair(params, storage, 1, helpers, u_or_none)
+            counts.append(len(calls))
+        assert counts == ([2, 3] if cold else [0, 1])
 
 
 @pytest.mark.parametrize("n,k,d,p", [
@@ -213,7 +227,7 @@ def test_u_scaling_leaves_identities_intact():
         scaled = build_repair_css(
             params, 3, (1, 2, 4, 5, 6, 7), [scale * x % 17 for x in base.u]
         )
-        assert scaled.lam1 != base.lam1
+        assert scaled.lam1.tolist() != base.lam1.tolist()
         assert check_dual_containment(scaled.hx, scaled.hz, 17)
         pts = [params.eval_points[s - 1] for s in scaled.helpers]
         vt = vandermonde(field, pts, 6)
@@ -273,33 +287,40 @@ def test_corrupted_construction_fails_closed(monkeypatch):
     assert list(qregen.css._BASES) == [(params, 1, (2, 4, 5, 6))]
 
 
-def test_repair_css_holds_its_checked_group():
-    c = build_repair_css(make_params(6, 3, 4, 13), 1, (2, 4, 5, 6))
-    assert "group" not in vars(c)  # a build makes no group
-    group = c.group
-    assert isinstance(group, StabGroup) and c.group is group
-    assert c.hx is group.x_type and c.hz is group.z_type
-    assert group.p == c.p == 13
-    hz = c.hz.copy()
-    hz[0, 0] = (hz[0, 0] + 1) % 13
-    with pytest.raises(DualContainmentViolated):
-        replace(c, hz=hz).group
+def test_repair_css_fields_are_views_of_its_block():
+    # rows HX, HZ, lam1, lam2, u, u' of one code, or of a stack of codes
+    params = make_params(12, 4, 8, 17)
+    storage = encode_file(params, random_symbols(params, SplitMix64(9)))
+    one = build_repair_css(params, 1, (2, 3, 4, 5, 6, 7), [5] * 6)
+    stack, u_free = (run_repair(params, storage, 1, range(2, 10), u).css for u in ([5] * 6, None))
+    assert (u_free.u == 1).all()
+    for c, lead in ((one, ()), (stack, (28,)), (u_free, (28,))):
+        assert c.block.shape == lead + (10, 6) and c.p == 17
+        assert not c.block.flags.writeable
+        fields = (c.hx, c.hz, c.lam1, c.lam2, c.u, c.u_prime)
+        assert [f.shape for f in fields] == [lead + (3, 6)] * 2 + [lead + (6,)] * 4
+        assert all(np.shares_memory(f, c.block) for f in fields)
+        rows = np.concatenate([c.hx, c.hz, np.stack(fields[2:], -2)], -2)
+        assert rows.tolist() == c.block.tolist()
+    assert (one.u == 5).all() and (stack.u == 5).all()
+    assert stack.helpers.shape == (28, 6)
+    assert one.helpers == (2, 3, 4, 5, 6, 7) == tuple(stack.helpers[0].tolist())
 
 
 def test_u_free_builds_share_the_cached_read_only_arrays():
     params = make_params(12, 4, 8, 17)
     helpers = (2, 3, 4, 5, 6, 7)
     c = build_repair_css(params, 1, helpers)
-    block, hx, hz, *_ = qregen.css._BASES[params, 1, helpers]
-    assert c.hx is hx and c.hz is hz
-    assert np.shares_memory(hx, block) and np.shares_memory(hz, block)
-    assert build_repair_css(params, 1, helpers).hx is hx
+    block = qregen.css._BASES[params, 1, helpers]
+    assert c.block is block and build_repair_css(params, 1, helpers).block is block
     for array in (block, c.hx, c.hz):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0, 0] = 0
     scaled = build_repair_css(params, 1, helpers, [2] * 6)
-    assert scaled.hx is not hx and not (scaled.hx == hx).all()
+    assert not np.shares_memory(scaled.block, block)
+    assert not (scaled.hx == c.hx).all()
+    assert not scaled.block.flags.writeable
 
 
 def file_setup():
@@ -327,6 +348,28 @@ def test_file_repair_field_inversions_cold_and_warm(monkeypatch):
         assert calls == []
 
 
+@pytest.mark.parametrize("n,k,d,p", [
+    (6, 3, 4, 13), (12, 4, 8, 17), (64, 20, 38, 67), (8, 3, 5, 2**61 - 1),
+])
+def test_file_repair_stacks_the_single_builds(n, k, d, p):
+    # the file's one scaled stack is the T blocks that T single builds with
+    # the same u make, sub-file t through its colex subset of the helpers
+    params = make_params(n, k, d, p)
+    rng = SplitMix64(k + p)
+    storage = encode_file(params, random_symbols(params, rng))
+    helpers = tuple(range(2, d + 2))
+    for _ in range(2):
+        u = [rng.unit(p) for _ in range(2 * k - 2)]
+        css = run_repair(params, storage, 1, helpers, u).css
+        colex = sorted(combinations(helpers, 2 * k - 2), key=lambda s: s[::-1])
+        singles = [build_repair_css(params, 1, hs, u) for hs in colex]
+        assert css.helpers.tolist() == [list(hs) for hs in colex]
+        assert css.block.shape == (params.subfiles, 2 * k + 2, 2 * k - 2)
+        assert css.block.dtype == object
+        assert css.block.tolist() == np.stack([c.block for c in singles]).tolist()
+        assert (css.failed_node, css.p) == (1, p)
+
+
 def test_a_full_cache_keeps_the_bases_a_repair_finds(monkeypatch):
     # the bases a repair finds become the most recent before its cold ones
     # are added, so none is evicted before its build uses it
@@ -341,7 +384,8 @@ def test_a_full_cache_keeps_the_bases_a_repair_finds(monkeypatch):
     t = run_repair(params, storage, 1, helpers)
     assert len(calls) == 2
     assert len(qregen.css._BASES) == bound
-    assert list(qregen.css._BASES)[-28:] == [(params, 1, c.helpers) for c in t.css]
+    keys = [(params, 1, tuple(h)) for h in t.css.helpers.tolist()]
+    assert list(qregen.css._BASES)[-28:] == keys
 
 
 @pytest.mark.parametrize("mode", ["linear", "symplectic"])
@@ -351,7 +395,7 @@ def test_every_repair_rechecks_its_codes(mode):
     params, storage, helpers = file_setup()
     clear_caches()
     t = run_repair(params, storage, 1, helpers, mode=mode)
-    block = qregen.css._BASES[params, 1, t.css[5].helpers][0]  # HX in its first rows
+    block = qregen.css._BASES[params, 1, tuple(t.css.helpers[5].tolist())]  # HX first
     try:
         block.flags.writeable = True
         block[0, 0] = (block[0, 0] + 1) % 17

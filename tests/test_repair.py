@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+import qregen.css
 import qregen.stabilizer
 from qregen import cli
 from qregen.errors import (
@@ -13,6 +14,7 @@ from qregen.errors import (
     InvalidHelperSet,
     ModeUnavailable,
     RegenerationMismatch,
+    ZeroU,
 )
 from qregen.matrix import Mat
 from qregen.pmcode import (
@@ -121,10 +123,12 @@ def test_helper_encode_matches_one_helper_reference(n, k, d, p):
     # each payload is lam1 and lam2 times the dots of its own node's rows
     transcript = run_repair(params, storage, failed, helpers)
     assert transcript.payloads.shape == (params.subfiles, 2, 2 * k - 2)
-    for t, (css, sent) in enumerate(zip(transcript.css, transcript.payloads)):
-        for j, node in enumerate(css.helpers):
+    css = transcript.css
+    for t, sent in enumerate(transcript.payloads):
+        for j, node in enumerate(css.helpers[t].tolist()):
             own_m, own_mp = one_helper_dots(params, failed, storage[t, node - 1].tolist())
-            assert sent[:, j].tolist() == [css.lam1[j] * own_m % p, css.lam2[j] * own_mp % p]
+            lam1, lam2 = css.lam1[t, j], css.lam2[t, j]
+            assert sent[:, j].tolist() == [lam1 * own_m % p, lam2 * own_mp % p]
 
 
 def test_run_repair_exhaustive_reference_instance():
@@ -155,12 +159,12 @@ def test_run_repair_payload_locality():
     # every payload must be recomputable from that single node's storage
     params, _, storage = reference_setup(5)
     t = run_repair(params, storage, 5, (1, 2, 3, 6))
-    (css,), (payloads,) = t.css, t.payloads
-    assert css.helpers == (1, 2, 3, 6)
+    (payloads,), (lam1,), (lam2,) = t.payloads, t.css.lam1, t.css.lam2
+    assert t.css.helpers.tolist() == [[1, 2, 3, 6]]
     assert payloads.shape == (2, 4)
-    for j, node in enumerate(css.helpers):
+    for j, node in enumerate((1, 2, 3, 6)):
         own_m, own_mp = one_helper_dots(params, 5, storage[0, node - 1].tolist())
-        solo = [css.lam1[j] * own_m % 13, css.lam2[j] * own_mp % 13]
+        solo = [lam1[j] * own_m % 13, lam2[j] * own_mp % 13]
         assert payloads[:, j].tolist() == solo
 
 
@@ -179,6 +183,19 @@ def test_run_repair_validation():
         assert str(repaired.value) == str(retrieved.value)
     with pytest.raises(ModeUnavailable):
         run_repair(params, storage, 1, (2, 3, 4, 5), mode="nope")
+    # a bad u fails after the helper, mode and storage checks, and before
+    # any block is built or cached
+    for bad_u in ((1, 2, 3), (1, 0, 2, 3), (1, 2, 26, 3)):
+        clear_caches()
+        with pytest.raises(ZeroU):
+            run_repair(params, storage, 1, (2, 3, 4, 5), u=bad_u)
+        assert len(qregen.css._BASES) == 0
+        with pytest.raises(InvalidHelperSet):
+            run_repair(params, storage, 1, (1, 2, 3, 4), u=bad_u)
+        with pytest.raises(ModeUnavailable):
+            run_repair(params, storage, 1, (2, 3, 4, 5), u=bad_u, mode="nope")
+        with pytest.raises(BadShareSet):
+            run_repair(params, storage[..., :1], 1, (2, 3, 4, 5), u=bad_u)
     # checked first: node 0 would read node n's point, and node n + 1 none
     for failed in (0, 7, -1):
         with pytest.raises(InvalidHelperSet, match=f"^failed node {failed} out of range$"):
@@ -290,7 +307,7 @@ def test_run_repair_applies_u_to_every_subfile():
     ext = make_params(6, 2, 3, 13)
     storage = encode_file(ext, random_symbols(ext, SplitMix64(16)))
     t = run_repair(ext, storage, 2, (1, 3, 5), u=(3, 5))
-    assert [c.u for c in t.css] == [(3, 5)] * 3
+    assert t.css.u.tolist() == [[3, 5]] * 3
     assert t.regenerated.tolist() == storage[:, 1].tolist()
 
 
@@ -355,9 +372,9 @@ def test_transcripts_compare_by_identity():
     a, b = (run_repair(params, storage, 1, (2, 4, 5, 6)) for _ in range(2))
     assert transcript_doc(a) == transcript_doc(b)
     assert a == a and a != b
-    records = (a, b, a.css[0], b.css[0], a.css[0].group, b.css[0].group)
+    records = (a, b, a.css, b.css)
     assert len(set(records)) == len(records)
-    assert a.css[0] != b.css[0] and a.css[0].group != b.css[0].group
+    assert a.css != b.css
 
 
 def test_statevector_repairs_every_subfile_of_12_4_8_17():

@@ -9,15 +9,24 @@ from qregen.errors import BoundNotMet, Indivisible, InvalidRegime, RegimeViolati
 from qregen.tradeoff import (
     alpha_min_classical,
     alpha_min_quantum,
-    classical_feasible,
+    check_regime,
     classical_msr_bandwidth,
     classical_sum,
     optimal_point,
-    quantum_feasible,
     quantum_sum,
     table_csv,
     tradeoff_table,
 )
+
+
+def classical_feasible(k, d, alpha, beta_c, b) -> bool:
+    check_regime(k, d, alpha, beta_c, b)
+    return classical_sum(k, d, alpha, beta_c) >= b
+
+
+def quantum_feasible(k, d, alpha, beta_q, b) -> bool:
+    check_regime(k, d, alpha, beta_q, b)
+    return quantum_sum(k, d, alpha, beta_q) >= b
 
 
 def test_classical_feasible_golden():
