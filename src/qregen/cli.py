@@ -8,14 +8,16 @@ Documents are ``json.dumps(doc, indent=2)``'s text, from ``_json_text``. The
 storage file and the repair transcript fill, by one ``%`` of their arrays' ints,
 a layout ``_indented`` writes once per shape, one sub-file's part repeated.
 
-A storage file is read as bytes, and ``_stored``, an LRU of 8 keyed by those
+A storage file is read as bytes, and ``_STORED``, an LRU of 8 keyed by those
 exact bytes (not by path or mtime), keeps its validated params and storage
 array, the array read-only. Retrieves and repairs that read the same stored
 file again in one process skip ``json.load`` and validation; the decode, the
-repair and its checks still run in full. A malformed file raises before
-anything is cached, so it fails alike on every read. The bytes decode as
-``open(path, encoding="utf-8")`` reads them: universal newlines, a BOM
-refused. A one-shot process gains nothing and pays one hash of the bytes.
+repair and its checks still run in full. A file this process encoded is
+cached from its write: ``encode --out`` puts the params and storage it wrote
+under the bytes it wrote, so even its first read is a hit. A malformed file
+raises before anything is cached, so it fails alike on every read. The bytes
+decode as ``open(path, encoding="utf-8")`` reads them: universal newlines, a
+BOM refused. A one-shot process gains nothing and pays one hash of the bytes.
 """
 
 from __future__ import annotations
@@ -226,12 +228,23 @@ def _load_json(data: bytes):
     return json.loads(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
 
 
-@functools.lru_cache(maxsize=8)  # a collector and a newcomer read the same stored bytes
+_STORED: dict[bytes, tuple[SystemParams, np.ndarray]] = {}  # insertion order is recency
+
+
+def _cache_storage(data: bytes, params: SystemParams, storage: np.ndarray):
+    """Make ``(params, storage)``, the array read-only, the newest entry of
+    ``_STORED`` under ``data``; the oldest goes past 8 entries."""
+    storage.flags.writeable = False
+    _STORED.pop(data, None)
+    _STORED[data] = params, storage
+    if len(_STORED) > 8:  # a collector and a newcomer read the same stored bytes
+        del _STORED[next(iter(_STORED))]
+    return params, storage
+
+
 def _stored(data: bytes) -> tuple[SystemParams, np.ndarray]:
     """``_storage_from_json`` of a storage file's bytes, its array read-only."""
-    params, storage = _storage_from_json(_load_json(data))
-    storage.flags.writeable = False
-    return params, storage
+    return _cache_storage(data, *(_STORED.get(data) or _storage_from_json(_load_json(data))))
 
 
 def _read(path: str, parse):
@@ -266,8 +279,13 @@ def cmd_encode(args) -> int:
     symbols = _read(args.in_path, _load_json)
     if not _ints(symbols):
         raise errors.WrongLength("--in must be a JSON array of integers")
-    storage = encode_file(params, [x % params.p for x in symbols])
-    _write_out(_storage_text(params, storage), args.out)
+    p = params.p
+    # contiguous, as a parse of the file builds it; encode_file's is a view
+    storage = np.ascontiguousarray(encode_file(params, [x % p for x in symbols]))
+    text = _storage_text(params, storage)
+    _write_out(text, args.out)
+    if args.out is not None:  # written: the file's bytes, where "\n" is written as is
+        _cache_storage(text.encode("utf-8"), params, storage)
     return 0
 
 

@@ -7,6 +7,6 @@ import qregen.pmcode
 
 def clear_caches():
     """Forget every cached CSS basis, decode plan and parsed storage file."""
-    qregen.cli._stored.cache_clear()
+    qregen.cli._STORED.clear()
     qregen.css._BASES.clear()
     qregen.pmcode._compiled_plan.cache_clear()

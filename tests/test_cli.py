@@ -640,21 +640,28 @@ def write_storage(path, symbols, params=make_params(6, 3, 4, 13)):
     return data
 
 
-def test_storage_cache_is_keyed_by_content(tmp_path, capsys):
-    # the same path, size and mtime with other bytes is another file: a cache
-    # keyed by path or stat would hand back the first message
-    path = tmp_path / "storage.json"
-    first = write_storage(path, list(range(12)))
-    stat = path.stat()
-    assert json.loads(run_cli(capsys, "retrieve", "--in", str(path))[1]) == list(range(12))
+def rewrite_in_as_many_bytes(path):
+    """Store another message in ``path``, in as many bytes and at the same
+    mtime as the (6,3,4,13) storage file there; that message."""
+    first, stat = path.read_bytes(), path.stat()
     params, rng = make_params(6, 3, 4, 13), SplitMix64(5)
-    while True:  # another message, stored in as many bytes
+    while True:
         symbols = random_symbols(params, rng)
         second = write_storage(path, symbols)
         if len(second) == len(first) and second != first:
             break
     os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
     assert (path.stat().st_size, path.stat().st_mtime_ns) == (stat.st_size, stat.st_mtime_ns)
+    return symbols
+
+
+def test_storage_cache_is_keyed_by_content(tmp_path, capsys):
+    # the same path, size and mtime with other bytes is another file: a cache
+    # keyed by path or stat would hand back the first message
+    path = tmp_path / "storage.json"
+    write_storage(path, list(range(12)))
+    assert json.loads(run_cli(capsys, "retrieve", "--in", str(path))[1]) == list(range(12))
+    symbols = rewrite_in_as_many_bytes(path)
     code, out, _ = run_cli(capsys, "retrieve", "--in", str(path))
     assert code == 0 and json.loads(out) == symbols
 
@@ -675,14 +682,70 @@ def test_storage_cache_keeps_no_error(tmp_path, capsys):
 def test_cached_storage_is_read_only_and_bounded(tmp_path):
     data = write_storage(tmp_path / "storage.json", list(range(12)))
     params, storage = cli._read(str(tmp_path / "storage.json"), cli._stored)
-    assert cli._stored(data)[1] is storage
+    assert cli._stored(data)[1] is storage is cli._STORED[data][1]
     with pytest.raises(ValueError, match="read-only"):
         storage[0, 0, 0, 0] = 1
     for i in range(9):
         path = tmp_path / f"storage{i}.json"
         write_storage(path, [(x + i) % 13 for x in range(12)])
         assert main(["retrieve", "--in", str(path), "--out", os.devnull]) == 0
-    assert cli._stored.cache_info().currsize <= 8
+    assert len(cli._STORED) <= 8 and data not in cli._STORED
+    # least recently used goes first: the oldest entry, read again, outlives the next
+    oldest = next(iter(cli._STORED))
+    cli._stored(oldest)
+    write_storage(path, list(range(12))[::-1])  # none of the messages above
+    assert main(["retrieve", "--in", str(path), "--out", os.devnull]) == 0
+    assert len(cli._STORED) <= 8 and oldest in cli._STORED
+
+
+SEEDED = [(6, 3, 4, 13), (12, 4, 8, 17), (64, 20, 38, 67), (6, 3, 4, 2**61 - 1),
+          (6, 3, 4, 2**64 - 59)]
+
+
+@pytest.mark.parametrize("n, k, d, p", SEEDED)
+def test_encode_seeds_the_parse_of_its_file(tmp_path, n, k, d, p):
+    # the entry encode --out puts in the cache is what a parse of the file's
+    # bytes on disk gives: equal params, a read-only C-ordered array of Python ints
+    params = make_params(n, k, d, p)
+    msg, path = tmp_path / "msg.json", tmp_path / "storage.json"
+    msg.write_text(json.dumps(random_symbols(params, SplitMix64(3))))
+    cli._STORED.clear()
+    argv = ["--n", str(n), "--k", str(k), "--d", str(d), "--prime", str(p)]
+    assert main(["encode", *argv, "--in", str(msg), "--out", str(path)]) == 0
+    data = path.read_bytes()
+    assert list(cli._STORED) == [data]
+    seeded_params, seeded = cli._STORED[data]
+    parsed_params, parsed = cli._storage_from_json(cli._load_json(data))
+    assert seeded_params == parsed_params == params
+    assert hash(seeded_params) == hash(parsed_params)
+    assert seeded.dtype == parsed.dtype == object
+    assert seeded.shape == parsed.shape == params.storage_shape
+    assert seeded.flags.c_contiguous and not seeded.flags.writeable
+    assert {type(x) for x in seeded.flat} == {int}
+    assert seeded.tolist() == parsed.tolist()
+
+
+def test_encode_seeds_only_a_written_file(tmp_path, capsys):
+    msg = tmp_path / "msg.json"
+    msg.write_text(json.dumps(list(range(12))))
+    cli._STORED.clear()
+    code, out, _ = run_cli(capsys, "encode", *P634, "--in", str(msg))
+    assert code == 0 and out.startswith("{")
+    unwritable = tmp_path / "missing" / "storage.json"
+    argv = ["encode", *P634, "--in", str(msg), "--out", str(unwritable)]
+    assert one_line_usage_error(*run_cli(capsys, *argv))
+    assert cli._STORED == {}
+
+
+def test_seeded_file_rewritten_is_parsed_again(tmp_path, capsys):
+    # another writer's bytes of the same length and mtime miss the entry
+    # encode seeded: the entry's message would come back
+    msg, path = tmp_path / "msg.json", tmp_path / "storage.json"
+    msg.write_text(json.dumps(list(range(12))))
+    assert main(["encode", *P634, "--in", str(msg), "--out", str(path)]) == 0
+    symbols = rewrite_in_as_many_bytes(path)
+    code, out, _ = run_cli(capsys, "retrieve", "--in", str(path))
+    assert code == 0 and json.loads(out) == symbols
 
 
 @pytest.mark.parametrize("argv", [

@@ -52,9 +52,10 @@ def traced_repair(*mode):
 
 
 def test_retrieve_parses_a_stored_file_once(tmp_path):
-    # a second read of the same bytes skips json.load and make_params; a
-    # rewritten file is parsed again
-    from qregen.cli import main
+    # a file this process encoded is never parsed: encode cached it as it
+    # wrote it; another writer's file is parsed on its first read alone
+    from qregen.cli import _storage_text, main
+    from qregen.pmcode import encode_file, make_params
 
     msg, storage = tmp_path / "msg.json", tmp_path / "storage.json"
 
@@ -73,9 +74,13 @@ def test_retrieve_parses_a_stored_file_once(tmp_path):
 
     clear_caches()
     encode(list(range(12)))
-    first, second = parses(), parses()
+    encoded = parses(), parses()
     encode(list(range(1, 13)))
-    assert (first, second, parses()) == ([1, 1], [0, 0], [1, 1])
+    reencoded = parses()
+    params = make_params(6, 3, 4, 13)
+    storage.write_bytes(_storage_text(params, encode_file(params, list(range(2, 14)))).encode())
+    written = parses(), parses()
+    assert (encoded, reencoded, written) == (([0, 0], [0, 0]), [0, 0], ([1, 1], [0, 0]))
 
 
 def test_cli_repair_trace_counts_one_file_repair():
