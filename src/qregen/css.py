@@ -19,10 +19,16 @@ HX and HZ share one inverse, since (L Vt)^(-1) = Vt^(-1) L^(-1), and u
 enters only as column scalings: 1/lam1 = (lam_h - lam_f) / u and
 1/lam2 = (lam_h - lam_f) u / w, so HX_u = HX_1 diag(u) and
 HZ_u = HZ_1 diag(1/u), and HX_u HZ_u^T = HX_1 HZ_1^T for every u. The
-u-free basis of a (params, failed, helpers) key is [I | lam_f I] Vt^(-1),
-from the closed-form ``vandermonde_inv``, scaled to HX_1 and HZ_1, plus w
-(the last row of Vt^(-1): column j holds the Lagrange polynomial of point
-j, whose leading coefficient is w_j) and every 1 / (lam_h - lam_f).
+u-free basis of a (params, failed, helpers) key needs no inverse at all.
+Column j of Vt^(-1) is the Lagrange polynomial w_j A / (x - x_j) of
+helper point j, A = prod_h (x - x_h) and w_j = 1 / A'(x_j), the dual GRS
+weight, and [I | lam_f I] reduces it modulo x^a0 - lam_f. With
+R_j = sum_{t < a0} x_j^(a0-1-t) x^t, (x - x_j) R_j = x^a0 - lam_j, which
+is lam_f - lam_j modulo x^a0 - lam_f, so there -A R_j is
+(lam_j - lam_f) A / (x - x_j): column j of HX_1. So HX_1 = -C R, where C
+multiplies by A modulo x^a0 - lam_f and R has columns R_j, and
+HZ_1 = HX_1 diag(w) (``lagrange_folds``, from the helpers' rows of
+``params.powers``). The block adds w and every 1 / (lam_h - lam_f).
 
 A code is one block: a read-only (2 a0 + 4, m) object array whose rows are
 HX, HZ, lam1, lam2, u and u', the transcript's own order, with a u row of
@@ -34,10 +40,11 @@ one batched inversion of u, whose entries ``check_u`` checks first.
 ``cache_bases`` makes every u-free block, for a stack of helper sets of one
 failed node at once: ``run_repair`` hands it all T sub-files' helper sets,
 and ``build_repair_css`` its one, so a cache miss there is a stack of one.
-It makes two field inversions however many blocks are cold: every weight
-of the stack inside ``vandermonde_inv``, which also returns the 1 / w_j it
-inverted, then every lam_h - lam_f. One stacked ``StabGroup`` checks
-HX_1 HZ_1^T = 0 for all of them before any enters the cache, a
+It makes two field inversions however many blocks are cold: every
+A'(x_j) of the stack, which gives the weights, then every lam_h - lam_f.
+Everything runs in ``exact_dtype(1, p)``, the table's dtype, and the
+blocks become object arrays once, at the end. One stacked ``StabGroup``
+checks HX_1 HZ_1^T = 0 for all of them before any enters the cache, a
 per-process LRU of 16 T blocks, those of the last 16 file repairs of T
 sub-files. ``build_repair_css`` checks nothing itself: with u None it
 returns the cached block and does no arithmetic, and a u scales it.
@@ -52,7 +59,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .errors import InvalidHelperSet, ZeroU
-from .matrix import grs_dual_weights, vandermonde_inv  # re-exports the weights
+from .matrix import grs_dual_weights, lagrange_folds  # re-exports the weights
 from .pmcode import SystemParams
 from .stabilizer import StabGroup, check_dual_containment  # re-exports the check
 
@@ -128,19 +135,18 @@ def cache_bases(
         return
     field, p, a0 = params.field, params.p, params.alpha0
     lam_f = params.lam[failed - 1]
-    v_inv, w_recip = vandermonde_inv(
-        field, [[params.eval_points[s - 1] for s in hs] for hs in missing]
-    )
+    powers = params.powers[np.array(missing) - 1]  # (B, m, m): m = 2a0
+    hx, w_recip = lagrange_folds(powers, a0, lam_f, p)  # HX_1 = -C R
     rows = (len(missing), 1, 2 * a0)  # one row of m per block
-    denom = [(params.lam[s - 1] - lam_f) % p for hs in missing for s in hs]
-    denom_inv = np.array(field.inv_all(denom), dtype=object).reshape(rows)
-    sel_v_inv = v_inv[:, :a0] + lam_f * v_inv[:, a0:]  # [I | lam_f I] Vt^(-1)
-    hz = sel_v_inv * np.array(denom, dtype=object).reshape(rows) % p  # times 1 / lam1
-    hx = hz * np.array(w_recip, dtype=object).reshape(rows) % p  # times 1 / lam2
+    w, denom_inv = (  # the weights, and every 1 / (lam_h - lam_f)
+        np.array(field.inv_all(x.ravel().tolist()), dtype=powers.dtype).reshape(rows)
+        for x in (w_recip, (powers[..., a0] - lam_f) % p)
+    )
+    hz = hx * w % p
     StabGroup(x_type=hx, z_type=hz, p=p)  # raises DualContainmentViolated
-    w = v_inv[:, -1:]  # leading Lagrange coefficients = dual GRS weights
-    ones = np.ones(rows, dtype=object)
+    ones = np.ones_like(w)
     blocks = np.concatenate([hx, hz, denom_inv, w * denom_inv % p, ones, w], 1)
+    blocks = blocks.astype(object, copy=False)
     for hs, block in zip(missing, blocks):
         block.flags.writeable = False
         _BASES[params, failed, hs] = block

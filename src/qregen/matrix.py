@@ -7,22 +7,23 @@ still use it. Every matrix product in the package goes through
 ``matmul_mod``, the one exact GF(p) product kernel. Its operands hold
 integers in (-p, p), as every reduced array and its negation do. They are
 object arrays of Python ints, and so is the result, except that two int64
-operands (the decode plan's, see ``pmcode``, and the stacked repair codes'
-HX HZ^T check) give an int64 result. With K
-the inner dimension, each entry of the product is a sum of K terms of
-absolute value at most (p - 1)^2. So when K (p - 1)^2 < 2^63
-(``exact_dtype``) the kernel multiplies in int64, where no partial sum can
-overflow; otherwise it multiplies Python ints. Either way the result is
-exact, and which path runs follows from (p, K) alone. Every matrix the
-codes invert is a square Vandermonde matrix, so the hot paths use
-``vandermonde_inv``, an O(m^2) closed form with one field inversion,
-instead of the cubic Gauss-Jordan ``Mat.inv``. It returns a plain array
-and the reciprocals of its last row, the GRS weights. It also takes a
-(B, m) stack of point sets and inverts all B matrices with one field
-inversion, as the repair-time CSS build does. Retrieval calls it
-once per node set: the last row w fills the unknown diagonal of
-X = Phi S Phi^T from w^T X = 0, and the first k-1 rows, ``top``, give
-S = top X top^T (``pmcode._unfold``).
+operands (the decode plan's, see ``pmcode``, the products of
+``lagrange_folds`` and the stacked repair codes' HX HZ^T check) give an
+int64 result. With K the inner dimension, each entry of the product is a
+sum of K terms of absolute value at most (p - 1)^2. So when
+K (p - 1)^2 < 2^63 (``exact_dtype``) the kernel multiplies in int64, where
+no partial sum can overflow; otherwise it multiplies Python ints. Either
+way the result is exact, and which path runs follows from (p, K) alone.
+Every matrix the codes would invert is a square Vandermonde matrix, and
+they need only a few rows of its inverse, or a fold of them: the first
+k-1 rows, ``top``, and the last row w of a decode plan (``pmcode``), and
+[I | lam_f I] times the inverse for a repair code (``css``).
+``lagrange_folds`` gives those rows from a closed form, two products and
+no inversion at all, for a stack of point sets at once, and the caller
+inverts every A'(x_i) = 1 / w_i in one batch. ``vandermonde_inv``, the
+whole inverse in O(m^2) with one field inversion, and the cubic
+Gauss-Jordan ``Mat.inv`` stay as the references the tests check them
+against.
 ``vandermonde`` builds each row of powers by a running product, one
 multiplication per entry. Pivot selection always takes the first nonzero
 entry in column order, which keeps eliminations (and everything built on
@@ -32,6 +33,7 @@ them) deterministic.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from functools import lru_cache
 
 import numpy as np
 
@@ -167,6 +169,77 @@ def vandermonde(field: GF, points: Sequence[int], cols: int) -> Mat:
     return Mat.from_array(field, rows.reshape(len(points), cols))
 
 
+def _master_polynomials(sets: Sequence[Sequence[int]], p: int) -> list[list[int]]:
+    """The coefficients of each set's master polynomial prod_j (x - x_j)
+    mod p, highest first, by a list loop over its points; a point repeated
+    within a set raises RepeatedPoint."""
+    masters = []
+    for pts in sets:
+        if len(set(pts)) != len(pts):
+            raise RepeatedPoint(f"points must be pairwise distinct: {pts}")
+        master = [1]
+        for x in pts:  # times (x - x_j): each coefficient less x_j times the one above
+            above, product = 0, []
+            for c in master:
+                product.append((c - x * above) % p)
+                above = c
+            master = product + [-x * above % p]
+        masters.append(master)
+    return masters
+
+
+@lru_cache(maxsize=16)  # building the indices costs more than gathering with them
+def _fold_index(a0: int) -> np.ndarray:
+    """The a0 x a0 table (r, s) -> a0 + r - s: where, in [c f | f], lies the
+    coefficient that x^s f puts at x^r modulo x^a0 - c."""
+    r = np.arange(a0)
+    return a0 + r[:, None] - r
+
+
+def lagrange_folds(
+    powers: np.ndarray, a0: int, c: int, p: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """For every point of a stack of point sets, its Lagrange numerator
+    A / (x - x_i) times lam_i - c, reduced modulo x^a0 - c, and A'(x_i):
+    the rows of an inverse Vandermonde matrix the codes need, up to a
+    column scaling, without inverting anything.
+
+    ``powers`` is a (B, m, E) stack, m <= E, whose row i of set b is
+    (1, x_i, ..., x_i^(E-1)) mod p, read from a table of powers; ``c`` is
+    any field element other than every lam_i = x_i^a0. Let A be a set's
+    master polynomial prod_j (x - x_j) and R_i = sum_{t < a0} x_i^(a0-1-t)
+    x^t. As (x - x_i) R_i = x^a0 - lam_i, which is c - lam_i modulo
+    x^a0 - c, the polynomial -A R_i reduced modulo x^a0 - c is
+    (lam_i - c) A / (x - x_i) reduced likewise. Times w_i = 1 / A'(x_i)
+    that is the Lagrange basis polynomial of x_i, column i of the inverse
+    of the m x m Vandermonde matrix, folded: [I | c I] times that inverse
+    when m = 2 a0, its first a0 rows when m = a0 + 1 and c = 0.
+
+    Returns the (B, a0, m) stack whose column i holds the coefficients of
+    -A R_i modulo x^a0 - c, lowest first, as one product C R of the matrix
+    C that multiplies by -A modulo x^a0 - c and the matrix R of columns
+    R_i; and the (B, m) values A'(x_i) = prod_{j != i} (x_i - x_j), as one
+    product of the powers and the coefficients of A'. Both are in the dtype
+    of ``powers``, which ``exact_dtype(1, p)`` keeps exact: every
+    elementwise step multiplies two reduced values, and each product runs
+    in its own ``exact_dtype``. A set with a repeated point raises
+    RepeatedPoint.
+    """
+    m = powers.shape[-2]
+    folds, slopes = [], []
+    for a in _master_polynomials(powers[..., 1].tolist(), p):
+        a.reverse()  # lowest first
+        slopes.append([e * a[e] % p for e in range(1, m + 1)])  # A', lowest first
+        for e in range(m, a0 - 1, -1):  # x^e = c x^(e - a0) modulo x^a0 - c
+            a[e - a0] = (a[e - a0] + c * a[e]) % p
+        folds.append([-x % p for x in a[:a0]])
+    neg = np.array(folds, dtype=powers.dtype)
+    circ = np.concatenate([c * neg % p, neg], axis=-1)[:, _fold_index(a0)]
+    cols = matmul_mod(circ, powers[..., a0 - 1 :: -1].swapaxes(-1, -2), p)
+    slope = np.array(slopes, dtype=powers.dtype)[..., None]
+    return cols, matmul_mod(powers[..., :m], slope, p)[..., 0]
+
+
 def vandermonde_inv(
     field: GF, points: Sequence[int] | Sequence[Sequence[int]]
 ) -> tuple[np.ndarray, list]:
@@ -192,18 +265,7 @@ def vandermonde_inv(
     p = field.p
     stacked = len(points) > 0 and hasattr(points[0], "__len__")  # a (B, m) stack
     sets = [[int(x) % p for x in pts] for pts in (points if stacked else [points])]
-    masters = []  # coefficients of each prod_j (x - x_j), highest first
-    for pts in sets:
-        if len(set(pts)) != len(pts):
-            raise RepeatedPoint(f"points must be pairwise distinct: {pts}")
-        master = [1]
-        for x in pts:  # times (x - x_j): each coefficient less x_j times the one above
-            above, product = 0, []
-            for c in master:
-                product.append((c - x * above) % p)
-                above = c
-            master = product + [-x * above % p]
-        masters.append(master)
+    masters = _master_polynomials(sets, p)
     dtype = exact_dtype(1, p)
     xs = np.array(sets, dtype=dtype)
     # one coefficient of every quotient, and every quotient so far at its point

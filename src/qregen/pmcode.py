@@ -19,6 +19,11 @@ every sub-file in one broadcast ``retrieve``.
 
 Every inverse a decode needs depends on (params, ids) alone, so its
 ``_DecodePlan`` is compiled once and kept in a per-process LRU of 16 plans.
+A plan inverts no matrix. Of the inverse of the k x k Vandermonde matrix
+on the ids' points it needs the first a0 rows, ``top``, and the last row,
+the GRS weights w. ``matrix.lagrange_folds`` at c = 0 gives ``top`` up to
+a column scaling, and every 1 / w_b, from the ids' rows of
+``params.powers``; one batched field inversion does the rest.
 The plan holds its arrays in ``exact_dtype(k, p)``: int64 when
 k (p - 1)^2 < 2^63, object arrays of Python ints otherwise. Every product
 of the decode has an inner dimension of at most k and every elementwise
@@ -30,8 +35,7 @@ and on Python ints outside it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations
+from functools import cached_property, lru_cache
 from math import comb
 from collections.abc import Sequence
 
@@ -39,7 +43,7 @@ import numpy as np
 
 from .errors import BadShareSet, InvalidParams, NoValidPoints, WrongLength
 from .gf import GF
-from .matrix import Mat, exact_dtype, matmul_mod, vandermonde, vandermonde_inv
+from .matrix import Mat, exact_dtype, lagrange_folds, matmul_mod, vandermonde
 from .rng import SplitMix64
 
 
@@ -55,6 +59,14 @@ class SystemParams:
     lam: tuple[int, ...]
     alpha0: int
     subfiles: int
+
+    def __post_init__(self):
+        # the fields never change, and every cache keyed by params hashes them
+        fields = (self.n, self.k, self.d, self.p, self.eval_points)
+        object.__setattr__(self, "_hash", hash(fields))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def p(self) -> int:
@@ -75,9 +87,18 @@ class SystemParams:
         """(T, n, 2, a0), the shape of a file's storage array."""
         return (self.subfiles, self.n, 2, self.alpha0)
 
-    def point_powers(self, node_id: int) -> list[int]:
-        """vbar for a node: (1, v, ..., v^(a0-1))."""
-        return self.field.powers(self.eval_points[node_id - 1], self.alpha0)
+    @cached_property
+    def powers(self) -> np.ndarray:
+        """The read-only (n, 2a0) table of every node's powers, in
+        ``exact_dtype(1, p)``: row i - 1 is (1, v_i, ..., v_i^(2a0-1)), so
+        its first a0 entries are vbar_i and entry a0 is lam_i."""
+        p, x = self.p, np.array(self.eval_points, dtype=exact_dtype(1, self.p))
+        table = np.empty((self.n, 2 * self.alpha0), dtype=x.dtype)
+        table[:, 0] = 1
+        for e in range(1, 2 * self.alpha0):
+            table[:, e] = table[:, e - 1] * x % p
+        table.flags.writeable = False
+        return table
 
 
 def _greedy_points(field: GF, n: int, alpha0: int) -> tuple[int, ...] | None:
@@ -204,22 +225,36 @@ class _DecodePlan:
     w_recip: np.ndarray  # k, 1 / w_b
 
 
+@lru_cache(maxsize=16)  # building the indices costs more than gathering with them
+def _pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (a, b) indices of a k x k matrix with a < b."""
+    return np.triu_indices(k, 1)
+
+
 @lru_cache(maxsize=16)  # the plan depends on (params, ids) alone
 def _compiled_plan(params: SystemParams, ids: tuple[int, ...]) -> _DecodePlan:
-    """The plan for rows read in the order of ``ids``."""
-    field = params.field
-    pts = [params.eval_points[i - 1] for i in ids]
-    lam = [params.lam[i - 1] for i in ids]
-    a0 = params.alpha0
-    pairs = list(combinations(range(a0 + 1), 2))  # (a, b) with a < b
-    diff_inv = [[0] * (a0 + 1) for _ in range(a0 + 1)]
-    for (a, b), inv in zip(pairs, field.inv_all([lam[a] - lam[b] for a, b in pairs])):
-        diff_inv[a][b], diff_inv[b][a] = inv, field.p - inv  # and 1 / (lam_b - lam_a)
-    v_inv, w_recip = vandermonde_inv(field, pts)
-    arrays = (vandermonde(field, pts, a0).data.T, [[x] for x in lam], diff_inv,
-              v_inv[:-1], v_inv[-1], w_recip)
-    dtype = exact_dtype(len(ids), field.p)
-    return _DecodePlan(*(np.array(a, dtype=dtype) for a in arrays))
+    """The plan for rows read in the order of ``ids``. ``lagrange_folds``
+    at c = 0 gives column b of ``top`` times lam_b / w_b, and
+    A'(x_b) = 1 / w_b, so ``top`` and w need every
+    w_b / lam_b = 1 / (lam_b A'(x_b)), which one ``GF.inv_all`` inverts
+    with every lam_a - lam_b."""
+    p, a0 = params.p, params.alpha0
+    powers = params.powers[[i - 1 for i in ids]]  # (k, 2a0): k = a0 + 1 <= 2a0
+    lam = powers[:, a0]
+    cols, w_recip = lagrange_folds(powers[None], a0, 0, p)
+    upper = _pairs(len(ids))
+    pairs = len(upper[0])
+    inv = params.field.inv_all(
+        ((lam[upper[0]] - lam[upper[1]]) % p).tolist() + (lam * w_recip[0] % p).tolist()
+    )
+    diff_inv = np.zeros((len(ids),) * 2, dtype=powers.dtype)
+    diff_inv[upper] = inv[:pairs]
+    diff_inv[upper[::-1]] = [p - x for x in inv[:pairs]]  # 1 / (lam_b - lam_a)
+    w_by_lam = np.array(inv[pairs:], dtype=powers.dtype)  # w_b / lam_b
+    arrays = (powers[:, :a0].T, lam[:, None], diff_inv, cols[0] * w_by_lam % p,
+              w_by_lam * lam % p, w_recip[0])
+    dtype = exact_dtype(len(ids), p)
+    return _DecodePlan(*(np.asarray(a, dtype=dtype) for a in arrays))
 
 
 def _unfold(x: np.ndarray, top, w, w_recip, p: int) -> np.ndarray:

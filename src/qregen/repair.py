@@ -85,7 +85,7 @@ def helper_encode(
     """Every helper's two dots in every sub-file, as one (T, d, 2) object
     array of Python ints: entry [t, j] is (row_m . vbar_f, row_mp . vbar_f)
     of node ``helpers[j]`` in sub-file t. Only the helpers' rows are read."""
-    vbar_f = np.array(params.point_powers(failed), dtype=object)
+    vbar_f = params.powers[failed - 1, : params.alpha0]
     return matmul_mod(storage[:, [h - 1 for h in helpers]], vbar_f, params.p)
 
 

@@ -266,21 +266,20 @@ def test_build_rejects_bad_inputs():
 
 def test_corrupted_construction_fails_closed(monkeypatch):
     # the stacked StabGroup in cache_bases checks every basis before it is
-    # cached; a warm build_repair_css checks nothing itself
+    # cached; a warm build_repair_css checks nothing itself. Any one wrong
+    # entry of helper 2's row of the powers table (1, v, v^2 = lam, v^3)
+    # breaks HX_1 HZ_1^T = 0
     clear_caches()
     params = make_params(6, 3, 4, 13)
-    real = qregen.css.vandermonde_inv
-
-    def perturbed(field, points):
-        v_inv, w_recip = real(field, points)
-        v_inv[..., 0, 0] = (v_inv[..., 0, 0] + 1) % field.p
-        return v_inv, w_recip
-
-    monkeypatch.setattr(qregen.css, "vandermonde_inv", perturbed)
-    for _ in range(2):  # a failed first build of a key caches nothing
-        with pytest.raises(DualContainmentViolated):
-            build_repair_css(params, 1, (2, 4, 5, 6))
-        assert len(qregen.css._BASES) == 0
+    table = params.powers
+    for e in range(4):
+        bad = table.copy()
+        bad[1, e] = (bad[1, e] + 1) % 13
+        monkeypatch.setitem(params.__dict__, "powers", bad)
+        for _ in range(2):  # a failed first build of a key caches nothing
+            with pytest.raises(DualContainmentViolated):
+                build_repair_css(params, 1, (2, 4, 5, 6))
+            assert len(qregen.css._BASES) == 0
     monkeypatch.undo()
     c = build_repair_css(params, 1, (2, 4, 5, 6))
     assert check_dual_containment(c.hx, c.hz, 13)

@@ -47,6 +47,24 @@ def test_make_params_reference_instance():
     assert len(set(p.lam)) == p.n
 
 
+@pytest.mark.parametrize("p, dtype", [(17, np.int64), (3037000493, np.int64),
+                                      (3037000507, object), (2**61 - 1, object)])
+def test_params_hash_and_powers_table(p, dtype):
+    # the hash is stored when params are made and the table of powers is
+    # built on first use: neither changes equality or the hash
+    a = make_params(12, 4, 8, p)
+    b = make_params(12, 4, 8, p, eval_points=a.eval_points)
+    assert hash(a) == hash(b)
+    table = a.powers
+    assert a == b and hash(a) == hash(b) and {b: 1}[a] == 1
+    assert table is a.powers and table.shape == (12, 6) and table.dtype == dtype
+    assert not table.flags.writeable
+    for i, v in enumerate(a.eval_points):
+        assert table[i].tolist() == a.field.powers(v, 6)
+        assert table[i, 3] == a.lam[i]
+    assert hash(replace(a, d=9)) != hash(a)  # one hash per field set, recomputed
+
+
 def test_make_params_alpha0_one():
     p = make_params(4, 2, 2, 7)
     assert p.alpha0 == 1
@@ -175,7 +193,7 @@ def test_encode_matches_two_term_decomposition():
             storage = encode_file(params, symbols)
             for sub, (m, mp) in zip(storage, packed):
                 for i in range(1, 7):
-                    vbar = params.point_powers(i)
+                    vbar = params.field.powers(params.eval_points[i - 1], params.alpha0)
                     lam = params.lam[i - 1]
                     for row, pair in zip(sub[i - 1].tolist(), (m, mp)):
                         expect = [  # column j of S is row j of S^T
@@ -328,17 +346,17 @@ def test_file_layer_is_one_pass(monkeypatch):
     monkeypatch.setattr(Mat, "__matmul__", count("matmul", Mat.__matmul__))
     monkeypatch.setattr(qregen.pmcode, "retrieve",
                         count("retrieve", qregen.pmcode.retrieve))
-    monkeypatch.setattr(qregen.pmcode, "vandermonde_inv",
-                        count("vandermonde_inv", qregen.pmcode.vandermonde_inv))
+    monkeypatch.setattr(qregen.pmcode, "lagrange_folds",
+                        count("lagrange_folds", qregen.pmcode.lagrange_folds))
     clear_caches()
     storage = encode_file(params, symbols)
     assert calls == {"vandermonde": 1, "matmul": 1}
 
-    # one inverse for the id set: its first a0 rows and its last row give
-    # both S1 and S2
+    # one cold plan for the id set: its one Lagrange fold gives top and w,
+    # which give both S1 and S2
     calls.clear()
     assert list(retrieve_file(params, storage, (9, 3, 12, 5))) == symbols
-    assert (calls["retrieve"], calls["vandermonde_inv"]) == (1, 1)
+    assert (calls["retrieve"], calls["lagrange_folds"]) == (1, 1)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True,
@@ -396,18 +414,18 @@ def test_repeated_retrieve_reuses_its_plan(monkeypatch):
     clear_caches()
     assert list(retrieve_file(params, storage, ids)) == symbols
     calls = Counter()
-    real_inv, real_vinv = GF.inv, qregen.pmcode.vandermonde_inv
+    real_inv, real_folds = GF.inv, qregen.pmcode.lagrange_folds
 
     def inv(self, a):
         calls["inv"] += 1
         return real_inv(self, a)
 
-    def vinv(field, points):
-        calls["vandermonde_inv"] += 1
-        return real_vinv(field, points)
+    def folds(*args):
+        calls["lagrange_folds"] += 1
+        return real_folds(*args)
 
     monkeypatch.setattr(GF, "inv", inv)
-    monkeypatch.setattr(qregen.pmcode, "vandermonde_inv", vinv)
+    monkeypatch.setattr(qregen.pmcode, "lagrange_folds", folds)
     assert list(retrieve_file(params, storage, ids[::-1])) == symbols
     assert calls == {}
 

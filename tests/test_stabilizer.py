@@ -99,7 +99,7 @@ def test_repair_error_syndrome_reads_failed_node_rows():
     for _ in range(10):
         symbols = random_symbols(params, rng)
         stored = encode_file(params, symbols)[0]
-        vbar = params.point_powers(1)
+        vbar = params.field.powers(params.eval_points[0], params.alpha0)
         # [S1 vbar; S2 vbar] and [S1' vbar; S2' vbar]
         m_v, mp_v = (
             matvec(Mat.from_array(field, pair), vbar)
