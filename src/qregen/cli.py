@@ -10,9 +10,11 @@ a layout ``_indented`` writes once per shape, one sub-file's part repeated.
 
 A storage file is read as bytes, and ``_STORED``, an LRU of 8 keyed by those
 exact bytes (not by path or mtime), keeps its validated params and storage
-array, the array read-only. Retrieves and repairs that read the same stored
-file again in one process skip ``json.load`` and validation; the decode, the
-repair and its checks still run in full. A file this process encoded is
+array, the array read-only and, like all field data, in ``exact_dtype(1, p)``:
+int64 up to p = 3037000493, Python ints above. Ints leave arrays for JSON and
+error messages only, through ``tolist``. Retrieves and repairs that read the
+same stored file again in one process skip ``json.load`` and validation; the
+decode, the repair and its checks still run in full. A file this process encoded is
 cached from its write: ``encode --out`` puts the params and storage it wrote
 under the bytes it wrote, so even its first read is a hit. A malformed file
 raises before anything is cached, so it fails alike on every read. The bytes
@@ -33,6 +35,7 @@ from math import comb
 import numpy as np
 
 from . import errors, repair, tradeoff
+from .matrix import exact_dtype
 from .pmcode import (
     SystemParams,
     encode_file,
@@ -183,8 +186,8 @@ def _ints(values, bound: int | None = None) -> bool:
 
 
 def _storage_from_json(doc) -> tuple[SystemParams, np.ndarray]:
-    """A storage file's params and its (T, n, 2, a0) storage array of Python
-    ints; anything malformed is a UsageError."""
+    """A storage file's params and its (T, n, 2, a0) storage array in
+    ``exact_dtype(1, p)``; anything malformed is a UsageError."""
     meta = doc.get("params") if isinstance(doc, dict) else None
     if not isinstance(meta, dict):
         raise errors.BadShareSet("storage file must be an object with params")
@@ -199,6 +202,10 @@ def _storage_from_json(doc) -> tuple[SystemParams, np.ndarray]:
         raise errors.BadShareSet(f"storage sub-files must each list {n} nodes")
     _check_size(*dims[:3])
     params = make_params(*dims, points)
+    if points is not None and not _ints(points, params.p):  # make_params refuses 0
+        raise errors.InvalidParams(
+            f"storage evalPoints must be ints in [1, {params.p})"
+        )
     if len(subfiles) != params.subfiles:
         raise errors.BadShareSet(f"storage file needs {params.subfiles} sub-files")
     a0, dits = params.alpha0, []
@@ -218,8 +225,9 @@ def _storage_from_json(doc) -> tuple[SystemParams, np.ndarray]:
     # every dit at once: set, min and max run in C, a per-row check would not
     if not _ints(dits, params.p):
         raise errors.BadShareSet(f"storage dits must be ints in [0, {params.p})")
-    # object, never int64: products of dits overflow int64 at large p
-    return params, np.array(dits, dtype=object).reshape(params.storage_shape)
+    # fromiter converts a list to int64 faster than np.array does
+    dits = np.fromiter(dits, dtype=exact_dtype(1, params.p), count=len(dits))
+    return params, dits.reshape(params.storage_shape)
 
 
 def _load_json(data: bytes):
@@ -279,9 +287,8 @@ def cmd_encode(args) -> int:
     symbols = _read(args.in_path, _load_json)
     if not _ints(symbols):
         raise errors.WrongLength("--in must be a JSON array of integers")
-    p = params.p
     # contiguous, as a parse of the file builds it; encode_file's is a view
-    storage = np.ascontiguousarray(encode_file(params, [x % p for x in symbols]))
+    storage = np.ascontiguousarray(encode_file(params, symbols))
     text = _storage_text(params, storage)
     _write_out(text, args.out)
     if args.out is not None:  # written: the file's bytes, where "\n" is written as is

@@ -30,10 +30,11 @@ multiplies by A modulo x^a0 - lam_f and R has columns R_j, and
 HZ_1 = HX_1 diag(w) (``lagrange_folds``, from the helpers' rows of
 ``params.powers``). The block adds w and every 1 / (lam_h - lam_f).
 
-A code is one block: a read-only (2 a0 + 4, m) object array whose rows are
-HX, HZ, lam1, lam2, u and u', the transcript's own order, with a u row of
-ones at u = 1. ``RepairCSS`` holds one block, or a stack of them along
-leading axes, and its fields are views of it. ``scale`` turns the u-free
+A code is one block: a read-only (2 a0 + 4, m) array in
+``exact_dtype(1, p)``, like all field data, whose rows are HX, HZ, lam1,
+lam2, u and u', the transcript's own order, with a u row of ones at
+u = 1. ``RepairCSS`` holds one block, or a stack of them along leading
+axes, and its fields are views of it. ``scale`` turns the u-free
 blocks into the blocks of a u, one or a whole stack, in one product after
 one batched inversion of u, whose entries ``check_u`` checks first.
 
@@ -42,16 +43,17 @@ failed node at once: ``run_repair`` hands it all T sub-files' helper sets,
 and ``build_repair_css`` its one, so a cache miss there is a stack of one.
 It makes two field inversions however many blocks are cold: every
 A'(x_j) of the stack, which gives the weights, then every lam_h - lam_f.
-Everything runs in ``exact_dtype(1, p)``, the table's dtype, and the
-blocks become object arrays once, at the end. One stacked ``StabGroup``
-checks HX_1 HZ_1^T = 0 for all of them before any enters the cache, a
-per-process LRU of 16 T blocks, those of the last 16 file repairs of T
-sub-files. ``build_repair_css`` checks nothing itself: with u None it
-returns the cached block and does no arithmetic, and a u scales it.
+Everything runs in ``exact_dtype(1, p)``, the table's dtype, which the
+blocks keep. One stacked ``StabGroup`` checks HX_1 HZ_1^T = 0 for all of
+them before any enters the cache, a per-process LRU of 16 T blocks, those
+of the last 16 file repairs of T sub-files. ``build_repair_css`` checks
+nothing itself: with u None it returns the cached block and does no
+arithmetic, and a u scales it.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import OrderedDict
 from dataclasses import dataclass
 from collections.abc import Sequence
@@ -68,10 +70,10 @@ from .stabilizer import StabGroup, check_dual_containment  # re-exports the chec
 class RepairCSS:
     """The repair-time code for one (failed node, helper set) choice, or a
     stack of such codes along leading axes. ``block`` is the read-only
-    (..., 2 a0 + 4, m) object array of ints in [0, p) whose rows are HX,
-    HZ, lam1, lam2, u and u', and the fields of those names are views of
-    it. ``helpers`` is one sorted tuple, or for a stack the (..., m) int
-    array of each code's. Equality is identity."""
+    (..., 2 a0 + 4, m) array of ints in [0, p), in ``exact_dtype(1, p)``,
+    whose rows are HX, HZ, lam1, lam2, u and u', and the fields of those
+    names are views of it. ``helpers`` is one sorted tuple, or for a stack
+    the (..., m) int array of each code's. Equality is identity."""
 
     failed_node: int
     helpers: tuple[int, ...] | np.ndarray
@@ -83,6 +85,7 @@ class RepairCSS:
     hz = property(lambda self: self.block[..., self.block.shape[-2] // 2 - 2 : -4, :])
     lam1 = property(lambda self: self.block[..., -4, :])
     lam2 = property(lambda self: self.block[..., -3, :])
+    lams = property(lambda self: self.block[..., -4:-2, :])  # lam1 over lam2
     u = property(lambda self: self.block[..., -2, :])
     u_prime = property(lambda self: self.block[..., -1, :])
 
@@ -104,12 +107,12 @@ def check_helpers(
 
 
 def check_u(params: SystemParams, u: Sequence[int]) -> tuple[int, ...]:
-    """``u`` reduced mod p, once it is known to hold 2k-2 entries, none of
-    them 0 mod p."""
+    """``u`` reduced mod p, as Python ints, once it is known to hold 2k-2
+    entries, none of them 0 mod p."""
     m = 2 * params.alpha0
     if len(u) != m:
         raise ZeroU(f"u must have length {m}")
-    u = tuple(x % params.p for x in u)
+    u = tuple(operator.index(x) % params.p for x in u)
     if 0 in u:
         raise ZeroU("u entries must be nonzero")
     return u
@@ -146,7 +149,6 @@ def cache_bases(
     StabGroup(x_type=hx, z_type=hz, p=p)  # raises DualContainmentViolated
     ones = np.ones_like(w)
     blocks = np.concatenate([hx, hz, denom_inv, w * denom_inv % p, ones, w], 1)
-    blocks = blocks.astype(object, copy=False)
     for hs, block in zip(missing, blocks):
         block.flags.writeable = False
         _BASES[params, failed, hs] = block
@@ -159,7 +161,7 @@ def scale(params: SystemParams, blocks: np.ndarray, u: tuple[int, ...]) -> np.nd
     scaled by u_j in HX, lam1 and u and by 1 / u_j in HZ, lam2 and u', from
     one batched inversion. Read-only, like the cache's."""
     a0, u_inv = params.alpha0, params.field.inv_all(u)
-    factors = np.array([u] * a0 + [u_inv] * a0 + [u, u_inv] * 2, dtype=object)
+    factors = np.array([u] * a0 + [u_inv] * a0 + [u, u_inv] * 2, dtype=blocks.dtype)
     scaled = blocks * factors % params.p
     scaled.flags.writeable = False
     return scaled

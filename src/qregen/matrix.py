@@ -1,19 +1,19 @@
 """Dense exact linear algebra over GF(p).
 
-Matrices are 2-D numpy arrays of ``dtype=object`` whose items are Python
-ints in [0, p). A ``Mat`` ties one such array to a GF instance; only
-``vandermonde``, encoding's product and the test reference ``Mat.inv``
-still use it. Every matrix product in the package goes through
-``matmul_mod``, the one exact GF(p) product kernel. Its operands hold
-integers in (-p, p), as every reduced array and its negation do. They are
-object arrays of Python ints, and so is the result, except that two int64
-operands (the decode plan's, see ``pmcode``, the products of
-``lagrange_folds`` and the stacked repair codes' HX HZ^T check) give an
-int64 result. With K the inner dimension, each entry of the product is a
-sum of K terms of absolute value at most (p - 1)^2. So when
-K (p - 1)^2 < 2^63 (``exact_dtype``) the kernel multiplies in int64, where
-no partial sum can overflow; otherwise it multiplies Python ints. Either
-way the result is exact, and which path runs follows from (p, K) alone.
+Field data is held in one dtype, ``exact_dtype(1, p)``: int64 arrays when
+(p - 1)^2 < 2^63, that is for p <= 3037000493, and object arrays of Python
+ints above that, so that every elementwise step, which multiplies two
+reduced values and adds at most one more, stays exact. A ``Mat`` ties an
+object array to a GF instance; only ``vandermonde`` and the test reference
+``Mat.inv`` still use it. Every matrix product in the package goes through
+``matmul_mod``, the one exact GF(p) product kernel. Its operands share one
+dtype, which the result keeps, and hold integers in (-p, p), as every
+reduced array and its negation do. With K the inner dimension, each entry
+of the product is a sum of K terms of absolute value at most (p - 1)^2. So
+when K (p - 1)^2 < 2^63 (``exact_dtype``) the kernel multiplies in int64,
+where no partial sum can overflow; otherwise it multiplies Python ints.
+Either way the result is exact, and which path runs follows from (p, K)
+alone.
 Every matrix the codes would invert is a square Vandermonde matrix, and
 they need only a few rows of its inverse, or a fold of them: the first
 k-1 rows, ``top``, and the last row w of a decode plan (``pmcode``), and
@@ -50,8 +50,8 @@ def exact_dtype(terms: int, p: int):
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """``(a @ b) % p`` exactly, with entries in [0, p): an int64 array when
-    both operands are int64, an object array of Python ints otherwise.
+    """``(a @ b) % p`` exactly, with entries in [0, p), in the dtype that
+    ``a`` and ``b`` share.
 
     ``a`` and ``b`` hold integers in (-p, p) and broadcast as in
     ``np.matmul``. The product runs in ``exact_dtype`` of the inner
@@ -59,9 +59,7 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """
     kind = exact_dtype(a.shape[-1], p)
     out = a.astype(kind, copy=False) @ b.astype(kind, copy=False) % p
-    if a.dtype == b.dtype == np.int64:
-        return out if kind is np.int64 else np.asarray(out, dtype=np.int64)
-    return out if kind is object else out.astype(object)
+    return out.astype(a.dtype, copy=False)
 
 
 class Mat:
@@ -244,10 +242,10 @@ def vandermonde_inv(
     field: GF, points: Sequence[int] | Sequence[Sequence[int]]
 ) -> tuple[np.ndarray, list]:
     """Inverse of the square ``vandermonde(field, points, len(points))``, as
-    an (m, m) object array of Python ints in [0, p), and the reciprocals
-    1 / w_i of its last row. ``points`` may also be a (B, m) stack of point
-    sets; the inverses then come as one (B, m, m) array and the reciprocals
-    as B lists.
+    an (m, m) array of ints in [0, p) in ``exact_dtype(1, p)``, and the
+    reciprocals 1 / w_i of its last row. ``points`` may also be a (B, m)
+    stack of point sets; the inverses then come as one (B, m, m) array and
+    the reciprocals as B lists.
 
     Column i holds the coefficients of the Lagrange basis polynomial
     prod_{j != i} (x - x_j) / (x_i - x_j): the master polynomial
@@ -278,7 +276,7 @@ def vandermonde_inv(
     w = np.array(field.inv_all(at_own_point.ravel().tolist()), dtype=dtype)
     inv = np.array(rows[::-1]).swapaxes(0, 1) * w.reshape(xs.shape)[:, None] % p
     w_recip = at_own_point.tolist()
-    return (inv.astype(object), w_recip) if stacked else (inv[0].astype(object), w_recip[0])
+    return (inv, w_recip) if stacked else (inv[0], w_recip[0])
 
 
 def grs_dual_weights(field: GF, points: Sequence[int]) -> list[int]:

@@ -11,9 +11,10 @@ and lam_i = v_i^a0. Any k nodes suffice to rebuild the file.
 
 The sub-file is an array axis, so each file operation is one pass:
 ``pack_file`` gathers the file into one (T, 2, 2a0, a0) array of every M
-and M', and ``encode_file`` multiplies V by all of them at once. Its
-result is the storage of the file, one (T, n, 2, a0) object array of
-Python ints: entry [t, i - 1] is node i's two rows for sub-file t.
+and M', and ``encode_file`` multiplies V, which is ``params.powers``, by
+all of them at once. Its result is the storage of the file, one
+(T, n, 2, a0) array in ``exact_dtype(1, p)``, like all field data: entry
+[t, i - 1] is node i's two rows for sub-file t.
 ``retrieve_file`` reads the rows of one set of k nodes from it and decodes
 every sub-file in one broadcast ``retrieve``.
 
@@ -29,7 +30,12 @@ k (p - 1)^2 < 2^63, object arrays of Python ints otherwise. Every product
 of the decode has an inner dimension of at most k and every elementwise
 step multiplies two reduced values, so after ``retrieve`` casts the k rows
 to the plan's dtype the one decode runs exactly in int64 inside the bound
-and on Python ints outside it.
+and on Python ints outside it, and its result returns to the rows' dtype,
+``exact_dtype(1, p)``, the one dtype of all field data.
+
+``make_params`` interns its result: equal parameters give one object per
+process, so every cache keyed by params hits by identity, and ``powers``
+is built once.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ import numpy as np
 
 from .errors import BadShareSet, InvalidParams, NoValidPoints, WrongLength
 from .gf import GF
-from .matrix import Mat, exact_dtype, lagrange_folds, matmul_mod, vandermonde
+from .matrix import exact_dtype, lagrange_folds, matmul_mod
 from .rng import SplitMix64
 
 
@@ -128,7 +134,8 @@ def make_params(
     Without ``eval_points``, a deterministic greedy scan over the nonzero
     field elements takes the first n points with pairwise-distinct
     lam = v^(k-1), which is v_i = i whenever those points qualify; if no n
-    points qualify it raises NoValidPoints (use a larger prime).
+    points qualify it raises NoValidPoints (use a larger prime). Equal
+    (n, k, d, p) and points give the one interned object.
     """
     if k < 2 or d < 2 * k - 2 or d >= n:
         raise InvalidParams(f"need k >= 2 and 2k-2 <= d < n, got ({n},{k},{d})")
@@ -153,10 +160,17 @@ def make_params(
                 f"no {n} points with distinct v^{alpha0} exist in GF({p})"
             )
 
-    lam = tuple(pow(v, alpha0, p) for v in pts)
+    return _interned(n, k, d, field, pts)
+
+
+@lru_cache(maxsize=64)  # one object per code: identity hits in every params cache
+def _interned(n: int, k: int, d: int, field: GF, pts: tuple[int, ...]):
+    """The one SystemParams of checked (n, k, d) and points; colliding lam
+    values raise InvalidParams."""
+    alpha0 = k - 1
+    lam = tuple(pow(v, alpha0, field.p) for v in pts)
     if len(set(lam)) != n:
         raise InvalidParams("lam values v^(k-1) collide for these points")
-
     return SystemParams(
         n=n,
         k=k,
@@ -181,8 +195,9 @@ def _layout(a0: int) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
 
 
 def pack_file(params: SystemParams, symbols: Sequence[int]) -> np.ndarray:
-    """Gather B symbols into one (T, 2, 2a0, a0) object array: entry [t, 0]
-    is sub-file t's M = [S1; S2] and entry [t, 1] its M' = [S1'; S2'].
+    """Gather B int symbols, reduced mod p, into one (T, 2, 2a0, a0) array
+    in ``exact_dtype(1, p)``: entry [t, 0] is sub-file t's M = [S1; S2] and
+    entry [t, 1] its M' = [S1'; S2'].
 
     Sub-file t holds the t-th run of B / T symbols, in the order: upper
     triangle of S1 row-major, then S2, S1', S2'.
@@ -190,7 +205,9 @@ def pack_file(params: SystemParams, symbols: Sequence[int]) -> np.ndarray:
     if len(symbols) != params.B:
         raise WrongLength(f"expected {params.B} symbols, got {len(symbols)}")
     a0, t = params.alpha0, params.subfiles
-    parts = np.array(symbols, dtype=object).reshape(t, 4, -1)
+    p = params.p
+    parts = np.array([x % p for x in symbols], dtype=exact_dtype(1, p))
+    parts = parts.reshape(t, 4, -1)
     return parts[:, :, _layout(a0)[1]].reshape(t, 2, 2 * a0, a0)
 
 
@@ -202,13 +219,13 @@ def unpack_file(params: SystemParams, packed: np.ndarray) -> tuple[int, ...]:
 
 
 def encode_file(params: SystemParams, symbols: Sequence[int]) -> np.ndarray:
-    """The storage of the file: a (T, n, 2, a0) object array whose entry
-    [t, i - 1] is node i's rows (v_i^T M, v_i^T M') of sub-file t, read off
-    the one product V [M_1 | M'_1 | ... | M'_T]."""
+    """The storage of the file of B int symbols: a (T, n, 2, a0) array in
+    ``exact_dtype(1, p)`` whose entry [t, i - 1] is node i's rows
+    (v_i^T M, v_i^T M') of sub-file t, read off the one product
+    V [M_1 | M'_1 | ... | M'_T], V being ``params.powers``."""
     a0, t = params.alpha0, params.subfiles
     blocks = pack_file(params, symbols).transpose(2, 0, 1, 3).reshape(2 * a0, -1)
-    big_v = vandermonde(params.field, params.eval_points, 2 * a0)
-    rows = (big_v @ Mat.from_array(params.field, blocks)).data
+    rows = matmul_mod(params.powers, blocks, params.p)
     return rows.reshape(params.n, t, 2, a0).swapaxes(0, 1)
 
 
@@ -277,10 +294,10 @@ def _unfold(x: np.ndarray, top, w, w_recip, p: int) -> np.ndarray:
 def retrieve(params: SystemParams, ids: Sequence[int], rows: np.ndarray) -> np.ndarray:
     """Recover [S1; S2] of every instance read from the nodes ``ids``.
 
-    ``rows`` is an object array (..., k, a0) of field elements in [0, p):
-    stacked instances, each the k collected rows vbar^T S1 + lam vbar^T S2
-    in the order of ``ids``. The result is the (..., 2a0, a0) array of
-    their [S1; S2].
+    ``rows`` is an array (..., k, a0) of field elements in [0, p), in
+    ``exact_dtype(1, p)``: stacked instances, each the k collected rows
+    vbar^T S1 + lam vbar^T S2 in the order of ``ids``. The result is the
+    (..., 2a0, a0) array of their [S1; S2], in the dtype of ``rows``.
 
     With P = C_DC Phibar^T, entry P[a,b] = theta_ab + lam_a * psi_ab where
     theta = Phi S1 Phi^T and psi = Phi S2 Phi^T, Phi the k x a0 matrix of
@@ -296,11 +313,12 @@ def retrieve(params: SystemParams, ids: Sequence[int], rows: np.ndarray) -> np.n
     """
     plan = _compiled_plan(params, tuple(ids))
     p = params.p
-    big_p = matmul_mod(rows.astype(plan.lam.dtype), plan.phibar_t, p)  # cast once
+    big_p = matmul_mod(rows.astype(plan.lam.dtype, copy=False), plan.phibar_t, p)
     psi = (big_p - big_p.swapaxes(-1, -2)) * plan.diff_inv % p  # 0 on the diagonal
     theta = (big_p - plan.lam * psi) % p  # symmetric off the diagonal
     s = _unfold(np.stack((theta, psi), axis=-3), plan.top, plan.w, plan.w_recip, p)
-    return s.reshape(*s.shape[:-3], -1, s.shape[-1])  # [S1; S2]
+    s = s.reshape(*s.shape[:-3], -1, s.shape[-1])  # [S1; S2]
+    return s.astype(rows.dtype, copy=False)
 
 
 def check_storage(params: SystemParams, storage: np.ndarray) -> None:

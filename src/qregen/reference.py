@@ -57,8 +57,8 @@ def replay(seed: int = 1) -> list[dict]:
         "V_helpers": vandermonde(
             params.field, [params.eval_points[s - 1] for s in HELPERS], 4
         ).to_rows(),
-        "lambda_tilde": list(repair_css.lam1),
-        "lambda_tilde_prime": list(repair_css.lam2),
+        "lambda_tilde": repair_css.lam1.tolist(),
+        "lambda_tilde_prime": repair_css.lam2.tolist(),
         "HX": repair_css.hx.tolist(),
         "HZ": repair_css.hz.tolist(),
     }

@@ -17,17 +17,20 @@ each repairing through a distinct (2k-2)-subset of the helpers: row t of
 checks u, builds the u-free blocks the CSS cache lacks for those T subsets
 in one batch (``cache_bases``), reads each with one ``build_repair_css``
 call per sub-file, stacks them into one ``RepairCSS``, scales that stack
-by u once, and checks HX HZ^T = 0 for all T codes in one stacked product.
-Stage 2 is one product for the file, as every helper applies the same
-vbar_f (``helper_encode`` reads the helpers' rows and only theirs), and
-every payload is the stack's (T, 2, 2k-2) lam1 and lam2 times those dots
-gathered through the subsets. Stage 3 measures every sub-file in one
-batched syndrome of the checked stack into one (T, 2, a0) array, in every
-mode: the state-vector backend prepares all T codespaces as one stack. A
-helper joins exactly C(d-1, 2k-3) sub-files and sends one qudit in each,
-so the total is C(d, 2k-2) * (2k-2) = B/k qudits; the naive count of one
-qudit per helper per sub-file, d * C(d, 2k-2), would overshoot B/k
-whenever d > 2k-2, as only a sub-file's subset transmits.
+by u once, and checks HX HZ^T = 0 for all T codes in one stacked product
+on views of that stack. Stage 2 is one product for the file, as every
+helper applies the same vbar_f (``helper_encode`` reads the helpers' rows
+and only theirs), and every payload is the stack's (T, 2, 2k-2) lam1 and
+lam2 times those dots gathered through the subsets. Stage 3 measures every
+sub-file in one batched syndrome of the checked stack into one (T, 2, a0)
+array, in every mode: the state-vector backend prepares all T codespaces
+as one stack. A helper joins exactly C(d-1, 2k-3) sub-files and sends one
+qudit in each, so the total is C(d, 2k-2) * (2k-2) = B/k qudits; the
+naive count of one qudit per helper per sub-file, d * C(d, 2k-2), would
+overshoot B/k whenever d > 2k-2, as only a sub-file's subset transmits.
+
+Storage, blocks, dots, payloads and syndromes are all field data in
+``exact_dtype(1, p)``, so no step of a repair casts between dtypes.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import numpy as np
 
 from .css import RepairCSS, build_repair_css, cache_bases, check_helpers, check_u, scale
 from .errors import ModeUnavailable, RegenerationMismatch
-from .matrix import exact_dtype, matmul_mod
+from .matrix import matmul_mod
 from .pmcode import SystemParams, check_storage
 from .stabilizer import (
     StabGroup,
@@ -82,8 +85,8 @@ def helper_encode(
     failed: int,
     helpers: Sequence[int],
 ) -> np.ndarray:
-    """Every helper's two dots in every sub-file, as one (T, d, 2) object
-    array of Python ints: entry [t, j] is (row_m . vbar_f, row_mp . vbar_f)
+    """Every helper's two dots in every sub-file, as one (T, d, 2) array in
+    the storage's dtype: entry [t, j] is (row_m . vbar_f, row_mp . vbar_f)
     of node ``helpers[j]`` in sub-file t. Only the helpers' rows are read."""
     vbar_f = params.powers[failed - 1, : params.alpha0]
     return matmul_mod(storage[:, [h - 1 for h in helpers]], vbar_f, params.p)
@@ -138,13 +141,10 @@ def run_repair(
     blocks = np.array([build_repair_css(params, failed, h).block for h in keys])
     blocks.flags.writeable = False  # as every block is
     css = RepairCSS(failed, helper_sets, blocks if u is None else scale(params, blocks, u), p)
-    # the stack in the dtype of the products with inner dimension 2k-2,
-    # checked by one HX HZ^T product
-    kind = exact_dtype(2 * params.alpha0, p)
-    group = StabGroup(x_type=css.hx.astype(kind), z_type=css.hz.astype(kind), p=p)
+    group = StabGroup(x_type=css.hx, z_type=css.hz, p=p)  # one HX HZ^T check
     dots = helper_encode(params, storage, failed, hs)  # (T, d, 2)
-    lam = np.stack([css.lam1, css.lam2], axis=1)  # (T, 2, 2k-2)
-    payloads = lam * dots[np.arange(len(keys))[:, None], subsets].swapaxes(1, 2) % p
+    sent = dots[np.arange(len(keys))[:, None], subsets].swapaxes(1, 2)  # (T, 2, 2k-2)
+    payloads = css.lams * sent % p
     # measured block order is (sZ, sX); the final swap puts row_m first
     regenerated = np.stack(backend(group, payloads[:, 0], payloads[:, 1]), axis=1)
     stored = storage[:, failed - 1]  # read only to check the result

@@ -3,16 +3,17 @@
 A stabilizer group over N qudits of prime dimension p is generated by
 X-type operators X(g) (rows g of the X parity check) and Z-type operators
 Z(h) (rows h of the Z parity check); ``StabGroup`` holds both checks as
-2-D arrays of ints in [0, p), object arrays or, where every product stays
-exact, int64 ones. It may also hold a stack of groups of one shape, as
-(..., r, N) arrays: ``check_dual_containment`` then checks HX HZ^T = 0 for
-all of them in one batched product, and ``n`` is the last axis. For an
-error X(x)Z(z) applied to a state in the codespace, three interchangeable
-backends compute the measured syndrome. Each takes the group and the
-exponent vectors x and z, one (..., N) vector per group of the stack,
-reduces them mod p, checks their shape against the group's, and returns
-the pair (s_x, s_z) of object arrays: s_x per Z-type generator, s_z per
-X-type one, stacked like the groups.
+2-D arrays of ints in [0, p) in ``exact_dtype(1, p)``, int64 when
+(p - 1)^2 < 2^63 and Python ints above that. It may also hold a stack of
+groups of one shape, as (..., r, N) arrays: ``check_dual_containment``
+then checks HX HZ^T = 0 for all of them in one batched product, and ``n``
+is the last axis. For an error X(x)Z(z) applied to a state in the
+codespace, three interchangeable backends compute the measured syndrome.
+Each takes the group and the exponent vectors x and z, one (..., N) vector
+per group of the stack, reduces them mod p into ``exact_dtype(1, p)``,
+checks their shape against the group's, and returns the pair (s_x, s_z) in
+that dtype: s_x per Z-type generator, s_z per X-type one, stacked like the
+groups.
 
 * ``syndrome_linear``: the syndrome map itself, sX = HZ x and sZ = HX z,
   as plain matrix-vector products mod p, one batched product each.
@@ -71,8 +72,6 @@ def check_dual_containment(hx: np.ndarray, hz: np.ndarray, p: int) -> bool:
     if (hx.ndim != hz.ndim or hx.ndim < 2 or hx.shape[:-2] != hz.shape[:-2]
             or hx.shape[-1] != hz.shape[-1]):
         raise DimensionMismatch("HX and HZ must be matrices of one width")
-    kind = exact_dtype(hx.shape[-1], p)  # the product's own, so no cast back
-    hx, hz = hx.astype(kind, copy=False), hz.astype(kind, copy=False)
     return not matmul_mod(hx, hz.swapaxes(-1, -2), p).any()
 
 
@@ -80,14 +79,17 @@ def check_dual_containment(hx: np.ndarray, hz: np.ndarray, p: int) -> bool:
 class StabGroup:
     """Generators of a CSS-form stabilizer group on N qudits: the rows of
     ``x_type`` (HX) and of ``z_type`` (HZ), each a 2-D array of ints in
-    [0, p), or a stack of such groups along leading axes, one check for all
-    of them. Equality is identity."""
+    [0, p), held in ``exact_dtype(1, p)``, or a stack of such groups along
+    leading axes, one check for all of them. Equality is identity."""
 
     x_type: np.ndarray
     z_type: np.ndarray
     p: int
 
     def __post_init__(self):
+        kind = exact_dtype(1, self.p)  # no copy when the checks are in it
+        object.__setattr__(self, "x_type", np.asarray(self.x_type, dtype=kind))
+        object.__setattr__(self, "z_type", np.asarray(self.z_type, dtype=kind))
         if not check_dual_containment(self.x_type, self.z_type, self.p):
             raise DualContainmentViolated("X and Z generators do not commute")
 
@@ -97,9 +99,16 @@ class StabGroup:
 
 
 def _reduced(group: StabGroup, x, z) -> tuple[np.ndarray, np.ndarray]:
-    """The error exponents x and z as object arrays of ints in [0, p), one
-    vector of N per group of the stack."""
-    x, z = np.array(x, dtype=object) % group.p, np.array(z, dtype=object) % group.p
+    """The error exponents x and z as arrays of ints in [0, p) in
+    ``exact_dtype(1, p)``, one vector of N per group of the stack. Ints of
+    any size reduce as Python ints; an int64 array needs only its ``%``."""
+    p, kind = group.p, exact_dtype(1, group.p)
+
+    def reduced(v):
+        v = v if getattr(v, "dtype", None) == np.int64 else np.array(v, dtype=object)
+        return (v % p).astype(kind, copy=False)
+
+    x, z = reduced(x), reduced(z)
     want = group.x_type.shape[:-2] + (group.n,)
     if not x.shape == z.shape == want:
         raise DimensionMismatch(
@@ -171,7 +180,7 @@ def prepare_codespace(group: StabGroup) -> tuple[np.ndarray, np.ndarray]:
         raise TooLarge(f"{p}^{r} amplitudes exceed the {STATE_LIMIT} limit")
     stack = group.x_type.shape[:-2]
     count = math.prod(stack)
-    hx = group.x_type.reshape((count, r, n)).astype(np.int64)
+    hx = group.x_type.reshape((count, r, n))  # int64, as p <= STATE_LIMIT
     # built as (group, qudit, entry), so that every step runs along the entries
     support = np.zeros((count, n, 1), dtype=np.int64)
     steps = np.arange(p, dtype=np.int64)[:, None]
@@ -243,7 +252,7 @@ def _measure(group: StabGroup, x: np.ndarray, z: np.ndarray) -> np.ndarray:
     count, rz = math.prod(stack), group.z_type.shape[-2]
     support, amps = prepare_codespace(group)
     support, amps = support.reshape((count, -1, n)), amps.reshape(count, -1)
-    x, z = x.reshape(count, n).astype(np.int64), z.reshape(count, n).astype(np.int64)
+    x, z = x.reshape(count, n), z.reshape(count, n)  # int64, as p <= STATE_LIMIT
     # X(x)Z(z)|c> = w^(z.c) |c + x>, on every entry of every group's state
     amps = amps * _roots(p)[matmul_mod(support, z[:, :, None], p)[..., 0]]
     support += x[:, None]  # the support is this call's own
@@ -257,7 +266,7 @@ def _measure(group: StabGroup, x: np.ndarray, z: np.ndarray) -> np.ndarray:
     worst = res.max(initial=0.0)
     if not worst < RESIDUAL_TOL:
         raise ResidualOutOfTolerance(f"eigenvalue residual {worst} out of tolerance")
-    return s.astype(object).reshape(stack + (-1,))
+    return s.reshape(stack + (-1,))
 
 
 def syndrome_statevector(group: StabGroup, x, z) -> tuple[np.ndarray, np.ndarray]:

@@ -6,7 +6,9 @@ import qregen.pmcode
 
 
 def clear_caches():
-    """Forget every cached CSS basis, decode plan and parsed storage file."""
+    """Forget every interned params object, cached CSS basis, decode plan and
+    parsed storage file."""
     qregen.cli._STORED.clear()
     qregen.css._BASES.clear()
     qregen.pmcode._compiled_plan.cache_clear()
+    qregen.pmcode._interned.cache_clear()

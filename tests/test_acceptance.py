@@ -16,6 +16,7 @@ from math import comb
 
 from qregen.cli import main
 from qregen.css import build_repair_css, check_dual_containment
+from qregen.matrix import exact_dtype
 from qregen.pmcode import encode_file, make_params, random_symbols, retrieve_file
 from qregen.reference import GOLDEN, replay
 from qregen.repair import helper_encode, plan_subfiles, run_repair
@@ -50,10 +51,11 @@ def criterion(num, description, limit_s):
     assert ok, f"criterion {num} exceeded the {limit_s}s budget"
 
 
-def same(syndrome, other):
-    """Both (s_x, s_z) pairs are object arrays and agree entry for entry."""
+def same(syndrome, other, p):
+    """Both (s_x, s_z) pairs are arrays in ``exact_dtype(1, p)``, the field's
+    one dtype, and agree entry for entry."""
     arrays = (*syndrome, *other)
-    return all(a.dtype == object for a in arrays) and (
+    return all(a.dtype == exact_dtype(1, p) for a in arrays) and (
         [a.tolist() for a in syndrome] == [a.tolist() for a in other]
     )
 
@@ -152,7 +154,7 @@ def test_criterion_5_backend_equivalence():
                 group = random_group(p, n_qudits, r_x, rng)
                 err = random_error(p, n_qudits, rng)
                 want = syndrome_linear(group, *err)
-                assert same(syndrome_symplectic(group, *err), want)
+                assert same(syndrome_symplectic(group, *err), want, p)
 
         # state-vector oracle on 5^2 of 5^4 basis states; every call raises
         # ResidualOutOfTolerance on an eigenvalue residual of 1e-6 or more
@@ -162,7 +164,7 @@ def test_criterion_5_backend_equivalence():
         for _ in range(100):
             err = random_error(5, 4, rng)
             want = syndrome_linear(group5, *err)
-            assert same(syndrome_statevector(group5, *err), want)
+            assert same(syndrome_statevector(group5, *err), want, 5)
 
         # state-vector oracle on the repair-time group, 13^2 of 13^4 basis states
         params = make_params(6, 3, 4, 13)
@@ -181,7 +183,7 @@ def test_criterion_5_backend_equivalence():
             else:
                 err = random_error(13, 4, rng)
             want = syndrome_linear(group13, *err)
-            assert same(syndrome_statevector(group13, *err), want)
+            assert same(syndrome_statevector(group13, *err), want, 13)
 
 
 def test_criterion_6_extension():

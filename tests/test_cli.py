@@ -8,12 +8,17 @@ from functools import reduce
 from operator import getitem
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import qregen.pmcode
 from qregen import cli, errors, reference, repair, tradeoff
 from qregen.cli import main
+from qregen.matrix import exact_dtype
 from qregen.pmcode import encode_file, make_params, random_symbols
 from qregen.rng import SplitMix64
+
+from documents import storage_doc
 
 
 def run_cli(capsys, *argv):
@@ -540,6 +545,9 @@ MALFORMED = {
     "param-p-float": edit_at(("params", "p"), 13.0),
     "evalPoints-string": edit_at(("params", "evalPoints"), "123456"),
     "evalPoints-bool": edit_at(("params", "evalPoints", 0), True),
+    # 19 = p + 6 and -7 are 6 mod 13, but a point must lie in [1, p)
+    "evalPoints-p-plus-6": edit_at(("params", "evalPoints", 5), 19),
+    "evalPoints-negative": edit_at(("params", "evalPoints", 5), -7),
     "subfiles-object": edit_at(("subfiles",), {}),
     "subfiles-empty": edit_at(("subfiles",), []),
     # a 10^9-node claim fails on the node count before any O(n) work
@@ -577,17 +585,18 @@ def test_malformed_storage_usage_error(tmp_path, capsys, command, case):
 
 @pytest.mark.parametrize("n,k,d,p", [(6, 2, 3, 13), (12, 4, 8, 17), (6, 3, 4, 2**61 - 1)])
 def test_storage_round_trip(n, k, d, p):
-    # written and read back, the storage is encode_file's array again: object
-    # dtype with Python-int entries, never int64, which overflows at large p
+    # written and read back, the storage is encode_file's array again, in
+    # exact_dtype(1, p): int64 where no product of two dits overflows it,
+    # Python ints above that; either way it lists as Python ints
     params = make_params(n, k, d, p)
     storage = encode_file(params, random_symbols(params, SplitMix64(n + k)))
     text = cli._storage_text(params, storage)
     loaded_params, loaded = cli._storage_from_json(json.loads(text))
-    assert loaded_params == params
+    assert loaded_params is params
     for st in (storage, loaded):
         assert st.shape == (params.subfiles, n, 2, k - 1)
-        assert st.dtype == object
-        assert all(type(x) is int for x in st.ravel())
+        assert st.dtype == exact_dtype(1, p)
+        assert all(type(x) is int for x in st.ravel().tolist())
     assert loaded.tolist() == storage.tolist()
 
 
@@ -705,7 +714,8 @@ SEEDED = [(6, 3, 4, 13), (12, 4, 8, 17), (64, 20, 38, 67), (6, 3, 4, 2**61 - 1),
 @pytest.mark.parametrize("n, k, d, p", SEEDED)
 def test_encode_seeds_the_parse_of_its_file(tmp_path, n, k, d, p):
     # the entry encode --out puts in the cache is what a parse of the file's
-    # bytes on disk gives: equal params, a read-only C-ordered array of Python ints
+    # bytes on disk gives: the one params object, a read-only C-ordered
+    # array in exact_dtype(1, p) that lists as Python ints
     params = make_params(n, k, d, p)
     msg, path = tmp_path / "msg.json", tmp_path / "storage.json"
     msg.write_text(json.dumps(random_symbols(params, SplitMix64(3))))
@@ -716,13 +726,28 @@ def test_encode_seeds_the_parse_of_its_file(tmp_path, n, k, d, p):
     assert list(cli._STORED) == [data]
     seeded_params, seeded = cli._STORED[data]
     parsed_params, parsed = cli._storage_from_json(cli._load_json(data))
-    assert seeded_params == parsed_params == params
-    assert hash(seeded_params) == hash(parsed_params)
-    assert seeded.dtype == parsed.dtype == object
+    assert seeded_params is parsed_params is params
+    assert seeded.dtype == parsed.dtype == exact_dtype(1, p)
     assert seeded.shape == parsed.shape == params.storage_shape
     assert seeded.flags.c_contiguous and not seeded.flags.writeable
-    assert {type(x) for x in seeded.flat} == {int}
+    assert {type(x) for x in seeded.ravel().tolist()} == {int}
     assert seeded.tolist() == parsed.tolist()
+
+
+def test_files_of_equal_params_parse_to_one_object(tmp_path):
+    # a file encode writes and one of the same code from another writer, in
+    # json's compact form, both yield the params object make_params gives
+    params = make_params(12, 4, 8, 17)
+    msg, encoded, other = (tmp_path / name for name in ("msg", "encoded", "other"))
+    msg.write_text(json.dumps(random_symbols(params, SplitMix64(5))))
+    argv = ["--n", "12", "--k", "4", "--d", "8", "--prime", "17"]
+    assert main(["encode", *argv, "--in", str(msg), "--out", str(encoded)]) == 0
+    storage = encode_file(params, random_symbols(params, SplitMix64(6)))
+    other.write_text(json.dumps(storage_doc(params, storage)))
+    cli._STORED.clear()
+    read = [cli._read(str(path), cli._stored) for path in (encoded, other)]
+    assert read[0][0] is read[1][0] is params
+    assert read[1][1].tolist() == storage.tolist()
 
 
 def test_encode_seeds_only_a_written_file(tmp_path, capsys):
@@ -1019,16 +1044,31 @@ def test_selftest_reports_failed_checks(capsys, monkeypatch, patch, failed_check
     assert err and all(line.startswith("failure: trial 0 ") for line in err.splitlines())
 
 
-def test_exact_at_the_largest_prime(tmp_path, capsys):
-    # every product of two dits overflows int64 at p = 2^61 - 1
-    p = 2**61 - 1
+@pytest.mark.parametrize("p", [3037000493, 3037000507, 2**61 - 1])
+def test_exact_at_the_largest_prime(tmp_path, capsys, monkeypatch, p):
+    # the largest prime with (p - 1)^2 < 2^63 holds its field data in int64,
+    # the next one and 2^61 - 1 as Python ints, as a product of two dits can
+    # overflow int64 there; all three agree with the pure-int reference
     message = [p - 1 - 3**i for i in range(12)]
     msg, storage = tmp_path / "msg.json", tmp_path / "storage.json"
     msg.write_text(json.dumps(message))
     params = ("--n", "6", "--k", "3", "--d", "4", "--prime", str(p))
+    kind = exact_dtype(1, p)
+    assert kind is (np.int64 if p == 3037000493 else object)
     code, _, _ = run_cli(capsys, "encode", *params, "--in", str(msg),
                          "--out", str(storage))
     assert code == 0
+    encoded = cli._STORED[storage.read_bytes()][1]
+    cli._STORED.clear()  # so that every read below parses the file
+    parsed = cli._read(str(storage), cli._stored)[1]
+    assert encoded.dtype == parsed.dtype == kind
+    assert encoded.tolist() == parsed.tolist()
+    returned = {"retrieve": [], "run_repair": []}  # checked at the end
+    for module, name in ((qregen.pmcode, "retrieve"), (repair, "run_repair")):
+        def keep(*args, real=getattr(module, name), name=name, **kwargs):
+            returned[name].append(real(*args, **kwargs))
+            return returned[name][-1]
+        monkeypatch.setattr(module, name, keep)
     doc = json.loads(storage.read_text())
 
     def sym(a, b, c):
@@ -1051,3 +1091,9 @@ def test_exact_at_the_largest_prime(tmp_path, capsys):
         regen = json.loads(out)["regenerated"]
         assert code == 0
         assert [regen["rowM"], regen["rowMp"]] == [lost["rowM"], lost["rowMp"]]
+    decoded, transcripts = returned["retrieve"], returned["run_repair"]
+    assert len(decoded) == len(transcripts) == 2
+    for array in decoded + [a for t in transcripts
+                            for a in (t.css.block, t.payloads, t.regenerated)]:
+        assert array.dtype == kind
+        assert all(type(x) is int for x in array.ravel().tolist())

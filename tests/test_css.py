@@ -20,7 +20,7 @@ from qregen.errors import (
     ZeroU,
 )
 from qregen.gf import GF
-from qregen.matrix import Mat, vandermonde
+from qregen.matrix import Mat, exact_dtype, vandermonde
 from qregen.pmcode import encode_file, make_params, random_symbols
 from qregen.repair import run_repair
 from qregen.rng import SplitMix64
@@ -72,7 +72,7 @@ def test_build_reference_instance_goldens():
     c = build_repair_css(params, 1, (2, 4, 5, 6))
     assert c.lam1.tolist() == [9, 7, 6, 3]
     assert c.lam2.tolist() == [11, 5, 11, 2]
-    assert c.block.dtype == object
+    assert c.block.dtype == exact_dtype(1, 13)
     assert c.hx.tolist() == [[11, 10, 3, 9], [4, 2, 1, 0]]
     assert c.hz.tolist() == [[12, 9, 12, 6], [2, 7, 4, 0]]
     assert c.u.tolist() == [1, 1, 1, 1]
@@ -83,15 +83,16 @@ def test_build_reference_instance_goldens():
 
 
 def as_mat(field, array):
-    """The Mat of a parity check, once it is known to hold Python ints in
-    [0, p) in an object array."""
-    assert array.dtype == object
-    assert all(type(x) is int and 0 <= x < field.p for x in array.ravel())
-    return Mat.from_array(field, array)
+    """The Mat of a parity check, once it is known to hold ints in [0, p)
+    in ``exact_dtype(1, p)``, which list as Python ints."""
+    assert array.dtype == exact_dtype(1, field.p)
+    rows = array.tolist()
+    assert all(type(x) is int and 0 <= x < field.p for row in rows for x in row)
+    return Mat.from_rows(field, rows)
 
 
 def diag(field, entries):
-    n = len(entries)
+    entries, n = [int(e) for e in entries], len(entries)
     rows = [[e if i == j else 0 for j in range(n)] for i, e in enumerate(entries)]
     return Mat.from_rows(field, rows)
 
@@ -187,7 +188,7 @@ def test_cached_build_equals_fresh_build(n, k, d, p):
         assert css_doc(cached) == css_doc(fresh)
         assert (cached.failed_node, cached.helpers) == (fresh.failed_node, fresh.helpers)
         for a, b in ((cached.hx, fresh.hx), (cached.hz, fresh.hz)):
-            assert a.dtype == b.dtype == object
+            assert a.dtype == b.dtype == exact_dtype(1, p)
             assert a.tolist() == b.tolist()
 
 
@@ -364,7 +365,7 @@ def test_file_repair_stacks_the_single_builds(n, k, d, p):
         singles = [build_repair_css(params, 1, hs, u) for hs in colex]
         assert css.helpers.tolist() == [list(hs) for hs in colex]
         assert css.block.shape == (params.subfiles, 2 * k + 2, 2 * k - 2)
-        assert css.block.dtype == object
+        assert css.block.dtype == exact_dtype(1, p)
         assert css.block.tolist() == np.stack([c.block for c in singles]).tolist()
         assert (css.failed_node, css.p) == (1, p)
 

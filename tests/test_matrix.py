@@ -9,6 +9,7 @@ from qregen.errors import DimensionMismatch, RepeatedPoint, Singular
 from qregen.gf import GF
 from qregen.matrix import (
     Mat,
+    exact_dtype,
     grs_dual_weights,
     matmul_mod,
     vandermonde,
@@ -283,8 +284,8 @@ def test_matmul_mod_overflow_witness():
 
 
 def test_matmul_mod_keeps_int64_operands_in_int64():
-    # two int64 operands give an int64 result, exact on either side of the
-    # bound; one object operand gives Python ints
+    # the result keeps its operands' dtype, exact on either side of the
+    # bound: two int64 operands give int64, two object ones Python ints
     inner = 4
     for p in int64_bound_primes(inner):
         a = object_array([p - 1] * 2 * inner, (2, inner))
@@ -292,8 +293,9 @@ def test_matmul_mod_keeps_int64_operands_in_int64():
         want = matmul_ref(Mat.from_array(GF(p), a), Mat.from_array(GF(p), b))
         out = matmul_mod(a.astype(np.int64), b.astype(np.int64), p)
         assert out.dtype == np.int64 and out.tolist() == want
-        mixed = matmul_mod(a.astype(np.int64), b, p)
-        assert mixed.dtype == object and mixed.tolist() == want
+        out = matmul_mod(a, b, p)
+        assert out.dtype == object and out.tolist() == want
+        assert all(type(x) is int for x in out.ravel())
 
 
 def test_transpose():
@@ -324,10 +326,11 @@ def test_vandermonde_inv_closed_form(case):
     field, points = case
     m = len(points)
     inv, w_recip = vandermonde_inv(field, points)
-    assert inv.dtype == object and inv.shape == (m, m)
-    assert all(type(x) is int and 0 <= x < field.p for x in inv.ravel())
+    assert inv.dtype == exact_dtype(1, field.p) and inv.shape == (m, m)
+    rows = inv.tolist()
+    assert all(type(x) is int and 0 <= x < field.p for row in rows for x in row)
     v = vandermonde(field, points, m)
-    assert Mat.from_array(field, inv) @ v == Mat.identity(field, m)
+    assert Mat.from_rows(field, rows) @ v == Mat.identity(field, m)
     # leading Lagrange coefficients are the dual GRS weights (used by css)
     w = inv[m - 1].tolist()
     assert w == grs_dual_weights(field, points) == grs_weights(field, points)
@@ -358,7 +361,7 @@ def test_vandermonde_inv_on_a_stack_equals_each_set(data):
     field = GF(p)
     for stack in (sets, np.array(sets)):
         inv, w_recip = vandermonde_inv(field, stack)
-        assert inv.dtype == object and inv.shape == (b, m, m)
+        assert inv.dtype == exact_dtype(1, p) and inv.shape == (b, m, m)
         assert len(w_recip) == b
         for pts, one, recip in zip(sets, inv, w_recip):
             want, want_recip = vandermonde_inv(field, pts)
@@ -374,6 +377,6 @@ def test_vandermonde_inv_golden():
     inv, w_recip = vandermonde_inv(F13, (5,))
     assert (inv.tolist(), w_recip) == ([[1]], [1])
     inv, w_recip = vandermonde_inv(F13, (2, 4, 5, 6))
-    assert inv.dtype == object
+    assert inv.dtype == exact_dtype(1, 13)
     assert inv.tolist() == Mat.from_rows(F13, V_HELPERS).inv().to_rows()
     assert w_recip == [2, 4, 10, 8]  # 1 / (7, 10, 4, 5), the weights

@@ -17,7 +17,7 @@ from qregen.errors import (
     WrongLength,
 )
 from qregen.gf import GF, is_prime
-from qregen.matrix import Mat, vandermonde, vandermonde_inv
+from qregen.matrix import Mat, exact_dtype, vandermonde, vandermonde_inv
 from qregen.pmcode import (
     _compiled_plan,
     _unfold,
@@ -63,6 +63,21 @@ def test_params_hash_and_powers_table(p, dtype):
         assert table[i].tolist() == a.field.powers(v, 6)
         assert table[i, 3] == a.lam[i]
     assert hash(replace(a, d=9)) != hash(a)  # one hash per field set, recomputed
+
+
+def test_make_params_interns_equal_params():
+    # one object per (n, k, d, p, points), whether the points are given or
+    # found, so that every cache keyed by params hits by identity
+    a = make_params(12, 4, 8, 17)
+    assert make_params(12, 4, 8, 17, eval_points=a.eval_points) is a
+    assert make_params(12, 4, 8, 17, eval_points=[v + 17 for v in a.eval_points]) is a
+    other = make_params(12, 4, 8, 17, eval_points=a.eval_points[::-1])
+    assert other is not a and other != a
+    assert qregen.pmcode._interned.cache_info().maxsize is not None  # bounded
+    clear_caches()
+    b = make_params(12, 4, 8, 17)
+    assert b is not a and b == a and hash(b) == hash(a)
+    assert make_params(12, 4, 8, 17) is b
 
 
 def test_make_params_alpha0_one():
@@ -327,8 +342,8 @@ def test_retrieve_file_checks_id_set_and_shape():
 
 
 def test_file_layer_is_one_pass(monkeypatch):
-    # encode builds V once and makes one product for all 28 sub-files;
-    # retrieve decodes every sub-file in one call
+    # encode makes one product, params.powers times every sub-file's M and
+    # M', and no Mat product; retrieve decodes every sub-file in one call
     params = make_params(12, 4, 8, 17)
     assert params.subfiles == 28
     symbols = random_symbols(params, SplitMix64(23))
@@ -341,16 +356,16 @@ def test_file_layer_is_one_pass(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(qregen.pmcode, "vandermonde",
-                        count("vandermonde", qregen.pmcode.vandermonde))
-    monkeypatch.setattr(Mat, "__matmul__", count("matmul", Mat.__matmul__))
+    monkeypatch.setattr(qregen.pmcode, "matmul_mod",
+                        count("matmul_mod", qregen.pmcode.matmul_mod))
+    monkeypatch.setattr(Mat, "__matmul__", count("Mat.__matmul__", Mat.__matmul__))
     monkeypatch.setattr(qregen.pmcode, "retrieve",
                         count("retrieve", qregen.pmcode.retrieve))
     monkeypatch.setattr(qregen.pmcode, "lagrange_folds",
                         count("lagrange_folds", qregen.pmcode.lagrange_folds))
     clear_caches()
     storage = encode_file(params, symbols)
-    assert calls == {"vandermonde": 1, "matmul": 1}
+    assert calls == {"matmul_mod": 1}
 
     # one cold plan for the id set: its one Lagrange fold gives top and w,
     # which give both S1 and S2
@@ -364,8 +379,9 @@ def test_file_layer_is_one_pass(monkeypatch):
 @given(st.data())
 def test_unfold_recovers_symmetric_s_whatever_the_diagonal(data):
     # S = top X top^T once the diagonal of X = Phi S Phi^T is refilled from
-    # w^T X = 0: exact, all Python ints
+    # w^T X = 0: exact, in the field's one dtype on either side of its bound
     p = data.draw(st.sampled_from((13, 67, 2**61 - 1)))
+    kind = exact_dtype(1, p)
     field = GF(p)
     k = data.draw(st.integers(2, min(24, p)))
     a0 = k - 1
@@ -375,14 +391,15 @@ def test_unfold_recovers_symmetric_s_whatever_the_diagonal(data):
     s = np.array(data.draw(entries), dtype=object).reshape(a0, a0)
     s = np.triu(s) + np.triu(s, 1).T  # symmetric
     phi = vandermonde(field, pts, a0).data
-    x = phi @ s @ phi.T % p
+    want = phi @ s @ phi.T % p  # on Python ints
+    x = want.astype(kind)
     scrambled = data.draw(st.lists(st.integers(0, p - 1), min_size=k, max_size=k))
     x[range(k), range(k)] = scrambled
     v_inv, w_recip = vandermonde_inv(field, pts)
-    got = _unfold(x, v_inv[:-1], v_inv[-1], np.array(w_recip, dtype=object), p)
-    assert all(type(v) is int for v in got.ravel())
+    got = _unfold(x, v_inv[:-1], v_inv[-1], np.array(w_recip, dtype=kind), p)
+    assert got.dtype == kind and all(type(v) is int for v in got.ravel().tolist())
     assert got.tolist() == s.tolist()
-    assert x.tolist() == (phi @ s @ phi.T % p).tolist()  # the diagonal refilled
+    assert x.tolist() == want.tolist()  # the diagonal refilled
 
 
 def test_retrieve_inverts_once_per_point_plus_one(monkeypatch):

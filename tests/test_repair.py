@@ -16,7 +16,7 @@ from qregen.errors import (
     RegenerationMismatch,
     ZeroU,
 )
-from qregen.matrix import Mat
+from qregen.matrix import Mat, exact_dtype
 from qregen.pmcode import (
     encode_file,
     make_params,
@@ -115,7 +115,8 @@ def test_helper_encode_matches_one_helper_reference(n, k, d, p):
     failed, helpers = n, tuple(range(1, d + 1))
     dots = helper_encode(params, storage, failed, helpers)
     assert dots.shape == (params.subfiles, d, 2)
-    assert all(type(x) is int for x in dots.ravel())
+    assert dots.dtype == exact_dtype(1, p)
+    assert all(type(x) is int for x in dots.ravel().tolist())
     for t in range(params.subfiles):
         for j, h in enumerate(helpers):
             ref = one_helper_dots(params, failed, storage[t, h - 1].tolist())
@@ -394,8 +395,8 @@ def test_transcript_arrays_hold_python_ints_at_2_61_minus_1():
     params = make_params(6, 3, 4, 2**61 - 1)
     storage = encode_file(params, random_symbols(params, SplitMix64(18)))
     t = run_repair(params, storage, 2, (1, 3, 4, 6))
-    for array in (t.payloads, t.regenerated):
-        assert array.dtype == object
+    for array in (t.payloads, t.regenerated, t.css.block):
+        assert array.dtype == object == exact_dtype(1, params.p)
         assert all(type(x) is int for x in array.ravel())
     assert t.regenerated.tolist() == storage[:, 1].tolist()
     assert t.qudit_total == 4

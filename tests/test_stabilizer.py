@@ -14,7 +14,7 @@ from qregen.errors import (
     ResidualOutOfTolerance,
     TooLarge,
 )
-from qregen.matrix import Mat
+from qregen.matrix import Mat, exact_dtype
 from qregen.pmcode import encode_file, make_params, pack_file, random_symbols
 from qregen.rng import SplitMix64
 from qregen.stabilizer import (
@@ -42,11 +42,13 @@ def stab_group(p, x_rows, z_rows, n):
     return StabGroup(x_type=hx, z_type=hz, p=p)
 
 
-def lists(syndrome):
-    """(s_x, s_z) as lists, once both are checked to be object arrays of
-    Python ints."""
+def lists(syndrome, p):
+    """(s_x, s_z) as lists, once both are checked to be arrays in
+    ``exact_dtype(1, p)`` whose lists hold Python ints."""
+    syndrome = tuple(syndrome)
     for s in syndrome:
-        assert s.dtype == object and all(type(v) is int for v in s)
+        assert s.dtype == exact_dtype(1, p)
+        assert all(type(v) is int for v in s.tolist())
     return tuple(s.tolist() for s in syndrome)
 
 
@@ -60,17 +62,17 @@ def test_zero_error_zero_syndrome():
     _, _, group = reference_group()
     for backend in BACKENDS:
         syn = backend(group, [0] * 4, [0] * 4)
-        assert lists(syn) == ([0, 0], [0, 0])
+        assert lists(syn, 13) == ([0, 0], [0, 0])
 
 
 def test_single_qudit_defining_cases():
     z_gen = stab_group(5, [], [[1]], 1)
     x_gen = stab_group(5, [[1]], [], 1)
     for backend in BACKENDS:
-        assert lists(backend(z_gen, [1], [0]))[0] == [1]
+        assert lists(backend(z_gen, [1], [0]), 5)[0] == [1]
         for a in range(5):
-            assert lists(backend(x_gen, [a], [0]))[1] == [0]
-        assert lists(backend(x_gen, [0], [3]))[1] == [3]
+            assert lists(backend(x_gen, [a], [0]), 5)[1] == [0]
+        assert lists(backend(x_gen, [0], [3]), 5)[1] == [3]
 
 
 def test_linear_syndrome_is_linear():
@@ -83,9 +85,9 @@ def test_linear_syndrome_is_linear():
             [(a + b) % 13 for a, b in zip(e1[0], e2[0])],
             [(a + b) % 13 for a, b in zip(e1[1], e2[1])],
         )
-        s1 = lists(syndrome_linear(group, *e1))
-        s2 = lists(syndrome_linear(group, *e2))
-        ssum = lists(syndrome_linear(group, *esum))
+        s1 = lists(syndrome_linear(group, *e1), 13)
+        s2 = lists(syndrome_linear(group, *e2), 13)
+        ssum = lists(syndrome_linear(group, *esum), 13)
         assert ssum[0] == [(a + b) % 13 for a, b in zip(s1[0], s2[0])]
         assert ssum[1] == [(a + b) % 13 for a, b in zip(s1[1], s2[1])]
 
@@ -109,7 +111,7 @@ def test_repair_error_syndrome_reads_failed_node_rows():
              for j, s in enumerate(c.helpers)]
         z = [c.lam2[j] * dot(field, stored[s - 1, 1].tolist(), vbar) % 13
              for j, s in enumerate(c.helpers)]
-        s_x, s_z = lists(syndrome_linear(group, x, z))
+        s_x, s_z = lists(syndrome_linear(group, x, z), 13)
         lam_f = params.lam[0]
         expect_x = [(a + lam_f * b) % 13 for a, b in zip(m_v[:2], m_v[2:])]
         expect_z = [(a + lam_f * b) % 13 for a, b in zip(mp_v[:2], mp_v[2:])]
@@ -125,8 +127,8 @@ def test_linear_vs_symplectic_agreement(p):
         r_x = 1 + rng.below(max(1, n_qudits - 1))
         group = random_group(p, n_qudits, r_x, rng)
         err = random_error(p, n_qudits, rng)
-        want = lists(syndrome_linear(group, *err))
-        assert lists(syndrome_symplectic(group, *err)) == want
+        want = lists(syndrome_linear(group, *err), p)
+        assert lists(syndrome_symplectic(group, *err), p) == want
 
 
 def test_statevector_agreement_small():
@@ -135,8 +137,8 @@ def test_statevector_agreement_small():
     for _ in range(25):
         err = random_error(5, 4, rng)
         # a residual of RESIDUAL_TOL or more raises ResidualOutOfTolerance
-        want = lists(syndrome_linear(group, *err))
-        assert lists(syndrome_statevector(group, *err)) == want
+        want = lists(syndrome_linear(group, *err), 5)
+        assert lists(syndrome_statevector(group, *err), 5) == want
 
 
 def small_groups(p, count, seed):
@@ -187,15 +189,15 @@ def test_statevector_agreement_reference_group():
     rng = SplitMix64(56)
     for _ in range(10):
         err = random_error(13, 4, rng)
-        want = lists(syndrome_linear(group, *err))
-        assert lists(syndrome_statevector(group, *err)) == want
+        want = lists(syndrome_linear(group, *err), 13)
+        assert lists(syndrome_statevector(group, *err), 13) == want
 
 
 def test_statevector_zero_error_preserves_state():
     rng = SplitMix64(57)
     group = random_group(5, 3, 1, rng)
     x = z = [0, 0, 0]
-    assert lists(syndrome_statevector(group, x, z))[0] == [0] * len(group.z_type)
+    assert lists(syndrome_statevector(group, x, z), 5)[0] == [0] * len(group.z_type)
     # overlap magnitude 1 means unchanged up to a global phase
     space = DenseSpace(5, 3)
     state = space.dense(*prepare_codespace(group))
@@ -215,12 +217,12 @@ def test_syndrome_independent_of_codeword(monkeypatch):
     rng = SplitMix64(58)
     for _ in range(10):
         err = random_error(5, 4, rng)
-        want = lists(syndrome_linear(group, *err))
+        want = lists(syndrome_linear(group, *err), 5)
         for state in (state0, state1):
             # syndrome_statevector prepares through the module global
             monkeypatch.setattr(qregen.stabilizer, "prepare_codespace",
                                 lambda _, state=state: space.support_form(state))
-            assert lists(syndrome_statevector(group, *err)) == want
+            assert lists(syndrome_statevector(group, *err), 5) == want
 
 
 def test_group_rejects_non_commuting_pair():
@@ -263,8 +265,8 @@ def test_stacked_group_measures_like_each_group(p):
         s_x, s_z = backend(group, x, z)
         assert s_x.shape == s_z.shape == (28, 3)
         for c, err, sx, sz in zip(codes, errors, s_x, s_z):
-            want = lists(syndrome_linear(group_of(c), *err))
-            assert lists((sx, sz)) == lists(backend(group_of(c), *err)) == want
+            want = lists(syndrome_linear(group_of(c), *err), p)
+            assert lists((sx, sz), p) == lists(backend(group_of(c), *err), p) == want
     with pytest.raises(DimensionMismatch):
         syndrome_linear(group, x[:27], z[:27])
     with pytest.raises(DimensionMismatch):
@@ -302,7 +304,7 @@ def test_stacked_statevector_equals_linear_group_by_group(data):
     s_x, s_z = syndrome_statevector(group, x, z)
     for t, err in enumerate(errors):
         one = StabGroup(x_type=group.x_type[t], z_type=group.z_type[t], p=p)
-        assert lists((s_x[t], s_z[t])) == lists(syndrome_linear(one, *err))
+        assert lists((s_x[t], s_z[t]), p) == lists(syndrome_linear(one, *err), p)
 
 
 def test_one_group_measures_like_a_stack_of_one():
@@ -316,7 +318,8 @@ def test_one_group_measures_like_a_stack_of_one():
         for _ in range(5):
             x, z = random_error(group.p, group.n, rng)
             s_x, s_z = syndrome_statevector(stack, [x], [z])
-            assert lists((s_x[0], s_z[0])) == lists(syndrome_statevector(one, x, z))
+            want = lists(syndrome_statevector(one, x, z), group.p)
+            assert lists((s_x[0], s_z[0]), group.p) == want
 
 
 def test_stacked_codespace_keeps_p_to_the_r_rows():
@@ -344,7 +347,7 @@ def test_stack_measured_in_slices_under_the_state_limit(monkeypatch):
     rng = SplitMix64(25)
     errors = [random_error(17, 6, rng) for _ in codes]
     x, z = ([e[i] for e in errors] for i in (0, 1))
-    whole = lists(s.ravel() for s in syndrome_statevector(group, x, z))
+    whole = lists((s.ravel() for s in syndrome_statevector(group, x, z)), 17)
     prepared = []
     real = qregen.stabilizer.prepare_codespace
 
@@ -356,8 +359,8 @@ def test_stack_measured_in_slices_under_the_state_limit(monkeypatch):
     monkeypatch.setattr(qregen.stabilizer, "prepare_codespace", counting)
     sliced = syndrome_statevector(group, x, z)
     assert prepared == [(1, 3, 6)] * 28
-    assert lists(s.ravel() for s in sliced) == whole
-    assert whole == lists(s.ravel() for s in syndrome_linear(group, x, z))
+    assert lists((s.ravel() for s in sliced), 17) == whole
+    assert whole == lists((s.ravel() for s in syndrome_linear(group, x, z)), 17)
 
 
 def test_statevector_keys_past_int64():
@@ -372,8 +375,8 @@ def test_statevector_keys_past_int64():
         assert support.tolist() == sorted(support.tolist())
     errors = [random_error(13, 18, rng) for _ in range(2)]
     x, z = ([e[i] for e in errors] for i in (0, 1))
-    assert (lists(s.ravel() for s in syndrome_statevector(group, x, z))
-            == lists(s.ravel() for s in syndrome_linear(group, x, z)))
+    assert (lists((s.ravel() for s in syndrome_statevector(group, x, z)), 13)
+            == lists((s.ravel() for s in syndrome_linear(group, x, z)), 13))
 
 
 def test_stacked_check_catches_one_bad_group():
@@ -416,8 +419,8 @@ def test_statevector_at_largest_prime_under_limit():
     group = stab_group(p, [[1, 1]], [[1, p - 1]], 2)
     assert len(prepare_codespace(group)[0]) == p
     for x, z in (([1, 0], [0, 1]), ([p - 1, 3], [p // 2, 7]), ([12345, 0], [0, 54321])):
-        want = lists(syndrome_linear(group, x, z))
-        assert lists(syndrome_statevector(group, x, z)) == want
+        want = lists(syndrome_linear(group, x, z), p)
+        assert lists(syndrome_statevector(group, x, z), p) == want
 
 
 def test_error_dimension_check():
@@ -444,7 +447,7 @@ def test_backends_reduce_exponents_mod_p(data):
     reduced = [v % p for v in x], [v % p for v in z]
     backends = BACKENDS if p <= STATE_LIMIT else BACKENDS[:2]
     for backend in backends:
-        assert lists(backend(group, x, z)) == lists(backend(group, *reduced))
+        assert lists(backend(group, x, z), p) == lists(backend(group, *reduced), p)
 
 
 def test_statevector_residual_check_raises(monkeypatch):
