@@ -5,18 +5,21 @@ line-buffered JSON or CSV; identical flags and seed produce byte-identical
 output. Exit codes: 0 success, 1 verification failure, 2 usage error.
 
 Documents are ``json.dumps(doc, indent=2)``'s text, from ``_json_text``. The
-storage file and the repair transcript fill, by one ``%`` of their arrays' ints,
-a layout ``_indented`` writes once per shape, one sub-file's part repeated.
+storage file and the repair transcript interleave a layout's literal pieces,
+which ``_indented`` writes once per shape with one sub-file's part repeated,
+with their arrays' ints as decimal strings; those strings, and the retrieved
+message's, come from one gather out of a cached table of ``str(i)`` (``_decimal``).
 
 A storage file is read as bytes, and ``_STORED``, an LRU of 8 keyed by those
 exact bytes (not by path or mtime), keeps its validated params and storage
 array, the array read-only and, like all field data, in ``exact_dtype(1, p)``:
-int64 up to p = 3037000493, Python ints above. Ints leave arrays for JSON and
-error messages only, through ``tolist``. Retrieves and repairs that read the
-same stored file again in one process skip ``json.load`` and validation; the
-decode, the repair and its checks still run in full. A file this process encoded is
-cached from its write: ``encode --out`` puts the params and storage it wrote
-under the bytes it wrote, so even its first read is a hit. A malformed file
+int64 up to p = 3037000493, Python ints above. Ints leave arrays only for
+JSON, as ``_decimal`` strings, and for error messages. Retrieves and repairs
+that read the same stored file again in one process skip ``json.load`` and
+validation; the decode, the repair and its checks still run in full. A file
+this process encoded is cached from its write: ``encode --out`` puts the
+params and storage it wrote under the bytes it wrote, so even its first read
+is a hit. A malformed file
 raises before anything is cached, so it fails alike on every read. The bytes
 decode as ``open(path, encoding="utf-8")`` reads them: universal newlines, a
 BOM refused. A one-shot process gains nothing and pays one hash of the bytes.
@@ -27,6 +30,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 from itertools import combinations
@@ -48,9 +52,15 @@ from .repair import MODES
 from .rng import SplitMix64
 
 SWEEP_LIMIT = 10**6  # node sub-files stored; sub-file repairs plus retrievals per sweep
+# ints below this are written from a cached table of their decimal strings: a
+# 2^12 table takes 0.6 ms and 0.25 MB to build (shared 2-core VM) and saves
+# about 90 ns per int; 2^16 would take 11 ms and 4 MB, more than a one-shot
+# call writes back. Larger ints take str() each.
+_DECIMAL_CAP = 1 << 12
 # layout placeholders; json writes them "\u0000...", as no int, key or mode prints
 _SLOT, _PART = "\x00slot", "\x00part"
 _str = json.encoder.encode_basestring_ascii  # json.dumps(s) for a str s
+_ID_CHARS = re.compile(r"[0-9,\s]*")  # \s is what str.strip() strips
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,13 +82,42 @@ def _write_out(text: str, out_path: str | None) -> None:
 
 
 def _json_text(obj, layout=(), copies: int = 1) -> str:
-    """``json.dumps(obj, indent=2) + "\\n"``, byte for byte, without json's
-    pure-Python indent encoder. Given a ``_layout``, ``obj`` lists the
-    document's ints in order, and each fragment is repeated ``copies`` times."""
-    if not layout:
+    """``json.dumps(doc, indent=2) + "\\n"``, byte for byte, without json's
+    pure-Python indent encoder. ``obj`` is the document itself, or an int
+    array: the ints of a flat list, or, given a ``_layout``, the document's
+    ints in order, written as ``_decimal`` strings between the layout's
+    literal pieces, its repeated part ``copies`` times."""
+    if not isinstance(obj, np.ndarray):
         return _indented(obj, "\n") + "\n"
-    return "".join(text + sep.join([fragment] * copies)
-                   for text, sep, fragment in layout) % tuple(obj)
+    strs = _decimal(obj)
+    if not layout:
+        return "[\n  " + ",\n  ".join(strs) + "\n]\n" if strs else "[]\n"
+    pieces = []  # the literal text before each int, and after the last
+    for fixed, unit in layout:
+        pieces += fixed
+        pieces += unit * (copies - 1)
+    out = pieces + strs
+    out[::2], out[1::2] = pieces, strs
+    return "".join(out)
+
+
+@functools.lru_cache(maxsize=8)
+def _decimal_table(size: int) -> np.ndarray:
+    """``str(i)`` for every i below ``size``, as an object array."""
+    return np.array([str(i) for i in range(size)], dtype=object)
+
+
+def _decimal(values: np.ndarray) -> list[str]:
+    """``list(map(str, values.tolist()))`` of an int array. Values in
+    [0, _DECIMAL_CAP) of an integer dtype are one gather from the cached
+    table of the next power of two above the largest, at least 256; any
+    other array, an object one included, takes ``str`` of each int."""
+    values = values.ravel()
+    if values.size and values.dtype.kind in "iu":
+        top = int(values.max())
+        if top < _DECIMAL_CAP and values.min() >= 0:
+            return _decimal_table(max(256, 1 << top.bit_length()))[values].tolist()
+    return list(map(str, values.tolist()))
 
 
 def _indented(obj, nl: str) -> str:
@@ -125,35 +164,46 @@ def _params_json(params: SystemParams) -> dict:
             "evalPoints": list(params.eval_points)}
 
 
-def _layout(skeleton, fragments=()) -> tuple[tuple[str, str, str], ...]:
-    """``skeleton``'s text, a %d per _SLOT, as (text, separator, fragment)
-    triples: the i-th [_PART, _PART] stands for copies of ``fragments[i]``,
-    joined by the text between its _PARTs and indented as after its comma."""
-    def template(obj, nl: str) -> str:
-        return _indented(obj, nl).replace("%", "%%").replace(json.dumps(_SLOT), "%d")
+def _layout(skeleton, fragments=()) -> tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]:
+    """``skeleton``'s text as the literal pieces around its _SLOTs, in
+    (fixed, unit) pairs: a document of c copies reads each pair's fixed pieces
+    and then its unit pieces c - 1 times, one piece before each int and one
+    after the last. The i-th [_PART, _PART] stands for copies of
+    ``fragments[i]``, which holds a _SLOT, joined by the text between its
+    _PARTs and indented as after its comma."""
+    shared = {}  # one str per distinct piece: a row's separators repeat
 
-    pieces = (template(skeleton, "\n") + "\n").split(json.dumps(_PART))
-    filled = [template(part, sep[1:]) for part, sep in zip(fragments, pieces[1::2])]
-    return tuple(zip(pieces[::2], pieces[1::2] + [""], filled + [""]))
+    def split(text: str) -> list[str]:
+        return [shared.setdefault(piece, piece) for piece in text.split(json.dumps(_SLOT))]
+
+    pieces = (_indented(skeleton, "\n") + "\n").split(json.dumps(_PART))
+    layout, carry = [], ""
+    for text, sep, part in zip(pieces[::2], pieces[1::2], fragments):
+        head, frag = split(carry + text), split(_indented(part, sep[1:]))
+        layout.append(((*head[:-1], head[-1] + frag[0], *frag[1:-1]),
+                       (frag[-1] + sep + frag[0], *frag[1:-1])))
+        carry = frag[-1]
+    layout.append((tuple(split(carry + pieces[-1])), ()))
+    return tuple(layout)
 
 
 @functools.lru_cache(maxsize=16)
 def _storage_layout(params: SystemParams):
-    node = dict(nodeId=_SLOT, rowM=[_SLOT] * params.alpha0, rowMp=[_SLOT] * params.alpha0)
+    row = [_SLOT] * params.alpha0
+    nodes = [dict(nodeId=i, rowM=row, rowMp=row) for i in range(1, params.n + 1)]
     skeleton = {"params": _params_json(params), "subfiles": [_PART, _PART]}
-    return _layout(skeleton, ([node] * params.n,))
+    return _layout(skeleton, (nodes,))
 
 
 def _storage_text(params: SystemParams, storage: np.ndarray) -> str:
-    """The storage file: each sub-file lists every node's id, rowM and rowMp."""
-    t, n = storage.shape[:2]
-    values = np.insert(storage.reshape(t, n, -1), 0, np.arange(1, n + 1), axis=2)
-    return _json_text(values.ravel().tolist(), _storage_layout(params), t)
+    """The storage file: each sub-file lists every node's id, rowM and rowMp,
+    the ids as text of the layout."""
+    return _json_text(storage, _storage_layout(params), len(storage))
 
 
 @functools.lru_cache(maxsize=16)
-def _transcript_layout(mode: str, d: int, a0: int, subfiles: int):
-    row, col, single = [_SLOT] * a0, [_SLOT] * (2 * a0), subfiles == 1
+def _transcript_layout(mode: str, d: int, a0: int, single: bool):
+    row, col = [_SLOT] * a0, [_SLOT] * (2 * a0)
     parts = dict(
         css=dict(HX=[col] * a0, HZ=[col] * a0, Lam1=col, Lam2=col, u=col, uPrime=col),
         payloads=[dict(helperId=_SLOT, yX=_SLOT, yZ=_SLOT, quditsSent=1)] * (2 * a0),
@@ -173,9 +223,10 @@ def _transcript_text(t: repair.RepairTranscript) -> str:
     values = np.concatenate([  # sent as (helperId, yX, yZ) per qudit
         [t.failed_node, *t.helpers], t.css.block.ravel(), sent.swapaxes(1, 2).ravel(),
         rows.ravel(),
-        np.insert(rows, 0, t.failed_node, axis=1).ravel(), [t.qudit_total]])
-    layout = _transcript_layout(t.mode, len(t.helpers), a0, copies)
-    return _json_text(values.tolist(), layout, copies)
+        np.concatenate([np.full((copies, 1), t.failed_node), rows], axis=1).ravel(),
+        [t.qudit_total]])
+    layout = _transcript_layout(t.mode, len(t.helpers), a0, copies == 1)
+    return _json_text(values, layout, copies)
 
 
 def _ints(values, bound: int | None = None) -> bool:
@@ -300,7 +351,7 @@ def cmd_retrieve(args) -> int:
     params, storage = _read(args.in_path, _stored)
     ids = range(1, params.k + 1) if args.nodes is None else _parse_ids(args.nodes)
     symbols = retrieve_file(params, storage, ids)
-    _write_out(_json_text(list(symbols)), args.out)
+    _write_out(_json_text(np.array(symbols, dtype=exact_dtype(1, params.p))), args.out)
     return 0
 
 
@@ -472,10 +523,10 @@ def cmd_selftest(args) -> int:
     return 0 if passed == len(checks) else 1
 
 
-def _int(text: str, signed: bool = True) -> int:
-    """``int(text)`` for ASCII digits between blanks, after a leading - if
-    ``signed``: int() alone also reads "1_0" as 10 and "\\u0661" as 1."""
-    digits = text.strip().removeprefix("-" if signed else "")
+def _int(text: str) -> int:
+    """``int(text)`` for ASCII digits between blanks, after an optional
+    leading -: int() alone also reads "1_0" as 10 and "\\u0661" as 1."""
+    digits = text.strip().removeprefix("-")
     if digits.isascii() and digits.isdigit():
         try:
             return int(text)
@@ -485,10 +536,15 @@ def _int(text: str, signed: bool = True) -> int:
 
 
 def _parse_ids(text: str) -> list[int]:
+    """Comma-separated ids of ASCII digits, blanks around each allowed: one
+    check of the whole string, then int() of each part, which refuses a blank
+    part, a blank inside one and more digits than it converts."""
     try:
-        return [_int(part, signed=False) for part in text.split(",")]
-    except argparse.ArgumentTypeError:
-        raise errors.InvalidParams(f"expected comma-separated ids, got {text!r}") from None
+        if _ID_CHARS.fullmatch(text):
+            return list(map(int, text.split(",")))
+    except ValueError:
+        pass
+    raise errors.InvalidParams(f"expected comma-separated ids, got {text!r}")
 
 
 @functools.cache  # one per process; parse_args returns a fresh Namespace

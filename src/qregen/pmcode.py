@@ -142,7 +142,7 @@ def make_params(
     if p < n + 1:
         raise InvalidParams(f"need p >= n+1 = {n + 1}, got {p}")
     try:
-        field = GF(p)
+        field = _field(p)
     except ValueError as exc:
         raise InvalidParams(str(exc)) from None
     alpha0 = k - 1
@@ -161,6 +161,12 @@ def make_params(
             )
 
     return _interned(n, k, d, field, pts)
+
+
+@lru_cache(maxsize=16)  # a p that fails raises, so it is checked again on every call
+def _field(p: int) -> GF:
+    """GF(p), its primality proven once per process."""
+    return GF(p)
 
 
 @lru_cache(maxsize=64)  # one object per code: identity hits in every params cache

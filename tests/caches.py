@@ -6,9 +6,10 @@ import qregen.pmcode
 
 
 def clear_caches():
-    """Forget every interned params object, cached CSS basis, decode plan and
-    parsed storage file."""
+    """Forget every proven prime field, interned params object, cached CSS
+    basis, decode plan and parsed storage file."""
     qregen.cli._STORED.clear()
     qregen.css._BASES.clear()
     qregen.pmcode._compiled_plan.cache_clear()
+    qregen.pmcode._field.cache_clear()
     qregen.pmcode._interned.cache_clear()

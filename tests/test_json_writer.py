@@ -4,20 +4,24 @@ The CLI's stdout and ``--out`` files are pinned byte for byte, so the
 writer is checked against json itself: on random documents that mix in
 everything its fast paths must leave to json (bools among ints, None,
 floats with nan and inf, escaped strings and keys, non-str keys, tuples,
-empty containers). The storage file and the repair transcript, filled
-into cached layouts from their arrays, are checked against json's text of
-the dicts ``tests/documents.py`` builds, at one and at many sub-files.
+empty containers). The storage file and the repair transcript, their ints
+written into cached layouts from a table of decimal strings, are checked
+against json's text of the dicts ``tests/documents.py`` builds, at one and
+at many sub-files, and the retrieved message against json's text of the
+message, on either side of the table's cap.
 """
 
 import json
 import os
 from itertools import chain
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from qregen import cli
 from qregen.errors import NoValidPoints
+from qregen.matrix import exact_dtype
 from qregen.pmcode import encode_file, make_params, random_symbols
 from qregen.repair import MODES, run_repair
 from qregen.rng import SplitMix64
@@ -115,13 +119,64 @@ def test_writer_on_small_parameter_sets(dims, seed):
     assert_documents_exact(params, storage, ("linear", "symplectic"), seed)
 
 
+def layout_chars(layout):
+    """The characters of every literal piece a layout holds."""
+    return sum(map(len, chain.from_iterable(chain(*layout))))
+
+
 def test_storage_layout_does_not_grow_with_subfiles():
     # (12,4,7,17) and (12,4,8,17) differ only in T: 7 sub-files against 28
     lengths = {}
     for d in (7, 8):
         params = make_params(12, 4, d, 17)
-        lengths[params.subfiles] = sum(map(len, chain(*cli._storage_layout(params))))
+        lengths[params.subfiles] = layout_chars(cli._storage_layout(params))
     assert list(lengths) == [7, 28] and lengths[7] == lengths[28]
+
+
+def test_transcript_layout_does_not_grow_with_subfiles():
+    # at (12,4,7,17) and (12,4,8,17) a repair writes 7 and 28 sub-files;
+    # the layouts differ by the one more helper id alone
+    lengths = {}
+    for d in (7, 8):
+        params, storage = storage_case(12, 4, d, 17)
+        t = run_repair(params, storage, 1, list(range(2, d + 2)), None, "linear")
+        lengths[len(t.regenerated)] = layout_chars(
+            cli._transcript_layout(t.mode, d, params.alpha0, len(t.regenerated) == 1))
+    assert list(lengths) == [7, 28] and lengths[28] - lengths[7] == len(",\n    ")
+
+
+CAP = cli._DECIMAL_CAP
+AROUND_CAP = st.sampled_from([0, 1, 255, 256, CAP - 1, CAP, CAP + 1, 2**63 - 1])
+
+
+@WRITER
+@given(data=st.data(), shape=st.lists(st.integers(0, 4), max_size=3),
+       kind=st.sampled_from([np.int64, object]))
+def test_decimal_strings_equal_str(data, shape, kind):
+    # a table gather below the cap, str of each int past it, negative or
+    # above int64 (object only)
+    ints = (AROUND_CAP | st.integers(0, 300) | st.integers(-3, -1)
+            | (st.sampled_from([2**64 + 1, -(2**70)]) if kind is object else st.nothing()))
+    size = int(np.prod(shape))
+    values = np.array(data.draw(st.lists(ints, min_size=size, max_size=size)),
+                      dtype=kind).reshape(shape)
+    assert cli._decimal(values) == list(map(str, values.ravel().tolist()))
+
+
+@pytest.mark.parametrize("p", [13, 4099, 2**61 - 1, 2**64 - 59])  # 4099: past the cap
+def test_retrieved_message_text(tmp_path, capsys, p):
+    # the message near p - 1, so that at 4099 it takes the fallback; the
+    # document through the CLI and from the array equal json's text
+    msg, storage = tmp_path / "msg.json", tmp_path / "storage.json"
+    symbols = [p - 1 - 3**i % p for i in range(12)]
+    msg.write_text(json.dumps(symbols))
+    assert cli.main(["encode", "--n", "6", "--k", "3", "--d", "4", "--prime", str(p),
+                     "--in", str(msg), "--out", str(storage)]) == 0
+    assert cli.main(["retrieve", "--in", str(storage), "--nodes", "2,4,6"]) == 0
+    assert capsys.readouterr().out == dumped(symbols)
+    assert cli._json_text(np.array(symbols, dtype=exact_dtype(1, p))) == dumped(symbols)
+    assert cli._json_text(np.array(symbols[:1])) == dumped(symbols[:1])
+    assert cli._json_text(np.array([], dtype=np.int64)) == dumped([])
 
 
 def test_encode_and_repair_each_open_one_json_dump_span(tmp_path):

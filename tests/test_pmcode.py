@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import qregen.gf
 import qregen.pmcode
+from qregen.cli import main
 from qregen.errors import (
     BadShareSet,
     DivisionByZero,
@@ -78,6 +80,24 @@ def test_make_params_interns_equal_params():
     b = make_params(12, 4, 8, 17)
     assert b is not a and b == a and hash(b) == hash(a)
     assert make_params(12, 4, 8, 17) is b
+
+
+def test_make_params_proves_each_prime_once(monkeypatch, capsys):
+    # Miller-Rabin runs once per prime and process; a composite is not
+    # cached, so every call refuses it again, and each CLI call exits 2
+    calls, real = Counter(), qregen.gf.is_prime
+    monkeypatch.setattr(qregen.gf, "is_prime", lambda n: calls.update([n]) or real(n))
+    clear_caches()
+    p = 2**61 - 1
+    assert make_params(8, 3, 5, p) is make_params(8, 3, 5, p)
+    assert calls == {p: 1}
+    argv = ["repair", "--n", "6", "--k", "3", "--d", "4", "--prime", "15",
+            "--failed", "1", "--helpers", "2,4,5,6"]
+    for _ in range(2):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: field order must be prime, got 15\n"
+    assert calls[15] == 2
+    assert qregen.pmcode._field.cache_info().maxsize is not None  # bounded
 
 
 def test_make_params_alpha0_one():
