@@ -6,7 +6,7 @@ output. Exit codes: 0 success, 1 verification failure, 2 usage error.
 
 Documents are ``json.dumps(doc, indent=2)``'s text, from ``_json_text``. The
 storage file and the repair transcript interleave a layout's literal pieces,
-which ``_indented`` writes once per shape with one sub-file's part repeated,
+which ``json.dumps`` writes once per shape with one sub-file's part repeated,
 with their arrays' ints as decimal strings; those strings, and the retrieved
 message's, come from one gather out of a cached table of ``str(i)`` (``_decimal``).
 
@@ -59,7 +59,6 @@ SWEEP_LIMIT = 10**6  # node sub-files stored; sub-file repairs plus retrievals p
 _DECIMAL_CAP = 1 << 12
 # layout placeholders; json writes them "\u0000...", as no int, key or mode prints
 _SLOT, _PART = "\x00slot", "\x00part"
-_str = json.encoder.encode_basestring_ascii  # json.dumps(s) for a str s
 _ID_CHARS = re.compile(r"[0-9,\s]*")  # \s is what str.strip() strips
 
 
@@ -82,13 +81,13 @@ def _write_out(text: str, out_path: str | None) -> None:
 
 
 def _json_text(obj, layout=(), copies: int = 1) -> str:
-    """``json.dumps(doc, indent=2) + "\\n"``, byte for byte, without json's
-    pure-Python indent encoder. ``obj`` is the document itself, or an int
-    array: the ints of a flat list, or, given a ``_layout``, the document's
-    ints in order, written as ``_decimal`` strings between the layout's
-    literal pieces, its repeated part ``copies`` times."""
+    """``json.dumps(doc, indent=2) + "\\n"``, byte for byte. ``obj`` is the
+    document itself, or an int array: the ints of a flat list, or, given a
+    ``_layout``, the document's ints in order, written as ``_decimal``
+    strings between the layout's literal pieces, its repeated part
+    ``copies`` times."""
     if not isinstance(obj, np.ndarray):
-        return _indented(obj, "\n") + "\n"
+        return json.dumps(obj, indent=2) + "\n"
     strs = _decimal(obj)
     if not layout:
         return "[\n  " + ",\n  ".join(strs) + "\n]\n" if strs else "[]\n"
@@ -118,25 +117,6 @@ def _decimal(values: np.ndarray) -> list[str]:
         if top < _DECIMAL_CAP and values.min() >= 0:
             return _decimal_table(max(256, 1 << top.bit_length()))[values].tolist()
     return list(map(str, values.tolist()))
-
-
-def _indented(obj, nl: str) -> str:
-    """``obj`` as ``json.dumps(indent=2)`` writes it where ``nl`` is the newline
-    plus the current indent. Non-empty lists, tuples and str-keyed dicts
-    recurse, a flat list of plain ints or of strs is one C-level join, and
-    everything else (bool, None, float, str, int subclasses, other keys) is json's."""
-    kind = type(obj)
-    if kind is int:
-        return str(obj)
-    pad = nl + "  "
-    if (kind is list or kind is tuple) and obj:
-        if (kinds := set(map(type, obj))) in ({int}, {str}):  # bool is not int, as in _ints
-            return f"[{pad}{(',' + pad).join(map(_str if str in kinds else str, obj))}{nl}]"
-        return f"[{pad}{(',' + pad).join([_indented(x, pad) for x in obj])}{nl}]"
-    if kind is dict and obj and set(map(type, obj)) == {str}:
-        items = [f"{_str(key)}: {_indented(val, pad)}" for key, val in obj.items()]
-        return f"{{{pad}{(',' + pad).join(items)}{nl}}}"
-    return json.dumps(obj, indent=2).replace("\n", nl)
 
 
 def _check_size(n: int, k: int, d: int) -> None:
@@ -176,10 +156,11 @@ def _layout(skeleton, fragments=()) -> tuple[tuple[tuple[str, ...], tuple[str, .
     def split(text: str) -> list[str]:
         return [shared.setdefault(piece, piece) for piece in text.split(json.dumps(_SLOT))]
 
-    pieces = (_indented(skeleton, "\n") + "\n").split(json.dumps(_PART))
+    pieces = (json.dumps(skeleton, indent=2) + "\n").split(json.dumps(_PART))
     layout, carry = [], ""
     for text, sep, part in zip(pieces[::2], pieces[1::2], fragments):
-        head, frag = split(carry + text), split(_indented(part, sep[1:]))
+        head = split(carry + text)
+        frag = split(json.dumps(part, indent=2).replace("\n", sep[1:]))
         layout.append(((*head[:-1], head[-1] + frag[0], *frag[1:-1]),
                        (frag[-1] + sep + frag[0], *frag[1:-1])))
         carry = frag[-1]

@@ -238,45 +238,36 @@ def lagrange_folds(
     return cols, matmul_mod(powers[..., :m], slope, p)[..., 0]
 
 
-def vandermonde_inv(
-    field: GF, points: Sequence[int] | Sequence[Sequence[int]]
-) -> tuple[np.ndarray, list]:
+def vandermonde_inv(field: GF, points: Sequence[int]) -> tuple[np.ndarray, list[int]]:
     """Inverse of the square ``vandermonde(field, points, len(points))``, as
     an (m, m) array of ints in [0, p) in ``exact_dtype(1, p)``, and the
-    reciprocals 1 / w_i of its last row. ``points`` may also be a (B, m)
-    stack of point sets; the inverses then come as one (B, m, m) array and
-    the reciprocals as B lists.
+    reciprocals 1 / w_i of its last row.
 
     Column i holds the coefficients of the Lagrange basis polynomial
     prod_{j != i} (x - x_j) / (x_i - x_j): the master polynomial
     prod_j (x - x_j), divided synthetically by (x - x_i), times the GRS
-    weight w_i of x_i. Each set's master polynomial comes from a list loop;
-    the divisions then run as one Horner step per coefficient over the
-    whole (B, m) stack of points, in ``exact_dtype(1, p)``, as
-    (p - 1)^2 + p - 1 < 2^63 whenever (p - 1)^2 < 2^63. Each step also
-    evaluates every quotient at its own point, which gives
-    1 / w_i = prod_{j != i} (x_i - x_j), and one ``GF.inv_all`` gives every
-    w_i of the stack. Callers that need the 1 / w_i take them from here
-    rather than invert w again. O(B m^2); repeated points in a set raise
+    weight w_i of x_i. The master polynomial comes from a list loop; the
+    divisions then run as one Horner step per coefficient over all m
+    points, in ``exact_dtype(1, p)``, as (p - 1)^2 + p - 1 < 2^63 whenever
+    (p - 1)^2 < 2^63. Each step also evaluates every quotient at its own
+    point, which gives 1 / w_i = prod_{j != i} (x_i - x_j), and one
+    ``GF.inv_all`` gives every w_i. O(m^2); repeated points raise
     RepeatedPoint.
     """
     p = field.p
-    stacked = len(points) > 0 and hasattr(points[0], "__len__")  # a (B, m) stack
-    sets = [[int(x) % p for x in pts] for pts in (points if stacked else [points])]
-    masters = _master_polynomials(sets, p)
+    pts = [int(x) % p for x in points]
+    (master,) = _master_polynomials([pts], p)
     dtype = exact_dtype(1, p)
-    xs = np.array(sets, dtype=dtype)
+    xs = np.array(pts, dtype=dtype)
     # one coefficient of every quotient, and every quotient so far at its point
     quotient = at_own_point = np.zeros(xs.shape, dtype=dtype)
     rows = []
-    for c in np.array(masters, dtype=dtype).T[:-1, :, None]:  # highest first, per set
+    for c in master[:-1]:  # highest first
         quotient = (quotient * xs + c) % p
         at_own_point = (at_own_point * xs + quotient) % p
         rows.append(quotient)
-    w = np.array(field.inv_all(at_own_point.ravel().tolist()), dtype=dtype)
-    inv = np.array(rows[::-1]).swapaxes(0, 1) * w.reshape(xs.shape)[:, None] % p
-    w_recip = at_own_point.tolist()
-    return (inv, w_recip) if stacked else (inv[0], w_recip[0])
+    w = np.array(field.inv_all(at_own_point.tolist()), dtype=dtype)
+    return np.array(rows[::-1], dtype=dtype) * w % p, at_own_point.tolist()
 
 
 def grs_dual_weights(field: GF, points: Sequence[int]) -> list[int]:

@@ -25,13 +25,10 @@ on the ids' points it needs the first a0 rows, ``top``, and the last row,
 the GRS weights w. ``matrix.lagrange_folds`` at c = 0 gives ``top`` up to
 a column scaling, and every 1 / w_b, from the ids' rows of
 ``params.powers``; one batched field inversion does the rest.
-The plan holds its arrays in ``exact_dtype(k, p)``: int64 when
-k (p - 1)^2 < 2^63, object arrays of Python ints otherwise. Every product
-of the decode has an inner dimension of at most k and every elementwise
-step multiplies two reduced values, so after ``retrieve`` casts the k rows
-to the plan's dtype the one decode runs exactly in int64 inside the bound
-and on Python ints outside it, and its result returns to the rows' dtype,
-``exact_dtype(1, p)``, the one dtype of all field data.
+The plan's arrays, the k rows and the decode's result are all in
+``exact_dtype(1, p)``, the one dtype of all field data: every elementwise
+step multiplies two reduced values, and ``matmul_mod`` widens each product
+by its inner dimension, so the decode is exact with no cast of its own.
 
 ``make_params`` interns its result: equal parameters give one object per
 process, so every cache keyed by params hits by identity, and ``powers``
@@ -238,7 +235,7 @@ def encode_file(params: SystemParams, symbols: Sequence[int]) -> np.ndarray:
 @dataclass(frozen=True)
 class _DecodePlan:
     """Every inverse that decoding from one sorted id set needs, each array
-    in ``exact_dtype(k, p)``."""
+    in ``exact_dtype(1, p)``."""
 
     phibar_t: np.ndarray  # a0 x k, column a is vbar of the a-th id
     lam: np.ndarray  # k x 1, lam of the a-th id in row a
@@ -274,10 +271,8 @@ def _compiled_plan(params: SystemParams, ids: tuple[int, ...]) -> _DecodePlan:
     diff_inv[upper] = inv[:pairs]
     diff_inv[upper[::-1]] = [p - x for x in inv[:pairs]]  # 1 / (lam_b - lam_a)
     w_by_lam = np.array(inv[pairs:], dtype=powers.dtype)  # w_b / lam_b
-    arrays = (powers[:, :a0].T, lam[:, None], diff_inv, cols[0] * w_by_lam % p,
-              w_by_lam * lam % p, w_recip[0])
-    dtype = exact_dtype(len(ids), p)
-    return _DecodePlan(*(np.asarray(a, dtype=dtype) for a in arrays))
+    return _DecodePlan(powers[:, :a0].T, lam[:, None], diff_inv,
+                       cols[0] * w_by_lam % p, w_by_lam * lam % p, w_recip[0])
 
 
 def _unfold(x: np.ndarray, top, w, w_recip, p: int) -> np.ndarray:
@@ -303,7 +298,7 @@ def retrieve(params: SystemParams, ids: Sequence[int], rows: np.ndarray) -> np.n
     ``rows`` is an array (..., k, a0) of field elements in [0, p), in
     ``exact_dtype(1, p)``: stacked instances, each the k collected rows
     vbar^T S1 + lam vbar^T S2 in the order of ``ids``. The result is the
-    (..., 2a0, a0) array of their [S1; S2], in the dtype of ``rows``.
+    (..., 2a0, a0) array of their [S1; S2], in that dtype too.
 
     With P = C_DC Phibar^T, entry P[a,b] = theta_ab + lam_a * psi_ab where
     theta = Phi S1 Phi^T and psi = Phi S2 Phi^T, Phi the k x a0 matrix of
@@ -314,17 +309,15 @@ def retrieve(params: SystemParams, ids: Sequence[int], rows: np.ndarray) -> np.n
     and S2 from the one inverse Vandermonde matrix on all k ids.
 
     Everything here depends only on the ids, so one cached _DecodePlan
-    serves all the instances, which numpy decodes in one broadcast pass in
-    the plan's dtype.
+    serves all the instances, which numpy decodes in one broadcast pass.
     """
     plan = _compiled_plan(params, tuple(ids))
     p = params.p
-    big_p = matmul_mod(rows.astype(plan.lam.dtype, copy=False), plan.phibar_t, p)
+    big_p = matmul_mod(rows, plan.phibar_t, p)
     psi = (big_p - big_p.swapaxes(-1, -2)) * plan.diff_inv % p  # 0 on the diagonal
     theta = (big_p - plan.lam * psi) % p  # symmetric off the diagonal
     s = _unfold(np.stack((theta, psi), axis=-3), plan.top, plan.w, plan.w_recip, p)
-    s = s.reshape(*s.shape[:-3], -1, s.shape[-1])  # [S1; S2]
-    return s.astype(rows.dtype, copy=False)
+    return s.reshape(*s.shape[:-3], -1, s.shape[-1])  # [S1; S2]
 
 
 def check_storage(params: SystemParams, storage: np.ndarray) -> None:

@@ -19,10 +19,10 @@ groups.
   as plain matrix-vector products mod p, one batched product each.
 * ``syndrome_symplectic``: commutation phases. A generator written as the
   symplectic row (a | b) picks up the phase exponent <(a|b), (x|z)> =
-  b.x - a.z when commuted past the error. Z-type rows (0 | h) report
-  +h.x directly; X-type rows (g | 0) have raw phase -g.z, so their
-  reported component is the negated pairing. With that sign convention
-  both backends agree entry for entry.
+  b.x - a.z when commuted past the error. ``_generators`` writes Z(h) as
+  (0 | h), phase h.x, and X(g) as its inverse X(-g), the row (-g | 0),
+  phase g.z, so every phase is a syndrome entry and both backends agree
+  entry for entry.
 * ``syndrome_statevector``: a literal state-vector simulation, of one
   group or of a whole stack at once. The codespace state is the
   normalized projector image of |0>: every Z projector keeps |0>, since
@@ -35,12 +35,12 @@ groups.
   with the phase w^(z.c), and each generator's eigenvalue w^s is read off
   a single amplitude. Every codeword is keyed as one base-p integer, so
   one sort of the moved stack's keys and one ``searchsorted`` find the
-  amplitude of every generator of every group. Raw exponents are
-  sign-fixed exactly as in the symplectic backend. Validation only. With
-  r X generators a group's support has p^r entries; the size guard keeps
-  p^r at or below 2^20, and p too, so that int64 holds every entry sum
-  and float64 phases tell the p-th roots of unity apart. A stack is
-  measured in slices of at most 2^20 support entries in all.
+  amplitude of every generator of every group, ``_generators``' rows as
+  in the symplectic backend. Validation only. With r X generators a
+  group's support has p^r entries; the size guard keeps p^r at or below
+  2^20, and p too, so that int64 holds every entry sum and float64 phases
+  tell the p-th roots of unity apart. A stack is measured in slices of at
+  most 2^20 support entries in all.
 
 Global phases never matter: syndromes are ratios of eigenvalues.
 """
@@ -125,18 +125,26 @@ def syndrome_linear(group: StabGroup, x, z) -> tuple[np.ndarray, np.ndarray]:
             matmul_mod(group.x_type, z[..., None], p)[..., 0])
 
 
-def syndrome_symplectic(group: StabGroup, x, z) -> tuple[np.ndarray, np.ndarray]:
-    """Syndromes via symplectic commutation phases (sign-fixed per type)."""
-    x, z = _reduced(group, x, z)
-    hx, hz = group.x_type, group.z_type
-    n, r = group.n, hz.shape[-2]
-    # one symplectic row (a | b) per generator: Z-type (0 | h), X-type (g | 0)
+def _generators(group: StabGroup) -> np.ndarray:
+    """Every generator of every group of the stack as the symplectic row
+    (a | b) whose phase b.x - a.z past the error X(x)Z(z) is its syndrome
+    entry, in the checks' dtype: Z-type rows (0 | h) first, then X-type
+    rows (-g | 0), for X(-g) = X(g)^(-1)."""
+    hx, hz, n = group.x_type, group.z_type, group.n
+    r = hz.shape[-2]
     gens = np.zeros(hx.shape[:-2] + (r + hx.shape[-2], 2 * n), dtype=hx.dtype)
     gens[..., :r, n:] = hz
-    gens[..., r:, :n] = hx
+    gens[..., r:, :n] = -hx % group.p
+    return gens
+
+
+def syndrome_symplectic(group: StabGroup, x, z) -> tuple[np.ndarray, np.ndarray]:
+    """Syndromes via symplectic commutation phases."""
+    x, z = _reduced(group, x, z)
+    gens, r = _generators(group), group.z_type.shape[-2]
     # <(a|b), (x|z)> = b.x - a.z for every generator (a | b)
     phase = matmul_mod(gens, np.concatenate([-z, x], axis=-1)[..., None], group.p)[..., 0]
-    return phase[..., :r], -phase[..., r:] % group.p
+    return phase[..., :r], phase[..., r:]
 
 
 def _keys(rows: np.ndarray, p: int) -> np.ndarray:
@@ -246,10 +254,10 @@ def _measure_exponent(support: np.ndarray, amps: np.ndarray, p: int, a, b):
 
 
 def _measure(group: StabGroup, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """The raw exponents of every generator of every group of the stack,
-    Z-type rows first, after the error X(x)Z(z) on its codespace state."""
+    """The exponents of ``_generators``' rows, for every group of the stack,
+    after the error X(x)Z(z) on its codespace state."""
     p, n, stack = group.p, group.n, group.x_type.shape[:-2]
-    count, rz = math.prod(stack), group.z_type.shape[-2]
+    count = math.prod(stack)
     support, amps = prepare_codespace(group)
     support, amps = support.reshape((count, -1, n)), amps.reshape(count, -1)
     x, z = x.reshape(count, n), z.reshape(count, n)  # int64, as p <= STATE_LIMIT
@@ -257,11 +265,7 @@ def _measure(group: StabGroup, x: np.ndarray, z: np.ndarray) -> np.ndarray:
     amps = amps * _roots(p)[matmul_mod(support, z[:, :, None], p)[..., 0]]
     support += x[:, None]  # the support is this call's own
     support %= p
-    # every generator as the row (a | b): Z-type (0 | h), X-type (g | 0)
-    hx, hz = (h.reshape((count,) + h.shape[-2:]) for h in (group.x_type, group.z_type))
-    gens = np.zeros((count, rz + hx.shape[1], 2 * n), dtype=np.int64)
-    gens[:, :rz, n:] = hz
-    gens[:, rz:, :n] = hx
+    gens = _generators(group).reshape(count, -1, 2 * n)  # int64, as p <= STATE_LIMIT
     s, res = _measure_exponent(support, amps, p, gens[..., :n], gens[..., n:])
     worst = res.max(initial=0.0)
     if not worst < RESIDUAL_TOL:
@@ -287,4 +291,4 @@ def syndrome_statevector(group: StabGroup, x, z) -> tuple[np.ndarray, np.ndarray
             for i in range(0, count, per)
         ]).reshape(stack + (-1,))
     rz = group.z_type.shape[-2]
-    return s[..., :rz], -s[..., rz:] % p
+    return s[..., :rz], s[..., rz:]

@@ -29,7 +29,7 @@ def reference_plan(params, ids):
     v_inv, w_recip = vandermonde_inv(field, pts)
     arrays = (vandermonde(field, pts, a0).data.T, [[x] for x in lam], diff_inv,
               v_inv[:-1], v_inv[-1], w_recip)
-    return [np.array(a, dtype=exact_dtype(len(ids), params.p)) for a in arrays]
+    return [np.array(a, dtype=exact_dtype(1, params.p)) for a in arrays]
 
 
 def reference_blocks(params, failed, helper_sets):
@@ -38,9 +38,9 @@ def reference_blocks(params, failed, helper_sets):
     then lam1, lam2, u = 1 and u' = w."""
     field, p, a0 = params.field, params.p, params.alpha0
     lam_f = params.lam[failed - 1]
-    v_inv, w_recip = vandermonde_inv(
-        field, [[params.eval_points[s - 1] for s in hs] for hs in helper_sets]
-    )
+    v_inv, w_recip = zip(*(vandermonde_inv(field, [params.eval_points[s - 1] for s in hs])
+                           for hs in helper_sets))
+    v_inv = np.array(v_inv, dtype=object)
     rows = (len(helper_sets), 1, 2 * a0)
     denom = [(params.lam[s - 1] - lam_f) % p for hs in helper_sets for s in hs]
     denom_inv = np.array([field.inv(x) for x in denom], dtype=object).reshape(rows)

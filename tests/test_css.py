@@ -134,8 +134,8 @@ def count_field_inversions(monkeypatch):
 
 
 def test_build_field_inversions_cold_and_warm(monkeypatch):
-    # a cold build inverts the m GRS weights in one batch inside
-    # vandermonde_inv, which hands back their reciprocals, then every
+    # a cold build inverts the m GRS weights' reciprocals, which
+    # lagrange_folds hands back, in one batch, then every
     # lam_h - lam_f in one batch; a u costs one more batch. A warm build
     # inverts only its u
     params = make_params(64, 20, 38, 67)
@@ -332,7 +332,7 @@ def file_setup():
 
 def test_file_repair_field_inversions_cold_and_warm(monkeypatch):
     # the bases a repair lacks are built in one batch: one inversion of all
-    # their GRS weights inside vandermonde_inv, one of every lam_h - lam_f,
+    # their GRS weights' reciprocals from lagrange_folds, one of every lam_h - lam_f,
     # however many sub-files are cold; a warm repair inverts nothing
     params, storage, helpers = file_setup()
     calls = count_field_inversions(monkeypatch)

@@ -351,28 +351,6 @@ def test_vandermonde_inv_repeated_point(case, data):
         vandermonde_inv(field, points[:at] + [dup] + points[at:])
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_vandermonde_inv_on_a_stack_equals_each_set(data):
-    p = data.draw(st.sampled_from([13, 67, 2**61 - 1]))
-    m, b = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 5))
-    points = st.lists(st.integers(1, p - 1), min_size=m, max_size=m, unique=True)
-    sets = [data.draw(points) for _ in range(b)]
-    field = GF(p)
-    for stack in (sets, np.array(sets)):
-        inv, w_recip = vandermonde_inv(field, stack)
-        assert inv.dtype == exact_dtype(1, p) and inv.shape == (b, m, m)
-        assert len(w_recip) == b
-        for pts, one, recip in zip(sets, inv, w_recip):
-            want, want_recip = vandermonde_inv(field, pts)
-            assert one.tolist() == want.tolist() and recip == want_recip
-    if m > 1:
-        at = data.draw(st.integers(0, b - 1))
-        sets[at][0] = sets[at][-1]
-        with pytest.raises(RepeatedPoint):
-            vandermonde_inv(field, sets)
-
-
 def test_vandermonde_inv_golden():
     inv, w_recip = vandermonde_inv(F13, (5,))
     assert (inv.tolist(), w_recip) == ([[1]], [1])

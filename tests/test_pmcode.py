@@ -478,10 +478,11 @@ def test_plan_cache_holds_16_plans():
 
 
 @pytest.mark.parametrize("n,k,d", [(6, 3, 4), (40, 20, 38)])
-def test_decode_runs_in_int64_up_to_its_bound(n, k, d):
-    # the largest prime with k (p - 1)^2 < 2^63 decodes in int64, the next
-    # prime on Python ints; both return the message exactly
-    for p, dtype in zip(int64_bound_primes(k), (np.int64, object)):
+def test_decode_plan_is_in_the_fields_dtype_on_both_sides_of_its_bound(n, k, d):
+    # on both sides of k (p - 1)^2 < 2^63 the plan is int64, as the field's
+    # data is, and only matmul_mod's products cross to Python ints above
+    # it; at 2^61 - 1 the plan is object; every message comes back exactly
+    for p in (*int64_bound_primes(k), 2**61 - 1):
         params = make_params(n, k, d, p)
         symbols = random_symbols(params, SplitMix64(k))
         storage = encode_file(params, symbols)
@@ -489,7 +490,7 @@ def test_decode_runs_in_int64_up_to_its_bound(n, k, d):
         plan = _compiled_plan(params, tuple(ids))
         for array in (plan.phibar_t, plan.lam, plan.diff_inv, plan.top, plan.w,
                       plan.w_recip):
-            assert array.dtype == dtype
+            assert array.dtype == exact_dtype(1, p)
         assert list(retrieve_file(params, storage, ids)) == symbols
 
 
