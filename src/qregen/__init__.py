@@ -23,7 +23,6 @@ from .repair import (
     RepairTranscript,
     bandwidth_report,
     helper_encode,
-    plan_subfiles,
     run_repair,
 )
 from .rng import SplitMix64
@@ -62,7 +61,6 @@ __all__ = [
     "make_params",
     "optimal_point",
     "pack_file",
-    "plan_subfiles",
     "prepare_codespace",
     "retrieve",
     "retrieve_file",

@@ -46,6 +46,7 @@ from .pmcode import (
     make_params,
     random_symbols,
     retrieve_file,
+    subfile_count,
 )
 from .reference import replay
 from .repair import MODES
@@ -122,10 +123,10 @@ def _decimal(values: np.ndarray) -> list[str]:
 def _check_size(n: int, k: int, d: int) -> None:
     """Refuse, before make_params, storage of over SWEEP_LIMIT node sub-files."""
     m = 2 * k - 2
-    # T = C(d, m) >= d once m < d, so n * d rules out a huge T before comb
-    # runs; make_params rejects anything outside 2 <= m <= d < n at once
+    # T = C(d, m) >= d once m < d, so n * d rules out a huge T before it is
+    # computed; make_params rejects anything outside 2 <= m <= d < n at once
     if 2 <= m <= d < n and (
-        m < d and n * d > SWEEP_LIMIT or n * comb(d, m) > SWEEP_LIMIT
+        m < d and n * d > SWEEP_LIMIT or n * subfile_count(k, d) > SWEEP_LIMIT
     ):
         raise errors.InvalidParams(f"({n},{k},{d}) stores n * C(d, 2k-2) node "
                                    f"sub-files, over the limit of {SWEEP_LIMIT}")
@@ -435,7 +436,7 @@ def cmd_sweep(args) -> int:
             "max": max(qudit_seen, default=None),
             "expected": params.B // params.k,
         },
-        "perHelperQudits": comb(params.d - 1, 2 * params.k - 3),
+        "perHelperQudits": params.family.size // params.d,
     }
     _write_out(_json_text(summary), args.out)
     return 0 if not failures else 1

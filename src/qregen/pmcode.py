@@ -30,15 +30,17 @@ The plan's arrays, the k rows and the decode's result are all in
 step multiplies two reduced values, and ``matmul_mod`` widens each product
 by its inner dimension, so the decode is exact with no cast of its own.
 
-``make_params`` interns its result: equal parameters give one object per
-process, so every cache keyed by params hits by identity, and ``powers``
-is built once.
+``SystemParams`` holds only (n, k, d, field, eval_points), and
+``make_params`` interns it, one object per code per process, so every cache
+keyed by params hits by identity and each table derived on it (lam, T,
+``powers``, the sub-file ``family``, ``packing``, ``pairs``) is built once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import combinations
 from math import comb
 from collections.abc import Sequence
 
@@ -52,16 +54,13 @@ from .rng import SplitMix64
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Validated code parameters shared by every operation."""
+    """Validated code parameters; every property is derived from the fields."""
 
     n: int
     k: int
     d: int
     field: GF
     eval_points: tuple[int, ...]
-    lam: tuple[int, ...]
-    alpha0: int
-    subfiles: int
 
     def __post_init__(self):
         # the fields never change, and every cache keyed by params hashes them
@@ -74,6 +73,21 @@ class SystemParams:
     @property
     def p(self) -> int:
         return self.field.p
+
+    @property
+    def alpha0(self) -> int:
+        """a0 = k - 1, the side of each symmetric matrix."""
+        return self.k - 1
+
+    @cached_property
+    def lam(self) -> tuple[int, ...]:
+        """lam_i = v_i^a0 of every node."""
+        return tuple(pow(v, self.alpha0, self.p) for v in self.eval_points)
+
+    @cached_property
+    def subfiles(self) -> int:
+        """T, the number of sub-files."""
+        return subfile_count(self.k, self.d)
 
     @property
     def B(self) -> int:
@@ -102,6 +116,34 @@ class SystemParams:
             table[:, e] = table[:, e - 1] * x % p
         table.flags.writeable = False
         return table
+
+    @cached_property
+    def family(self) -> np.ndarray:
+        """Every (2k-2)-subset of the d helper slots in colex order, as the
+        read-only (T, 2k-2) int array whose row t lists sub-file t's slots."""
+        rows = sorted(combinations(range(self.d), 2 * self.k - 2), key=lambda s: s[::-1])
+        family = np.array(rows)
+        family.flags.writeable = False
+        return family
+
+    @cached_property
+    def packing(self) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+        """The packing order of a symmetric a0 x a0 matrix: its row-major
+        upper-triangle (row, column) indices, and each entry's place in it."""
+        upper = np.triu_indices(self.alpha0)
+        table = np.empty((self.alpha0,) * 2, dtype=int)
+        table[upper] = table[upper[::-1]] = np.arange(len(upper[0]))
+        return upper, table
+
+    @cached_property
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (a, b) indices of a k x k matrix with a < b."""
+        return np.triu_indices(self.k, 1)
+
+
+def subfile_count(k: int, d: int) -> int:
+    """T = C(d, 2k-2): one sub-file per (2k-2)-subset of the d helpers."""
+    return comb(d, 2 * k - 2)
 
 
 def _greedy_points(field: GF, n: int, alpha0: int) -> tuple[int, ...] | None:
@@ -168,33 +210,11 @@ def _field(p: int) -> GF:
 
 @lru_cache(maxsize=64)  # one object per code: identity hits in every params cache
 def _interned(n: int, k: int, d: int, field: GF, pts: tuple[int, ...]):
-    """The one SystemParams of checked (n, k, d) and points; colliding lam
-    values raise InvalidParams."""
-    alpha0 = k - 1
-    lam = tuple(pow(v, alpha0, field.p) for v in pts)
-    if len(set(lam)) != n:
+    """The one SystemParams of checked (n, k, d) and points, unless lam collides."""
+    params = SystemParams(n, k, d, field, pts)
+    if len(set(params.lam)) != n:
         raise InvalidParams("lam values v^(k-1) collide for these points")
-    return SystemParams(
-        n=n,
-        k=k,
-        d=d,
-        field=field,
-        eval_points=pts,
-        lam=lam,
-        alpha0=alpha0,
-        subfiles=comb(d, 2 * k - 2),
-    )
-
-
-@lru_cache(maxsize=16)  # building the indices costs more than packing with them
-def _layout(a0: int) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
-    """The packing order of a symmetric a0 x a0 matrix: its upper-triangle
-    (row, column) indices in row-major order, and the a0 x a0 table of each
-    entry's position in that order."""
-    upper = np.triu_indices(a0)
-    table = np.empty((a0, a0), dtype=int)
-    table[upper] = table[upper[::-1]] = np.arange(len(upper[0]))
-    return upper, table
+    return params
 
 
 def pack_file(params: SystemParams, symbols: Sequence[int]) -> np.ndarray:
@@ -211,13 +231,13 @@ def pack_file(params: SystemParams, symbols: Sequence[int]) -> np.ndarray:
     p = params.p
     parts = np.array([x % p for x in symbols], dtype=exact_dtype(1, p))
     parts = parts.reshape(t, 4, -1)
-    return parts[:, :, _layout(a0)[1]].reshape(t, 2, 2 * a0, a0)
+    return parts[:, :, params.packing[1]].reshape(t, 2, 2 * a0, a0)
 
 
 def unpack_file(params: SystemParams, packed: np.ndarray) -> tuple[int, ...]:
     """The inverse gather of ``pack_file``: the file's symbols in order."""
     a0 = params.alpha0
-    rows, cols = _layout(a0)[0]
+    rows, cols = params.packing[0]
     return tuple(packed.reshape(-1, 4, a0, a0)[:, :, rows, cols].ravel().tolist())
 
 
@@ -245,12 +265,6 @@ class _DecodePlan:
     w_recip: np.ndarray  # k, 1 / w_b
 
 
-@lru_cache(maxsize=16)  # building the indices costs more than gathering with them
-def _pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (a, b) indices of a k x k matrix with a < b."""
-    return np.triu_indices(k, 1)
-
-
 @lru_cache(maxsize=16)  # the plan depends on (params, ids) alone
 def _compiled_plan(params: SystemParams, ids: tuple[int, ...]) -> _DecodePlan:
     """The plan for rows read in the order of ``ids``. ``lagrange_folds``
@@ -258,11 +272,13 @@ def _compiled_plan(params: SystemParams, ids: tuple[int, ...]) -> _DecodePlan:
     A'(x_b) = 1 / w_b, so ``top`` and w need every
     w_b / lam_b = 1 / (lam_b A'(x_b)), which one ``GF.inv_all`` inverts
     with every lam_a - lam_b."""
+    if len(ids) != params.k:  # ``params.pairs`` indexes k ids
+        raise BadShareSet(f"need {params.k} node ids, got {len(ids)}")
     p, a0 = params.p, params.alpha0
     powers = params.powers[[i - 1 for i in ids]]  # (k, 2a0): k = a0 + 1 <= 2a0
     lam = powers[:, a0]
     cols, w_recip = lagrange_folds(powers[None], a0, 0, p)
-    upper = _pairs(len(ids))
+    upper = params.pairs
     pairs = len(upper[0])
     inv = params.field.inv_all(
         ((lam[upper[0]] - lam[upper[1]]) % p).tolist() + (lam * w_recip[0] % p).tolist()

@@ -3,15 +3,16 @@
 This instance is small enough to check by hand and fixes every artifact of
 the construction: the encoding Vandermonde, the lam values, the helper
 block for failed node 1 with helpers {2, 4, 5, 6}, both precoding
-diagonals, and both parity-check matrices. The replay runs the whole
-pipeline and compares each artifact entry for entry, then repairs node 1
-from a seeded random message and checks bit-exact regeneration.
+diagonals, and both parity-check matrices. The replay reads each artifact
+from the tables the pipeline itself uses (``params.powers``, which
+``encode_file`` multiplies by, and ``params.lam``) and from the repair
+code, compares each entry for entry, then repairs node 1 from a seeded
+random message and checks bit-exact regeneration.
 """
 
 from __future__ import annotations
 
 from .css import build_repair_css
-from .matrix import vandermonde
 from .pmcode import encode_file, make_params, random_symbols
 from .repair import run_repair
 from .rng import SplitMix64
@@ -52,11 +53,9 @@ def replay(seed: int = 1) -> list[dict]:
     repair_css = build_repair_css(params, FAILED_NODE, HELPERS)
 
     computed = {
-        "V": vandermonde(params.field, params.eval_points, 4).to_rows(),
+        "V": params.powers.tolist(),
         "lambda": list(params.lam),
-        "V_helpers": vandermonde(
-            params.field, [params.eval_points[s - 1] for s in HELPERS], 4
-        ).to_rows(),
+        "V_helpers": params.powers[[s - 1 for s in HELPERS]].tolist(),
         "lambda_tilde": repair_css.lam1.tolist(),
         "lambda_tilde_prime": repair_css.lam2.tolist(),
         "HX": repair_css.hx.tolist(),

@@ -13,7 +13,7 @@ one qudit, so one sub-file costs 2k-2 qudits.
 ``run_repair`` takes ``encode_file``'s whole (T, n, 2, a0) storage array
 and d helpers. The file is T = C(d, 2k-2) sub-files (one when d = 2k-2),
 each repairing through a distinct (2k-2)-subset of the helpers: row t of
-``plan_subfiles``, in colex order, computed once per (d, 2k-2). Stage 1
+``params.family``, in colex order, computed once per code. Stage 1
 checks u, builds the u-free blocks the CSS cache lacks for those T subsets
 in one batch (``cache_bases``), reads each with one ``build_repair_css``
 call per sub-file, stacks them into one ``RepairCSS``, scales that stack
@@ -36,8 +36,6 @@ Storage, blocks, dots, payloads and syndromes are all field data in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations
 from collections.abc import Sequence
 
 import numpy as np
@@ -100,19 +98,6 @@ def _syndrome_backend(mode: str):
     return syndrome_linear if mode == "linear" else syndrome_symplectic
 
 
-def plan_subfiles(params: SystemParams) -> np.ndarray:
-    """All (2k-2)-subsets of the d helper slots in colex order, as the
-    read-only (T, 2k-2) int array whose row t lists sub-file t's slots."""
-    return _colex_subsets(params.d, 2 * params.k - 2)
-
-
-@lru_cache(maxsize=16)  # the plan depends on (d, 2k-2) alone
-def _colex_subsets(d: int, m: int) -> np.ndarray:
-    subsets = np.array(sorted(combinations(range(d), m), key=lambda s: s[::-1]))
-    subsets.flags.writeable = False
-    return subsets
-
-
 def run_repair(
     params: SystemParams,
     storage: np.ndarray,
@@ -134,8 +119,7 @@ def run_repair(
     check_storage(params, storage)
     u = None if u is None else check_u(params, u)  # before any block is built
     p = params.p
-    subsets = plan_subfiles(params)
-    helper_sets = np.array(hs)[subsets]  # (T, 2k-2): row t is sub-file t's
+    helper_sets = np.array(hs)[params.family]  # (T, 2k-2): row t is sub-file t's
     keys = [tuple(s) for s in helper_sets.tolist()]
     cache_bases(params, failed, keys)
     blocks = np.array([build_repair_css(params, failed, h).block for h in keys])
@@ -143,7 +127,7 @@ def run_repair(
     css = RepairCSS(failed, helper_sets, blocks if u is None else scale(params, blocks, u), p)
     group = StabGroup(x_type=css.hx, z_type=css.hz, p=p)  # one HX HZ^T check
     dots = helper_encode(params, storage, failed, hs)  # (T, d, 2)
-    sent = dots[np.arange(len(keys))[:, None], subsets].swapaxes(1, 2)  # (T, 2, 2k-2)
+    sent = dots[np.arange(len(keys))[:, None], params.family].swapaxes(1, 2)  # (T, 2, 2k-2)
     payloads = css.lams * sent % p
     # measured block order is (sZ, sX); the final swap puts row_m first
     regenerated = np.stack(backend(group, payloads[:, 0], payloads[:, 1]), axis=1)

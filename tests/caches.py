@@ -6,8 +6,9 @@ import qregen.pmcode
 
 
 def clear_caches():
-    """Forget every proven prime field, interned params object, cached CSS
-    basis, decode plan and parsed storage file."""
+    """Forget every proven prime field, interned params object (and with it
+    each code's tables: powers, sub-file family, packing and pair indices),
+    cached CSS basis, decode plan and parsed storage file."""
     qregen.cli._STORED.clear()
     qregen.css._BASES.clear()
     qregen.pmcode._compiled_plan.cache_clear()

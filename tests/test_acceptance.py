@@ -19,7 +19,7 @@ from qregen.css import build_repair_css, check_dual_containment
 from qregen.matrix import exact_dtype
 from qregen.pmcode import encode_file, make_params, random_symbols, retrieve_file
 from qregen.reference import GOLDEN, replay
-from qregen.repair import helper_encode, plan_subfiles, run_repair
+from qregen.repair import helper_encode, run_repair
 from qregen.rng import SplitMix64
 from qregen.stabilizer import (
     StabGroup,
@@ -191,7 +191,7 @@ def test_criterion_6_extension():
         ext = make_params(6, 2, 3, 13)
         assert ext.subfiles == comb(3, 2) == 3
         assert ext.B == 12 and ext.B // ext.k == 6
-        subsets = plan_subfiles(ext)
+        subsets = ext.family
         per_slot = [sum(slot in s for s in subsets) for slot in range(ext.d)]
         assert per_slot == [comb(ext.d - 1, 2 * ext.k - 3)] * ext.d == [2, 2, 2]
         # the naive accounting of one qudit per helper per sub-file would

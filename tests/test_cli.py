@@ -52,6 +52,19 @@ def test_demo_negative_control(capsys, monkeypatch):
     assert "7/8 golden values match" in out
 
 
+def test_demo_pins_the_table_encode_file_multiplies_by(capsys, monkeypatch):
+    # node 3 is neither the failed node nor a helper, so only "V" can catch it
+    params = make_params(6, 3, 4, 13)
+    bad = params.powers.copy()
+    bad[2, 3] = (bad[2, 3] + 1) % 13
+    bad.flags.writeable = False
+    monkeypatch.setitem(params.__dict__, "powers", bad)
+    code, out, _ = run_cli(capsys, "demo-example1")
+    assert code == 1
+    assert "FAIL V expected=" in out and "PASS V_helpers" in out
+    assert "7/8 golden values match" in out
+
+
 def test_encode_retrieve_round_trip(tmp_path, capsys):
     msg = tmp_path / "msg.json"
     storage = tmp_path / "storage.json"

@@ -1,8 +1,9 @@
 """Storage code: parameter validation, packing, encoding, retrieval."""
 
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import combinations, islice
+from math import comb
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from qregen.errors import (
 from qregen.gf import GF, is_prime
 from qregen.matrix import Mat, exact_dtype, vandermonde, vandermonde_inv
 from qregen.pmcode import (
+    SystemParams,
     _compiled_plan,
     _unfold,
     encode_file,
@@ -80,6 +82,31 @@ def test_make_params_interns_equal_params():
     b = make_params(12, 4, 8, 17)
     assert b is not a and b == a and hash(b) == hash(a)
     assert make_params(12, 4, 8, 17) is b
+
+
+def test_params_fields_are_the_defining_ones():
+    # everything else is derived, so equality compares what the hash hashes
+    assert [f.name for f in fields(SystemParams)] == ["n", "k", "d", "field", "eval_points"]
+    params = make_params(8, 3, 4, 17)
+    assert params.alpha0 == 2 and params.subfiles == comb(4, 4) == 1
+    pts = (1, 2, 3, 4, 5, 6, 7, 11)
+    moved = replace(params, eval_points=pts)
+    assert moved.lam == tuple(v * v % 17 for v in pts) != params.lam
+    assert moved.powers[:, 2].tolist() == list(moved.lam)
+
+
+@pytest.mark.parametrize("d, k", [(d, k) for k in range(2, 8) for d in range(2 * k - 2, 13)])
+def test_family_gives_every_helper_the_same_load(d, k):
+    params = make_params(d + 1, k, d, 101)
+    family = params.family
+    assert params.family is family and not family.flags.writeable
+    assert family.shape == (params.subfiles, 2 * k - 2) and params.subfiles == comb(d, 2 * k - 2)
+    rows = family.tolist()
+    assert all(a < b for row in rows for a, b in zip(row, row[1:]))
+    colex = [tuple(row[::-1]) for row in rows]  # largest slot first
+    assert colex == sorted(set(colex))  # distinct rows, in colex order
+    assert np.bincount(family.ravel(), minlength=d).tolist() == [comb(d - 1, 2 * k - 3)] * d
+    assert family.size == params.B // params.k
 
 
 def test_make_params_proves_each_prime_once(monkeypatch, capsys):
@@ -280,6 +307,15 @@ def test_retrieve_zero_shares():
     assert retrieve_file(params, storage, (1, 2, 3)) == (0,) * 12
 
 
+@pytest.mark.parametrize("ids", [(1, 2), (1, 2, 3, 4)])
+def test_retrieve_refuses_an_id_count_other_than_k(ids):
+    params = make_params(6, 3, 4, 13)
+    storage = encode_file(params, list(range(12)))
+    rows = storage[:, [i - 1 for i in ids]].swapaxes(1, 2)
+    with pytest.raises(BadShareSet, match="need 3 node ids"):
+        retrieve(params, ids, rows)
+
+
 def test_retrieve_recovers_symmetric_matrices():
     params = make_params(7, 4, 6, 17)
     rng = SplitMix64(5)
@@ -307,7 +343,7 @@ def test_repeated_lam_params_fail_with_division_by_zero():
     # loudly, in the decode plan and in the repair-time build
     params = make_params(8, 3, 4, 17)
     pts = (1, 2, 3, 4, 5, 6, 7, 10)  # 7^2 = 10^2 mod 17
-    bad = replace(params, eval_points=pts, lam=tuple(v * v % 17 for v in pts))
+    bad = replace(params, eval_points=pts)  # lam is derived from the points
     assert bad.lam[6] == bad.lam[7]
     symbols = random_symbols(bad, SplitMix64(77))
     storage = encode_file(bad, symbols)

@@ -27,7 +27,6 @@ from qregen.repair import (
     MODES,
     bandwidth_report,
     helper_encode,
-    plan_subfiles,
     run_repair,
 )
 from qregen.rng import SplitMix64
@@ -250,30 +249,30 @@ def test_repaired_node_reenters_retrieval():
 
 def per_slot_counts(params):
     """How many sub-files each helper slot joins."""
-    subsets = plan_subfiles(params)
-    return [sum(slot in s for s in subsets) for slot in range(params.d)]
+    return [sum(slot in s for s in params.family) for slot in range(params.d)]
 
 
-def test_plan_subfiles_is_one_read_only_array_per_shape():
+def test_family_is_one_read_only_array_per_params():
     params = make_params(12, 4, 8, 17)
-    plan = plan_subfiles(params)
-    assert plan_subfiles(params) is plan is plan_subfiles(make_params(14, 4, 8, 17))
-    assert plan.shape == (28, 6)
+    family = params.family
+    assert params.family is family
+    assert make_params(12, 4, 8, 17) is params  # interned: the same array again
+    assert family.shape == (28, 6)
     with pytest.raises(ValueError):
-        plan[0, 0] = 1
-    assert plan[0].tolist() == [0, 1, 2, 3, 4, 5]
+        family[0, 0] = 1
+    assert family[0].tolist() == [0, 1, 2, 3, 4, 5]
 
 
-def test_plan_subfiles_counts():
+def test_family_counts():
     ext = make_params(6, 2, 3, 13)
-    assert plan_subfiles(ext).tolist() == [[0, 1], [0, 2], [1, 2]]
+    assert ext.family.tolist() == [[0, 1], [0, 2], [1, 2]]
     assert per_slot_counts(ext) == [2] * 3
     base = make_params(6, 3, 4, 13)
-    assert plan_subfiles(base).tolist() == [[0, 1, 2, 3]]
+    assert base.family.tolist() == [[0, 1, 2, 3]]
     assert per_slot_counts(base) == [1] * 4
     wide = make_params(8, 2, 4, 13)
     # colex order over slot pairs of d = 4
-    assert plan_subfiles(wide).tolist() == [[0, 1], [0, 2], [1, 2], [0, 3], [1, 3], [2, 3]]
+    assert wide.family.tolist() == [[0, 1], [0, 2], [1, 2], [0, 3], [1, 3], [2, 3]]
     assert per_slot_counts(wide) == [3] * 4
 
 
