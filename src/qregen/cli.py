@@ -4,6 +4,11 @@ Every command reads flags, runs deterministically from --seed, and emits
 line-buffered JSON or CSV; identical flags and seed produce byte-identical
 output. Exit codes: 0 success, 1 verification failure, 2 usage error.
 
+``COMMANDS`` declares each command's handler and flags once. ``main`` parses a
+command and then distinct ``--flag value`` pairs of its flags, each value valid,
+in one loop; any other argv goes to the argparse parser built from the table,
+which words every refusal and the help.
+
 Documents are ``json.dumps(doc, indent=2)``'s text, from ``_json_text``. The
 storage file and the repair transcript interleave a layout's literal pieces,
 which ``json.dumps`` writes once per shape with one sub-file's part repeated,
@@ -19,10 +24,10 @@ that read the same stored file again in one process skip ``json.load`` and
 validation; the decode, the repair and its checks still run in full. A file
 this process encoded is cached from its write: ``encode --out`` puts the
 params and storage it wrote under the bytes it wrote, so even its first read
-is a hit. A malformed file
-raises before anything is cached, so it fails alike on every read. The bytes
-decode as ``open(path, encoding="utf-8")`` reads them: universal newlines, a
-BOM refused. A one-shot process gains nothing and pays one hash of the bytes.
+is a hit. A malformed file raises before anything is cached, so it fails alike
+on every read. The bytes decode as ``open(path, encoding="utf-8")`` reads them:
+universal newlines, a BOM refused. A one-shot process gains nothing and pays
+one hash of the bytes.
 """
 
 from __future__ import annotations
@@ -32,9 +37,11 @@ import functools
 import json
 import re
 import sys
+from collections.abc import Callable
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
@@ -332,8 +339,7 @@ def cmd_encode(args) -> int:
 def cmd_retrieve(args) -> int:
     params, storage = _read(args.in_path, _stored)
     ids = range(1, params.k + 1) if args.nodes is None else _parse_ids(args.nodes)
-    symbols = retrieve_file(params, storage, ids)
-    _write_out(_json_text(np.array(symbols, dtype=exact_dtype(1, params.p))), args.out)
+    _write_out(_json_text(retrieve_file(params, storage, ids)), args.out)
     return 0
 
 
@@ -392,7 +398,7 @@ def _check_pass(params: SystemParams, rng: SplitMix64, modes, trial: int = 0):
     for subset in combinations(nodes, params.k):
         record = (trial, "retrieve", f"nodes={','.join(map(str, subset))}")
         got = _attempt(failures, record, retrieve_file, params, storage, subset)
-        if got is not None and list(got) != symbols:
+        if got is not None and got.tolist() != symbols:
             failures.append((*record, "wrong-message"))
     return qudits, failures
 
@@ -529,61 +535,84 @@ def _parse_ids(text: str) -> list[int]:
     raise errors.InvalidParams(f"expected comma-separated ids, got {text!r}")
 
 
+class _Flag(NamedTuple):  # one flag of a command, in argparse's keywords
+    dest: str
+    type: Callable[[str], object] = str
+    default: object = None
+    choices: tuple[str, ...] | None = None
+    required: bool = False
+    help: str | None = None
+
+
+_PARAMS = {f"--{name}": _Flag(name, _int) for name in ("n", "k", "d", "prime")}
+_OUT = {"--out": _Flag("out")}
+_SEED = {"--seed": _Flag("seed", _int, 1)}
+_MODE = {"--mode": _Flag("mode", default="linear", choices=MODES)}
+# name: (handler, help, its flags in --help's order), for parser and loop alike
+COMMANDS: dict[str, tuple[Callable, str, dict[str, _Flag]]] = {
+    "demo-example1": (cmd_demo_example1, "replay the six-node reference values", {
+        **_OUT, **_SEED, "--format": _Flag("format", default="text", choices=("text", "json"))}),
+    "encode": (cmd_encode, "encode a message file across n nodes", {
+        **_PARAMS, **_OUT, "--in": _Flag("in_path", required=True)}),
+    "retrieve": (cmd_retrieve, "rebuild the message from k nodes", {
+        **_OUT, "--in": _Flag("in_path", required=True),
+        "--nodes": _Flag("nodes", help="comma-separated node ids")}),
+    "repair": (cmd_repair, "regenerate a failed node from d helpers", {
+        **_PARAMS, **_OUT,
+        "--seed": _Flag("seed", _int),  # no default, so that --seed with --in shows
+        **_MODE, "--in": _Flag("in_path"), "--failed": _Flag("failed", _int, required=True),
+        "--helpers": _Flag("helpers", required=True, help="comma-separated helper ids")}),
+    "sweep": (cmd_sweep, "exhaustive repair and retrieval trials", {
+        **_PARAMS, **_OUT, **_SEED, **_MODE, "--trials": _Flag("trials", _int, 20)}),
+    "tradeoff": (cmd_tradeoff, "tabulate the storage-bandwidth bounds", {
+        **{f"--{name}": _Flag(name, _int) for name in ("k", "d", "B")}, **_OUT,
+        "--betas": _Flag("betas", help="comma-separated rationals")}),
+    "selftest": (cmd_selftest, "quick verification battery", {**_OUT, **_SEED}),
+}
+
+
 @functools.cache  # one per process; parse_args returns a fresh Namespace
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qregen", description=(
         "Simulator for entanglement-assisted exact-repair regenerating codes"))
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_command(name, func, help, *int_flags):
-        """A subcommand taking --out plus exactly the integer flags it reads."""
+    for name, (func, help, flags) in COMMANDS.items():
         sp = sub.add_parser(name, help=help, allow_abbrev=False)  # --n is not --nodes
         sp.set_defaults(func=func)
-        for flag in int_flags:
-            sp.add_argument(f"--{flag}", type=_int)
-        sp.add_argument("--out", default=None)
-        return sp
-
-    sp = add_command("demo-example1", cmd_demo_example1,
-                     "replay the six-node reference values")
-    sp.add_argument("--seed", type=_int, default=1)
-    sp.add_argument("--format", choices=("text", "json"), default="text")
-
-    sp = add_command("encode", cmd_encode, "encode a message file across n nodes",
-                     "n", "k", "d", "prime")
-    sp.add_argument("--in", dest="in_path", required=True)
-
-    sp = add_command("retrieve", cmd_retrieve, "rebuild the message from k nodes")
-    sp.add_argument("--in", dest="in_path", required=True)
-    sp.add_argument("--nodes", default=None, help="comma-separated node ids")
-
-    sp = add_command("repair", cmd_repair, "regenerate a failed node from d helpers",
-                     "n", "k", "d", "prime")
-    sp.add_argument("--seed", type=_int)  # no default, so that --seed with --in shows
-    sp.add_argument("--mode", choices=MODES, default="linear")
-    sp.add_argument("--in", dest="in_path", default=None)
-    sp.add_argument("--failed", type=_int, required=True)
-    sp.add_argument("--helpers", required=True, help="comma-separated helper ids")
-
-    sp = add_command("sweep", cmd_sweep, "exhaustive repair and retrieval trials",
-                     "n", "k", "d", "prime")
-    sp.add_argument("--seed", type=_int, default=1)
-    sp.add_argument("--mode", choices=MODES, default="linear")
-    sp.add_argument("--trials", type=_int, default=20)
-
-    sp = add_command("tradeoff", cmd_tradeoff, "tabulate the storage-bandwidth bounds",
-                     "k", "d", "B")
-    sp.add_argument("--betas", default=None, help="comma-separated rationals")
-
-    sp = add_command("selftest", cmd_selftest, "quick verification battery")
-    sp.add_argument("--seed", type=_int, default=1)
-
+        for flag, spec in flags.items():
+            sp.add_argument(flag, **spec._asdict())
     return parser
 
 
+def _parse_fast(argv: list[str]) -> argparse.Namespace | None:
+    """``build_parser().parse_args(argv)`` of a command and then distinct
+    ``--flag value`` pairs of its flags, each value valid and not starting with
+    -, every required flag given; None for any other argv, left to argparse."""
+    if len(argv) % 2 == 0 or argv[0] not in COMMANDS:
+        return None
+    func, _, flags = COMMANDS[argv[0]]
+    given = {}
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        spec = flags.get(flag)
+        if spec is None or flag in given or value.startswith("-"):
+            return None
+        try:
+            value = spec.type(value)
+        except argparse.ArgumentTypeError:
+            return None
+        if spec.choices is not None and value not in spec.choices:
+            return None
+        given[flag] = value
+    if any(spec.required and flag not in given for flag, spec in flags.items()):
+        return None
+    return argparse.Namespace(command=argv[0], func=func, **{
+        spec.dest: given.get(flag, spec.default) for flag, spec in flags.items()})
+
+
 def main(argv: list[str] | None = None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    try:  # a Namespace is never falsy
+        args = _parse_fast(argv) or build_parser().parse_args(argv)
         return args.func(args)
     except errors.UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

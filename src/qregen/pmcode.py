@@ -234,11 +234,11 @@ def pack_file(params: SystemParams, symbols: Sequence[int]) -> np.ndarray:
     return parts[:, :, params.packing[1]].reshape(t, 2, 2 * a0, a0)
 
 
-def unpack_file(params: SystemParams, packed: np.ndarray) -> tuple[int, ...]:
-    """The inverse gather of ``pack_file``: the file's symbols in order."""
+def unpack_file(params: SystemParams, packed: np.ndarray) -> np.ndarray:
+    """The inverse gather of ``pack_file``: the file's symbols, a 1-D array."""
     a0 = params.alpha0
     rows, cols = params.packing[0]
-    return tuple(packed.reshape(-1, 4, a0, a0)[:, :, rows, cols].ravel().tolist())
+    return packed.reshape(-1, 4, a0, a0)[:, :, rows, cols].ravel()
 
 
 def encode_file(params: SystemParams, symbols: Sequence[int]) -> np.ndarray:
@@ -345,8 +345,9 @@ def check_storage(params: SystemParams, storage: np.ndarray) -> None:
 
 def retrieve_file(
     params: SystemParams, storage: np.ndarray, ids: Sequence[int]
-) -> tuple[int, ...]:
-    """Rebuild the file from the storage of the k distinct nodes ``ids``.
+) -> np.ndarray:
+    """Rebuild the file from the storage of the k distinct nodes ``ids``: its
+    B symbols, a 1-D array in ``exact_dtype(1, p)``.
 
     ``storage`` is ``encode_file``'s (T, n, 2, a0) array; only the rows of
     ``ids`` are read, and one ``retrieve`` call decodes every sub-file.

@@ -963,6 +963,14 @@ def test_repair_failed_node_out_of_range(capsys, failed):
     assert err == f"error: failed node {failed} out of range\n"
 
 
+def test_repair_helper_0_exits_2(capsys):
+    # helper 0 is out of range: it would read node n's rows through index -1
+    code, out, err = run_cli(capsys, "repair", "--n", "6", "--k", "3", "--d", "4",
+                             "--prime", "13", "--failed", "1", "--helpers", "0,2,3,4")
+    assert one_line_usage_error(code, out, err)
+    assert err == "error: need 4 distinct helpers in [1, 6] excluding node 1\n"
+
+
 def test_prime_past_the_proven_range_exits_2(tmp_path, capsys):
     # the first strong pseudoprime to every Miller-Rabin base is_prime tries
     msg = tmp_path / "msg.json"
@@ -1009,7 +1017,9 @@ def break_retrieve(monkeypatch, nodes=(2, 4, 6), error=None):
             return symbols
         if error is not None:
             raise error("injected")
-        return ((symbols[0] + 1) % params.p, *symbols[1:])
+        wrong = symbols.copy()
+        wrong[0] = (wrong[0] + 1) % params.p
+        return wrong
 
     monkeypatch.setattr(cli, "retrieve_file", retrieve_file)
 

@@ -256,6 +256,8 @@ def test_build_rejects_bad_inputs():
     with pytest.raises(InvalidHelperSet):
         build_repair_css(params, 1, (2, 3, 4, 7))  # out of range
     with pytest.raises(InvalidHelperSet):
+        build_repair_css(params, 1, (0, 2, 3, 4))  # helper 0 reads node 6's point
+    with pytest.raises(InvalidHelperSet):
         build_repair_css(params, 0, (2, 3, 4, 5))
     with pytest.raises(ZeroU):
         build_repair_css(params, 1, (2, 4, 5, 6), (1, 0, 1, 1))

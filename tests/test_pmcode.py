@@ -304,7 +304,17 @@ def test_retrieve_zero_shares():
     storage = encode_file(params, [0] * 12)
     rows = storage[0, :3].swapaxes(0, 1)  # (2, k, a0): rows of M, then of M'
     assert not retrieve(params, (1, 2, 3), rows).any()  # all four S matrices
-    assert retrieve_file(params, storage, (1, 2, 3)) == (0,) * 12
+    assert retrieve_file(params, storage, (1, 2, 3)).tolist() == [0] * 12
+
+
+@pytest.mark.parametrize("p", [13, 3037000493, 3037000507])
+def test_retrieve_file_returns_the_message_as_an_array(p):
+    # int64 up to the largest exact prime, Python ints past it
+    params = make_params(6, 3, 4, p)
+    symbols = random_symbols(params, SplitMix64(3))
+    got = retrieve_file(params, encode_file(params, symbols), (2, 4, 6))
+    assert got.dtype == exact_dtype(1, p) and got.shape == (params.B,)
+    assert got.tolist() == symbols
 
 
 @pytest.mark.parametrize("ids", [(1, 2), (1, 2, 3, 4)])

@@ -174,6 +174,8 @@ def test_run_repair_validation():
         run_repair(params, storage, 1, (1, 2, 3, 4))
     with pytest.raises(InvalidHelperSet):
         run_repair(params, storage, 1, (2, 3, 4))
+    with pytest.raises(InvalidHelperSet):  # helper 0 would read node 6's rows
+        run_repair(params, storage, 1, (0, 2, 3, 4))
     bad_shapes = (storage[0], storage[:, :5], storage[..., :1], storage[None])
     for bad in bad_shapes:
         with pytest.raises(BadShareSet) as repaired:
