@@ -36,13 +36,17 @@ lam2, u and u', the transcript's own order, with a u row of ones at
 u = 1. ``RepairCSS`` holds one block, or a stack of them along leading
 axes, and its fields are views of it. ``scale`` turns the u-free
 blocks into the blocks of a u, one or a whole stack, in one product after
-one batched inversion of u, whose entries ``check_u`` checks first.
+one batched inversion of u (``GF.inv_array``), whose entries ``check_u``
+checks first.
 
 ``cache_bases`` makes every u-free block, for a stack of helper sets of one
 failed node at once: ``run_repair`` hands it all T sub-files' helper sets,
 and ``build_repair_css`` its one, so a cache miss there is a stack of one.
-It makes two field inversions however many blocks are cold: every
-A'(x_j) of the stack, which gives the weights, then every lam_h - lam_f.
+A stack of a whole file's cold sets builds its master polynomials as array
+steps across the stack (``lagrange_folds``). It makes two batched
+inversions however many blocks are cold, every A'(x_j) of the stack, which
+gives the weights, then every lam_h - lam_f: gathers from the field's
+table of inverses for p <= 2^12, one ``GF.inv_all`` each above that.
 Everything runs in ``exact_dtype(1, p)``, the table's dtype, which the
 blocks keep. One stacked ``StabGroup`` checks HX_1 HZ_1^T = 0 for all of
 them before any enters the cache, a per-process LRU of 16 T blocks, those
@@ -127,23 +131,27 @@ def cache_bases(
     """Make every sorted, checked helper tuple of ``failed`` one of the most
     recent cache entries, building the u-free blocks the cache lacks in one
     batch. One stacked ``StabGroup`` checks the new blocks before any is
-    cached."""
-    missing = []
-    for hs in helper_sets:
-        try:
+    cached. When every key is cached, each costs one lookup."""
+    try:  # every key cached, the common case: one lookup each
+        for hs in helper_sets:
             _BASES.move_to_end((params, failed, hs))
-        except KeyError:
-            missing.append(hs)
-    if not missing:
         return
+    except KeyError:
+        pass
+    missing = []
+    for hs in helper_sets:  # again from the first, so the hits keep their order
+        key = (params, failed, hs)
+        if key in _BASES:
+            _BASES.move_to_end(key)
+        else:
+            missing.append(hs)
     field, p, a0 = params.field, params.p, params.alpha0
     lam_f = params.lam[failed - 1]
     powers = params.powers[np.array(missing) - 1]  # (B, m, m): m = 2a0
     hx, w_recip = lagrange_folds(powers, a0, lam_f, p)  # HX_1 = -C R
     rows = (len(missing), 1, 2 * a0)  # one row of m per block
     w, denom_inv = (  # the weights, and every 1 / (lam_h - lam_f)
-        np.array(field.inv_all(x.ravel().tolist()), dtype=powers.dtype).reshape(rows)
-        for x in (w_recip, (powers[..., a0] - lam_f) % p)
+        field.inv_array(x).reshape(rows) for x in (w_recip, (powers[..., a0] - lam_f) % p)
     )
     hz = hx * w % p
     StabGroup(x_type=hx, z_type=hz, p=p)  # raises DualContainmentViolated
@@ -159,9 +167,10 @@ def cache_bases(
 def scale(params: SystemParams, blocks: np.ndarray, u: tuple[int, ...]) -> np.ndarray:
     """The u-free block, or stack of blocks, at the checked ``u``: column j
     scaled by u_j in HX, lam1 and u and by 1 / u_j in HZ, lam2 and u', from
-    one batched inversion. Read-only, like the cache's."""
-    a0, u_inv = params.alpha0, params.field.inv_all(u)
-    factors = np.array([u] * a0 + [u_inv] * a0 + [u, u_inv] * 2, dtype=blocks.dtype)
+    one ``GF.inv_array``. Read-only, like the cache's."""
+    a0, u = params.alpha0, np.array(u, dtype=blocks.dtype)
+    u_inv = params.field.inv_array(u)
+    factors = np.stack([u] * a0 + [u_inv] * a0 + [u, u_inv] * 2)
     scaled = blocks * factors % params.p
     scaled.flags.writeable = False
     return scaled

@@ -19,11 +19,12 @@ they need only a few rows of its inverse, or a fold of them: the first
 k-1 rows, ``top``, and the last row w of a decode plan (``pmcode``), and
 [I | lam_f I] times the inverse for a repair code (``css``).
 ``lagrange_folds`` gives those rows from a closed form, two products and
-no inversion at all, for a stack of point sets at once, and the caller
-inverts every A'(x_i) = 1 / w_i in one batch. ``vandermonde_inv``, the
-whole inverse in O(m^2) with one field inversion, and the cubic
-Gauss-Jordan ``Mat.inv`` stay as the references the tests check them
-against.
+no inversion at all, for a stack of point sets at once: a list loop per
+set for a short stack, one array step per point across a long one. The
+caller inverts every A'(x_i) = 1 / w_i in one batch (``GF.inv_array``).
+``vandermonde_inv``, the whole inverse in O(m^2) with one field
+inversion, and the cubic Gauss-Jordan ``Mat.inv`` stay as the references
+the tests check them against.
 ``vandermonde`` builds each row of powers by a running product, one
 multiplication per entry. Pivot selection always takes the first nonzero
 entry in column order, which keeps eliminations (and everything built on
@@ -186,6 +187,15 @@ def _master_polynomials(sets: Sequence[Sequence[int]], p: int) -> list[list[int]
     return masters
 
 
+# stacks of at least this many point sets run ``lagrange_folds`` as array
+# steps across the stack, smaller ones as a list loop per set: on sets of 6
+# points at p = 17 the steps took 44-79 us for 1-6 sets against 22-79 us for
+# the loop, broke even near 6-8 sets and took 65-86 us against 292-300 us
+# for 28 sets (timeit, shared 2-core VM); on Python ints, p > 3037000493,
+# they break even nearer 12 sets
+_STACKED = 8
+
+
 @lru_cache(maxsize=16)  # building the indices costs more than gathering with them
 def _fold_index(a0: int) -> np.ndarray:
     """The a0 x a0 table (r, s) -> a0 + r - s: where, in [c f | f], lies the
@@ -220,22 +230,51 @@ def lagrange_folds(
     product of the powers and the coefficients of A'. Both are in the dtype
     of ``powers``, which ``exact_dtype(1, p)`` keeps exact: every
     elementwise step multiplies two reduced values, and each product runs
-    in its own ``exact_dtype``. A set with a repeated point raises
-    RepeatedPoint.
+    in its own ``exact_dtype``. A stack of fewer than ``_STACKED`` sets
+    builds each A by a list loop; a longer one builds them all at once,
+    one array step per point (``_stacked_folds``). A set with a repeated
+    point raises RepeatedPoint, which is where A'(x_i) is 0.
     """
     m = powers.shape[-2]
-    folds, slopes = [], []
-    for a in _master_polynomials(powers[..., 1].tolist(), p):
-        a.reverse()  # lowest first
-        slopes.append([e * a[e] % p for e in range(1, m + 1)])  # A', lowest first
-        for e in range(m, a0 - 1, -1):  # x^e = c x^(e - a0) modulo x^a0 - c
-            a[e - a0] = (a[e - a0] + c * a[e]) % p
-        folds.append([-x % p for x in a[:a0]])
-    neg = np.array(folds, dtype=powers.dtype)
+    if len(powers) < _STACKED:
+        folds, slopes = [], []
+        for a in _master_polynomials(powers[..., 1].tolist(), p):
+            a.reverse()  # lowest first
+            slopes.append([e * a[e] % p for e in range(1, m + 1)])  # A', lowest first
+            for e in range(m, a0 - 1, -1):  # x^e = c x^(e - a0) modulo x^a0 - c
+                a[e - a0] = (a[e - a0] + c * a[e]) % p
+            folds.append([-x % p for x in a[:a0]])
+        neg = np.array(folds, dtype=powers.dtype)
+        slope = np.array(slopes, dtype=powers.dtype)
+    else:
+        neg, slope = _stacked_folds(powers[..., 1].T, a0, c, p)
     circ = np.concatenate([c * neg % p, neg], axis=-1)[:, _fold_index(a0)]
     cols = matmul_mod(circ, powers[..., a0 - 1 :: -1].swapaxes(-1, -2), p)
-    slope = np.array(slopes, dtype=powers.dtype)[..., None]
-    return cols, matmul_mod(powers[..., :m], slope, p)[..., 0]
+    slopes = matmul_mod(powers[..., :m], slope[..., None], p)[..., 0]
+    if not slopes.all():  # A'(x_i) = prod_{j != i} (x_i - x_j) is 0 where x_i repeats
+        bad = powers[np.flatnonzero((slopes == 0).any(axis=-1))[0], :, 1].tolist()
+        raise RepeatedPoint(f"points must be pairwise distinct: {bad}")
+    return cols, slopes
+
+
+def _stacked_folds(x: np.ndarray, a0: int, c: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """For the (m, B) points ``x``, column b a set, the (B, a0) coefficients
+    of each set's -A modulo x^a0 - c and the (B, m) coefficients of its A',
+    both lowest first: ``lagrange_folds``' list loop as one array step per
+    point across all the sets, then one per chunk of a0 coefficients."""
+    m, b = x.shape
+    a = np.zeros((m // a0 + 1, a0, b), dtype=x.dtype)  # whole chunks of a0 coefficients
+    flat = a.reshape(-1, b)  # after j points rows m - j to m hold their product, lowest first
+    flat[m] = 1
+    for j in range(m):  # times (x - x_j): each coefficient less x_j times the one above
+        top = flat[m - j - 1 : m]
+        top -= x[j] * flat[m - j : m + 1]
+        top %= p
+    slope = flat[1 : m + 1] * np.arange(1, m + 1)[:, None] % p
+    folded = a[-1]
+    for chunk in a[-2::-1]:  # x^(q a0 + r) = c^q x^r modulo x^a0 - c, by Horner in c
+        folded = (chunk + c * folded) % p
+    return (-folded % p).T, slope.T
 
 
 def vandermonde_inv(field: GF, points: Sequence[int]) -> tuple[np.ndarray, list[int]]:

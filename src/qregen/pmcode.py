@@ -24,7 +24,8 @@ A plan inverts no matrix. Of the inverse of the k x k Vandermonde matrix
 on the ids' points it needs the first a0 rows, ``top``, and the last row,
 the GRS weights w. ``matrix.lagrange_folds`` at c = 0 gives ``top`` up to
 a column scaling, and every 1 / w_b, from the ids' rows of
-``params.powers``; one batched field inversion does the rest.
+``params.powers``; one batched field inversion, ``GF.inv_array``, does
+the rest: a gather from the field's table of inverses for p <= 2^12.
 The plan's arrays, the k rows and the decode's result are all in
 ``exact_dtype(1, p)``, the one dtype of all field data: every elementwise
 step multiplies two reduced values, and ``matmul_mod`` widens each product
@@ -270,7 +271,7 @@ def _compiled_plan(params: SystemParams, ids: tuple[int, ...]) -> _DecodePlan:
     """The plan for rows read in the order of ``ids``. ``lagrange_folds``
     at c = 0 gives column b of ``top`` times lam_b / w_b, and
     A'(x_b) = 1 / w_b, so ``top`` and w need every
-    w_b / lam_b = 1 / (lam_b A'(x_b)), which one ``GF.inv_all`` inverts
+    w_b / lam_b = 1 / (lam_b A'(x_b)), which one ``GF.inv_array`` inverts
     with every lam_a - lam_b."""
     if len(ids) != params.k:  # ``params.pairs`` indexes k ids
         raise BadShareSet(f"need {params.k} node ids, got {len(ids)}")
@@ -279,14 +280,13 @@ def _compiled_plan(params: SystemParams, ids: tuple[int, ...]) -> _DecodePlan:
     lam = powers[:, a0]
     cols, w_recip = lagrange_folds(powers[None], a0, 0, p)
     upper = params.pairs
-    pairs = len(upper[0])
-    inv = params.field.inv_all(
-        ((lam[upper[0]] - lam[upper[1]]) % p).tolist() + (lam * w_recip[0] % p).tolist()
+    inv = params.field.inv_array(
+        np.concatenate([(lam[upper[0]] - lam[upper[1]]) % p, lam * w_recip[0] % p])
     )
-    diff_inv = np.zeros((len(ids),) * 2, dtype=powers.dtype)
-    diff_inv[upper] = inv[:pairs]
-    diff_inv[upper[::-1]] = [p - x for x in inv[:pairs]]  # 1 / (lam_b - lam_a)
-    w_by_lam = np.array(inv[pairs:], dtype=powers.dtype)  # w_b / lam_b
+    pair_inv, w_by_lam = inv[: -params.k], inv[-params.k :]  # w_b / lam_b
+    diff_inv = np.zeros((params.k,) * 2, dtype=powers.dtype)
+    diff_inv[upper] = pair_inv
+    diff_inv[upper[::-1]] = p - pair_inv  # 1 / (lam_b - lam_a)
     return _DecodePlan(powers[:, :a0].T, lam[:, None], diff_inv,
                        cols[0] * w_by_lam % p, w_by_lam * lam % p, w_recip[0])
 

@@ -68,6 +68,7 @@ def quantum_sum(k: int, d: int, alpha: Num, beta_q: Num) -> Num:
 
 def optimal_point(k: int, d: int, b: int) -> TradeoffPoint:
     """The simultaneous minimum (alpha, d beta_q) = (B/k, B/k), d >= 2k-2."""
+    check_regime(k, d, 0, 0, b)  # before dividing by k * d
     if d < 2 * k - 2:
         raise RegimeViolation(f"need d >= 2k-2 = {2 * k - 2}, got d={d}")
     if b % k != 0 or b % (k * d) != 0:

@@ -2,15 +2,18 @@
 
 import qregen.cli
 import qregen.css
+import qregen.gf
 import qregen.pmcode
 
 
 def clear_caches():
-    """Forget every proven prime field, interned params object (and with it
-    each code's tables: powers, sub-file family, packing and pair indices),
-    cached CSS basis, decode plan and parsed storage file."""
+    """Forget every proven prime field and its table of inverses, interned
+    params object (and with it each code's tables: powers, sub-file family,
+    packing and pair indices), cached CSS basis, decode plan and parsed
+    storage file."""
     qregen.cli._STORED.clear()
     qregen.css._BASES.clear()
+    qregen.gf._inverses.cache_clear()
     qregen.pmcode._compiled_plan.cache_clear()
     qregen.pmcode._field.cache_clear()
     qregen.pmcode._interned.cache_clear()

@@ -2,8 +2,10 @@
 the ones built from the inverse Vandermonde matrix, dtype included."""
 
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import qregen.css
@@ -54,9 +56,10 @@ def reference_blocks(params, failed, helper_sets):
 
 @lru_cache(maxsize=None)
 def primes_for(k):
-    """Small primes, both sides of (p - 1)^2 < 2^63, 2^61 - 1, and both
-    sides of the bounds of the plan's k and of the codes' 2k - 2."""
-    return (13, 67, 3037000493, 3037000507, 2**61 - 1,
+    """Small primes, both sides of the table of inverses' cap 2^12, both
+    sides of (p - 1)^2 < 2^63, 2^61 - 1, and both sides of the bounds of
+    the plan's k and of the codes' 2k - 2."""
+    return (13, 67, 4093, 4099, 3037000493, 3037000507, 2**61 - 1,
             *int64_bound_primes(k), *int64_bound_primes(2 * k - 2))
 
 
@@ -71,12 +74,15 @@ def test_cold_plans_and_blocks_equal_the_vandermonde_inverse_ones(data):
     k = data.draw(st.integers(2, 7))
     p = data.draw(st.sampled_from(primes_for(k)))
     n = data.draw(st.integers(2 * k - 1, 2 * k + 3))
+    # a whole family: the T = C(2k, 2) sets of a (n, k, 2k) code, 28 at k = 4,
+    # on the array path, and few enough for the cache to keep them all
+    family = n > 2 * k and 3 <= k <= 4 and data.draw(st.booleans())
     points = None
     if p > 1000 and data.draw(st.booleans()):  # full-size points as well
         points = data.draw(st.lists(st.integers(1, p - 1), min_size=n, max_size=n,
                                     unique=True))
     try:
-        params = make_params(n, k, 2 * k - 2, p, points)
+        params = make_params(n, k, 2 * k if family else 2 * k - 2, p, points)
     except (InvalidParams, NoValidPoints):
         assume(False)
     clear_caches()
@@ -91,10 +97,28 @@ def test_cold_plans_and_blocks_equal_the_vandermonde_inverse_ones(data):
 
     failed = data.draw(st.integers(1, n))
     others = [i for i in range(1, n + 1) if i != failed]
-    helper_set = st.permutations(others).map(lambda s: tuple(sorted(s[: 2 * k - 2])))
-    sets = data.draw(st.lists(helper_set, min_size=1, max_size=3, unique=True))
+    if family:
+        helpers = sorted(data.draw(st.permutations(others))[: 2 * k])
+        sets = list(combinations(helpers, 2 * k - 2))
+    else:
+        helper_set = st.permutations(others).map(lambda s: tuple(sorted(s[: 2 * k - 2])))
+        sets = data.draw(st.lists(helper_set, min_size=1, max_size=3, unique=True))
     cache_bases(params, failed, sets)
     got = np.stack([qregen.css._BASES[params, failed, hs] for hs in sets])
     assert got.dtype == exact_dtype(1, p)  # the field's one dtype, as is the table's
     assert got.dtype == np.int64 or only_ints(got)
     assert got.tolist() == reference_blocks(params, failed, sets).tolist()
+
+
+@pytest.mark.parametrize("p", [17, 4093, 4099, 3037000493, 3037000507, 2**61 - 1])
+def test_a_cold_file_family_equals_the_vandermonde_inverse_blocks(p):
+    # the T = 28 sets of one (12,4,8) file repair, built in one stack on the
+    # array path, on both sides of the table's cap and of the int64 bound
+    params = make_params(12, 4, 8, p)
+    clear_caches()
+    sets = [tuple(s) for s in (np.arange(2, 10)[params.family]).tolist()]
+    cache_bases(params, 1, sets)
+    got = np.stack([qregen.css._BASES[params, 1, hs] for hs in sets])
+    assert got.dtype == exact_dtype(1, p)
+    assert got.dtype == np.int64 or only_ints(got)
+    assert got.tolist() == reference_blocks(params, 1, sets).tolist()

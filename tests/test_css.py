@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import qregen.css
+import qregen.gf
 from qregen.css import (
     build_repair_css,
     cache_bases,
@@ -134,31 +135,38 @@ def count_field_inversions(monkeypatch):
 
 
 def test_build_field_inversions_cold_and_warm(monkeypatch):
-    # a cold build inverts the m GRS weights' reciprocals, which
-    # lagrange_folds hands back, in one batch, then every
-    # lam_h - lam_f in one batch; a u costs one more batch. A warm build
-    # inverts only its u
-    params = make_params(64, 20, 38, 67)
+    # above the table cap a cold build inverts the m GRS weights'
+    # reciprocals, which lagrange_folds hands back, in one batch, then
+    # every lam_h - lam_f in one batch; a u costs one more batch, and a
+    # warm build inverts only its u. At or below it every batch is a gather
+    # from the field's table, whose one inversion a cold build pays
     rng = SplitMix64(5)
     calls = count_field_inversions(monkeypatch)
-    for warm in (False, True):
-        u = [rng.unit(67) for _ in range(38)]  # a new u in each pass
-        for u_or_none, cold_count, warm_count in ((None, 2, 0), (u, 3, 1)):
-            if not warm:
-                clear_caches()
-            calls.clear()
-            build_repair_css(params, 1, range(2, 40), u_or_none)
-            assert len(calls) == (warm_count if warm else cold_count)
+    for p, counts in ((67, ((False, 1, 0), (True, 1, 0))),
+                      (4099, ((False, 2, 0), (True, 3, 1)))):
+        params = make_params(64, 20, 38, p)
+        for warm in (False, True):
+            u = [rng.unit(p) for _ in range(38)]  # a new u in each pass
+            for with_u, cold_count, warm_count in counts:
+                if not warm:
+                    clear_caches()
+                calls.clear()
+                build_repair_css(params, 1, range(2, 40), u if with_u else None)
+                assert len(calls) == (warm_count if warm else cold_count)
 
 
-@pytest.mark.parametrize("n,k,d,p", [(6, 3, 4, 13), (6, 2, 3, 13), (12, 4, 8, 17)])
+@pytest.mark.parametrize("n,k,d,p", [
+    (6, 3, 4, 13), (6, 2, 3, 13), (12, 4, 8, 17), (6, 3, 4, 4099), (12, 4, 8, 4099),
+])
 def test_file_repair_with_u_makes_one_more_field_inversion(monkeypatch, n, k, d, p):
-    # one u scales the whole stack of T codes after one batched inversion,
-    # cold or warm, whatever T is
+    # above the table cap one u scales the whole stack of T codes after one
+    # batched inversion, cold or warm, whatever T is; at or below it the u
+    # is a gather too, and a cold repair's one inversion is the table's
     params = make_params(n, k, d, p)
     storage = encode_file(params, random_symbols(params, SplitMix64(p)))
     helpers, u = tuple(range(2, d + 2)), [3] * (2 * k - 2)
     calls = count_field_inversions(monkeypatch)
+    table = p <= qregen.gf._TABLE_CAP
     for cold in (True, False):
         counts = []
         for u_or_none in (None, u):
@@ -167,7 +175,10 @@ def test_file_repair_with_u_makes_one_more_field_inversion(monkeypatch, n, k, d,
             calls.clear()
             run_repair(params, storage, 1, helpers, u_or_none)
             counts.append(len(calls))
-        assert counts == ([2, 3] if cold else [0, 1])
+        if table:
+            assert counts == ([1, 1] if cold else [0, 0])
+        else:
+            assert counts == ([2, 3] if cold else [0, 1])
 
 
 @pytest.mark.parametrize("n,k,d,p", [
@@ -325,29 +336,36 @@ def test_u_free_builds_share_the_cached_read_only_arrays():
     assert not scaled.block.flags.writeable
 
 
-def file_setup():
-    """(12,4,8,17) params, its 28-sub-file storage and 8 helpers of node 1."""
-    params = make_params(12, 4, 8, 17)
+def file_setup(p=17):
+    """(12,4,8,p) params, its 28-sub-file storage and 8 helpers of node 1."""
+    params = make_params(12, 4, 8, p)
     storage = encode_file(params, random_symbols(params, SplitMix64(19)))
     return params, storage, tuple(range(2, 10))
 
 
 def test_file_repair_field_inversions_cold_and_warm(monkeypatch):
-    # the bases a repair lacks are built in one batch: one inversion of all
-    # their GRS weights' reciprocals from lagrange_folds, one of every lam_h - lam_f,
-    # however many sub-files are cold; a warm repair inverts nothing
-    params, storage, helpers = file_setup()
+    # the bases a repair lacks are built in one batch: above the table cap,
+    # one inversion of all their GRS weights' reciprocals from
+    # lagrange_folds and one of every lam_h - lam_f, however many sub-files
+    # are cold; at or below it only gathers, after the one inversion that
+    # builds the field's table, which a prewarming build has already paid.
+    # A warm repair inverts nothing
     calls = count_field_inversions(monkeypatch)
-    for prewarmed in ((), helpers[:6], helpers[2:]):
-        clear_caches()
-        if prewarmed:
-            build_repair_css(params, 1, prewarmed)
-        calls.clear()
-        run_repair(params, storage, 1, helpers)
-        assert len(calls) == 2
-        calls.clear()
-        run_repair(params, storage, 1, helpers)
-        assert calls == []
+    for p in (17, 4099):
+        params, storage, helpers = file_setup(p)
+        for prewarmed in ((), helpers[:6], helpers[2:]):
+            clear_caches()
+            if prewarmed:
+                build_repair_css(params, 1, prewarmed)
+            calls.clear()
+            run_repair(params, storage, 1, helpers)
+            if p <= qregen.gf._TABLE_CAP:
+                assert len(calls) == (0 if prewarmed else 1)
+            else:
+                assert len(calls) == 2
+            calls.clear()
+            run_repair(params, storage, 1, helpers)
+            assert calls == []
 
 
 @pytest.mark.parametrize("n,k,d,p", [
@@ -374,20 +392,24 @@ def test_file_repair_stacks_the_single_builds(n, k, d, p):
 
 def test_a_full_cache_keeps_the_bases_a_repair_finds(monkeypatch):
     # the bases a repair finds become the most recent before its cold ones
-    # are added, so none is evicted before its build uses it
-    params, storage, helpers = file_setup()
-    bound = 16 * params.subfiles
-    clear_caches()
-    build_repair_css(params, 1, helpers[:6])  # the oldest entry
-    others = combinations([i for i in range(1, 13) if i != 2], 6)
-    cache_bases(params, 2, list(islice(others, bound - 1)))
-    assert len(qregen.css._BASES) == bound
+    # are added, so none is evicted before its build uses it; the cold ones
+    # take two batched inversions above the table cap, and only gathers at
+    # or below it, the first build having built the field's table
     calls = count_field_inversions(monkeypatch)
-    t = run_repair(params, storage, 1, helpers)
-    assert len(calls) == 2
-    assert len(qregen.css._BASES) == bound
-    keys = [(params, 1, tuple(h)) for h in t.css.helpers.tolist()]
-    assert list(qregen.css._BASES)[-28:] == keys
+    for p in (17, 4099):
+        params, storage, helpers = file_setup(p)
+        bound = 16 * params.subfiles
+        clear_caches()
+        build_repair_css(params, 1, helpers[:6])  # the oldest entry
+        others = combinations([i for i in range(1, 13) if i != 2], 6)
+        cache_bases(params, 2, list(islice(others, bound - 1)))
+        assert len(qregen.css._BASES) == bound
+        calls.clear()
+        t = run_repair(params, storage, 1, helpers)
+        assert len(calls) == (0 if p <= qregen.gf._TABLE_CAP else 2)
+        assert len(qregen.css._BASES) == bound
+        keys = [(params, 1, tuple(h)) for h in t.css.helpers.tolist()]
+        assert list(qregen.css._BASES)[-28:] == keys
 
 
 @pytest.mark.parametrize("mode", ["linear", "symplectic"])

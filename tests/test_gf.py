@@ -1,7 +1,9 @@
 """Prime field arithmetic: golden values, exhaustive properties."""
 
+import numpy as np
 import pytest
 
+import qregen.gf
 from qregen.errors import DivisionByZero
 from qregen.gf import GF, is_prime
 from qregen.rng import SplitMix64
@@ -83,6 +85,39 @@ def test_inv_all_matches_inv(p):
     assert f.inv_all([]) == []
     with pytest.raises(DivisionByZero):
         f.inv_all([*values[:3], p, *values[3:]])
+
+
+@pytest.mark.parametrize("p", [2, 13, 4093, 4099, 3037000493, 3037000507, 2**61 - 1])
+def test_inv_array_matches_inv_all_on_both_sides_of_the_cap(p):
+    # a gather from the field's table at p <= 2^12, inv_all above it: the
+    # same inverses, in the values' shape and dtype; a 0 raises either way
+    f = GF(p)
+    rng = SplitMix64(p)
+    dtype = np.int64 if (p - 1) ** 2 < 2**63 else object
+    values = np.array([rng.below(p - 1) + 1 for _ in range(24)], dtype=dtype).reshape(2, 3, 4)
+    got = f.inv_array(values)
+    assert (got.shape, got.dtype) == (values.shape, values.dtype)
+    assert got.ravel().tolist() == f.inv_all(values.ravel().tolist())
+    assert all(type(x) is int for x in got.ravel().tolist())
+    assert f.inv_array(values[:0]).shape == (0, 3, 4)
+    values[1, 2, 3] = 0
+    with pytest.raises(DivisionByZero):
+        f.inv_array(values)
+
+
+def test_inv_array_table_is_one_read_only_inversion(monkeypatch):
+    # each field's table costs one GF.inv, built on its first use and read
+    # by every later gather; it is read-only and holds 0 at 0
+    qregen.gf._inverses.cache_clear()
+    calls = []
+    real = GF.inv
+    monkeypatch.setattr(GF, "inv", lambda f, a: calls.append(a) or real(f, a))
+    f = GF(4093)
+    for _ in range(3):
+        assert f.inv_array(np.arange(1, 4093)).tolist() == [f.inv(a) for a in range(1, 4093)]
+    assert len(calls) == 1 + 3 * 4092  # the table's, then the references'
+    table = qregen.gf._inverses(f)
+    assert table[0] == 0 and not table.flags.writeable
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 101, 257])

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qregen.matrix
 from qregen.errors import DimensionMismatch, RepeatedPoint, Singular
 from qregen.gf import GF
 from qregen.matrix import (
     Mat,
     exact_dtype,
     grs_dual_weights,
+    lagrange_folds,
     matmul_mod,
     vandermonde,
     vandermonde_inv,
@@ -349,6 +351,43 @@ def test_vandermonde_inv_repeated_point(case, data):
     at = data.draw(st.integers(0, len(points)))
     with pytest.raises(RepeatedPoint):
         vandermonde_inv(field, points[:at] + [dup] + points[at:])
+
+
+def powers_of(sets, e, p):
+    """The (len(sets), m, e) stack of each point's row (1, x, ..., x^(e-1))."""
+    rows = [[[pow(x, j, p) for j in range(e)] for x in pts] for pts in sets]
+    return np.array(rows, dtype=exact_dtype(1, p))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_stacked_folds_equal_each_sets_own(data):
+    # a stack long enough for the array steps gives every set what the list
+    # loop gives it alone, for a plan's m = a0 + 1 and a code's m = 2 a0
+    p = data.draw(st.sampled_from([13, 4093, 4099, 3037000493, 3037000507, 2**61 - 1]))
+    a0 = data.draw(st.integers(1, 4))
+    m = data.draw(st.sampled_from([a0 + 1, 2 * a0]))
+    distinct = st.lists(st.integers(1, p - 1), min_size=m, max_size=m, unique=True)
+    size = data.draw(st.integers(qregen.matrix._STACKED, qregen.matrix._STACKED + 6))
+    sets = data.draw(st.lists(distinct, min_size=size, max_size=size))
+    c = data.draw(st.integers(0, p - 1))
+    powers = powers_of(sets, 2 * a0, p)
+    cols, slopes = lagrange_folds(powers, a0, c, p)
+    assert cols.dtype == slopes.dtype == powers.dtype
+    for b in range(size):
+        lone = lagrange_folds(powers[b : b + 1], a0, c, p)
+        assert cols[b].tolist() == lone[0][0].tolist()
+        assert slopes[b].tolist() == lone[1][0].tolist()
+
+
+@pytest.mark.parametrize("size", [1, 3, qregen.matrix._STACKED, 28])
+def test_lagrange_folds_repeated_point_in_one_set(size):
+    # one set with a repeated point raises, whichever path its stack takes
+    sets = [[1 + (b + j) % 12 for j in range(6)] for b in range(size)]
+    sets[size // 2][4] = sets[size // 2][1]
+    with pytest.raises(RepeatedPoint, match=r"distinct: \[.*\]$") as info:
+        lagrange_folds(powers_of(sets, 6, 13), 3, 5, 13)
+    assert str(sets[size // 2]) in str(info.value)
 
 
 def test_vandermonde_inv_golden():

@@ -469,11 +469,9 @@ def test_unfold_recovers_symmetric_s_whatever_the_diagonal(data):
 
 
 def test_retrieve_inverts_once_per_point_plus_one(monkeypatch):
-    # one batched inversion each for the GRS weights, whose inverses
-    # vandermonde_inv returns with them, and for every 1 / (lam_a - lam_b)
-    params = make_params(64, 20, 38, 67)
-    symbols = random_symbols(params, SplitMix64(9))
-    storage = encode_file(params, symbols)
+    # a cold plan inverts every w_b / lam_b and every lam_a - lam_b in one
+    # batch: above the table cap that is one inv_all, and at or below it one
+    # gather from the field's table, whose building is the one inversion
     calls = Counter()
     real_inv = GF.inv
 
@@ -482,10 +480,17 @@ def test_retrieve_inverts_once_per_point_plus_one(monkeypatch):
         return real_inv(self, a)
 
     monkeypatch.setattr(GF, "inv", inv)
-    ids = list(range(3, 64, 3))[: params.k]
-    clear_caches()
-    assert list(retrieve_file(params, storage, ids)) == symbols
-    assert 1 <= calls["inv"] <= 2
+    for p in (67, 4099):
+        params = make_params(64, 20, 38, p)
+        symbols = random_symbols(params, SplitMix64(9))
+        storage = encode_file(params, symbols)
+        ids = list(range(3, 64, 3))[: params.k]
+        clear_caches()
+        calls.clear()
+        assert list(retrieve_file(params, storage, ids)) == symbols
+        assert calls["inv"] == 1
+        assert list(retrieve_file(params, storage, ids[::-1])) == symbols
+        assert calls["inv"] == 1
 
 
 def test_repeated_retrieve_reuses_its_plan(monkeypatch):

@@ -99,9 +99,10 @@ def test_cli_repair_trace_counts_one_file_repair():
 def test_warm_repair_traces_like_a_cold_one():
     # the bench pins css.build spans and matrix.matmul_macs per op: a repair
     # whose three CSS bases come from the cache still builds and checks
-    # each sub-file's code, so both counts repeat; only the inversions drop.
-    # No op multiplies through Mat any more, encode included, so the macs
-    # read 0 both times
+    # each sub-file's code, so both counts repeat; only the inversions drop,
+    # from the one that builds GF(13)'s table of inverses to none. No op
+    # multiplies through Mat any more, encode included, so the macs read 0
+    # both times
     clear_caches()
     (cold_code, cold), (warm_code, warm) = traced_repair(), traced_repair()
     assert cold_code == warm_code == 0
@@ -109,7 +110,7 @@ def test_warm_repair_traces_like_a_cold_one():
         assert tracer.self_times()["repair", "css.build"][0] == 3
     macs = [t.counts["repair", "matrix.matmul_macs"] for t in (cold, warm)]
     assert macs == [0, 0]
-    assert warm.counts["repair", "gf.inv_calls"] == 0 < cold.counts["repair", "gf.inv_calls"]
+    assert [t.counts["repair", "gf.inv_calls"] for t in (cold, warm)] == [1, 0]
 
 
 def test_cli_statevector_repair_traces_each_codespace():

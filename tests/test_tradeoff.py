@@ -85,6 +85,11 @@ def test_optimal_point_errors():
         optimal_point(3, 4, 13)
     with pytest.raises(Indivisible):
         optimal_point(3, 4, 15)  # divisible by k but not k*d
+    # the regime is checked before B is divided by k * d
+    with pytest.raises(InvalidRegime):
+        optimal_point(0, 3, 12)  # no division by zero
+    with pytest.raises(InvalidRegime):
+        optimal_point(-1, 3, 12)  # no bound checked at a negative point
 
 
 def test_optimal_point_bound_check_raises(monkeypatch):
