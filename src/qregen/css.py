@@ -39,9 +39,12 @@ blocks into the blocks of a u, one or a whole stack, in one product after
 one batched inversion of u (``GF.inv_array``), whose entries ``check_u``
 checks first.
 
-``cache_bases`` makes every u-free block, for a stack of helper sets of one
-failed node at once: ``run_repair`` hands it all T sub-files' helper sets,
-and ``build_repair_css`` its one, so a cache miss there is a stack of one.
+``cache_bases`` returns the u-free blocks of a stack of helper sets of one
+failed node, and is the one reader and writer of their cache, which admits
+a key only once ``check_helpers`` has passed it: a hit checks nothing, and
+the keys it lacks are checked, then built at once. ``run_repair`` hands it
+all T sub-files' helper sets, and ``build_repair_css`` its one, so a cache
+miss there is a stack of one.
 A stack of a whole file's cold sets builds its master polynomials as array
 steps across the stack (``lagrange_folds``). It makes two batched
 inversions however many blocks are cold, every A'(x_j) of the stack, which
@@ -50,8 +53,9 @@ table of inverses for p <= 2^12, one ``GF.inv_all`` each above that.
 Everything runs in ``exact_dtype(1, p)``, the table's dtype, which the
 blocks keep. One stacked ``StabGroup`` checks HX_1 HZ_1^T = 0 for all of
 them before any enters the cache, a per-process LRU of 16 T blocks, those
-of the last 16 file repairs of T sub-files. ``build_repair_css`` checks
-nothing itself: with u None it returns the cached block and does no
+of the last 16 file repairs of T sub-files. ``build_repair_css`` checks no
+helper itself: it takes its block from ``cache_bases``, then checks u
+(``check_u``); with u None it returns the cached block and does no
 arithmetic, and a u scales it.
 """
 
@@ -127,41 +131,42 @@ _BASES: OrderedDict[tuple, np.ndarray] = OrderedDict()  # least recently used fi
 
 def cache_bases(
     params: SystemParams, failed: int, helper_sets: Sequence[tuple[int, ...]]
-) -> None:
-    """Make every sorted, checked helper tuple of ``failed`` one of the most
-    recent cache entries, building the u-free blocks the cache lacks in one
-    batch. One stacked ``StabGroup`` checks the new blocks before any is
-    cached. When every key is cached, each costs one lookup."""
-    try:  # every key cached, the common case: one lookup each
-        for hs in helper_sets:
-            _BASES.move_to_end((params, failed, hs))
-        return
-    except KeyError:
-        pass
-    missing = []
-    for hs in helper_sets:  # again from the first, so the hits keep their order
+) -> list[np.ndarray]:
+    """The u-free blocks of ``failed`` with each sorted helper tuple of
+    ``helper_sets``, in order, each now one of the most recent cache entries.
+    A key enters the cache only once checked, so a hit checks nothing; each
+    key the cache lacks is checked (``check_helpers``), and their blocks are
+    built in one batch, which one stacked ``StabGroup`` checks before any is
+    cached."""
+    blocks, cold = [], {}  # cold: place in helper_sets -> checked key
+    for hs in helper_sets:
         key = (params, failed, hs)
-        if key in _BASES:
-            _BASES.move_to_end(key)
+        block = _BASES.get(key)
+        if block is None:
+            cold[len(blocks)] = check_helpers(params, failed, hs, 2 * params.alpha0)
         else:
-            missing.append(hs)
+            _BASES.move_to_end(key)
+        blocks.append(block)
+    if not cold:
+        return blocks
     field, p, a0 = params.field, params.p, params.alpha0
     lam_f = params.lam[failed - 1]
-    powers = params.powers[np.array(missing) - 1]  # (B, m, m): m = 2a0
+    powers = params.powers[np.array(list(cold.values())) - 1]  # (B, m, m): m = 2a0
     hx, w_recip = lagrange_folds(powers, a0, lam_f, p)  # HX_1 = -C R
-    rows = (len(missing), 1, 2 * a0)  # one row of m per block
+    rows = (len(cold), 1, 2 * a0)  # one row of m per block
     w, denom_inv = (  # the weights, and every 1 / (lam_h - lam_f)
         field.inv_array(x).reshape(rows) for x in (w_recip, (powers[..., a0] - lam_f) % p)
     )
     hz = hx * w % p
     StabGroup(x_type=hx, z_type=hz, p=p)  # raises DualContainmentViolated
     ones = np.ones_like(w)
-    blocks = np.concatenate([hx, hz, denom_inv, w * denom_inv % p, ones, w], 1)
-    for hs, block in zip(missing, blocks):
+    built = np.concatenate([hx, hz, denom_inv, w * denom_inv % p, ones, w], 1)
+    for (i, hs), block in zip(cold.items(), built):
         block.flags.writeable = False
-        _BASES[params, failed, hs] = block
+        blocks[i] = _BASES[params, failed, hs] = block
     while len(_BASES) > 16 * params.subfiles:
         _BASES.popitem(last=False)
+    return blocks
 
 
 def scale(params: SystemParams, blocks: np.ndarray, u: tuple[int, ...]) -> np.ndarray:
@@ -184,8 +189,7 @@ def build_repair_css(
 ) -> RepairCSS:
     """Construct the repair-time code; helpers must number exactly 2k-2.
     With ``u`` None, the block is the cached one."""
-    hs = check_helpers(params, failed, helpers, 2 * params.alpha0)
+    hs = tuple(sorted(helpers))
+    (block,) = cache_bases(params, failed, [hs])  # checks the helpers on a miss
     u = None if u is None else check_u(params, u)
-    cache_bases(params, failed, [hs])  # the most recent entry now
-    block = _BASES[params, failed, hs]
     return RepairCSS(failed, hs, block if u is None else scale(params, block, u), params.p)

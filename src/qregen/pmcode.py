@@ -20,6 +20,9 @@ every sub-file in one broadcast ``retrieve``.
 
 Every inverse a decode needs depends on (params, ids) alone, so its
 ``_DecodePlan`` is compiled once and kept in a per-process LRU of 16 plans.
+A plan is compiled only for k distinct node ids in [1, n], and a refused id
+set is never cached, so a cached plan needs no check: ``retrieve`` and
+``retrieve_file`` refuse every other id set there, with one message.
 A plan inverts no matrix. Of the inverse of the k x k Vandermonde matrix
 on the ids' points it needs the first a0 rows, ``top``, and the last row,
 the GRS weights w. ``matrix.lagrange_folds`` at c = 0 gives ``top`` up to
@@ -268,13 +271,14 @@ class _DecodePlan:
 
 @lru_cache(maxsize=16)  # the plan depends on (params, ids) alone
 def _compiled_plan(params: SystemParams, ids: tuple[int, ...]) -> _DecodePlan:
-    """The plan for rows read in the order of ``ids``. ``lagrange_folds``
-    at c = 0 gives column b of ``top`` times lam_b / w_b, and
-    A'(x_b) = 1 / w_b, so ``top`` and w need every
-    w_b / lam_b = 1 / (lam_b A'(x_b)), which one ``GF.inv_array`` inverts
-    with every lam_a - lam_b."""
-    if len(ids) != params.k:  # ``params.pairs`` indexes k ids
-        raise BadShareSet(f"need {params.k} node ids, got {len(ids)}")
+    """The plan for rows read in the order of ``ids``, once they are known
+    to be k distinct nodes in [1, n]. ``lagrange_folds`` at c = 0 gives
+    column b of ``top`` times lam_b / w_b, and A'(x_b) = 1 / w_b, so ``top``
+    and w need every w_b / lam_b = 1 / (lam_b A'(x_b)), which one
+    ``GF.inv_array`` inverts with every lam_a - lam_b."""
+    if not (len(ids) == len(set(ids)) == params.k
+            and 1 <= min(ids) and max(ids) <= params.n):
+        raise BadShareSet(f"need {params.k} distinct node ids in [1, {params.n}]")
     p, a0 = params.p, params.alpha0
     powers = params.powers[[i - 1 for i in ids]]  # (k, 2a0): k = a0 + 1 <= 2a0
     lam = powers[:, a0]
@@ -350,13 +354,12 @@ def retrieve_file(
     B symbols, a 1-D array in ``exact_dtype(1, p)``.
 
     ``storage`` is ``encode_file``'s (T, n, 2, a0) array; only the rows of
-    ``ids`` are read, and one ``retrieve`` call decodes every sub-file.
+    ``ids`` are read, once their plan is compiled, which checks them, and
+    one ``retrieve`` call decodes every sub-file.
     """
     check_storage(params, storage)
-    ids = sorted(ids)
-    if not (len(ids) == len(set(ids)) == params.k
-            and 1 <= ids[0] and ids[-1] <= params.n):
-        raise BadShareSet(f"need {params.k} distinct node ids in [1, {params.n}]")
+    ids = tuple(sorted(ids))
+    _compiled_plan(params, ids)  # refuses bad ids before any row is read
     rows = storage[:, [i - 1 for i in ids]].swapaxes(1, 2)  # (T, 2, k, a0)
     return unpack_file(params, retrieve(params, ids, rows))
 

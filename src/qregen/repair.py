@@ -14,11 +14,12 @@ one qudit, so one sub-file costs 2k-2 qudits.
 and d helpers. The file is T = C(d, 2k-2) sub-files (one when d = 2k-2),
 each repairing through a distinct (2k-2)-subset of the helpers: row t of
 ``params.family``, in colex order, computed once per code. Stage 1
-checks u, builds the u-free blocks the CSS cache lacks for those T subsets
-in one batch (``cache_bases``), reads each with one ``build_repair_css``
-call per sub-file, stacks them into one ``RepairCSS``, scales that stack
-by u once, and checks HX HZ^T = 0 for all T codes in one stacked product
-on views of that stack. Stage 2 is one product for the file, as every
+checks u, checks and builds the u-free blocks the CSS cache lacks for
+those T subsets in one batch (``cache_bases``), reads each with one
+``build_repair_css`` call per sub-file, a cache hit that checks nothing,
+stacks them into one ``RepairCSS``, scales that stack by u once, and
+checks HX HZ^T = 0 for all T codes in one stacked product on views of
+that stack. Stage 2 is one product for the file, as every
 helper applies the same vbar_f (``helper_encode`` reads the helpers' rows
 and only theirs), and every payload is the stack's (T, 2, 2k-2) lam1 and
 lam2 times those dots gathered through the subsets. Stage 3 measures every
@@ -121,7 +122,9 @@ def run_repair(
     p = params.p
     helper_sets = np.array(hs)[params.family]  # (T, 2k-2): row t is sub-file t's
     keys = [tuple(s) for s in helper_sets.tolist()]
-    cache_bases(params, failed, keys)
+    cache_bases(params, failed, keys)  # checks and builds only the cold keys
+    # T hits, kept while bench/test_bench.py pins css.build_calls == T and
+    # tests/test_trace_targets.py their spans, until ROADMAP item 3b
     blocks = np.array([build_repair_css(params, failed, h).block for h in keys])
     blocks.flags.writeable = False  # as every block is
     css = RepairCSS(failed, helper_sets, blocks if u is None else scale(params, blocks, u), p)

@@ -7,10 +7,12 @@ import pytest
 
 import qregen.css
 import qregen.gf
+import qregen.repair
 from qregen.css import (
     build_repair_css,
     cache_bases,
     check_dual_containment,
+    check_helpers,
     grs_dual_weights,
 )
 from qregen.errors import (
@@ -278,6 +280,16 @@ def test_build_rejects_bad_inputs():
         build_repair_css(params, 1, (2, 4, 5, 6), (1, 1, 1))
 
 
+def test_cache_bases_refuses_unchecked_keys():
+    # helper 0 would read node 6's point, failed node 7 no point at all
+    params = make_params(6, 3, 4, 13)
+    clear_caches()
+    for failed, helpers in ((1, (0, 2, 3, 4)), (7, (1, 2, 3, 4))):
+        with pytest.raises(InvalidHelperSet):
+            cache_bases(params, failed, [(2, 3, 4, 5), helpers])
+        assert len(qregen.css._BASES) == 0
+
+
 def test_corrupted_construction_fails_closed(monkeypatch):
     # the stacked StabGroup in cache_bases checks every basis before it is
     # cached; a warm build_repair_css checks nothing itself. Any one wrong
@@ -366,6 +378,26 @@ def test_file_repair_field_inversions_cold_and_warm(monkeypatch):
             calls.clear()
             run_repair(params, storage, 1, helpers)
             assert calls == []
+
+
+def test_a_warm_file_repair_checks_its_helpers_once(monkeypatch):
+    # only a checked key enters the cache, so the T subsets of the d checked
+    # helpers are checked when they are cold and never when they hit
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return check_helpers(*args)
+
+    monkeypatch.setattr(qregen.css, "check_helpers", counted)
+    monkeypatch.setattr(qregen.repair, "check_helpers", counted)
+    params, storage, helpers = file_setup()
+    clear_caches()
+    run_repair(params, storage, 1, helpers)
+    assert len(calls) == 1 + params.subfiles == 29
+    calls.clear()
+    run_repair(params, storage, 1, helpers)
+    assert calls == [(params, 1, helpers, 8)]
 
 
 @pytest.mark.parametrize("n,k,d,p", [

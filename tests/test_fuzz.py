@@ -3,6 +3,9 @@
 Whatever arrives, ``main`` exits 0, 1 or 2, lets no exception escape
 (``SystemExit`` included) and, on a nonzero exit, says why in one stderr
 line; argparse's own rejections (an unknown flag, a missing value) too.
+
+Fuzzed node sets at the two node-set caches, the CSS blocks and the decode
+plans: a call gives the same outcome on a cold cache and on a warm one.
 """
 
 import contextlib
@@ -13,7 +16,12 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import qregen.css
+import qregen.pmcode
 from qregen.cli import main
+from qregen.css import build_repair_css, cache_bases, check_helpers
+from qregen.errors import BadShareSet, InvalidHelperSet, ZeroU
+from qregen.pmcode import encode_file, make_params, retrieve
 
 P634 = ["--n", "6", "--k", "3", "--d", "4", "--prime", "13"]
 FUZZ = settings(max_examples=50, deadline=None, derandomize=True,
@@ -161,3 +169,88 @@ def test_fuzzed_argv(files, argv):
 def test_templates_exit_0(files, argv):
     # the fuzz edits valid calls, and would pass on a main that rejects everything
     assert run_main([arg.format(**files) for arg in argv])[0] == 0
+
+
+def outcome(call):
+    """The ``tolist()`` of what ``call()`` returns, or the class and message
+    of what it raises."""
+    try:
+        return call().tolist()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+CODES = [(6, 3, 4, 13), (12, 4, 8, 17)]
+
+
+@st.composite
+def node_lists(draw, nodes, size, n):
+    """``size`` distinct ids of ``nodes``, or such a list with one id set to
+    any of [-1, n + 2], one dropped or one repeated."""
+    ids = draw(st.permutations(nodes))[:size]
+    if draw(st.booleans()):
+        return ids
+    edit = draw(st.sampled_from(["set", "drop", "repeat"]))
+    if edit == "set":
+        ids[draw(st.integers(0, size - 1))] = draw(st.integers(-1, n + 2))
+    elif edit == "drop":
+        ids.pop()
+    else:  # repeat
+        ids.append(draw(st.sampled_from(ids)))
+    return ids
+
+
+@pytest.mark.parametrize("code", CODES, ids=str)
+@FUZZ
+@given(data=st.data())
+def test_a_warm_css_cache_admits_nothing_a_cold_one_refuses(code, data):
+    # a key is cached only once checked, so a hit may skip the check
+    params = make_params(*code)
+    n, m, p = params.n, 2 * params.alpha0, params.p
+    failed = data.draw(st.integers(-1, n + 2))
+    helpers = data.draw(node_lists([i for i in range(1, n + 1) if i != failed], m, n))
+    u = data.draw(st.none() | st.lists(st.integers(0, p), min_size=m, max_size=m))
+    warm = 1 if failed not in range(1, n + 1) else failed
+    others = [i for i in range(1, n + 1) if i != warm]
+    batch = data.draw(st.lists(
+        st.permutations(others).map(lambda s: tuple(sorted(s[:m]))),
+        min_size=1, max_size=4))
+
+    def build():
+        return outcome(lambda: build_repair_css(params, failed, helpers, u).block)
+
+    qregen.css._BASES.clear()
+    cold = build()
+    cache_bases(params, warm, batch)
+    assert build() == cold
+    if isinstance(cold, tuple):
+        assert cold[0] in (InvalidHelperSet, ZeroU), cold
+    for _, f, hs in qregen.css._BASES:  # every cached key passes the check
+        assert check_helpers(params, f, hs, m) == hs
+
+
+@pytest.mark.parametrize("code", CODES, ids=str)
+@FUZZ
+@given(data=st.data())
+def test_a_warm_plan_cache_admits_nothing_a_cold_one_refuses(code, data):
+    params = make_params(*code)
+    n, k = params.n, params.k
+    ids = data.draw(node_lists(range(1, n + 1), k, n))
+    batch = data.draw(st.lists(
+        st.permutations(range(1, n + 1)).map(lambda s: tuple(s[:k])),
+        min_size=1, max_size=4))
+    storage = encode_file(params, list(range(params.B)))
+    rows = storage[:, :k].swapaxes(1, 2)  # any k rows: only the ids are checked
+
+    def decode():
+        return outcome(lambda: retrieve(params, ids, rows))
+
+    qregen.pmcode._compiled_plan.cache_clear()
+    cold = decode()
+    for plan_ids in batch:
+        retrieve(params, plan_ids, storage[:, [i - 1 for i in plan_ids]].swapaxes(1, 2))
+    assert decode() == cold
+    if isinstance(cold, tuple):
+        assert cold == (BadShareSet, f"need {k} distinct node ids in [1, {n}]")
+    else:
+        assert len(set(ids)) == len(ids) == k and 1 <= min(ids) <= max(ids) <= n

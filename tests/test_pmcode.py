@@ -322,7 +322,16 @@ def test_retrieve_refuses_an_id_count_other_than_k(ids):
     params = make_params(6, 3, 4, 13)
     storage = encode_file(params, list(range(12)))
     rows = storage[:, [i - 1 for i in ids]].swapaxes(1, 2)
-    with pytest.raises(BadShareSet, match="need 3 node ids"):
+    with pytest.raises(BadShareSet, match=r"^need 3 distinct node ids in \[1, 6\]$"):
+        retrieve(params, ids, rows)
+
+
+@pytest.mark.parametrize("ids", [(0, 2, 3), (2, 3, 7), (2, 2, 3)])
+def test_retrieve_refuses_ids_outside_the_nodes_or_repeated(ids):
+    # id 0 would index row -1, node 6's point, and id 7 no row at all
+    params = make_params(6, 3, 4, 13)
+    rows = encode_file(params, list(range(12)))[:, :3].swapaxes(1, 2)
+    with pytest.raises(BadShareSet, match=r"^need 3 distinct node ids in \[1, 6\]$"):
         retrieve(params, ids, rows)
 
 
