@@ -10,24 +10,28 @@ in one loop; any other argv goes to the argparse parser built from the table,
 which words every refusal and the help.
 
 Documents are ``json.dumps(doc, indent=2)``'s text, from ``_json_text``. The
-storage file and the repair transcript interleave a layout's literal pieces,
-which ``json.dumps`` writes once per shape with one sub-file's part repeated,
-with their arrays' ints as decimal strings; those strings, and the retrieved
-message's, come from one gather out of a cached table of ``str(i)`` (``_decimal``).
+storage file, the repair transcript and the retrieved message are their ints in
+order, each followed by a literal piece of a layout that ``json.dumps`` writes
+once per shape (a ``_Doc``). A storage file's node ids are among those ints, so
+its layout has a handful of distinct pieces whatever n is. Every int but the
+last is in [0, p); while (distinct pieces) x p stays within ``_DECIMAL_CAP``,
+the text is one gather out of cached columns of ``str(v) + piece`` and one
+join, and past it each int takes ``str``.
 
 A storage file is read as bytes, and ``_STORED``, an LRU of 8 keyed by those
 exact bytes (not by path or mtime), keeps its validated params and storage
 array, the array read-only and, like all field data, in ``exact_dtype(1, p)``:
 int64 up to p = 3037000493, Python ints above. Ints leave arrays only for
-JSON, as ``_decimal`` strings, and for error messages. Retrieves and repairs
-that read the same stored file again in one process skip ``json.load`` and
-validation; the decode, the repair and its checks still run in full. A file
-this process encoded is cached from its write: ``encode --out`` puts the
-params and storage it wrote under the bytes it wrote, so even its first read
-is a hit. A malformed file raises before anything is cached, so it fails alike
+JSON and for error messages. Retrieves and repairs that read the same stored
+file again in one process skip ``json.load`` and validation; the decode, the
+repair and its checks still run in full. A file this process encoded is cached
+from its write: ``encode --out`` puts the params and storage it wrote under the
+bytes it wrote, so even its first read is a hit. A malformed file raises before anything is cached, so it fails alike
 on every read. The bytes decode as ``open(path, encoding="utf-8")`` reads them:
-universal newlines, a BOM refused. A one-shot process gains nothing and pays
-one hash of the bytes.
+universal newlines, a BOM refused. A read finds its entry by comparing its
+bytes with each key, and re-files the entry under that key, whose hash is
+cached, so a hit hashes nothing. A one-shot process gains nothing and pays one
+hash of the bytes, on insert.
 """
 
 from __future__ import annotations
@@ -60,10 +64,10 @@ from .repair import MODES
 from .rng import SplitMix64
 
 SWEEP_LIMIT = 10**6  # node sub-files stored; sub-file repairs plus retrievals per sweep
-# ints below this are written from a cached table of their decimal strings: a
-# 2^12 table takes 0.6 ms and 0.25 MB to build (shared 2-core VM) and saves
-# about 90 ns per int; 2^16 would take 11 ms and 4 MB, more than a one-shot
-# call writes back. Larger ints take str() each.
+# the most rows of "str(v) + piece" a document's table holds, (distinct pieces)
+# x p: 2^12 strings take 0.6 ms and 0.25 MB to build (shared 2-core VM); 2^16
+# would take 11 ms and 4 MB, more than a one-shot call writes back. A document
+# past it takes str() of each int.
 _DECIMAL_CAP = 1 << 12
 # layout placeholders; json writes them "\u0000...", as no int, key or mode prints
 _SLOT, _PART = "\x00slot", "\x00part"
@@ -88,43 +92,78 @@ def _write_out(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)  # every document ends in a newline
 
 
-def _json_text(obj, layout=(), copies: int = 1) -> str:
+class _Doc(NamedTuple):
+    """A document's text compiled for its ints: ``head``, then each int but
+    the last followed by its piece of ``follows``, then the last int and
+    ``tail``. ``follows`` is one str for a flat list of any length. Given a
+    ``table``, row ``offsets[i] + v`` of it is ``str(v) + follows[i]`` for
+    each v below ``size``."""
+
+    head: str
+    tail: str
+    follows: tuple[str, ...] | str
+    size: int = 0  # no table: each int takes str()
+    table: np.ndarray | None = None
+    offsets: np.ndarray | int = 0
+
+
+_LIST = _Doc("[\n  ", "\n]\n", ",\n  ")  # a flat list, as json.dumps(indent=2) writes it
+
+
+@functools.lru_cache(maxsize=64)
+def _column(piece: str, size: int) -> np.ndarray:
+    """``str(v) + piece`` for every v below ``size``, as an object array."""
+    return np.array([str(v) + piece for v in range(size)], dtype=object)
+
+
+def _compile(head: str, tail: str, follows, size: int) -> _Doc:
+    """A _Doc with a table of ``size`` rows per distinct piece of
+    ``follows``, one cached column each, while they number at most
+    _DECIMAL_CAP rows; past that, with none."""
+    if isinstance(follows, str):
+        distinct, ids = [follows], 0
+    else:
+        index = {}  # each distinct piece's column, in order of first use
+        ids = np.fromiter((index.setdefault(piece, len(index)) for piece in follows),
+                          dtype=np.intp, count=len(follows))
+        distinct = list(index)
+    if len(distinct) * size > _DECIMAL_CAP:
+        return _Doc(head, tail, follows)
+    table = np.concatenate([_column(piece, size) for piece in distinct])
+    return _Doc(head, tail, follows, size, table, ids * size)
+
+
+@functools.lru_cache(maxsize=16)
+def _list_doc(p: int) -> _Doc:
+    """A flat list of field elements, its table sized to p."""
+    return _compile(*_LIST[:3], p)
+
+
+def _json_text(obj, doc: _Doc = _LIST) -> str:
     """``json.dumps(doc, indent=2) + "\\n"``, byte for byte. ``obj`` is the
-    document itself, or an int array: the ints of a flat list, or, given a
-    ``_layout``, the document's ints in order, written as ``_decimal``
-    strings between the layout's literal pieces, its repeated part
-    ``copies`` times."""
+    document itself, or an int array: the ints of a flat list, or of
+    ``doc`` in order. While every int but the last is of int64 and in [0,
+    ``doc.size``), as in every document whose table is sized to p, those
+    ints with their following pieces are one gather out of its table and
+    the text one join; any other array, and one past the table budget,
+    takes ``str`` of each int between the same pieces."""
     if not isinstance(obj, np.ndarray):
         return json.dumps(obj, indent=2) + "\n"
-    strs = _decimal(obj)
-    if not layout:
-        return "[\n  " + ",\n  ".join(strs) + "\n]\n" if strs else "[]\n"
-    pieces = []  # the literal text before each int, and after the last
-    for fixed, unit in layout:
-        pieces += fixed
-        pieces += unit * (copies - 1)
-    out = pieces + strs
-    out[::2], out[1::2] = pieces, strs
-    return "".join(out)
-
-
-@functools.lru_cache(maxsize=8)
-def _decimal_table(size: int) -> np.ndarray:
-    """``str(i)`` for every i below ``size``, as an object array."""
-    return np.array([str(i) for i in range(size)], dtype=object)
-
-
-def _decimal(values: np.ndarray) -> list[str]:
-    """``list(map(str, values.tolist()))`` of an int array. Values in
-    [0, _DECIMAL_CAP) of an integer dtype are one gather from the cached
-    table of the next power of two above the largest, at least 256; any
-    other array, an object one included, takes ``str`` of each int."""
-    values = values.ravel()
-    if values.size and values.dtype.kind in "iu":
-        top = int(values.max())
-        if top < _DECIMAL_CAP and values.min() >= 0:
-            return _decimal_table(max(256, 1 << top.bit_length()))[values].tolist()
-    return list(map(str, values.tolist()))
+    values = obj.ravel()
+    if not values.size:  # only a list holds no int
+        return "[]\n"
+    body = values[:-1]  # as uint64, a negative int is past any size
+    if body.size and body.dtype == np.int64 and body.view(np.uint64).max() < doc.size:
+        strs = doc.table[doc.offsets + body].tolist()
+        strs[0] = doc.head + strs[0]  # short: the text is copied once, by the join
+        strs.append(str(values[-1]) + doc.tail)
+        return "".join(strs)
+    strs = list(map(str, values.tolist()))
+    if isinstance(doc.follows, str):
+        return doc.head + doc.follows.join(strs) + doc.tail
+    text = [*strs, *doc.follows]
+    text[::2], text[1::2] = strs, doc.follows
+    return doc.head + "".join(text) + doc.tail
 
 
 def _check_size(n: int, k: int, d: int) -> None:
@@ -176,21 +215,33 @@ def _layout(skeleton, fragments=()) -> tuple[tuple[tuple[str, ...], tuple[str, .
     return tuple(layout)
 
 
-@functools.lru_cache(maxsize=16)
 def _storage_layout(params: SystemParams):
     row = [_SLOT] * params.alpha0
-    nodes = [dict(nodeId=i, rowM=row, rowMp=row) for i in range(1, params.n + 1)]
+    node = dict(nodeId=_SLOT, rowM=row, rowMp=row)
     skeleton = {"params": _params_json(params), "subfiles": [_PART, _PART]}
-    return _layout(skeleton, (nodes,))
+    return _layout(skeleton, ([node] * params.n,))
+
+
+def _layout_doc(layout, copies: int, p: int) -> _Doc:
+    """A ``_layout`` of ``copies`` copies compiled, its table sized to p."""
+    pieces = [piece for fixed, unit in layout for piece in (*fixed, *unit * (copies - 1))]
+    return _compile(pieces[0], pieces[-1], tuple(pieces[1:-1]), p)
+
+
+@functools.lru_cache(maxsize=16)
+def _storage_doc(params: SystemParams) -> _Doc:
+    return _layout_doc(_storage_layout(params), params.subfiles, params.p)
 
 
 def _storage_text(params: SystemParams, storage: np.ndarray) -> str:
-    """The storage file: each sub-file lists every node's id, rowM and rowMp,
-    the ids as text of the layout."""
-    return _json_text(storage, _storage_layout(params), len(storage))
+    """The storage file: each sub-file lists every node's id, rowM and rowMp."""
+    copies, n, _, a0 = storage.shape
+    values = np.empty((copies, n, 2 * a0 + 1), storage.dtype)
+    values[..., 0] = np.arange(1, n + 1)
+    values[..., 1:] = storage.reshape(copies, n, 2 * a0)
+    return _json_text(values, _storage_doc(params))
 
 
-@functools.lru_cache(maxsize=16)
 def _transcript_layout(mode: str, d: int, a0: int, single: bool):
     row, col = [_SLOT] * a0, [_SLOT] * (2 * a0)
     parts = dict(
@@ -203,9 +254,15 @@ def _transcript_layout(mode: str, d: int, a0: int, single: bool):
     return _layout(skeleton, () if single else parts.values())
 
 
+@functools.lru_cache(maxsize=16)
+def _transcript_doc(mode: str, d: int, a0: int, copies: int, p: int) -> _Doc:
+    return _layout_doc(_transcript_layout(mode, d, a0, copies == 1), copies, p)
+
+
 def _transcript_text(t: repair.RepairTranscript) -> str:
     """The repair transcript; with one sub-file its four per-sub-file fields
-    hold that sub-file's entry itself, not a one-entry list."""
+    hold that sub-file's entry itself, not a one-entry list. Every int but
+    the last, quditTotal, is an id or a field element, below p."""
     copies, _, a0 = t.regenerated.shape
     sent = np.concatenate([t.css.helpers[:, None], t.payloads], axis=1)
     rows = t.regenerated.reshape(copies, -1)
@@ -214,8 +271,7 @@ def _transcript_text(t: repair.RepairTranscript) -> str:
         rows.ravel(),
         np.concatenate([np.full((copies, 1), t.failed_node), rows], axis=1).ravel(),
         [t.qudit_total]])
-    layout = _transcript_layout(t.mode, len(t.helpers), a0, copies == 1)
-    return _json_text(values, layout, copies)
+    return _json_text(values, _transcript_doc(t.mode, len(t.helpers), a0, copies, t.css.p))
 
 
 def _ints(values, bound: int | None = None) -> bool:
@@ -291,8 +347,13 @@ def _cache_storage(data: bytes, params: SystemParams, storage: np.ndarray):
 
 
 def _stored(data: bytes) -> tuple[SystemParams, np.ndarray]:
-    """``_storage_from_json`` of a storage file's bytes, its array read-only."""
-    return _cache_storage(data, *(_STORED.get(data) or _storage_from_json(_load_json(data))))
+    """``_storage_from_json`` of a storage file's bytes, its array read-only.
+    An entry is found by comparing bytes, newest first, and re-filed under
+    its own key, whose hash is cached, so a hit hashes nothing."""
+    for key in reversed(_STORED):
+        if key == data:
+            return _cache_storage(key, *_STORED[key])
+    return _cache_storage(data, *_storage_from_json(_load_json(data)))
 
 
 def _read(path: str, parse):
@@ -339,7 +400,8 @@ def cmd_encode(args) -> int:
 def cmd_retrieve(args) -> int:
     params, storage = _read(args.in_path, _stored)
     ids = range(1, params.k + 1) if args.nodes is None else _parse_ids(args.nodes)
-    _write_out(_json_text(retrieve_file(params, storage, ids)), args.out)
+    _write_out(_json_text(retrieve_file(params, storage, ids), _list_doc(params.p)),
+               args.out)
     return 0
 
 

@@ -720,6 +720,41 @@ def test_cached_storage_is_read_only_and_bounded(tmp_path):
     assert len(cli._STORED) <= 8 and oldest in cli._STORED
 
 
+def storage_bytes(storage) -> bytes:
+    return cli._storage_text(make_params(6, 3, 4, 13), storage).encode()
+
+
+def test_storage_cache_finds_equal_bytes_under_the_first_key():
+    # a fresh bytes object equal to a cached key hits, and the entry stays
+    # under the key object it was cached with, now the newest
+    cli._STORED.clear()
+    first = storage_bytes(np.zeros((1, 6, 2, 2), dtype=np.int64))
+    other = storage_bytes(np.ones((1, 6, 2, 2), dtype=np.int64))
+    stored = cli._stored(first)[1]
+    cli._stored(other)
+    fresh = bytes(bytearray(first))
+    assert fresh == first and fresh is not first
+    assert cli._stored(fresh)[1] is stored
+    keys = list(cli._STORED)
+    assert len(keys) == 2 and keys[0] is other and keys[1] is first
+
+
+def test_storage_cache_misses_bytes_of_the_same_length(monkeypatch):
+    # one dit changed from 0 to 5: as long, one byte apart, parsed once
+    cli._STORED.clear()
+    storage = np.zeros((1, 6, 2, 2), dtype=np.int64)
+    first = storage_bytes(storage)
+    cli._stored(first)
+    storage[0, 2, 0, 1] = 5
+    changed = storage_bytes(storage)
+    assert len(changed) == len(first)
+    assert sum(a != b for a, b in zip(first, changed)) == 1
+    loads, load = [], cli._load_json
+    monkeypatch.setattr(cli, "_load_json", lambda data: loads.append(data) or load(data))
+    assert cli._stored(changed)[1].tolist() == storage.tolist()
+    assert loads == [changed] and list(cli._STORED) == [first, changed]
+
+
 SEEDED = [(6, 3, 4, 13), (12, 4, 8, 17), (64, 20, 38, 67), (6, 3, 4, 2**61 - 1),
           (6, 3, 4, 2**64 - 59)]
 

@@ -4,11 +4,11 @@ The CLI's stdout and ``--out`` files are pinned byte for byte, so the
 writer is checked against json itself: on random documents that mix in
 everything its fast paths must leave to json (bools among ints, None,
 floats with nan and inf, escaped strings and keys, non-str keys, tuples,
-empty containers). The storage file and the repair transcript, their ints
-written into cached layouts from a table of decimal strings, are checked
-against json's text of the dicts ``tests/documents.py`` builds, at one and
-at many sub-files, and the retrieved message against json's text of the
-message, on either side of the table's cap.
+empty containers). The storage file, the repair transcript and the
+retrieved message, their ints written into compiled layouts, are checked
+against json's text of the dicts ``tests/documents.py`` builds and of the
+message, at one and at many sub-files, at primes whose tables fit the
+budget and past it, where each int takes ``str``.
 """
 
 import json
@@ -22,10 +22,11 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from qregen import cli
 from qregen.errors import NoValidPoints
 from qregen.matrix import exact_dtype
-from qregen.pmcode import encode_file, make_params, random_symbols
+from qregen.pmcode import encode_file, make_params, random_symbols, retrieve_file
 from qregen.repair import MODES, run_repair
 from qregen.rng import SplitMix64
 
+from caches import clear_caches
 from documents import storage_doc, transcript_doc
 from test_trace_targets import load_spans
 
@@ -77,8 +78,11 @@ def storage_case(n, k, d, p, seed=1):
 
 
 def assert_documents_exact(params, storage, modes, seed):
-    """The storage text and every transcript equal json's text of the dicts."""
+    """The storage text, the message and every transcript equal json's text
+    of the dicts."""
     assert cli._storage_text(params, storage) == dumped(storage_doc(params, storage))
+    message = retrieve_file(params, storage, range(1, params.k + 1))
+    assert cli._json_text(message, cli._list_doc(params.p)) == dumped(message.tolist())
     rng = SplitMix64(seed)
     helpers = list(range(2, params.d + 2))
     for mode in modes:
@@ -104,13 +108,19 @@ def small_params(draw):
     k = draw(st.integers(2, 4))
     d = draw(st.integers(2 * k - 2, 2 * k))
     n = draw(st.integers(d + 1, d + 3))
-    p = draw(st.sampled_from([13, 17, 19, 23, 1753413059]))
+    # 131 x the 25 distinct pieces of a many-sub-file transcript fit the
+    # table budget, 167 x 25 and 257 x 21 do not; a storage file's 3 to 5
+    # fit at 257
+    p = draw(st.sampled_from([13, 17, 19, 23, 127, 131, 167, 257, 1753413059]))
     return n, k, d, p
 
 
 @settings(max_examples=30, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(dims=small_params(), seed=st.integers(0, 2**32))
+@example(dims=(8, 3, 5, 131), seed=1)
+@example(dims=(8, 3, 5, 167), seed=2)
+@example(dims=(6, 3, 4, 257), seed=3)
 def test_writer_on_small_parameter_sets(dims, seed):
     try:
         params, storage = storage_case(*dims, seed=seed)
@@ -146,21 +156,52 @@ def test_transcript_layout_does_not_grow_with_subfiles():
 
 
 CAP = cli._DECIMAL_CAP
-AROUND_CAP = st.sampled_from([0, 1, 255, 256, CAP - 1, CAP, CAP + 1, 2**63 - 1])
+SIZES = [13, 67, 257, CAP // 25, CAP // 25 + 1, CAP, CAP + 1]  # list docs' column sizes
+
+
+def near(sizes):
+    """Ints at, just below and just above each size."""
+    return st.sampled_from(sorted({v for s in sizes for v in (0, s - 1, s, s + 1)}))
 
 
 @WRITER
-@given(data=st.data(), shape=st.lists(st.integers(0, 4), max_size=3),
+@given(data=st.data(), size=st.sampled_from([0, *SIZES]),
        kind=st.sampled_from([np.int64, object]))
-def test_decimal_strings_equal_str(data, shape, kind):
-    # a table gather below the cap, str of each int past it, negative or
-    # above int64 (object only)
-    ints = (AROUND_CAP | st.integers(0, 300) | st.integers(-3, -1)
+def test_decimal_strings_equal_str(data, size, kind):
+    # a flat list of none, one or more ints through its table, or past it
+    # (size 0: the default list, which has none) as str of each: ints near
+    # the size, the budget and the cap, negative, past int64 (object only)
+    ints = (near([size, CAP // 25, CAP]) | st.integers(0, 300) | st.integers(-3, -1)
+            | st.just(2**63 - 1)
             | (st.sampled_from([2**64 + 1, -(2**70)]) if kind is object else st.nothing()))
-    size = int(np.prod(shape))
-    values = np.array(data.draw(st.lists(ints, min_size=size, max_size=size)),
-                      dtype=kind).reshape(shape)
-    assert cli._decimal(values) == list(map(str, values.ravel().tolist()))
+    values = data.draw(st.lists(ints, max_size=8))
+    doc = cli._list_doc(size) if size else cli._LIST
+    assert cli._json_text(np.array(values, dtype=kind), doc) == dumped(values)
+
+
+@WRITER
+@given(data=st.data(), kind=st.sampled_from([np.int64, object]))
+def test_storage_text_of_any_ints(data, kind):
+    # the storage layout with ints that are not field elements: below p
+    # through the table, otherwise each through str
+    params = make_params(6, 3, 4, 13)
+    size = int(np.prod(params.storage_shape))
+    ints = (st.integers(0, 12) | near([13, CAP]) | st.integers(-3, -1)
+            | (st.just(2**64 + 1) if kind is object else st.nothing()))
+    storage = np.array(data.draw(st.lists(ints, min_size=size, max_size=size)),
+                       dtype=kind).reshape(params.storage_shape)
+    assert cli._storage_text(params, storage) == dumped(storage_doc(params, storage))
+
+
+def test_cached_columns_stay_within_the_budget():
+    # one code's storage file, transcripts in both tabled modes and
+    # message: their tables share columns, and together stay within
+    # the budget of one table
+    clear_caches()
+    params, storage = storage_case(64, 20, 38, 67)
+    assert_documents_exact(params, storage, ("linear", "symplectic"), seed=1)
+    columns = cli._column.cache_info().currsize
+    assert 0 < columns * params.p <= CAP
 
 
 @pytest.mark.parametrize("p", [13, 4099, 2**61 - 1, 2**64 - 59])  # 4099: past the cap
