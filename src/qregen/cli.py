@@ -94,17 +94,17 @@ def _write_out(text: str, out_path: str | None) -> None:
 
 class _Doc(NamedTuple):
     """A document's text compiled for its ints: ``head``, then each int but
-    the last followed by its piece of ``follows``, then the last int and
-    ``tail``. ``follows`` is one str for a flat list of any length. Given a
-    ``table``, row ``offsets[i] + v`` of it is ``str(v) + follows[i]`` for
-    each v below ``size``."""
+    the last followed by its piece, then the last int and ``tail``. ``follows``
+    is one str for a flat list, else each int's piece, or with a ``table`` the
+    distinct ones. For each field element v below ``size``, row ``offsets[i]
+    + v`` of a table is ``str(v)`` + int i's piece, ``follows[offsets[i] // size]``."""
 
     head: str
     tail: str
     follows: tuple[str, ...] | str
-    size: int = 0  # no table: each int takes str()
-    table: np.ndarray | None = None
-    offsets: np.ndarray | int = 0
+    size: int = 0
+    table: np.ndarray | None = None  # None past the budget
+    offsets: np.ndarray | int = 0  # int16, as every row is below _DECIMAL_CAP
 
 
 _LIST = _Doc("[\n  ", "\n]\n", ",\n  ")  # a flat list, as json.dumps(indent=2) writes it
@@ -119,7 +119,7 @@ def _column(piece: str, size: int) -> np.ndarray:
 def _compile(head: str, tail: str, follows, size: int) -> _Doc:
     """A _Doc with a table of ``size`` rows per distinct piece of
     ``follows``, one cached column each, while they number at most
-    _DECIMAL_CAP rows; past that, with none."""
+    _DECIMAL_CAP rows; past that, with none and every int's piece."""
     if isinstance(follows, str):
         distinct, ids = [follows], 0
     else:
@@ -128,9 +128,10 @@ def _compile(head: str, tail: str, follows, size: int) -> _Doc:
                           dtype=np.intp, count=len(follows))
         distinct = list(index)
     if len(distinct) * size > _DECIMAL_CAP:
-        return _Doc(head, tail, follows)
+        return _Doc(head, tail, follows, size)
     table = np.concatenate([_column(piece, size) for piece in distinct])
-    return _Doc(head, tail, follows, size, table, ids * size)
+    pieces = follows if isinstance(follows, str) else tuple(distinct)
+    return _Doc(head, tail, pieces, size, table, np.int16(ids * size))
 
 
 @functools.lru_cache(maxsize=16)
@@ -143,26 +144,33 @@ def _json_text(obj, doc: _Doc = _LIST) -> str:
     """``json.dumps(doc, indent=2) + "\\n"``, byte for byte. ``obj`` is the
     document itself, or an int array: the ints of a flat list, or of
     ``doc`` in order. While every int but the last is of int64 and in [0,
-    ``doc.size``), as in every document whose table is sized to p, those
-    ints with their following pieces are one gather out of its table and
-    the text one join; any other array, and one past the table budget,
-    takes ``str`` of each int between the same pieces."""
+    ``doc.size``), as in every document sized to p, those ints with their
+    following pieces are one gather out of its table and the text one join;
+    past its budget, while p is within the cap, a gather of ``str(v)``. Any
+    other array takes ``str`` of each int, interleaved with the same pieces."""
     if not isinstance(obj, np.ndarray):
         return json.dumps(obj, indent=2) + "\n"
     values = obj.ravel()
     if not values.size:  # only a list holds no int
         return "[]\n"
     body = values[:-1]  # as uint64, a negative int is past any size
-    if body.size and body.dtype == np.int64 and body.view(np.uint64).max() < doc.size:
+    fielded = body.size and body.dtype == np.int64 and body.view(np.uint64).max() < doc.size
+    if fielded and doc.table is not None:
         strs = doc.table[doc.offsets + body].tolist()
         strs[0] = doc.head + strs[0]  # short: the text is copied once, by the join
         strs.append(str(values[-1]) + doc.tail)
         return "".join(strs)
-    strs = list(map(str, values.tolist()))
-    if isinstance(doc.follows, str):
-        return doc.head + doc.follows.join(strs) + doc.tail
-    text = [*strs, *doc.follows]
-    text[::2], text[1::2] = strs, doc.follows
+    follows = doc.follows
+    if doc.table is not None and not isinstance(follows, str):  # each int's piece
+        follows = [follows[i] for i in (doc.offsets // doc.size).tolist()]
+    if fielded and doc.size <= _DECIMAL_CAP:  # past the budget: one column of str(v)
+        strs = [*_column("", doc.size)[body].tolist(), str(values[-1])]
+    else:
+        strs = list(map(str, values.tolist()))
+    if isinstance(follows, str):
+        return doc.head + follows.join(strs) + doc.tail
+    text = [*strs, *follows]
+    text[::2], text[1::2] = strs, follows
     return doc.head + "".join(text) + doc.tail
 
 

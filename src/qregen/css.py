@@ -39,24 +39,22 @@ blocks into the blocks of a u, one or a whole stack, in one product after
 one batched inversion of u (``GF.inv_array``), whose entries ``check_u``
 checks first.
 
-``cache_bases`` returns the u-free blocks of a stack of helper sets of one
-failed node, and is the one reader and writer of their cache, which admits
-a key only once ``check_helpers`` has passed it: a hit checks nothing, and
-the keys it lacks are checked, then built at once. ``run_repair`` hands it
-all T sub-files' helper sets, and ``build_repair_css`` its one, so a cache
-miss there is a stack of one.
-A stack of a whole file's cold sets builds its master polynomials as array
-steps across the stack (``lagrange_folds``). It makes two batched
-inversions however many blocks are cold, every A'(x_j) of the stack, which
-gives the weights, then every lam_h - lam_f: gathers from the field's
-table of inverses for p <= 2^12, one ``GF.inv_all`` each above that.
-Everything runs in ``exact_dtype(1, p)``, the table's dtype, which the
-blocks keep. One stacked ``StabGroup`` checks HX_1 HZ_1^T = 0 for all of
-them before any enters the cache, a per-process LRU of 16 T blocks, those
-of the last 16 file repairs of T sub-files. ``build_repair_css`` checks no
-helper itself: it takes its block from ``cache_bases``, then checks u
-(``check_u``); with u None it returns the cached block and does no
-arithmetic, and a u scales it.
+The cache, a per-process LRU of 16 T entries (the codes of the last 16 file
+repairs of T sub-files), maps (params, failed, helpers) to the u-free code as
+one finished, read-only ``RepairCSS``. ``_admit`` is its one builder: given a
+(B, 2k-2) array of helper sets that have passed ``check_helpers``, it builds
+their master polynomials as array steps across the stack
+(``lagrange_folds``) and makes two batched inversions however many sets there
+are, every A'(x_j) of the stack, which gives the weights, then every
+lam_h - lam_f: gathers from the field's table of inverses for p <= 2^12, one
+``GF.inv_all`` each above that. Everything runs in ``exact_dtype(1, p)``, the
+table's dtype, which the blocks keep. One stacked ``StabGroup`` checks
+HX_1 HZ_1^T = 0 for all B before one update admits them, as views of one
+read-only stack. So a key enters the cache only once checked, in one of two
+ways: ``cache_bases`` checks each key it lacks with ``check_helpers``, and
+``run_repair`` admits the colex subsets of the d helpers it has checked. A hit
+checks nothing: ``build_repair_css`` with u None returns the cached code
+itself, and with a u checks it (``check_u``) and scales the cached block.
 """
 
 from __future__ import annotations
@@ -126,7 +124,40 @@ def check_u(params: SystemParams, u: Sequence[int]) -> tuple[int, ...]:
     return u
 
 
-_BASES: OrderedDict[tuple, np.ndarray] = OrderedDict()  # least recently used first
+_BASES: OrderedDict[tuple, RepairCSS] = OrderedDict()  # least recently used first
+
+
+def _hit(key: tuple) -> RepairCSS | None:
+    """The cached code of ``key``, now the most recent entry, or None."""
+    code = _BASES.get(key)
+    if code is not None:
+        _BASES.move_to_end(key)
+    return code
+
+
+def _admit(params: SystemParams, failed: int, helper_sets: np.ndarray) -> list[RepairCSS]:
+    """Build, check and cache the u-free codes of ``failed`` with each row
+    of the (B, 2k-2) int array ``helper_sets``, sorted sets that have
+    passed ``check_helpers``: one stacked ``StabGroup`` checks all B
+    before one update admits them, as the most recent entries."""
+    field, p, a0 = params.field, params.p, params.alpha0
+    lam_f = params.lam[failed - 1]
+    powers = params.powers[helper_sets - 1]  # (B, m, m): m = 2a0
+    hx, w_recip = lagrange_folds(powers, a0, lam_f, p)  # HX_1 = -C R
+    rows = (len(helper_sets), 1, 2 * a0)  # one row of m per block
+    w, denom_inv = (  # the weights, and every 1 / (lam_h - lam_f)
+        field.inv_array(x).reshape(rows) for x in (w_recip, (powers[..., a0] - lam_f) % p)
+    )
+    hz = hx * w % p
+    StabGroup(x_type=hx, z_type=hz, p=p)  # raises DualContainmentViolated
+    built = np.concatenate([hx, hz, denom_inv, w * denom_inv % p, np.ones_like(w), w], 1)
+    built.flags.writeable = False  # and with it every block, a view of it
+    codes = [RepairCSS(failed, hs, block, p)
+             for hs, block in zip(map(tuple, helper_sets.tolist()), built)]
+    _BASES.update(((params, failed, c.helpers), c) for c in codes)
+    while len(_BASES) > 16 * params.subfiles:
+        _BASES.popitem(last=False)
+    return codes
 
 
 def cache_bases(
@@ -134,39 +165,15 @@ def cache_bases(
 ) -> list[np.ndarray]:
     """The u-free blocks of ``failed`` with each sorted helper tuple of
     ``helper_sets``, in order, each now one of the most recent cache entries.
-    A key enters the cache only once checked, so a hit checks nothing; each
-    key the cache lacks is checked (``check_helpers``), and their blocks are
-    built in one batch, which one stacked ``StabGroup`` checks before any is
-    cached."""
-    blocks, cold = [], {}  # cold: place in helper_sets -> checked key
-    for hs in helper_sets:
-        key = (params, failed, hs)
-        block = _BASES.get(key)
-        if block is None:
-            cold[len(blocks)] = check_helpers(params, failed, hs, 2 * params.alpha0)
-        else:
-            _BASES.move_to_end(key)
-        blocks.append(block)
-    if not cold:
-        return blocks
-    field, p, a0 = params.field, params.p, params.alpha0
-    lam_f = params.lam[failed - 1]
-    powers = params.powers[np.array(list(cold.values())) - 1]  # (B, m, m): m = 2a0
-    hx, w_recip = lagrange_folds(powers, a0, lam_f, p)  # HX_1 = -C R
-    rows = (len(cold), 1, 2 * a0)  # one row of m per block
-    w, denom_inv = (  # the weights, and every 1 / (lam_h - lam_f)
-        field.inv_array(x).reshape(rows) for x in (w_recip, (powers[..., a0] - lam_f) % p)
-    )
-    hz = hx * w % p
-    StabGroup(x_type=hx, z_type=hz, p=p)  # raises DualContainmentViolated
-    ones = np.ones_like(w)
-    built = np.concatenate([hx, hz, denom_inv, w * denom_inv % p, ones, w], 1)
-    for (i, hs), block in zip(cold.items(), built):
-        block.flags.writeable = False
-        blocks[i] = _BASES[params, failed, hs] = block
-    while len(_BASES) > 16 * params.subfiles:
-        _BASES.popitem(last=False)
-    return blocks
+    A hit checks nothing; each key the cache lacks is checked
+    (``check_helpers``) before ``_admit`` builds them all."""
+    codes = [_hit((params, failed, hs)) for hs in helper_sets]
+    cold = [i for i, code in enumerate(codes) if code is None]
+    if cold:
+        checked = [check_helpers(params, failed, helper_sets[i], 2 * params.alpha0) for i in cold]
+        for i, code in zip(cold, _admit(params, failed, np.array(checked))):
+            codes[i] = code
+    return [code.block for code in codes]
 
 
 def scale(params: SystemParams, blocks: np.ndarray, u: tuple[int, ...]) -> np.ndarray:
@@ -188,8 +195,12 @@ def build_repair_css(
     u: Sequence[int] | None = None,
 ) -> RepairCSS:
     """Construct the repair-time code; helpers must number exactly 2k-2.
-    With ``u`` None, the block is the cached one."""
+    With ``u`` None, the code is the cached one itself."""
     hs = tuple(sorted(helpers))
-    (block,) = cache_bases(params, failed, [hs])  # checks the helpers on a miss
-    u = None if u is None else check_u(params, u)
-    return RepairCSS(failed, hs, block if u is None else scale(params, block, u), params.p)
+    code = _hit((params, failed, hs))
+    if code is None:
+        cache_bases(params, failed, [hs])  # checks the helpers
+        code = _BASES[params, failed, hs]
+    if u is None:
+        return code
+    return RepairCSS(failed, hs, scale(params, code.block, check_u(params, u)), params.p)

@@ -14,20 +14,21 @@ one qudit, so one sub-file costs 2k-2 qudits.
 and d helpers. The file is T = C(d, 2k-2) sub-files (one when d = 2k-2),
 each repairing through a distinct (2k-2)-subset of the helpers: row t of
 ``params.family``, in colex order, computed once per code. Stage 1
-checks u, checks and builds the u-free blocks the CSS cache lacks for
-those T subsets in one batch (``cache_bases``), reads each with one
-``build_repair_css`` call per sub-file, a cache hit that checks nothing,
-stacks them into one ``RepairCSS``, scales that stack by u once, and
-checks HX HZ^T = 0 for all T codes in one stacked product on views of
-that stack. Stage 2 is one product for the file, as every
-helper applies the same vbar_f (``helper_encode`` reads the helpers' rows
-and only theirs), and every payload is the stack's (T, 2, 2k-2) lam1 and
-lam2 times those dots gathered through the subsets. Stage 3 measures every
-sub-file in one batched syndrome of the checked stack into one (T, 2, a0)
-array, in every mode: the state-vector backend prepares all T codespaces
-as one stack. A helper joins exactly C(d-1, 2k-3) sub-files and sends one
-qudit in each, so the total is C(d, 2k-2) * (2k-2) = B/k qudits; the
-naive count of one qudit per helper per sub-file, d * C(d, 2k-2), would
+checks u and the d helpers, once, moves the cached codes of the T
+subsets to the recent end and hands the cold subsets to the CSS cache's
+builder in one batch, reads each code with one ``build_repair_css`` call
+per sub-file, a cache hit that checks nothing, stacks their blocks into
+one ``RepairCSS``, scales that stack by u once, and checks HX HZ^T = 0
+for all T codes in one stacked product on views of that stack. Stage 2
+is one product for the file, as every helper applies the same vbar_f
+(``helper_encode`` reads the helpers' rows and only theirs), and every
+payload is the stack's (T, 2, 2k-2) lam1 and lam2 times those dots
+gathered through the subsets. Stage 3 measures every sub-file in one
+batched syndrome of the checked stack into one (T, 2, a0) array, in
+every mode: the state-vector backend prepares all T codespaces as one
+stack. A helper joins exactly C(d-1, 2k-3) sub-files and sends one qudit
+in each, so the total is C(d, 2k-2) * (2k-2) = B/k qudits; the naive
+count of one qudit per helper per sub-file, d * C(d, 2k-2), would
 overshoot B/k whenever d > 2k-2, as only a sub-file's subset transmits.
 
 Storage, blocks, dots, payloads and syndromes are all field data in
@@ -41,7 +42,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .css import RepairCSS, build_repair_css, cache_bases, check_helpers, check_u, scale
+from .css import RepairCSS, _admit, _hit, build_repair_css, check_helpers, check_u, scale
 from .errors import ModeUnavailable, RegenerationMismatch
 from .matrix import matmul_mod
 from .pmcode import SystemParams, check_storage
@@ -122,9 +123,13 @@ def run_repair(
     p = params.p
     helper_sets = np.array(hs)[params.family]  # (T, 2k-2): row t is sub-file t's
     keys = [tuple(s) for s in helper_sets.tolist()]
-    cache_bases(params, failed, keys)  # checks and builds only the cold keys
-    # T hits, kept while bench/test_bench.py pins css.build_calls == T and
-    # tests/test_trace_targets.py their spans, until ROADMAP item 3b
+    # hits become the most recent, then cold subsets of the checked helpers join
+    cold = [t for t, h in enumerate(keys) if _hit((params, failed, h)) is None]
+    if cold:
+        _admit(params, failed, helper_sets[cold])
+    # T hits, each its cached code, kept while bench/test_bench.py pins
+    # css.build_calls == T and tests/test_trace_targets.py their spans,
+    # until ROADMAP item 3b
     blocks = np.array([build_repair_css(params, failed, h).block for h in keys])
     blocks.flags.writeable = False  # as every block is
     css = RepairCSS(failed, helper_sets, blocks if u is None else scale(params, blocks, u), p)

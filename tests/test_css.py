@@ -9,6 +9,7 @@ import qregen.css
 import qregen.gf
 import qregen.repair
 from qregen.css import (
+    RepairCSS,
     build_repair_css,
     cache_bases,
     check_dual_containment,
@@ -333,17 +334,21 @@ def test_repair_css_fields_are_views_of_its_block():
 
 
 def test_u_free_builds_share_the_cached_read_only_arrays():
+    # the cache holds the finished code, which every u-free build returns
     params = make_params(12, 4, 8, 17)
     helpers = (2, 3, 4, 5, 6, 7)
     c = build_repair_css(params, 1, helpers)
-    block = qregen.css._BASES[params, 1, helpers]
-    assert c.block is block and build_repair_css(params, 1, helpers).block is block
+    assert qregen.css._BASES[params, 1, helpers] is c
+    assert build_repair_css(params, 1, helpers) is c
+    block = c.block
     for array in (block, c.hx, c.hz):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0, 0] = 0
+        with pytest.raises(ValueError):
+            array.flags.writeable = True  # a view of the read-only stack
     scaled = build_repair_css(params, 1, helpers, [2] * 6)
-    assert not np.shares_memory(scaled.block, block)
+    assert scaled is not c and not np.shares_memory(scaled.block, block)
     assert not (scaled.hx == c.hx).all()
     assert not scaled.block.flags.writeable
 
@@ -381,8 +386,9 @@ def test_file_repair_field_inversions_cold_and_warm(monkeypatch):
 
 
 def test_a_warm_file_repair_checks_its_helpers_once(monkeypatch):
-    # only a checked key enters the cache, so the T subsets of the d checked
-    # helpers are checked when they are cold and never when they hit
+    # only a checked key enters the cache, and the T subsets of the d
+    # helpers a repair has checked are admitted as they are: a cold file
+    # repair checks once, as a warm one does
     calls = []
 
     def counted(*args):
@@ -394,7 +400,8 @@ def test_a_warm_file_repair_checks_its_helpers_once(monkeypatch):
     params, storage, helpers = file_setup()
     clear_caches()
     run_repair(params, storage, 1, helpers)
-    assert len(calls) == 1 + params.subfiles == 29
+    assert calls == [(params, 1, helpers, 8)]
+    assert len(qregen.css._BASES) == params.subfiles
     calls.clear()
     run_repair(params, storage, 1, helpers)
     assert calls == [(params, 1, helpers, 8)]
@@ -446,15 +453,19 @@ def test_a_full_cache_keeps_the_bases_a_repair_finds(monkeypatch):
 
 @pytest.mark.parametrize("mode", ["linear", "symplectic"])
 def test_every_repair_rechecks_its_codes(mode):
-    # a cached basis that stopped commuting is caught by the repair's own
-    # stacked check, although the build that hands it out checks nothing
+    # a cached code that stopped commuting is caught by the repair's own
+    # stacked check, although the build that hands it out checks nothing;
+    # its block, a view of a read-only stack, cannot be written, so the
+    # entry is replaced by a code over a corrupted read-only copy
     params, storage, helpers = file_setup()
     clear_caches()
     t = run_repair(params, storage, 1, helpers, mode=mode)
-    block = qregen.css._BASES[params, 1, tuple(t.css.helpers[5].tolist())]  # HX first
+    key = (params, 1, tuple(t.css.helpers[5].tolist()))
+    bad = qregen.css._BASES[key].block.copy()
+    bad[0, 0] = (bad[0, 0] + 1) % 17  # HX first
+    bad.flags.writeable = False
     try:
-        block.flags.writeable = True
-        block[0, 0] = (block[0, 0] + 1) % 17
+        qregen.css._BASES[key] = RepairCSS(1, key[2], bad, 17)
         with pytest.raises(DualContainmentViolated):
             run_repair(params, storage, 1, helpers, mode=mode)
         with pytest.raises(DualContainmentViolated):

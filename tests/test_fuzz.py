@@ -4,8 +4,9 @@ Whatever arrives, ``main`` exits 0, 1 or 2, lets no exception escape
 (``SystemExit`` included) and, on a nonzero exit, says why in one stderr
 line; argparse's own rejections (an unknown flag, a missing value) too.
 
-Fuzzed node sets at the two node-set caches, the CSS blocks and the decode
-plans: a call gives the same outcome on a cold cache and on a warm one.
+Fuzzed node sets at the two node-set caches, the CSS codes and the decode
+plans: a call gives the same outcome on a cold cache and on a warm one, and
+a run of file repairs long enough to evict writes what one-shot repairs write.
 """
 
 import contextlib
@@ -18,10 +19,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import qregen.css
 import qregen.pmcode
-from qregen.cli import main
-from qregen.css import build_repair_css, cache_bases, check_helpers
+from qregen.cli import _transcript_text, main
+from qregen.css import RepairCSS, build_repair_css, cache_bases, check_helpers
 from qregen.errors import BadShareSet, InvalidHelperSet, ZeroU
-from qregen.pmcode import encode_file, make_params, retrieve
+from qregen.pmcode import encode_file, make_params, random_symbols, retrieve
+from qregen.repair import run_repair
+from qregen.rng import SplitMix64
 
 P634 = ["--n", "6", "--k", "3", "--d", "4", "--prime", "13"]
 FUZZ = settings(max_examples=50, deadline=None, derandomize=True,
@@ -227,6 +230,59 @@ def test_a_warm_css_cache_admits_nothing_a_cold_one_refuses(code, data):
         assert cold[0] in (InvalidHelperSet, ZeroU), cold
     for _, f, hs in qregen.css._BASES:  # every cached key passes the check
         assert check_helpers(params, f, hs, m) == hs
+
+
+def assert_cached_codes_checked(params, keys):
+    """Each key of ``keys`` passes ``check_helpers``, and its entry is the
+    read-only u-free code of that key."""
+    for key in keys:
+        _, failed, hs = key
+        assert key[0] is params and check_helpers(params, failed, hs, len(hs)) == hs
+        code = qregen.css._BASES[key]
+        assert isinstance(code, RepairCSS) and (code.failed_node, code.helpers) == (failed, hs)
+        assert not code.block.flags.writeable and (code.u == 1).all()
+
+
+@settings(FUZZ, max_examples=12)
+@given(seed=st.integers(0, 2**32), data=st.data())
+def test_file_repairs_through_an_evicting_cache_match_cold_repairs(seed, data):
+    # 40 seeded file repairs of 28 sub-files each pass the bound of 16 * 28
+    # codes, so the cache evicts. The fuzz inserts inputs that may be
+    # refused, which admit nothing, and repeats earlier ones, which hit
+    # where their codes survive
+    params = make_params(12, 4, 8, 17)
+    storage = encode_file(params, random_symbols(params, SplitMix64(37)))
+    rng, inputs = SplitMix64(seed), []
+    for _ in range(40):
+        failed = 1 + rng.below(12)
+        others = [i for i in range(1, 13) if i != failed]
+        inputs.append((failed, [others.pop(rng.below(len(others))) for _ in range(8)]))
+    for place, failed in data.draw(st.lists(
+            st.tuples(st.integers(0, 40), st.integers(-1, 14)), max_size=6)):
+        others = [i for i in range(1, 13) if i != failed]
+        inputs.insert(place, (failed, data.draw(node_lists(others, 8, 12))))
+    inputs += data.draw(st.lists(st.sampled_from(inputs), max_size=8))
+
+    def repair(failed, helpers):
+        try:
+            return _transcript_text(run_repair(params, storage, failed, helpers))
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    cold = []
+    for failed, helpers in inputs:
+        qregen.css._BASES.clear()
+        cold.append(repair(failed, helpers))
+    qregen.css._BASES.clear()
+    for (failed, helpers), expected in zip(inputs, cold):
+        before = list(qregen.css._BASES)
+        assert repair(failed, helpers) == expected
+        if isinstance(expected, tuple):
+            assert expected[0] is InvalidHelperSet, expected
+            assert list(qregen.css._BASES) == before
+        assert_cached_codes_checked(params, set(qregen.css._BASES) - set(before))
+    assert len(qregen.css._BASES) == 16 * params.subfiles
+    assert_cached_codes_checked(params, list(qregen.css._BASES))
 
 
 @pytest.mark.parametrize("code", CODES, ids=str)

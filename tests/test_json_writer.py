@@ -121,12 +121,36 @@ def small_params(draw):
 @example(dims=(8, 3, 5, 131), seed=1)
 @example(dims=(8, 3, 5, 167), seed=2)
 @example(dims=(6, 3, 4, 257), seed=3)
+@example(dims=(12, 4, 8, 257), seed=4)  # transcripts past the budget
+@example(dims=(6, 3, 4, 4093), seed=5)  # every document past it
 def test_writer_on_small_parameter_sets(dims, seed):
     try:
         params, storage = storage_case(*dims, seed=seed)
     except NoValidPoints:  # too few points with distinct lam at this p
         return
     assert_documents_exact(params, storage, ("linear", "symplectic"), seed)
+
+
+@pytest.mark.parametrize("n, k, d, p", [(12, 4, 8, 257), (6, 3, 4, 4093)])
+def test_documents_past_the_budget_gather_decimal_strings(monkeypatch, n, k, d, p):
+    # p within the cap: a document with no table takes each int's str from
+    # the one cached column of p strings, not from str of each int
+    sizes = []
+
+    def column(piece, size):
+        sizes.append((piece, size))
+        return cached(piece, size)
+
+    clear_caches()
+    cached = cli._column
+    monkeypatch.setattr(cli, "_column", column)
+    params, storage = storage_case(n, k, d, p)
+    t = run_repair(params, storage, 1, list(range(2, d + 2)))
+    assert cli._transcript_doc(t.mode, d, params.alpha0, params.subfiles, p).table is None
+    sizes.clear()
+    assert cli._transcript_text(t) == dumped(transcript_doc(t))
+    assert sizes == [("", p)]
+    assert_documents_exact(params, storage, ("linear", "symplectic"), seed=p)
 
 
 def layout_chars(layout):
