@@ -50,10 +50,10 @@ lam_h - lam_f: gathers from the field's table of inverses for p <= 2^12, one
 ``GF.inv_all`` each above that. Everything runs in ``exact_dtype(1, p)``, the
 table's dtype, which the blocks keep. One stacked ``StabGroup`` checks
 HX_1 HZ_1^T = 0 for all B before one update admits them, as views of one
-read-only stack. So a key enters the cache only once checked, in one of two
-ways: ``cache_bases`` checks each key it lacks with ``check_helpers``, and
-``run_repair`` admits the colex subsets of the d helpers it has checked. A hit
-checks nothing: ``build_repair_css`` with u None returns the cached code
+read-only stack. So a key enters the cache only once checked, by one of two
+entries: a ``build_repair_css`` miss checks its helpers with ``check_helpers``,
+and ``run_repair`` admits the cold colex subsets of the d helpers it checked. A
+hit checks nothing: ``build_repair_css`` with u None returns the cached code
 itself, and with a u checks it (``check_u``) and scales the cached block.
 """
 
@@ -160,22 +160,6 @@ def _admit(params: SystemParams, failed: int, helper_sets: np.ndarray) -> list[R
     return codes
 
 
-def cache_bases(
-    params: SystemParams, failed: int, helper_sets: Sequence[tuple[int, ...]]
-) -> list[np.ndarray]:
-    """The u-free blocks of ``failed`` with each sorted helper tuple of
-    ``helper_sets``, in order, each now one of the most recent cache entries.
-    A hit checks nothing; each key the cache lacks is checked
-    (``check_helpers``) before ``_admit`` builds them all."""
-    codes = [_hit((params, failed, hs)) for hs in helper_sets]
-    cold = [i for i, code in enumerate(codes) if code is None]
-    if cold:
-        checked = [check_helpers(params, failed, helper_sets[i], 2 * params.alpha0) for i in cold]
-        for i, code in zip(cold, _admit(params, failed, np.array(checked))):
-            codes[i] = code
-    return [code.block for code in codes]
-
-
 def scale(params: SystemParams, blocks: np.ndarray, u: tuple[int, ...]) -> np.ndarray:
     """The u-free block, or stack of blocks, at the checked ``u``: column j
     scaled by u_j in HX, lam1 and u and by 1 / u_j in HZ, lam2 and u', from
@@ -194,13 +178,14 @@ def build_repair_css(
     helpers: Sequence[int],
     u: Sequence[int] | None = None,
 ) -> RepairCSS:
-    """Construct the repair-time code; helpers must number exactly 2k-2.
-    With ``u`` None, the code is the cached one itself."""
+    """Construct the repair-time code; helpers must number exactly 2k-2,
+    checked on a miss before ``_admit`` builds it. With ``u`` None, the
+    code is the cached one itself; a ``u`` scales it into a fresh code."""
     hs = tuple(sorted(helpers))
     code = _hit((params, failed, hs))
     if code is None:
-        cache_bases(params, failed, [hs])  # checks the helpers
-        code = _BASES[params, failed, hs]
+        checked = check_helpers(params, failed, hs, 2 * params.alpha0)
+        [code] = _admit(params, failed, np.array([checked]))
     if u is None:
         return code
     return RepairCSS(failed, hs, scale(params, code.block, check_u(params, u)), params.p)

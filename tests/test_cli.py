@@ -233,6 +233,17 @@ def test_tradeoff_regime_warning_not_abort(capsys):
     assert "warning" in out
 
 
+def test_tradeoff_indivisible_b_warns_after_the_table(capsys):
+    # the table needs no divisibility; the optimal point does, so it warns
+    code, out, _ = run_cli(capsys, "tradeoff", "--k", "3", "--d", "4", "--B", "15")
+    assert code == 0
+    assert out.splitlines() == [
+        "beta,alpha_min_classical,alpha_min_quantum",
+        "5/4,,5", "5/2,5,5", "15/4,5,5", "5,5,5",
+        "warning: B=15 must be divisible by k*d=12",
+    ]
+
+
 def test_tradeoff_missing_flags_usage_error(capsys):
     code, _, err = run_cli(capsys, "tradeoff", "--k", "3", "--d", "4")
     assert code == 2
@@ -563,6 +574,9 @@ MALFORMED = {
     "evalPoints-negative": edit_at(("params", "evalPoints", 5), -7),
     "subfiles-object": edit_at(("subfiles",), {}),
     "subfiles-empty": edit_at(("subfiles",), []),
+    # a well-formed sub-file too many: T = 1 at (6,3,4)
+    "subfiles-extra": lambda doc: edit_at(
+        ("subfiles",), [*doc["subfiles"], doc["subfiles"][0]])(doc),
     # a 10^9-node claim fails on the node count before any O(n) work
     "n-beyond-file": lambda doc: edit_at(("params", "evalPoints"), DROP)(
         edit_at(("params", "n"), 10**9)(edit_at(("params", "p"), 10**9 + 7)(doc))),
@@ -581,9 +595,9 @@ MALFORMED = {
 }
 
 
-@pytest.mark.parametrize("command", ["retrieve", "repair"])
-@pytest.mark.parametrize("case", list(MALFORMED))
-def test_malformed_storage_usage_error(tmp_path, capsys, command, case):
+def run_on_malformed(tmp_path, capsys, command, case):
+    """(exit code, stdout, stderr) of ``command`` on a (6,3,4,13) storage
+    file edited by ``MALFORMED[case]``."""
     msg = tmp_path / "msg.json"
     storage = tmp_path / "storage.json"
     msg.write_text(json.dumps(list(range(12))))
@@ -592,8 +606,20 @@ def test_malformed_storage_usage_error(tmp_path, capsys, command, case):
     doc = MALFORMED[case](json.loads(storage.read_text()))
     storage.write_text(json.dumps(doc))
     argv = ["--failed", "1", "--helpers", "2,4,5,6"] if command == "repair" else []
-    code, out, err = run_cli(capsys, command, "--in", str(storage), *argv)
-    assert one_line_usage_error(code, out, err)
+    return run_cli(capsys, command, "--in", str(storage), *argv)
+
+
+@pytest.mark.parametrize("command", ["retrieve", "repair"])
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_storage_usage_error(tmp_path, capsys, command, case):
+    assert one_line_usage_error(*run_on_malformed(tmp_path, capsys, command, case))
+
+
+@pytest.mark.parametrize("command", ["retrieve", "repair"])
+def test_a_wrong_subfile_count_is_named(tmp_path, capsys, command):
+    # counted before the rows are read, not left to fail their reshape
+    _, _, err = run_on_malformed(tmp_path, capsys, command, "subfiles-extra")
+    assert err == "error: storage file needs 1 sub-files\n"
 
 
 @pytest.mark.parametrize("n,k,d,p", [(6, 2, 3, 13), (12, 4, 8, 17), (6, 3, 4, 2**61 - 1)])
@@ -1084,6 +1110,21 @@ def test_sweep_names_each_failure(capsys, monkeypatch, case):
     assert err.splitlines() == [line.format(t=0), line.format(t=1)]
 
 
+def test_sweep_names_a_wrong_qudit_total(capsys, monkeypatch):
+    # every repair still regenerates its node, but reports B/k + 1 qudits
+    monkeypatch.setattr(repair.RepairTranscript, "qudit_total",
+                        property(lambda t: t.payloads[:, 0].size + 1))
+    code, out, err = run_cli(capsys, "sweep", *P634, "--trials", "1")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["failures"] == 30
+    assert doc["quditTotal"] == {"min": 5, "max": 5, "expected": 4}
+    lines = err.splitlines()
+    assert len(lines) == 30
+    assert all(line.startswith("failure: trial 0 repair/linear ")
+               and line.endswith(" qudit-total") for line in lines)
+
+
 @pytest.mark.parametrize("patch, failed_checks", [
     (lambda mp: break_repair(mp, errors.RegenerationMismatch), ["exact-repair"]),
     (break_retrieve, ["retrieval"]),
@@ -1100,6 +1141,18 @@ def test_selftest_reports_failed_checks(capsys, monkeypatch, patch, failed_check
     passed = 6 - len(failed_checks)
     assert lines[-1] == f"{passed}/6 selftest checks pass"
     assert err and all(line.startswith("failure: trial 0 ") for line in err.splitlines())
+
+
+def test_selftest_names_the_repairs_it_runs(capsys, monkeypatch):
+    # every repair of node 1 from 2,4,5,6 fails, and each record names it:
+    # the two of the check pass and the one in statevector mode after it
+    break_repair(monkeypatch, errors.RegenerationMismatch, failed=1, helpers=(2, 4, 5, 6))
+    code, _, err = run_cli(capsys, "selftest")
+    assert code == 1
+    assert err.splitlines() == [
+        f"failure: trial 0 repair/{mode} failed=1 helpers=2,4,5,6 RegenerationMismatch"
+        for mode in ("linear", "symplectic", "statevector")
+    ]
 
 
 @pytest.mark.parametrize("p", [3037000493, 3037000507, 2**61 - 1])

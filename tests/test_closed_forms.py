@@ -2,16 +2,17 @@
 the ones built from the inverse Vandermonde matrix, dtype included."""
 
 from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from qregen.css import cache_bases
+from qregen.css import build_repair_css
 from qregen.errors import InvalidParams, NoValidPoints
 from qregen.matrix import exact_dtype, vandermonde, vandermonde_inv
-from qregen.pmcode import _compiled_plan, make_params
+from qregen.pmcode import _compiled_plan, encode_file, make_params, random_symbols
+from qregen.repair import run_repair
+from qregen.rng import SplitMix64
 
 from caches import clear_caches
 from linalg import int64_bound_primes
@@ -62,6 +63,13 @@ def primes_for(k):
             *int64_bound_primes(k), *int64_bound_primes(2 * k - 2))
 
 
+def cold_file_blocks(params, failed, helpers):
+    """The u-free blocks of a cold file repair, one per sub-file in colex
+    order, built in one stack."""
+    storage = encode_file(params, random_symbols(params, SplitMix64(5)))
+    return run_repair(params, storage, failed, helpers).css.block
+
+
 def only_ints(array):
     return all(type(x) is int for x in array.ravel())
 
@@ -96,13 +104,14 @@ def test_cold_plans_and_blocks_equal_the_vandermonde_inverse_ones(data):
 
     failed = data.draw(st.integers(1, n))
     others = [i for i in range(1, n + 1) if i != failed]
-    if family:
+    if family:  # the file's stack, in colex order
         helpers = sorted(data.draw(st.permutations(others))[: 2 * k])
-        sets = list(combinations(helpers, 2 * k - 2))
-    else:
+        sets = [tuple(s) for s in np.array(helpers)[params.family].tolist()]
+        got = cold_file_blocks(params, failed, helpers)
+    else:  # lone sets, built one by one
         helper_set = st.permutations(others).map(lambda s: tuple(sorted(s[: 2 * k - 2])))
         sets = data.draw(st.lists(helper_set, min_size=1, max_size=3, unique=True))
-    got = np.stack(cache_bases(params, failed, sets))
+        got = np.stack([build_repair_css(params, failed, hs).block for hs in sets])
     assert got.dtype == exact_dtype(1, p)  # the field's one dtype, as is the table's
     assert got.dtype == np.int64 or only_ints(got)
     assert got.tolist() == reference_blocks(params, failed, sets).tolist()
@@ -115,7 +124,7 @@ def test_a_cold_file_family_equals_the_vandermonde_inverse_blocks(p):
     params = make_params(12, 4, 8, p)
     clear_caches()
     sets = [tuple(s) for s in (np.arange(2, 10)[params.family]).tolist()]
-    got = np.stack(cache_bases(params, 1, sets))
+    got = cold_file_blocks(params, 1, range(2, 10))
     assert got.dtype == exact_dtype(1, p)
     assert got.dtype == np.int64 or only_ints(got)
     assert got.tolist() == reference_blocks(params, 1, sets).tolist()

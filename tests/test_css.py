@@ -11,7 +11,6 @@ import qregen.repair
 from qregen.css import (
     RepairCSS,
     build_repair_css,
-    cache_bases,
     check_dual_containment,
     check_helpers,
     grs_dual_weights,
@@ -281,18 +280,19 @@ def test_build_rejects_bad_inputs():
         build_repair_css(params, 1, (2, 4, 5, 6), (1, 1, 1))
 
 
-def test_cache_bases_refuses_unchecked_keys():
-    # helper 0 would read node 6's point, failed node 7 no point at all
+def test_a_cold_build_refuses_unchecked_keys():
+    # helper 0 would read node 6's point, failed node 7 no point at all; a
+    # miss checks its key before the builder sees it, so nothing is cached
     params = make_params(6, 3, 4, 13)
     clear_caches()
     for failed, helpers in ((1, (0, 2, 3, 4)), (7, (1, 2, 3, 4))):
         with pytest.raises(InvalidHelperSet):
-            cache_bases(params, failed, [(2, 3, 4, 5), helpers])
+            build_repair_css(params, failed, helpers)
         assert len(qregen.css._BASES) == 0
 
 
 def test_corrupted_construction_fails_closed(monkeypatch):
-    # the stacked StabGroup in cache_bases checks every basis before it is
+    # the stacked StabGroup in _admit checks every basis before it is
     # cached; a warm build_repair_css checks nothing itself. Any one wrong
     # entry of helper 2's row of the powers table (1, v, v^2 = lam, v^3)
     # breaks HX_1 HZ_1^T = 0
@@ -441,7 +441,8 @@ def test_a_full_cache_keeps_the_bases_a_repair_finds(monkeypatch):
         clear_caches()
         build_repair_css(params, 1, helpers[:6])  # the oldest entry
         others = combinations([i for i in range(1, 13) if i != 2], 6)
-        cache_bases(params, 2, list(islice(others, bound - 1)))
+        for hs in islice(others, bound - 1):
+            build_repair_css(params, 2, hs)
         assert len(qregen.css._BASES) == bound
         calls.clear()
         t = run_repair(params, storage, 1, helpers)

@@ -339,6 +339,21 @@ def test_stacked_codespace_keeps_p_to_the_r_rows():
         np.testing.assert_allclose(amps[t][amps[t] != 0], one_amps, rtol=0, atol=1e-12)
 
 
+def test_a_read_never_lands_on_a_masked_row():
+    # group 0's zero X row repeats the zero codeword, so 4 of its 5 rows are
+    # masked with key -1, no codeword's key; group 1, shifted by its X error
+    # 3 (1, 1, 1, 1), reads its X generator at (4, 4, 4, 4), the largest key
+    # of its own range, which keys offset downwards would make -1 as well
+    hx = np.array([[[0, 0, 0, 0]], [[1, 1, 1, 1]]], dtype=np.int64)
+    hz = np.array([[[1, 4, 0, 0]], [[1, 4, 0, 0]]], dtype=np.int64)
+    group = StabGroup(x_type=hx, z_type=hz, p=5)
+    x, z = [[1, 2, 3, 4], [3, 3, 3, 3]], [[2, 0, 1, 3], [3, 1, 4, 2]]
+    s_x, s_z = syndrome_statevector(group, x, z)
+    for t in range(2):
+        one = StabGroup(x_type=hx[t], z_type=hz[t], p=5)
+        assert lists((s_x[t], s_z[t]), 5) == lists(syndrome_linear(one, x[t], z[t]), 5)
+
+
 def test_stack_measured_in_slices_under_the_state_limit(monkeypatch):
     # 28 groups of 17^3 = 4913 support entries: under a limit of 5000 entries
     # each slice holds one group, and the syndromes do not change
